@@ -23,13 +23,13 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .dynamics import AgentState, ControlInput, Trajectory, VehicleParams
+from .dynamics import AgentState, ControlInput, Trajectory
 from .engine import (AgentStatus, PlannerBinding, SetupError, SimulationConfig,
                      SimulationResult, benchmark, run)
 from .metrics import MetricConfig, evaluate
 from .planners import FrenetPlannerConfig, IdmParams
 from .prediction import PredictorConfig
-from .scenario import Scenario, ScenarioError, load_scenario, substitute_agents
+from .scenario import ScenarioError, load_scenario, substitute_agents
 
 WORKERS_ENV = "DRIVESIM_WORKERS"
 
@@ -123,12 +123,14 @@ def build_run(doc: dict):
     sim_block = dict(doc["simulation"])
     sim_block.setdefault("dt", scenario.dt)
     sim_block["worker_count"] = _worker_count(sim_block)
-    sim_block.setdefault("batch_count", sim_block["worker_count"])
     sim_cfg = SimulationConfig(**_filtered_kwargs(SimulationConfig, sim_block, "simulation"))
     predictor = PredictorConfig(**_filtered_kwargs(PredictorConfig, doc["predictor"], "predictor"))
     metric_cfg = MetricConfig(**_filtered_kwargs(MetricConfig, doc["metrics"], "metrics"))
 
     substitute = [str(a) for a in doc["substitute"]]
+    if not substitute:
+        raise ConfigError(f"{doc['_config_path']}: no agents to simulate; "
+                          "give 'agents' or 'substitute'")
     recordings = {aid: tuple(scenario.dynamic_obstacle(aid).recorded_states)
                   for aid in substitute}
     sub = substitute_agents(scenario, substitute)
@@ -259,6 +261,11 @@ def cmd_evaluate(args) -> int:
     run_dir = Path(args.run_dir)
     result, manifest = read_run_outputs(run_dir)
     doc = load_run_config(manifest["config_path"])
+    digest = config_digest(doc)
+    if digest != manifest.get("config_digest"):
+        raise ConfigError(
+            f"{manifest['config_path']} changed since the run: its digest is {digest}, "
+            f"the run's manifest records {manifest.get('config_digest')}")
     scenario, _, _, _, metric_cfg, _ = build_run(doc)
     report = evaluate(result, scenario, metric_cfg)
     (run_dir / "metrics.json").write_text(

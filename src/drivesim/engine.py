@@ -1,9 +1,9 @@
 """Synchronous lockstep simulation: aggregate, collision-check, goal-check,
 predict, fan out local views, plan in parallel batches, advance.
 
-Results are bit-identical for any worker/batch configuration: agents are
-planned independently on immutable time-t data and all next states are
-applied together. Wall-clock timings are logged but excluded from any
+Results are bit-identical for any worker count: agents are planned
+independently on immutable time-t data and all next states are applied
+together. Wall-clock timings are logged but excluded from any
 determinism contract.
 """
 
@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AgentState, ControlInput, Trajectory, VehicleParams
+from .dynamics import Trajectory
 from .geometry import Polyline, CurvilinearFrame, box_inside_region, boxes_intersect, occupancy
 from .planners import (
     FrenetPlanner, FrenetPlannerConfig, IdmParams, IdmPlanner, LocalView,
-    Neighbor, PlannerError, ReplayPlanner, RouteError,
+    Neighbor, ReplayPlanner, RouteError,
 )
 from .prediction import PredictorConfig, predict_all
 from .scenario import GoalCheck, Scenario, goal_satisfied
@@ -38,14 +38,13 @@ class SimulationConfig:
     dt: float = 0.1
     max_steps: int = 500
     visibility_radius: float = 100.0
-    worker_count: int = 1
-    batch_count: int = 1
+    worker_count: int = 1  # also the number of planning batches per step
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
-        if self.worker_count < 1 or self.batch_count < 1:
-            raise ValueError("worker_count and batch_count must be >= 1")
+        if self.worker_count < 1:
+            raise ValueError("worker_count must be >= 1")
 
 
 class AgentStatus(enum.Enum):
@@ -317,7 +316,7 @@ def _run_loop(scenario, agents, cfg, predictor, pool) -> SimulationResult:
             )
 
         # (6) plan in batches; barrier before applying anything
-        batches = [b for b in _chunk(running, cfg.batch_count)]
+        batches = _chunk(running, cfg.worker_count)
         batch_times = []
         results = {}
         if pool is None:
@@ -416,8 +415,7 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
         for w in worker_counts:
             step_times, batch_times = [], []
             for _ in range(repetitions):
-                cfg = SimulationConfig(dt=scenario.dt, max_steps=steps,
-                                       worker_count=w, batch_count=max(w, 1))
+                cfg = SimulationConfig(dt=scenario.dt, max_steps=steps, worker_count=w)
                 result = run(sub, bindings, cfg)
                 for log in result.step_logs:
                     step_times.append(log.timings["total"])

@@ -7,7 +7,7 @@ processes. Distances are meters, angles radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +24,6 @@ class Point2:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise GeometryError("Point2 coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
 
 
 class Polyline:
@@ -58,9 +55,6 @@ class Polyline:
         i = min(i, len(self.segment_lengths) - 1)
         t = (s - self.cumulative_arclength[i]) / self.segment_lengths[i]
         return self.points[i] + t * (self.points[i + 1] - self.points[i])
-
-    def reversed(self) -> "Polyline":
-        return Polyline(self.points[::-1])
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -95,8 +89,12 @@ class CurvilinearFrame:
         if not np.all(np.isfinite(self.curvatures)):
             raise GeometryError("non-finite curvature in reference path")
         self.curvatures.setflags(write=False)
-        # per-segment unit direction, used by projection and its inverse
-        self._seg_dir = _normalize_rows(np.diff(pts, axis=0))
+        # per-segment start, offset and unit direction, used by projection
+        # and its inverse
+        self._seg_start = pts[:-1]
+        self._seg = np.diff(pts, axis=0)
+        self._seg_len2 = np.einsum("ij,ij->i", self._seg, self._seg)
+        self._seg_dir = _normalize_rows(self._seg)
 
     @property
     def length(self) -> float:
@@ -121,6 +119,21 @@ class CurvilinearFrame:
         s = min(max(s, 0.0), self.length)
         return float(np.interp(s, self.reference.cumulative_arclength, self._vertex_angles))
 
+    def _closest(self, p):
+        """Closest reference point to p: (segment index, segment parameter
+        before and after clamping to [0, 1], foot point, squared distance)."""
+        t = np.einsum("ij,ij->i", p[None, :] - self._seg_start, self._seg) / self._seg_len2
+        t_clamped = np.clip(t, 0.0, 1.0)
+        foot = self._seg_start + t_clamped[:, None] * self._seg
+        diff = p[None, :] - foot
+        dist2 = np.einsum("ij,ij->i", diff, diff)
+        i = int(np.argmin(dist2))
+        return i, t[i], t_clamped[i], foot[i], dist2[i]
+
+    def distance(self, p) -> float:
+        """Euclidean distance from p to the reference polyline."""
+        return math.sqrt(self._closest(np.asarray(p, dtype=float))[4])
+
     def project(self, p) -> tuple[float, float, bool]:
         """Project p onto the reference.
 
@@ -129,24 +142,13 @@ class CurvilinearFrame:
         in_domain=False but still get the clamped (s, d).
         """
         p = np.asarray(p, dtype=float)
-        pts = self.reference.points
-        a = pts[:-1]
-        seg = pts[1:] - a
-        seg_len2 = np.einsum("ij,ij->i", seg, seg)
-        t = np.einsum("ij,ij->i", p[None, :] - a, seg) / seg_len2
-        t_clamped = np.clip(t, 0.0, 1.0)
-        foot = a + t_clamped[:, None] * seg
-        diff = p[None, :] - foot
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        i = int(np.argmin(dist2))
-        cum = self.reference.cumulative_arclength
-        s = float(cum[i] + t_clamped[i] * self.reference.segment_lengths[i])
+        i, t, t_clamped, foot, _ = self._closest(p)
+        ref = self.reference
+        s = float(ref.cumulative_arclength[i] + t_clamped * ref.segment_lengths[i])
         u = self._seg_dir[i]
-        rel = p - foot[i]
+        rel = p - foot
         d = float(u[0] * rel[1] - u[1] * rel[0])
-        in_domain = True
-        if (i == 0 and t[i] < 0.0) or (i == len(seg) - 1 and t[i] > 1.0):
-            in_domain = False
+        in_domain = not ((i == 0 and t < 0.0) or (i == len(self._seg) - 1 and t > 1.0))
         return s, d, in_domain
 
     def to_cartesian(self, s: float, d: float) -> np.ndarray:
@@ -220,9 +222,6 @@ class Polygon:
         v = self.vertices
         x, y = v[:, 0], v[:, 1]
         return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
 
     def bounds(self) -> tuple[float, float, float, float]:
         v = self.vertices

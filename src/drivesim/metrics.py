@@ -18,7 +18,7 @@ from .dynamics import AgentState, VehicleParams, normalize_angle
 from .engine import AgentStatus, SimulationResult
 from .geometry import (CurvilinearFrame, Polygon, box_intersects_polygon,
                        boxes_intersect, min_distance, occupancy)
-from .prediction import _chain_frame, lane_chain
+from .prediction import lane_chain
 from .scenario import Scenario
 
 INF = math.inf
@@ -89,8 +89,8 @@ def _candidate_chains(network, state: AgentState):
         if abs(normalize_angle(lane.start_tangent_angle() - state.theta)) <= math.pi / 2:
             starts.append(lid)
     if not starts:
-        lid, dist = network.nearest_lanelet(p)
-        if lid is None or dist > 5.0:
+        lid = network.localize(p)
+        if lid is None:
             return []
         starts = [lid]
     chains = []
@@ -109,12 +109,12 @@ def _candidate_chains(network, state: AgentState):
 
 
 def _own_frame(network, state: AgentState, horizon_length: float):
-    lid, dist = network.nearest_lanelet((state.x, state.y))
-    if lid is None or dist > 5.0:
+    lid = network.localize((state.x, state.y))
+    if lid is None:
         return None
     chain = lane_chain(network, lid, state.theta,
                        network.lanelets[lid].centerline.length + horizon_length)
-    return _chain_frame(network, chain)
+    return network.chain_frame(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +222,11 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     if not chains:
         return PairContext(log_a.id, log_o.id, "ignored")
 
-    other_lanelet, other_dist = network.nearest_lanelet((so.x, so.y))
+    other_lanelet = network.localize((so.x, so.y))
 
     best: PairContext | None = None
     for chain in chains:
-        frame = _chain_frame(network, chain)
+        frame = network.chain_frame(chain)
         s_a, d_a, in_a = frame.project((sa.x, sa.y))
         s_o, d_o, in_o = frame.project((so.x, so.y))
         if not (in_a and in_o):
@@ -234,7 +234,7 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         tang_o = frame.tangent_angle_at(s_o)
         same_dir = abs(normalize_angle(so.theta - tang_o)) <= math.pi / 2
         lanes_cross = (
-            other_lanelet is not None and other_dist <= 5.0
+            other_lanelet is not None
             and any(tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in chain)
         )
         if not same_dir:
@@ -521,7 +521,7 @@ def _distance_to_next_conflict_area(network, state: AgentState, log: VehicleLog,
         chain_cache[key] = chains
     best = INF
     for chain in chains:
-        frame = _chain_frame(network, chain)
+        frame = network.chain_frame(chain)
         s_a, _, in_a = frame.project((state.x, state.y))
         if not in_a:
             continue

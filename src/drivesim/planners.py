@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
 from .dynamics import AgentState, ControlInput, Trajectory, VehicleParams, normalize_angle
-from .geometry import CurvilinearFrame, Polyline, boxes_intersect, occupancy
+from .geometry import CurvilinearFrame, boxes_intersect, occupancy
 from .prediction import PredictedPath
 from .scenario import GoalRegion, StreetNetwork
 
@@ -126,13 +126,12 @@ class IdmPlanner:
     """Longitudinal IDM on a fixed path; lateral motion locked to the path."""
 
     def __init__(self, path: CurvilinearFrame, v0_profile, idm: IdmParams,
-                 params: VehicleParams, dt: float, d_profile=None):
+                 params: VehicleParams, dt: float):
         self.path = path
         self.v0_profile = list(v0_profile)
         self.idm = idm
         self.params = params
         self.dt = dt
-        self.d_profile = list(d_profile) if d_profile is not None else None
 
     def _lead(self, view: LocalView, s_ego: float):
         """Nearest corridor entry point ahead among predicted neighbor paths."""
@@ -179,10 +178,7 @@ class IdmPlanner:
                 a = self.idm.accel * (1.0 - (v / v0) ** self.idm.exponent
                                       - (max(s_star, 0.0) / gap) ** 2)
         a = max(-self.params.a_long_max, min(self.params.a_long_max, a))
-        d_target = 0.0
-        if self.d_profile is not None:
-            d_target = self.d_profile[min(view.step, len(self.d_profile) - 1)]
-        kappa = _track_path(self.path, s, d, ego.theta, d_target, self.params)
+        kappa = _track_path(self.path, s, d, ego.theta, 0.0, self.params)
         u = ControlInput(a, kappa)
         nxt, traj = _two_state_trajectory(ego, u, self.dt)
         return PlanResult(nxt, u, traj, "ok")
@@ -412,8 +408,8 @@ def _start_lanelet(network: StreetNetwork, start: AgentState) -> str:
             frame_angle = lane.start_tangent_angle()
             return (abs(normalize_angle(frame_angle - start.theta)), lid)
         return min(containing, key=misalign)
-    lid, dist = network.nearest_lanelet(p)
-    if lid is None or dist > 5.0:
+    lid = network.localize(p)
+    if lid is None:
         raise RouteError("start state not localizable on the network")
     return lid
 
@@ -447,11 +443,4 @@ def route_to_goal(network: StreetNetwork, start: AgentState, goal: GoalRegion) -
     chain = [target]
     while chain[-1] != start_id:
         chain.append(prev[chain[-1]])
-    chain.reverse()
-    pts = []
-    for lid in chain:
-        cp = network.lanelets[lid].centerline.points
-        if pts and np.hypot(*(cp[0] - pts[-1])) < 1e-9:
-            cp = cp[1:]
-        pts.extend(cp)
-    return CurvilinearFrame(Polyline(np.asarray(pts)))
+    return network.chain_frame(tuple(reversed(chain)))

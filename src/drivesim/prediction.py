@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AgentState, normalize_angle
-from .geometry import CurvilinearFrame, Polyline
+from .geometry import CurvilinearFrame
 from .scenario import StreetNetwork
-
-LOCALIZE_RADIUS = 5.0  # m; beyond this the straight-line fallback applies
 
 
 @dataclass(frozen=True)
@@ -44,24 +42,6 @@ class PredictedPath:
     def __post_init__(self):
         if len(self.states) != len(self.pos_stddev):
             raise ValueError("states and pos_stddev must have equal length")
-
-
-_chain_frames: dict[tuple, CurvilinearFrame] = {}
-
-
-def _chain_frame(network: StreetNetwork, chain: tuple[str, ...]) -> CurvilinearFrame:
-    key = (id(network),) + chain
-    frame = _chain_frames.get(key)
-    if frame is None:
-        pts = []
-        for lid in chain:
-            cp = network.lanelets[lid].centerline.points
-            if pts and np.hypot(*(cp[0] - pts[-1])) < 1e-9:
-                cp = cp[1:]
-            pts.extend(cp)
-        frame = CurvilinearFrame(Polyline(np.asarray(pts)))
-        _chain_frames[key] = frame
-    return frame
 
 
 def _best_successor(network: StreetNetwork, lanelet_id: str, heading: float) -> str | None:
@@ -138,14 +118,12 @@ def predict_all(states: dict[str, AgentState], network: StreetNetwork,
     out = {}
     for vid in sorted(states):
         state = states[vid]
-        lid, dist = (None, math.inf)
-        if network.lanelets:
-            lid, dist = network.nearest_lanelet((state.x, state.y))
-        if lid is None or dist > LOCALIZE_RADIUS:
+        lid = network.localize((state.x, state.y))
+        if lid is None:
             out[vid] = _straight_prediction(vid, state, n, dt, cfg.growth_rate)
             continue
         first_len = network.lanelets[lid].centerline.length
         needed = first_len + state.v * cfg.horizon + 10.0
-        frame = _chain_frame(network, lane_chain(network, lid, state.theta, needed))
+        frame = network.chain_frame(lane_chain(network, lid, state.theta, needed))
         out[vid] = _lane_prediction(vid, state, frame, n, dt, cfg.growth_rate)
     return out

@@ -10,8 +10,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .dynamics import AgentState, Trajectory, ControlInput, VehicleParams, normalize_angle
+from .dynamics import AgentState, VehicleParams
 from .geometry import CurvilinearFrame, OrientedBox, Point2, Polygon, Polyline, occupancy
+
+LOCALIZE_RADIUS = 5.0  # m; a position farther from every centerline is off the network
+CONFLICT_GRID_RESOLUTION = 0.25  # m between the samples of a lanelet overlap
+CONFLICT_MIN_AREA = 0.5  # m^2; smaller overlaps are shared borders
 
 
 class ScenarioError(ValueError):
@@ -65,11 +69,29 @@ class StreetNetwork:
                     )
         self._region = [l.polygon for l in self.lanelets.values()]
         self._conflict_cache = None
+        self._frames: dict[tuple[str, ...], CurvilinearFrame] = {}
 
     @property
     def region(self):
         """Lanelet polygons forming the drivable union."""
         return self._region
+
+    def chain_frame(self, chain: tuple[str, ...]) -> CurvilinearFrame:
+        """Curvilinear frame along the joined centerlines of a lanelet chain.
+
+        Frames are built once per chain and live as long as the network.
+        """
+        frame = self._frames.get(chain)
+        if frame is None:
+            pts = []
+            for lid in chain:
+                cp = self.lanelets[lid].centerline.points
+                if pts and np.hypot(*(cp[0] - pts[-1])) < 1e-9:
+                    cp = cp[1:]
+                pts.extend(cp)
+            frame = CurvilinearFrame(Polyline(np.asarray(pts)))
+            self._frames[chain] = frame
+        return frame
 
     def nearest_lanelet(self, point) -> tuple[str, float]:
         """Lanelet whose centerline is closest to point; returns (id, distance).
@@ -79,14 +101,15 @@ class StreetNetwork:
         p = np.asarray(point, dtype=float)
         best_id, best_d = None, math.inf
         for lid in sorted(self.lanelets):
-            lane = self.lanelets[lid]
-            frame = _centerline_frame(lane)
-            s, _, _ = frame.project(p)
-            foot = frame.to_cartesian(min(max(s, 0.0), frame.length), 0.0)
-            dist = float(np.hypot(*(p - foot)))
+            dist = self.chain_frame((lid,)).distance(p)
             if dist < best_d - 1e-12:
                 best_id, best_d = lid, dist
         return best_id, best_d
+
+    def localize(self, point) -> str | None:
+        """Nearest lanelet within LOCALIZE_RADIUS of point, else None."""
+        lid, dist = self.nearest_lanelet(point)
+        return lid if dist <= LOCALIZE_RADIUS else None
 
     def containing_lanelets(self, point) -> list[str]:
         p = np.asarray(point, dtype=float)
@@ -96,11 +119,11 @@ class StreetNetwork:
                 out.append(lid)
         return out
 
-    def conflict_areas(self, grid_resolution: float = 0.25, min_area: float = 0.5):
+    def conflict_areas(self):
         """Overlap polygons of non-adjacent lanelet pairs (grid-sampled hull).
 
         Adjacent same-direction lanelets never form conflict areas; overlaps
-        below min_area (shared borders) are discarded.
+        below CONFLICT_MIN_AREA (shared borders) are discarded.
         """
         if self._conflict_cache is not None:
             return self._conflict_cache
@@ -112,8 +135,8 @@ class StreetNetwork:
                 b = self.lanelets[b_id]
                 if _same_direction_adjacent(a, b):
                     continue
-                poly = _grid_overlap(a.polygon, b.polygon, grid_resolution)
-                if poly is not None and poly.area >= min_area:
+                poly = _grid_overlap(a.polygon, b.polygon, CONFLICT_GRID_RESOLUTION)
+                if poly is not None and poly.area >= CONFLICT_MIN_AREA:
                     out.append(((a_id, b_id), poly))
         self._conflict_cache = out
         return out
@@ -154,18 +177,6 @@ def _grid_overlap(pa: Polygon, pb: Polygon, res: float) -> Polygon | None:
     except Exception:
         return None
     return Polygon(pts[hull.vertices])
-
-
-_frame_cache: dict[int, CurvilinearFrame] = {}
-
-
-def _centerline_frame(lane: Lanelet) -> CurvilinearFrame:
-    key = id(lane)
-    frame = _frame_cache.get(key)
-    if frame is None:
-        frame = CurvilinearFrame(lane.centerline)
-        _frame_cache[key] = frame
-    return frame
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ def run_bundled(name: str, worker_count: int | None = None):
     doc = load_run_config(name)
     scenario, bindings, sim_cfg, predictor, metric_cfg, _ = build_run(doc)
     if worker_count is not None:
-        sim_cfg = dataclasses.replace(sim_cfg, worker_count=worker_count,
-                                      batch_count=worker_count)
+        sim_cfg = dataclasses.replace(sim_cfg, worker_count=worker_count)
     result = engine.run(scenario, bindings, sim_cfg, predictor)
     return result, scenario, metric_cfg
 

@@ -97,6 +97,26 @@ class TestSubcommands:
         assert {r["agent"] for r in rows} == {"green", "orange"}
         assert {"min_dce", "min_ttc", "et", "pet", "collided", "status"} <= set(rows[0])
 
+    def test_evaluate_rejects_edited_config(self, quick_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", str(quick_config), "--out", str(out)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config_digest"]
+        doc = json.loads(quick_config.read_text())
+        doc["simulation"]["max_steps"] = 41
+        quick_config.write_text(json.dumps(doc))
+        assert main(["evaluate", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(quick_config.resolve()) in err
+        assert recorded in err
+        assert config_digest(load_run_config(quick_config)) in err
+        assert not (out / "metrics.json").exists()
+
+    def test_run_without_agents_fails(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "highway_benchmark", "--out", str(out)]) == 1
+        assert "no agents" in capsys.readouterr().err
+        assert not (out / "steps.jsonl").exists()
+
     def test_plotdata(self, quick_config, tmp_path):
         out = tmp_path / "run"
         main(["run", str(quick_config), "--out", str(out)])

@@ -20,8 +20,6 @@ def _bundled(name):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(worker_count=0)
-    with pytest.raises(ValueError):
-        SimulationConfig(batch_count=0)
 
 
 def test_missing_binding_rejected():

@@ -1,0 +1,68 @@
+"""Behaviour-preservation check: sha256 of every bundled run's outputs.
+
+    python3 tools/digests.py
+
+Runs and evaluates every bundled run configuration that substitutes agents,
+each with `drivesim run` and `drivesim evaluate` in a fresh interpreter and a
+temporary directory, and prints one table row per configuration with the
+sha256 of its `steps.jsonl` and of its `metrics.json`. drivesim is imported
+from the `src` directory next to this script, so running the script of two
+checkouts compares their code. A refactor that claims to keep behaviour must
+leave every digest unchanged.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "drivesim" / "data"
+
+
+def agent_configs() -> list[str]:
+    """Names of the bundled run configurations that simulate agents."""
+    names = []
+    for path in sorted(DATA.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "scenario" in doc and doc.get("substitute", sorted(doc.get("agents", {}))):
+            names.append(path.stem)
+    return names
+
+
+def drivesim(*argv: str, cwd: str):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "drivesim.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"drivesim {' '.join(argv)} failed:\n{proc.stderr}")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def digests(name: str) -> tuple[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        drivesim("run", name, "--out", "out", cwd=tmp)
+        drivesim("evaluate", "out", cwd=tmp)
+        out = Path(tmp) / "out"
+        return sha256(out / "steps.jsonl"), sha256(out / "metrics.json")
+
+
+def main() -> int:
+    print("| config | steps.jsonl sha256 | metrics.json sha256 |")
+    print("|---|---|---|")
+    for name in agent_configs():
+        steps, metrics = digests(name)
+        print(f"| `{name}` | `{steps}` | `{metrics}` |", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
