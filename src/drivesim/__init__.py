@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .dynamics import AgentState, ControlInput, Trajectory, VehicleParams, step
 from .engine import (AgentStatus, PlannerBinding, SimulationConfig,
                      SimulationResult, benchmark, run)
-from .geometry import (CurvilinearFrame, OrientedBox, Point2, Polygon,
-                       Polyline, boxes_intersect, min_distance, occupancy)
+from .geometry import (CurvilinearFrame, Polygon, Polyline, boxes_intersect,
+                       min_distance, occupancy)
 from .metrics import MetricConfig, MetricReport, evaluate
 from .planners import (FrenetPlanner, FrenetPlannerConfig, IdmParams,
                        IdmPlanner, LocalView, PlanResult, ReplayPlanner,
@@ -20,7 +20,7 @@ __all__ = [
     "AgentState", "ControlInput", "Trajectory", "VehicleParams", "step",
     "AgentStatus", "PlannerBinding", "SimulationConfig", "SimulationResult",
     "benchmark", "run",
-    "CurvilinearFrame", "OrientedBox", "Point2", "Polygon", "Polyline",
+    "CurvilinearFrame", "Polygon", "Polyline",
     "boxes_intersect", "min_distance", "occupancy",
     "MetricConfig", "MetricReport", "evaluate",
     "FrenetPlanner", "FrenetPlannerConfig", "IdmParams", "IdmPlanner",

@@ -247,23 +247,22 @@ def _run_loop(scenario, agents, cfg, predictor, pool) -> SimulationResult:
         t_col0 = time.perf_counter()
         collision_events = []
         collided: set[str] = set()
-        boxes = {vid: occupancy(st, ln, wd) for vid, st, ln, wd, _ in vehicles}
-        for i, (vid_a, _, _, _, is_agent_a) in enumerate(vehicles):
-            for vid_b, _, _, _, is_agent_b in vehicles[i + 1:]:
-                if not (is_agent_a or is_agent_b):
-                    continue
-                if boxes_intersect(boxes[vid_a], boxes[vid_b]):
-                    collision_events.append({"type": "vehicle_pair", "ids": [vid_a, vid_b]})
-                    if is_agent_a:
-                        collided.add(vid_a)
-                    if is_agent_b:
-                        collided.add(vid_b)
-        for aid in running:
-            if aid in collided:
-                continue
-            if not box_inside_region(boxes[aid], scenario.network.region):
-                collision_events.append({"type": "road_departure", "ids": [aid]})
-                collided.add(aid)
+        ids, states, lengths, widths, is_agent = zip(*vehicles)
+        boxes = occupancy(states, lengths, widths)
+        is_agent = np.array(is_agent)
+        first, second = np.triu_indices(len(vehicles), k=1)
+        checked = is_agent[first] | is_agent[second]
+        first, second = first[checked], second[checked]
+        hits = boxes_intersect(boxes[first], boxes[second])
+        for i, j in zip(first[hits], second[hits]):
+            collision_events.append({"type": "vehicle_pair", "ids": [ids[i], ids[j]]})
+            collided.update(ids[k] for k in (i, j) if is_agent[k])
+        # running agents lead the vehicle list, in the same order
+        on_road = [k for k, aid in enumerate(running) if aid not in collided]
+        for k, inside in zip(on_road, box_inside_region(boxes[on_road], scenario.network.region)):
+            if not inside:
+                collision_events.append({"type": "road_departure", "ids": [running[k]]})
+                collided.add(running[k])
         for aid in sorted(collided):
             agents[aid].status = AgentStatus.COLLIDED
             agents[aid].terminal_step = t

@@ -7,23 +7,12 @@ processes. Distances are meters, angles radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class GeometryError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError("Point2 coordinates must be finite")
 
 
 class Polyline:
@@ -172,39 +161,6 @@ class CurvilinearFrame:
         return base + d * normal
 
 
-@dataclass(frozen=True)
-class OrientedBox:
-    """Rectangle occupancy: center, heading, and positive length x width."""
-
-    center: Point2
-    heading: float
-    length: float
-    width: float
-
-    def __post_init__(self):
-        if self.length <= 0 or self.width <= 0:
-            raise GeometryError("OrientedBox length and width must be positive")
-
-    def corners(self) -> np.ndarray:
-        hl, hw = 0.5 * self.length, 0.5 * self.width
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.center.x, self.center.y])
-
-    @property
-    def circumradius(self) -> float:
-        return 0.5 * math.hypot(self.length, self.width)
-
-    def inflated(self, margin: float) -> "OrientedBox":
-        return OrientedBox(
-            self.center,
-            self.heading,
-            self.length + 2.0 * margin,
-            self.width + 2.0 * margin,
-        )
-
-
 class Polygon:
     """Simple closed ring of >=3 vertices."""
 
@@ -253,95 +209,142 @@ class Polygon:
         return inside | on_edge
 
 
-def occupancy(state, length: float, width: float) -> OrientedBox:
-    """Oriented-box occupancy of a vehicle state (anything with x, y, theta)."""
-    if length <= 0 or width <= 0:
+# ---------------------------------------------------------------------------
+# Oriented boxes
+#
+# A box is a float array whose last axis is (cx, cy, heading, length, width).
+# Every function below broadcasts over the leading axes, so one call covers
+# any number of boxes or box pairs. Corners, projections and dot products go
+# through matmul and vecdot, not elementwise arithmetic: the BLAS kernels
+# behind them may fuse multiply-adds, so an elementwise rewrite would move
+# results in the last bit and change the digests of tools/digests.py.
+
+_CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+def occupancy(state, length, width) -> np.ndarray:
+    """Box of a vehicle state (anything with x, y, theta), or boxes (n, 5) of
+    a sequence of states; length and width broadcast against them."""
+    if np.any(np.asarray(length) <= 0) or np.any(np.asarray(width) <= 0):
         raise GeometryError("shape must be positive")
-    return OrientedBox(Point2(state.x, state.y), state.theta, length, width)
+    if hasattr(state, "theta"):
+        pose = np.array([state.x, state.y, state.theta], dtype=float)
+    else:
+        pose = np.array([(s.x, s.y, s.theta) for s in state], dtype=float).reshape(-1, 3)
+    if not np.isfinite(pose[..., :2]).all():
+        raise GeometryError("box centre must be finite")
+    box = np.empty(np.broadcast_shapes(pose.shape[:-1], np.shape(length), np.shape(width)) + (5,))
+    box[..., :3] = pose
+    box[..., 3] = length
+    box[..., 4] = width
+    return box
 
 
-def _project_interval(corners: np.ndarray, axis: np.ndarray) -> tuple[float, float]:
-    dots = corners @ axis
-    return float(dots.min()), float(dots.max())
+def _axes(box: np.ndarray) -> np.ndarray:
+    """Unit heading and left normal of each box as rows (..., 2, 2)."""
+    c, s = np.cos(box[..., 2]), np.sin(box[..., 2])
+    axes = np.empty(box.shape[:-1] + (2, 2))
+    axes[..., 0, 0], axes[..., 0, 1], axes[..., 1, 0], axes[..., 1, 1] = c, s, -s, c
+    return axes
 
 
-def boxes_intersect(a: OrientedBox, b: OrientedBox) -> bool:
-    """Separating-axis test; touching boundaries count as intersecting."""
-    dx = b.center.x - a.center.x
-    dy = b.center.y - a.center.y
-    if math.hypot(dx, dy) > a.circumradius + b.circumradius:
-        return False
-    ca, cb = a.corners(), b.corners()
-    for heading in (a.heading, b.heading):
-        c, s = math.cos(heading), math.sin(heading)
-        for axis in (np.array([c, s]), np.array([-s, c])):
-            lo_a, hi_a = _project_interval(ca, axis)
-            lo_b, hi_b = _project_interval(cb, axis)
-            if hi_a < lo_b or hi_b < lo_a:
-                return False
-    return True
+def _corners(box: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    local = 0.5 * box[..., None, 3:5] * _CORNER_SIGNS
+    return local @ axes + box[..., None, :2]
 
 
-def _segment_distance(p1, p2, q1, q2) -> float:
-    """Minimum distance between two segments."""
-    def point_seg(p, a, b):
-        ab = b - a
-        denom = float(ab @ ab)
-        t = 0.0 if denom < 1e-300 else float((p - a) @ ab) / denom
-        t = min(max(t, 0.0), 1.0)
-        return float(np.hypot(*(p - (a + t * ab))))
-
-    d1, d2 = p2 - p1, q2 - q1
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(cross) > 1e-12:
-        # check proper intersection
-        r = q1 - p1
-        t = (r[0] * d2[1] - r[1] * d2[0]) / cross
-        u = (r[0] * d1[1] - r[1] * d1[0]) / cross
-        if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
-            return 0.0
-    return min(
-        point_seg(p1, q1, q2),
-        point_seg(p2, q1, q2),
-        point_seg(q1, p1, p2),
-        point_seg(q2, p1, p2),
-    )
+def box_corners(box) -> np.ndarray:
+    """Corners (..., 4, 2), counter-clockwise from the front left."""
+    box = np.asarray(box, dtype=float)
+    return _corners(box, _axes(box))
 
 
-def min_distance(a: OrientedBox, b: OrientedBox) -> float:
+def _pairs(a, b):
+    """Broadcast two box arrays and flatten them to (n, 5) each."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return a.shape[:-1], a.reshape(-1, 5), b.reshape(-1, 5)
+
+
+def _project(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Projections (..., k, p) of points (..., p, 2) on axes (..., k, 2)."""
+    return (points[..., None, :, :] @ axes[..., :, :, None])[..., 0]
+
+
+def _separated(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Whether the projections (..., axes, points) of two convex sets leave a
+    gap on some axis; touching intervals do not."""
+    return np.any((pa.max(axis=-1) < pb.min(axis=-1)) | (pb.max(axis=-1) < pa.min(axis=-1)),
+                  axis=-1)
+
+
+def boxes_intersect(a, b):
+    """Separating-axis test per pair of boxes (Gottschalk et al., "OBBTree",
+    SIGGRAPH 1996); touching boundaries count as intersecting. Pairs whose
+    centres are farther apart than the sum of the circumradii are decided by
+    that alone; only the rest run the axis test."""
+    shape, a, b = _pairs(a, b)
+    reach = 0.5 * (np.hypot(a[:, 3], a[:, 4]) + np.hypot(b[:, 3], b[:, 4]))
+    hit = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) <= reach
+    if hit.any():
+        a, b = a[hit], b[hit]
+        axes_a, axes_b = _axes(a), _axes(b)
+        axes = np.concatenate([axes_a, axes_b], axis=-2)
+        hit[hit] = ~_separated(_project(_corners(a, axes_a), axes),
+                               _project(_corners(b, axes_b), axes))
+    return hit.reshape(shape)[()]
+
+
+def _corner_to_edge(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Smallest distance (n,) from a corner of p (n, 4, 2) to an edge of q."""
+    start = q[:, None, :, :]
+    edge = np.roll(q, -1, axis=-2)[:, None, :, :] - start
+    t = np.clip(np.vecdot(p[:, :, None, :] - start, edge) / np.vecdot(edge, edge), 0.0, 1.0)
+    gap = p[:, :, None, :] - (start + t[..., None] * edge)
+    return np.hypot(gap[..., 0], gap[..., 1]).min(axis=(-2, -1))
+
+
+def min_distance(a, b):
     """Minimum Euclidean distance between box boundaries; 0 when intersecting."""
-    if boxes_intersect(a, b):
-        return 0.0
-    ca, cb = a.corners(), b.corners()
-    best = math.inf
-    for i in range(4):
-        for j in range(4):
-            d = _segment_distance(ca[i], ca[(i + 1) % 4], cb[j], cb[(j + 1) % 4])
-            if d < best:
-                best = d
-    return best
+    shape, a, b = _pairs(a, b)
+    ca, cb = box_corners(a), box_corners(b)
+    dist = np.minimum(_corner_to_edge(ca, cb), _corner_to_edge(cb, ca))
+    return np.where(boxes_intersect(a, b), 0.0, dist).reshape(shape)[()]
 
 
-def box_sample_points(box: OrientedBox, spacing: float = 0.1) -> np.ndarray:
-    """Corners plus edge samples at <= spacing along the box boundary."""
-    corners = box.corners()
-    pts = [corners]
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        n = int(math.ceil(float(np.hypot(*(b - a))) / spacing))
-        if n > 1:
-            t = np.arange(1, n)[:, None] / n
-            pts.append(a + t * (b - a))
-    return np.vstack(pts)
+def box_intersects_polygon(box, poly: Polygon):
+    """Overlap test (separating axes) between boxes and one convex polygon."""
+    box = np.asarray(box, dtype=float)
+    shape, box = box.shape[:-1], box.reshape(-1, 5)
+    pv = poly.vertices
+    edges = np.roll(pv, -1, axis=0) - pv
+    normals = np.column_stack([-edges[:, 1], edges[:, 0]])
+    norm = np.hypot(normals[:, 0], normals[:, 1])
+    normals = normals[norm > 1e-12] / norm[norm > 1e-12, None]
+    box_axes = _axes(box)
+    corners = _corners(box, box_axes)
+    on_box = _separated(_project(corners, box_axes), _project(pv, box_axes))
+    on_poly = _separated(_project(corners, normals), _project(pv, normals)[None])
+    return ~(on_box | on_poly).reshape(shape)[()]
 
 
-def box_inside_region(box: OrientedBox, region, spacing: float = 0.1) -> bool:
-    """True iff the box lies within the union of the region's polygons.
+def box_inside_region(box, region, spacing: float = 0.1):
+    """True per box iff it lies within the union of the region's polygons.
 
     Containment is decided on corners plus boundary samples at <= spacing,
-    which is robust on non-convex unions of lanelet polygons.
+    which is robust on non-convex unions of lanelet polygons. Boxes are
+    checked one at a time, which bounds the point-in-polygon work arrays.
     """
-    pts = box_sample_points(box, spacing)
+    box = np.asarray(box, dtype=float)
+    if box.ndim > 1:
+        inside = [box_inside_region(b, region, spacing) for b in box.reshape(-1, 5)]
+        return np.array(inside, dtype=bool).reshape(box.shape[:-1])
+    corners = box_corners(box)
+    pts = [corners]
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        n = int(math.ceil(float(np.hypot(*(b - a))) / spacing))
+        if n > 1:
+            pts.append(a + np.arange(1, n)[:, None] / n * (b - a))
+    pts = np.vstack(pts)
     covered = np.zeros(len(pts), dtype=bool)
     for poly in region:
         xmin, ymin, xmax, ymax = poly.bounds()
@@ -354,26 +357,3 @@ def box_inside_region(box: OrientedBox, region, spacing: float = 0.1) -> bool:
         if covered.all():
             return True
     return bool(covered.all())
-
-
-def box_intersects_polygon(box: OrientedBox, poly: Polygon) -> bool:
-    """Overlap test between a box and a convex polygon (SAT)."""
-    corners = box.corners()
-    pv = poly.vertices
-    axes = []
-    for heading in (box.heading,):
-        c, s = math.cos(heading), math.sin(heading)
-        axes.append(np.array([c, s]))
-        axes.append(np.array([-s, c]))
-    edges = np.roll(pv, -1, axis=0) - pv
-    for e in edges:
-        n = np.array([-e[1], e[0]])
-        norm = np.hypot(*n)
-        if norm > 1e-12:
-            axes.append(n / norm)
-    for axis in axes:
-        lo_a, hi_a = _project_interval(corners, axis)
-        lo_b, hi_b = _project_interval(pv, axis)
-        if hi_a < lo_b or hi_b < lo_a:
-            return False
-    return True

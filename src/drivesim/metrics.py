@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import AgentState, VehicleParams, normalize_angle
 from .engine import AgentStatus, SimulationResult
-from .geometry import (CurvilinearFrame, Polygon, box_intersects_polygon,
-                       boxes_intersect, min_distance, occupancy)
+from .geometry import (CurvilinearFrame, box_intersects_polygon, boxes_intersect,
+                       min_distance, occupancy)
 from .prediction import lane_chain
 from .scenario import Scenario
 
@@ -54,9 +54,7 @@ class VehicleLog:
             self.a = np.gradient(self.v)  # scaled by dt by the caller
         else:
             self.a = np.zeros_like(self.v)
-
-    def box(self, step):
-        return occupancy(self.states[step], self.length, self.width)
+        self.boxes = occupancy(self.states, self.length, self.width)
 
 
 @dataclass
@@ -162,7 +160,7 @@ def tit(ttc_series, tau: float, dt: float, total_duration: float) -> float:
 
 def distance_series(log_a: VehicleLog, log_o: VehicleLog) -> np.ndarray:
     n = min(len(log_a.states), len(log_o.states))
-    return np.array([min_distance(log_a.box(k), log_o.box(k)) for k in range(n)])
+    return min_distance(log_a.boxes[:n], log_o.boxes[:n])
 
 
 def ttce_dce(dist_series: np.ndarray, step: int, dt: float) -> tuple[float, float]:
@@ -285,8 +283,6 @@ def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     """Time until occupancy overlap when both continue along their own paths
     at their logged speeds."""
     sa, so = log_a.states[step], log_o.states[step]
-    if boxes_intersect(log_a.box(step), log_o.box(step)):
-        return 0.0
     frames = []
     for st, v in ((sa, sa.v), (so, so.v)):
         frames.append(_own_frame(network, st, v * horizon + 20.0))
@@ -297,8 +293,10 @@ def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         else:
             s0, d0, _ = frame.project((st.x, st.y))
             positions.append((frame, s0, d0))
-    n = int(round(horizon / dt))
-    for k in range(1, n + 1):
+    # both vehicles' states from now to the horizon, or to the first step
+    # off a frame's domain, where the overlap search gives up
+    path_a, path_o = [sa], [so]
+    for k in range(1, int(round(horizon / dt)) + 1):
         states = []
         for st, info in zip((sa, so), positions):
             if info is None:
@@ -311,42 +309,38 @@ def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
             try:
                 p = frame.to_cartesian(s, d0)
             except Exception:
-                return INF
+                break
             states.append(AgentState(float(p[0]), float(p[1]), st.v,
                                      frame.tangent_angle_at(s)))
-        box_a = occupancy(states[0], log_a.length, log_a.width)
-        box_o = occupancy(states[1], log_o.length, log_o.width)
-        if boxes_intersect(box_a, box_o):
-            return k * dt
-    return INF
+        if len(states) < 2:
+            break
+        path_a.append(states[0])
+        path_o.append(states[1])
+    hits = np.flatnonzero(boxes_intersect(occupancy(path_a, log_a.length, log_a.width),
+                                          occupancy(path_o, log_o.length, log_o.width)))
+    return int(hits[0]) * dt if len(hits) else INF
 
 
 # ---------------------------------------------------------------------------
 # Conflict-area events
 
 
-def encroachment_times(area: Polygon, log_a: VehicleLog, log_o: VehicleLog,
-                       dt: float) -> tuple[float, float, float, float]:
-    """(entry, exit, ET, PET) of log_a traversing the area, with PET measured
-    until log_o enters afterwards. Entry/exit resolved at dt resolution."""
-    def occupancy_flags(log):
-        return [box_intersects_polygon(log.box(k), area) for k in range(len(log.states))]
-
-    flags_a = occupancy_flags(log_a)
-    if not any(flags_a):
-        return INF, INF, INF, INF
-    entry = flags_a.index(True)
-    exit_ = entry
-    while exit_ < len(flags_a) and flags_a[exit_]:
-        exit_ += 1
-    et = (exit_ - entry) * dt
-    flags_o = occupancy_flags(log_o)
-    pet = INF
-    for k in range(exit_, len(flags_o)):
-        if flags_o[k]:
-            pet = (k - exit_) * dt
-            break
-    return entry * dt, exit_ * dt, et, pet
+def encroachment_times(flags_a: np.ndarray, flags_others: dict, dt: float):
+    """(entry, exit, ET, PET, other) of the vehicle whose boxes overlap a
+    conflict area at the steps flagged in flags_a. PET runs from its exit to
+    the earliest entry of any other vehicle (flags_others: id -> flags) at or
+    after it, and other names that vehicle; when none follows, PET is inf and
+    other is the first other by id. Resolved at dt."""
+    if not flags_a.any():
+        return INF, INF, INF, INF, None
+    entry = int(np.argmax(flags_a))
+    exit_ = entry + int(np.argmin(np.append(flags_a[entry:], False)))
+    pet, other = INF, min(flags_others, default=None)
+    for oid in sorted(flags_others):
+        follows = np.flatnonzero(flags_others[oid][exit_:])
+        if len(follows) and int(follows[0]) * dt < pet:
+            pet, other = int(follows[0]) * dt, oid
+    return entry * dt, exit_ * dt, (exit_ - entry) * dt, pet, other
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +405,8 @@ def evaluate(result: SimulationResult, scenario: Scenario,
 
     conflict_areas = network.conflict_areas()
     conflict_pairs = {tuple(sorted(pair)) for pair, _ in conflict_areas}
+    area_flags = [{vid: box_intersects_polygon(log.boxes, area) for vid, log in logs.items()}
+                  for _, area in conflict_areas]
     chain_cache: dict = {}
 
     report = MetricReport(dt=dt)
@@ -459,19 +455,14 @@ def evaluate(result: SimulationResult, scenario: Scenario,
 
         # conflict-area events
         for idx, (pair, area) in enumerate(conflict_areas):
-            for oid in sorted(logs):
-                if oid == aid:
-                    continue
-                entry, exit_, et, pet = encroachment_times(area, log_a, logs[oid], dt)
-                if math.isfinite(et):
-                    report.conflict_events.append({
-                        "agent": aid, "other": oid, "area_index": idx,
-                        "lanelets": list(pair), "entry": entry, "exit": exit_,
-                        "et": et, "pet": pet,
-                    })
-                    break  # ET identical per area; PET uses the first other
-            else:
-                continue
+            others = {oid: flags for oid, flags in area_flags[idx].items() if oid != aid}
+            entry, exit_, et, pet, other = encroachment_times(area_flags[idx][aid], others, dt)
+            if math.isfinite(et) and others:
+                report.conflict_events.append({
+                    "agent": aid, "other": other, "area_index": idx,
+                    "lanelets": list(pair), "entry": entry, "exit": exit_,
+                    "et": et, "pet": pet,
+                })
 
         # per-agent series: most critical TTC across pairs, MSD, PSD
         ttc_min = []

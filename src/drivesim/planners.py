@@ -292,26 +292,27 @@ class FrenetPlanner:
         inputs = [ControlInput(float(a), float(k)) for a, k in zip(accels, curv)]
         return inputs, lat_acc_next
 
-    def _collides(self, traj: Trajectory, view: LocalView) -> bool:
+    def _colliding(self, trajs: list, view: LocalView) -> np.ndarray:
+        """Per trajectory: does the ego box at any step k >= 1 overlap a
+        neighbour's predicted box at step k (its last one past the horizon),
+        grown on every side by the prediction's positional stddev?"""
+        lengths = [len(traj.states) - 1 for traj in trajs]
+        steps = np.concatenate([np.arange(n) for n in lengths])
+        predicted = []
         for nid in sorted(view.neighbors):
             pred = view.predictions.get(nid)
-            nb = view.neighbors[nid]
             if pred is None:
                 continue
-            last = len(pred.states) - 1
-            for k in range(1, len(traj.states)):
-                kp = min(k, last)
-                ps = pred.states[kp]
-                ego_st = traj.states[k]
-                reach = (0.5 * math.hypot(self.params.length, self.params.width)
-                         + 0.5 * math.hypot(nb.length, nb.width) + pred.pos_stddev[kp])
-                if math.hypot(ego_st.x - ps.x, ego_st.y - ps.y) > reach:
-                    continue
-                nb_box = occupancy(ps, nb.length, nb.width).inflated(pred.pos_stddev[kp])
-                ego_box = occupancy(ego_st, self.params.length, self.params.width)
-                if boxes_intersect(ego_box, nb_box):
-                    return True
-        return False
+            nb = view.neighbors[nid]
+            kp = np.minimum(np.arange(1, max(lengths) + 1), len(pred.states) - 1)
+            margin = np.asarray(pred.pos_stddev)[kp]
+            predicted.append(occupancy([pred.states[k] for k in kp],
+                                       nb.length + 2.0 * margin, nb.width + 2.0 * margin))
+        predicted = np.stack(predicted, axis=1) if predicted else np.empty((max(lengths), 0, 5))
+        ego = occupancy([st for traj in trajs for st in traj.states[1:]],
+                        self.params.length, self.params.width)
+        hits = boxes_intersect(ego[:, None, :], predicted[steps]).any(axis=1)
+        return np.logical_or.reduceat(hits, np.cumsum(lengths) - lengths)
 
     def _risk(self, traj: Trajectory, view: LocalView) -> float:
         r2 = self.cfg.risk_radius**2
@@ -353,7 +354,7 @@ class FrenetPlanner:
         a0 = float(memory.get("accel", 0.0))
         dd0_acc = float(memory.get("d_accel", 0.0))
 
-        best = None  # (cost, trajectory, lateral accel after first step)
+        candidates = []  # feasible (trajectory, d_end, v_target, next lateral accel)
         for T in self.cfg.t_end_samples:
             for d_end in self.cfg.d_end_samples:
                 for frac in self.cfg.v_frac_samples:
@@ -364,22 +365,25 @@ class FrenetPlanner:
                         continue
                     inputs, lat_acc_next = candidate
                     traj = Trajectory.rollout(ego, inputs, self.dt)
-                    if not dynamics.feasible(traj, self.params):
-                        continue
-                    if self._collides(traj, view):
-                        continue
-                    accels = np.array([u.accel for u in traj.inputs])
-                    lat_acc = np.array([st.v**2 * u.curvature_cmd
-                                        for st, u in zip(traj.states[:-1], traj.inputs)])
-                    jerk = 0.0
-                    if len(accels) > 1:
-                        jerk = float(np.sum(np.diff(accels) ** 2 + np.diff(lat_acc) ** 2) / self.dt)
-                    cost = (self.cfg.w_jerk * jerk
-                            + self.cfg.w_lat * d_end**2
-                            + self.cfg.w_speed * (v_target - self.v_ref) ** 2
-                            + self.cfg.w_risk * self._risk(traj, view))
-                    if best is None or cost < best[0] - 1e-12:
-                        best = (cost, traj, lat_acc_next)
+                    if dynamics.feasible(traj, self.params):
+                        candidates.append((traj, d_end, v_target, lat_acc_next))
+        best = None  # (cost, trajectory, lateral accel after first step)
+        colliding = self._colliding([c[0] for c in candidates], view) if candidates else ()
+        for (traj, d_end, v_target, lat_acc_next), collides in zip(candidates, colliding):
+            if collides:
+                continue
+            accels = np.array([u.accel for u in traj.inputs])
+            lat_acc = np.array([st.v**2 * u.curvature_cmd
+                                for st, u in zip(traj.states[:-1], traj.inputs)])
+            jerk = 0.0
+            if len(accels) > 1:
+                jerk = float(np.sum(np.diff(accels) ** 2 + np.diff(lat_acc) ** 2) / self.dt)
+            cost = (self.cfg.w_jerk * jerk
+                    + self.cfg.w_lat * d_end**2
+                    + self.cfg.w_speed * (v_target - self.v_ref) ** 2
+                    + self.cfg.w_risk * self._risk(traj, view))
+            if best is None or cost < best[0] - 1e-12:
+                best = (cost, traj, lat_acc_next)
         if best is None:
             return self._fallback(view, s0, d0, memory)
         traj = best[1]

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .dynamics import AgentState, VehicleParams
-from .geometry import CurvilinearFrame, OrientedBox, Point2, Polygon, Polyline, occupancy
+from .geometry import CurvilinearFrame, Polygon, Polyline, box_corners, occupancy
 
 LOCALIZE_RADIUS = 5.0  # m; a position farther from every centerline is off the network
 CONFLICT_GRID_RESOLUTION = 0.25  # m between the samples of a lanelet overlap
@@ -186,9 +186,6 @@ class StaticObstacle:
     width: float
     pose: AgentState  # v is 0 by construction
 
-    def box(self) -> OrientedBox:
-        return occupancy(self.pose, self.length, self.width)
-
 
 class DynamicObstacle:
     def __init__(self, obstacle_id, length, width, recorded_trajectory, params: VehicleParams | None = None):
@@ -305,12 +302,9 @@ def substitute_agents(scenario: Scenario, obstacle_ids) -> Scenario:
                 f"obstacle {obs.id}: needs >=2 recorded states to derive a goal"
             )
         final = obs.recorded_states[-1]
-        goal_box = OrientedBox(
-            Point2(final.x, final.y), final.theta,
-            obs.length + 2 * 2.0, obs.width + 2 * 0.5,
-        )
+        goal_box = occupancy(final, obs.length + 2 * 2.0, obs.width + 2 * 0.5)
         duration = obs.duration_steps * scenario.dt
-        goal = GoalRegion(area=Polygon(goal_box.corners()), t_max=1.5 * duration)
+        goal = GoalRegion(area=Polygon(box_corners(goal_box)), t_max=1.5 * duration)
         params = obs.params or VehicleParams(length=obs.length, width=obs.width)
         problems.append(PlanningProblem(
             agent_id=obs.id,

@@ -17,8 +17,9 @@ from scipy.spatial import cKDTree
 from drivesim.cli import write_run_outputs
 from drivesim.dynamics import AgentState, VehicleParams, feasible
 from drivesim.engine import AgentStatus, benchmark
-from drivesim.geometry import (CurvilinearFrame, OrientedBox, Point2, Polyline,
-                               boxes_intersect, min_distance, occupancy)
+from drivesim.geometry import (CurvilinearFrame, Polygon, Polyline,
+                               box_intersects_polygon, boxes_intersect, min_distance,
+                               occupancy)
 from drivesim.metrics import (VehicleLog, distance_series, evaluate,
                               ttc_closed_form, ttce_dce)
 from drivesim.planners import FrenetPlanner, FrenetPlannerConfig, LocalView, Neighbor
@@ -165,39 +166,38 @@ def test_ttc_closed_form_against_integration_oracle():
 
 
 def _random_box(rng):
-    return OrientedBox(
-        Point2(rng.uniform(-8, 8), rng.uniform(-8, 8)),
-        rng.uniform(-math.pi, math.pi),
-        rng.uniform(2.0, 6.0),
-        rng.uniform(1.0, 3.0),
-    )
+    return np.array([rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(-math.pi, math.pi),
+                     rng.uniform(2.0, 6.0), rng.uniform(1.0, 3.0)])
 
 
 def _resized(box, delta):
-    return OrientedBox(box.center, box.heading,
-                       max(box.length + delta, 1e-6), max(box.width + delta, 1e-6))
+    return np.concatenate([box[:3], np.maximum(box[3:] + delta, 1e-6)])
 
 
-def _boundary_samples(box, spacing):
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    rot = np.array([[c, -s], [s, c]])
-    hl, hw = box.length / 2.0, box.width / 2.0
-    corners = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+def _ring_samples(vertices, spacing):
+    """Points at <= spacing along the closed ring through vertices."""
     pts = []
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
+    for a, b in zip(vertices, np.roll(vertices, -1, axis=0)):
         n = max(1, int(math.ceil(float(np.hypot(*(b - a))) / spacing)))
         t = np.arange(n)[:, None] / n
         pts.append(a + t * (b - a))
-    return np.vstack(pts) @ rot.T + np.array([box.center.x, box.center.y])
+    return np.vstack(pts)
+
+
+def _boundary_samples(box, spacing):
+    c, s = math.cos(box[2]), math.sin(box[2])
+    rot = np.array([[c, -s], [s, c]])
+    hl, hw = box[3] / 2.0, box[4] / 2.0
+    corners = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+    return _ring_samples(corners, spacing) @ rot.T + box[:2]
 
 
 def _points_inside(box, pts, tol=0.0):
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    rel = pts - np.array([box.center.x, box.center.y])
+    c, s = math.cos(box[2]), math.sin(box[2])
+    rel = pts - box[:2]
     u = rel[:, 0] * c + rel[:, 1] * s
     v = -rel[:, 0] * s + rel[:, 1] * c
-    return (np.abs(u) <= box.length / 2.0 + tol) & (np.abs(v) <= box.width / 2.0 + tol)
+    return (np.abs(u) <= box[3] / 2.0 + tol) & (np.abs(v) <= box[4] / 2.0 + tol)
 
 
 def _oracle_intersects(a, b, spacing=0.005):
@@ -207,8 +207,8 @@ def _oracle_intersects(a, b, spacing=0.005):
 
 def test_box_predicates_against_sampling_oracle():
     rng = np.random.default_rng(11)
-    checked = 0
-    while checked < 500:
+    pairs, hits, dists = [], [], []
+    while len(pairs) < 500:
         a, b = _random_box(rng), _random_box(rng)
         # skip pairs whose classification flips under a 1 cm perturbation;
         # the sampling oracle cannot decide those
@@ -224,7 +224,48 @@ def test_box_predicates_against_sampling_oracle():
             pa, pb = _boundary_samples(a, 0.005), _boundary_samples(b, 0.005)
             oracle_dist, _ = cKDTree(pa).query(pb)
             assert abs(dist - float(np.min(oracle_dist))) <= 1e-2
-        checked += 1
+        pairs.append((a, b))
+        hits.append(truth)
+        dists.append(dist)
+    # one broadcast call over all pairs gives the per-pair answers exactly
+    a, b = (np.array(boxes) for boxes in zip(*pairs))
+    assert np.array_equal(boxes_intersect(a, b), hits)
+    assert np.array_equal(min_distance(a, b), dists)
+    assert np.array_equal(boxes_intersect(a[:100, None], b[None, :100]).diagonal(), hits[:100])
+
+
+def _random_convex_polygon(rng):
+    angles = np.sort(rng.uniform(-math.pi, math.pi, rng.integers(3, 8)))
+    radius = rng.uniform(1.0, 6.0)
+    center = rng.uniform(-6, 6, 2)
+    return Polygon(center + radius * np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+def _oracle_box_polygon(box, poly, spacing=0.005):
+    box_pts = _boundary_samples(box, spacing)
+    poly_pts = _ring_samples(poly.vertices, spacing)
+    return bool(np.any(poly.contains_points(box_pts, boundary_tol=0.0))
+                or np.any(_points_inside(box, poly_pts)))
+
+
+def test_box_polygon_against_sampling_oracle():
+    rng = np.random.default_rng(17)
+    boxes, polys, hits = [], [], []
+    while len(boxes) < 300:
+        box, poly = _random_box(rng), _random_convex_polygon(rng)
+        if _oracle_box_polygon(_resized(box, 0.01), poly, spacing=0.02) != \
+           _oracle_box_polygon(_resized(box, -0.01), poly, spacing=0.02):
+            continue
+        truth = _oracle_box_polygon(box, poly)
+        assert box_intersects_polygon(box, poly) == truth
+        boxes.append(box)
+        polys.append(poly)
+        hits.append(truth)
+    assert 0 < sum(hits) < len(hits)
+    # one call over many boxes gives each box's answer
+    for poly in polys[:20]:
+        per_box = [box_intersects_polygon(box, poly) for box in boxes]
+        assert np.array_equal(box_intersects_polygon(np.array(boxes), poly), per_box)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +394,44 @@ def test_frenet_planner_contract():
         planned += 1
         traj = result.intended_trajectory
         assert feasible(traj, params)
-        for nid, pred in view.predictions.items():
-            nb = view.neighbors[nid]
-            last = len(pred.states) - 1
-            for k in range(1, len(traj.states)):
-                ego_box = occupancy(traj.states[k], params.length, params.width)
-                kp = min(k, last)
-                nb_box = occupancy(pred.states[kp], nb.length, nb.width)
-                assert not boxes_intersect(
-                    ego_box, nb_box.inflated(pred.pos_stddev[kp]))
+        assert _overlap_with_prediction(traj, view, params) is None
     assert planned >= 150  # the vast majority of views must be plannable
+
+
+def _overlap_with_prediction(traj, view, params):
+    """First (neighbour, step) at which the plan's box overlaps the
+    neighbour's predicted box at that step (its last one past the horizon),
+    grown on every side by the prediction's stddev; None if there is none."""
+    for nid, pred in sorted(view.predictions.items()):
+        nb = view.neighbors[nid]
+        last = len(pred.states) - 1
+        for k in range(1, len(traj.states)):
+            ego_box = occupancy(traj.states[k], params.length, params.width)
+            kp = min(k, last)
+            nb_box = occupancy(pred.states[kp], nb.length, nb.width)
+            nb_box[3:] += 2.0 * pred.pos_stddev[kp]
+            if boxes_intersect(ego_box, nb_box):
+                return nid, k
+    return None
+
+
+def test_merge_frenet_plans_clear_inflated_predictions(monkeypatch):
+    """Every plan the Frenet agents choose in the bundled merge run keeps
+    clear of every neighbour's inflated predicted box, as the contract
+    demands. A centre-distance prefilter shorter than the reach of the
+    inflated boxes lets such overlaps through (agent orange at step 48)."""
+    plan = FrenetPlanner.plan
+    chosen = []
+
+    def recording_plan(self, view, memory):
+        result = plan(self, view, memory)
+        chosen.append((view, result, self.params))
+        return result
+
+    monkeypatch.setattr(FrenetPlanner, "plan", recording_plan)
+    run_bundled("merge_frenet", worker_count=1)
+    assert chosen
+    for view, result, params in chosen:
+        if result.status == "ok":
+            overlap = _overlap_with_prediction(result.intended_trajectory, view, params)
+            assert overlap is None, (view.ego_id, view.step, overlap)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from drivesim.geometry import (CurvilinearFrame, GeometryError, OrientedBox,
-                               Point2, Polygon, Polyline, box_inside_region,
-                               boxes_intersect, min_distance, occupancy)
+from drivesim.geometry import (CurvilinearFrame, GeometryError, Polygon, Polyline,
+                               box_corners, box_inside_region, boxes_intersect,
+                               min_distance, occupancy)
 
 
 def straight_frame(length=100.0, n=21):
@@ -66,29 +66,28 @@ class TestCurvilinearFrame:
 
 
 class TestOrientedBox:
+    """Boxes are arrays (cx, cy, heading, length, width)."""
+
     def test_corners_axis_aligned(self):
-        box = OrientedBox(Point2(0.0, 0.0), 0.0, 4.0, 2.0)
-        assert np.allclose(sorted(map(tuple, box.corners())),
+        box = np.array([0.0, 0.0, 0.0, 4.0, 2.0])
+        assert np.allclose(sorted(map(tuple, box_corners(box))),
                            [(-2, -1), (-2, 1), (2, -1), (2, 1)])
 
-    def test_inflated_grows_both_dims(self):
-        box = OrientedBox(Point2(0.0, 0.0), 0.3, 4.0, 2.0)
-        grown = box.inflated(0.5)
-        assert grown.length == pytest.approx(5.0)
-        assert grown.width == pytest.approx(3.0)
-
     def test_intersection_and_distance(self):
-        a = OrientedBox(Point2(0.0, 0.0), 0.0, 4.0, 2.0)
-        b = OrientedBox(Point2(3.0, 0.0), 0.0, 4.0, 2.0)   # overlapping
-        c = OrientedBox(Point2(10.0, 0.0), 0.0, 4.0, 2.0)  # 4 m edge gap
+        a = np.array([0.0, 0.0, 0.0, 4.0, 2.0])
+        b = np.array([3.0, 0.0, 0.0, 4.0, 2.0])   # overlapping
+        c = np.array([10.0, 0.0, 0.0, 4.0, 2.0])  # 4 m edge gap
         assert boxes_intersect(a, b)
         assert min_distance(a, b) == 0.0
         assert not boxes_intersect(a, c)
         assert min_distance(a, c) == pytest.approx(6.0)
+        # one call over stacked pairs answers each pair
+        assert list(boxes_intersect(a, np.stack([b, c]))) == [True, False]
+        assert np.allclose(min_distance(np.stack([a, a]), np.stack([b, c])), [0.0, 6.0])
 
     def test_rotated_separation(self):
-        a = OrientedBox(Point2(0.0, 0.0), 0.0, 4.0, 2.0)
-        b = OrientedBox(Point2(0.0, 2.6), math.pi / 2, 4.0, 2.0)
+        a = np.array([0.0, 0.0, 0.0, 4.0, 2.0])
+        b = np.array([0.0, 2.6, math.pi / 2, 4.0, 2.0])
         # b is upright: its half-width 1.0 reaches down to y=0.6; a tops at y=1.0
         assert boxes_intersect(a, b)
 
@@ -96,8 +95,14 @@ class TestOrientedBox:
         class S:
             x, y, theta = 1.0, 2.0, 0.5
         box = occupancy(S(), 4.0, 2.0)
-        assert box.heading == pytest.approx(0.5)
-        assert (box.center.x, box.center.y) == (1.0, 2.0)
+        assert box[2] == pytest.approx(0.5)
+        assert (box[0], box[1]) == (1.0, 2.0)
+        assert occupancy([S(), S()], [4.0, 5.0], 2.0)[:, 3].tolist() == [4.0, 5.0]
+        with pytest.raises(GeometryError):
+            occupancy(S(), 0.0, 2.0)
+        S.x = math.nan
+        with pytest.raises(GeometryError):
+            occupancy([S()], 4.0, 2.0)
 
 
 class TestPolygon:
@@ -109,7 +114,8 @@ class TestPolygon:
 
     def test_box_inside_region(self):
         region = [Polygon([[0, -3], [50, -3], [50, 3], [0, 3]])]
-        inside = OrientedBox(Point2(25.0, 0.0), 0.0, 4.0, 2.0)
-        sticking_out = OrientedBox(Point2(49.0, 0.0), 0.0, 4.0, 2.0)
+        inside = np.array([25.0, 0.0, 0.0, 4.0, 2.0])
+        sticking_out = np.array([49.0, 0.0, 0.0, 4.0, 2.0])
         assert box_inside_region(inside, region)
         assert not box_inside_region(sticking_out, region)
+        assert list(box_inside_region(np.stack([inside, sticking_out]), region)) == [True, False]

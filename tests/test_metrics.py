@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from drivesim import engine
+from drivesim.cli import build_run, load_run_config
 from drivesim.dynamics import AgentState, VehicleParams
-from drivesim.geometry import Polygon, Polyline
+from drivesim.geometry import Polygon, Polyline, box_intersects_polygon
 from drivesim.metrics import (MetricConfig, VehicleLog, braking_threat,
                               encroachment_times, evaluate,
                               minimum_stopping_distance,
                               proportion_stopping_distance, select_frames,
                               steering_threat, ttc_closed_form)
-from drivesim.scenario import Lanelet, StreetNetwork
+from drivesim.scenario import Lanelet, Scenario, StaticObstacle, StreetNetwork
 
 DT = 0.1
 INF = math.inf
@@ -112,32 +114,52 @@ class TestFrameSelection:
         assert self._ctx(ego, far).relation == "ignored"
 
 
+def area_flags(area, *logs):
+    return [box_intersects_polygon(log.boxes, area) for log in logs]
+
+
 class TestEncroachment:
     def test_et_pet(self):
         area = Polygon([[20, -2], [28, -2], [28, 2], [20, 2]])
         agent = const_log("a", 0.0, 0.0, 10.0, n=60)
         other = const_log("o", -40.0, 0.0, 10.0, n=60)
-        entry, exit_, et, pet = encroachment_times(area, agent, other, DT)
+        flags_a, flags_o = area_flags(area, agent, other)
+        entry, exit_, et, pet, oid = encroachment_times(flags_a, {"o": flags_o}, DT)
         # front edge reaches x=20 at t=1.8, rear edge leaves x=28 at t=3.0
         assert entry == pytest.approx(1.8, abs=2 * DT)
         assert et == pytest.approx(exit_ - entry, abs=1e-9)
         assert et == pytest.approx(1.2, abs=3 * DT)
-        entry_other = encroachment_times(area, other, agent, DT)[0]
+        entry_other = encroachment_times(flags_o, {"a": flags_a}, DT)[0]
         assert pet == pytest.approx(entry_other - exit_, abs=1e-9)
+        assert oid == "o"
 
     def test_agent_never_enters(self):
         area = Polygon([[20, 10], [28, 10], [28, 14], [20, 14]])
         agent = const_log("a", 0.0, 0.0, 10.0)
         other = const_log("o", -40.0, 0.0, 10.0)
-        assert encroachment_times(area, agent, other, DT) == (INF, INF, INF, INF)
+        flags_a, flags_o = area_flags(area, agent, other)
+        assert encroachment_times(flags_a, {"o": flags_o}, DT) == (INF, INF, INF, INF, None)
 
     def test_pet_infinite_when_other_never_follows(self):
         area = Polygon([[20, -2], [28, -2], [28, 2], [20, 2]])
         agent = const_log("a", 0.0, 0.0, 10.0, n=60)
         parked = const_log("o", -40.0, 0.0, 0.0, n=60)
-        _, _, et, pet = encroachment_times(area, agent, parked, DT)
+        flags_a, flags_o = area_flags(area, agent, parked)
+        _, _, et, pet, oid = encroachment_times(flags_a, {"o": flags_o}, DT)
         assert math.isfinite(et)
         assert pet == INF
+        assert oid == "o"
+
+    def test_pet_against_earliest_follower(self):
+        area = Polygon([[20, -2], [28, -2], [28, 2], [20, 2]])
+        agent = const_log("a", 0.0, 0.0, 10.0, n=80)
+        parked = const_log("b", -40.0, 0.0, 0.0, n=80)
+        late = const_log("c", -60.0, 0.0, 10.0, n=80)
+        early = const_log("d", -40.0, 0.0, 10.0, n=80)
+        flags_a, *others = area_flags(area, agent, parked, late, early)
+        _, exit_, _, pet, oid = encroachment_times(flags_a, dict(zip("bcd", others)), DT)
+        assert oid == "d"
+        assert pet == pytest.approx(encroachment_times(others[2], {}, DT)[0] - exit_, abs=1e-9)
 
 
 class TestReport:
@@ -179,3 +201,23 @@ class TestReport:
                 return all(no_raw_inf(v) for v in obj)
             return True
         assert no_raw_inf(doc)
+
+    def test_pet_names_the_vehicle_that_follows(self, intersection_runs):
+        # a parked vehicle that sorts first by id and never enters the
+        # conflict area must not stand in for the one that follows the agent.
+        # In the idm run orange leaves the area 1.4 s before green enters; in
+        # the replay run both leave at the same step, so no PET is finite.
+        result, scenario, cfg = intersection_runs["idm"]
+        two = evaluate(result, scenario, cfg).conflict_events
+        doc = load_run_config("intersection_idm")
+        scenario, bindings, sim_cfg, predictor, cfg, _ = build_run(doc)
+        parked = StaticObstacle("aaa", 4.5, 2.0, AgentState(-500.0, -500.0, 0.0, 0.0))
+        scenario = Scenario(scenario.network, [parked], scenario.dynamic_obstacles,
+                            scenario.planning_problems, scenario.dt)
+        three = evaluate(engine.run(scenario, bindings, sim_cfg, predictor), scenario,
+                         cfg).conflict_events
+        assert any(math.isfinite(e["pet"]) for e in two)
+        assert len(three) == len(two)
+        for e2, e3 in zip(two, three):
+            assert e3["pet"] == e2["pet"]
+            assert e3["other"] == (e2["other"] if math.isfinite(e2["pet"]) else "aaa")

@@ -3,12 +3,15 @@
     python3 tools/digests.py
 
 Runs and evaluates every bundled run configuration that substitutes agents,
-each with `drivesim run` and `drivesim evaluate` in a fresh interpreter and a
-temporary directory, and prints one table row per configuration with the
-sha256 of its `steps.jsonl` and of its `metrics.json`. drivesim is imported
-from the `src` directory next to this script, so running the script of two
-checkouts compares their code. A refactor that claims to keep behaviour must
-leave every digest unchanged.
+and the benchmark's twelve-agent highway configuration, which it only reads.
+Each bundled configuration has two vehicles, so only the highway one
+exercises many-neighbour filtering and the all-pairs collision check. Every
+configuration runs with `drivesim run` and `drivesim evaluate` in a fresh
+interpreter and a temporary directory, and the script prints one table row
+per configuration with the sha256 of its `steps.jsonl` and of its
+`metrics.json`. drivesim is imported from the `src` directory next to this
+script, so running the script of two checkouts compares their code. A
+refactor that claims to keep behaviour must leave every digest unchanged.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 DATA = SRC / "drivesim" / "data"
+MULTI_VEHICLE = ROOT / "perfbench" / "configs" / "highway_frenet12.json"
 
 
 def agent_configs() -> list[str]:
@@ -47,9 +52,9 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def digests(name: str) -> tuple[str, str]:
+def digests(config: str) -> tuple[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
-        drivesim("run", name, "--out", "out", cwd=tmp)
+        drivesim("run", config, "--out", "out", cwd=tmp)
         drivesim("evaluate", "out", cwd=tmp)
         out = Path(tmp) / "out"
         return sha256(out / "steps.jsonl"), sha256(out / "metrics.json")
@@ -58,8 +63,10 @@ def digests(name: str) -> tuple[str, str]:
 def main() -> int:
     print("| config | steps.jsonl sha256 | metrics.json sha256 |")
     print("|---|---|---|")
-    for name in agent_configs():
-        steps, metrics = digests(name)
+    configs = {name: name for name in agent_configs()}
+    configs[MULTI_VEHICLE.stem] = str(MULTI_VEHICLE)
+    for name, config in configs.items():
+        steps, metrics = digests(config)
         print(f"| `{name}` | `{steps}` | `{metrics}` |", flush=True)
     return 0
 
