@@ -393,7 +393,10 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
     """Timing table over (agent count, worker count) combinations.
 
     Substitutes the first n recorded vehicles (by id) with frenet agents and
-    reports mean/quartiles of per-step total and per-batch planning time.
+    reports mean/quartiles of per-step total and per-batch planning time,
+    and agents_removed: how many agents ended collided or infeasible (the
+    same in every repetition, runs being deterministic). A removed agent
+    plans no more, so the later steps time fewer agents than n.
     """
     from .scenario import substitute_agents
 
@@ -416,6 +419,8 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
             for _ in range(repetitions):
                 cfg = SimulationConfig(dt=scenario.dt, max_steps=steps, worker_count=w)
                 result = run(sub, bindings, cfg)
+                removed = sum(st in (AgentStatus.COLLIDED, AgentStatus.INFEASIBLE)
+                              for st in result.statuses.values())
                 for log in result.step_logs:
                     step_times.append(log.timings["total"])
                     batch_times.extend(log.timings["planning_batches"])
@@ -428,5 +433,6 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
                 "mean_batch_planning_time": statistics.fmean(batch_times),
                 "q1_batch_planning_time": float(np.percentile(batch_times, 25)),
                 "q3_batch_planning_time": float(np.percentile(batch_times, 75)),
+                "agents_removed": removed,
             })
     return rows

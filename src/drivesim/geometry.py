@@ -89,9 +89,16 @@ class CurvilinearFrame:
     def length(self) -> float:
         return self.reference.length
 
-    def curvature_at(self, s: float) -> float:
-        s = min(max(s, 0.0), self.length)
-        return float(np.interp(s, self.reference.cumulative_arclength, self.curvatures))
+    def _at_vertices(self, s, values: np.ndarray):
+        """Per-vertex values interpolated at arc length s, clamped to
+        [0, length]: a float for a number, elementwise for an array."""
+        cum = self.reference.cumulative_arclength
+        if isinstance(s, np.ndarray):
+            return np.interp(np.clip(s, 0.0, self.length), cum, values)
+        return float(np.interp(min(max(s, 0.0), self.length), cum, values))
+
+    def curvature_at(self, s):
+        return self._at_vertices(s, self.curvatures)
 
     def tangent_angle_at(self, s: float) -> float:
         s = min(max(s, 0.0), self.length)
@@ -101,12 +108,11 @@ class CurvilinearFrame:
         d = self._seg_dir[i]
         return math.atan2(d[1], d[0])
 
-    def tangent_angle_smooth(self, s: float) -> float:
+    def tangent_angle_smooth(self, s):
         """Tangent angle interpolated between vertices (C0 in s), for sampling
         continuous heading profiles; projection uses the exact per-segment
         directions instead."""
-        s = min(max(s, 0.0), self.length)
-        return float(np.interp(s, self.reference.cumulative_arclength, self._vertex_angles))
+        return self._at_vertices(s, self._vertex_angles)
 
     def _closest(self, p):
         """Closest reference point to p: (segment index, segment parameter

@@ -457,7 +457,7 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         for idx, (pair, area) in enumerate(conflict_areas):
             others = {oid: flags for oid, flags in area_flags[idx].items() if oid != aid}
             entry, exit_, et, pet, other = encroachment_times(area_flags[idx][aid], others, dt)
-            if math.isfinite(et) and others:
+            if math.isfinite(et):
                 report.conflict_events.append({
                     "agent": aid, "other": other, "area_index": idx,
                     "lanelets": list(pair), "entry": entry, "exit": exit_,

@@ -224,20 +224,78 @@ def _quintic(x0, dx0, ddx0, x1, dx1, ddx1, T):
     return np.array([a0, a1, a2, a3, a4, a5])
 
 
+def _quartic_speed(s0, ds0, a0, v_end, T):
+    """Quartic coefficients matching s, s-dot and s-ddot now, speed v_end and
+    zero acceleration at T."""
+    A = v_end - ds0 - a0 * T
+    B = -a0
+    det = 3 * T**2 * 12 * T**2 - 4 * T**3 * 6 * T
+    c3 = (A * 12 * T**2 - 4 * T**3 * B) / det
+    c4 = (3 * T**2 * B - A * 6 * T) / det
+    return np.array([s0, ds0, a0 / 2.0, c3, c4])
+
+
 def _poly_eval(coeffs, tau):
-    powers = np.vander(tau, len(coeffs), increasing=True)
-    return powers @ coeffs
+    """Polynomials (rows, n), coefficients in increasing order, at each of
+    tau: (rows, len(tau)).
+
+    np.matvec with the Vandermonde matrix rounds each row exactly as
+    `np.vander(tau, n, increasing=True) @ c` does for that row alone; V @ C.T,
+    np.vecdot and elementwise Horner sums differ in the last bit on 30-50% of
+    values, which would change the digests of tools/digests.py.
+    """
+    return np.matvec(np.vander(tau, coeffs.shape[-1], increasing=True)[None], coeffs)
 
 
 def _poly_derivative(coeffs):
-    n = np.arange(1, len(coeffs))
-    return coeffs[1:] * n
+    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
+
+
+def _pow2(x):
+    """x ** 2 rounded as Python floats round it: through libm pow, which
+    differs from x * x in the last bit on about 0.1% of values."""
+    return np.float_power(x, 2.0)
+
+
+REJECTIONS = ("route_end", "fold_over") + dynamics.BOUNDS + ("collision",)
+
+
+@dataclass
+class Candidates:
+    """The candidates of one horizon T as arrays, one row per (d_end,
+    v_frac) sample in sampling order (d_end major): the Frenet samples, the
+    inputs (rows, K) derived from them, the states (rows, K+1) they roll out
+    to, and per reason in REJECTIONS which rows it rejects. Collision is
+    tested only on rows no other reason rejects. cost is inf on rejected rows."""
+
+    d_end: np.ndarray
+    v_target: np.ndarray
+    lat_acc_next: np.ndarray  # lateral acceleration after the first step
+    accel: np.ndarray
+    kappa: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    theta: np.ndarray
+    rejected: dict
+    cost: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Rows that no reason rejects."""
+        return ~np.any(list(self.rejected.values()), axis=0)
+
+    def trajectory(self, row: int, ego: AgentState, dt: float) -> Trajectory:
+        """The objects of one row, starting at ego itself."""
+        return Trajectory.from_arrays(ego, self.x[row], self.y[row], self.v[row],
+                                      self.theta[row], self.accel[row], self.kappa[row], dt)
 
 
 class FrenetPlanner:
     """Samples lateral quintics x longitudinal quartic speed profiles along a
     route, filters infeasible and colliding candidates, and picks the
-    minimum-cost survivor."""
+    minimum-cost survivor. Each horizon's candidates are rolled out and
+    filtered as one array program; only the chosen plan becomes objects."""
 
     def __init__(self, route: CurvilinearFrame, cfg: FrenetPlannerConfig,
                  params: VehicleParams, v_ref: float, dt: float):
@@ -249,85 +307,93 @@ class FrenetPlanner:
         self.v_ref = v_ref
         self.dt = dt
 
-    def _candidate_inputs(self, ego: AgentState, s0, d0, ds0, dd0, dd0_acc, a0,
-                          T: float, d_end: float, v_target: float):
-        """Sampled (accel, curvature) inputs realizing one (T, d_end, v_end)
-        candidate, derived from the Frenet polynomials. Also returns the
-        lateral acceleration after the first step, carried across replans so
-        consecutive plans stay consistent."""
-        K = int(round(T / self.dt))
-        tau = np.arange(K + 1) * self.dt
-        lat = _quintic(d0, dd0, dd0_acc, d_end, 0.0, 0.0, T)
-        d_vals = _poly_eval(lat, tau)
-        dd_vals = _poly_eval(_poly_derivative(lat), tau)
-        lat_acc_next = float(_poly_eval(_poly_derivative(_poly_derivative(lat)),
-                                        tau[1:2])[0])
-        # longitudinal quartic: match s, s-dot, s-ddot now; v and 0 accel at T
-        A = v_target - ds0 - a0 * T
-        B = -a0
-        det = 3 * T**2 * 12 * T**2 - 4 * T**3 * 6 * T
-        c3 = (A * 12 * T**2 - 4 * T**3 * B) / det
-        c4 = (3 * T**2 * B - A * 6 * T) / det
-        lon = np.array([s0, ds0, a0 / 2.0, c3, c4])
-        s_vals = _poly_eval(lon, tau)
-        ds_vals = _poly_eval(_poly_derivative(lon), tau)
-        # no reversing: freeze s where the speed profile would go negative
-        ds_vals = np.maximum(ds_vals, 0.0)
-        s_vals = np.maximum.accumulate(s_vals)
-        if s_vals[-1] > self.route.length:
-            return None
-        # Cartesian samples and derived headings/speeds
-        kappas = np.array([self.route.curvature_at(float(s)) for s in s_vals])
-        if np.any(np.abs(d_vals * kappas) >= 0.98):
-            return None
-        theta_ref = np.array([self.route.tangent_angle_smooth(float(s)) for s in s_vals])
-        v_vals = np.hypot(ds_vals * (1.0 - d_vals * kappas), dd_vals)
-        headings = theta_ref + np.arctan2(dd_vals, np.maximum(ds_vals * (1.0 - d_vals * kappas), 1e-9))
-        headings[0] = ego.theta
-        accels = np.diff(v_vals) / self.dt
-        dtheta = np.array([normalize_angle(headings[k + 1] - headings[k]) for k in range(K)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            curv = np.where(v_vals[:-1] > 0.05, dtheta / (np.maximum(v_vals[:-1], 0.05) * self.dt), 0.0)
-        curv = np.clip(curv, -self.params.kappa_max, self.params.kappa_max)
-        inputs = [ControlInput(float(a), float(k)) for a, k in zip(accels, curv)]
-        return inputs, lat_acc_next
-
-    def _colliding(self, trajs: list, view: LocalView) -> np.ndarray:
-        """Per trajectory: does the ego box at any step k >= 1 overlap a
-        neighbour's predicted box at step k (its last one past the horizon),
-        grown on every side by the prediction's positional stddev?"""
-        lengths = [len(traj.states) - 1 for traj in trajs]
-        steps = np.concatenate([np.arange(n) for n in lengths])
-        predicted = []
+    def _predicted(self, view: LocalView, K: int) -> np.ndarray:
+        """Each neighbour's predicted box at steps 1..K (its last one past the
+        horizon), grown on every side by the prediction's positional stddev:
+        (K, neighbours, 5), neighbours with a prediction in id order."""
+        boxes = []
         for nid in sorted(view.neighbors):
             pred = view.predictions.get(nid)
             if pred is None:
                 continue
             nb = view.neighbors[nid]
-            kp = np.minimum(np.arange(1, max(lengths) + 1), len(pred.states) - 1)
+            kp = np.minimum(np.arange(1, K + 1), len(pred.states) - 1)
             margin = np.asarray(pred.pos_stddev)[kp]
-            predicted.append(occupancy([pred.states[k] for k in kp],
-                                       nb.length + 2.0 * margin, nb.width + 2.0 * margin))
-        predicted = np.stack(predicted, axis=1) if predicted else np.empty((max(lengths), 0, 5))
-        ego = occupancy([st for traj in trajs for st in traj.states[1:]],
-                        self.params.length, self.params.width)
-        hits = boxes_intersect(ego[:, None, :], predicted[steps]).any(axis=1)
-        return np.logical_or.reduceat(hits, np.cumsum(lengths) - lengths)
+            boxes.append(occupancy([pred.states[k] for k in kp],
+                                   nb.length + 2.0 * margin, nb.width + 2.0 * margin))
+        return np.stack(boxes, axis=1) if boxes else np.empty((K, 0, 5))
 
-    def _risk(self, traj: Trajectory, view: LocalView) -> float:
-        r2 = self.cfg.risk_radius**2
-        total = 0.0
-        for nid in sorted(view.neighbors):
-            pred = view.predictions.get(nid)
-            if pred is None:
-                continue
-            last = len(pred.states) - 1
-            for k in range(1, len(traj.states)):
-                ps = pred.states[min(k, last)]
-                st = traj.states[k]
-                dist2 = (st.x - ps.x) ** 2 + (st.y - ps.y) ** 2
-                total += math.exp(-dist2 / r2)
-        return total
+    def _horizon(self, T: float, ego: AgentState, start, predicted: np.ndarray) -> Candidates:
+        """Roll out, filter and cost every (d_end, v_frac) candidate of
+        horizon T from the Frenet start (s0, d0, ds0, dd0, dd0_acc, a0)."""
+        s0, d0, ds0, dd0, dd0_acc, a0 = start
+        cfg, params, dt = self.cfg, self.params, self.dt
+        K = int(round(T / dt))
+        tau = np.arange(K + 1) * dt
+        targets = [max(0.0, frac * self.v_ref) for frac in cfg.v_frac_samples]
+        nd, nv = len(cfg.d_end_samples), len(targets)
+        d_end, v_target = np.repeat(cfg.d_end_samples, nv), np.tile(targets, nd)
+        # lateral rows vary with d_end, longitudinal ones with v_frac
+        lateral = np.stack([_quintic(d0, dd0, dd0_acc, d, 0.0, 0.0, T)
+                            for d in cfg.d_end_samples])
+        longitudinal = np.stack([_quartic_speed(s0, ds0, a0, v, T) for v in targets])
+        d = _poly_eval(lateral, tau)[:, None]
+        dd = _poly_eval(_poly_derivative(lateral), tau)[:, None]
+        # no reversing: freeze s where the speed profile would go negative
+        s = np.maximum.accumulate(_poly_eval(longitudinal, tau), axis=-1)
+        ds = np.maximum(_poly_eval(_poly_derivative(longitudinal), tau), 0.0)
+        kappa_ref = self.route.curvature_at(s)
+        along = ds * (1.0 - d * kappa_ref)
+        speed = np.hypot(along, dd)
+        heading = self.route.tangent_angle_smooth(s) + np.arctan2(dd, np.maximum(along, 1e-9))
+        heading[..., 0] = ego.theta
+        rows = nd * nv
+        speed, heading = speed.reshape(rows, K + 1), heading.reshape(rows, K + 1)
+
+        accel = np.diff(speed, axis=-1) / dt
+        dtheta = dynamics.normalize_angles(np.diff(heading, axis=-1))
+        moving = speed[:, :-1] > 0.05
+        kappa = np.where(moving, dtheta / (np.maximum(speed[:, :-1], 0.05) * dt), 0.0)
+        kappa = np.clip(kappa, -params.kappa_max, params.kappa_max)
+        x, y, v, theta = dynamics.rollout_arrays(ego.x, ego.y, ego.v, ego.theta, accel, kappa, dt)
+
+        violated = dynamics.bound_violations(v, accel, kappa, params)[1].any(axis=-2)
+        rejected = {
+            "route_end": np.tile(s[:, -1] > self.route.length, nd),
+            "fold_over": np.any(np.abs(d * kappa_ref) >= 0.98, axis=-1).ravel(),
+            **{bound: violated[:, b] for b, bound in enumerate(dynamics.BOUNDS)},
+        }
+        alive = ~np.any(list(rejected.values()), axis=0)
+        ego_boxes = np.stack([x, y, theta, np.full_like(x, params.length),
+                              np.full_like(x, params.width)], axis=-1)[alive, 1:]
+        colliding = boxes_intersect(ego_boxes[:, :, None, :], predicted[None, :K]).any(axis=(1, 2))
+        rejected["collision"] = np.zeros(rows, dtype=bool)
+        rejected["collision"][alive] = colliding
+        alive[alive] = ~colliding
+
+        cost = np.full(rows, math.inf)
+        if alive.any():
+            cost[alive] = self._cost(accel[alive], kappa[alive], v[alive], x[alive], y[alive],
+                                     d_end[alive], v_target[alive], predicted[:K])
+        lat_acc_next = _poly_eval(_poly_derivative(_poly_derivative(lateral)), tau[1:2])
+        return Candidates(d_end, v_target, np.repeat(lat_acc_next[:, 0], nv),
+                          accel, kappa, x, y, v, theta, rejected, cost)
+
+    def _cost(self, accel, kappa, v, x, y, d_end, v_target, predicted) -> np.ndarray:
+        """Jerk, lateral-offset, speed and risk cost per row. The risk term
+        sums exp(-dist^2 / r^2) to each neighbour's predicted centre over
+        neighbours, then steps, one at a time in that order; math.exp,
+        because numpy's vectorised exp differs from it in the last bit."""
+        cfg, dt = self.cfg, self.dt
+        lat_acc = _pow2(v[:, :-1]) * kappa
+        jerk = np.sum(np.diff(accel, axis=-1) ** 2 + np.diff(lat_acc, axis=-1) ** 2, axis=-1) / dt
+        dist2 = (_pow2(x[:, None, 1:] - predicted[:, :, 0].T)
+                 + _pow2(y[:, None, 1:] - predicted[:, :, 1].T))
+        exponent = -dist2 / cfg.risk_radius**2
+        terms = np.array([math.exp(e) for e in exponent.ravel().tolist()]).reshape(len(x), -1)
+        risk = np.cumsum(terms, axis=-1)[:, -1] if terms.size else np.zeros(len(x))
+        return (cfg.w_jerk * jerk + cfg.w_lat * _pow2(d_end)
+                + cfg.w_speed * _pow2(v_target - self.v_ref) + cfg.w_risk * risk)
 
     def _fallback(self, view: LocalView, s: float, d: float, memory: dict) -> PlanResult:
         """Maximal comfortable braking along the current path offset."""
@@ -342,53 +408,36 @@ class FrenetPlanner:
         memory["d_accel"] = 0.0
         return PlanResult(nxt, u, traj, "infeasible")
 
-    def plan(self, view: LocalView, memory: dict) -> PlanResult:
+    def candidates(self, view: LocalView, memory: dict):
+        """The ego's Frenet start (s0, d0) and every candidate of the view,
+        one Candidates per horizon in sampling order."""
         ego = view.ego
         s0, d0, in_dom = self.route.project((ego.x, ego.y))
         if not in_dom or abs(d0) > 10.0:
             raise PlannerError(f"agent {view.ego_id}: ego not projectable onto route")
         theta_ref = self.route.tangent_angle_at(s0)
         dtheta = normalize_angle(ego.theta - theta_ref)
-        ds0 = ego.v * math.cos(dtheta)
-        dd0 = ego.v * math.sin(dtheta)
-        a0 = float(memory.get("accel", 0.0))
-        dd0_acc = float(memory.get("d_accel", 0.0))
+        start = (s0, d0, ego.v * math.cos(dtheta), ego.v * math.sin(dtheta),
+                 float(memory.get("d_accel", 0.0)), float(memory.get("accel", 0.0)))
+        horizons = [int(round(T / self.dt)) for T in self.cfg.t_end_samples]
+        predicted = self._predicted(view, max(horizons))
+        return s0, d0, [self._horizon(T, ego, start, predicted) for T in self.cfg.t_end_samples]
 
-        candidates = []  # feasible (trajectory, d_end, v_target, next lateral accel)
-        for T in self.cfg.t_end_samples:
-            for d_end in self.cfg.d_end_samples:
-                for frac in self.cfg.v_frac_samples:
-                    v_target = max(0.0, frac * self.v_ref)
-                    candidate = self._candidate_inputs(ego, s0, d0, ds0, dd0,
-                                                       dd0_acc, a0, T, d_end, v_target)
-                    if candidate is None:
-                        continue
-                    inputs, lat_acc_next = candidate
-                    traj = Trajectory.rollout(ego, inputs, self.dt)
-                    if dynamics.feasible(traj, self.params):
-                        candidates.append((traj, d_end, v_target, lat_acc_next))
-        best = None  # (cost, trajectory, lateral accel after first step)
-        colliding = self._colliding([c[0] for c in candidates], view) if candidates else ()
-        for (traj, d_end, v_target, lat_acc_next), collides in zip(candidates, colliding):
-            if collides:
-                continue
-            accels = np.array([u.accel for u in traj.inputs])
-            lat_acc = np.array([st.v**2 * u.curvature_cmd
-                                for st, u in zip(traj.states[:-1], traj.inputs)])
-            jerk = 0.0
-            if len(accels) > 1:
-                jerk = float(np.sum(np.diff(accels) ** 2 + np.diff(lat_acc) ** 2) / self.dt)
-            cost = (self.cfg.w_jerk * jerk
-                    + self.cfg.w_lat * d_end**2
-                    + self.cfg.w_speed * (v_target - self.v_ref) ** 2
-                    + self.cfg.w_risk * self._risk(traj, view))
-            if best is None or cost < best[0] - 1e-12:
-                best = (cost, traj, lat_acc_next)
+    def plan(self, view: LocalView, memory: dict) -> PlanResult:
+        s0, d0, horizons = self.candidates(view, memory)
+        best = None  # (cost, candidates, row); ties keep the earlier candidate
+        for cands in horizons:
+            for row in np.flatnonzero(cands.ok).tolist():
+                cost = float(cands.cost[row])
+                if best is None or cost < best[0] - 1e-12:
+                    best = (cost, cands, row)
         if best is None:
             return self._fallback(view, s0, d0, memory)
-        traj = best[1]
+        _, cands, row = best
+        traj = cands.trajectory(row, view.ego, self.dt)
+        # carried across replans so consecutive plans stay consistent
         memory["accel"] = traj.inputs[0].accel
-        memory["d_accel"] = best[2]
+        memory["d_accel"] = float(cands.lat_acc_next[row])
         return PlanResult(traj.states[1], traj.inputs[0], traj, "ok")
 
 

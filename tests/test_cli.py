@@ -132,6 +132,7 @@ class TestSubcommands:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("n_agents,workers,mean_step_time")
+        assert lines[0].endswith(",agents_removed")
         assert len(lines) == 2
 
     def test_error_exit_code(self, tmp_path):

@@ -83,6 +83,12 @@ def test_benchmark_rows():
     assert row["q1_step_time"] <= row["q3_step_time"]
 
 
+def test_benchmark_row_counts_removed_agents():
+    rows = benchmark(_bundled("highway"), agent_counts=[2], worker_counts=[1],
+                     repetitions=1, steps=1)
+    assert rows[0]["agents_removed"] == 0
+
+
 def test_benchmark_rejects_oversized_agent_count():
     scenario = _bundled("merge")
     with pytest.raises(SetupError):

@@ -221,3 +221,23 @@ class TestReport:
         for e2, e3 in zip(two, three):
             assert e3["pet"] == e2["pet"]
             assert e3["other"] == (e2["other"] if math.isfinite(e2["pet"]) else "aaa")
+
+    def test_lone_agent_records_et(self):
+        # ET needs no other vehicle: orange alone on t_intersection, driven
+        # by intersection_idm's binding, still gets one event per area
+        doc = load_run_config("intersection_idm")
+        doc["substitute"] = ["orange"]
+        scenario, bindings, sim_cfg, predictor, cfg, _ = build_run(doc)
+        scenario = Scenario(scenario.network, [], [], scenario.planning_problems, scenario.dt)
+        result = engine.run(scenario, bindings, sim_cfg, predictor)
+        events = evaluate(result, scenario, cfg).conflict_events
+        params = scenario.planning_problems[0].params
+        boxes = VehicleLog("orange", result.trajectories["orange"].states, params.length,
+                           params.width, True).boxes
+        overlapping = [int(box_intersects_polygon(boxes, area).sum())
+                       for _, area in scenario.network.conflict_areas()]
+        assert sum(n > 0 for n in overlapping) > 0
+        assert [e["area_index"] for e in events] == [i for i, n in enumerate(overlapping) if n]
+        for e in events:
+            assert e["agent"] == "orange" and e["other"] is None and e["pet"] == INF
+            assert e["et"] == pytest.approx(overlapping[e["area_index"]] * DT)

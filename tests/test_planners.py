@@ -1,15 +1,22 @@
 """Replay, IDM, and frenet-sampling planners."""
 
+import dataclasses
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drivesim.dynamics import AgentState, ControlInput, VehicleParams, step
-from drivesim.geometry import CurvilinearFrame, Polyline
-from drivesim.planners import (FrenetPlanner, FrenetPlannerConfig, IdmParams,
-                               IdmPlanner, LocalView, Neighbor, PlannerError,
-                               ReplayPlanner, route_to_goal)
+from drivesim import engine
+from drivesim.cli import build_run, load_run_config
+from drivesim.dynamics import (AgentState, ControlInput, Trajectory, VehicleParams,
+                               feasible, normalize_angle, step)
+from drivesim.geometry import CurvilinearFrame, Polyline, boxes_intersect, occupancy
+from drivesim.planners import (REJECTIONS, FrenetPlanner, FrenetPlannerConfig,
+                               IdmParams, IdmPlanner, LocalView, Neighbor,
+                               PlannerError, PlanResult, ReplayPlanner, _quintic,
+                               route_to_goal)
 from drivesim.prediction import PredictedPath
 from drivesim.scenario import GoalRegion, Lanelet, StreetNetwork
 from drivesim.geometry import Polygon
@@ -160,3 +167,304 @@ class TestRouting:
         assert route.length >= 90.0
         s, d, in_dom = route.project((92.0, 0.0))
         assert in_dom and abs(d) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-candidate Frenet planner that the array program
+# replaced, kept here as an oracle. It derives each candidate's inputs from
+# scalar curvature and heading lookups, rolls it out one AgentState at a time
+# with the scalar kinematic model, checks the bounds step by step and sums
+# the risk term in a Python loop.
+
+
+def _reference_step(state, u, dt):
+    v_new = max(0.0, state.v + u.accel * dt)
+    ds = 0.5 * (state.v + v_new) * dt
+    kappa = u.curvature_cmd
+    theta = state.theta
+    if abs(kappa) < 1e-12 or ds < 1e-15:
+        x = state.x + ds * math.cos(theta)
+        y = state.y + ds * math.sin(theta)
+    else:
+        theta_end = theta + kappa * ds
+        x = state.x + (math.sin(theta_end) - math.sin(theta)) / kappa
+        y = state.y + (math.cos(theta) - math.cos(theta_end)) / kappa
+    theta_new = normalize_angle(theta + state.v * kappa * dt)
+    return AgentState(x, y, v_new, theta_new)
+
+
+def _reference_feasible(states, inputs, params):
+    """The first (step, bound, value) that breaks a bound, or None."""
+    eps = 1e-9
+    for i, (s, u) in enumerate(zip(states[:-1], inputs)):
+        if abs(u.accel) > params.a_long_max + eps:
+            return i, "a_long_max", u.accel
+        if s.v > params.v_max + eps:
+            return i, "v_max", s.v
+        if abs(u.curvature_cmd) > params.kappa_max + eps:
+            return i, "kappa_max", u.curvature_cmd
+        a_lat = s.v * abs(s.v * u.curvature_cmd)
+        if a_lat > params.a_lat_max + eps:
+            return i, "a_lat_max", a_lat
+    if states[-1].v > params.v_max + eps:
+        return len(states) - 1, "v_max", states[-1].v
+    return None
+
+
+def _reference_poly(coeffs, tau):
+    return np.vander(tau, len(coeffs), increasing=True) @ coeffs
+
+
+def _reference_derivative(coeffs):
+    return coeffs[1:] * np.arange(1, len(coeffs))
+
+
+class ReferenceFrenetPlanner:
+    def __init__(self, planner: FrenetPlanner):
+        self.planner = planner
+        self.route, self.cfg, self.params = planner.route, planner.cfg, planner.params
+        self.v_ref, self.dt = planner.v_ref, planner.dt
+
+    def _candidate_inputs(self, ego, s0, d0, ds0, dd0, dd0_acc, a0, T, d_end, v_target):
+        K = int(round(T / self.dt))
+        tau = np.arange(K + 1) * self.dt
+        lat = _quintic(d0, dd0, dd0_acc, d_end, 0.0, 0.0, T)
+        d_vals = _reference_poly(lat, tau)
+        dd_vals = _reference_poly(_reference_derivative(lat), tau)
+        lat_acc_next = float(_reference_poly(
+            _reference_derivative(_reference_derivative(lat)), tau[1:2])[0])
+        A = v_target - ds0 - a0 * T
+        B = -a0
+        det = 3 * T**2 * 12 * T**2 - 4 * T**3 * 6 * T
+        c3 = (A * 12 * T**2 - 4 * T**3 * B) / det
+        c4 = (3 * T**2 * B - A * 6 * T) / det
+        lon = np.array([s0, ds0, a0 / 2.0, c3, c4])
+        s_vals = np.maximum.accumulate(_reference_poly(lon, tau))
+        ds_vals = np.maximum(_reference_poly(_reference_derivative(lon), tau), 0.0)
+        if s_vals[-1] > self.route.length:
+            return None
+        kappas = np.array([self.route.curvature_at(float(s)) for s in s_vals])
+        if np.any(np.abs(d_vals * kappas) >= 0.98):
+            return None
+        theta_ref = np.array([self.route.tangent_angle_smooth(float(s)) for s in s_vals])
+        along = ds_vals * (1.0 - d_vals * kappas)
+        v_vals = np.hypot(along, dd_vals)
+        headings = theta_ref + np.arctan2(dd_vals, np.maximum(along, 1e-9))
+        headings[0] = ego.theta
+        accels = np.diff(v_vals) / self.dt
+        dtheta = np.array([normalize_angle(headings[k + 1] - headings[k]) for k in range(K)])
+        curv = np.where(v_vals[:-1] > 0.05,
+                        dtheta / (np.maximum(v_vals[:-1], 0.05) * self.dt), 0.0)
+        curv = np.clip(curv, -self.params.kappa_max, self.params.kappa_max)
+        return [ControlInput(float(a), float(k)) for a, k in zip(accels, curv)], lat_acc_next
+
+    def _colliding(self, trajs, view):
+        lengths = [len(states) - 1 for states in trajs]
+        steps = np.concatenate([np.arange(n) for n in lengths])
+        predicted = []
+        for nid in sorted(view.neighbors):
+            pred = view.predictions.get(nid)
+            if pred is None:
+                continue
+            nb = view.neighbors[nid]
+            kp = np.minimum(np.arange(1, max(lengths) + 1), len(pred.states) - 1)
+            margin = np.asarray(pred.pos_stddev)[kp]
+            predicted.append(occupancy([pred.states[k] for k in kp],
+                                       nb.length + 2.0 * margin, nb.width + 2.0 * margin))
+        predicted = np.stack(predicted, axis=1) if predicted else np.empty((max(lengths), 0, 5))
+        ego = occupancy([st for states in trajs for st in states[1:]],
+                        self.params.length, self.params.width)
+        hits = boxes_intersect(ego[:, None, :], predicted[steps]).any(axis=1)
+        return np.logical_or.reduceat(hits, np.cumsum(lengths) - lengths)
+
+    def _risk(self, states, view):
+        r2 = self.cfg.risk_radius**2
+        total = 0.0
+        for nid in sorted(view.neighbors):
+            pred = view.predictions.get(nid)
+            if pred is None:
+                continue
+            last = len(pred.states) - 1
+            for k in range(1, len(states)):
+                ps = pred.states[min(k, last)]
+                dist2 = (states[k].x - ps.x) ** 2 + (states[k].y - ps.y) ** 2
+                total += math.exp(-dist2 / r2)
+        return total
+
+    def plan(self, view, memory):
+        ego = view.ego
+        s0, d0, in_dom = self.route.project((ego.x, ego.y))
+        if not in_dom or abs(d0) > 10.0:
+            raise PlannerError("ego not projectable onto route")
+        dtheta = normalize_angle(ego.theta - self.route.tangent_angle_at(s0))
+        ds0, dd0 = ego.v * math.cos(dtheta), ego.v * math.sin(dtheta)
+        a0 = float(memory.get("accel", 0.0))
+        dd0_acc = float(memory.get("d_accel", 0.0))
+        feasible_rows = []
+        for T in self.cfg.t_end_samples:
+            for d_end in self.cfg.d_end_samples:
+                for frac in self.cfg.v_frac_samples:
+                    v_target = max(0.0, frac * self.v_ref)
+                    candidate = self._candidate_inputs(ego, s0, d0, ds0, dd0, dd0_acc, a0,
+                                                       T, d_end, v_target)
+                    if candidate is None:
+                        continue
+                    inputs, lat_acc_next = candidate
+                    states = [ego]
+                    for u in inputs:
+                        states.append(_reference_step(states[-1], u, self.dt))
+                    if _reference_feasible(states, inputs, self.params) is None:
+                        feasible_rows.append((states, inputs, d_end, v_target, lat_acc_next))
+        colliding = (self._colliding([row[0] for row in feasible_rows], view)
+                     if feasible_rows else ())
+        best = None
+        self.costs = []  # of the surviving candidates, in sampling order
+        for (states, inputs, d_end, v_target, lat_acc_next), collides in zip(feasible_rows,
+                                                                            colliding):
+            if collides:
+                continue
+            accels = np.array([u.accel for u in inputs])
+            lat_acc = np.array([st.v**2 * u.curvature_cmd for st, u in zip(states[:-1], inputs)])
+            jerk = 0.0
+            if len(accels) > 1:
+                jerk = float(np.sum(np.diff(accels) ** 2 + np.diff(lat_acc) ** 2) / self.dt)
+            cost = (self.cfg.w_jerk * jerk + self.cfg.w_lat * d_end**2
+                    + self.cfg.w_speed * (v_target - self.v_ref) ** 2
+                    + self.cfg.w_risk * self._risk(states, view))
+            self.costs.append(cost)
+            if best is None or cost < best[0] - 1e-12:
+                best = (cost, Trajectory(states, inputs, self.dt), lat_acc_next)
+        if best is None:
+            return self.planner._fallback(view, s0, d0, memory)
+        traj = best[1]
+        memory["accel"] = traj.inputs[0].accel
+        memory["d_accel"] = best[2]
+        return PlanResult(traj.states[1], traj.inputs[0], traj, "ok")
+
+
+def _bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _state_bits(states):
+    return [_bits(st.x, st.y, st.v, st.theta) for st in states]
+
+
+def _input_bits(inputs):
+    return [_bits(u.accel, u.curvature_cmd) for u in inputs]
+
+
+HIGHWAY_FRENET12 = (Path(__file__).resolve().parent.parent
+                    / "perfbench" / "configs" / "highway_frenet12.json")
+
+
+def _record_frenet_views(config, max_steps=None):
+    """(planner, view, memory before planning) of every Frenet plan of a run."""
+    scenario, bindings, sim_cfg, predictor, _, _ = build_run(load_run_config(config))
+    if max_steps is not None:
+        sim_cfg = dataclasses.replace(sim_cfg, max_steps=max_steps)
+    recorded = []
+    plan = FrenetPlanner.plan
+
+    def recording_plan(self, view, memory):
+        recorded.append((self, view, dict(memory)))
+        return plan(self, view, memory)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FrenetPlanner, "plan", recording_plan)
+        engine.run(scenario, bindings, dataclasses.replace(sim_cfg, worker_count=1), predictor)
+    return recorded
+
+
+@pytest.fixture(scope="module")
+def frenet_views():
+    """Every third view of the bundled intersection and merge Frenet runs,
+    and every view of the first two steps of the twelve-agent highway
+    configuration (up to 23 neighbours each)."""
+    return (_record_frenet_views("intersection_frenet")[::3]
+            + _record_frenet_views("merge_frenet")[::3]
+            + _record_frenet_views(str(HIGHWAY_FRENET12), max_steps=2))
+
+
+def test_plan_matches_reference_bitwise(frenet_views):
+    fallbacks = 0
+    for planner, view, memory in frenet_views:
+        new_memory, ref_memory = dict(memory), dict(memory)
+        result = planner.plan(view, new_memory)
+        reference = ReferenceFrenetPlanner(planner)
+        ref = reference.plan(view, ref_memory)
+        where = (view.ego_id, view.step)
+        costs = [c for cands in planner.candidates(view, dict(memory))[2]
+                 for c in cands.cost[cands.ok].tolist()]
+        assert _bits(*costs) == _bits(*reference.costs), where
+        assert result.status == ref.status, where
+        fallbacks += ref.status != "ok"
+        assert _state_bits([result.next_state]) == _state_bits([ref.next_state]), where
+        assert _input_bits([result.next_input]) == _input_bits([ref.next_input]), where
+        traj, ref_traj = result.intended_trajectory, ref.intended_trajectory
+        assert _state_bits(traj.states) == _state_bits(ref_traj.states), where
+        assert _input_bits(traj.inputs) == _input_bits(ref_traj.inputs), where
+        assert traj.dt == ref_traj.dt
+        assert sorted(new_memory) == sorted(ref_memory), where
+        assert [_bits(new_memory[k]) for k in sorted(new_memory)] == \
+            [_bits(ref_memory[k]) for k in sorted(ref_memory)], where
+    assert len(frenet_views) > 180 and fallbacks < len(frenet_views)
+
+
+def test_candidate_rows_replay_the_scalar_model(frenet_views):
+    """Every row's states are exact dynamics.step replays of its inputs (and
+    of the reference scalar model), and its bound masks agree with
+    dynamics.feasible."""
+    for planner, view, memory in frenet_views[::10]:
+        _, _, horizons = planner.candidates(view, dict(memory))
+        for cands in horizons:
+            bounds = np.column_stack([cands.rejected[b] for b in REJECTIONS[2:6]])
+            for row in range(len(cands.d_end)):
+                traj = cands.trajectory(row, view.ego, planner.dt)
+                for k, u in enumerate(traj.inputs):
+                    expected = _state_bits([traj.states[k + 1]])
+                    assert _state_bits([step(traj.states[k], u, planner.dt)]) == expected
+                    assert _state_bits([_reference_step(traj.states[k], u, planner.dt)]) == expected
+                verdict = feasible(traj, planner.params)
+                assert verdict.ok == (not bounds[row].any())
+                first = _reference_feasible(traj.states, traj.inputs, planner.params)
+                assert verdict.violation == first
+                if not verdict.ok:
+                    assert cands.rejected[verdict.violation.bound][row]
+
+
+def _curved_route(radius, arc=math.pi / 2, lead=30.0):
+    """Straight lead-in of `lead` metres, then a left arc of the radius."""
+    phi = np.linspace(0.0, arc, 40)[1:]
+    pts = np.vstack([np.column_stack([np.linspace(-lead, 0.0, 7), np.zeros(7)]),
+                     np.column_stack([radius * np.sin(phi), radius * (1 - np.cos(phi))])])
+    return CurvilinearFrame(Polyline(pts))
+
+
+def test_every_rejection_reason_fires():
+    """Scenes built so that each reason of REJECTIONS rejects some row."""
+    fired = set()
+
+    def collect(planner, view):
+        for cands in planner.candidates(view, {})[2]:
+            fired.update(r for r in REJECTIONS if cands.rejected[r].any())
+
+    cfg = FrenetPlannerConfig()
+    # route end: 40 m of route left at 10 m/s
+    collect(FrenetPlanner(straight_route(60.0), cfg, PARAMS, v_ref=10.0, dt=DT),
+            empty_view(AgentState(20.0, 0.0, 10.0, 0.0)))
+    # fold-over: a 3 m radius turn ahead
+    collect(FrenetPlanner(_curved_route(3.0), cfg, PARAMS, v_ref=3.0, dt=DT),
+            empty_view(AgentState(-2.0, 0.0, 2.0, 0.0)))
+    # lateral acceleration: a 30 m radius curve at 25 m/s
+    collect(FrenetPlanner(_curved_route(30.0, lead=10.0), cfg, PARAMS, v_ref=25.0, dt=DT),
+            empty_view(AgentState(-5.0, 0.0, 25.0, 0.0)))
+    # longitudinal acceleration and speed: asked for 60 m/s at 45 m/s
+    collect(FrenetPlanner(straight_route(600.0), cfg, PARAMS, v_ref=60.0, dt=DT),
+            empty_view(AgentState(0.0, 0.0, 45.0, 0.0)))
+    # collision: a stopped car 20 m ahead
+    collect(FrenetPlanner(straight_route(), cfg, PARAMS, v_ref=10.0, dt=DT),
+            view_with_neighbor(AgentState(0.0, 0.0, 10.0, 0.0), AgentState(20.0, 0.0, 0.0, 0.0)))
+    # the planner clips each curvature command to kappa_max before the bound
+    # check, so that bound never rejects a candidate
+    assert fired == set(REJECTIONS) - {"kappa_max"}
