@@ -39,12 +39,8 @@ def max_lateral_offset(result, agent_id):
     original = load_scenario(resolve_scenario_path("merge", Path(".")))
     recorded = original.dynamic_obstacle(agent_id).recorded_states
     frame = CurvilinearFrame(Polyline(np.array([[s.x, s.y] for s in recorded])))
-    worst = 0.0
-    for st in result.trajectories[agent_id].states:
-        _, d, in_dom = frame.project((st.x, st.y))
-        if in_dom:
-            worst = max(worst, abs(d))
-    return worst
+    _, d, in_dom = frame.project([(st.x, st.y) for st in result.trajectories[agent_id].states])
+    return float(np.abs(d[in_dom]).max(initial=0.0))
 
 
 def main():

@@ -15,6 +15,7 @@ import math
 import multiprocessing as mp
 import statistics
 import time
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,9 +208,9 @@ def run(scenario: Scenario, bindings: dict[str, PlannerBinding],
 
     pool = None
     if cfg.worker_count > 1:
-        ctx = mp.get_context("fork")
-        pool = ctx.Pool(
-            processes=cfg.worker_count,
+        pool = ProcessPoolExecutor(
+            max_workers=cfg.worker_count,
+            mp_context=mp.get_context("fork"),
             initializer=_worker_init,
             initargs=({aid: rt.planner for aid, rt in agents.items()}, scenario.network),
         )
@@ -217,8 +218,7 @@ def run(scenario: Scenario, bindings: dict[str, PlannerBinding],
         return _run_loop(scenario, agents, cfg, predictor, pool)
     finally:
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.shutdown()
 
 
 def _run_loop(scenario, agents, cfg, predictor, pool) -> SimulationResult:
@@ -330,9 +330,12 @@ def _run_loop(scenario, agents, cfg, predictor, pool) -> SimulationResult:
         else:
             tasks = [[(aid, views[aid], agents[aid].memory) for aid in batch]
                      for batch in batches if batch]
-            async_results = [pool.apply_async(_plan_batch, (task,)) for task in tasks]
-            for ar in async_results:
-                out, wall = ar.get()
+            futures = [pool.submit(_plan_batch, task) for task in tasks]
+            for future in futures:
+                try:
+                    out, wall = future.result()
+                except BrokenProcessPool as exc:
+                    raise RuntimeError(f"step {t}: a planning worker died ({exc})") from exc
                 batch_times.append(wall)
                 for aid, res, mem, err in out:
                     results[aid] = (res, err)

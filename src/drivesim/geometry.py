@@ -37,13 +37,12 @@ class Polyline:
     def length(self) -> float:
         return float(self.cumulative_arclength[-1])
 
-    def point_at(self, s: float) -> np.ndarray:
-        """Point at arc length s (clamped to [0, length])."""
-        s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self.cumulative_arclength, s, side="right") - 1)
-        i = min(i, len(self.segment_lengths) - 1)
-        t = (s - self.cumulative_arclength[i]) / self.segment_lengths[i]
-        return self.points[i] + t * (self.points[i + 1] - self.points[i])
+
+def _shaped(x, shape=None):
+    """x in shape (its own by default): a Python float or bool for a 0-d
+    result, the array for any other."""
+    x = np.asarray(x) if shape is None else np.reshape(x, shape)
+    return x.item() if x.ndim == 0 else x
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -84,6 +83,8 @@ class CurvilinearFrame:
         self._seg = np.diff(pts, axis=0)
         self._seg_len2 = np.einsum("ij,ij->i", self._seg, self._seg)
         self._seg_dir = _normalize_rows(self._seg)
+        # math.atan2 per segment, so angles round as scalar code rounds them
+        self._seg_angles = np.array([math.atan2(y, x) for x, y in self._seg_dir.tolist()])
 
     @property
     def length(self) -> float:
@@ -93,20 +94,21 @@ class CurvilinearFrame:
         """Per-vertex values interpolated at arc length s, clamped to
         [0, length]: a float for a number, elementwise for an array."""
         cum = self.reference.cumulative_arclength
-        if isinstance(s, np.ndarray):
-            return np.interp(np.clip(s, 0.0, self.length), cum, values)
-        return float(np.interp(min(max(s, 0.0), self.length), cum, values))
+        return _shaped(np.interp(np.clip(s, 0.0, self.length), cum, values))
+
+    def _segment_at(self, s):
+        """Arc length s clamped to [0, length], and the segment it lies on."""
+        s = np.clip(s, 0.0, self.length)
+        i = np.searchsorted(self.reference.cumulative_arclength, s, side="right") - 1
+        return s, np.clip(i, 0, len(self._seg) - 1)
 
     def curvature_at(self, s):
         return self._at_vertices(s, self.curvatures)
 
-    def tangent_angle_at(self, s: float) -> float:
-        s = min(max(s, 0.0), self.length)
-        cum = self.reference.cumulative_arclength
-        i = int(np.searchsorted(cum, s, side="right") - 1)
-        i = min(max(i, 0), len(self._seg_dir) - 1)
-        d = self._seg_dir[i]
-        return math.atan2(d[1], d[0])
+    def tangent_angle_at(self, s):
+        """Direction of the reference segment at arc length s, clamped to
+        [0, length]: a float for a number, elementwise for an array."""
+        return _shaped(self._seg_angles[self._segment_at(s)[1]])
 
     def tangent_angle_smooth(self, s):
         """Tangent angle interpolated between vertices (C0 in s), for sampling
@@ -114,57 +116,68 @@ class CurvilinearFrame:
         directions instead."""
         return self._at_vertices(s, self._vertex_angles)
 
-    def _closest(self, p):
-        """Closest reference point to p: (segment index, segment parameter
-        before and after clamping to [0, 1], foot point, squared distance)."""
-        t = np.einsum("ij,ij->i", p[None, :] - self._seg_start, self._seg) / self._seg_len2
-        t_clamped = np.clip(t, 0.0, 1.0)
-        foot = self._seg_start + t_clamped[:, None] * self._seg
-        diff = p[None, :] - foot
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        i = int(np.argmin(dist2))
-        return i, t[i], t_clamped[i], foot[i], dist2[i]
+    def _closest(self, p: np.ndarray):
+        """Closest reference point to each point of p (n, 2): segment index,
+        segment parameter before clamping to [0, 1] and squared distance."""
+        rel = p[:, None, :] - self._seg_start
+        t = np.einsum("nij,ij->ni", rel, self._seg) / self._seg_len2
+        diff = p[:, None, :] - (self._seg_start + np.clip(t, 0.0, 1.0)[..., None] * self._seg)
+        dist2 = np.einsum("nij,nij->ni", diff, diff)
+        i = np.argmin(dist2, axis=1)
+        rows = np.arange(len(p))
+        return i, t[rows, i], dist2[rows, i]
 
-    def distance(self, p) -> float:
-        """Euclidean distance from p to the reference polyline."""
-        return math.sqrt(self._closest(np.asarray(p, dtype=float))[4])
+    def distance(self, p):
+        """Euclidean distance from each point of p (..., 2) to the reference
+        polyline; a float for a single point."""
+        p = np.asarray(p, dtype=float)
+        return _shaped(np.sqrt(self._closest(p.reshape(-1, 2))[2]), p.shape[:-1])
 
-    def project(self, p) -> tuple[float, float, bool]:
-        """Project p onto the reference.
+    def project(self, p):
+        """Project each point of p (..., 2) onto the reference.
 
-        Returns (s, d, in_domain). d > 0 means left of the path. Points whose
-        closest reference point is a clamped endpoint are flagged
-        in_domain=False but still get the clamped (s, d).
+        Returns (s, d, in_domain), floats and a bool for a single point.
+        d > 0 means left of the path. Points whose closest reference point is
+        a clamped endpoint are flagged in_domain=False but still get the
+        clamped (s, d).
         """
         p = np.asarray(p, dtype=float)
-        i, t, t_clamped, foot, _ = self._closest(p)
+        shape, p = p.shape[:-1], p.reshape(-1, 2)
+        i, t, _ = self._closest(p)
+        t_clamped = np.clip(t, 0.0, 1.0)
         ref = self.reference
-        s = float(ref.cumulative_arclength[i] + t_clamped * ref.segment_lengths[i])
+        s = ref.cumulative_arclength[i] + t_clamped * ref.segment_lengths[i]
         u = self._seg_dir[i]
-        rel = p - foot
-        d = float(u[0] * rel[1] - u[1] * rel[0])
-        in_domain = not ((i == 0 and t < 0.0) or (i == len(self._seg) - 1 and t > 1.0))
-        return s, d, in_domain
+        rel = p - (self._seg_start[i] + t_clamped[:, None] * self._seg[i])
+        d = u[:, 0] * rel[:, 1] - u[:, 1] * rel[:, 0]
+        outside = ((i == 0) & (t < 0.0)) | ((i == len(self._seg) - 1) & (t > 1.0))
+        return _shaped(s, shape), _shaped(d, shape), _shaped(~outside, shape)
 
-    def to_cartesian(self, s: float, d: float) -> np.ndarray:
-        """Inverse of project on its domain.
+    def folds(self, s, d):
+        """Whether the lateral offset d folds over the reference at arc
+        length s, i.e. |d * curvature(s)| >= 1; elementwise over arrays."""
+        return np.abs(d * self.curvature_at(s)) >= 1.0
 
-        Raises GeometryError on fold-over, i.e. |d * curvature(s)| >= 1.
+    def to_cartesian(self, s, d):
+        """Inverse of project on its domain, elementwise over broadcast
+        arrays of s and d: points (..., 2), one point (2,) for two numbers.
+
+        Raises GeometryError if any s lies outside [0, length] or any offset
+        folds over.
         """
-        if s < -1e-9 or s > self.length + 1e-9:
-            raise GeometryError(f"s={s} outside reference [0, {self.length}]")
-        if abs(d * self.curvature_at(s)) >= 1.0:
-            raise GeometryError(
-                f"lateral offset d={d} folds over at curvature {self.curvature_at(s)}"
-            )
-        s = min(max(s, 0.0), self.length)
-        cum = self.reference.cumulative_arclength
-        i = int(np.searchsorted(cum, s, side="right") - 1)
-        i = min(max(i, 0), len(self._seg_dir) - 1)
-        base = self.reference.points[i] + (s - cum[i]) * self._seg_dir[i]
+        s, d = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(d, dtype=float))
+        outside = (s < -1e-9) | (s > self.length + 1e-9)
+        if outside.any():
+            raise GeometryError(f"s={s[outside][0]} outside reference [0, {self.length}]")
+        folded = self.folds(s, d)
+        if folded.any():
+            raise GeometryError(f"lateral offset d={d[folded][0]} folds over at s={s[folded][0]}")
+        s, i = self._segment_at(s)
         u = self._seg_dir[i]
-        normal = np.array([-u[1], u[0]])
-        return base + d * normal
+        cum = self.reference.cumulative_arclength
+        base = self.reference.points[i] + (s - cum[i])[..., None] * u
+        normal = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        return base + d[..., None] * normal
 
 
 class Polygon:

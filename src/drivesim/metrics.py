@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AgentState, VehicleParams, normalize_angle
+from .dynamics import AgentState, VehicleParams, normalize_angle, normalize_angles
 from .engine import AgentStatus, SimulationResult
 from .geometry import (CurvilinearFrame, box_intersects_polygon, boxes_intersect,
                        min_distance, occupancy)
-from .prediction import lane_chain
+from .prediction import ahead, lane_chain
 from .scenario import Scenario
 
 INF = math.inf
@@ -77,20 +77,23 @@ class PairContext:
 # Frame enumeration
 
 
-def _candidate_chains(network, state: AgentState):
+def _candidate_chains(network, log, step: int, chain_cache: dict):
     """All lanelet paths (successor chains) the vehicle can reach from its
-    current position, used as candidate reference frames."""
+    position at one logged step, used as candidate reference frames; they
+    start at its localized lanelet when no lanelet containing it is aligned
+    with it. Computed once per evaluation and step."""
+    if (log.id, step) in chain_cache:
+        return chain_cache[(log.id, step)]
+    state = log.states[step]
     p = np.array([state.x, state.y])
     starts = []
     for lid in network.containing_lanelets(p):
         lane = network.lanelets[lid]
         if abs(normalize_angle(lane.start_tangent_angle() - state.theta)) <= math.pi / 2:
             starts.append(lid)
-    if not starts:
-        lid = network.localize(p)
-        if lid is None:
-            return []
-        starts = [lid]
+    lanelet = _lanelets(network, log, chain_cache)[step]
+    if not starts and lanelet is not None:
+        starts = [lanelet]
     chains = []
     for start in sorted(starts):
         stack = [((start,), network.lanelets[start].centerline.length)]
@@ -103,16 +106,16 @@ def _candidate_chains(network, state: AgentState):
                 continue
             for s in succ:
                 stack.append((chain + (s,), length + network.lanelets[s].centerline.length))
+    chain_cache[(log.id, step)] = chains
     return chains
 
 
-def _own_frame(network, state: AgentState, horizon_length: float):
-    lid = network.localize((state.x, state.y))
-    if lid is None:
-        return None
-    chain = lane_chain(network, lid, state.theta,
-                       network.lanelets[lid].centerline.length + horizon_length)
-    return network.chain_frame(chain)
+def _lanelets(network, log, chain_cache: dict) -> list:
+    """The localized lanelet (or None) at each logged state, found in one
+    call per evaluation and kept in chain_cache under the log's id."""
+    if log.id not in chain_cache:
+        chain_cache[log.id] = network.localize([(s.x, s.y) for s in log.states])
+    return chain_cache[log.id]
 
 
 # ---------------------------------------------------------------------------
@@ -212,31 +215,26 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     if math.hypot(sa.x - so.x, sa.y - so.y) > cfg.gating_distance:
         return PairContext(log_a.id, log_o.id, "ignored")
 
-    key = (log_a.id, step)
-    chains = chain_cache.get(key)
-    if chains is None:
-        chains = _candidate_chains(network, sa)
-        chain_cache[key] = chains
+    chains = _candidate_chains(network, log_a, step, chain_cache)
     if not chains:
         return PairContext(log_a.id, log_o.id, "ignored")
 
-    other_lanelet = network.localize((so.x, so.y))
+    other_lanelet = _lanelets(network, log_o, chain_cache)[step]
 
     best: PairContext | None = None
     for chain in chains:
         frame = network.chain_frame(chain)
-        s_a, d_a, in_a = frame.project((sa.x, sa.y))
-        s_o, d_o, in_o = frame.project((so.x, so.y))
-        if not (in_a and in_o):
+        s, d, in_dom = frame.project([(sa.x, sa.y), (so.x, so.y)])
+        if not in_dom.all():
             continue
-        tang_o = frame.tangent_angle_at(s_o)
+        (s_a, s_o), (d_a, d_o) = s.tolist(), d.tolist()
+        tang_a, tang_o = frame.tangent_angle_at(s).tolist()
         same_dir = abs(normalize_angle(so.theta - tang_o)) <= math.pi / 2
         lanes_cross = (
             other_lanelet is not None
             and any(tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in chain)
         )
         if not same_dir:
-            tang_a = frame.tangent_angle_at(s_a)
             on_oncoming_lane = abs(normalize_angle(sa.theta - tang_a)) > math.pi / 2
             # the agent's own chains align with its heading, so check the
             # containing lanelets directly
@@ -249,7 +247,7 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         else:
             relation = "lead-follow"
 
-        v_a_along = sa.v * math.cos(normalize_angle(sa.theta - frame.tangent_angle_at(s_a)))
+        v_a_along = sa.v * math.cos(normalize_angle(sa.theta - tang_a))
         v_o_along = so.v * math.cos(normalize_angle(so.theta - tang_o))
         hw = INF
         if s_o - log_o.length / 2.0 > s_a + log_a.length / 2.0 and abs(d_o) <= CORRIDOR_HALFWIDTH:
@@ -257,7 +255,7 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         a_a = log_a.a[step] / dt
         a_o = log_o.a[step] / dt
         if relation == "crossing" and hw == INF:
-            ttc = _crossing_ttc(network, log_a, log_o, step, dt)
+            ttc = _crossing_ttc(network, log_a, log_o, step, dt, chain_cache)
         else:
             ttc = ttc_closed_form(hw, v_o_along - v_a_along, a_o - a_a)
         ctx = PairContext(log_a.id, log_o.id, relation, frame,
@@ -279,45 +277,36 @@ def _occupies_oncoming(network, state: AgentState) -> bool:
 
 
 def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
-                  dt: float, horizon: float = 15.0) -> float:
+                  dt: float, chain_cache: dict, horizon: float = 15.0) -> float:
     """Time until occupancy overlap when both continue along their own paths
-    at their logged speeds."""
-    sa, so = log_a.states[step], log_o.states[step]
-    frames = []
-    for st, v in ((sa, sa.v), (so, so.v)):
-        frames.append(_own_frame(network, st, v * horizon + 20.0))
-    positions = []
-    for st, frame in zip((sa, so), frames):
-        if frame is None:
-            positions.append(None)
-        else:
+    at their logged speeds: along the lane chain ahead at the current offset,
+    held at its end, or straight on off the network. The search gives up at
+    the first step at which either offset folds over its chain."""
+    k = np.arange(1, int(round(horizon / dt)) + 1)
+    tracks = []  # (state, frame, arc lengths at steps k, offset) per vehicle
+    folds = np.zeros(len(k), dtype=bool)
+    for log in (log_a, log_o):
+        st, lid = log.states[step], _lanelets(network, log, chain_cache)[step]
+        frame = s = d0 = None
+        if lid is not None:
+            needed = network.lanelets[lid].centerline.length + (st.v * horizon + 20.0)
+            frame = network.chain_frame(lane_chain(network, lid, st.theta, needed))
             s0, d0, _ = frame.project((st.x, st.y))
-            positions.append((frame, s0, d0))
-    # both vehicles' states from now to the horizon, or to the first step
-    # off a frame's domain, where the overlap search gives up
-    path_a, path_o = [sa], [so]
-    for k in range(1, int(round(horizon / dt)) + 1):
-        states = []
-        for st, info in zip((sa, so), positions):
-            if info is None:
-                states.append(AgentState(st.x + st.v * k * dt * math.cos(st.theta),
-                                         st.y + st.v * k * dt * math.sin(st.theta),
-                                         st.v, st.theta))
-                continue
-            frame, s0, d0 = info
-            s = min(s0 + st.v * k * dt, frame.length)
-            try:
-                p = frame.to_cartesian(s, d0)
-            except Exception:
-                break
-            states.append(AgentState(float(p[0]), float(p[1]), st.v,
-                                     frame.tangent_angle_at(s)))
-        if len(states) < 2:
-            break
-        path_a.append(states[0])
-        path_o.append(states[1])
-    hits = np.flatnonzero(boxes_intersect(occupancy(path_a, log_a.length, log_a.width),
-                                          occupancy(path_o, log_o.length, log_o.width)))
+            s = np.minimum(s0 + st.v * k * dt, frame.length)
+            folds |= frame.folds(s, d0)
+        tracks.append((st, frame, s, d0))
+    n = int(np.argmax(np.append(folds, True)))
+    boxes = []
+    for (st, frame, s, d0), log in zip(tracks, (log_a, log_o)):
+        if frame is None:
+            x, y = ahead(st.x, st.y, st.theta, st.v * k[:n] * dt)
+            theta = np.full(n, st.theta)
+        else:
+            x, y = frame.to_cartesian(s[:n], d0).T
+            theta = normalize_angles(frame.tangent_angle_at(s[:n]))
+        poses = [np.append(st.x, x), np.append(st.y, y), np.append(st.theta, theta)]
+        boxes.append(np.column_stack(poses + [np.full(n + 1, v) for v in (log.length, log.width)]))
+    hits = np.flatnonzero(boxes_intersect(boxes[0], boxes[1]))
     return int(hits[0]) * dt if len(hits) else INF
 
 
@@ -407,7 +396,7 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     conflict_pairs = {tuple(sorted(pair)) for pair, _ in conflict_areas}
     area_flags = [{vid: box_intersects_polygon(log.boxes, area) for vid, log in logs.items()}
                   for _, area in conflict_areas]
-    chain_cache: dict = {}
+    chain_cache: dict = {}  # chains per (vehicle, step), lanelets per vehicle
 
     report = MetricReport(dt=dt)
     agent_ids = sorted(aid for aid, log in logs.items() if log.is_agent)
@@ -473,8 +462,8 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         for t, st in enumerate(log_a.states):
             msd = minimum_stopping_distance(st.v, params.a_long_max)
             msd_series.append(msd)
-            dist_area = _distance_to_next_conflict_area(
-                network, st, log_a, conflict_areas, chain_cache, t)
+            dist_area = _distance_to_next_conflict_area(network, log_a, t, conflict_areas,
+                                                        chain_cache)
             psd_series.append(proportion_stopping_distance(dist_area, msd)
                               if math.isfinite(dist_area) else INF)
         report.agent_series[aid] = {"ttc": ttc_min, "msd": msd_series, "psd": psd_series}
@@ -503,15 +492,11 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     return report
 
 
-def _distance_to_next_conflict_area(network, state: AgentState, log: VehicleLog,
-                                    conflict_areas, chain_cache, step) -> float:
-    key = (log.id, step)
-    chains = chain_cache.get(key)
-    if chains is None:
-        chains = _candidate_chains(network, state)
-        chain_cache[key] = chains
+def _distance_to_next_conflict_area(network, log: VehicleLog, step: int, conflict_areas,
+                                    chain_cache) -> float:
+    state = log.states[step]
     best = INF
-    for chain in chains:
+    for chain in _candidate_chains(network, log, step, chain_cache):
         frame = network.chain_frame(chain)
         s_a, _, in_a = frame.project((state.x, state.y))
         if not in_a:
@@ -520,14 +505,11 @@ def _distance_to_next_conflict_area(network, state: AgentState, log: VehicleLog,
         for pair, area in conflict_areas:
             if not chain_set.intersection(pair):
                 continue
-            s_entries = []
-            for v in area.vertices:
-                s_v, d_v, in_v = frame.project(v)
-                if in_v and abs(d_v) <= CORRIDOR_HALFWIDTH + 2.0:
-                    s_entries.append(s_v)
-            if not s_entries:
+            s_v, d_v, in_v = frame.project(area.vertices)
+            entries = in_v & (np.abs(d_v) <= CORRIDOR_HALFWIDTH + 2.0)
+            if not entries.any():
                 continue
-            dist = min(s_entries) - (s_a + log.length / 2.0)
+            dist = float(s_v[entries].min()) - (s_a + log.length / 2.0)
             if 0.0 < dist < best:
                 best = dist
     return best

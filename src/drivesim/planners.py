@@ -141,17 +141,17 @@ class IdmPlanner:
             nb = view.neighbors[nid]
             pred = view.predictions.get(nid)
             states = pred.states if pred is not None else (nb.state,)
-            for st in states:
-                s_n, d_n, in_dom = self.path.project((st.x, st.y))
-                if not in_dom or abs(d_n) > half:
-                    continue
-                if s_n <= s_ego:
-                    continue
-                along = st.v * math.cos(normalize_angle(st.theta - self.path.tangent_angle_at(s_n)))
-                s_lead = s_n - (nb.length / 2.0)
-                if best is None or s_lead < best[0]:
-                    best = (s_lead, max(0.0, along))
-                break  # first corridor entry of this neighbor is the relevant one
+            s_n, d_n, in_dom = self.path.project([(st.x, st.y) for st in states])
+            entries = in_dom & (np.abs(d_n) <= half) & (s_n > s_ego)
+            if not entries.any():
+                continue
+            # the first corridor entry of this neighbor is the relevant one
+            k = int(np.argmax(entries))
+            st, s_k = states[k], float(s_n[k])
+            along = st.v * math.cos(normalize_angle(st.theta - self.path.tangent_angle_at(s_k)))
+            s_lead = s_k - (nb.length / 2.0)
+            if best is None or s_lead < best[0]:
+                best = (s_lead, max(0.0, along))
         return best
 
     def plan(self, view: LocalView, memory: dict) -> PlanResult:

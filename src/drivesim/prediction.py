@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AgentState, normalize_angle
-from .geometry import CurvilinearFrame
+from .geometry import CurvilinearFrame, GeometryError
 from .scenario import StreetNetwork
 
 
@@ -71,54 +71,52 @@ def lane_chain(network: StreetNetwork, start_lanelet: str, heading: float,
     return tuple(chain)
 
 
+def _path(vid: str, state: AgentState, x, y, theta, dt: float, growth_rate: float):
+    """The prediction through poses (x, y, theta) at steps 1..n after state."""
+    states = [state] + [AgentState(xk, yk, state.v, tk)
+                        for xk, yk, tk in zip(x.tolist(), y.tolist(), theta.tolist())]
+    stddev = tuple(growth_rate * k * dt for k in range(len(states)))
+    return PredictedPath(vid, tuple(states), stddev)
+
+
+def ahead(x, y, theta: float, dist):
+    """Points dist ahead of (x, y) along heading theta."""
+    return x + dist * math.cos(theta), y + dist * math.sin(theta)
+
+
 def _straight_prediction(vid: str, state: AgentState, n: int, dt: float,
                          growth_rate: float) -> PredictedPath:
-    states = [state]
-    cos_t, sin_t = math.cos(state.theta), math.sin(state.theta)
-    for k in range(1, n + 1):
-        states.append(AgentState(
-            state.x + state.v * k * dt * cos_t,
-            state.y + state.v * k * dt * sin_t,
-            state.v, state.theta,
-        ))
-    stddev = tuple(growth_rate * k * dt for k in range(n + 1))
-    return PredictedPath(vid, tuple(states), stddev)
+    x, y = ahead(state.x, state.y, state.theta, state.v * np.arange(1, n + 1) * dt)
+    return _path(vid, state, x, y, np.full(n, state.theta), dt, growth_rate)
 
 
 def _lane_prediction(vid: str, state: AgentState, frame: CurvilinearFrame,
                      n: int, dt: float, growth_rate: float) -> PredictedPath:
+    """Constant speed along the frame at the current lateral offset; past
+    the chain end, straight on along the final tangent from the clamped end.
+    Straight from the state when the offset folds over anywhere on the way."""
     s0, d0, _ = frame.project((state.x, state.y))
-    states = [state]
-    for k in range(1, n + 1):
-        s = s0 + state.v * k * dt
-        if s <= frame.length:
-            try:
-                p = frame.to_cartesian(s, d0)
-            except Exception:
-                return _straight_prediction(vid, state, n, dt, growth_rate)
-            theta = frame.tangent_angle_at(s)
-        else:
-            # past the chain end: continue straight along the final tangent
-            theta = frame.tangent_angle_at(frame.length)
-            try:
-                end = frame.to_cartesian(frame.length, d0)
-            except Exception:
-                return _straight_prediction(vid, state, n, dt, growth_rate)
-            over = s - frame.length
-            p = end + over * np.array([math.cos(theta), math.sin(theta)])
-        states.append(AgentState(float(p[0]), float(p[1]), state.v, theta))
-    stddev = tuple(growth_rate * k * dt for k in range(n + 1))
-    return PredictedPath(vid, tuple(states), stddev)
+    s = s0 + state.v * np.arange(1, n + 1) * dt
+    on_frame = np.minimum(s, frame.length)
+    try:
+        p = frame.to_cartesian(on_frame, d0)
+    except GeometryError:
+        return _straight_prediction(vid, state, n, dt, growth_rate)
+    past = s > frame.length
+    x, y = ahead(p[:, 0], p[:, 1], frame.tangent_angle_at(frame.length), s - frame.length)
+    x, y = np.where(past, x, p[:, 0]), np.where(past, y, p[:, 1])
+    return _path(vid, state, x, y, frame.tangent_angle_at(on_frame), dt, growth_rate)
 
 
 def predict_all(states: dict[str, AgentState], network: StreetNetwork,
                 cfg: PredictorConfig, dt: float) -> dict[str, PredictedPath]:
     """Predict every vehicle over the horizon; deterministic in its inputs."""
     n = cfg.n_steps(dt)
+    vids = sorted(states)
+    points = np.array([(states[vid].x, states[vid].y) for vid in vids]).reshape(-1, 2)
     out = {}
-    for vid in sorted(states):
+    for vid, lid in zip(vids, network.localize(points)):
         state = states[vid]
-        lid = network.localize((state.x, state.y))
         if lid is None:
             out[vid] = _straight_prediction(vid, state, n, dt, cfg.growth_rate)
             continue

@@ -93,23 +93,25 @@ class StreetNetwork:
             self._frames[chain] = frame
         return frame
 
-    def nearest_lanelet(self, point) -> tuple[str, float]:
-        """Lanelet whose centerline is closest to point; returns (id, distance).
-
-        Ties are broken by lanelet id for determinism.
-        """
-        p = np.asarray(point, dtype=float)
-        best_id, best_d = None, math.inf
+    def nearest_lanelet(self, points):
+        """Lanelet whose centerline is closest to each of points (..., 2),
+        and its distance: (id, float) for one point, else two lists. Ties
+        within 1e-12 go to the smaller lanelet id, for determinism."""
+        p = np.asarray(points, dtype=float)
+        best_id = np.full(p.shape[:-1], None, dtype=object)
+        best_d = np.full(p.shape[:-1], math.inf)
         for lid in sorted(self.lanelets):
             dist = self.chain_frame((lid,)).distance(p)
-            if dist < best_d - 1e-12:
-                best_id, best_d = lid, dist
-        return best_id, best_d
+            closer = dist < best_d - 1e-12
+            best_id[closer] = lid
+            best_d = np.where(closer, dist, best_d)
+        return best_id.tolist(), best_d.tolist()
 
-    def localize(self, point) -> str | None:
-        """Nearest lanelet within LOCALIZE_RADIUS of point, else None."""
-        lid, dist = self.nearest_lanelet(point)
-        return lid if dist <= LOCALIZE_RADIUS else None
+    def localize(self, points):
+        """Nearest lanelet within LOCALIZE_RADIUS of each point of points
+        (..., 2), else None: one id or None for a single point, else a list."""
+        ids, dists = self.nearest_lanelet(points)
+        return np.where(np.asarray(dists) <= LOCALIZE_RADIUS, ids, None).tolist()
 
     def containing_lanelets(self, point) -> list[str]:
         p = np.asarray(point, dtype=float)

@@ -1,6 +1,9 @@
 """Lockstep engine: statuses, invariants, determinism, benchmarking."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,41 @@ def test_benchmark_rejects_oversized_agent_count():
     scenario = _bundled("merge")
     with pytest.raises(SetupError):
         benchmark(scenario, agent_counts=[99], worker_counts=[1], repetitions=1)
+
+
+_KILL_A_WORKER = """
+import os, sys
+from conftest import run_bundled
+from drivesim import planners
+
+parent = os.getpid()
+
+
+def die(self, view, memory):
+    if os.getpid() != parent:
+        os._exit(3)
+    raise AssertionError("planned in the parent process")
+
+
+planners.FrenetPlanner.plan = die
+try:
+    run_bundled("merge_frenet", worker_count=2)
+except RuntimeError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("the run finished although its workers died")
+"""
+
+
+def test_dead_worker_fails_the_run():
+    """A planning worker that dies ends the run with an error naming the
+    step. The run happens in a child interpreter with a timeout, so that a
+    parent left waiting for the dead worker's batch fails the test instead
+    of hanging it."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", _KILL_A_WORKER], env=env, cwd=tests.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("step 0: a planning worker died"), proc.stdout

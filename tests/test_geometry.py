@@ -20,10 +20,6 @@ class TestPolyline:
         pl = Polyline([[0, 0], [3, 4], [3, 10]])
         assert pl.length == pytest.approx(11.0)
 
-    def test_point_at(self):
-        pl = Polyline([[0, 0], [10, 0]])
-        assert np.allclose(pl.point_at(4.0), [4.0, 0.0])
-
     def test_rejects_single_point(self):
         with pytest.raises(GeometryError):
             Polyline([[0, 0]])

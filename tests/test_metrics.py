@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from drivesim import engine
-from drivesim.cli import build_run, load_run_config
+from drivesim.cli import build_run, load_run_config, read_run_outputs, write_run_outputs
 from drivesim.dynamics import AgentState, VehicleParams
 from drivesim.geometry import Polygon, Polyline, box_intersects_polygon
 from drivesim.metrics import (MetricConfig, VehicleLog, braking_threat,
@@ -241,3 +241,44 @@ class TestReport:
         for e in events:
             assert e["agent"] == "orange" and e["other"] is None and e["pet"] == INF
             assert e["et"] == pytest.approx(overlapping[e["area_index"]] * DT)
+
+
+def _leaves(obj, path=""):
+    """(path, value) of every scalar in a report document."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], f"{path}/{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+# The run's summary rounds every float to 9 decimals, so each state read back
+# lies within 5e-10 of the simulated one. A measure that depends continuously
+# on the states then moves by far less than this relative/absolute tolerance.
+DISK_TOLERANCE = 1e-6
+
+
+@pytest.mark.parametrize("regime", [
+    "merge_frenet",
+    pytest.param("intersection_frenet", marks=pytest.mark.xfail(strict=True, reason=(
+        "the relation test |theta_other - tangent| <= pi/2 sits on its edge for "
+        "traffic crossing at exactly 90 degrees, and the 9-decimal rounding of "
+        "theta in summary.json flips it (crossing -> oncoming-relevant)"))),
+])
+def test_evaluate_from_disk_matches_memory(regime, tmp_path, merge_runs, intersection_runs):
+    runs = merge_runs if regime.startswith("merge") else intersection_runs
+    result, scenario, cfg = runs[regime.split("_")[1]]
+    write_run_outputs(tmp_path, result, {})
+    from_disk, _ = read_run_outputs(tmp_path)
+    memory = dict(_leaves(evaluate(result, scenario, cfg).to_dict()))
+    disk = dict(_leaves(evaluate(from_disk, scenario, cfg).to_dict()))
+    assert memory.keys() == disk.keys()
+    for path, value in memory.items():
+        if isinstance(value, float) and isinstance(disk[path], float):
+            assert math.isclose(value, disk[path], rel_tol=DISK_TOLERANCE,
+                                abs_tol=DISK_TOLERANCE), path
+        else:
+            assert value == disk[path], path

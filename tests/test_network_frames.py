@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from drivesim.cli import resolve_scenario_path
-from drivesim.scenario import LOCALIZE_RADIUS, load_scenario
+from drivesim.geometry import Polyline
+from drivesim.scenario import LOCALIZE_RADIUS, Lanelet, StreetNetwork, load_scenario
 
 
 def _load(name):
@@ -24,19 +25,55 @@ def _polyline_distance(p, pts):
     return best
 
 
+def _recorded_positions(scenario, every=10):
+    return np.array([(st.x, st.y) for obs in scenario.dynamic_obstacles
+                     for st in obs.recorded_states[::every]])
+
+
 def _check_nearest_at_recorded_positions(name, every=10):
     scenario = _load(name)
     net = scenario.network
-    for obs in scenario.dynamic_obstacles:
-        for st in obs.recorded_states[::every]:
-            p = np.array([st.x, st.y])
-            lid, dist = net.nearest_lanelet(p)
-            brute = {l: _polyline_distance(p, lane.centerline.points)
-                     for l, lane in net.lanelets.items()}
-            best = min(brute.values())
-            assert dist == pytest.approx(best, abs=1e-9), (name, p, lid)
-            assert brute[lid] == pytest.approx(best, abs=1e-9), (name, p, lid)
-            assert net.localize(p) == (lid if dist <= LOCALIZE_RADIUS else None)
+    for p in _recorded_positions(scenario, every):
+        lid, dist = net.nearest_lanelet(p)
+        brute = {l: _polyline_distance(p, lane.centerline.points)
+                 for l, lane in net.lanelets.items()}
+        best = min(brute.values())
+        assert dist == pytest.approx(best, abs=1e-9), (name, p, lid)
+        assert brute[lid] == pytest.approx(best, abs=1e-9), (name, p, lid)
+        assert net.localize(p) == (lid if dist <= LOCALIZE_RADIUS else None)
+
+
+def test_batched_nearest_lanelet_matches_single_points():
+    """One call over many points gives each point's single-point answer,
+    the 1e-12 tie rule included."""
+    for name in ("merge", "t_intersection", "highway"):
+        scenario = _load(name)
+        net = scenario.network
+        rng = np.random.default_rng(5)
+        far = rng.uniform(-200.0, 200.0, size=(50, 2))
+        points = np.vstack([_recorded_positions(scenario, every=3), far])
+        ids, dists = net.nearest_lanelet(points)
+        single = [net.nearest_lanelet(p) for p in points]
+        assert ids == [lid for lid, _ in single], name
+        assert np.asarray(dists).tobytes() == np.array([d for _, d in single]).tobytes()
+        assert net.localize(points) == [net.localize(p) for p in points]
+        assert None in net.localize(points)
+    assert net.nearest_lanelet(np.empty((0, 2))) == ([], [])
+
+
+def test_batched_nearest_lanelet_keeps_the_tie_rule():
+    """Distances within 1e-12 of each other tie, and a tie goes to the
+    smaller lanelet id, for every point of a batch as for a single point."""
+    def lane(lid, y):
+        xs = [0.0, 50.0]
+        return Lanelet(lid, Polyline([(x, y + 1.0) for x in xs]),
+                       Polyline([(x, y - 1.0) for x in xs]))
+
+    net = StreetNetwork([lane("b", 4.0), lane("a", 0.0)])
+    points = np.array([(10.0, 2.0 - 1e-13), (10.0, 2.0 + 1e-13), (10.0, 2.0 + 1e-11)])
+    ids, _ = net.nearest_lanelet(points)
+    assert ids == ["a", "a", "b"]
+    assert ids == [net.nearest_lanelet(p)[0] for p in points]
 
 
 def test_nearest_lanelet_independent_of_earlier_loads():
