@@ -140,8 +140,11 @@ def build_run(doc: dict):
         block = dict(doc["agents"].get(aid, {}))
         kind = block.pop("planner", "frenet")
         v_ref = block.pop("v_ref", None)
-        frenet = FrenetPlannerConfig(**_filtered_kwargs(
-            FrenetPlannerConfig, block.pop("frenet", {}), f"agents.{aid}.frenet"))
+        try:
+            frenet = FrenetPlannerConfig(**_filtered_kwargs(
+                FrenetPlannerConfig, block.pop("frenet", {}), f"agents.{aid}.frenet"))
+        except ValueError as exc:
+            raise ConfigError(f"agents.{aid}.frenet: {exc}") from exc
         idm = IdmParams(**_filtered_kwargs(
             IdmParams, block.pop("idm", {}), f"agents.{aid}.idm"))
         if block:

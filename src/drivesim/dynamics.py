@@ -1,4 +1,4 @@
-"""Vehicle state, control inputs, kinematic transition model, and limits."""
+"""Vehicle state, control inputs, the kinematic rollout, and limits."""
 
 from __future__ import annotations
 
@@ -62,52 +62,53 @@ class VehicleParams:
                 raise ValueError(f"VehicleParams.{name} must be positive")
 
 
-def transition(x, y, v, theta, accel, kappa, dt: float):
-    """Kinematic update, elementwise over arrays of states (x, y, v, theta)
-    and inputs (accel, kappa): clamp speed at 0, advance along an arc of the
-    commanded curvature at the mean of old and new speed, and turn the
-    heading by v * kappa * dt at the old speed. Returns the new (x, y, v,
-    theta).
-
-    Where np.sin, np.cos and np.fmod round as the math module does, as the
-    tests check, a state gets bitwise what scalar arithmetic would give it.
-    """
-    v_new = v + accel * dt
-    v_new = np.where(v_new > 0.0, v_new, 0.0)
-    ds = 0.5 * (v + v_new) * dt
-    straight = (np.abs(kappa) < 1e-12) | (ds < 1e-15)
-    k = np.where(straight, 1.0, kappa)
-    theta_end = theta + k * ds
-    x_new = np.where(straight, x + ds * np.cos(theta),
-                     x + (np.sin(theta_end) - np.sin(theta)) / k)
-    y_new = np.where(straight, y + ds * np.sin(theta),
-                     y + (np.cos(theta) - np.cos(theta_end)) / k)
-    return x_new, y_new, v_new, normalize_angles(theta + v * kappa * dt)
-
-
 def rollout_arrays(x, y, v, theta, accel: np.ndarray, kappa: np.ndarray, dt: float):
     """States (..., K+1) of every trajectory that starts at (x, y, v, theta)
-    (scalars or arrays (...)) and follows inputs accel, kappa (..., K)."""
+    (scalars or arrays (...)) and follows inputs accel, kappa (..., K).
+
+    The kinematic model: each step clamps the speed at 0, advances along an
+    arc of the commanded curvature at the mean of old and new speed, and
+    turns the heading by v * kappa * dt at the old speed. Only speed and
+    heading are stepped one step at a time; the arc increments of x and y
+    are whole (..., K) arrays and the positions their prefix sums, which
+    np.cumsum adds left to right as stepping would. A state never depends on
+    later inputs, so padding the inputs leaves the leading states bitwise
+    unchanged. Where np.sin, np.cos and np.fmod round as the math module
+    does, as the tests check, a state gets bitwise what scalar arithmetic
+    stepping one state at a time would give it.
+    """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    shape = accel.shape[:-1] + (accel.shape[-1] + 1,)
-    states = tuple(np.empty(shape) for _ in range(4))
-    for out, start in zip(states, (x, y, v, theta)):
-        out[..., 0] = start
-    xs, ys, vs, thetas = states
-    for k in range(accel.shape[-1]):
-        (xs[..., k + 1], ys[..., k + 1], vs[..., k + 1], thetas[..., k + 1]) = transition(
-            xs[..., k], ys[..., k], vs[..., k], thetas[..., k], accel[..., k], kappa[..., k], dt)
-    return states
+    K = accel.shape[-1]
+    shape = accel.shape[:-1] + (K + 1,)
+    vs, thetas = np.empty(shape), np.empty(shape)
+    vs[..., 0], thetas[..., 0] = v, theta
+    dv = accel * dt
+    for k in range(K):
+        v_new = vs[..., k] + dv[..., k]
+        vs[..., k + 1] = np.where(v_new > 0.0, v_new, 0.0)
+    turn = vs[..., :-1] * kappa * dt
+    for k in range(K):
+        thetas[..., k + 1] = normalize_angles(thetas[..., k] + turn[..., k])
+    heading = thetas[..., :-1]
+    ds = 0.5 * (vs[..., :-1] + vs[..., 1:]) * dt
+    straight = (np.abs(kappa) < 1e-12) | (ds < 1e-15)
+    k = np.where(straight, 1.0, kappa)
+    sin0, cos0 = np.sin(heading), np.cos(heading)
+    theta_end = heading + k * ds
+    xs, ys = np.empty(shape), np.empty(shape)
+    xs[..., 0], ys[..., 0] = x, y
+    xs[..., 1:] = np.where(straight, ds * cos0, (np.sin(theta_end) - sin0) / k)
+    ys[..., 1:] = np.where(straight, ds * sin0, (cos0 - np.cos(theta_end)) / k)
+    return np.cumsum(xs, axis=-1, out=xs), np.cumsum(ys, axis=-1, out=ys), vs, thetas
 
 
 def step(state: AgentState, u: ControlInput, dt: float) -> AgentState:
-    """One transition of a single state; see transition."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    x, y, v, theta = transition(state.x, state.y, state.v, state.theta,
-                                u.accel, u.curvature_cmd, dt)
-    return AgentState(float(x), float(y), float(v), float(theta))
+    """The state one step of rollout_arrays after state under input u."""
+    x, y, v, theta = (float(a[1]) for a in rollout_arrays(
+        state.x, state.y, state.v, state.theta,
+        np.array([u.accel], dtype=float), np.array([u.curvature_cmd], dtype=float), dt))
+    return AgentState(x, y, v, theta)
 
 
 class Trajectory:
@@ -120,13 +121,19 @@ class Trajectory:
             raise ValueError("Trajectory needs at least one state")
         if len(inputs) != len(states) - 1:
             raise ValueError("need exactly one input per transition")
-        if validate:
-            for i, (s, u) in enumerate(zip(states[:-1], inputs)):
-                nxt = step(s, u, dt)
-                err = math.hypot(nxt.x - states[i + 1].x, nxt.y - states[i + 1].y)
-                err = max(err, abs(nxt.v - states[i + 1].v))
-                if err > 1e-6:
-                    raise ValueError(f"state {i + 1} inconsistent with transition model ({err:.2e})")
+        if validate and inputs:
+            # every state one step on from its predecessor, in one rollout
+            start = np.array([(s.x, s.y, s.v, s.theta) for s in states[:-1]]).T
+            accel = np.array([[u.accel] for u in inputs], dtype=float)
+            kappa = np.array([[u.curvature_cmd] for u in inputs], dtype=float)
+            x, y, v, _ = (a[:, 1] for a in rollout_arrays(*start, accel, kappa, dt))
+            given = np.array([(s.x, s.y, s.v) for s in states[1:]])
+            err = np.maximum(np.hypot(x - given[:, 0], y - given[:, 1]), np.abs(v - given[:, 2]))
+            bad = np.flatnonzero(err > 1e-6)
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"state {i + 1} inconsistent with the kinematic model "
+                                 f"({err[i]:.2e})")
         self.states = states
         self.inputs = inputs
         self.dt = dt

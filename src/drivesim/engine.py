@@ -24,7 +24,7 @@ from .dynamics import Trajectory
 from .geometry import Polyline, CurvilinearFrame, box_inside_region, boxes_intersect, occupancy
 from .planners import (
     FrenetPlanner, FrenetPlannerConfig, IdmParams, IdmPlanner, LocalView,
-    Neighbor, ReplayPlanner, RouteError,
+    Neighbor, PlannerError, ReplayPlanner, RouteError,
 )
 from .prediction import PredictorConfig, predict_all
 from .scenario import GoalCheck, Scenario, goal_satisfied
@@ -130,7 +130,10 @@ def build_planner(binding: PlannerBinding, problem, scenario: Scenario, dt: floa
         v_ref = max(1.0, float(np.mean([s.v for s in binding.recorded_states])))
     else:
         v_ref = max(1.0, problem.initial_state.v)
-    return FrenetPlanner(route, binding.frenet_config, problem.params, v_ref, dt)
+    try:
+        return FrenetPlanner(route, binding.frenet_config, problem.params, v_ref, dt)
+    except PlannerError as exc:
+        raise SetupError(f"agent {problem.agent_id}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,32 @@ def _track_path(frame: CurvilinearFrame, s: float, d: float, theta: float,
     return max(-params.kappa_max, min(params.kappa_max, kappa))
 
 
+def _corridor_box(path: CurvilinearFrame, half: float):
+    """Bounds (lo, hi) of a box that holds every point path.project places in
+    its domain with |d| <= half, or None where the path turns too sharply at
+    a vertex to bound them usefully.
+
+    project measures d across the direction u of the segment holding the
+    point's closest reference point c. Where c lies inside that segment,
+    p - c is normal to u, so |p - c| = |d|. Otherwise c is an inner vertex
+    (a clamped end vertex is out of domain), and no point of its other
+    segment, of direction w away from c, is closer, so (p - c)·w <= 0. With
+    the path turning by phi at c, that bounds the part of p - c along u by
+    |d| tan(phi), so |p - c| <= |d| / cos(phi). Either way p lies within
+    half / cos(phi_max) of the reference, hence within its points' bounding
+    box grown by that much; the slack covers rounding in the closest-point
+    search and in d.
+    """
+    pts = path.reference.points
+    u = np.diff(pts, axis=0)
+    u /= np.hypot(u[:, 0], u[:, 1])[:, None]
+    cos_turn = np.min(np.sum(u[:-1] * u[1:], axis=1), initial=1.0)
+    if cos_turn < 0.5:
+        return None
+    reach = half / cos_turn * (1.0 + 1e-6) + 1e-6
+    return pts.min(axis=0) - reach, pts.max(axis=0) + reach
+
+
 class IdmPlanner:
     """Longitudinal IDM on a fixed path; lateral motion locked to the path."""
 
@@ -132,16 +158,24 @@ class IdmPlanner:
         self.idm = idm
         self.params = params
         self.dt = dt
+        self._corridor = _corridor_box(path, idm.corridor_halfwidth)
 
     def _lead(self, view: LocalView, s_ego: float):
-        """Nearest corridor entry point ahead among predicted neighbor paths."""
+        """Nearest corridor entry point ahead among predicted neighbor paths.
+        A neighbour none of whose points lies in the corridor's bounding box
+        (_corridor_box) has no entry and is not projected."""
         best = None  # (s_lead, v_lead)
         half = self.idm.corridor_halfwidth
         for nid in sorted(view.neighbors):
             nb = view.neighbors[nid]
             pred = view.predictions.get(nid)
             states = pred.states if pred is not None else (nb.state,)
-            s_n, d_n, in_dom = self.path.project([(st.x, st.y) for st in states])
+            points = np.array([(st.x, st.y) for st in states])
+            if self._corridor is not None:
+                lo, hi = self._corridor
+                if not np.any(np.all((points >= lo) & (points <= hi), axis=-1)):
+                    continue
+            s_n, d_n, in_dom = self.path.project(points)
             entries = in_dom & (np.abs(d_n) <= half) & (s_n > s_ego)
             if not entries.any():
                 continue
@@ -202,6 +236,9 @@ class FrenetPlannerConfig:
     def __post_init__(self):
         if not (self.t_end_samples and self.d_end_samples and self.v_frac_samples):
             raise ValueError("sample sets must be non-empty")
+        for T in self.t_end_samples:
+            if not (math.isfinite(T) and T > 0):
+                raise ValueError(f"horizon t_end={T} s must be positive and finite")
         for w in (self.w_jerk, self.w_lat, self.w_speed, self.w_risk):
             if w < 0:
                 raise ValueError("cost weights must be >= 0")
@@ -266,7 +303,11 @@ class Candidates:
     v_frac) sample in sampling order (d_end major): the Frenet samples, the
     inputs (rows, K) derived from them, the states (rows, K+1) they roll out
     to, and per reason in REJECTIONS which rows it rejects. Collision is
-    tested only on rows no other reason rejects. cost is inf on rejected rows."""
+    tested only on rows no other reason rejects. cost is inf on rejected rows.
+
+    The inputs and states are views into the plan's one rollout of every
+    horizon, cut to this horizon's K steps; the zero inputs that pad it to
+    the longest horizon never reach them."""
 
     d_end: np.ndarray
     v_target: np.ndarray
@@ -294,8 +335,9 @@ class Candidates:
 class FrenetPlanner:
     """Samples lateral quintics x longitudinal quartic speed profiles along a
     route, filters infeasible and colliding candidates, and picks the
-    minimum-cost survivor. Each horizon's candidates are rolled out and
-    filtered as one array program; only the chosen plan becomes objects."""
+    minimum-cost survivor. The candidates of every horizon are rolled out
+    together and filtered as one array program; only the chosen plan becomes
+    objects."""
 
     def __init__(self, route: CurvilinearFrame, cfg: FrenetPlannerConfig,
                  params: VehicleParams, v_ref: float, dt: float):
@@ -306,6 +348,10 @@ class FrenetPlanner:
         self.params = params
         self.v_ref = v_ref
         self.dt = dt
+        self.steps = tuple(int(round(T / dt)) for T in cfg.t_end_samples)
+        for T, K in zip(cfg.t_end_samples, self.steps):
+            if K < 1:
+                raise PlannerError(f"horizon t_end={T} s rounds to 0 steps of dt={dt} s")
 
     def _predicted(self, view: LocalView, K: int) -> np.ndarray:
         """Each neighbour's predicted box at steps 1..K (its last one past the
@@ -323,12 +369,13 @@ class FrenetPlanner:
                                    nb.length + 2.0 * margin, nb.width + 2.0 * margin))
         return np.stack(boxes, axis=1) if boxes else np.empty((K, 0, 5))
 
-    def _horizon(self, T: float, ego: AgentState, start, predicted: np.ndarray) -> Candidates:
-        """Roll out, filter and cost every (d_end, v_frac) candidate of
-        horizon T from the Frenet start (s0, d0, ds0, dd0, dd0_acc, a0)."""
+    def _samples(self, T: float, K: int, ego: AgentState, start):
+        """Every (d_end, v_frac) sample of horizon T (K steps) from the Frenet
+        start (s0, d0, ds0, dd0, dd0_acc, a0): d_end, v_target, its lateral
+        acceleration after the first step, the inputs accel and kappa
+        (rows, K) that track it, and the route_end and fold_over rejections."""
         s0, d0, ds0, dd0, dd0_acc, a0 = start
         cfg, params, dt = self.cfg, self.params, self.dt
-        K = int(round(T / dt))
         tau = np.arange(K + 1) * dt
         targets = [max(0.0, frac * self.v_ref) for frac in cfg.v_frac_samples]
         nd, nv = len(cfg.d_end_samples), len(targets)
@@ -355,29 +402,10 @@ class FrenetPlanner:
         moving = speed[:, :-1] > 0.05
         kappa = np.where(moving, dtheta / (np.maximum(speed[:, :-1], 0.05) * dt), 0.0)
         kappa = np.clip(kappa, -params.kappa_max, params.kappa_max)
-        x, y, v, theta = dynamics.rollout_arrays(ego.x, ego.y, ego.v, ego.theta, accel, kappa, dt)
-
-        violated = dynamics.bound_violations(v, accel, kappa, params)[1].any(axis=-2)
-        rejected = {
-            "route_end": np.tile(s[:, -1] > self.route.length, nd),
-            "fold_over": np.any(np.abs(d * kappa_ref) >= 0.98, axis=-1).ravel(),
-            **{bound: violated[:, b] for b, bound in enumerate(dynamics.BOUNDS)},
-        }
-        alive = ~np.any(list(rejected.values()), axis=0)
-        ego_boxes = np.stack([x, y, theta, np.full_like(x, params.length),
-                              np.full_like(x, params.width)], axis=-1)[alive, 1:]
-        colliding = boxes_intersect(ego_boxes[:, :, None, :], predicted[None, :K]).any(axis=(1, 2))
-        rejected["collision"] = np.zeros(rows, dtype=bool)
-        rejected["collision"][alive] = colliding
-        alive[alive] = ~colliding
-
-        cost = np.full(rows, math.inf)
-        if alive.any():
-            cost[alive] = self._cost(accel[alive], kappa[alive], v[alive], x[alive], y[alive],
-                                     d_end[alive], v_target[alive], predicted[:K])
+        rejected = {"route_end": np.tile(s[:, -1] > self.route.length, nd),
+                    "fold_over": np.any(np.abs(d * kappa_ref) >= 0.98, axis=-1).ravel()}
         lat_acc_next = _poly_eval(_poly_derivative(_poly_derivative(lateral)), tau[1:2])
-        return Candidates(d_end, v_target, np.repeat(lat_acc_next[:, 0], nv),
-                          accel, kappa, x, y, v, theta, rejected, cost)
+        return d_end, v_target, np.repeat(lat_acc_next[:, 0], nv), accel, kappa, rejected
 
     def _cost(self, accel, kappa, v, x, y, d_end, v_target, predicted) -> np.ndarray:
         """Jerk, lateral-offset, speed and risk cost per row. The risk term
@@ -410,7 +438,12 @@ class FrenetPlanner:
 
     def candidates(self, view: LocalView, memory: dict):
         """The ego's Frenet start (s0, d0) and every candidate of the view,
-        one Candidates per horizon in sampling order."""
+        one Candidates per horizon in sampling order.
+
+        Every horizon's inputs are padded with zeros to the longest horizon
+        and rolled out in one call; the collision filter then tests the
+        alive (row, step) pairs of all horizons in one call, each pair
+        against the neighbours' predicted boxes at its own step."""
         ego = view.ego
         s0, d0, in_dom = self.route.project((ego.x, ego.y))
         if not in_dom or abs(d0) > 10.0:
@@ -419,9 +452,43 @@ class FrenetPlanner:
         dtheta = normalize_angle(ego.theta - theta_ref)
         start = (s0, d0, ego.v * math.cos(dtheta), ego.v * math.sin(dtheta),
                  float(memory.get("d_accel", 0.0)), float(memory.get("accel", 0.0)))
-        horizons = [int(round(T / self.dt)) for T in self.cfg.t_end_samples]
-        predicted = self._predicted(view, max(horizons))
-        return s0, d0, [self._horizon(T, ego, start, predicted) for T in self.cfg.t_end_samples]
+        params, steps = self.params, self.steps
+        samples = [self._samples(T, K, ego, start) for T, K in zip(self.cfg.t_end_samples, steps)]
+        n = max(steps)
+        accel, kappa = np.zeros((2, len(steps), len(samples[0][0]), n))
+        for h, (K, sample) in enumerate(zip(steps, samples)):
+            accel[h, :, :K], kappa[h, :, :K] = sample[3], sample[4]
+        x, y, v, theta = dynamics.rollout_arrays(ego.x, ego.y, ego.v, ego.theta,
+                                                 accel, kappa, self.dt)
+
+        horizons = []
+        for h, (K, (d_end, v_target, lat_acc_next, _, _, rejected)) in enumerate(
+                zip(steps, samples)):
+            inputs = accel[h, :, :K], kappa[h, :, :K]
+            states = [a[h, :, :K + 1] for a in (x, y, v, theta)]
+            violated = dynamics.bound_violations(states[2], *inputs, params)[1].any(axis=-2)
+            rejected.update({bound: violated[:, b] for b, bound in enumerate(dynamics.BOUNDS)})
+            horizons.append(Candidates(d_end, v_target, lat_acc_next, *inputs, *states,
+                                       rejected, np.full(len(d_end), math.inf)))
+
+        alive = np.stack([cands.ok for cands in horizons])
+        pairs = alive[:, :, None] & (np.arange(n) < np.array(steps)[:, None])[:, None, :]
+        cx, cy, heading = (a[..., 1:][pairs] for a in (x, y, theta))
+        ego_boxes = np.stack([cx, cy, heading, np.full_like(cx, params.length),
+                              np.full_like(cx, params.width)], axis=-1)
+        predicted = self._predicted(view, n)
+        hits = np.zeros(pairs.shape, dtype=bool)
+        hits[pairs] = boxes_intersect(ego_boxes[:, None, :],
+                                      predicted[np.nonzero(pairs)[2]]).any(axis=-1)
+        colliding = hits.any(axis=-1)
+        for h, (K, cands) in enumerate(zip(steps, horizons)):
+            cands.rejected["collision"] = colliding[h]
+            ok = cands.ok
+            if ok.any():
+                cands.cost[ok] = self._cost(cands.accel[ok], cands.kappa[ok], cands.v[ok],
+                                            cands.x[ok], cands.y[ok], cands.d_end[ok],
+                                            cands.v_target[ok], predicted[:K])
+        return s0, d0, horizons
 
     def plan(self, view: LocalView, memory: dict) -> PlanResult:
         s0, d0, horizons = self.candidates(view, memory)

@@ -135,6 +135,24 @@ class TestSubcommands:
         assert lines[0].endswith(",agents_removed")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("t_end", [0.04, 0.0, -1.0])
+    def test_run_rejects_degenerate_horizon(self, tmp_path, capsys, t_end):
+        """A horizon that is not positive, or rounds to no step of dt, stops
+        the run with a message naming it instead of leaving every agent
+        infeasible."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "scenario": "merge",
+            "simulation": {"max_steps": 5},
+            "agents": {"orange": {"planner": "frenet",
+                                  "frenet": {"t_end_samples": [t_end]}}},
+        }))
+        out = tmp_path / "run"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"t_end={t_end} s" in err and "orange" in err
+        assert not (out / "steps.jsonl").exists()
+
     def test_error_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json"), "--out",
                      str(tmp_path / "o")]) == 1

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from drivesim.dynamics import (AgentState, ControlInput, Trajectory,
-                               VehicleParams, feasible, normalize_angle, step)
+                               VehicleParams, feasible, normalize_angle,
+                               normalize_angles, rollout_arrays, step)
 
 DT = 0.1
 
@@ -75,3 +77,100 @@ def test_feasible_limits():
                                    [ControlInput(0.0, 0.05)], DT)
     # lateral accel 30^2 * 0.05 = 45 > 8
     assert feasible(fast_turn, params).violation.bound == "a_lat_max"
+
+
+def _reference_transition(x, y, v, theta, accel, kappa, dt):
+    """The per-step kinematic model that rollout_arrays replaced, kept as an
+    oracle: clamp speed at 0, advance along an arc of the commanded curvature
+    at the mean of old and new speed, turn the heading by v * kappa * dt."""
+    v_new = v + accel * dt
+    v_new = np.where(v_new > 0.0, v_new, 0.0)
+    ds = 0.5 * (v + v_new) * dt
+    straight = (np.abs(kappa) < 1e-12) | (ds < 1e-15)
+    k = np.where(straight, 1.0, kappa)
+    theta_end = theta + k * ds
+    x_new = np.where(straight, x + ds * np.cos(theta),
+                     x + (np.sin(theta_end) - np.sin(theta)) / k)
+    y_new = np.where(straight, y + ds * np.sin(theta),
+                     y + (np.cos(theta) - np.cos(theta_end)) / k)
+    return x_new, y_new, v_new, normalize_angles(theta + v * kappa * dt)
+
+
+def _reference_rollout(start, accel, kappa, dt):
+    """States (4, K+1) of one row, chaining scalar reference steps."""
+    states = [tuple(start)]
+    for a, k in zip(accel.tolist(), kappa.tolist()):
+        states.append(tuple(float(c) for c in _reference_transition(*states[-1], a, k, dt)))
+    return np.array(states).T
+
+
+def _oracle_rows():
+    """(start (x, y, v, theta), accel (K,), kappa (K,)) per row: heading wraps
+    across +pi and -pi, the speed clamps to 0 mid-horizon, kappa is 0, -0 or
+    below 1e-12 in magnitude, the arc length of a step is below 1e-15, and
+    random rows."""
+    K = 12
+    rows = [
+        ((3.0, -2.0, 10.0, math.pi - 0.05), np.full(K, 0.5), np.full(K, 0.2)),
+        ((-1.0, 4.0, 8.0, -math.pi + 0.05), np.full(K, -0.5), np.full(K, -0.2)),
+        ((0.0, 0.0, 1.0, 0.7), np.r_[np.full(5, -4.0), np.full(K - 5, 2.0)], np.full(K, 0.1)),
+        ((5.0, 5.0, 6.0, -1.2), np.zeros(K), np.tile([0.0, -0.0, 5e-13, -5e-13], K // 4)),
+        ((2.0, 1.0, 0.0, 2.5), np.zeros(K), np.full(K, 0.15)),
+        ((2.0, 1.0, 1e-16, -2.5), np.zeros(K), np.full(K, -0.15)),
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        rows.append(((*rng.normal(0.0, 50.0, 2), abs(rng.normal(8.0, 6.0)),
+                      rng.uniform(-math.pi, math.pi)),
+                     rng.normal(0.0, 4.0, K), rng.normal(0.0, 0.2, K)))
+    return rows
+
+
+def test_rollout_matches_chained_reference_steps_bitwise():
+    rows = _oracle_rows()
+    start = np.array([r[0] for r in rows]).T
+    accel, kappa = np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+    states = np.array(rollout_arrays(*start, accel, kappa, DT))
+    reference = np.array([_reference_rollout(*r, DT) for r in rows]).transpose(1, 0, 2)
+    assert states.tobytes() == reference.tobytes()
+    # the rows reach the cases they are named for
+    x, y, v, theta = reference
+    assert np.any(theta[0] < 0) and np.any(theta[1] > 0)  # wrapped across +-pi
+    assert v[2, 1] > 0 and v[2, 3] == 0 and v[2, -1] > 0  # clamped mid-horizon
+    ds = 0.5 * (v[:, :-1] + v[:, 1:]) * DT
+    assert np.all(ds[4:6] < 1e-15) and np.all(np.abs(kappa[4:6]) > 0.1)
+    # each row alone, and as scalar starts, gives the same bits
+    for r, row in zip(rows, np.transpose(states, (1, 0, 2))):
+        alone = np.array(rollout_arrays(*r[0], r[1], r[2], DT))
+        assert alone.tobytes() == row.tobytes()
+
+
+def test_rollout_ignores_zero_padding():
+    rows = _oracle_rows()
+    start = np.array([r[0] for r in rows]).T
+    accel, kappa = np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+    K = accel.shape[-1]
+    states = np.array(rollout_arrays(*start, accel, kappa, DT))
+    for pad in (1, 7):
+        padded = np.array(rollout_arrays(*start, np.pad(accel, ((0, 0), (0, pad))),
+                                         np.pad(kappa, ((0, 0), (0, pad))), DT))
+        assert padded.shape[-1] == K + 1 + pad
+        assert padded[..., :K + 1].tobytes() == states.tobytes()
+    # a stack of horizons padded to the longest equals each one alone
+    stacked = np.zeros((2, 3, len(rows), K))
+    stacked[:, 0, :, :5], stacked[:, 1, :, :9], stacked[:, 2] = (
+        np.array([accel[:, :5], kappa[:, :5]]), np.array([accel[:, :9], kappa[:, :9]]),
+        np.array([accel, kappa]))
+    together = np.array(rollout_arrays(*start[:, None, :], *stacked, DT))
+    for h, n in enumerate((5, 9, K)):
+        alone = np.array(rollout_arrays(*start, accel[:, :n], kappa[:, :n], DT))
+        assert together[:, h, :, :n + 1].tobytes() == alone.tobytes()
+
+
+def test_step_is_one_rollout_step():
+    for (x, y, v, theta), accel, kappa in _oracle_rows():
+        s = AgentState(x, y, v, theta)
+        u = ControlInput(float(accel[0]), float(kappa[0]))
+        expected = _reference_rollout((s.x, s.y, s.v, s.theta), accel[:1], kappa[:1], DT)[:, 1]
+        nxt = step(s, u, DT)
+        assert np.array([nxt.x, nxt.y, nxt.v, nxt.theta]).tobytes() == expected.tobytes()

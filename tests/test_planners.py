@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivesim import engine
+from drivesim import dynamics, engine, planners
 from drivesim.cli import build_run, load_run_config
 from drivesim.dynamics import (AgentState, ControlInput, Trajectory, VehicleParams,
                                feasible, normalize_angle, step)
 from drivesim.geometry import CurvilinearFrame, Polyline, boxes_intersect, occupancy
 from drivesim.planners import (REJECTIONS, FrenetPlanner, FrenetPlannerConfig,
                                IdmParams, IdmPlanner, LocalView, Neighbor,
-                               PlannerError, PlanResult, ReplayPlanner, _quintic,
-                               route_to_goal)
+                               PlannerError, PlanResult, ReplayPlanner, _corridor_box,
+                               _quintic, route_to_goal)
 from drivesim.prediction import PredictedPath
 from drivesim.scenario import GoalRegion, Lanelet, StreetNetwork
 from drivesim.geometry import Polygon
@@ -386,29 +386,84 @@ def frenet_views():
             + _record_frenet_views(str(HIGHWAY_FRENET12), max_steps=2))
 
 
+def _assert_plan_matches_reference(planner, view, memory):
+    """planner.plan on the view equals the reference planner bitwise: the
+    costs of the surviving candidates, the plan and the memory it leaves.
+    Returns the plan."""
+    new_memory, ref_memory = dict(memory), dict(memory)
+    result = planner.plan(view, new_memory)
+    reference = ReferenceFrenetPlanner(planner)
+    ref = reference.plan(view, ref_memory)
+    where = (view.ego_id, view.step, planner.cfg.t_end_samples)
+    costs = [c for cands in planner.candidates(view, dict(memory))[2]
+             for c in cands.cost[cands.ok].tolist()]
+    assert _bits(*costs) == _bits(*reference.costs), where
+    assert result.status == ref.status, where
+    assert _state_bits([result.next_state]) == _state_bits([ref.next_state]), where
+    assert _input_bits([result.next_input]) == _input_bits([ref.next_input]), where
+    traj, ref_traj = result.intended_trajectory, ref.intended_trajectory
+    assert _state_bits(traj.states) == _state_bits(ref_traj.states), where
+    assert _input_bits(traj.inputs) == _input_bits(ref_traj.inputs), where
+    assert traj.dt == ref_traj.dt
+    assert sorted(new_memory) == sorted(ref_memory), where
+    assert [_bits(new_memory[k]) for k in sorted(new_memory)] == \
+        [_bits(ref_memory[k]) for k in sorted(ref_memory)], where
+    return result
+
+
 def test_plan_matches_reference_bitwise(frenet_views):
     fallbacks = 0
     for planner, view, memory in frenet_views:
-        new_memory, ref_memory = dict(memory), dict(memory)
-        result = planner.plan(view, new_memory)
-        reference = ReferenceFrenetPlanner(planner)
-        ref = reference.plan(view, ref_memory)
-        where = (view.ego_id, view.step)
-        costs = [c for cands in planner.candidates(view, dict(memory))[2]
-                 for c in cands.cost[cands.ok].tolist()]
-        assert _bits(*costs) == _bits(*reference.costs), where
-        assert result.status == ref.status, where
-        fallbacks += ref.status != "ok"
-        assert _state_bits([result.next_state]) == _state_bits([ref.next_state]), where
-        assert _input_bits([result.next_input]) == _input_bits([ref.next_input]), where
-        traj, ref_traj = result.intended_trajectory, ref.intended_trajectory
-        assert _state_bits(traj.states) == _state_bits(ref_traj.states), where
-        assert _input_bits(traj.inputs) == _input_bits(ref_traj.inputs), where
-        assert traj.dt == ref_traj.dt
-        assert sorted(new_memory) == sorted(ref_memory), where
-        assert [_bits(new_memory[k]) for k in sorted(new_memory)] == \
-            [_bits(ref_memory[k]) for k in sorted(ref_memory)], where
+        fallbacks += _assert_plan_matches_reference(planner, view, memory).status != "ok"
     assert len(frenet_views) > 180 and fallbacks < len(frenet_views)
+
+
+def test_unequal_horizons_share_one_rollout_and_one_collision_call(frenet_views, monkeypatch):
+    """Three horizons of 15, 20 and 30 steps: the plan still equals the
+    reference bitwise, although every horizon's inputs are padded to 30 steps
+    and rolled out together, and one plan makes one rollout_arrays call over
+    all three and one collision call; a braking fallback adds its one-step
+    rollout."""
+    rollouts, collision_calls = [], []
+    rollout_arrays, intersect = dynamics.rollout_arrays, planners.boxes_intersect
+
+    def counted_rollout(x, y, v, theta, accel, kappa, dt):
+        rollouts.append(accel.shape)
+        return rollout_arrays(x, y, v, theta, accel, kappa, dt)
+
+    def counted_intersect(a, b):
+        collision_calls.append(1)
+        return intersect(a, b)
+
+    monkeypatch.setattr(dynamics, "rollout_arrays", counted_rollout)
+    monkeypatch.setattr(planners, "boxes_intersect", counted_intersect)
+    t_end = (1.5, 2.0, 3.0)
+    statuses = []
+    for planner, view, memory in frenet_views[::4]:
+        cfg = dataclasses.replace(planner.cfg, t_end_samples=t_end)
+        three = FrenetPlanner(planner.route, cfg, planner.params, planner.v_ref, planner.dt)
+        assert three.steps == (15, 20, 30)
+        rows = len(cfg.d_end_samples) * len(cfg.v_frac_samples)
+        rollouts.clear()
+        collision_calls.clear()
+        status = three.plan(view, dict(memory)).status
+        assert rollouts == [(3, rows, 30)] + [(1,)] * (status != "ok")
+        assert collision_calls == [1]
+        statuses.append(status)
+        _assert_plan_matches_reference(three, view, memory)
+    assert len(statuses) > 45 and "ok" in statuses
+
+
+def test_degenerate_horizons_are_rejected():
+    for t_end in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"t_end={t_end}"):
+            FrenetPlannerConfig(t_end_samples=(2.0, t_end))
+    for t_end in (0.04, 0.05):
+        cfg = FrenetPlannerConfig(t_end_samples=(t_end, 3.0))
+        with pytest.raises(PlannerError, match=f"t_end={t_end} s rounds to 0 steps"):
+            FrenetPlanner(straight_route(), cfg, PARAMS, v_ref=10.0, dt=DT)
+    assert FrenetPlanner(straight_route(), FrenetPlannerConfig(t_end_samples=(0.06,)),
+                         PARAMS, v_ref=10.0, dt=DT).steps == (1,)
 
 
 def test_candidate_rows_replay_the_scalar_model(frenet_views):
@@ -468,3 +523,103 @@ def test_every_rejection_reason_fires():
     # the planner clips each curvature command to kappa_max before the bound
     # check, so that bound never rejects a candidate
     assert fired == set(REJECTIONS) - {"kappa_max"}
+
+
+# ---------------------------------------------------------------------------
+# IDM lead search: the corridor prefilter must not change any lead.
+
+
+def _reference_lead(planner, view, s_ego):
+    """IdmPlanner._lead without the prefilter: every neighbour's predicted
+    states projected onto the whole path."""
+    best = None
+    half = planner.idm.corridor_halfwidth
+    for nid in sorted(view.neighbors):
+        nb = view.neighbors[nid]
+        pred = view.predictions.get(nid)
+        states = pred.states if pred is not None else (nb.state,)
+        s_n, d_n, in_dom = planner.path.project([(st.x, st.y) for st in states])
+        entries = in_dom & (np.abs(d_n) <= half) & (s_n > s_ego)
+        if not entries.any():
+            continue
+        k = int(np.argmax(entries))
+        st, s_k = states[k], float(s_n[k])
+        along = st.v * math.cos(normalize_angle(st.theta - planner.path.tangent_angle_at(s_k)))
+        s_lead = s_k - (nb.length / 2.0)
+        if best is None or s_lead < best[0]:
+            best = (s_lead, max(0.0, along))
+    return best
+
+
+def _record_idm_leads(doc, max_steps=None):
+    """(planner, view, s_ego) of every IdmPlanner._lead call of a run."""
+    scenario, bindings, sim_cfg, predictor, _, _ = build_run(doc)
+    if max_steps is not None:
+        sim_cfg = dataclasses.replace(sim_cfg, max_steps=max_steps)
+    recorded = []
+    lead = IdmPlanner._lead
+
+    def recording_lead(self, view, s_ego):
+        recorded.append((self, view, s_ego))
+        return lead(self, view, s_ego)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IdmPlanner, "_lead", recording_lead)
+        engine.run(scenario, bindings, dataclasses.replace(sim_cfg, worker_count=1), predictor)
+    return recorded
+
+
+def test_idm_lead_prefilter_keeps_every_lead(monkeypatch):
+    """On every view of the bundled IDM runs and of the first ten steps of the
+    twelve highway vehicles as IDM agents, _lead equals the unfiltered
+    search bitwise, while the prefilter skips some neighbours."""
+    highway = load_run_config(HIGHWAY_FRENET12)
+    for block in highway["agents"].values():
+        block["planner"] = "idm"
+    leads = (_record_idm_leads(load_run_config("intersection_idm"))
+             + _record_idm_leads(load_run_config("merge_idm"))
+             + _record_idm_leads(highway, max_steps=10))
+    projections = []
+    project = CurvilinearFrame.project
+
+    def counted_project(self, p):
+        projections.append(1)
+        return project(self, p)
+
+    monkeypatch.setattr(CurvilinearFrame, "project", counted_project)
+    neighbours = found = 0
+    for planner, view, s_ego in leads:
+        lead = planner._lead(view, s_ego)
+        expected = _reference_lead(planner, view, s_ego)
+        assert (lead is None) == (expected is None), (view.ego_id, view.step)
+        if lead is not None:
+            assert _bits(*lead) == _bits(*expected), (view.ego_id, view.step)
+            found += 1
+        neighbours += len(view.neighbors)
+    skipped = 2 * neighbours - len(projections)
+    assert len(leads) > 400 and found > 100 and 0 < skipped < neighbours
+
+
+def test_corridor_box_holds_every_corridor_point():
+    """Random points near a gently curving path and near a 57 degree turn:
+    every point project places in the corridor lies inside the box. At the
+    turn's outer corner such points reach past the points' bounding box
+    grown by the half-width alone. A right angle gives no box: a point 100 m
+    past its outer corner still projects in domain at d = -1."""
+    rng = np.random.default_rng(3)
+    half = 2.0
+    gentle = np.column_stack([np.linspace(0.0, 80.0, 30), 5.0 * np.sin(np.linspace(0, 3, 30))])
+    turned = np.array([[0.0, 0.0], [10.0, 0.0], [10.0 + 0.3 * math.cos(1.0), 0.3 * math.sin(1.0)]])
+    for pts in (gentle, turned):
+        path = CurvilinearFrame(Polyline(pts))
+        lo, hi = _corridor_box(path, half)
+        p = rng.uniform(pts.min(axis=0) - 5.0, pts.max(axis=0) + 5.0, (20000, 2))
+        s, d, in_dom = path.project(p)
+        corridor = p[in_dom & (np.abs(d) <= half)]
+        assert len(corridor) > 1000 and np.all((corridor >= lo) & (corridor <= hi))
+    grown = (corridor >= turned.min(axis=0) - half) & (corridor <= turned.max(axis=0) + half)
+    assert not grown.all()
+    corner = CurvilinearFrame(Polyline([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]))
+    assert _corridor_box(corner, half) is None
+    s, d, in_dom = corner.project((110.0, -1.0))
+    assert in_dom and d == -1.0

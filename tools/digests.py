@@ -3,10 +3,12 @@
     python3 tools/digests.py
 
 Runs and evaluates every bundled run configuration that substitutes agents,
-and the benchmark's twelve-agent highway configuration, which it only reads.
-Each bundled configuration has two vehicles, so only the highway one
-exercises many-neighbour filtering and the all-pairs collision check. Every
-configuration runs with `drivesim run` and `drivesim evaluate` in a fresh
+the benchmark's twelve-agent highway configuration, which it only reads, and
+`highway_idm12`, the same twelve agents on the IDM planner over 40 steps,
+which it derives from the highway one in a temporary directory. Each bundled
+configuration has two vehicles, so only the highway ones exercise
+many-neighbour filtering, the IDM lead search among many neighbours and the
+all-pairs collision check. Every configuration runs with `drivesim run` and `drivesim evaluate` in a fresh
 interpreter and a temporary directory, and the script prints one table row
 per configuration with the sha256 of its `steps.jsonl` and of its
 `metrics.json`. drivesim is imported from the `src` directory next to this
@@ -60,14 +62,28 @@ def digests(config: str) -> tuple[str, str]:
         return sha256(out / "steps.jsonl"), sha256(out / "metrics.json")
 
 
+def write_idm_variant(directory: str) -> str:
+    """Write the multi-vehicle configuration with every agent on the IDM
+    planner and 40 steps into directory; returns its path."""
+    doc = json.loads(MULTI_VEHICLE.read_text())
+    for block in doc["agents"].values():
+        block["planner"] = "idm"
+    doc["simulation"]["max_steps"] = 40
+    path = Path(directory) / "highway_idm12.json"
+    path.write_text(json.dumps(doc, indent=1))
+    return str(path)
+
+
 def main() -> int:
     print("| config | steps.jsonl sha256 | metrics.json sha256 |")
     print("|---|---|---|")
     configs = {name: name for name in agent_configs()}
     configs[MULTI_VEHICLE.stem] = str(MULTI_VEHICLE)
-    for name, config in configs.items():
-        steps, metrics = digests(config)
-        print(f"| `{name}` | `{steps}` | `{metrics}` |", flush=True)
+    with tempfile.TemporaryDirectory() as derived:
+        configs["highway_idm12"] = write_idm_variant(derived)
+        for name, config in configs.items():
+            steps, metrics = digests(config)
+            print(f"| `{name}` | `{steps}` | `{metrics}` |", flush=True)
     return 0
 
 
