@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -30,8 +29,6 @@ from .metrics import MetricConfig, evaluate
 from .planners import FrenetPlannerConfig, IdmParams
 from .prediction import PredictorConfig
 from .scenario import ScenarioError, load_scenario, substitute_agents
-
-WORKERS_ENV = "DRIVESIM_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -64,12 +61,17 @@ def resolve_scenario_path(spec: str, base_dir: Path) -> Path:
     raise ConfigError(f"scenario {spec!r} not found (no file and no bundled map)")
 
 
-def _filtered_kwargs(cls, block: dict, context: str) -> dict:
+def _config_block(cls, block: dict, context: str):
+    """cls built from one config block; an unknown key or a bad value raises
+    a ConfigError naming the block."""
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(block) - names
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    return block
+    try:
+        return cls(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def load_run_config(path) -> dict:
@@ -102,30 +104,20 @@ def config_digest(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _worker_count(sim_block: dict) -> int:
-    if "worker_count" in sim_block:
-        return int(sim_block["worker_count"])
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV}={env!r} is not an integer")
-    return 1
-
-
 def build_run(doc: dict):
     """Resolve a run config into (scenario, bindings, sim cfg, predictor, metric cfg)."""
     base_dir = Path(doc["_base_dir"])
     scn_path = resolve_scenario_path(str(doc["scenario"]), base_dir)
     scenario = load_scenario(scn_path)
 
-    sim_block = dict(doc["simulation"])
-    sim_block.setdefault("dt", scenario.dt)
-    sim_block["worker_count"] = _worker_count(sim_block)
-    sim_cfg = SimulationConfig(**_filtered_kwargs(SimulationConfig, sim_block, "simulation"))
-    predictor = PredictorConfig(**_filtered_kwargs(PredictorConfig, doc["predictor"], "predictor"))
-    metric_cfg = MetricConfig(**_filtered_kwargs(MetricConfig, doc["metrics"], "metrics"))
+    sim_cfg = _config_block(SimulationConfig, {"dt": scenario.dt, **doc["simulation"]},
+                            "simulation")
+    predictor = _config_block(PredictorConfig, doc["predictor"], "predictor")
+    try:
+        predictor.n_steps(sim_cfg.dt)
+    except ValueError as exc:
+        raise ConfigError(f"predictor: {exc}") from exc
+    metric_cfg = _config_block(MetricConfig, doc["metrics"], "metrics")
 
     substitute = [str(a) for a in doc["substitute"]]
     if not substitute:
@@ -140,13 +132,9 @@ def build_run(doc: dict):
         block = dict(doc["agents"].get(aid, {}))
         kind = block.pop("planner", "frenet")
         v_ref = block.pop("v_ref", None)
-        try:
-            frenet = FrenetPlannerConfig(**_filtered_kwargs(
-                FrenetPlannerConfig, block.pop("frenet", {}), f"agents.{aid}.frenet"))
-        except ValueError as exc:
-            raise ConfigError(f"agents.{aid}.frenet: {exc}") from exc
-        idm = IdmParams(**_filtered_kwargs(
-            IdmParams, block.pop("idm", {}), f"agents.{aid}.idm"))
+        frenet = _config_block(FrenetPlannerConfig, block.pop("frenet", {}),
+                               f"agents.{aid}.frenet")
+        idm = _config_block(IdmParams, block.pop("idm", {}), f"agents.{aid}.idm")
         if block:
             raise ConfigError(f"agents.{aid}: unknown keys {sorted(block)}")
         bindings[aid] = PlannerBinding(kind=kind, recorded_states=recordings[aid],

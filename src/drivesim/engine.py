@@ -9,7 +9,6 @@ determinism contract.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import multiprocessing as mp
@@ -42,10 +41,14 @@ class SimulationConfig:
     worker_count: int = 1  # also the number of planning batches per step
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
+        if not self.dt > 0:
+            raise ValueError(f"dt={self.dt} must be > 0")
+        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            raise ValueError(f"max_steps={self.max_steps!r} must be an integer >= 1")
+        if not self.visibility_radius >= 0:
+            raise ValueError(f"visibility_radius={self.visibility_radius} must be >= 0")
+        if not (isinstance(self.worker_count, int) and self.worker_count >= 1):
+            raise ValueError(f"worker_count={self.worker_count!r} must be an integer >= 1")
 
 
 class AgentStatus(enum.Enum):
@@ -139,32 +142,33 @@ def build_planner(binding: PlannerBinding, problem, scenario: Scenario, dt: floa
 # ---------------------------------------------------------------------------
 # Worker pool
 
-_WORKER: dict = {}
+_WORKER_PLANNERS: dict = {}  # a pool worker's planners by agent id
 
 
-def _worker_init(planners, network):
-    _WORKER["planners"] = planners
-    _WORKER["network"] = network
+def _worker_init(planners):
+    _WORKER_PLANNERS.update(planners)
 
 
-def _plan_one(planner, view: LocalView, memory: dict):
-    try:
-        result = planner.plan(view, memory)
-        return result, memory, None
-    except Exception as exc:  # planner errors never abort the run
-        return None, memory, f"{type(exc).__name__}: {exc}"
+def _plan_batch(planners, batch):
+    """Plan every agent of one batch, the only planning path: in process with
+    one worker, in a pool worker (_plan_in_worker) otherwise.
 
-
-def _plan_batch(task):
-    """Executed in a worker: plan every agent of one batch."""
-    batch = task
+    batch holds (agent_id, view, memory) triples. Returns one
+    (agent_id, result, memory, error) per agent, in batch order, and the
+    batch's wall time. A planner that raises gets result None and the error
+    message; planner errors never abort the run."""
     t0 = time.perf_counter()
     out = []
     for agent_id, view, memory in batch:
-        view = dataclasses.replace(view, network=_WORKER["network"])
-        result, memory, err = _plan_one(_WORKER["planners"][agent_id], view, memory)
-        out.append((agent_id, result, memory, err))
+        try:
+            out.append((agent_id, planners[agent_id].plan(view, memory), memory, None))
+        except Exception as exc:
+            out.append((agent_id, None, memory, f"{type(exc).__name__}: {exc}"))
     return out, time.perf_counter() - t0
+
+
+def _plan_in_worker(batch):
+    return _plan_batch(_WORKER_PLANNERS, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +177,6 @@ def _plan_batch(task):
 @dataclass
 class _AgentRuntime:
     problem: object
-    planner: object
     memory: dict
     status: AgentStatus
     states: list
@@ -203,11 +206,11 @@ def run(scenario: Scenario, bindings: dict[str, PlannerBinding],
         raise SetupError(f"agents without planner binding: {sorted(missing)}")
 
     agents: dict[str, _AgentRuntime] = {}
+    planners = {}
     for aid in sorted(problems):
         prob = problems[aid]
-        planner = build_planner(bindings[aid], prob, scenario, cfg.dt)
-        agents[aid] = _AgentRuntime(prob, planner, {}, AgentStatus.RUNNING,
-                                    [prob.initial_state], [])
+        planners[aid] = build_planner(bindings[aid], prob, scenario, cfg.dt)
+        agents[aid] = _AgentRuntime(prob, {}, AgentStatus.RUNNING, [prob.initial_state], [])
 
     pool = None
     if cfg.worker_count > 1:
@@ -215,16 +218,16 @@ def run(scenario: Scenario, bindings: dict[str, PlannerBinding],
             max_workers=cfg.worker_count,
             mp_context=mp.get_context("fork"),
             initializer=_worker_init,
-            initargs=({aid: rt.planner for aid, rt in agents.items()}, scenario.network),
+            initargs=(planners,),
         )
     try:
-        return _run_loop(scenario, agents, cfg, predictor, pool)
+        return _run_loop(scenario, agents, planners, cfg, predictor, pool)
     finally:
         if pool is not None:
             pool.shutdown()
 
 
-def _run_loop(scenario, agents, cfg, predictor, pool) -> SimulationResult:
+def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationResult:
     statics = [(o.id, o.pose, o.length, o.width) for o in scenario.static_obstacles]
     step_logs: list[StepLog] = []
 
@@ -295,54 +298,32 @@ def _run_loop(scenario, agents, cfg, predictor, pool) -> SimulationResult:
         predictions = predict_all(all_states, scenario.network, predictor, cfg.dt)
         t_pred = time.perf_counter() - t_pred0
 
-        # (5) local views by radius filter
-        shapes = {vid: (ln, wd) for vid, _, ln, wd, _ in vehicles}
+        # (5) local views by radius filter, sharing one Neighbor per vehicle
+        neighbors = {vid: Neighbor(ln, wd, predictions[vid])
+                     for vid, _, ln, wd, _ in vehicles if vid in all_states}
         views = {}
         for aid in running:
             ego = agents[aid].states[-1]
-            neighbors, preds = {}, {}
-            for vid, st in all_states.items():
-                if vid == aid:
-                    continue
-                if math.hypot(st.x - ego.x, st.y - ego.y) <= cfg.visibility_radius:
-                    ln, wd = shapes[vid]
-                    neighbors[vid] = Neighbor(st, ln, wd)
-                    if vid in predictions:
-                        preds[vid] = predictions[vid]
-            prob = agents[aid].problem
-            views[aid] = LocalView(
-                ego_id=aid, ego=ego, ego_length=prob.params.length,
-                ego_width=prob.params.width, neighbors=neighbors,
-                predictions=preds, network=None,
-                visibility_radius=cfg.visibility_radius, step=t, dt=cfg.dt,
-            )
+            visible = {vid: neighbors[vid] for vid, st in all_states.items() if vid != aid
+                       and math.hypot(st.x - ego.x, st.y - ego.y) <= cfg.visibility_radius}
+            views[aid] = LocalView(ego_id=aid, ego=ego, step=t, neighbors=visible)
 
         # (6) plan in batches; barrier before applying anything
-        batches = _chunk(running, cfg.worker_count)
-        batch_times = []
-        results = {}
+        batches = [[(aid, views[aid], agents[aid].memory) for aid in batch]
+                   for batch in _chunk(running, cfg.worker_count) if batch]
         if pool is None:
-            for batch in batches:
-                tb0 = time.perf_counter()
-                for aid in batch:
-                    view = dataclasses.replace(views[aid], network=scenario.network)
-                    res, mem, err = _plan_one(agents[aid].planner, view, agents[aid].memory)
-                    results[aid] = (res, err)
-                    agents[aid].memory = mem
-                batch_times.append(time.perf_counter() - tb0)
+            planned = [_plan_batch(planners, batch) for batch in batches]
         else:
-            tasks = [[(aid, views[aid], agents[aid].memory) for aid in batch]
-                     for batch in batches if batch]
-            futures = [pool.submit(_plan_batch, task) for task in tasks]
-            for future in futures:
-                try:
-                    out, wall = future.result()
-                except BrokenProcessPool as exc:
-                    raise RuntimeError(f"step {t}: a planning worker died ({exc})") from exc
-                batch_times.append(wall)
-                for aid, res, mem, err in out:
-                    results[aid] = (res, err)
-                    agents[aid].memory = mem
+            try:
+                planned = list(pool.map(_plan_in_worker, batches))
+            except BrokenProcessPool as exc:
+                raise RuntimeError(f"step {t}: a planning worker died ({exc})") from exc
+        batch_times = [wall for _, wall in planned]
+        results = {}
+        for out, _ in planned:
+            for aid, res, mem, err in out:
+                results[aid] = (res, err)
+                agents[aid].memory = mem
 
         # (7) apply all next states simultaneously
         record = {}

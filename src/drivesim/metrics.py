@@ -34,8 +34,9 @@ class MetricConfig:
     gating_distance: float = 50.0  # m, Cartesian proximity gate
 
     def __post_init__(self):
-        if self.ttc_threshold <= 0 or self.gating_distance <= 0:
-            raise ValueError("thresholds must be positive")
+        if not (self.ttc_threshold > 0 and self.gating_distance > 0):
+            raise ValueError(f"ttc_threshold={self.ttc_threshold} and "
+                             f"gating_distance={self.gating_distance} must be > 0")
 
 
 @dataclass

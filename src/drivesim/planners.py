@@ -31,29 +31,24 @@ class RouteError(RuntimeError):
 
 @dataclass(frozen=True)
 class Neighbor:
-    state: AgentState
+    """A vehicle the ego sees: its shape and its predicted path, whose first
+    state is the vehicle's time-t state."""
+
     length: float
     width: float
+    prediction: PredictedPath
 
 
 @dataclass(frozen=True)
 class LocalView:
-    """Radius-limited slice of the scenario an agent observes at one step."""
+    """What an agent observes at one step: its own time-t state and, by id,
+    every vehicle within the visibility radius. What stays fixed for the run
+    (route or path, vehicle parameters, dt) a planner gets when it is built."""
 
     ego_id: str
     ego: AgentState
-    ego_length: float
-    ego_width: float
-    neighbors: dict[str, Neighbor]
-    predictions: dict[str, PredictedPath]
-    network: StreetNetwork
-    visibility_radius: float
     step: int
-    dt: float
-
-    @property
-    def time(self) -> float:
-        return self.step * self.dt
+    neighbors: dict[str, Neighbor]
 
 
 @dataclass(frozen=True)
@@ -110,6 +105,14 @@ class IdmParams:
     min_gap: float = 2.0    # standstill gap s0, m
     exponent: float = 4.0
     corridor_halfwidth: float = 2.0  # lateral band counting as "on the path"
+
+    def __post_init__(self):
+        for name in ("accel", "decel", "exponent", "corridor_halfwidth"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}={getattr(self, name)} must be > 0")
+        for name in ("headway", "min_gap"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 0")
 
 
 def _track_path(frame: CurvilinearFrame, s: float, d: float, theta: float,
@@ -168,8 +171,7 @@ class IdmPlanner:
         half = self.idm.corridor_halfwidth
         for nid in sorted(view.neighbors):
             nb = view.neighbors[nid]
-            pred = view.predictions.get(nid)
-            states = pred.states if pred is not None else (nb.state,)
+            states = nb.prediction.states
             points = np.array([(st.x, st.y) for st in states])
             if self._corridor is not None:
                 lo, hi = self._corridor
@@ -356,13 +358,11 @@ class FrenetPlanner:
     def _predicted(self, view: LocalView, K: int) -> np.ndarray:
         """Each neighbour's predicted box at steps 1..K (its last one past the
         horizon), grown on every side by the prediction's positional stddev:
-        (K, neighbours, 5), neighbours with a prediction in id order."""
+        (K, neighbours, 5), neighbours in id order."""
         boxes = []
         for nid in sorted(view.neighbors):
-            pred = view.predictions.get(nid)
-            if pred is None:
-                continue
             nb = view.neighbors[nid]
+            pred = nb.prediction
             kp = np.minimum(np.arange(1, K + 1), len(pred.states) - 1)
             margin = np.asarray(pred.pos_stddev)[kp]
             boxes.append(occupancy([pred.states[k] for k in kp],

@@ -23,19 +23,20 @@ class PredictorConfig:
     growth_rate: float = 0.5   # m of positional stddev per s of horizon
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("prediction horizon must be > 0")
+        if not self.horizon > 0:
+            raise ValueError(f"horizon={self.horizon} must be > 0")
+        if not self.growth_rate >= 0:
+            raise ValueError(f"growth_rate={self.growth_rate} must be >= 0")
 
     def n_steps(self, dt: float) -> int:
         n = self.horizon / dt
         if abs(n - round(n)) > 1e-6:
-            raise ValueError("horizon must be a multiple of dt")
+            raise ValueError(f"horizon {self.horizon} s is not a multiple of dt={dt} s")
         return int(round(n))
 
 
 @dataclass(frozen=True)
 class PredictedPath:
-    vehicle_id: str
     states: tuple[AgentState, ...]
     pos_stddev: tuple[float, ...]
 
@@ -71,12 +72,12 @@ def lane_chain(network: StreetNetwork, start_lanelet: str, heading: float,
     return tuple(chain)
 
 
-def _path(vid: str, state: AgentState, x, y, theta, dt: float, growth_rate: float):
+def _path(state: AgentState, x, y, theta, dt: float, growth_rate: float):
     """The prediction through poses (x, y, theta) at steps 1..n after state."""
     states = [state] + [AgentState(xk, yk, state.v, tk)
                         for xk, yk, tk in zip(x.tolist(), y.tolist(), theta.tolist())]
     stddev = tuple(growth_rate * k * dt for k in range(len(states)))
-    return PredictedPath(vid, tuple(states), stddev)
+    return PredictedPath(tuple(states), stddev)
 
 
 def ahead(x, y, theta: float, dist):
@@ -84,14 +85,14 @@ def ahead(x, y, theta: float, dist):
     return x + dist * math.cos(theta), y + dist * math.sin(theta)
 
 
-def _straight_prediction(vid: str, state: AgentState, n: int, dt: float,
+def _straight_prediction(state: AgentState, n: int, dt: float,
                          growth_rate: float) -> PredictedPath:
     x, y = ahead(state.x, state.y, state.theta, state.v * np.arange(1, n + 1) * dt)
-    return _path(vid, state, x, y, np.full(n, state.theta), dt, growth_rate)
+    return _path(state, x, y, np.full(n, state.theta), dt, growth_rate)
 
 
-def _lane_prediction(vid: str, state: AgentState, frame: CurvilinearFrame,
-                     n: int, dt: float, growth_rate: float) -> PredictedPath:
+def _lane_prediction(state: AgentState, frame: CurvilinearFrame, n: int, dt: float,
+                     growth_rate: float) -> PredictedPath:
     """Constant speed along the frame at the current lateral offset; past
     the chain end, straight on along the final tangent from the clamped end.
     Straight from the state when the offset folds over anywhere on the way."""
@@ -101,11 +102,11 @@ def _lane_prediction(vid: str, state: AgentState, frame: CurvilinearFrame,
     try:
         p = frame.to_cartesian(on_frame, d0)
     except GeometryError:
-        return _straight_prediction(vid, state, n, dt, growth_rate)
+        return _straight_prediction(state, n, dt, growth_rate)
     past = s > frame.length
     x, y = ahead(p[:, 0], p[:, 1], frame.tangent_angle_at(frame.length), s - frame.length)
     x, y = np.where(past, x, p[:, 0]), np.where(past, y, p[:, 1])
-    return _path(vid, state, x, y, frame.tangent_angle_at(on_frame), dt, growth_rate)
+    return _path(state, x, y, frame.tangent_angle_at(on_frame), dt, growth_rate)
 
 
 def predict_all(states: dict[str, AgentState], network: StreetNetwork,
@@ -118,10 +119,10 @@ def predict_all(states: dict[str, AgentState], network: StreetNetwork,
     for vid, lid in zip(vids, network.localize(points)):
         state = states[vid]
         if lid is None:
-            out[vid] = _straight_prediction(vid, state, n, dt, cfg.growth_rate)
+            out[vid] = _straight_prediction(state, n, dt, cfg.growth_rate)
             continue
         first_len = network.lanelets[lid].centerline.length
         needed = first_len + state.v * cfg.horizon + 10.0
         frame = network.chain_frame(lane_chain(network, lid, state.theta, needed))
-        out[vid] = _lane_prediction(vid, state, frame, n, dt, cfg.growth_rate)
+        out[vid] = _lane_prediction(state, frame, n, dt, cfg.growth_rate)
     return out

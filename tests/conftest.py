@@ -8,12 +8,15 @@ from drivesim import engine
 from drivesim.cli import build_run, load_run_config
 
 
-def run_bundled(name: str, worker_count: int | None = None):
-    """Simulate one bundled run configuration; returns (result, scenario, metric_cfg)."""
+def run_bundled(name: str, worker_count: int | None = None, max_steps: int | None = None):
+    """Simulate one bundled run configuration (or the config at path name);
+    returns (result, scenario, metric_cfg)."""
     doc = load_run_config(name)
     scenario, bindings, sim_cfg, predictor, metric_cfg, _ = build_run(doc)
     if worker_count is not None:
         sim_cfg = dataclasses.replace(sim_cfg, worker_count=worker_count)
+    if max_steps is not None:
+        sim_cfg = dataclasses.replace(sim_cfg, max_steps=max_steps)
     result = engine.run(scenario, bindings, sim_cfg, predictor)
     return result, scenario, metric_cfg
 

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ def _statuses(result):
 def _max_lateral_offset(result, scenario_name, agent_id):
     """Max |lateral offset| of the realized trajectory from the recorded path."""
     from drivesim.cli import resolve_scenario_path
-    from pathlib import Path
 
     original = load_scenario(resolve_scenario_path(scenario_name, Path(".")))
     recorded = original.dynamic_obstacle(agent_id).recorded_states
@@ -106,17 +106,31 @@ def test_merge_lateral_interaction_signature(merge_runs):
 # 4. determinism across worker counts
 
 
+HIGHWAY_FRENET12 = (Path(__file__).resolve().parent.parent
+                    / "perfbench" / "configs" / "highway_frenet12.json")
+
+
 def test_determinism_across_worker_counts(tmp_path):
-    result_1, _, _ = run_bundled("merge_frenet", worker_count=1)
-    result_8, _, _ = run_bundled("merge_frenet", worker_count=8)
-    write_run_outputs(tmp_path / "w1", result_1, {})
-    write_run_outputs(tmp_path / "w8", result_8, {})
-    steps_1 = (tmp_path / "w1" / "steps.jsonl").read_bytes()
-    steps_8 = (tmp_path / "w8" / "steps.jsonl").read_bytes()
-    assert steps_1 == steps_8
-    # field-level comparison of everything except timings
-    for line_1, line_8 in zip(steps_1.splitlines(), steps_8.splitlines()):
-        assert json.loads(line_1) == json.loads(line_8)
+    """steps.jsonl is byte-identical in process and on a pool: merge_frenet
+    on 8 workers (more workers than agents), merge_idm on 2, and the first
+    3 steps of the twelve highway Frenet agents on 2 (six agents per batch,
+    up to 23 neighbours each). Every step times one planning batch per
+    worker that got an agent, and none when no agent plans."""
+    for name, workers, max_steps in (("merge_frenet", 8, None), ("merge_idm", 2, None),
+                                     (str(HIGHWAY_FRENET12), 2, 3)):
+        steps = []
+        for w in (1, workers):
+            result, _, _ = run_bundled(name, worker_count=w, max_steps=max_steps)
+            for log in result.step_logs:
+                planned = sum(e["planner_status"] is not None for e in log.agents.values())
+                assert len(log.timings["planning_batches"]) == min(w, planned), (name, w)
+            out = tmp_path / f"{Path(name).stem}_w{w}"
+            write_run_outputs(out, result, {})
+            steps.append((out / "steps.jsonl").read_bytes())
+        assert steps[0] == steps[1], name
+        # field-level comparison of everything except timings
+        for line_1, line_w in zip(steps[0].splitlines(), steps[1].splitlines()):
+            assert json.loads(line_1) == json.loads(line_w)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +143,6 @@ def test_determinism_across_worker_counts(tmp_path):
 def test_parallel_scaling_highway():
     t0 = time.perf_counter()
     from drivesim.cli import resolve_scenario_path
-    from pathlib import Path
 
     scenario = load_scenario(resolve_scenario_path("highway", Path(".")))
     rows = benchmark(scenario, agent_counts=[16], worker_counts=[1, 4],
@@ -358,7 +371,7 @@ def test_curvilinear_round_trip():
 def _random_view(rng, route, params):
     ego = AgentState(rng.uniform(0.0, 50.0), rng.uniform(-1.0, 1.0),
                      rng.uniform(3.0, 15.0), rng.uniform(-0.1, 0.1))
-    neighbors, predictions = {}, {}
+    neighbors = {}
     n_pred = 31
     for i in range(rng.integers(1, 4)):
         nid = f"nb{i}"
@@ -370,12 +383,9 @@ def _random_view(rng, route, params):
                                      st.y + st.v * k * DT * math.sin(st.theta),
                                      st.v, st.theta))
         stddev = tuple(0.5 * k * DT for k in range(n_pred))
-        neighbors[nid] = Neighbor(st, params.length, params.width)
-        predictions[nid] = PredictedPath(nid, tuple(states), stddev)
-    return LocalView(ego_id="ego", ego=ego, ego_length=params.length,
-                     ego_width=params.width, neighbors=neighbors,
-                     predictions=predictions, network=None,
-                     visibility_radius=100.0, step=0, dt=DT)
+        neighbors[nid] = Neighbor(params.length, params.width,
+                                  PredictedPath(tuple(states), stddev))
+    return LocalView(ego_id="ego", ego=ego, step=0, neighbors=neighbors)
 
 
 def test_frenet_planner_contract():
@@ -402,8 +412,8 @@ def _overlap_with_prediction(traj, view, params):
     """First (neighbour, step) at which the plan's box overlaps the
     neighbour's predicted box at that step (its last one past the horizon),
     grown on every side by the prediction's stddev; None if there is none."""
-    for nid, pred in sorted(view.predictions.items()):
-        nb = view.neighbors[nid]
+    for nid, nb in sorted(view.neighbors.items()):
+        pred = nb.prediction
         last = len(pred.states) - 1
         for k in range(1, len(traj.states)):
             ego_box = occupancy(traj.states[k], params.length, params.width)

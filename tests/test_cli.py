@@ -153,6 +153,46 @@ class TestSubcommands:
         assert f"t_end={t_end} s" in err and "orange" in err
         assert not (out / "steps.jsonl").exists()
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("simulation", "worker_count", 0), ("simulation", "worker_count", 1.5),
+        ("simulation", "dt", 0), ("simulation", "max_steps", -5),
+        ("simulation", "visibility_radius", -1),
+        ("predictor", "horizon", 0), ("predictor", "horizon", 0.25),
+        ("predictor", "growth_rate", -1), ("metrics", "ttc_threshold", -1)])
+    def test_run_rejects_bad_block_value(self, quick_config, tmp_path, capsys,
+                                         block, key, value):
+        """A bad value in the simulation, predictor or metrics block, or a
+        prediction horizon that is no multiple of dt (0.1 s here), stops the
+        run with exit 1 and a message naming the block, before any step. A
+        negative max_steps once ran no step and exited 0, a negative growth
+        rate left every Frenet agent infeasible."""
+        doc = json.loads(quick_config.read_text())
+        doc.setdefault(block, {})[key] = value
+        quick_config.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["run", str(quick_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {block}: ") and key in err
+        assert not (out / "steps.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("accel", 0), ("decel", 0), ("exponent", 0), ("corridor_halfwidth", 0),
+        ("headway", -1), ("min_gap", -1)])
+    def test_run_rejects_bad_idm_params(self, tmp_path, capsys, key, value):
+        """A bad IDM parameter stops the run with exit 1 naming the agent's
+        idm block, instead of an agent left infeasible or a run that
+        completes."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "scenario": "merge",
+            "simulation": {"max_steps": 5},
+            "agents": {"green": {"planner": "idm", "idm": {key: value}}},
+        }))
+        out = tmp_path / "run"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert f"agents.green.idm: {key}={value}" in capsys.readouterr().err
+        assert not (out / "steps.jsonl").exists()
+
     def test_error_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json"), "--out",
                      str(tmp_path / "o")]) == 1

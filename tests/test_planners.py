@@ -32,9 +32,7 @@ def straight_route(length=300.0):
 
 
 def empty_view(ego, step_idx=0):
-    return LocalView(ego_id="ego", ego=ego, ego_length=PARAMS.length,
-                     ego_width=PARAMS.width, neighbors={}, predictions={},
-                     network=None, visibility_radius=100.0, step=step_idx, dt=DT)
+    return LocalView(ego_id="ego", ego=ego, step=step_idx, neighbors={})
 
 
 def view_with_neighbor(ego, nb_state, n_pred=31):
@@ -42,12 +40,9 @@ def view_with_neighbor(ego, nb_state, n_pred=31):
     for k in range(1, n_pred):
         states.append(AgentState(nb_state.x + nb_state.v * k * DT, nb_state.y,
                                  nb_state.v, nb_state.theta))
-    pred = PredictedPath("nb", tuple(states), tuple(0.5 * k * DT for k in range(n_pred)))
-    return LocalView(ego_id="ego", ego=ego, ego_length=PARAMS.length,
-                     ego_width=PARAMS.width,
-                     neighbors={"nb": Neighbor(nb_state, PARAMS.length, PARAMS.width)},
-                     predictions={"nb": pred}, network=None,
-                     visibility_radius=100.0, step=0, dt=DT)
+    pred = PredictedPath(tuple(states), tuple(0.5 * k * DT for k in range(n_pred)))
+    return LocalView(ego_id="ego", ego=ego, step=0,
+                     neighbors={"nb": Neighbor(PARAMS.length, PARAMS.width, pred)})
 
 
 class TestReplay:
@@ -105,6 +100,16 @@ class TestIdm:
         planner = IdmPlanner(route, [10.0], IdmParams(), PARAMS, DT)
         with pytest.raises(PlannerError):
             planner.plan(empty_view(AgentState(10, 30, 10, 0)), {})
+
+    @pytest.mark.parametrize("key, value", [
+        ("accel", 0.0), ("decel", -1.0), ("exponent", 0.0), ("corridor_halfwidth", 0.0),
+        ("headway", -0.1), ("min_gap", -0.1), ("accel", math.nan)])
+    def test_params_validation(self, key, value):
+        """A zero accel once divided by zero in plan and left the agent
+        infeasible; zero headway and standstill gap stay allowed."""
+        with pytest.raises(ValueError, match=f"{key}={value}"):
+            IdmParams(**{key: value})
+        IdmParams(headway=0.0, min_gap=0.0)
 
 
 class TestFrenet:
@@ -263,10 +268,8 @@ class ReferenceFrenetPlanner:
         steps = np.concatenate([np.arange(n) for n in lengths])
         predicted = []
         for nid in sorted(view.neighbors):
-            pred = view.predictions.get(nid)
-            if pred is None:
-                continue
             nb = view.neighbors[nid]
+            pred = nb.prediction
             kp = np.minimum(np.arange(1, max(lengths) + 1), len(pred.states) - 1)
             margin = np.asarray(pred.pos_stddev)[kp]
             predicted.append(occupancy([pred.states[k] for k in kp],
@@ -281,9 +284,7 @@ class ReferenceFrenetPlanner:
         r2 = self.cfg.risk_radius**2
         total = 0.0
         for nid in sorted(view.neighbors):
-            pred = view.predictions.get(nid)
-            if pred is None:
-                continue
+            pred = view.neighbors[nid].prediction
             last = len(pred.states) - 1
             for k in range(1, len(states)):
                 ps = pred.states[min(k, last)]
@@ -536,8 +537,7 @@ def _reference_lead(planner, view, s_ego):
     half = planner.idm.corridor_halfwidth
     for nid in sorted(view.neighbors):
         nb = view.neighbors[nid]
-        pred = view.predictions.get(nid)
-        states = pred.states if pred is not None else (nb.state,)
+        states = nb.prediction.states
         s_n, d_n, in_dom = planner.path.project([(st.x, st.y) for st in states])
         entries = in_dom & (np.abs(d_n) <= half) & (s_n > s_ego)
         if not entries.any():
