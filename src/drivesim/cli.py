@@ -286,13 +286,20 @@ def write_metrics_csv(path, report):
             writer.writerow([aid] + [fmt(agg[c]) for c in cols[1:]])
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {text!r} is not a comma-separated list of integers") from exc
+
+
 def cmd_benchmark(args) -> int:
+    agent_counts = _int_list(args.agents, "--agents")
+    worker_counts = _int_list(args.workers, "--workers")
     doc = load_run_config(args.config)
     base_dir = Path(doc["_base_dir"])
     scn_path = resolve_scenario_path(str(doc["scenario"]), base_dir)
     scenario = load_scenario(scn_path)
-    agent_counts = [int(x) for x in args.agents.split(",")]
-    worker_counts = [int(x) for x in args.workers.split(",")]
     rows = benchmark(scenario, agent_counts, worker_counts, args.reps, steps=args.steps)
     cols = list(rows[0].keys())
     out = sys.stdout

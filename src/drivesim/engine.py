@@ -383,10 +383,15 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
     reports mean/quartiles of per-step total and per-batch planning time,
     and agents_removed: how many agents ended collided or infeasible (the
     same in every repetition, runs being deterministic). A removed agent
-    plans no more, so the later steps time fewer agents than n.
+    plans no more, so later steps time fewer agents (a row where none ever
+    plans reports nan batch times). A count below 1 raises SetupError.
     """
     from .scenario import substitute_agents
 
+    for name, values in (("agent count", agent_counts), ("worker count", worker_counts),
+                         ("repetition count", [repetitions]), ("step count", [steps])):
+        if min(values, default=1) < 1:
+            raise SetupError(f"{name} {min(values)} must be >= 1")
     obstacle_ids = sorted(o.id for o in scenario.dynamic_obstacles)
     rows = []
     for n in agent_counts:
@@ -411,15 +416,14 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
                 for log in result.step_logs:
                     step_times.append(log.timings["total"])
                     batch_times.extend(log.timings["planning_batches"])
-            rows.append({
-                "n_agents": n,
-                "workers": w,
-                "mean_step_time": statistics.fmean(step_times),
-                "q1_step_time": float(np.percentile(step_times, 25)),
-                "q3_step_time": float(np.percentile(step_times, 75)),
-                "mean_batch_planning_time": statistics.fmean(batch_times),
-                "q1_batch_planning_time": float(np.percentile(batch_times, 25)),
-                "q3_batch_planning_time": float(np.percentile(batch_times, 75)),
-                "agents_removed": removed,
-            })
+            rows.append({"n_agents": n, "workers": w, **_spread("step_time", step_times),
+                         **_spread("batch_planning_time", batch_times), "agents_removed": removed})
     return rows
+
+
+def _spread(name: str, times: list) -> dict:
+    """Mean and quartiles of times, keyed mean_/q1_/q3_<name>; nan if empty."""
+    stats = [math.nan] * 3
+    if times:
+        stats = [statistics.fmean(times), *np.percentile(times, [25, 75]).tolist()]
+    return dict(zip((f"mean_{name}", f"q1_{name}", f"q3_{name}"), stats))

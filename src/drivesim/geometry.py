@@ -242,11 +242,14 @@ _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
 def occupancy(state, length, width) -> np.ndarray:
-    """Box of a vehicle state (anything with x, y, theta), or boxes (n, 5) of
-    a sequence of states; length and width broadcast against them."""
+    """Box of a vehicle state (anything with x, y, theta), boxes (n, 5) of a
+    sequence of states, or boxes (..., 5) of a pose array (..., 3) of
+    (x, y, theta); length and width broadcast against them."""
     if np.any(np.asarray(length) <= 0) or np.any(np.asarray(width) <= 0):
         raise GeometryError("shape must be positive")
-    if hasattr(state, "theta"):
+    if isinstance(state, np.ndarray):
+        pose = state.astype(float, copy=False)
+    elif hasattr(state, "theta"):
         pose = np.array([state.x, state.y, state.theta], dtype=float)
     else:
         pose = np.array([(s.x, s.y, s.theta) for s in state], dtype=float).reshape(-1, 3)

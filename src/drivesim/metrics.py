@@ -16,8 +16,7 @@ import numpy as np
 
 from .dynamics import AgentState, VehicleParams, normalize_angle, normalize_angles
 from .engine import AgentStatus, SimulationResult
-from .geometry import (CurvilinearFrame, box_intersects_polygon, boxes_intersect,
-                       min_distance, occupancy)
+from .geometry import box_intersects_polygon, boxes_intersect, min_distance, occupancy
 from .prediction import ahead, lane_chain
 from .scenario import Scenario
 
@@ -60,13 +59,8 @@ class VehicleLog:
 
 @dataclass
 class PairContext:
-    agent_id: str
-    other_id: str
     relation: str              # lead-follow | crossing | oncoming-relevant | ignored
-    frame: CurvilinearFrame | None = None
-    s_a: float = INF
     d_a: float = INF
-    s_o: float = INF
     d_o: float = INF
     v_a_along: float = 0.0
     v_o_along: float = 0.0
@@ -214,11 +208,11 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     """Classify the pair at one step and pick the most critical frame."""
     sa, so = log_a.states[step], log_o.states[step]
     if math.hypot(sa.x - so.x, sa.y - so.y) > cfg.gating_distance:
-        return PairContext(log_a.id, log_o.id, "ignored")
+        return PairContext("ignored")
 
     chains = _candidate_chains(network, log_a, step, chain_cache)
     if not chains:
-        return PairContext(log_a.id, log_o.id, "ignored")
+        return PairContext("ignored")
 
     other_lanelet = _lanelets(network, log_o, chain_cache)[step]
 
@@ -259,12 +253,11 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
             ttc = _crossing_ttc(network, log_a, log_o, step, dt, chain_cache)
         else:
             ttc = ttc_closed_form(hw, v_o_along - v_a_along, a_o - a_a)
-        ctx = PairContext(log_a.id, log_o.id, relation, frame,
-                          s_a, d_a, s_o, d_o, v_a_along, v_o_along, hw, ttc)
+        ctx = PairContext(relation, d_a, d_o, v_a_along, v_o_along, hw, ttc)
         if best is None or (ctx.ttc, ctx.hw) < (best.ttc, best.hw):
             best = ctx
     if best is None:
-        return PairContext(log_a.id, log_o.id, "ignored")
+        return PairContext("ignored")
     return best
 
 
@@ -414,32 +407,24 @@ def evaluate(result: SimulationResult, scenario: Scenario,
             dists = distance_series(log_a, log_o)
             series = {k: [] for k in ("hw", "thw", "ttc", "ttce", "dce",
                                       "btn", "stn", "relation")}
-            any_reported = False
             for t in range(n):
                 ctx = select_frames(network, log_a, log_o, t, dt, cfg,
                                     conflict_pairs, chain_cache)
                 series["relation"].append(ctx.relation)
-                if ctx.relation == "ignored":
-                    series["hw"].append(INF)
-                    series["thw"].append(INF)
-                    series["ttc"].append(INF)
-                    series["btn"].append(0.0)
-                    series["stn"].append(0.0)
-                else:
-                    any_reported = True
-                    series["hw"].append(ctx.hw)
-                    v = log_a.states[t].v
-                    series["thw"].append(ctx.hw / v if (math.isfinite(ctx.hw) and v > 0) else INF)
-                    series["ttc"].append(ctx.ttc)
-                    series["btn"].append(braking_threat(ctx.hw, ctx.v_a_along,
-                                                        ctx.v_o_along, params.a_long_max))
-                    series["stn"].append(steering_threat(ctx.d_a, ctx.d_o,
-                                                         log_a.width, log_o.width,
-                                                         ctx.ttc, params.a_lat_max))
+                series["hw"].append(ctx.hw)
+                v = log_a.states[t].v
+                series["thw"].append(ctx.hw / v if (math.isfinite(ctx.hw) and v > 0) else INF)
+                series["ttc"].append(ctx.ttc)
+                series["btn"].append(braking_threat(ctx.hw, ctx.v_a_along,
+                                                    ctx.v_o_along, params.a_long_max))
+                series["stn"].append(steering_threat(ctx.d_a, ctx.d_o,
+                                                     log_a.width, log_o.width,
+                                                     ctx.ttc, params.a_lat_max))
                 ttce_v, dce_v = ttce_dce(dists, t, dt)
                 series["ttce"].append(ttce_v)
                 series["dce"].append(dce_v)
-            if any_reported or np.any(dists < cfg.gating_distance):
+            if (any(r != "ignored" for r in series["relation"])
+                    or np.any(dists < cfg.gating_distance)):
                 report.pair_series[(aid, oid)] = series
                 per_pair_ttc.append(series["ttc"])
 
@@ -485,8 +470,8 @@ def evaluate(result: SimulationResult, scenario: Scenario,
             **pair_mins,
             "tet": tet(ttc_min, cfg.ttc_threshold, dt, duration),
             "tit": tit(ttc_min, cfg.ttc_threshold, dt, duration),
-            "et": _finite_min(ets) if ets else INF,
-            "pet": _finite_min(pets) if pets else INF,
+            "et": _finite_min(ets),
+            "pet": _finite_min(pets),
             "status": result.statuses[aid].value,
             "collided": result.statuses[aid] is AgentStatus.COLLIDED,
         }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,19 @@ class RouteError(RuntimeError):
 
 @dataclass(frozen=True)
 class Neighbor:
-    """A vehicle the ego sees: its shape and its predicted path, whose first
-    state is the vehicle's time-t state."""
+    """A vehicle the ego sees: its shape, its predicted path (pose 0 is its
+    time-t pose) and boxes (n+1, 5), the path's occupancy grown on every side
+    by the stddev at each step; the engine builds one per vehicle and step."""
 
     length: float
     width: float
     prediction: PredictedPath
+    boxes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        grown = 2.0 * self.prediction.pos_stddev
+        boxes = occupancy(self.prediction.poses, self.length + grown, self.width + grown)
+        object.__setattr__(self, "boxes", boxes)
 
 
 @dataclass(frozen=True)
@@ -169,10 +176,9 @@ class IdmPlanner:
         (_corridor_box) has no entry and is not projected."""
         best = None  # (s_lead, v_lead)
         half = self.idm.corridor_halfwidth
-        for nid in sorted(view.neighbors):
-            nb = view.neighbors[nid]
-            states = nb.prediction.states
-            points = np.array([(st.x, st.y) for st in states])
+        for _, nb in sorted(view.neighbors.items()):
+            pred = nb.prediction
+            points = pred.poses[:, :2]
             if self._corridor is not None:
                 lo, hi = self._corridor
                 if not np.any(np.all((points >= lo) & (points <= hi), axis=-1)):
@@ -183,8 +189,8 @@ class IdmPlanner:
                 continue
             # the first corridor entry of this neighbor is the relevant one
             k = int(np.argmax(entries))
-            st, s_k = states[k], float(s_n[k])
-            along = st.v * math.cos(normalize_angle(st.theta - self.path.tangent_angle_at(s_k)))
+            s_k, heading = float(s_n[k]), float(pred.poses[k, 2])
+            along = pred.v * math.cos(normalize_angle(heading - self.path.tangent_angle_at(s_k)))
             s_lead = s_k - (nb.length / 2.0)
             if best is None or s_lead < best[0]:
                 best = (s_lead, max(0.0, along))
@@ -355,20 +361,6 @@ class FrenetPlanner:
             if K < 1:
                 raise PlannerError(f"horizon t_end={T} s rounds to 0 steps of dt={dt} s")
 
-    def _predicted(self, view: LocalView, K: int) -> np.ndarray:
-        """Each neighbour's predicted box at steps 1..K (its last one past the
-        horizon), grown on every side by the prediction's positional stddev:
-        (K, neighbours, 5), neighbours in id order."""
-        boxes = []
-        for nid in sorted(view.neighbors):
-            nb = view.neighbors[nid]
-            pred = nb.prediction
-            kp = np.minimum(np.arange(1, K + 1), len(pred.states) - 1)
-            margin = np.asarray(pred.pos_stddev)[kp]
-            boxes.append(occupancy([pred.states[k] for k in kp],
-                                   nb.length + 2.0 * margin, nb.width + 2.0 * margin))
-        return np.stack(boxes, axis=1) if boxes else np.empty((K, 0, 5))
-
     def _samples(self, T: float, K: int, ego: AgentState, start):
         """Every (d_end, v_frac) sample of horizon T (K steps) from the Frenet
         start (s0, d0, ds0, dd0, dd0_acc, a0): d_end, v_target, its lateral
@@ -476,7 +468,11 @@ class FrenetPlanner:
         cx, cy, heading = (a[..., 1:][pairs] for a in (x, y, theta))
         ego_boxes = np.stack([cx, cy, heading, np.full_like(cx, params.length),
                               np.full_like(cx, params.width)], axis=-1)
-        predicted = self._predicted(view, n)
+        # (n, neighbours, 5): each neighbour's grown box at steps 1..n, its
+        # last past its horizon, neighbours in id order
+        boxes = [view.neighbors[nid].boxes for nid in sorted(view.neighbors)]
+        predicted = (np.stack([b[np.minimum(np.arange(1, n + 1), len(b) - 1)] for b in boxes], 1)
+                     if boxes else np.empty((n, 0, 5)))
         hits = np.zeros(pairs.shape, dtype=bool)
         hits[pairs] = boxes_intersect(ego_boxes[:, None, :],
                                       predicted[np.nonzero(pairs)[2]]).any(axis=-1)

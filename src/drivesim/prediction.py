@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AgentState, normalize_angle
+from .dynamics import AgentState, normalize_angle, normalize_angles
 from .geometry import CurvilinearFrame, GeometryError
 from .scenario import StreetNetwork
 
@@ -37,12 +37,17 @@ class PredictorConfig:
 
 @dataclass(frozen=True)
 class PredictedPath:
-    states: tuple[AgentState, ...]
-    pos_stddev: tuple[float, ...]
+    """Predicted motion at steps 0..n: poses (n+1, 3) of (x, y, theta), row 0
+    the time-t pose and theta wrapped as AgentState wraps it; v, the constant
+    speed; pos_stddev (n+1,), the positional stddev at each step."""
+
+    poses: np.ndarray
+    v: float
+    pos_stddev: np.ndarray
 
     def __post_init__(self):
-        if len(self.states) != len(self.pos_stddev):
-            raise ValueError("states and pos_stddev must have equal length")
+        if len(self.poses) != len(self.pos_stddev):
+            raise ValueError("poses and pos_stddev must have equal length")
 
 
 def _best_successor(network: StreetNetwork, lanelet_id: str, heading: float) -> str | None:
@@ -74,10 +79,9 @@ def lane_chain(network: StreetNetwork, start_lanelet: str, heading: float,
 
 def _path(state: AgentState, x, y, theta, dt: float, growth_rate: float):
     """The prediction through poses (x, y, theta) at steps 1..n after state."""
-    states = [state] + [AgentState(xk, yk, state.v, tk)
-                        for xk, yk, tk in zip(x.tolist(), y.tolist(), theta.tolist())]
-    stddev = tuple(growth_rate * k * dt for k in range(len(states)))
-    return PredictedPath(tuple(states), stddev)
+    poses = np.column_stack([np.append(state.x, x), np.append(state.y, y),
+                             normalize_angles(np.append(state.theta, theta))])
+    return PredictedPath(poses, state.v, growth_rate * np.arange(len(poses)) * dt)
 
 
 def ahead(x, y, theta: float, dist):

@@ -377,14 +377,12 @@ def _random_view(rng, route, params):
         nid = f"nb{i}"
         st = AgentState(ego.x + rng.uniform(5.0, 60.0), rng.uniform(-4.0, 4.0),
                         rng.uniform(0.0, 15.0), rng.uniform(-0.1, 0.1))
-        states = [st]
-        for k in range(1, n_pred):
-            states.append(AgentState(st.x + st.v * k * DT * math.cos(st.theta),
-                                     st.y + st.v * k * DT * math.sin(st.theta),
-                                     st.v, st.theta))
-        stddev = tuple(0.5 * k * DT for k in range(n_pred))
+        k = np.arange(n_pred)
+        poses = np.column_stack([st.x + st.v * k * DT * math.cos(st.theta),
+                                 st.y + st.v * k * DT * math.sin(st.theta),
+                                 np.full(n_pred, st.theta)])
         neighbors[nid] = Neighbor(params.length, params.width,
-                                  PredictedPath(tuple(states), stddev))
+                                  PredictedPath(poses, st.v, 0.5 * k * DT))
     return LocalView(ego_id="ego", ego=ego, step=0, neighbors=neighbors)
 
 
@@ -411,14 +409,17 @@ def test_frenet_planner_contract():
 def _overlap_with_prediction(traj, view, params):
     """First (neighbour, step) at which the plan's box overlaps the
     neighbour's predicted box at that step (its last one past the horizon),
-    grown on every side by the prediction's stddev; None if there is none."""
+    grown on every side by the prediction's stddev; None if there is none.
+    Each predicted box is built here from the pose, not read from
+    Neighbor.boxes."""
     for nid, nb in sorted(view.neighbors.items()):
         pred = nb.prediction
-        last = len(pred.states) - 1
+        last = len(pred.poses) - 1
         for k in range(1, len(traj.states)):
             ego_box = occupancy(traj.states[k], params.length, params.width)
             kp = min(k, last)
-            nb_box = occupancy(pred.states[kp], nb.length, nb.width)
+            x, y, theta = pred.poses[kp].tolist()
+            nb_box = occupancy(AgentState(x, y, pred.v, theta), nb.length, nb.width)
             nb_box[3:] += 2.0 * pred.pos_stddev[kp]
             if boxes_intersect(ego_box, nb_box):
                 return nid, k

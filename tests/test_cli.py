@@ -135,6 +135,25 @@ class TestSubcommands:
         assert lines[0].endswith(",agents_removed")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--agents", "0", "agent count 0"),
+        ("--agents", "-1", "agent count -1"),
+        ("--agents", "x", "--agents: 'x'"),
+        ("--workers", "0", "worker count 0"),
+        ("--workers", "1,x", "--workers: '1,x'"),
+        ("--reps", "0", "repetition count 0"),
+        ("--steps", "0", "step count 0"),
+    ])
+    def test_benchmark_rejects_bad_arguments(self, capsys, flag, value, message):
+        """A count below 1 or one that is not an integer is a usage error
+        (exit 1) naming the flag or count, not a runtime failure, and no row
+        is written."""
+        args = {"--agents": "2", "--workers": "1", "--reps": "1", "--steps": "1", flag: value}
+        argv = ["benchmark", "highway_benchmark"] + [a for kv in args.items() for a in kv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
     @pytest.mark.parametrize("t_end", [0.04, 0.0, -1.0])
     def test_run_rejects_degenerate_horizon(self, tmp_path, capsys, t_end):
         """A horizon that is not positive, or rounds to no step of dt, stops

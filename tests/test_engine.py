@@ -1,6 +1,7 @@
 """Lockstep engine: statuses, invariants, determinism, benchmarking."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from drivesim import engine
 from drivesim.cli import resolve_scenario_path
 from drivesim.engine import (AgentStatus, PlannerBinding, SetupError,
                              SimulationConfig, benchmark, run)
@@ -90,6 +92,24 @@ def test_benchmark_row_counts_removed_agents():
     rows = benchmark(_bundled("highway"), agent_counts=[2], worker_counts=[1],
                      repetitions=1, steps=1)
     assert rows[0]["agents_removed"] == 0
+
+
+def test_benchmark_row_without_planning(monkeypatch):
+    """A row in which no agent ever plans (as when every agent is removed at
+    step 0) reports nan batch times instead of failing on an empty mean."""
+    real_run = engine.run
+
+    def unplanned_run(*args):
+        result = real_run(*args)
+        for log in result.step_logs:
+            log.timings["planning_batches"] = []
+        return result
+
+    monkeypatch.setattr(engine, "run", unplanned_run)
+    row, = benchmark(_bundled("highway"), agent_counts=[1], worker_counts=[1],
+                     repetitions=1, steps=1)
+    assert row["mean_step_time"] > 0
+    assert all(math.isnan(row[f"{stat}_batch_planning_time"]) for stat in ("mean", "q1", "q3"))
 
 
 def test_benchmark_rejects_oversized_agent_count():

@@ -36,11 +36,10 @@ def empty_view(ego, step_idx=0):
 
 
 def view_with_neighbor(ego, nb_state, n_pred=31):
-    states = [nb_state]
-    for k in range(1, n_pred):
-        states.append(AgentState(nb_state.x + nb_state.v * k * DT, nb_state.y,
-                                 nb_state.v, nb_state.theta))
-    pred = PredictedPath(tuple(states), tuple(0.5 * k * DT for k in range(n_pred)))
+    k = np.arange(n_pred)
+    poses = np.column_stack([nb_state.x + nb_state.v * k * DT, np.full(n_pred, nb_state.y),
+                             np.full(n_pred, nb_state.theta)])
+    pred = PredictedPath(poses, nb_state.v, 0.5 * k * DT)
     return LocalView(ego_id="ego", ego=ego, step=0,
                      neighbors={"nb": Neighbor(PARAMS.length, PARAMS.width, pred)})
 
@@ -270,9 +269,10 @@ class ReferenceFrenetPlanner:
         for nid in sorted(view.neighbors):
             nb = view.neighbors[nid]
             pred = nb.prediction
-            kp = np.minimum(np.arange(1, max(lengths) + 1), len(pred.states) - 1)
-            margin = np.asarray(pred.pos_stddev)[kp]
-            predicted.append(occupancy([pred.states[k] for k in kp],
+            kp = np.minimum(np.arange(1, max(lengths) + 1), len(pred.poses) - 1)
+            margin = pred.pos_stddev[kp]
+            nb_states = _predicted_states(pred)
+            predicted.append(occupancy([nb_states[k] for k in kp],
                                        nb.length + 2.0 * margin, nb.width + 2.0 * margin))
         predicted = np.stack(predicted, axis=1) if predicted else np.empty((max(lengths), 0, 5))
         ego = occupancy([st for states in trajs for st in states[1:]],
@@ -284,10 +284,10 @@ class ReferenceFrenetPlanner:
         r2 = self.cfg.risk_radius**2
         total = 0.0
         for nid in sorted(view.neighbors):
-            pred = view.neighbors[nid].prediction
-            last = len(pred.states) - 1
+            predicted = _predicted_states(view.neighbors[nid].prediction)
+            last = len(predicted) - 1
             for k in range(1, len(states)):
-                ps = pred.states[min(k, last)]
+                ps = predicted[min(k, last)]
                 dist2 = (states[k].x - ps.x) ** 2 + (states[k].y - ps.y) ** 2
                 total += math.exp(-dist2 / r2)
         return total
@@ -341,6 +341,12 @@ class ReferenceFrenetPlanner:
         memory["accel"] = traj.inputs[0].accel
         memory["d_accel"] = best[2]
         return PlanResult(traj.states[1], traj.inputs[0], traj, "ok")
+
+
+def _predicted_states(pred):
+    """The prediction as one AgentState per pose, so the references build
+    their boxes and points from the states and not from Neighbor.boxes."""
+    return [AgentState(x, y, pred.v, theta) for x, y, theta in pred.poses.tolist()]
 
 
 def _bits(*values):
@@ -537,7 +543,7 @@ def _reference_lead(planner, view, s_ego):
     half = planner.idm.corridor_halfwidth
     for nid in sorted(view.neighbors):
         nb = view.neighbors[nid]
-        states = nb.prediction.states
+        states = _predicted_states(nb.prediction)
         s_n, d_n, in_dom = planner.path.project([(st.x, st.y) for st in states])
         entries = in_dom & (np.abs(d_n) <= half) & (s_n > s_ego)
         if not entries.any():
