@@ -5,8 +5,9 @@ configuration so reruns can be matched to their inputs. Step logs are written
 as line-delimited JSON with wall-clock timings kept in a separate file, which
 makes the main log byte-identical across reruns and worker counts.
 
-Exit codes: 0 completed, 1 usage/config error, 2 runtime failure. Agent
-outcomes (collisions, missed goals) never change the exit code.
+Exit codes: 0 completed (and --help), 1 usage/config error, bad command
+lines included, 2 runtime failure. Agent outcomes (collisions, missed
+goals) never change the exit code.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ from .scenario import ScenarioError, load_scenario, substitute_agents
 
 class ConfigError(ValueError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, so that it exits 1 with
+    an error line like every other usage error, not with argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +348,7 @@ def cmd_plotdata(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="drivesim",
         description="Deterministic multi-agent driving simulation and criticality evaluation",
     )
@@ -370,9 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ScenarioError, SetupError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

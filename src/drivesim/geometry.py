@@ -6,6 +6,7 @@ processes. Distances are meters, angles radians.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -181,7 +182,12 @@ class CurvilinearFrame:
 
 
 class Polygon:
-    """Simple closed ring of >=3 vertices."""
+    """Simple closed ring of >=3 vertices.
+
+    Edge i runs from vertex i to vertex i+1 (the last back to the first).
+    The vertices are read-only, so the bounds and the edge table that
+    contains_points reads are built once, on first use, and never go stale;
+    a polygon that is never tested (most goal areas) never builds them."""
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -192,6 +198,34 @@ class Polygon:
         self.vertices = v
         self.vertices.setflags(write=False)
 
+    @functools.cached_property
+    def _bounds(self) -> tuple[float, float, float, float]:
+        lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
+        return lo[0], lo[1], hi[0], hi[1]
+
+    @functools.cached_property
+    def _edges(self) -> tuple[np.ndarray, float]:
+        """The edge table, one row per edge quantity, ordered so that each
+        test of contains_points reads a run of rows: y2, the crossing
+        denominator, x1, y1, ex, ey, the squared length, xlo, ylo, xhi, yhi,
+        and the largest x the computed crossing can reach; and a slack far
+        above the rounding of any edge formula over these vertices."""
+        v = self.vertices
+        end = np.concatenate([v[1:], v[:1]])
+        edges = np.empty((12, len(v)))
+        edges[0] = end[:, 1]
+        edges[2:4] = v.T
+        edges[4:6] = (end - v).T
+        ex, ey = edges[4], edges[5]
+        edges[1] = np.where(np.abs(ey) < 1e-300, 1e-300, ey)
+        sq = ex * ex + ey * ey
+        edges[6] = np.where(sq < 1e-300, 1e-300, sq)
+        edges[7:9] = np.minimum(v, end).T
+        edges[9:11] = np.maximum(v, end).T
+        # a clamped denominator extrapolates the crossing past the edge's ends
+        edges[11] = np.where(edges[1] == ey, edges[9], np.inf)
+        return edges, 1e-9 * (1.0 + float(np.abs(v).max()))
+
     @property
     def area(self) -> float:
         v = self.vertices
@@ -199,30 +233,53 @@ class Polygon:
         return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
     def bounds(self) -> tuple[float, float, float, float]:
-        v = self.vertices
-        return v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max()
+        return self._bounds
 
     def contains_points(self, points, boundary_tol: float = 1e-9) -> np.ndarray:
-        """Vectorized point-in-polygon (crossing number); boundary counts inside."""
+        """Point-in-polygon by crossing number, one bool per point (n, 2); a
+        point within boundary_tol of an edge counts inside.
+
+        Each call evaluates only the edges that can change a result for its
+        points, with the same per-element formulas as over every edge, so the
+        culling changes no result; the (points x edges) arrays hold the
+        edges near the points' bounding box only. With slack far above the
+        rounding of those formulas:
+        - Crossing: an edge counts for a point iff min y <= py < max y of
+          the edge and the point lies left of the computed crossing. A
+          horizontal edge, or one whose y-range misses the points', fails
+          the first test for every point. The computed crossing stays within
+          the edge's x-range up to rounding, so an edge lying left of every
+          point by more than the slack fails the second (an edge whose y
+          difference underflows is never culled by x: its clamped
+          denominator moves the crossing past the edge's ends).
+        - Boundary: the computed closest point of an edge lies in the edge's
+          bounding box up to rounding, so an edge whose box is farther than
+          boundary_tol plus the slack from the points' bounding box, in x
+          or in y, is farther than boundary_tol from every point.
+        NaN coordinates are left out of the points' bounding box; such a
+        point is never inside, culled or not.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        v = self.vertices
-        x1, y1 = v[:, 0], v[:, 1]
-        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-        px = pts[:, 0][:, None]
-        py = pts[:, 1][:, None]
-        # crossing number over all edges
-        cond = (y1[None, :] <= py) != (y2[None, :] <= py)
-        denom = y2 - y1
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        xints = x1[None, :] + (py - y1[None, :]) * (x2 - x1)[None, :] / denom[None, :]
+        px, py = pts[:, :1], pts[:, 1:2]
+        lo = np.fmin.reduce(pts, axis=0, initial=np.inf)
+        hi = np.fmax.reduce(pts, axis=0, initial=-np.inf)
+        edges, slack = self._edges
+        xlo, ylo, xhi, yhi, xcross = edges[7:]
+        # crossing number over the edges that can cross
+        crossing = (ylo < yhi) & (ylo <= hi[1]) & (yhi > lo[1]) & (xcross >= lo[0] - slack)
+        y2c, denc, x1c, y1c, exc = edges[:5, crossing]
+        cond = (y1c <= py) != (y2c <= py)
+        xints = x1c + (py - y1c) * exc / denc
         inside = np.sum(cond & (px < xints), axis=1) % 2 == 1
-        # boundary test: distance to each edge
-        ex, ey = (x2 - x1), (y2 - y1)
-        el2 = np.where(ex * ex + ey * ey < 1e-300, 1e-300, ex * ex + ey * ey)
-        t = ((px - x1[None, :]) * ex[None, :] + (py - y1[None, :]) * ey[None, :]) / el2[None, :]
+        # boundary test: distance to each edge near the points
+        reach = abs(boundary_tol) * (1.0 + 1e-9) + slack
+        near = ((xlo <= hi[0] + reach) & (xhi >= lo[0] - reach)
+                & (ylo <= hi[1] + reach) & (yhi >= lo[1] - reach))
+        x1n, y1n, exn, eyn, el2n = edges[2:7, near]
+        t = ((px - x1n) * exn + (py - y1n) * eyn) / el2n
         t = np.clip(t, 0.0, 1.0)
-        fx = x1[None, :] + t * ex[None, :]
-        fy = y1[None, :] + t * ey[None, :]
+        fx = x1n + t * exn
+        fy = y1n + t * eyn
         d2 = (px - fx) ** 2 + (py - fy) ** 2
         on_edge = np.any(d2 <= boundary_tol**2, axis=1)
         return inside | on_edge
@@ -237,6 +294,14 @@ class Polygon:
 # through matmul and vecdot, not elementwise arithmetic: the BLAS kernels
 # behind them may fuse multiply-adds, so an elementwise rewrite would move
 # results in the last bit and change the digests of tools/digests.py.
+#
+# The tests cull before they decide (the OBBTree recipe of Gottschalk et al.,
+# SIGGRAPH 1996): boxes_intersect settles a pair by the circumradius test,
+# then by the bounding-box gate, and only the rest by the separating-axis
+# test; the Frenet planner's broad phase (planners.FrenetPlanner.candidates)
+# drops whole steps of neighbours before that. Each cull only settles what
+# the next stage would settle the same way, with a margin far above its
+# rounding, so no result changes; the docstrings give each argument.
 
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -292,27 +357,62 @@ def _project(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return (points[..., None, :, :] @ axes[..., :, :, None])[..., 0]
 
 
+def _fold(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc folded over the last axis of x one slice at a time: over a short
+    axis much faster than a reduction along it."""
+    out = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        out = ufunc(out, x[..., k])
+    return out
+
+
 def _separated(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Whether the projections (..., axes, points) of two convex sets leave a
-    gap on some axis; touching intervals do not."""
-    return np.any((pa.max(axis=-1) < pb.min(axis=-1)) | (pb.max(axis=-1) < pa.min(axis=-1)),
-                  axis=-1)
+    gap on some axis; touching intervals do not. Max and min do not round,
+    so folding them equals the reductions bit for bit."""
+    gap = ((_fold(np.maximum, pa) < _fold(np.minimum, pb))
+           | (_fold(np.maximum, pb) < _fold(np.minimum, pa)))
+    return _fold(np.logical_or, gap)
+
+
+def _half_extents(box: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Half the width and height (..., 2) of each box's axis-aligned
+    bounding box."""
+    return 0.5 * (np.abs(axes[..., 0, :]) * box[..., 3:4] + np.abs(axes[..., 1, :]) * box[..., 4:5])
 
 
 def boxes_intersect(a, b):
     """Separating-axis test per pair of boxes (Gottschalk et al., "OBBTree",
-    SIGGRAPH 1996); touching boundaries count as intersecting. Pairs whose
-    centres are farther apart than the sum of the circumradii are decided by
-    that alone; only the rest run the axis test."""
+    SIGGRAPH 1996); touching boundaries count as intersecting. Two culls
+    settle most pairs before the axis test, and neither changes a result:
+    - Pairs whose centres are farther apart than the sum of the circumradii
+      are apart.
+    - Of the rest, pairs whose axis-aligned bounding boxes leave a gap of
+      more than tol = 1e-6 m (plus 1e-12 of the largest magnitude in the
+      boxes, which bounds the rounding at any scale) in x or y are apart. They are at
+      least that far apart, and for two rectangles some axis of the test
+      separates their projections by at least 1/sqrt(2) of their distance:
+      by all of it if a side is nearest, and otherwise the directions that
+      separate the two nearest corners form a cone of at most 90 degrees
+      bounded by box axes and holding the direction between them. So the
+      axis test sees a gap of about 7e-7 m at the least, far above its
+      rounding, and would also find them apart.
+    Only the pairs left run the axis test."""
     shape, a, b = _pairs(a, b)
     reach = 0.5 * (np.hypot(a[:, 3], a[:, 4]) + np.hypot(b[:, 3], b[:, 4]))
     hit = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) <= reach
-    if hit.any():
-        a, b = a[hit], b[hit]
+    near = np.flatnonzero(hit)
+    if near.size:
+        a, b = a[near], b[near]
         axes_a, axes_b = _axes(a), _axes(b)
+        gap = np.abs(b[:, :2] - a[:, :2]) - _half_extents(a, axes_a) - _half_extents(b, axes_b)
+        tol = 1e-6 + 1e-12 * max(float(np.abs(a).max()), float(np.abs(b).max()))
+        test = ~((gap[:, 0] > tol) | (gap[:, 1] > tol))  # NaN stays for the axis test
+        hit[near[~test]] = False
+        a, b, axes_a, axes_b = a[test], b[test], axes_a[test], axes_b[test]
         axes = np.concatenate([axes_a, axes_b], axis=-2)
-        hit[hit] = ~_separated(_project(_corners(a, axes_a), axes),
-                               _project(_corners(b, axes_b), axes))
+        hit[near[test]] = ~_separated(_project(_corners(a, axes_a), axes),
+                                      _project(_corners(b, axes_b), axes))
     return hit.reshape(shape)[()]
 
 
@@ -353,29 +453,39 @@ def box_inside_region(box, region, spacing: float = 0.1):
     """True per box iff it lies within the union of the region's polygons.
 
     Containment is decided on corners plus boundary samples at <= spacing,
-    which is robust on non-convex unions of lanelet polygons. Boxes are
-    checked one at a time, which bounds the point-in-polygon work arrays.
+    which is robust on non-convex unions of lanelet polygons. The samples of
+    all boxes are built in one pass; then each box's samples are tested on
+    their own, polygon by polygon, skipping the samples outside a polygon's
+    bounding box and the polygons they all miss. So Polygon.contains_points
+    culls the edges far from one box, and its (points x edges) arrays stay
+    as small as for one box. The culling changes no result (see
+    Polygon.contains_points).
     """
     box = np.asarray(box, dtype=float)
-    if box.ndim > 1:
-        inside = [box_inside_region(b, region, spacing) for b in box.reshape(-1, 5)]
-        return np.array(inside, dtype=bool).reshape(box.shape[:-1])
-    corners = box_corners(box)
-    pts = [corners]
-    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
-        n = int(math.ceil(float(np.hypot(*(b - a))) / spacing))
-        if n > 1:
-            pts.append(a + np.arange(1, n)[:, None] / n * (b - a))
-    pts = np.vstack(pts)
-    covered = np.zeros(len(pts), dtype=bool)
-    for poly in region:
-        xmin, ymin, xmax, ymax = poly.bounds()
-        cand = ~covered
-        cand &= (pts[:, 0] >= xmin - 1e-9) & (pts[:, 0] <= xmax + 1e-9)
-        cand &= (pts[:, 1] >= ymin - 1e-9) & (pts[:, 1] <= ymax + 1e-9)
-        if not np.any(cand):
-            continue
-        covered[cand] = poly.contains_points(pts[cand], boundary_tol=1e-6)
-        if covered.all():
-            return True
-    return bool(covered.all())
+    shape, flat = box.shape[:-1], box.reshape(-1, 5)
+    corners = box_corners(flat)
+    span = (np.roll(corners, -1, axis=-2) - corners).reshape(-1, 2)
+    count = np.ceil(np.hypot(span[:, 0], span[:, 1]) / spacing).astype(int)
+    # samples 1 .. count-1 of each side, side by side and box by box
+    per_side = np.maximum(count - 1, 0)
+    side = np.repeat(np.arange(len(count)), per_side)
+    k = np.arange(len(side)) - np.repeat(np.cumsum(per_side) - per_side, per_side) + 1
+    samples = corners.reshape(-1, 2)[side] + (k / count[side])[:, None] * span[side]
+    per_box = per_side.reshape(-1, 4).sum(axis=1)
+    ends = np.cumsum(per_box)
+    inside = np.zeros(len(flat), dtype=bool)
+    for i, (first, last) in enumerate(zip(ends - per_box, ends)):
+        pts = np.concatenate([corners[i], samples[first:last]])
+        covered = np.zeros(len(pts), dtype=bool)
+        for poly in region:
+            xmin, ymin, xmax, ymax = poly.bounds()
+            cand = ~covered
+            cand &= (pts[:, 0] >= xmin - 1e-9) & (pts[:, 0] <= xmax + 1e-9)
+            cand &= (pts[:, 1] >= ymin - 1e-9) & (pts[:, 1] <= ymax + 1e-9)
+            if not np.any(cand):
+                continue
+            covered[cand] = poly.contains_points(pts[cand], boundary_tol=1e-6)
+            if covered.all():
+                break
+        inside[i] = covered.all()
+    return _shaped(inside, shape)

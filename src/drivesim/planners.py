@@ -340,6 +340,31 @@ class Candidates:
                                       self.theta[row], self.accel[row], self.kappa[row], dt)
 
 
+def _within_reach(x, y, alive, predicted, params: VehicleParams) -> np.ndarray:
+    """Broad phase of the collision filter: a mask (steps, neighbours) that
+    is False where the neighbour's box predicted[k, j] cannot touch any ego
+    box at step k. The ego centres x, y (..., steps) count where alive.
+
+    Every alive ego centre at step k lies in the bounding box of them all,
+    so its distance to the neighbour's centre is at least the box's. Where
+    that exceeds the sum of the two circumradii by a relative and absolute
+    margin far above the rounding of either computation, boxes_intersect's
+    circumradius test rejects every pair of that neighbour and step, and
+    dropping them changes no result. A step with no alive centre has an
+    empty box and keeps no neighbour; a NaN centre, which no box test
+    passes, is left out of the box."""
+    x_lo, y_lo = (np.fmin.reduce(np.where(alive, c, np.inf), axis=(0, 1))[:, None]
+                  for c in (x, y))
+    x_hi, y_hi = (np.fmax.reduce(np.where(alive, c, -np.inf), axis=(0, 1))[:, None]
+                  for c in (x, y))
+    cx, cy = predicted[..., 0], predicted[..., 1]
+    gap = np.hypot(np.maximum(np.maximum(x_lo - cx, cx - x_hi), 0.0),
+                   np.maximum(np.maximum(y_lo - cy, cy - y_hi), 0.0))
+    reach = 0.5 * (math.hypot(params.length, params.width)
+                   + np.hypot(predicted[..., 3], predicted[..., 4]))
+    return gap <= reach * (1.0 + 1e-9) + 1e-9
+
+
 class FrenetPlanner:
     """Samples lateral quintics x longitudinal quartic speed profiles along a
     route, filters infeasible and colliding candidates, and picks the
@@ -435,7 +460,8 @@ class FrenetPlanner:
         Every horizon's inputs are padded with zeros to the longest horizon
         and rolled out in one call; the collision filter then tests the
         alive (row, step) pairs of all horizons in one call, each pair
-        against the neighbours' predicted boxes at its own step."""
+        against the neighbours' predicted boxes at its own step that the
+        broad phase (_within_reach) leaves."""
         ego = view.ego
         s0, d0, in_dom = self.route.project((ego.x, ego.y))
         if not in_dom or abs(d0) > 10.0:
@@ -465,18 +491,23 @@ class FrenetPlanner:
 
         alive = np.stack([cands.ok for cands in horizons])
         pairs = alive[:, :, None] & (np.arange(n) < np.array(steps)[:, None])[:, None, :]
-        cx, cy, heading = (a[..., 1:][pairs] for a in (x, y, theta))
-        ego_boxes = np.stack([cx, cy, heading, np.full_like(cx, params.length),
-                              np.full_like(cx, params.width)], axis=-1)
         # (n, neighbours, 5): each neighbour's grown box at steps 1..n, its
         # last past its horizon, neighbours in id order
         boxes = [view.neighbors[nid].boxes for nid in sorted(view.neighbors)]
         predicted = (np.stack([b[np.minimum(np.arange(1, n + 1), len(b) - 1)] for b in boxes], 1)
                      if boxes else np.empty((n, 0, 5)))
-        hits = np.zeros(pairs.shape, dtype=bool)
-        hits[pairs] = boxes_intersect(ego_boxes[:, None, :],
-                                      predicted[np.nonzero(pairs)[2]]).any(axis=-1)
-        colliding = hits.any(axis=-1)
+        # (horizon, row, step) of each alive pair, and the neighbours within
+        # reach of it: one index pair per box pair left to test
+        hz, row, k = np.nonzero(pairs)
+        pair, nb = np.nonzero(_within_reach(x[..., 1:], y[..., 1:], pairs, predicted,
+                                            params)[k])
+        hz, row, k = hz[pair], row[pair], k[pair] + 1
+        ego_boxes = np.stack([x[hz, row, k], y[hz, row, k], theta[hz, row, k],
+                              np.full(len(k), params.length), np.full(len(k), params.width)],
+                             axis=-1)
+        hit = boxes_intersect(ego_boxes, predicted[k - 1, nb])
+        colliding = np.zeros(alive.shape, dtype=bool)
+        colliding[hz[hit], row[hit]] = True
         for h, (K, cands) in enumerate(zip(steps, horizons)):
             cands.rejected["collision"] = colliding[h]
             ok = cands.ok

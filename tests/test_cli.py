@@ -215,3 +215,31 @@ class TestSubcommands:
     def test_error_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json"), "--out",
                      str(tmp_path / "o")]) == 1
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, message", [
+        (["benchmark", "highway_benchmark", "--agents", "2", "--workers", "1", "--reps", "x"],
+         "argument --reps: invalid int value: 'x'"),
+        (["benchmark", "highway_benchmark", "--agents", "2", "--workers", "1", "--steps", "x"],
+         "argument --steps: invalid int value: 'x'"),
+        (["run", "merge_replay"], "the following arguments are required: --out"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+        (["plotdata", "out", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_bad_command_line_exits_1(self, capsys, argv, message):
+        """A bad command line is a usage error: exit 1 with an error line
+        and the usage, as for a bad config, not argparse's exit 2, which
+        this CLI reserves for runtime failures."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "usage: drivesim" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["benchmark", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: drivesim")

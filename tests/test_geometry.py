@@ -1,6 +1,8 @@
 """Geometric primitives: polylines, curvilinear frames, boxes, polygons."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from drivesim.geometry import (CurvilinearFrame, GeometryError, Polygon, Polyline,
                                box_corners, box_inside_region, boxes_intersect,
                                min_distance, occupancy)
+from drivesim.scenario import load_scenario
 
 
 def straight_frame(length=100.0, n=21):
@@ -115,3 +118,222 @@ class TestPolygon:
         assert box_inside_region(inside, region)
         assert not box_inside_region(sticking_out, region)
         assert list(box_inside_region(np.stack([inside, sticking_out]), region)) == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# The culled kernels against their unculled forms
+#
+# The references below are the kernels as they were before culling: the
+# circumradius prefilter and the separating-axis test with max/min
+# reductions, and the crossing-number and edge-distance formulas over every
+# edge. The culled kernels must give the same booleans bit for bit.
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "drivesim" / "data"
+
+
+def _reference_axes(box):
+    c, s = np.cos(box[..., 2]), np.sin(box[..., 2])
+    axes = np.empty(box.shape[:-1] + (2, 2))
+    axes[..., 0, 0], axes[..., 0, 1], axes[..., 1, 0], axes[..., 1, 1] = c, s, -s, c
+    return axes
+
+
+def _reference_corners(box, axes):
+    signs = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    return (0.5 * box[..., None, 3:5] * signs) @ axes + box[..., None, :2]
+
+
+def _reference_project(points, axes):
+    return (points[..., None, :, :] @ axes[..., :, :, None])[..., 0]
+
+
+def _reference_separated(pa, pb):
+    return np.any((pa.max(axis=-1) < pb.min(axis=-1)) | (pb.max(axis=-1) < pa.min(axis=-1)),
+                  axis=-1)
+
+
+def reference_boxes_intersect(a, b):
+    """boxes_intersect without the bounding-box gate."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape, a, b = a.shape[:-1], a.reshape(-1, 5), b.reshape(-1, 5)
+    reach = 0.5 * (np.hypot(a[:, 3], a[:, 4]) + np.hypot(b[:, 3], b[:, 4]))
+    hit = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) <= reach
+    if hit.any():
+        a, b = a[hit], b[hit]
+        axes_a, axes_b = _reference_axes(a), _reference_axes(b)
+        axes = np.concatenate([axes_a, axes_b], axis=-2)
+        hit[hit] = ~_reference_separated(_reference_project(_reference_corners(a, axes_a), axes),
+                                         _reference_project(_reference_corners(b, axes_b), axes))
+    return hit.reshape(shape)[()]
+
+
+def reference_contains_points(vertices, points, boundary_tol=1e-9):
+    """Polygon.contains_points over every edge."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    v = np.asarray(vertices, dtype=float)
+    x1, y1 = v[:, 0], v[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    px = pts[:, 0][:, None]
+    py = pts[:, 1][:, None]
+    cond = (y1[None, :] <= py) != (y2[None, :] <= py)
+    denom = y2 - y1
+    denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+    xints = x1[None, :] + (py - y1[None, :]) * (x2 - x1)[None, :] / denom[None, :]
+    inside = np.sum(cond & (px < xints), axis=1) % 2 == 1
+    ex, ey = (x2 - x1), (y2 - y1)
+    el2 = np.where(ex * ex + ey * ey < 1e-300, 1e-300, ex * ex + ey * ey)
+    t = ((px - x1[None, :]) * ex[None, :] + (py - y1[None, :]) * ey[None, :]) / el2[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    fx = x1[None, :] + t * ex[None, :]
+    fy = y1[None, :] + t * ey[None, :]
+    d2 = (px - fx) ** 2 + (py - fy) ** 2
+    on_edge = np.any(d2 <= boundary_tol**2, axis=1)
+    return inside | on_edge
+
+
+def reference_box_inside_region(box, region, spacing=0.1):
+    """box_inside_region box by box, sampling each box's boundary on its
+    own and testing it with the unculled reference."""
+    corners = box_corners(box)
+    pts = [corners]
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        n = int(math.ceil(float(np.hypot(*(b - a))) / spacing))
+        if n > 1:
+            pts.append(a + np.arange(1, n)[:, None] / n * (b - a))
+    pts = np.vstack(pts)
+    covered = np.zeros(len(pts), dtype=bool)
+    for poly in region:
+        xmin, ymin, xmax, ymax = poly.bounds()
+        cand = ~covered
+        cand &= (pts[:, 0] >= xmin - 1e-9) & (pts[:, 0] <= xmax + 1e-9)
+        cand &= (pts[:, 1] >= ymin - 1e-9) & (pts[:, 1] <= ymax + 1e-9)
+        if np.any(cand):
+            covered[cand] = reference_contains_points(poly.vertices, pts[cand], 1e-6)
+    return bool(covered.all())
+
+
+def _bundled_lanelet_polygons():
+    polygons = []
+    for path in sorted(DATA.glob("*.json")):
+        if "scenario" not in json.loads(path.read_text()):
+            polygons += [(path.stem, poly) for poly in load_scenario(path).network.region]
+    return polygons
+
+
+def _random_boxes(rng, n, spread):
+    return np.column_stack([rng.uniform(-spread, spread, (n, 2)),
+                            rng.uniform(-2 * math.pi, 2 * math.pi, n),
+                            rng.uniform(1.0, 6.0, n), rng.uniform(0.5, 3.0, n)])
+
+
+def _placed(a, heading, length, width, gap_u, gap_n):
+    """A box of the given heading and shape placed beside box a: along a's
+    heading axis u its projection leaves gap_u to a's (negative overlaps),
+    and along a's normal gap_n, or its centre sits on a's centre line where
+    gap_n is None."""
+    c, s = math.cos(a[2]), math.sin(a[2])
+    u, n = np.array([c, s]), np.array([-s, c])
+    phi = heading - a[2]
+    reach_u = 0.5 * (abs(math.cos(phi)) * length + abs(math.sin(phi)) * width)
+    reach_n = 0.5 * (abs(math.sin(phi)) * length + abs(math.cos(phi)) * width)
+    centre = a[:2] + u * (a[3] / 2 + reach_u + gap_u)
+    if gap_n is not None:
+        centre = centre + n * (a[4] / 2 + reach_n + gap_n)
+    return np.array([centre[0], centre[1], heading, length, width])
+
+
+class TestCulledKernels:
+    def test_boxes_intersect_random_and_grown(self):
+        rng = np.random.default_rng(3)
+        a, b = _random_boxes(rng, 20000, spread=6.0), _random_boxes(rng, 20000, spread=6.0)
+        hits = boxes_intersect(a, b)
+        assert np.array_equal(hits, reference_boxes_intersect(a, b))
+        assert 0.02 < hits.mean() < 0.5
+        # grown neighbour boxes as the planner tests them: one ego box
+        # against predicted boxes whose sides grow with the stddev
+        grown = b.copy()
+        grown[:, 3:] += 2.0 * rng.uniform(0.0, 1.5, (len(b), 1))
+        assert np.array_equal(boxes_intersect(a[:200, None], grown[None, :300]),
+                              reference_boxes_intersect(a[:200, None], grown[None, :300]))
+        # far from the origin, where rounding grows with the coordinates
+        for offset in (1e3, 1e5, -1e7):
+            shifted_a, shifted_b = a.copy(), grown.copy()
+            shifted_a[:, :2] += offset
+            shifted_b[:, :2] += offset
+            assert np.array_equal(boxes_intersect(shifted_a, shifted_b),
+                                  reference_boxes_intersect(shifted_a, shifted_b))
+
+    def test_boxes_intersect_near_touching(self):
+        """Gaps of +-1e-9 to 1e-3 m along each axis of one box, with the
+        other box aligned or rotated, side to side and corner to corner."""
+        rng = np.random.default_rng(5)
+        gaps = [g * sign for g in (1e-9, 1e-8, 1e-7, 1e-6, 2e-6, 1e-5, 1e-4, 1e-3)
+                for sign in (1.0, -1.0)] + [0.0]
+        a_boxes, b_boxes = [], []
+        for _ in range(60):
+            a = _random_boxes(rng, 1, spread=30.0)[0]
+            if rng.random() < 0.3:
+                a[2] = rng.integers(-4, 5) * math.pi / 2  # axis-aligned
+            a[:2] += rng.choice([0.0, 1e3, -5e4])
+            for heading in (a[2], a[2] + math.pi / 2, a[2] + rng.uniform(-math.pi, math.pi)):
+                length, width = rng.uniform(1.0, 6.0), rng.uniform(0.5, 3.0)
+                for g in gaps:
+                    for gap_u, gap_n in ((g, None), (-a[3] - 0.5, g), (g, g), (g, -0.3)):
+                        for flip in (1.0, -1.0):
+                            mirrored = a.copy()
+                            mirrored[2] += math.pi if flip < 0 else 0.0
+                            a_boxes.append(a)
+                            b_boxes.append(_placed(mirrored, heading, length, width,
+                                                   gap_u, gap_n))
+        a, b = np.array(a_boxes), np.array(b_boxes)
+        hits = boxes_intersect(a, b)
+        assert np.array_equal(hits, reference_boxes_intersect(a, b))
+        assert np.array_equal(boxes_intersect(b, a), reference_boxes_intersect(b, a))
+        assert 0.2 < hits.mean() < 0.8
+
+    @pytest.mark.parametrize("boundary_tol", [1e-9, 1e-6])
+    def test_contains_points_on_near_and_far(self, boundary_tol):
+        """Points on, near and far from the edges and vertices of every
+        bundled lanelet polygon, tested alone, in clusters the size of a
+        box and all at once."""
+        rng = np.random.default_rng(9)
+        polygons = _bundled_lanelet_polygons()
+        assert len(polygons) > 10
+        for name, poly in polygons:
+            v = poly.vertices
+            mid = 0.5 * (v + np.roll(v, -1, axis=0))
+            offsets = np.array([[dx, dy] for d in (1e-12, 1e-9, 1e-7, 1e-6, 2e-6, 1e-3, 0.5)
+                                for dx, dy in ((d, 0), (-d, 0), (0, d), (0, -d), (d, -d))])
+            near = np.concatenate([(v[:, None] + offsets).reshape(-1, 2),
+                                   (mid[:, None] + offsets).reshape(-1, 2)])
+            lo, hi = v.min(axis=0) - 5.0, v.max(axis=0) + 5.0
+            far = rng.uniform(lo, hi, (2000, 2))
+            pts = np.concatenate([v, mid, near, far, [[math.nan, 0.0], [lo[0], math.nan]]])
+            expected = reference_contains_points(v, pts, boundary_tol)
+            assert np.array_equal(poly.contains_points(pts, boundary_tol), expected), name
+            for chunk in np.array_split(np.arange(len(pts)), len(pts) // 60):
+                assert np.array_equal(poly.contains_points(pts[chunk], boundary_tol),
+                                      expected[chunk]), name
+            for k in rng.choice(len(pts), 40, replace=False):
+                assert poly.contains_points(pts[k], boundary_tol)[0] == expected[k], name
+            assert 0 < expected.sum() < len(expected)
+        assert Polygon([[0, 0], [1, 0], [0, 1]]).contains_points(np.empty((0, 2))).shape == (0,)
+
+    def test_box_inside_region_matches_per_box_reference(self):
+        """Boxes over every bundled map, many straddling a lanelet border:
+        the one-pass sampling and the culled polygon test give each box's
+        answer of the per-box reference."""
+        rng = np.random.default_rng(13)
+        for path in sorted(DATA.glob("*.json")):
+            if "scenario" in json.loads(path.read_text()):
+                continue
+            region = load_scenario(path).network.region
+            vertices = np.concatenate([poly.vertices for poly in region])
+            centres = vertices[rng.integers(len(vertices), size=300)] + rng.normal(0, 1.5, (300, 2))
+            boxes = np.column_stack([centres, rng.uniform(-math.pi, math.pi, 300),
+                                     rng.uniform(3.0, 5.0, 300), rng.uniform(1.5, 2.2, 300)])
+            inside = box_inside_region(boxes, region)
+            assert inside.tolist() == [reference_box_inside_region(b, region) for b in boxes]
+            assert 0 < inside.sum() < len(boxes), path.stem
+            assert box_inside_region(boxes[:0], region).shape == (0,)
+            assert box_inside_region(boxes[0], region) is inside[0].item()

@@ -21,6 +21,8 @@ from drivesim.prediction import PredictedPath
 from drivesim.scenario import GoalRegion, Lanelet, StreetNetwork
 from drivesim.geometry import Polygon
 
+from test_geometry import reference_boxes_intersect
+
 DT = 0.1
 PARAMS = VehicleParams()
 
@@ -459,6 +461,60 @@ def test_unequal_horizons_share_one_rollout_and_one_collision_call(frenet_views,
         statuses.append(status)
         _assert_plan_matches_reference(three, view, memory)
     assert len(statuses) > 45 and "ok" in statuses
+
+
+def _all_pairs_collision(planner, view, cands):
+    """The collision mask of one horizon's candidates with every alive row
+    tested at every step against every neighbour by the unculled reference
+    kernel."""
+    alive = ~np.any([mask for reason, mask in cands.rejected.items() if reason != "collision"],
+                    axis=0)
+    K = cands.accel.shape[1]
+    boxes = [view.neighbors[nid].boxes for nid in sorted(view.neighbors)]
+    if not boxes:
+        return np.zeros(len(alive), dtype=bool)
+    predicted = np.stack([b[np.minimum(np.arange(1, K + 1), len(b) - 1)] for b in boxes], axis=1)
+    ego = occupancy(np.stack([cands.x[:, 1:], cands.y[:, 1:], cands.theta[:, 1:]], axis=-1),
+                    planner.params.length, planner.params.width)
+    hits = reference_boxes_intersect(ego[:, :, None, :], predicted[None])
+    return alive & hits.any(axis=(1, 2))
+
+
+@pytest.fixture(scope="module")
+def highway_views():
+    """Every third view of steps 2 to 11 of the twelve-agent highway
+    configuration."""
+    return _record_frenet_views(str(HIGHWAY_FRENET12), max_steps=12)[24::3]
+
+
+def test_culled_collision_mask_equals_all_pairs(frenet_views, highway_views, monkeypatch):
+    """The broad phase and the culled kernel reject exactly the rows that
+    testing every alive (row, step) pair against every neighbour rejects,
+    while the one collision call of a highway plan gets a fraction of those
+    pairs."""
+    tested = []
+    intersect = planners.boxes_intersect
+
+    def counted_intersect(a, b):
+        tested.append(len(a))
+        return intersect(a, b)
+
+    monkeypatch.setattr(planners, "boxes_intersect", counted_intersect)
+    collisions, culled, all_pairs = 0, 0, 0
+    for planner, view, memory in frenet_views + highway_views:
+        tested.clear()
+        _, _, horizons = planner.candidates(view, dict(memory))
+        for cands in horizons:
+            expected = _all_pairs_collision(planner, view, cands)
+            assert np.array_equal(cands.rejected["collision"], expected), (view.ego_id, view.step)
+            collisions += int(expected.sum())
+        assert len(tested) == 1
+        if len(view.neighbors) > 10:
+            all_pairs += len(view.neighbors) * sum(
+                int((c.ok | c.rejected["collision"]).sum()) * c.accel.shape[1] for c in horizons)
+            culled += tested[0]
+    assert len(highway_views) >= 40 and collisions > 100
+    assert 0 < culled < all_pairs / 4
 
 
 def test_degenerate_horizons_are_rejected():

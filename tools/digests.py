@@ -3,12 +3,14 @@
     python3 tools/digests.py
 
 Runs and evaluates every bundled run configuration that substitutes agents,
-the benchmark's twelve-agent highway configuration, which it only reads, and
+the benchmark's twelve-agent highway configuration (3 steps), which it only
+reads, and two variants of it that it derives in a temporary directory:
 `highway_idm12`, the same twelve agents on the IDM planner over 40 steps,
-which it derives from the highway one in a temporary directory. Each bundled
-configuration has two vehicles, so only the highway ones exercise
-many-neighbour filtering, the IDM lead search among many neighbours and the
-all-pairs collision check. Every configuration runs with `drivesim run` and `drivesim evaluate` in a fresh
+and `highway_frenet12x40`, the same twelve Frenet agents over 40 steps. Each
+bundled configuration has two vehicles, so only the highway ones exercise
+many-neighbour filtering, the IDM lead search among many neighbours, the
+all-pairs collision check and the road check of many agents. Every
+configuration runs with `drivesim run` and `drivesim evaluate` in a fresh
 interpreter and a temporary directory, and the script prints one table row
 per configuration with the sha256 of its `steps.jsonl` and of its
 `metrics.json`. drivesim is imported from the `src` directory next to this
@@ -62,14 +64,14 @@ def digests(config: str) -> tuple[str, str]:
         return sha256(out / "steps.jsonl"), sha256(out / "metrics.json")
 
 
-def write_idm_variant(directory: str) -> str:
-    """Write the multi-vehicle configuration with every agent on the IDM
-    planner and 40 steps into directory; returns its path."""
+def write_variant(directory: str, name: str, planner: str) -> str:
+    """Write the multi-vehicle configuration with every agent on planner and
+    40 steps into directory as name.json; returns its path."""
     doc = json.loads(MULTI_VEHICLE.read_text())
     for block in doc["agents"].values():
-        block["planner"] = "idm"
+        block["planner"] = planner
     doc["simulation"]["max_steps"] = 40
-    path = Path(directory) / "highway_idm12.json"
+    path = Path(directory) / f"{name}.json"
     path.write_text(json.dumps(doc, indent=1))
     return str(path)
 
@@ -80,7 +82,8 @@ def main() -> int:
     configs = {name: name for name in agent_configs()}
     configs[MULTI_VEHICLE.stem] = str(MULTI_VEHICLE)
     with tempfile.TemporaryDirectory() as derived:
-        configs["highway_idm12"] = write_idm_variant(derived)
+        configs["highway_idm12"] = write_variant(derived, "highway_idm12", "idm")
+        configs["highway_frenet12x40"] = write_variant(derived, "highway_frenet12x40", "frenet")
         for name, config in configs.items():
             steps, metrics = digests(config)
             print(f"| `{name}` | `{steps}` | `{metrics}` |", flush=True)
