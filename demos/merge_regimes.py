@@ -37,8 +37,8 @@ def fmt(v):
 def max_lateral_offset(result, agent_id):
     """Peak |lateral offset| of the realized trajectory from the recording."""
     original = load_scenario(resolve_scenario_path("merge", Path(".")))
-    recorded = original.dynamic_obstacle(agent_id).recorded_states
-    frame = CurvilinearFrame(Polyline(np.array([[s.x, s.y] for s in recorded])))
+    recording = original.dynamic_obstacle(agent_id).recording
+    frame = CurvilinearFrame(Polyline(recording[:, :2]))
     _, d, in_dom = frame.project([(st.x, st.y) for st in result.trajectories[agent_id].states])
     return float(np.abs(d[in_dom]).max(initial=0.0))
 

@@ -132,8 +132,7 @@ def build_run(doc: dict):
     if not substitute:
         raise ConfigError(f"{doc['_config_path']}: no agents to simulate; "
                           "give 'agents' or 'substitute'")
-    recordings = {aid: tuple(scenario.dynamic_obstacle(aid).recorded_states)
-                  for aid in substitute}
+    recordings = {aid: scenario.dynamic_obstacle(aid).recording for aid in substitute}
     sub = substitute_agents(scenario, substitute)
 
     bindings = {}
@@ -146,7 +145,7 @@ def build_run(doc: dict):
         idm = _config_block(IdmParams, block.pop("idm", {}), f"agents.{aid}.idm")
         if block:
             raise ConfigError(f"agents.{aid}: unknown keys {sorted(block)}")
-        bindings[aid] = PlannerBinding(kind=kind, recorded_states=recordings[aid],
+        bindings[aid] = PlannerBinding(kind=kind, recording=recordings[aid],
                                        v_ref=v_ref, frenet_config=frenet, idm_params=idm)
     return sub, bindings, sim_cfg, predictor, metric_cfg, str(scn_path)
 

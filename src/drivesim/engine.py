@@ -66,10 +66,10 @@ TERMINAL = {s for s in AgentStatus if s is not AgentStatus.RUNNING}
 
 @dataclass(frozen=True)
 class PlannerBinding:
-    """How an agent is controlled: replay | idm | frenet plus parameters."""
+    """How an agent is controlled: replay | idm | frenet, its recording and parameters."""
 
     kind: str
-    recorded_states: tuple | None = None
+    recording: np.ndarray | None = None
     v_ref: float | None = None
     frenet_config: FrenetPlannerConfig = field(default_factory=FrenetPlannerConfig)
     idm_params: IdmParams = field(default_factory=IdmParams)
@@ -96,30 +96,31 @@ class SimulationResult:
     dt: float
 
 
-def _dedupe_polyline(states):
-    pts, last = [], None
-    for s in states:
-        p = (s.x, s.y)
-        if last is None or math.hypot(p[0] - last[0], p[1] - last[1]) > 1e-6:
+def _dedupe_polyline(points):
+    """points (n, 2) without each point within 1e-6 of the last one kept."""
+    pts = []
+    for p in points.tolist():
+        if not pts or math.hypot(p[0] - pts[-1][0], p[1] - pts[-1][1]) > 1e-6:
             pts.append(p)
-            last = p
     return pts
 
 
 def build_planner(binding: PlannerBinding, problem, scenario: Scenario, dt: float):
+    recording = binding.recording
+    recorded = recording is not None and len(recording) > 0
     if binding.kind == "replay":
-        if not binding.recorded_states:
+        if not recorded:
             raise SetupError(f"agent {problem.agent_id}: replay needs a recording")
-        return ReplayPlanner(binding.recorded_states, dt)
+        return ReplayPlanner(recording, dt)
     if binding.kind == "idm":
-        if not binding.recorded_states:
+        if not recorded:
             raise SetupError(f"agent {problem.agent_id}: idm needs a recorded path")
-        pts = _dedupe_polyline(binding.recorded_states)
+        pts = _dedupe_polyline(recording[:, :2])
         if len(pts) < 2:
             raise SetupError(f"agent {problem.agent_id}: recorded path too short for idm")
         path = CurvilinearFrame(Polyline(np.asarray(pts)))
-        v0_profile = [s.v for s in binding.recorded_states]
-        return IdmPlanner(path, v0_profile, binding.idm_params, problem.params, dt)
+        return IdmPlanner(path, recording[:, 2].tolist(), binding.idm_params,
+                          problem.params, dt)
     # frenet
     from .planners import route_to_goal
 
@@ -127,12 +128,9 @@ def build_planner(binding: PlannerBinding, problem, scenario: Scenario, dt: floa
         route = route_to_goal(scenario.network, problem.initial_state, problem.goal)
     except RouteError as exc:
         raise SetupError(f"agent {problem.agent_id}: {exc}") from exc
-    if binding.v_ref is not None:
-        v_ref = binding.v_ref
-    elif binding.recorded_states:
-        v_ref = max(1.0, float(np.mean([s.v for s in binding.recorded_states])))
-    else:
-        v_ref = max(1.0, problem.initial_state.v)
+    v_ref = binding.v_ref
+    if v_ref is None:
+        v_ref = max(1.0, float(np.mean(recording[:, 2])) if recorded else problem.initial_state.v)
     try:
         return FrenetPlanner(route, binding.frenet_config, problem.params, v_ref, dt)
     except PlannerError as exc:
@@ -228,7 +226,6 @@ def run(scenario: Scenario, bindings: dict[str, PlannerBinding],
 
 
 def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationResult:
-    statics = [(o.id, o.pose, o.length, o.width) for o in scenario.static_obstacles]
     step_logs: list[StepLog] = []
 
     for t in range(cfg.max_steps):
@@ -240,13 +237,11 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
 
         # (1) aggregate time-t states of everything
         agent_states = {aid: agents[aid].states[-1] for aid in running}
-        obstacle_states = {o.id: o.state_at(t) for o in scenario.dynamic_obstacles}
         vehicles = (
             [(aid, agent_states[aid], agents[aid].problem.params.length,
               agents[aid].problem.params.width, True) for aid in running]
-            + [(o.id, obstacle_states[o.id], o.length, o.width, False)
-               for o in scenario.dynamic_obstacles]
-            + [(sid, pose, ln, wd, False) for sid, pose, ln, wd in statics]
+            + [(o.id, o.state_at(t), o.length, o.width, False) for o in scenario.dynamic_obstacles]
+            + [(o.id, o.pose, o.length, o.width, False) for o in scenario.static_obstacles]
         )
 
         # (2) collision check on time-t states; collided agents are removed
@@ -398,11 +393,9 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
         if n > len(obstacle_ids):
             raise SetupError(f"agent count {n} exceeds available vehicles ({len(obstacle_ids)})")
         chosen = obstacle_ids[:n]
-        recordings = {oid: tuple(scenario.dynamic_obstacle(oid).recorded_states)
-                      for oid in chosen}
         sub = substitute_agents(scenario, chosen)
         bindings = {
-            oid: PlannerBinding(kind="frenet", recorded_states=recordings[oid],
+            oid: PlannerBinding(kind="frenet", recording=scenario.dynamic_obstacle(oid).recording,
                                 frenet_config=frenet_config or FrenetPlannerConfig())
             for oid in chosen
         }

@@ -236,8 +236,9 @@ class Polygon:
         return self._bounds
 
     def contains_points(self, points, boundary_tol: float = 1e-9) -> np.ndarray:
-        """Point-in-polygon by crossing number, one bool per point (n, 2); a
-        point within boundary_tol of an edge counts inside.
+        """Point-in-polygon by crossing number, one bool per point (n, 2),
+        none for no points; a point within boundary_tol of an edge counts
+        inside.
 
         Each call evaluates only the edges that can change a result for its
         points, with the same per-element formulas as over every edge, so the
@@ -259,7 +260,7 @@ class Polygon:
         NaN coordinates are left out of the points' bounding box; such a
         point is never inside, culled or not.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
         px, py = pts[:, :1], pts[:, 1:2]
         lo = np.fmin.reduce(pts, axis=0, initial=np.inf)
         hi = np.fmax.reduce(pts, axis=0, initial=-np.inf)

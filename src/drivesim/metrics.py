@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AgentState, VehicleParams, normalize_angle, normalize_angles
+from .dynamics import VehicleParams, normalize_angle, normalize_angles
 from .engine import AgentStatus, SimulationResult
 from .geometry import box_intersects_polygon, boxes_intersect, min_distance, occupancy
 from .prediction import ahead, lane_chain
@@ -40,21 +40,21 @@ class MetricConfig:
 
 @dataclass
 class VehicleLog:
+    """A vehicle's motion over the run: track (n, 4) holds its (x, y, v,
+    theta) at each step."""
+
     id: str
-    states: list
+    track: np.ndarray
     length: float
     width: float
     is_agent: bool
     params: VehicleParams | None = None
 
     def __post_init__(self):
-        self.v = np.array([s.v for s in self.states])
-        # acceleration by central finite differences of the logged speeds
-        if len(self.v) >= 2:
-            self.a = np.gradient(self.v)  # scaled by dt by the caller
-        else:
-            self.a = np.zeros_like(self.v)
-        self.boxes = occupancy(self.states, self.length, self.width)
+        self.v = self.track[:, 2]
+        # speed change per step by central differences; the caller divides by dt
+        self.a = np.gradient(self.v) if len(self.v) >= 2 else np.zeros_like(self.v)
+        self.boxes = occupancy(self.track[:, [0, 1, 3]], self.length, self.width)
 
 
 @dataclass
@@ -79,13 +79,9 @@ def _candidate_chains(network, log, step: int, chain_cache: dict):
     with it. Computed once per evaluation and step."""
     if (log.id, step) in chain_cache:
         return chain_cache[(log.id, step)]
-    state = log.states[step]
-    p = np.array([state.x, state.y])
-    starts = []
-    for lid in network.containing_lanelets(p):
-        lane = network.lanelets[lid]
-        if abs(normalize_angle(lane.start_tangent_angle() - state.theta)) <= math.pi / 2:
-            starts.append(lid)
+    x, y, _, theta = log.track[step].tolist()
+    turns = _containing_turns(network, x, y, theta)
+    starts = [lid for lid, turn in turns.items() if turn <= math.pi / 2]
     lanelet = _lanelets(network, log, chain_cache)[step]
     if not starts and lanelet is not None:
         starts = [lanelet]
@@ -109,7 +105,7 @@ def _lanelets(network, log, chain_cache: dict) -> list:
     """The localized lanelet (or None) at each logged state, found in one
     call per evaluation and kept in chain_cache under the log's id."""
     if log.id not in chain_cache:
-        chain_cache[log.id] = network.localize([(s.x, s.y) for s in log.states])
+        chain_cache[log.id] = network.localize(log.track[:, :2])
     return chain_cache[log.id]
 
 
@@ -157,7 +153,7 @@ def tit(ttc_series, tau: float, dt: float, total_duration: float) -> float:
 
 
 def distance_series(log_a: VehicleLog, log_o: VehicleLog) -> np.ndarray:
-    n = min(len(log_a.states), len(log_o.states))
+    n = min(len(log_a.track), len(log_o.track))
     return min_distance(log_a.boxes[:n], log_o.boxes[:n])
 
 
@@ -206,8 +202,9 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
                   dt: float, cfg: MetricConfig, conflict_pairs: set,
                   chain_cache: dict) -> PairContext:
     """Classify the pair at one step and pick the most critical frame."""
-    sa, so = log_a.states[step], log_o.states[step]
-    if math.hypot(sa.x - so.x, sa.y - so.y) > cfg.gating_distance:
+    xa, ya, va, tha = log_a.track[step].tolist()
+    xo, yo, vo, tho = log_o.track[step].tolist()
+    if math.hypot(xa - xo, ya - yo) > cfg.gating_distance:
         return PairContext("ignored")
 
     chains = _candidate_chains(network, log_a, step, chain_cache)
@@ -219,21 +216,22 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     best: PairContext | None = None
     for chain in chains:
         frame = network.chain_frame(chain)
-        s, d, in_dom = frame.project([(sa.x, sa.y), (so.x, so.y)])
+        s, d, in_dom = frame.project([(xa, ya), (xo, yo)])
         if not in_dom.all():
             continue
         (s_a, s_o), (d_a, d_o) = s.tolist(), d.tolist()
         tang_a, tang_o = frame.tangent_angle_at(s).tolist()
-        same_dir = abs(normalize_angle(so.theta - tang_o)) <= math.pi / 2
+        same_dir = abs(normalize_angle(tho - tang_o)) <= math.pi / 2
         lanes_cross = (
             other_lanelet is not None
             and any(tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in chain)
         )
         if not same_dir:
-            on_oncoming_lane = abs(normalize_angle(sa.theta - tang_a)) > math.pi / 2
+            on_oncoming_lane = abs(normalize_angle(tha - tang_a)) > math.pi / 2
             # the agent's own chains align with its heading, so check the
             # containing lanelets directly
-            on_oncoming_lane = on_oncoming_lane or _occupies_oncoming(network, sa)
+            on_oncoming_lane = on_oncoming_lane or any(
+                turn > math.pi / 2 for turn in _containing_turns(network, xa, ya, tha).values())
             if not (on_oncoming_lane or lanes_cross):
                 continue
             relation = "oncoming-relevant"
@@ -242,8 +240,8 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         else:
             relation = "lead-follow"
 
-        v_a_along = sa.v * math.cos(normalize_angle(sa.theta - tang_a))
-        v_o_along = so.v * math.cos(normalize_angle(so.theta - tang_o))
+        v_a_along = va * math.cos(normalize_angle(tha - tang_a))
+        v_o_along = vo * math.cos(normalize_angle(tho - tang_o))
         hw = INF
         if s_o - log_o.length / 2.0 > s_a + log_a.length / 2.0 and abs(d_o) <= CORRIDOR_HALFWIDTH:
             hw = (s_o - log_o.length / 2.0) - (s_a + log_a.length / 2.0)
@@ -261,13 +259,10 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     return best
 
 
-def _occupies_oncoming(network, state: AgentState) -> bool:
-    p = np.array([state.x, state.y])
-    for lid in network.containing_lanelets(p):
-        lane = network.lanelets[lid]
-        if abs(normalize_angle(lane.start_tangent_angle() - state.theta)) > math.pi / 2:
-            return True
-    return False
+def _containing_turns(network, x: float, y: float, theta: float) -> dict:
+    """|heading - start tangent| of each lanelet containing (x, y), by id."""
+    return {lid: abs(normalize_angle(network.lanelets[lid].start_tangent_angle() - theta))
+            for lid in network.containing_lanelets((x, y))}
 
 
 def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
@@ -280,25 +275,27 @@ def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     tracks = []  # (state, frame, arc lengths at steps k, offset) per vehicle
     folds = np.zeros(len(k), dtype=bool)
     for log in (log_a, log_o):
-        st, lid = log.states[step], _lanelets(network, log, chain_cache)[step]
+        x0, y0, v, theta0 = st = log.track[step].tolist()
+        lid = _lanelets(network, log, chain_cache)[step]
         frame = s = d0 = None
         if lid is not None:
-            needed = network.lanelets[lid].centerline.length + (st.v * horizon + 20.0)
-            frame = network.chain_frame(lane_chain(network, lid, st.theta, needed))
-            s0, d0, _ = frame.project((st.x, st.y))
-            s = np.minimum(s0 + st.v * k * dt, frame.length)
+            needed = network.lanelets[lid].centerline.length + (v * horizon + 20.0)
+            frame = network.chain_frame(lane_chain(network, lid, theta0, needed))
+            s0, d0, _ = frame.project((x0, y0))
+            s = np.minimum(s0 + v * k * dt, frame.length)
             folds |= frame.folds(s, d0)
         tracks.append((st, frame, s, d0))
     n = int(np.argmax(np.append(folds, True)))
     boxes = []
     for (st, frame, s, d0), log in zip(tracks, (log_a, log_o)):
+        x0, y0, v, theta0 = st
         if frame is None:
-            x, y = ahead(st.x, st.y, st.theta, st.v * k[:n] * dt)
-            theta = np.full(n, st.theta)
+            x, y = ahead(x0, y0, theta0, v * k[:n] * dt)
+            theta = np.full(n, theta0)
         else:
             x, y = frame.to_cartesian(s[:n], d0).T
             theta = normalize_angles(frame.tangent_angle_at(s[:n]))
-        poses = [np.append(st.x, x), np.append(st.y, y), np.append(st.theta, theta)]
+        poses = [np.append(x0, x), np.append(y0, y), np.append(theta0, theta)]
         boxes.append(np.column_stack(poses + [np.full(n + 1, v) for v in (log.length, log.width)]))
     hits = np.flatnonzero(boxes_intersect(boxes[0], boxes[1]))
     return int(hits[0]) * dt if len(hits) else INF
@@ -377,14 +374,13 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     problems = {p.agent_id: p for p in scenario.planning_problems}
     for aid, traj in result.trajectories.items():
         params = problems[aid].params if aid in problems else VehicleParams()
-        logs[aid] = VehicleLog(aid, list(traj.states), params.length, params.width,
-                               True, params)
-    for obs in scenario.dynamic_obstacles:
-        states = [obs.state_at(k) for k in range(n_steps + 1)]
-        logs[obs.id] = VehicleLog(obs.id, states, obs.length, obs.width, False)
-    for obs in scenario.static_obstacles:
-        states = [obs.pose] * (n_steps + 1)
-        logs[obs.id] = VehicleLog(obs.id, states, obs.length, obs.width, False)
+        track = np.array([(s.x, s.y, s.v, s.theta) for s in traj.states])
+        logs[aid] = VehicleLog(aid, track, params.length, params.width, True, params)
+    obstacles = [(o, o.track(np.arange(n_steps + 1))) for o in scenario.dynamic_obstacles] + [
+        (o, np.tile((o.pose.x, o.pose.y, o.pose.v, o.pose.theta), (n_steps + 1, 1)))
+        for o in scenario.static_obstacles]
+    for obs, track in obstacles:
+        logs[obs.id] = VehicleLog(obs.id, track, obs.length, obs.width, False)
 
     conflict_areas = network.conflict_areas()
     conflict_pairs = {tuple(sorted(pair)) for pair, _ in conflict_areas}
@@ -398,21 +394,21 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     for aid in agent_ids:
         log_a = logs[aid]
         params = log_a.params or VehicleParams()
+        v_a = log_a.v.tolist()
         per_pair_ttc = []
         for oid in sorted(logs):
             if oid == aid:
                 continue
             log_o = logs[oid]
-            n = min(len(log_a.states), len(log_o.states))
             dists = distance_series(log_a, log_o)
             series = {k: [] for k in ("hw", "thw", "ttc", "ttce", "dce",
                                       "btn", "stn", "relation")}
-            for t in range(n):
+            for t in range(len(dists)):
                 ctx = select_frames(network, log_a, log_o, t, dt, cfg,
                                     conflict_pairs, chain_cache)
                 series["relation"].append(ctx.relation)
                 series["hw"].append(ctx.hw)
-                v = log_a.states[t].v
+                v = v_a[t]
                 series["thw"].append(ctx.hw / v if (math.isfinite(ctx.hw) and v > 0) else INF)
                 series["ttc"].append(ctx.ttc)
                 series["btn"].append(braking_threat(ctx.hw, ctx.v_a_along,
@@ -440,13 +436,11 @@ def evaluate(result: SimulationResult, scenario: Scenario,
                 })
 
         # per-agent series: most critical TTC across pairs, MSD, PSD
-        ttc_min = []
-        for t in range(len(log_a.states)):
-            vals = [s[t] for s in per_pair_ttc if t < len(s)]
-            ttc_min.append(min(vals) if vals else INF)
+        ttc_min = [min((s[t] for s in per_pair_ttc if t < len(s)), default=INF)
+                   for t in range(len(v_a))]
         msd_series, psd_series = [], []
-        for t, st in enumerate(log_a.states):
-            msd = minimum_stopping_distance(st.v, params.a_long_max)
+        for t, v in enumerate(v_a):
+            msd = minimum_stopping_distance(v, params.a_long_max)
             msd_series.append(msd)
             dist_area = _distance_to_next_conflict_area(network, log_a, t, conflict_areas,
                                                         chain_cache)
@@ -454,7 +448,7 @@ def evaluate(result: SimulationResult, scenario: Scenario,
                               if math.isfinite(dist_area) else INF)
         report.agent_series[aid] = {"ttc": ttc_min, "msd": msd_series, "psd": psd_series}
 
-        duration = (len(log_a.states) - 1) * dt
+        duration = (len(v_a) - 1) * dt
         pair_mins = {
             "min_ttc": _finite_min(ttc_min),
             "min_dce": _finite_min(
@@ -480,11 +474,11 @@ def evaluate(result: SimulationResult, scenario: Scenario,
 
 def _distance_to_next_conflict_area(network, log: VehicleLog, step: int, conflict_areas,
                                     chain_cache) -> float:
-    state = log.states[step]
+    position = log.track[step, :2].tolist()
     best = INF
     for chain in _candidate_chains(network, log, step, chain_cache):
         frame = network.chain_frame(chain)
-        s_a, _, in_a = frame.project((state.x, state.y))
+        s_a, _, in_a = frame.project(position)
         if not in_a:
             continue
         chain_set = set(chain)

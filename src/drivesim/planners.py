@@ -76,17 +76,17 @@ def _two_state_trajectory(ego: AgentState, u: ControlInput, dt: float) -> tuple[
 
 
 class ReplayPlanner:
-    """Follows a recorded trajectory, ignoring all neighbors."""
+    """Follows a recording (n, 4) of (x, y, v, theta), ignoring all neighbors."""
 
-    def __init__(self, recorded_states, dt: float):
-        self.recorded = list(recorded_states)
+    def __init__(self, recording: np.ndarray, dt: float):
+        self.recording = recording
         self.dt = dt
 
     def plan(self, view: LocalView, memory: dict) -> PlanResult:
         idx = view.step
         ego = view.ego
-        if idx + 1 < len(self.recorded):
-            nxt = self.recorded[idx + 1]
+        if idx + 1 < len(self.recording):
+            nxt = AgentState(*self.recording[idx + 1].tolist())
             accel = (nxt.v - ego.v) / self.dt
             if ego.v > 1e-9:
                 kappa = normalize_angle(nxt.theta - ego.theta) / (ego.v * self.dt)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .dynamics import AgentState, VehicleParams
+from .dynamics import AgentState, VehicleParams, normalize_angles
 from .geometry import CurvilinearFrame, Polygon, Polyline, box_corners, occupancy
 
 LOCALIZE_RADIUS = 5.0  # m; a position farther from every centerline is off the network
@@ -114,12 +114,8 @@ class StreetNetwork:
         return np.where(np.asarray(dists) <= LOCALIZE_RADIUS, ids, None).tolist()
 
     def containing_lanelets(self, point) -> list[str]:
-        p = np.asarray(point, dtype=float)
-        out = []
-        for lid in sorted(self.lanelets):
-            if bool(self.lanelets[lid].polygon.contains_points(p[None, :])[0]):
-                out.append(lid)
-        return out
+        return [lid for lid in sorted(self.lanelets)
+                if self.lanelets[lid].polygon.contains_points(point)[0]]
 
     def conflict_areas(self):
         """Overlap polygons of non-adjacent lanelet pairs (grid-sampled hull).
@@ -190,28 +186,30 @@ class StaticObstacle:
 
 
 class DynamicObstacle:
-    def __init__(self, obstacle_id, length, width, recorded_trajectory, params: VehicleParams | None = None):
+    """A recorded vehicle. Its recording is a read-only array (n, 4) of
+    (x, y, v, theta) at the scenario's dt, theta wrapped as AgentState wraps
+    it; after the last row the vehicle holds its final pose at rest."""
+
+    def __init__(self, obstacle_id, length, width, recording, params: VehicleParams | None = None):
         if length <= 0 or width <= 0:
             raise ScenarioError(f"obstacle {obstacle_id}: shape must be positive")
-        states = list(recorded_trajectory)
-        if not states:
-            raise ScenarioError(f"obstacle {obstacle_id}: trajectory must be non-empty")
         self.id = str(obstacle_id)
         self.length = float(length)
         self.width = float(width)
-        self.recorded_states = states
+        self.recording = _parse_states(recording, f"obstacle {self.id}")
         self.params = params
 
-    def state_at(self, index: int) -> AgentState:
-        """Recorded state, holding the final pose at rest once exhausted."""
-        if index < len(self.recorded_states):
-            return self.recorded_states[index]
-        last = self.recorded_states[-1]
-        return AgentState(last.x, last.y, 0.0, last.theta)
+    def track(self, steps) -> np.ndarray:
+        """Recorded states (..., 4) at steps (...), holding the final pose at
+        rest once exhausted."""
+        steps = np.asarray(steps)
+        track = np.take(self.recording, np.minimum(steps, len(self.recording) - 1), axis=0)
+        track[..., 2] = np.where(steps < len(self.recording), track[..., 2], 0.0)
+        return track
 
-    @property
-    def duration_steps(self) -> int:
-        return len(self.recorded_states) - 1
+    def state_at(self, index: int) -> AgentState:
+        """The state track gives at step index, as an AgentState."""
+        return AgentState(*self.track(index).tolist())
 
 
 @dataclass(frozen=True)
@@ -299,18 +297,18 @@ def substitute_agents(scenario: Scenario, obstacle_ids) -> Scenario:
             keep.append(obs)
             continue
         obstacle_ids.discard(obs.id)
-        if len(obs.recorded_states) < 2:
+        if len(obs.recording) < 2:
             raise ScenarioError(
                 f"obstacle {obs.id}: needs >=2 recorded states to derive a goal"
             )
-        final = obs.recorded_states[-1]
-        goal_box = occupancy(final, obs.length + 2 * 2.0, obs.width + 2 * 0.5)
-        duration = obs.duration_steps * scenario.dt
+        goal_box = occupancy(obs.recording[-1, [0, 1, 3]], obs.length + 2 * 2.0,
+                             obs.width + 2 * 0.5)
+        duration = (len(obs.recording) - 1) * scenario.dt
         goal = GoalRegion(area=Polygon(box_corners(goal_box)), t_max=1.5 * duration)
         params = obs.params or VehicleParams(length=obs.length, width=obs.width)
         problems.append(PlanningProblem(
             agent_id=obs.id,
-            initial_state=obs.recorded_states[0],
+            initial_state=AgentState(*obs.recording[0].tolist()),
             goal=goal,
             params=params,
         ))
@@ -332,11 +330,23 @@ def _parse_adjacency(entry, where):
         raise ScenarioError(f"{where}: malformed adjacency block ({exc})") from exc
 
 
-def _parse_states(rows, where):
+def _parse_states(rows, where) -> np.ndarray:
+    """Recorded states [x, y, v, theta] as a read-only array (n, 4), theta
+    wrapped as AgentState wraps it; ScenarioError unless there is at least
+    one row and every row is four numbers with v >= 0."""
     try:
-        return [AgentState(float(x), float(y), float(v), float(th)) for x, y, v, th in rows]
+        states = np.array(rows, dtype=float)
+        if states.shape[1:] != (4,) or not len(states):
+            raise ValueError(f"shape {states.shape} is not (n, 4) with n >= 1")
+        for i, j in np.argwhere(np.isnan(states)).tolist():
+            float(rows[i][j])  # numpy reads None as NaN, float(None) raises
+        if (states[:, 2] < 0).any():
+            raise ValueError("velocity must be >= 0")
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: malformed state row ({exc})") from exc
+        raise ScenarioError(f"{where}: malformed trajectory ({exc})") from exc
+    states[:, 3] = normalize_angles(states[:, 3])
+    states.flags.writeable = False
+    return states
 
 
 def _parse_vehicle_params(block):
@@ -378,7 +388,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             oid,
             float(entry["shape"]["length"]),
             float(entry["shape"]["width"]),
-            _parse_states(entry["trajectory"], f"dynamic obstacle {oid}"),
+            entry["trajectory"],
             params=_parse_vehicle_params(entry.get("vehicle_params")),
         ))
     problems = []
@@ -460,7 +470,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             {
                 "id": o.id,
                 "shape": {"length": o.length, "width": o.width},
-                "trajectory": [[s.x, s.y, s.v, s.theta] for s in o.recorded_states],
+                "trajectory": o.recording.tolist(),
                 "vehicle_params": _vehicle_params_to_dict(o.params),
             }
             for o in scenario.dynamic_obstacles

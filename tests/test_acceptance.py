@@ -42,8 +42,8 @@ def _max_lateral_offset(result, scenario_name, agent_id):
     from drivesim.cli import resolve_scenario_path
 
     original = load_scenario(resolve_scenario_path(scenario_name, Path(".")))
-    recorded = original.dynamic_obstacle(agent_id).recorded_states
-    frame = CurvilinearFrame(Polyline(np.array([[s.x, s.y] for s in recorded])))
+    recording = original.dynamic_obstacle(agent_id).recording
+    frame = CurvilinearFrame(Polyline(recording[:, :2]))
     worst = 0.0
     for st in result.trajectories[agent_id].states:
         _, d, in_dom = frame.project((st.x, st.y))
@@ -349,12 +349,10 @@ def test_dce_ttce_against_sampled_distances_on_highway():
 def _stopping_logs(margin):
     """Ego closes on a stopped lead at 10 m/s and halts `margin` short of it."""
     length, width = 4.0, 2.0
-    lead = [AgentState(24.0, 0.0, 0.0, 0.0)] * 31
-    ego = []
-    for k in range(31):
-        x = min(1.0 * k, 20.0 - margin)
-        v = 10.0 if x < 20.0 - margin else 0.0
-        ego.append(AgentState(x, 0.0, v, 0.0))
+    lead = np.tile((24.0, 0.0, 0.0, 0.0), (31, 1))
+    x = np.minimum(np.arange(31.0), 20.0 - margin)
+    v = np.where(x < 20.0 - margin, 10.0, 0.0)
+    ego = np.column_stack([x, np.zeros(31), v, np.zeros(31)])
     return (VehicleLog("ego", ego, length, width, True),
             VehicleLog("lead", lead, length, width, False))
 

@@ -111,6 +111,11 @@ class TestPolygon:
         inside = poly.contains_points([[2, 1], [5, 1], [4, 3]])
         assert list(inside) == [True, False, True]  # boundary counts inside
 
+    @pytest.mark.parametrize("points", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_contains_no_points(self, points):
+        inside = Polygon([[0, 0], [4, 0], [4, 3], [0, 3]]).contains_points(points)
+        assert inside.shape == (0,) and inside.dtype == bool
+
     def test_box_inside_region(self):
         region = [Polygon([[0, -3], [50, -3], [50, 3], [0, 3]])]
         inside = np.array([25.0, 0.0, 0.0, 4.0, 2.0])

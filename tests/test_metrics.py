@@ -1,20 +1,23 @@
 """Criticality measures: elementary formulas, frame selection, reports."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drivesim import engine
-from drivesim.cli import build_run, load_run_config, read_run_outputs, write_run_outputs
+from drivesim.cli import (build_run, load_run_config, read_run_outputs, resolve_scenario_path,
+                          write_run_outputs)
 from drivesim.dynamics import AgentState, VehicleParams
-from drivesim.geometry import Polygon, Polyline, box_intersects_polygon
+from drivesim.geometry import Polygon, Polyline, box_intersects_polygon, occupancy
 from drivesim.metrics import (MetricConfig, VehicleLog, braking_threat,
                               encroachment_times, evaluate,
                               minimum_stopping_distance,
                               proportion_stopping_distance, select_frames,
                               steering_threat, ttc_closed_form)
-from drivesim.scenario import Lanelet, Scenario, StaticObstacle, StreetNetwork
+from drivesim.scenario import (Lanelet, Scenario, StaticObstacle, StreetNetwork,
+                               load_scenario)
 
 DT = 0.1
 INF = math.inf
@@ -30,10 +33,11 @@ def straight_network():
 
 
 def const_log(vid, x0, y0, v, theta=0.0, n=50, is_agent=True):
-    states = [AgentState(x0 + v * k * DT * math.cos(theta),
-                         y0 + v * k * DT * math.sin(theta), v, theta)
-              for k in range(n)]
-    return VehicleLog(vid, states, 4.0, 2.0, is_agent)
+    k = np.arange(n)
+    track = np.column_stack([x0 + v * k * DT * math.cos(theta),
+                             y0 + v * k * DT * math.sin(theta),
+                             np.full(n, v), np.full(n, theta)])
+    return VehicleLog(vid, track, 4.0, 2.0, is_agent)
 
 
 class TestElementary:
@@ -202,6 +206,22 @@ class TestReport:
             return True
         assert no_raw_inf(doc)
 
+    def test_recordings_stay_arrays(self, merge_runs, monkeypatch):
+        # loading a scenario and evaluating a run read recorded and logged
+        # motion as arrays: neither builds an AgentState
+        result, scenario, cfg = merge_runs["replay"]
+        built, post_init = [], AgentState.__post_init__
+
+        def counted(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(AgentState, "__post_init__", counted)
+        assert sum(len(o.recording) for o in load_scenario(
+            resolve_scenario_path("highway", Path("."))).dynamic_obstacles) > 3000
+        evaluate(result, scenario, cfg)
+        assert built == []
+
     def test_pet_names_the_vehicle_that_follows(self, intersection_runs):
         # a parked vehicle that sorts first by id and never enters the
         # conflict area must not stand in for the one that follows the agent.
@@ -232,8 +252,7 @@ class TestReport:
         result = engine.run(scenario, bindings, sim_cfg, predictor)
         events = evaluate(result, scenario, cfg).conflict_events
         params = scenario.planning_problems[0].params
-        boxes = VehicleLog("orange", result.trajectories["orange"].states, params.length,
-                           params.width, True).boxes
+        boxes = occupancy(result.trajectories["orange"].states, params.length, params.width)
         overlapping = [int(box_intersects_polygon(boxes, area).sum())
                        for _, area in scenario.network.conflict_areas()]
         assert sum(n > 0 for n in overlapping) > 0

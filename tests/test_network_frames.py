@@ -26,8 +26,7 @@ def _polyline_distance(p, pts):
 
 
 def _recorded_positions(scenario, every=10):
-    return np.array([(st.x, st.y) for obs in scenario.dynamic_obstacles
-                     for st in obs.recorded_states[::every]])
+    return np.concatenate([obs.recording[::every, :2] for obs in scenario.dynamic_obstacles])
 
 
 def _check_nearest_at_recorded_positions(name, every=10):

@@ -51,7 +51,7 @@ class TestReplay:
         states = [AgentState(0, 0, 10, 0)]
         for _ in range(20):
             states.append(step(states[-1], ControlInput(0.5, 0.01), DT))
-        planner = ReplayPlanner(states, DT)
+        planner = ReplayPlanner(np.array([(s.x, s.y, s.v, s.theta) for s in states]), DT)
         current = states[0]
         for k in range(20):
             res = planner.plan(empty_view(current, k), {})
@@ -60,9 +60,8 @@ class TestReplay:
             current = res.next_state
 
     def test_holds_pose_after_recording(self):
-        states = [AgentState(0, 0, 0, 0), AgentState(0, 0, 0, 0)]
-        planner = ReplayPlanner(states, DT)
-        res = planner.plan(empty_view(states[-1], 5), {})
+        planner = ReplayPlanner(np.zeros((2, 4)), DT)
+        res = planner.plan(empty_view(AgentState(0, 0, 0, 0), 5), {})
         assert res.next_state.v == 0.0
         assert res.next_state.x == pytest.approx(0.0)
 

@@ -1,13 +1,12 @@
 """Scenario model: maps, obstacles, goals, substitution, (de)serialization."""
 
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drivesim.cli import resolve_scenario_path
-from drivesim.dynamics import AgentState
+from drivesim.dynamics import AgentState, normalize_angle
 from drivesim.geometry import Polygon, Polyline
 from drivesim.scenario import (Adjacency, DynamicObstacle, GoalCheck,
                                GoalRegion, Lanelet, Scenario, ScenarioError,
@@ -84,11 +83,10 @@ class TestSubstitution:
         assert [o.id for o in sub.dynamic_obstacles] == ["orange"]
         (prob,) = sub.planning_problems
         assert prob.agent_id == "green"
-        recorded = scenario.dynamic_obstacle("green").recorded_states
-        assert prob.initial_state == recorded[0]
-        final = recorded[-1]
-        assert bool(prob.goal.area.contains_points([[final.x, final.y]])[0])
-        duration = (len(recorded) - 1) * scenario.dt
+        recording = scenario.dynamic_obstacle("green").recording
+        assert prob.initial_state == AgentState(*recording[0])
+        assert bool(prob.goal.area.contains_points(recording[-1:, :2])[0])
+        duration = (len(recording) - 1) * scenario.dt
         assert prob.goal.t_max == pytest.approx(1.5 * duration)
 
     def test_unknown_id_rejected(self):
@@ -106,9 +104,24 @@ class TestSerialization:
         assert [o.id for o in back.dynamic_obstacles] == \
                [o.id for o in scenario.dynamic_obstacles]
         for orig, copy in zip(scenario.dynamic_obstacles, back.dynamic_obstacles):
-            for a, b in zip(orig.recorded_states, copy.recorded_states):
-                assert math.isclose(a.x, b.x) and math.isclose(a.y, b.y)
-                assert math.isclose(a.v, b.v) and math.isclose(a.theta, b.theta)
+            assert np.array_equal(orig.recording, copy.recording)
+
+    @pytest.mark.parametrize("trajectory", [
+        [[0.0, 0.0, 5.0, 0.0], [1.0, 0.0, 5.0]],
+        [[0.0, 0.0, 5.0, 0.0, 1.0]],
+        [0.0, 0.0, 5.0, 0.0],
+        [[0.0, "east", 5.0, 0.0]],
+        [[0.0, 0.0, None, 0.0]],
+        [[0.0, 0.0, 5.0, 0.0], [0.5, 0.0, -1.0, 0.0]],
+        [],
+    ], ids=["ragged", "five_columns", "flat", "non_numeric", "null", "negative_speed",
+            "empty"])
+    def test_malformed_trajectory_names_obstacle(self, trajectory):
+        doc = scenario_to_dict(_bundled("merge"))
+        obstacle = doc["dynamic_obstacles"][1]
+        obstacle["trajectory"] = trajectory
+        with pytest.raises(ScenarioError, match=rf"\bobstacle {obstacle['id']}: "):
+            scenario_from_dict(doc)
 
     def test_dict_round_trip(self):
         scenario = _bundled("merge")
@@ -116,7 +129,10 @@ class TestSerialization:
         assert sorted(again.network.lanelets) == sorted(scenario.network.lanelets)
 
     def test_obstacle_state_at_holds_final_pose(self):
-        obs = DynamicObstacle("x", 4.0, 2.0,
-                              [AgentState(0, 0, 5, 0), AgentState(0.5, 0, 5, 0)])
+        obs = DynamicObstacle("x", 4.0, 2.0, [[0, 0, 5, 0], [0.5, 0, 5, 7.0]])
         held = obs.state_at(10)
         assert (held.x, held.v) == (0.5, 0.0)
+        assert obs.recording[1, 3] == normalize_angle(7.0) == held.theta
+        assert not obs.recording.flags.writeable
+        held_track = [[s.x, s.y, s.v, s.theta] for s in map(obs.state_at, range(4))]
+        assert obs.track(range(4)).tolist() == held_track

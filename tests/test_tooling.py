@@ -1,28 +1,38 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tooling against the package, and the package against
+the benchmark's output checks.
 
 perfbench/spans.py wraps drivesim functions by name from outside the
-package; renaming one of them would stop the benchmark from starting. The
-module is compiled from its source text, so the check writes nothing under
-perfbench/.
+package; renaming one of them would stop the benchmark from starting.
+perfbench/checks.py recomputes figures of a run with code of its own, so
+it serves as an oracle for every workload of perfbench/workloads.py.
+tools/make_fixtures.py rebuilds the bundled scenarios from the vehicle model.
+Each module is compiled from its source text, so no test writes anything
+under perfbench/ or tools/.
 """
 
 import types
 from pathlib import Path
 
+import pytest
+
 from drivesim import engine, geometry, metrics, scenario
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from conftest import run_bundled
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+DATA = ROOT / "src" / "drivesim" / "data"
 
 
-def _load_spans():
-    module = types.ModuleType("spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+def _load(path: Path):
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_tracer_installs_and_restores():
-    spans = _load_spans()
+    spans = _load(PERFBENCH / "spans.py")
     originals = (geometry.CurvilinearFrame.project, scenario.StreetNetwork.nearest_lanelet,
                  metrics.select_frames, engine.predict_all)
     tracer = spans.Tracer()
@@ -36,3 +46,25 @@ def test_tracer_installs_and_restores():
         undo()
     assert (geometry.CurvilinearFrame.project, scenario.StreetNetwork.nearest_lanelet,
             metrics.select_frames, engine.predict_all) == originals
+
+
+@pytest.mark.parametrize("name", ["highway_frenet12", "intersection_frenet"])
+def test_benchmark_checks_pass(name):
+    """Every output check of the benchmark passes on its workloads, and the
+    highway headway check compares at least one finite headway."""
+    checks = _load(PERFBENCH / "checks.py")
+    workload = _load(PERFBENCH / "workloads.py").WORKLOADS[name]
+    result, scn, metric_cfg = run_bundled(workload.config)
+    report = metrics.evaluate(result, scn, metric_cfg)
+    out = checks.run_checks(workload, result, scn, report, metric_cfg)
+    assert not any(out["problems"].values()), out["problems"]
+    if workload.straight_lanes:
+        assert out["headways_compared"] > 0
+
+
+def test_make_fixtures_regenerates_bundled_scenarios(tmp_path):
+    fixtures = _load(ROOT / "tools" / "make_fixtures.py")
+    fixtures.DATA_DIR = tmp_path
+    for name in ("merge", "t_intersection", "highway"):
+        getattr(fixtures, f"make_{name}")()
+        assert (tmp_path / f"{name}.json").read_bytes() == (DATA / f"{name}.json").read_bytes()

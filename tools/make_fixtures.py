@@ -59,8 +59,9 @@ def taper_centerline(x0, x1, y0, y1, step_len=2.0):
     return np.column_stack([xs, ys])
 
 
-def drive(path_points, start: AgentState, accel_fn, n_steps: int) -> list[AgentState]:
-    """Roll the vehicle model along a path with a per-step acceleration law."""
+def drive(path_points, start: AgentState, accel_fn, n_steps: int) -> np.ndarray:
+    """Roll the vehicle model along a path with a per-step acceleration law;
+    the recording (n_steps + 1, 4) of (x, y, v, theta)."""
     frame = CurvilinearFrame(Polyline(np.asarray(path_points)))
     states = [start]
     st = start
@@ -69,7 +70,7 @@ def drive(path_points, start: AgentState, accel_fn, n_steps: int) -> list[AgentS
         kappa = _track_path(frame, s, d, st.theta, 0.0, PARAMS)
         st = step(st, ControlInput(accel_fn(k, st), kappa), DT)
         states.append(st)
-    return states
+    return np.array([(s.x, s.y, s.v, s.theta) for s in states])
 
 
 def hold_speed(target):
@@ -134,7 +135,7 @@ def make_merge():
     ], [], DT)
     save_scenario(scenario, DATA_DIR / "merge.json")
     print("merge: orange ends at (%.1f, %.1f), green at (%.1f, %.1f)"
-          % (orange[-1].x, orange[-1].y, green[-1].x, green[-1].y))
+          % (*orange[-1, :2], *green[-1, :2]))
 
 
 def make_t_intersection():
@@ -162,7 +163,7 @@ def make_t_intersection():
     ], [], DT)
     save_scenario(scenario, DATA_DIR / "t_intersection.json")
     print("t_intersection: orange ends (%.1f, %.1f), green ends (%.1f, %.1f) v=%.1f"
-          % (orange[-1].x, orange[-1].y, green[-1].x, green[-1].y, green[-1].v))
+          % (*orange[-1, :2], *green[-1, :3]))
 
 
 def make_highway():
