@@ -62,16 +62,37 @@ class VehicleParams:
                 raise ValueError(f"VehicleParams.{name} must be positive")
 
 
+def _settled_prefix(start, increments: np.ndarray, stays, settle) -> np.ndarray:
+    """Columns (..., K+1): start, then settle(previous column + increment),
+    as prefix sums (np.add.accumulate); the rows with a sum that stays
+    rejects, NaN rows among them, are stepped instead (see rollout_arrays)."""
+    out = np.empty(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    out[..., 0], out[..., 1:] = start, increments
+    np.add.accumulate(out, axis=-1, out=out)
+    redo = ~np.all(stays(out[..., 1:]), axis=-1)
+    if redo.any():
+        # a boolean mask, not indices: it also selects the row of a 0-d start
+        rows, inc = out[redo], increments[redo]
+        for k in range(inc.shape[-1]):
+            rows[:, k + 1] = settle(rows[:, k] + inc[:, k])
+        out[redo] = rows
+    return out
+
+
 def rollout_arrays(x, y, v, theta, accel: np.ndarray, kappa: np.ndarray, dt: float):
     """States (..., K+1) of every trajectory that starts at (x, y, v, theta)
     (scalars or arrays (...)) and follows inputs accel, kappa (..., K).
 
     The kinematic model: each step clamps the speed at 0, advances along an
     arc of the commanded curvature at the mean of old and new speed, and
-    turns the heading by v * kappa * dt at the old speed. Only speed and
-    heading are stepped one step at a time; the arc increments of x and y
-    are whole (..., K) arrays and the positions their prefix sums, which
-    np.cumsum adds left to right as stepping would. A state never depends on
+    turns the heading by v * kappa * dt at the old speed, wrapped to
+    (-pi, pi]. Speed and heading are prefix sums of their increments, the
+    same left-to-right additions as stepping. The clamp leaves a speed > 0
+    unchanged, and normalize_angles a heading in (-pi, pi] (fmod is exact),
+    so a row whose sums all pass those tests is bitwise the stepped row;
+    the rows that clamp or wrap are stepped one step at a time
+    (_settled_prefix). The arc increments of x and y are whole (..., K)
+    arrays and the positions their prefix sums. A state never depends on
     later inputs, so padding the inputs leaves the leading states bitwise
     unchanged. Where np.sin, np.cos and np.fmod round as the math module
     does, as the tests check, a state gets bitwise what scalar arithmetic
@@ -79,24 +100,16 @@ def rollout_arrays(x, y, v, theta, accel: np.ndarray, kappa: np.ndarray, dt: flo
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    K = accel.shape[-1]
-    shape = accel.shape[:-1] + (K + 1,)
-    vs, thetas = np.empty(shape), np.empty(shape)
-    vs[..., 0], thetas[..., 0] = v, theta
-    dv = accel * dt
-    for k in range(K):
-        v_new = vs[..., k] + dv[..., k]
-        vs[..., k + 1] = np.where(v_new > 0.0, v_new, 0.0)
-    turn = vs[..., :-1] * kappa * dt
-    for k in range(K):
-        thetas[..., k + 1] = normalize_angles(thetas[..., k] + turn[..., k])
+    vs = _settled_prefix(v, accel * dt, lambda a: a > 0.0, lambda a: np.where(a > 0.0, a, 0.0))
+    thetas = _settled_prefix(theta, vs[..., :-1] * kappa * dt,
+                             lambda a: (a > -math.pi) & (a <= math.pi), normalize_angles)
     heading = thetas[..., :-1]
     ds = 0.5 * (vs[..., :-1] + vs[..., 1:]) * dt
     straight = (np.abs(kappa) < 1e-12) | (ds < 1e-15)
     k = np.where(straight, 1.0, kappa)
     sin0, cos0 = np.sin(heading), np.cos(heading)
     theta_end = heading + k * ds
-    xs, ys = np.empty(shape), np.empty(shape)
+    xs, ys = np.empty(vs.shape), np.empty(vs.shape)
     xs[..., 0], ys[..., 0] = x, y
     xs[..., 1:] = np.where(straight, ds * cos0, (np.sin(theta_end) - sin0) / k)
     ys[..., 1:] = np.where(straight, ds * sin0, (cos0 - np.cos(theta_end)) / k)

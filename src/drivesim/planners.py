@@ -247,37 +247,36 @@ class FrenetPlannerConfig:
         for T in self.t_end_samples:
             if not (math.isfinite(T) and T > 0):
                 raise ValueError(f"horizon t_end={T} s must be positive and finite")
-        for w in (self.w_jerk, self.w_lat, self.w_speed, self.w_risk):
-            if w < 0:
-                raise ValueError("cost weights must be >= 0")
+        for name in ("d_end_samples", "v_frac_samples"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name}={list(getattr(self, name))} must be finite")
+        for name in ("w_jerk", "w_lat", "w_speed", "w_risk"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite and >= 0")
+        if not (math.isfinite(self.risk_radius) and self.risk_radius > 0):
+            raise ValueError(f"risk_radius={self.risk_radius} must be finite and > 0")
 
 
-def _quintic(x0, dx0, ddx0, x1, dx1, ddx1, T):
-    """Quintic coefficients matching value/velocity/acceleration boundaries."""
-    a0, a1, a2 = x0, dx0, ddx0 / 2.0
-    A = np.array([
-        [T**3, T**4, T**5],
-        [3 * T**2, 4 * T**3, 5 * T**4],
-        [6 * T, 12 * T**2, 20 * T**3],
-    ])
-    b = np.array([
-        x1 - a0 - a1 * T - a2 * T**2,
-        dx1 - a1 - 2 * a2 * T,
-        ddx1 - 2 * a2,
-    ])
-    a3, a4, a5 = np.linalg.solve(A, b)
-    return np.array([a0, a1, a2, a3, a4, a5])
+def _quintics(x0, dx0, ddx0, x1, T):
+    """Quintic coefficients (..., 6), in closed form, from value x0, velocity
+    dx0 and acceleration ddx0 at 0 to value x1 with zero velocity and
+    acceleration at T; T[k] is T ** k, broadcast against x1."""
+    h = x1 - x0
+    a3 = (20 * h - 12 * dx0 * T[1] - 3 * ddx0 * T[2]) / (2 * T[3])
+    a4 = (-30 * h + 16 * dx0 * T[1] + 3 * ddx0 * T[2]) / (2 * T[4])
+    a5 = (12 * h - 6 * dx0 * T[1] - ddx0 * T[2]) / (2 * T[5])
+    return np.stack(np.broadcast_arrays(x0, dx0, ddx0 / 2.0, a3, a4, a5), axis=-1)
 
 
 def _quartic_speed(s0, ds0, a0, v_end, T):
-    """Quartic coefficients matching s, s-dot and s-ddot now, speed v_end and
-    zero acceleration at T."""
-    A = v_end - ds0 - a0 * T
+    """Quartic coefficients (..., 5): s, s-dot and s-ddot now, speed v_end and
+    zero acceleration at T; T[k] is T ** k, broadcast against v_end."""
+    A = v_end - ds0 - a0 * T[1]
     B = -a0
-    det = 3 * T**2 * 12 * T**2 - 4 * T**3 * 6 * T
-    c3 = (A * 12 * T**2 - 4 * T**3 * B) / det
-    c4 = (3 * T**2 * B - A * 6 * T) / det
-    return np.array([s0, ds0, a0 / 2.0, c3, c4])
+    det = 3 * T[2] * 12 * T[2] - 4 * T[3] * 6 * T[1]
+    c3 = (A * 12 * T[2] - 4 * T[3] * B) / det
+    c4 = (3 * T[2] * B - A * 6 * T[1]) / det
+    return np.stack(np.broadcast_arrays(s0, ds0, a0 / 2.0, c3, c4), axis=-1)
 
 
 def _poly_eval(coeffs, tau):
@@ -294,12 +293,6 @@ def _poly_eval(coeffs, tau):
 
 def _poly_derivative(coeffs):
     return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
-
-
-def _pow2(x):
-    """x ** 2 rounded as Python floats round it: through libm pow, which
-    differs from x * x in the last bit on about 0.1% of values."""
-    return np.float_power(x, 2.0)
 
 
 REJECTIONS = ("route_end", "fold_over") + dynamics.BOUNDS + ("collision",)
@@ -382,63 +375,79 @@ class FrenetPlanner:
         self.v_ref = v_ref
         self.dt = dt
         self.steps = tuple(int(round(T / dt)) for T in cfg.t_end_samples)
+        # T ** k (horizons, 1) for k = 0..5 through Python's pow: numpy's array
+        # power rounds some of them differently from scalar arithmetic
+        self._powers = np.array([[[T**k] for T in cfg.t_end_samples] for k in range(6)], float)
         for T, K in zip(cfg.t_end_samples, self.steps):
             if K < 1:
                 raise PlannerError(f"horizon t_end={T} s rounds to 0 steps of dt={dt} s")
 
-    def _samples(self, T: float, K: int, ego: AgentState, start):
-        """Every (d_end, v_frac) sample of horizon T (K steps) from the Frenet
-        start (s0, d0, ds0, dd0, dd0_acc, a0): d_end, v_target, its lateral
-        acceleration after the first step, the inputs accel and kappa
-        (rows, K) that track it, and the route_end and fold_over rejections."""
+    def _samples(self, ego: AgentState, start):
+        """Every (d_end, v_frac) sample of every horizon from the Frenet start
+        (s0, d0, ds0, dd0, dd0_acc, a0): d_end and v_target (rows,), and per
+        horizon the lateral acceleration after the first step, the inputs
+        accel and kappa (rows, n) that track each row, zero past the
+        horizon's K steps, and the route_end and fold_over rejections.
+
+        Every horizon is evaluated on the longest horizon's grid of n steps.
+        Each operation is elementwise, a prefix along the steps
+        (np.maximum.accumulate) or a per-column matvec, so a horizon's first
+        K + 1 columns are bitwise those of its own grid; route_end reads
+        column K and fold_over the columns up to K."""
         s0, d0, ds0, dd0, dd0_acc, a0 = start
         cfg, params, dt = self.cfg, self.params, self.dt
-        tau = np.arange(K + 1) * dt
+        K = np.array(self.steps)
+        n = int(K.max())
+        tau = np.arange(n + 1) * dt
         targets = [max(0.0, frac * self.v_ref) for frac in cfg.v_frac_samples]
         nd, nv = len(cfg.d_end_samples), len(targets)
         d_end, v_target = np.repeat(cfg.d_end_samples, nv), np.tile(targets, nd)
-        # lateral rows vary with d_end, longitudinal ones with v_frac
-        lateral = np.stack([_quintic(d0, dd0, dd0_acc, d, 0.0, 0.0, T)
-                            for d in cfg.d_end_samples])
-        longitudinal = np.stack([_quartic_speed(s0, ds0, a0, v, T) for v in targets])
-        d = _poly_eval(lateral, tau)[:, None]
-        dd = _poly_eval(_poly_derivative(lateral), tau)[:, None]
+        # lateral (horizon, d_end) and longitudinal (horizon, v_frac) rows
+        lateral = _quintics(d0, dd0, dd0_acc, np.array(cfg.d_end_samples, float), self._powers)
+        longitudinal = _quartic_speed(s0, ds0, a0, np.array(targets), self._powers)
+        d = _poly_eval(lateral, tau)[:, :, None]
+        dd = _poly_eval(_poly_derivative(lateral), tau)[:, :, None]
         # no reversing: freeze s where the speed profile would go negative
         s = np.maximum.accumulate(_poly_eval(longitudinal, tau), axis=-1)
-        ds = np.maximum(_poly_eval(_poly_derivative(longitudinal), tau), 0.0)
-        kappa_ref = self.route.curvature_at(s)
+        ds = np.maximum(_poly_eval(_poly_derivative(longitudinal), tau), 0.0)[:, None]
+        kappa_ref = self.route.curvature_at(s)[:, None]
         along = ds * (1.0 - d * kappa_ref)
         speed = np.hypot(along, dd)
-        heading = self.route.tangent_angle_smooth(s) + np.arctan2(dd, np.maximum(along, 1e-9))
+        heading = (self.route.tangent_angle_smooth(s)[:, None]
+                   + np.arctan2(dd, np.maximum(along, 1e-9)))
         heading[..., 0] = ego.theta
-        rows = nd * nv
-        speed, heading = speed.reshape(rows, K + 1), heading.reshape(rows, K + 1)
+        shape = (len(K), nd * nv, n + 1)
+        speed, heading = speed.reshape(shape), heading.reshape(shape)
 
         accel = np.diff(speed, axis=-1) / dt
         dtheta = dynamics.normalize_angles(np.diff(heading, axis=-1))
-        moving = speed[:, :-1] > 0.05
-        kappa = np.where(moving, dtheta / (np.maximum(speed[:, :-1], 0.05) * dt), 0.0)
+        moving = speed[..., :-1] > 0.05
+        kappa = np.where(moving, dtheta / (np.maximum(speed[..., :-1], 0.05) * dt), 0.0)
         kappa = np.clip(kappa, -params.kappa_max, params.kappa_max)
-        rejected = {"route_end": np.tile(s[:, -1] > self.route.length, nd),
-                    "fold_over": np.any(np.abs(d * kappa_ref) >= 0.98, axis=-1).ravel()}
+        live = np.arange(n) < K[:, None, None]
+        folds = (np.abs(d * kappa_ref) >= 0.98) & (np.arange(n + 1) <= K[:, None, None, None])
+        rejected = {"route_end": np.tile(s[np.arange(len(K)), :, K] > self.route.length, nd),
+                    "fold_over": np.any(folds, axis=-1).reshape(shape[:2])}
         lat_acc_next = _poly_eval(_poly_derivative(_poly_derivative(lateral)), tau[1:2])
-        return d_end, v_target, np.repeat(lat_acc_next[:, 0], nv), accel, kappa, rejected
+        return (d_end, v_target, np.repeat(lat_acc_next[..., 0], nv, axis=-1),
+                np.where(live, accel, 0.0), np.where(live, kappa, 0.0), rejected)
 
     def _cost(self, accel, kappa, v, x, y, d_end, v_target, predicted) -> np.ndarray:
-        """Jerk, lateral-offset, speed and risk cost per row. The risk term
-        sums exp(-dist^2 / r^2) to each neighbour's predicted centre over
-        neighbours, then steps, one at a time in that order; math.exp,
-        because numpy's vectorised exp differs from it in the last bit."""
+        """Jerk, lateral-offset, speed and risk cost per row, one array
+        program. The risk term sums exp(-dist^2 / r^2) to each neighbour's
+        predicted centre over neighbours, then steps, left to right in that
+        order (np.cumsum, not np.sum's pairwise sum). Squares are products,
+        which round as x * x does."""
         cfg, dt = self.cfg, self.dt
-        lat_acc = _pow2(v[:, :-1]) * kappa
+        lat_acc = v[:, :-1] * v[:, :-1] * kappa
         jerk = np.sum(np.diff(accel, axis=-1) ** 2 + np.diff(lat_acc, axis=-1) ** 2, axis=-1) / dt
-        dist2 = (_pow2(x[:, None, 1:] - predicted[:, :, 0].T)
-                 + _pow2(y[:, None, 1:] - predicted[:, :, 1].T))
-        exponent = -dist2 / cfg.risk_radius**2
-        terms = np.array([math.exp(e) for e in exponent.ravel().tolist()]).reshape(len(x), -1)
+        dx = x[:, None, 1:] - predicted[:, :, 0].T
+        dy = y[:, None, 1:] - predicted[:, :, 1].T
+        terms = np.exp(-(dx * dx + dy * dy) / cfg.risk_radius**2).reshape(len(x), -1)
         risk = np.cumsum(terms, axis=-1)[:, -1] if terms.size else np.zeros(len(x))
-        return (cfg.w_jerk * jerk + cfg.w_lat * _pow2(d_end)
-                + cfg.w_speed * _pow2(v_target - self.v_ref) + cfg.w_risk * risk)
+        dv = v_target - self.v_ref
+        return (cfg.w_jerk * jerk + cfg.w_lat * (d_end * d_end)
+                + cfg.w_speed * (dv * dv) + cfg.w_risk * risk)
 
     def _fallback(self, view: LocalView, s: float, d: float, memory: dict) -> PlanResult:
         """Maximal comfortable braking along the current path offset."""
@@ -470,23 +479,19 @@ class FrenetPlanner:
         dtheta = normalize_angle(ego.theta - theta_ref)
         start = (s0, d0, ego.v * math.cos(dtheta), ego.v * math.sin(dtheta),
                  float(memory.get("d_accel", 0.0)), float(memory.get("accel", 0.0)))
-        params, steps = self.params, self.steps
-        samples = [self._samples(T, K, ego, start) for T, K in zip(self.cfg.t_end_samples, steps)]
-        n = max(steps)
-        accel, kappa = np.zeros((2, len(steps), len(samples[0][0]), n))
-        for h, (K, sample) in enumerate(zip(steps, samples)):
-            accel[h, :, :K], kappa[h, :, :K] = sample[3], sample[4]
+        params, steps, n = self.params, self.steps, max(self.steps)
+        d_end, v_target, lat_acc_next, accel, kappa, early = self._samples(ego, start)
         x, y, v, theta = dynamics.rollout_arrays(ego.x, ego.y, ego.v, ego.theta,
                                                  accel, kappa, self.dt)
 
         horizons = []
-        for h, (K, (d_end, v_target, lat_acc_next, _, _, rejected)) in enumerate(
-                zip(steps, samples)):
+        for h, K in enumerate(steps):
             inputs = accel[h, :, :K], kappa[h, :, :K]
             states = [a[h, :, :K + 1] for a in (x, y, v, theta)]
             violated = dynamics.bound_violations(states[2], *inputs, params)[1].any(axis=-2)
+            rejected = {reason: mask[h] for reason, mask in early.items()}
             rejected.update({bound: violated[:, b] for b, bound in enumerate(dynamics.BOUNDS)})
-            horizons.append(Candidates(d_end, v_target, lat_acc_next, *inputs, *states,
+            horizons.append(Candidates(d_end, v_target, lat_acc_next[h], *inputs, *states,
                                        rejected, np.full(len(d_end), math.inf)))
 
         alive = np.stack([cands.ok for cands in horizons])

@@ -333,13 +333,15 @@ def _parse_adjacency(entry, where):
 def _parse_states(rows, where) -> np.ndarray:
     """Recorded states [x, y, v, theta] as a read-only array (n, 4), theta
     wrapped as AgentState wraps it; ScenarioError unless there is at least
-    one row and every row is four numbers with v >= 0."""
+    one row and every row is four finite numbers with v >= 0."""
     try:
         states = np.array(rows, dtype=float)
         if states.shape[1:] != (4,) or not len(states):
             raise ValueError(f"shape {states.shape} is not (n, 4) with n >= 1")
-        for i, j in np.argwhere(np.isnan(states)).tolist():
-            float(rows[i][j])  # numpy reads None as NaN, float(None) raises
+        bad = np.argwhere(~np.isfinite(states)).tolist()
+        if bad:  # named as given: numpy reads None as NaN
+            i, j = bad[0]
+            raise ValueError(f"row {i} column {j} is {rows[i][j]!r}, not a finite number")
         if (states[:, 2] < 0).any():
             raise ValueError("velocity must be >= 0")
     except (TypeError, ValueError) as exc:

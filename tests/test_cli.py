@@ -212,6 +212,27 @@ class TestSubcommands:
         assert f"agents.green.idm: {key}={value}" in capsys.readouterr().err
         assert not (out / "steps.jsonl").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("risk_radius", 0), ("risk_radius", -8.0), ("risk_radius", float("nan")),
+        ("risk_radius", float("inf")), ("w_risk", float("nan")), ("w_jerk", float("inf")),
+        ("w_lat", -1), ("d_end_samples", [0.0, float("nan")]),
+        ("v_frac_samples", [1.0, float("inf")])])
+    def test_run_rejects_bad_frenet_config(self, tmp_path, capsys, key, value):
+        """A risk radius that is not finite and > 0, or a weight or sample
+        that is not finite, stops the run with exit 1 naming the agent's
+        frenet block and the key. risk_radius 0 once only warned "divide by
+        zero" and dropped the risk term; NaN weights and samples were taken."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "scenario": "merge",
+            "simulation": {"max_steps": 5},
+            "agents": {"orange": {"planner": "frenet", "frenet": {key: value}}},
+        }))
+        out = tmp_path / "run"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert f"error: agents.orange.frenet: {key}=" in capsys.readouterr().err
+        assert not (out / "steps.jsonl").exists()
+
     def test_error_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json"), "--out",
                      str(tmp_path / "o")]) == 1

@@ -174,3 +174,57 @@ def test_step_is_one_rollout_step():
         expected = _reference_rollout((s.x, s.y, s.v, s.theta), accel[:1], kappa[:1], DT)[:, 1]
         nxt = step(s, u, DT)
         assert np.array([nxt.x, nxt.y, nxt.v, nxt.theta]).tobytes() == expected.tobytes()
+
+
+def _boundary_rows():
+    """Rows at the edges of rollout_arrays' prefix-sum path, each with a
+    label: a speed that sums to exactly 0.0, a start speed of -0.0 held by
+    -0.0 accelerations (stepping clamps it to +0.0), headings that land
+    exactly on pi (in range, kept) and on -pi (wrapped to pi), and a NaN
+    acceleration (stepping clamps the speed to 0), next to two plain rows."""
+    K = 8
+    turn_once = np.r_[0.1, np.zeros(K - 1)]  # 10 m/s * 0.1 / m * 0.1 s = 0.1 rad
+    return [
+        ("plain", (0.0, 0.0, 10.0, 0.3), np.full(K, 0.5), np.full(K, 0.01)),
+        ("zero_speed", (1.0, 2.0, 1.0, 0.2), np.r_[-10.0, np.full(K - 1, 2.0)], np.full(K, 0.1)),
+        ("negative_zero_speed", (1.0, 2.0, -0.0, 0.2), np.full(K, -0.0), np.full(K, 0.1)),
+        ("on_pi", (0.0, 0.0, 10.0, math.pi - 0.1), np.zeros(K), turn_once),
+        ("on_minus_pi", (0.0, 0.0, 10.0, -math.pi + 0.1), np.zeros(K), -turn_once),
+        ("nan_accel", (4.0, -3.0, 6.0, 1.0), np.r_[1.0, math.nan, np.ones(K - 2)], np.full(K, 0.05)),
+        ("plain_reverse_turn", (-5.0, 2.0, 7.0, -0.4), np.full(K, -0.3), np.full(K, -0.02)),
+    ]
+
+
+def test_rollout_boundary_rows_match_reference_bitwise():
+    """The boundary rows, in one call, as 0-d starts with (K,) inputs, and
+    as dynamics.step from a 0-d start, equal the chained reference steps
+    bitwise. Plain prefix sums would get the -0.0, -pi and NaN rows wrong,
+    so those rows can only match through the per-row stepping."""
+    labels, starts, accel, kappa = zip(*_boundary_rows())
+    accel, kappa = np.array(accel), np.array(kappa)
+    reference = np.array([_reference_rollout(s, a, k, DT)
+                          for s, a, k in zip(starts, accel, kappa)]).transpose(1, 0, 2)
+    states = np.array(rollout_arrays(*np.array(starts).T, accel, kappa, DT))
+    assert states.tobytes() == reference.tobytes()
+    for i, (start, a, k) in enumerate(zip(starts, accel, kappa)):
+        alone = np.array(rollout_arrays(*start, a, k, DT))
+        assert alone.tobytes() == reference[:, i].tobytes(), labels[i]
+        nxt = step(AgentState(*start), ControlInput(float(a[0]), float(k[0])), DT)
+        assert np.array([nxt.x, nxt.y, nxt.v, nxt.theta]).tobytes() == \
+            reference[:, i, 1].tobytes(), labels[i]
+    # the rows reach the cases they are named for
+    row = {label: i for i, label in enumerate(labels)}
+    x, y, v, theta = reference
+    assert v[row["zero_speed"], 1] == 0.0 and v[row["zero_speed"], 2] > 0.0
+    assert theta[row["on_pi"], 1] == math.pi and theta[row["on_minus_pi"], 1] == math.pi
+    assert v[row["nan_accel"], 2] == 0.0 and np.isfinite(reference).all()
+    naive_v = np.cumsum(np.column_stack([[s[2] for s in starts], accel * DT]), axis=-1)
+    naive_theta = np.cumsum(np.column_stack([[s[3] for s in starts], v[:, :-1] * kappa * DT]),
+                            axis=-1)
+    assert math.copysign(1.0, naive_v[row["negative_zero_speed"], 1]) == -1.0
+    assert math.copysign(1.0, v[row["negative_zero_speed"], 1]) == 1.0
+    assert naive_theta[row["on_minus_pi"], 1] == -math.pi
+    assert np.isnan(naive_v[row["nan_accel"], 2])
+    plain = [row["plain"], row["plain_reverse_turn"], row["on_pi"]]
+    assert naive_v[plain].tobytes() == v[plain].tobytes()
+    assert naive_theta[plain].tobytes() == theta[plain].tobytes()

@@ -16,7 +16,7 @@ from drivesim.geometry import CurvilinearFrame, Polyline, boxes_intersect, occup
 from drivesim.planners import (REJECTIONS, FrenetPlanner, FrenetPlannerConfig,
                                IdmParams, IdmPlanner, LocalView, Neighbor,
                                PlannerError, PlanResult, ReplayPlanner, _corridor_box,
-                               _quintic, route_to_goal)
+                               route_to_goal)
 from drivesim.prediction import PredictedPath
 from drivesim.scenario import GoalRegion, Lanelet, StreetNetwork
 from drivesim.geometry import Polygon
@@ -233,7 +233,11 @@ class ReferenceFrenetPlanner:
     def _candidate_inputs(self, ego, s0, d0, ds0, dd0, dd0_acc, a0, T, d_end, v_target):
         K = int(round(T / self.dt))
         tau = np.arange(K + 1) * self.dt
-        lat = _quintic(d0, dd0, dd0_acc, d_end, 0.0, 0.0, T)
+        h = d_end - d0  # the closed-form quintic to d_end at rest at T
+        lat = np.array([d0, dd0, dd0_acc / 2.0,
+                        (20 * h - 12 * dd0 * T - 3 * dd0_acc * T**2) / (2 * T**3),
+                        (-30 * h + 16 * dd0 * T + 3 * dd0_acc * T**2) / (2 * T**4),
+                        (12 * h - 6 * dd0 * T - dd0_acc * T**2) / (2 * T**5)])
         d_vals = _reference_poly(lat, tau)
         dd_vals = _reference_poly(_reference_derivative(lat), tau)
         lat_acc_next = float(_reference_poly(
@@ -289,8 +293,8 @@ class ReferenceFrenetPlanner:
             last = len(predicted) - 1
             for k in range(1, len(states)):
                 ps = predicted[min(k, last)]
-                dist2 = (states[k].x - ps.x) ** 2 + (states[k].y - ps.y) ** 2
-                total += math.exp(-dist2 / r2)
+                dx, dy = states[k].x - ps.x, states[k].y - ps.y
+                total += float(np.exp(-(dx * dx + dy * dy) / r2))
         return total
 
     def plan(self, view, memory):
@@ -326,13 +330,14 @@ class ReferenceFrenetPlanner:
             if collides:
                 continue
             accels = np.array([u.accel for u in inputs])
-            lat_acc = np.array([st.v**2 * u.curvature_cmd for st, u in zip(states[:-1], inputs)])
+            lat_acc = np.array([st.v * st.v * u.curvature_cmd
+                                for st, u in zip(states[:-1], inputs)])
             jerk = 0.0
             if len(accels) > 1:
                 jerk = float(np.sum(np.diff(accels) ** 2 + np.diff(lat_acc) ** 2) / self.dt)
-            cost = (self.cfg.w_jerk * jerk + self.cfg.w_lat * d_end**2
-                    + self.cfg.w_speed * (v_target - self.v_ref) ** 2
-                    + self.cfg.w_risk * self._risk(states, view))
+            dv = v_target - self.v_ref
+            cost = (self.cfg.w_jerk * jerk + self.cfg.w_lat * (d_end * d_end)
+                    + self.cfg.w_speed * (dv * dv) + self.cfg.w_risk * self._risk(states, view))
             self.costs.append(cost)
             if best is None or cost < best[0] - 1e-12:
                 best = (cost, Trajectory(states, inputs, self.dt), lat_acc_next)
@@ -460,6 +465,85 @@ def test_unequal_horizons_share_one_rollout_and_one_collision_call(frenet_views,
         statuses.append(status)
         _assert_plan_matches_reference(three, view, memory)
     assert len(statuses) > 45 and "ok" in statuses
+
+
+def test_inexact_horizons_match_reference_bitwise(frenet_views):
+    """Horizons of 1.2 s and 3.3 s, whose powers numpy's array power rounds
+    differently from Python's pow (1.2 ** 4, 3.3 ** 3): the plan still
+    equals the scalar reference bitwise, because the planner takes each
+    horizon's powers from Python's pow."""
+    t_end = (1.2, 3.3)
+    assert any(float(np.power(np.array([T]), k)[0]) != T**k for T in t_end for k in range(6))
+    for planner, view, memory in frenet_views[::6]:
+        cfg = dataclasses.replace(planner.cfg, t_end_samples=t_end)
+        _assert_plan_matches_reference(
+            FrenetPlanner(planner.route, cfg, planner.params, planner.v_ref, planner.dt),
+            view, memory)
+
+
+def _parent_quintics(x0, dx0, ddx0, x1, T):
+    """The lateral quintics as the planner solved them before the closed
+    form: one 3x3 np.linalg.solve per end value x1 and horizon, T[1] (H, 1)
+    holding the horizons."""
+    def quintic(x1, T, dx1=0.0, ddx1=0.0):
+        a0, a1, a2 = x0, dx0, ddx0 / 2.0
+        A = np.array([[T**3, T**4, T**5], [3 * T**2, 4 * T**3, 5 * T**4],
+                      [6 * T, 12 * T**2, 20 * T**3]])
+        b = np.array([x1 - a0 - a1 * T - a2 * T**2, dx1 - a1 - 2 * a2 * T, ddx1 - 2 * a2])
+        return [a0, a1, a2, *np.linalg.solve(A, b)]
+    return np.array([[quintic(x, T) for x in x1.tolist()] for T in T[1][:, 0].tolist()])
+
+
+def _parent_cost(self, accel, kappa, v, x, y, d_end, v_target, predicted):
+    """FrenetPlanner._cost as it was before the array program: a math.exp
+    per risk term and squares through libm pow (np.float_power)."""
+    def pow2(a):
+        return np.float_power(a, 2.0)
+
+    cfg, dt = self.cfg, self.dt
+    lat_acc = pow2(v[:, :-1]) * kappa
+    jerk = np.sum(np.diff(accel, axis=-1) ** 2 + np.diff(lat_acc, axis=-1) ** 2, axis=-1) / dt
+    dist2 = (pow2(x[:, None, 1:] - predicted[:, :, 0].T)
+             + pow2(y[:, None, 1:] - predicted[:, :, 1].T))
+    exponent = -dist2 / cfg.risk_radius**2
+    terms = np.array([math.exp(e) for e in exponent.ravel().tolist()]).reshape(len(x), -1)
+    risk = np.cumsum(terms, axis=-1)[:, -1] if terms.size else np.zeros(len(x))
+    return (cfg.w_jerk * jerk + cfg.w_lat * pow2(d_end)
+            + cfg.w_speed * pow2(v_target - self.v_ref) + cfg.w_risk * risk)
+
+
+def _chosen(horizons):
+    """(horizon, row) that FrenetPlanner.plan picks, or None."""
+    best = None
+    for h, cands in enumerate(horizons):
+        for row in np.flatnonzero(cands.ok).tolist():
+            if best is None or cands.cost[row] < best[0] - 1e-12:
+                best = (float(cands.cost[row]), h, row)
+    return best and best[1:]
+
+
+def test_costs_stay_close_to_the_parent_numerics(frenet_views, monkeypatch):
+    """Against the scalar-pinned numerics the planner had before (math.exp,
+    libm pow squares, a linear solve per quintic), every view rejects the
+    same rows, every surviving cost is within a relative 1e-9 and the same
+    row is chosen. The numerics do differ: some cost moves."""
+    now = [planner.candidates(view, dict(memory))[2] for planner, view, memory in frenet_views]
+    monkeypatch.setattr(planners, "_quintics", _parent_quintics)
+    monkeypatch.setattr(FrenetPlanner, "_cost", _parent_cost)
+    worst, chosen = 0.0, 0
+    for (planner, view, memory), horizons in zip(frenet_views, now):
+        where = (view.ego_id, view.step)
+        parent = planner.candidates(view, dict(memory))[2]
+        for cands, old in zip(horizons, parent, strict=True):
+            for reason in REJECTIONS:
+                assert np.array_equal(cands.rejected[reason], old.rejected[reason]), where
+            ok = old.ok
+            drift = np.abs(cands.cost[ok] - old.cost[ok])
+            assert np.all(drift <= 1e-9 * np.abs(old.cost[ok])), where
+            worst = max(worst, float(np.max(drift / np.abs(old.cost[ok]), initial=0.0)))
+        assert _chosen(horizons) == _chosen(parent), where
+        chosen += _chosen(parent) is not None
+    assert 0.0 < worst and chosen > 180
 
 
 def _all_pairs_collision(planner, view, cands):

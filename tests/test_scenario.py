@@ -1,5 +1,6 @@
 """Scenario model: maps, obstacles, goals, substitution, (de)serialization."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,28 @@ class TestSerialization:
         obstacle["trajectory"] = trajectory
         with pytest.raises(ScenarioError, match=rf"\bobstacle {obstacle['id']}: "):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("row, entry", [
+        ([float("nan"), 0.0, 5.0, 0.0], "row 1 column 0 is nan"),
+        ([0.0, float("inf"), 5.0, 0.0], "row 1 column 1 is inf"),
+        ([0.0, 0.0, 5.0, float("nan")], "row 1 column 3 is nan"),
+    ], ids=["nan_x", "inf_y", "nan_theta"])
+    def test_non_finite_recording_is_rejected(self, tmp_path, row, entry):
+        """A NaN or infinite entry fails where the recording enters, from a
+        file or built in code, naming the obstacle and the entry; it once
+        loaded and failed later as an unnamed geometry error."""
+        doc = scenario_to_dict(_bundled("merge"))
+        obstacle = doc["dynamic_obstacles"][1]
+        obstacle["trajectory"] = [[0.0, 0.0, 5.0, 0.0], row]
+        message = rf"^obstacle {obstacle['id']}: malformed trajectory \({entry}, not a finite"
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
+        with pytest.raises(ScenarioError, match=r"^obstacle x: malformed trajectory"):
+            DynamicObstacle("x", 4.5, 2.0, [row])
 
     def test_dict_round_trip(self):
         scenario = _bundled("merge")
