@@ -58,8 +58,8 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("length", "width", "a_long_max", "a_lat_max", "v_max", "kappa_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"VehicleParams.{name} must be positive")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite and > 0")
 
 
 def _settled_prefix(start, increments: np.ndarray, stays, settle) -> np.ndarray:
@@ -127,26 +127,13 @@ def step(state: AgentState, u: ControlInput, dt: float) -> AgentState:
 class Trajectory:
     """States at fixed dt plus the inputs connecting them (one fewer)."""
 
-    def __init__(self, states, inputs, dt: float, validate: bool = False):
+    def __init__(self, states, inputs, dt: float):
         states = list(states)
         inputs = list(inputs)
         if len(states) < 1:
             raise ValueError("Trajectory needs at least one state")
         if len(inputs) != len(states) - 1:
             raise ValueError("need exactly one input per transition")
-        if validate and inputs:
-            # every state one step on from its predecessor, in one rollout
-            start = np.array([(s.x, s.y, s.v, s.theta) for s in states[:-1]]).T
-            accel = np.array([[u.accel] for u in inputs], dtype=float)
-            kappa = np.array([[u.curvature_cmd] for u in inputs], dtype=float)
-            x, y, v, _ = (a[:, 1] for a in rollout_arrays(*start, accel, kappa, dt))
-            given = np.array([(s.x, s.y, s.v) for s in states[1:]])
-            err = np.maximum(np.hypot(x - given[:, 0], y - given[:, 1]), np.abs(v - given[:, 2]))
-            bad = np.flatnonzero(err > 1e-6)
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(f"state {i + 1} inconsistent with the kinematic model "
-                                 f"({err[i]:.2e})")
         self.states = states
         self.inputs = inputs
         self.dt = dt
@@ -159,22 +146,16 @@ class Trajectory:
         return (len(self.states) - 1) * self.dt
 
     @classmethod
-    def from_arrays(cls, initial: AgentState, x, y, v, theta, accel, kappa,
-                    dt: float) -> "Trajectory":
-        """The objects of a trajectory given as arrays: states (K+1,), the
-        first of which is initial itself, and inputs (K,)."""
-        states = [initial] + [AgentState(*st) for st in zip(
-            x[1:].tolist(), y[1:].tolist(), v[1:].tolist(), theta[1:].tolist())]
-        inputs = [ControlInput(a, k) for a, k in zip(accel.tolist(), kappa.tolist())]
-        return cls(states, inputs, dt)
-
-    @classmethod
     def rollout(cls, initial: AgentState, inputs, dt: float) -> "Trajectory":
+        """initial, followed by the states rollout_arrays gives under inputs."""
         inputs = list(inputs)
         accel = np.array([u.accel for u in inputs], dtype=float)
         kappa = np.array([u.curvature_cmd for u in inputs], dtype=float)
-        states = rollout_arrays(initial.x, initial.y, initial.v, initial.theta, accel, kappa, dt)
-        return cls.from_arrays(initial, *states, accel, kappa, dt)
+        x, y, v, theta = rollout_arrays(initial.x, initial.y, initial.v, initial.theta,
+                                        accel, kappa, dt)
+        states = [initial] + [AgentState(*st) for st in zip(
+            x[1:].tolist(), y[1:].tolist(), v[1:].tolist(), theta[1:].tolist())]
+        return cls(states, inputs, dt)
 
 
 class Violation(NamedTuple):

@@ -26,7 +26,7 @@ from .planners import (
     Neighbor, PlannerError, ReplayPlanner, RouteError,
 )
 from .prediction import PredictorConfig, predict_all
-from .scenario import GoalCheck, Scenario, goal_satisfied
+from .scenario import GoalCheck, Scenario, goal_satisfied, substitute_agents
 
 
 class SetupError(RuntimeError):
@@ -121,7 +121,8 @@ def build_planner(binding: PlannerBinding, problem, scenario: Scenario, dt: floa
         path = CurvilinearFrame(Polyline(np.asarray(pts)))
         return IdmPlanner(path, recording[:, 2].tolist(), binding.idm_params,
                           problem.params, dt)
-    # frenet
+    # frenet; imported here so that replacing planners.route_to_goal, as
+    # perfbench/spans.py does to time it, reaches this call
     from .planners import route_to_goal
 
     try:
@@ -381,8 +382,6 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
     plans no more, so later steps time fewer agents (a row where none ever
     plans reports nan batch times). A count below 1 raises SetupError.
     """
-    from .scenario import substitute_agents
-
     for name, values in (("agent count", agent_counts), ("worker count", worker_counts),
                          ("repetition count", [repetitions]), ("step count", [steps])):
         if min(values, default=1) < 1:

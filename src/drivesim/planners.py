@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics
-from .dynamics import AgentState, ControlInput, Trajectory, VehicleParams, normalize_angle
+from .dynamics import AgentState, ControlInput, VehicleParams, normalize_angle
 from .geometry import CurvilinearFrame, boxes_intersect, occupancy
 from .prediction import PredictedPath
 from .scenario import GoalRegion, StreetNetwork
@@ -60,15 +60,12 @@ class LocalView:
 
 @dataclass(frozen=True)
 class PlanResult:
+    """The one step of a plan that the engine applies: the input from time
+    t and the state it leads to at t + dt."""
+
     next_state: AgentState
     next_input: ControlInput
-    intended_trajectory: Trajectory
     status: str  # "ok" | "infeasible"
-
-
-def _two_state_trajectory(ego: AgentState, u: ControlInput, dt: float) -> tuple[AgentState, Trajectory]:
-    nxt = dynamics.step(ego, u, dt)
-    return nxt, Trajectory([ego, nxt], [u], dt)
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +89,10 @@ class ReplayPlanner:
                 kappa = normalize_angle(nxt.theta - ego.theta) / (ego.v * self.dt)
             else:
                 kappa = 0.0
-            u = ControlInput(accel, kappa)
-            return PlanResult(nxt, u, Trajectory([ego, nxt], [u], self.dt), "ok")
+            return PlanResult(nxt, ControlInput(accel, kappa), "ok")
         # recording exhausted: hold the final pose at rest
         u = ControlInput(-ego.v / self.dt, 0.0)
-        nxt, traj = _two_state_trajectory(ego, u, self.dt)
-        return PlanResult(nxt, u, traj, "ok")
+        return PlanResult(dynamics.step(ego, u, self.dt), u, "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +217,7 @@ class IdmPlanner:
         a = max(-self.params.a_long_max, min(self.params.a_long_max, a))
         kappa = _track_path(self.path, s, d, ego.theta, 0.0, self.params)
         u = ControlInput(a, kappa)
-        nxt, traj = _two_state_trajectory(ego, u, self.dt)
-        return PlanResult(nxt, u, traj, "ok")
+        return PlanResult(dynamics.step(ego, u, self.dt), u, "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +292,21 @@ def _poly_derivative(coeffs):
 REJECTIONS = ("route_end", "fold_over") + dynamics.BOUNDS + ("collision",)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Candidates:
-    """The candidates of one horizon T as arrays, one row per (d_end,
-    v_frac) sample in sampling order (d_end major): the Frenet samples, the
-    inputs (rows, K) derived from them, the states (rows, K+1) they roll out
-    to, and per reason in REJECTIONS which rows it rejects. Collision is
-    tested only on rows no other reason rejects. cost is inf on rejected rows.
+    """Every candidate of one plan as arrays with a leading horizon axis.
+    Row r of horizon h is the (d_end, v_frac) sample r in sampling order
+    (d_end major) over that horizon's steps[h] = K steps; lat_acc_next
+    (H, R) is the lateral acceleration after the first step. The inputs (H, R, n) and the states
+    (H, R, n+1) they roll out to are padded to the longest horizon's n steps
+    with zero inputs, which leave each candidate's first K + 1 states as
+    they are. Per reason in REJECTIONS, rejected[reason] (H, R) marks the
+    candidates it rejects; collision is tested only on candidates no other
+    reason rejects. ok (H, R) marks those no reason rejects, cost (H, R) is
+    inf elsewhere, and best is the (h, r) the plan follows, or None."""
 
-    The inputs and states are views into the plan's one rollout of every
-    horizon, cut to this horizon's K steps; the zero inputs that pad it to
-    the longest horizon never reach them."""
-
-    d_end: np.ndarray
-    v_target: np.ndarray
-    lat_acc_next: np.ndarray  # lateral acceleration after the first step
+    steps: np.ndarray
+    lat_acc_next: np.ndarray
     accel: np.ndarray
     kappa: np.ndarray
     x: np.ndarray
@@ -320,17 +314,21 @@ class Candidates:
     v: np.ndarray
     theta: np.ndarray
     rejected: dict
+    ok: np.ndarray
     cost: np.ndarray
+    best: tuple[int, int] | None
 
-    @property
-    def ok(self) -> np.ndarray:
-        """Rows that no reason rejects."""
-        return ~np.any(list(self.rejected.values()), axis=0)
 
-    def trajectory(self, row: int, ego: AgentState, dt: float) -> Trajectory:
-        """The objects of one row, starting at ego itself."""
-        return Trajectory.from_arrays(ego, self.x[row], self.y[row], self.v[row],
-                                      self.theta[row], self.accel[row], self.kappa[row], dt)
+def _first_minimum(cost: np.ndarray, ok: np.ndarray) -> tuple[int, int] | None:
+    """(h, r) of the ok candidate of least cost, scanning in sampling order
+    (horizon major) and replacing the one held only when a cost is lower by
+    more than 1e-12, so near ties keep the earlier candidate; None if no
+    candidate is ok."""
+    best = None  # (cost, h, r)
+    for h, r, c in zip(*np.nonzero(ok), cost[ok].tolist()):
+        if best is None or c < best[0] - 1e-12:
+            best = (c, int(h), int(r))
+    return None if best is None else best[1:]
 
 
 def _within_reach(x, y, alive, predicted, params: VehicleParams) -> np.ndarray:
@@ -361,9 +359,9 @@ def _within_reach(x, y, alive, predicted, params: VehicleParams) -> np.ndarray:
 class FrenetPlanner:
     """Samples lateral quintics x longitudinal quartic speed profiles along a
     route, filters infeasible and colliding candidates, and picks the
-    minimum-cost survivor. The candidates of every horizon are rolled out
-    together and filtered as one array program; only the chosen plan becomes
-    objects."""
+    minimum-cost survivor. The candidates of every horizon form one table
+    (Candidates), built as one array program; only the step the engine
+    applies becomes objects."""
 
     def __init__(self, route: CurvilinearFrame, cfg: FrenetPlannerConfig,
                  params: VehicleParams, v_ref: float, dt: float):
@@ -432,21 +430,32 @@ class FrenetPlanner:
         return (d_end, v_target, np.repeat(lat_acc_next[..., 0], nv, axis=-1),
                 np.where(live, accel, 0.0), np.where(live, kappa, 0.0), rejected)
 
-    def _cost(self, accel, kappa, v, x, y, d_end, v_target, predicted) -> np.ndarray:
-        """Jerk, lateral-offset, speed and risk cost per row, one array
-        program. The risk term sums exp(-dist^2 / r^2) to each neighbour's
-        predicted centre over neighbours, then steps, left to right in that
-        order (np.cumsum, not np.sum's pairwise sum). Squares are products,
-        which round as x * x does."""
+    def _cost(self, accel, kappa, v, x, y, d_end, v_target, steps, predicted) -> np.ndarray:
+        """Jerk, lateral-offset, speed and risk cost per row of inputs
+        (rows, n) and states (rows, n+1), each row padded past its own
+        steps (rows,) = K, one array program. The jerk sums a row's own K - 1
+        terms, one slice per distinct K: the padding adds a difference at K,
+        and np.sum's pairwise blocking rounds a longer row differently even
+        where the added terms are zeros. The risk term sums exp(-dist^2 / r^2)
+        to each neighbour's predicted centre (predicted (n, neighbours, 5))
+        over neighbours, then steps, left to right in that order (np.cumsum,
+        not np.sum's pairwise sum); its terms past K are exact zeros, which
+        leave every partial sum as it is. Squares are products, which round
+        as x * x does."""
         cfg, dt = self.cfg, self.dt
         lat_acc = v[:, :-1] * v[:, :-1] * kappa
-        jerk = np.sum(np.diff(accel, axis=-1) ** 2 + np.diff(lat_acc, axis=-1) ** 2, axis=-1) / dt
+        terms = np.diff(accel, axis=-1) ** 2 + np.diff(lat_acc, axis=-1) ** 2
+        jerk = np.zeros(len(x))
+        for K in np.unique(steps).tolist():
+            jerk[steps == K] = np.sum(terms[steps == K, :K - 1], axis=-1)
         dx = x[:, None, 1:] - predicted[:, :, 0].T
         dy = y[:, None, 1:] - predicted[:, :, 1].T
-        terms = np.exp(-(dx * dx + dy * dy) / cfg.risk_radius**2).reshape(len(x), -1)
-        risk = np.cumsum(terms, axis=-1)[:, -1] if terms.size else np.zeros(len(x))
+        live = (np.arange(len(predicted)) < steps[:, None])[:, None]
+        terms = np.where(live, np.exp(-(dx * dx + dy * dy) / cfg.risk_radius**2), 0.0)
+        risk = (np.cumsum(terms.reshape(len(x), -1), axis=-1)[:, -1] if terms.size
+                else np.zeros(len(x)))
         dv = v_target - self.v_ref
-        return (cfg.w_jerk * jerk + cfg.w_lat * (d_end * d_end)
+        return (cfg.w_jerk * (jerk / dt) + cfg.w_lat * (d_end * d_end)
                 + cfg.w_speed * (dv * dv) + cfg.w_risk * risk)
 
     def _fallback(self, view: LocalView, s: float, d: float, memory: dict) -> PlanResult:
@@ -457,20 +466,22 @@ class FrenetPlanner:
             a = 0.0
         kappa = _track_path(self.route, s, d, ego.theta, d, self.params)
         u = ControlInput(a, kappa)
-        nxt, traj = _two_state_trajectory(ego, u, self.dt)
         memory["accel"] = a if ego.v > 0 else 0.0
         memory["d_accel"] = 0.0
-        return PlanResult(nxt, u, traj, "infeasible")
+        return PlanResult(dynamics.step(ego, u, self.dt), u, "infeasible")
 
     def candidates(self, view: LocalView, memory: dict):
-        """The ego's Frenet start (s0, d0) and every candidate of the view,
-        one Candidates per horizon in sampling order.
+        """The ego's Frenet start (s0, d0) and the table (Candidates) of
+        every candidate of the view.
 
-        Every horizon's inputs are padded with zeros to the longest horizon
-        and rolled out in one call; the collision filter then tests the
-        alive (row, step) pairs of all horizons in one call, each pair
-        against the neighbours' predicted boxes at its own step that the
-        broad phase (_within_reach) leaves."""
+        Every horizon's inputs are padded with zeros to the longest horizon,
+        and the table takes one call each to rollout_arrays,
+        bound_violations, boxes_intersect and _cost. The padding breaks no
+        bound: past its K steps a candidate's accel, kappa and lateral
+        acceleration are 0 and its speed stays the speed at K, which column K
+        checks already. The collision filter tests the alive (horizon, row,
+        step) triples, each against the neighbours' predicted boxes at its
+        own step that the broad phase (_within_reach) leaves."""
         ego = view.ego
         s0, d0, in_dom = self.route.project((ego.x, ego.y))
         if not in_dom or abs(d0) > 10.0:
@@ -479,23 +490,16 @@ class FrenetPlanner:
         dtheta = normalize_angle(ego.theta - theta_ref)
         start = (s0, d0, ego.v * math.cos(dtheta), ego.v * math.sin(dtheta),
                  float(memory.get("d_accel", 0.0)), float(memory.get("accel", 0.0)))
-        params, steps, n = self.params, self.steps, max(self.steps)
-        d_end, v_target, lat_acc_next, accel, kappa, early = self._samples(ego, start)
+        params, steps = self.params, np.array(self.steps)
+        n = int(steps.max())
+        d_end, v_target, lat_acc_next, accel, kappa, rejected = self._samples(ego, start)
         x, y, v, theta = dynamics.rollout_arrays(ego.x, ego.y, ego.v, ego.theta,
                                                  accel, kappa, self.dt)
+        violated = dynamics.bound_violations(v, accel, kappa, params)[1].any(axis=-2)
+        rejected.update({bound: violated[..., b] for b, bound in enumerate(dynamics.BOUNDS)})
+        alive = ~np.any(list(rejected.values()), axis=0)
 
-        horizons = []
-        for h, K in enumerate(steps):
-            inputs = accel[h, :, :K], kappa[h, :, :K]
-            states = [a[h, :, :K + 1] for a in (x, y, v, theta)]
-            violated = dynamics.bound_violations(states[2], *inputs, params)[1].any(axis=-2)
-            rejected = {reason: mask[h] for reason, mask in early.items()}
-            rejected.update({bound: violated[:, b] for b, bound in enumerate(dynamics.BOUNDS)})
-            horizons.append(Candidates(d_end, v_target, lat_acc_next[h], *inputs, *states,
-                                       rejected, np.full(len(d_end), math.inf)))
-
-        alive = np.stack([cands.ok for cands in horizons])
-        pairs = alive[:, :, None] & (np.arange(n) < np.array(steps)[:, None])[:, None, :]
+        pairs = alive[:, :, None] & (np.arange(n) < steps[:, None])[:, None, :]
         # (n, neighbours, 5): each neighbour's grown box at steps 1..n, its
         # last past its horizon, neighbours in id order
         boxes = [view.neighbors[nid].boxes for nid in sorted(view.neighbors)]
@@ -511,33 +515,28 @@ class FrenetPlanner:
                               np.full(len(k), params.length), np.full(len(k), params.width)],
                              axis=-1)
         hit = boxes_intersect(ego_boxes, predicted[k - 1, nb])
-        colliding = np.zeros(alive.shape, dtype=bool)
-        colliding[hz[hit], row[hit]] = True
-        for h, (K, cands) in enumerate(zip(steps, horizons)):
-            cands.rejected["collision"] = colliding[h]
-            ok = cands.ok
-            if ok.any():
-                cands.cost[ok] = self._cost(cands.accel[ok], cands.kappa[ok], cands.v[ok],
-                                            cands.x[ok], cands.y[ok], cands.d_end[ok],
-                                            cands.v_target[ok], predicted[:K])
-        return s0, d0, horizons
+        rejected["collision"] = np.zeros(alive.shape, dtype=bool)
+        rejected["collision"][hz[hit], row[hit]] = True
+        ok = alive & ~rejected["collision"]
+
+        hz, row = np.nonzero(ok)
+        cost = np.full(ok.shape, math.inf)
+        cost[ok] = self._cost(accel[ok], kappa[ok], v[ok], x[ok], y[ok], d_end[row],
+                              v_target[row], steps[hz], predicted)
+        return s0, d0, Candidates(steps, lat_acc_next, accel, kappa, x, y, v, theta,
+                                  rejected, ok, cost, _first_minimum(cost, ok))
 
     def plan(self, view: LocalView, memory: dict) -> PlanResult:
-        s0, d0, horizons = self.candidates(view, memory)
-        best = None  # (cost, candidates, row); ties keep the earlier candidate
-        for cands in horizons:
-            for row in np.flatnonzero(cands.ok).tolist():
-                cost = float(cands.cost[row])
-                if best is None or cost < best[0] - 1e-12:
-                    best = (cost, cands, row)
-        if best is None:
+        s0, d0, table = self.candidates(view, memory)
+        if table.best is None:
             return self._fallback(view, s0, d0, memory)
-        _, cands, row = best
-        traj = cands.trajectory(row, view.ego, self.dt)
+        h, r = table.best
+        u = ControlInput(float(table.accel[h, r, 0]), float(table.kappa[h, r, 0]))
+        nxt = AgentState(*(float(a[h, r, 1]) for a in (table.x, table.y, table.v, table.theta)))
         # carried across replans so consecutive plans stay consistent
-        memory["accel"] = traj.inputs[0].accel
-        memory["d_accel"] = float(cands.lat_acc_next[row])
-        return PlanResult(traj.states[1], traj.inputs[0], traj, "ok")
+        memory["accel"] = u.accel
+        memory["d_accel"] = float(table.lat_acc_next[h, r])
+        return PlanResult(nxt, u, "ok")
 
 
 # ---------------------------------------------------------------------------

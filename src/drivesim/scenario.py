@@ -177,12 +177,21 @@ def _grid_overlap(pa: Polygon, pb: Polygon, res: float) -> Polygon | None:
     return Polygon(pts[hull.vertices])
 
 
+def _check_shape(obstacle_id, length, width):
+    if not all(math.isfinite(a) and a > 0 for a in (length, width)):
+        raise ScenarioError(f"obstacle {obstacle_id}: shape {length} x {width} must be "
+                            "finite and > 0")
+
+
 @dataclass(frozen=True)
 class StaticObstacle:
     id: str
     length: float
     width: float
     pose: AgentState  # v is 0 by construction
+
+    def __post_init__(self):
+        _check_shape(self.id, self.length, self.width)
 
 
 class DynamicObstacle:
@@ -191,8 +200,7 @@ class DynamicObstacle:
     it; after the last row the vehicle holds its final pose at rest."""
 
     def __init__(self, obstacle_id, length, width, recording, params: VehicleParams | None = None):
-        if length <= 0 or width <= 0:
-            raise ScenarioError(f"obstacle {obstacle_id}: shape must be positive")
+        _check_shape(obstacle_id, length, width)
         self.id = str(obstacle_id)
         self.length = float(length)
         self.width = float(width)
@@ -264,8 +272,8 @@ class PlanningProblem:
 class Scenario:
     def __init__(self, network: StreetNetwork, static_obstacles, dynamic_obstacles,
                  planning_problems, dt: float):
-        if dt <= 0:
-            raise ScenarioError("dt must be > 0")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ScenarioError(f"dt={dt} must be finite and > 0")
         self.network = network
         self.static_obstacles = list(static_obstacles)
         self.dynamic_obstacles = list(dynamic_obstacles)
@@ -351,10 +359,17 @@ def _parse_states(rows, where) -> np.ndarray:
     return states
 
 
-def _parse_vehicle_params(block):
+def _parse_vehicle_params(block, where):
+    """The VehicleParams of a vehicle_params block, or None without one; a
+    ScenarioError naming where (and the key) unless the block is an object
+    whose keys are fields of VehicleParams and whose values are finite
+    numbers > 0."""
     if block is None:
         return None
-    return VehicleParams(**{k: float(v) for k, v in block.items()})
+    try:
+        return VehicleParams(**{key: float(value) for key, value in block.items()})
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: malformed vehicle_params ({exc})") from exc
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -391,7 +406,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             float(entry["shape"]["length"]),
             float(entry["shape"]["width"]),
             entry["trajectory"],
-            params=_parse_vehicle_params(entry.get("vehicle_params")),
+            params=_parse_vehicle_params(entry.get("vehicle_params"), f"obstacle {oid}"),
         ))
     problems = []
     for entry in doc.get("planning_problems", []):
@@ -404,7 +419,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             velocity_interval=tuple(goal_doc["v_interval"]) if goal_doc.get("v_interval") else None,
             orientation_interval=tuple(goal_doc["theta_interval"]) if goal_doc.get("theta_interval") else None,
         )
-        params = _parse_vehicle_params(entry.get("vehicle_params")) or VehicleParams()
+        params = (_parse_vehicle_params(entry.get("vehicle_params"), f"planning problem {aid}")
+                  or VehicleParams())
         initial = AgentState(float(x), float(y), float(v), float(th))
         problems.append(PlanningProblem(aid, initial, goal, params))
     scenario = Scenario(network, statics, dynamics, problems, dt)

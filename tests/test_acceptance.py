@@ -27,7 +27,7 @@ from drivesim.planners import FrenetPlanner, FrenetPlannerConfig, LocalView, Nei
 from drivesim.prediction import PredictedPath
 from drivesim.scenario import load_scenario
 
-from conftest import run_bundled
+from conftest import candidate_trajectory, run_bundled
 
 DT = 0.1
 INF = math.inf
@@ -455,11 +455,13 @@ def test_frenet_planner_contract():
         view = _random_view(rng, route, params)
         planner = FrenetPlanner(route, FrenetPlannerConfig(), params,
                                 v_ref=rng.uniform(5.0, 15.0), dt=DT)
+        table = planner.candidates(view, {})[2]
         result = planner.plan(view, {})
         if result.status != "ok":
             continue
         planned += 1
-        traj = result.intended_trajectory
+        traj = candidate_trajectory(table, *table.best, view.ego, DT)
+        assert (traj.states[1], traj.inputs[0]) == (result.next_state, result.next_input)
         assert feasible(traj, params)
         assert _overlap_with_prediction(traj, view, params) is None
     assert planned >= 150  # the vast majority of views must be plannable
@@ -494,14 +496,16 @@ def test_merge_frenet_plans_clear_inflated_predictions(monkeypatch):
     chosen = []
 
     def recording_plan(self, view, memory):
+        table = self.candidates(view, memory)[2]
         result = plan(self, view, memory)
-        chosen.append((view, result, self.params))
+        chosen.append((view, result, table, self))
         return result
 
     monkeypatch.setattr(FrenetPlanner, "plan", recording_plan)
     run_bundled("merge_frenet", worker_count=1)
     assert chosen
-    for view, result, params in chosen:
+    for view, result, table, planner in chosen:
         if result.status == "ok":
-            overlap = _overlap_with_prediction(result.intended_trajectory, view, params)
+            traj = candidate_trajectory(table, *table.best, view.ego, planner.dt)
+            overlap = _overlap_with_prediction(traj, view, planner.params)
             assert overlap is None, (view.ego_id, view.step, overlap)

@@ -21,6 +21,7 @@ from drivesim.prediction import PredictedPath
 from drivesim.scenario import GoalRegion, Lanelet, StreetNetwork
 from drivesim.geometry import Polygon
 
+from conftest import candidate_trajectory
 from test_geometry import reference_boxes_intersect
 
 DT = 0.1
@@ -325,6 +326,7 @@ class ReferenceFrenetPlanner:
                      if feasible_rows else ())
         best = None
         self.costs = []  # of the surviving candidates, in sampling order
+        self.chosen = None  # the chosen candidate's Trajectory
         for (states, inputs, d_end, v_target, lat_acc_next), collides in zip(feasible_rows,
                                                                             colliding):
             if collides:
@@ -343,10 +345,10 @@ class ReferenceFrenetPlanner:
                 best = (cost, Trajectory(states, inputs, self.dt), lat_acc_next)
         if best is None:
             return self.planner._fallback(view, s0, d0, memory)
-        traj = best[1]
+        traj = self.chosen = best[1]
         memory["accel"] = traj.inputs[0].accel
         memory["d_accel"] = best[2]
-        return PlanResult(traj.states[1], traj.inputs[0], traj, "ok")
+        return PlanResult(traj.states[1], traj.inputs[0], "ok")
 
 
 def _predicted_states(pred):
@@ -401,23 +403,24 @@ def frenet_views():
 
 def _assert_plan_matches_reference(planner, view, memory):
     """planner.plan on the view equals the reference planner bitwise: the
-    costs of the surviving candidates, the plan and the memory it leaves.
-    Returns the plan."""
+    costs of the surviving candidates, the step it applies, the states and
+    inputs of the chosen candidate over its K + 1 steps (read from the
+    table's best) and the memory it leaves. Returns the plan."""
     new_memory, ref_memory = dict(memory), dict(memory)
     result = planner.plan(view, new_memory)
     reference = ReferenceFrenetPlanner(planner)
     ref = reference.plan(view, ref_memory)
     where = (view.ego_id, view.step, planner.cfg.t_end_samples)
-    costs = [c for cands in planner.candidates(view, dict(memory))[2]
-             for c in cands.cost[cands.ok].tolist()]
-    assert _bits(*costs) == _bits(*reference.costs), where
+    table = planner.candidates(view, dict(memory))[2]
+    assert _bits(*table.cost[table.ok].tolist()) == _bits(*reference.costs), where
     assert result.status == ref.status, where
     assert _state_bits([result.next_state]) == _state_bits([ref.next_state]), where
     assert _input_bits([result.next_input]) == _input_bits([ref.next_input]), where
-    traj, ref_traj = result.intended_trajectory, ref.intended_trajectory
-    assert _state_bits(traj.states) == _state_bits(ref_traj.states), where
-    assert _input_bits(traj.inputs) == _input_bits(ref_traj.inputs), where
-    assert traj.dt == ref_traj.dt
+    assert (table.best is None) == (reference.chosen is None), where
+    if table.best is not None:
+        traj = candidate_trajectory(table, *table.best, view.ego, planner.dt)
+        assert _state_bits(traj.states) == _state_bits(reference.chosen.states), where
+        assert _input_bits(traj.inputs) == _input_bits(reference.chosen.inputs), where
     assert sorted(new_memory) == sorted(ref_memory), where
     assert [_bits(new_memory[k]) for k in sorted(new_memory)] == \
         [_bits(ref_memory[k]) for k in sorted(ref_memory)], where
@@ -434,22 +437,29 @@ def test_plan_matches_reference_bitwise(frenet_views):
 def test_unequal_horizons_share_one_rollout_and_one_collision_call(frenet_views, monkeypatch):
     """Three horizons of 15, 20 and 30 steps: the plan still equals the
     reference bitwise, although every horizon's inputs are padded to 30 steps
-    and rolled out together, and one plan makes one rollout_arrays call over
-    all three and one collision call; a braking fallback adds its one-step
+    and built into one table, and one plan makes one call each to
+    rollout_arrays (over all three horizons), bound_violations,
+    boxes_intersect and _cost; a braking fallback adds its one-step
     rollout."""
-    rollouts, collision_calls = [], []
-    rollout_arrays, intersect = dynamics.rollout_arrays, planners.boxes_intersect
+    rollouts, calls = [], []
+    rollout_arrays = dynamics.rollout_arrays
 
     def counted_rollout(x, y, v, theta, accel, kappa, dt):
         rollouts.append(accel.shape)
         return rollout_arrays(x, y, v, theta, accel, kappa, dt)
 
-    def counted_intersect(a, b):
-        collision_calls.append(1)
-        return intersect(a, b)
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
 
     monkeypatch.setattr(dynamics, "rollout_arrays", counted_rollout)
-    monkeypatch.setattr(planners, "boxes_intersect", counted_intersect)
+    monkeypatch.setattr(dynamics, "bound_violations",
+                        counted("bound_violations", dynamics.bound_violations))
+    monkeypatch.setattr(planners, "boxes_intersect",
+                        counted("boxes_intersect", planners.boxes_intersect))
+    monkeypatch.setattr(FrenetPlanner, "_cost", counted("_cost", FrenetPlanner._cost))
     t_end = (1.5, 2.0, 3.0)
     statuses = []
     for planner, view, memory in frenet_views[::4]:
@@ -458,10 +468,10 @@ def test_unequal_horizons_share_one_rollout_and_one_collision_call(frenet_views,
         assert three.steps == (15, 20, 30)
         rows = len(cfg.d_end_samples) * len(cfg.v_frac_samples)
         rollouts.clear()
-        collision_calls.clear()
+        calls.clear()
         status = three.plan(view, dict(memory)).status
         assert rollouts == [(3, rows, 30)] + [(1,)] * (status != "ok")
-        assert collision_calls == [1]
+        assert sorted(calls) == ["_cost", "bound_violations", "boxes_intersect"]
         statuses.append(status)
         _assert_plan_matches_reference(three, view, memory)
     assert len(statuses) > 45 and "ok" in statuses
@@ -494,9 +504,22 @@ def _parent_quintics(x0, dx0, ddx0, x1, T):
     return np.array([[quintic(x, T) for x in x1.tolist()] for T in T[1][:, 0].tolist()])
 
 
-def _parent_cost(self, accel, kappa, v, x, y, d_end, v_target, predicted):
-    """FrenetPlanner._cost as it was before the array program: a math.exp
-    per risk term and squares through libm pow (np.float_power)."""
+def _parent_cost(self, accel, kappa, v, x, y, d_end, v_target, steps, predicted):
+    """FrenetPlanner._cost as it was before the array program, applied to
+    the rows of each horizon cut to that horizon's K steps."""
+    cost = np.empty(len(x))
+    for K in np.unique(steps).tolist():
+        rows = steps == K
+        cost[rows] = _parent_horizon_cost(self, accel[rows, :K], kappa[rows, :K],
+                                          v[rows, :K + 1], x[rows, :K + 1], y[rows, :K + 1],
+                                          d_end[rows], v_target[rows], predicted[:K])
+    return cost
+
+
+def _parent_horizon_cost(self, accel, kappa, v, x, y, d_end, v_target, predicted):
+    """The cost of one horizon's rows as the planner had it before the array
+    program: a math.exp per risk term and squares through libm pow
+    (np.float_power)."""
     def pow2(a):
         return np.float_power(a, 2.0)
 
@@ -512,16 +535,6 @@ def _parent_cost(self, accel, kappa, v, x, y, d_end, v_target, predicted):
             + cfg.w_speed * pow2(v_target - self.v_ref) + cfg.w_risk * risk)
 
 
-def _chosen(horizons):
-    """(horizon, row) that FrenetPlanner.plan picks, or None."""
-    best = None
-    for h, cands in enumerate(horizons):
-        for row in np.flatnonzero(cands.ok).tolist():
-            if best is None or cands.cost[row] < best[0] - 1e-12:
-                best = (float(cands.cost[row]), h, row)
-    return best and best[1:]
-
-
 def test_costs_stay_close_to_the_parent_numerics(frenet_views, monkeypatch):
     """Against the scalar-pinned numerics the planner had before (math.exp,
     libm pow squares, a linear solve per quintic), every view rejects the
@@ -531,33 +544,32 @@ def test_costs_stay_close_to_the_parent_numerics(frenet_views, monkeypatch):
     monkeypatch.setattr(planners, "_quintics", _parent_quintics)
     monkeypatch.setattr(FrenetPlanner, "_cost", _parent_cost)
     worst, chosen = 0.0, 0
-    for (planner, view, memory), horizons in zip(frenet_views, now):
+    for (planner, view, memory), table in zip(frenet_views, now):
         where = (view.ego_id, view.step)
         parent = planner.candidates(view, dict(memory))[2]
-        for cands, old in zip(horizons, parent, strict=True):
-            for reason in REJECTIONS:
-                assert np.array_equal(cands.rejected[reason], old.rejected[reason]), where
-            ok = old.ok
-            drift = np.abs(cands.cost[ok] - old.cost[ok])
-            assert np.all(drift <= 1e-9 * np.abs(old.cost[ok])), where
-            worst = max(worst, float(np.max(drift / np.abs(old.cost[ok]), initial=0.0)))
-        assert _chosen(horizons) == _chosen(parent), where
-        chosen += _chosen(parent) is not None
+        for reason in REJECTIONS:
+            assert np.array_equal(table.rejected[reason], parent.rejected[reason]), where
+        ok = parent.ok
+        drift = np.abs(table.cost[ok] - parent.cost[ok])
+        assert np.all(drift <= 1e-9 * np.abs(parent.cost[ok])), where
+        worst = max(worst, float(np.max(drift / np.abs(parent.cost[ok]), initial=0.0)))
+        assert table.best == parent.best, where
+        chosen += parent.best is not None
     assert 0.0 < worst and chosen > 180
 
 
-def _all_pairs_collision(planner, view, cands):
-    """The collision mask of one horizon's candidates with every alive row
-    tested at every step against every neighbour by the unculled reference
-    kernel."""
-    alive = ~np.any([mask for reason, mask in cands.rejected.items() if reason != "collision"],
-                    axis=0)
-    K = cands.accel.shape[1]
+def _all_pairs_collision(planner, view, table, h):
+    """The collision mask of horizon h's candidates with every alive row
+    tested at each of the horizon's K steps against every neighbour by the
+    unculled reference kernel."""
+    alive = ~np.any([mask[h] for reason, mask in table.rejected.items()
+                     if reason != "collision"], axis=0)
+    K = int(table.steps[h])
     boxes = [view.neighbors[nid].boxes for nid in sorted(view.neighbors)]
     if not boxes:
         return np.zeros(len(alive), dtype=bool)
     predicted = np.stack([b[np.minimum(np.arange(1, K + 1), len(b) - 1)] for b in boxes], axis=1)
-    ego = occupancy(np.stack([cands.x[:, 1:], cands.y[:, 1:], cands.theta[:, 1:]], axis=-1),
+    ego = occupancy(np.stack([a[h, :, 1:K + 1] for a in (table.x, table.y, table.theta)], axis=-1),
                     planner.params.length, planner.params.width)
     hits = reference_boxes_intersect(ego[:, :, None, :], predicted[None])
     return alive & hits.any(axis=(1, 2))
@@ -586,15 +598,15 @@ def test_culled_collision_mask_equals_all_pairs(frenet_views, highway_views, mon
     collisions, culled, all_pairs = 0, 0, 0
     for planner, view, memory in frenet_views + highway_views:
         tested.clear()
-        _, _, horizons = planner.candidates(view, dict(memory))
-        for cands in horizons:
-            expected = _all_pairs_collision(planner, view, cands)
-            assert np.array_equal(cands.rejected["collision"], expected), (view.ego_id, view.step)
+        _, _, table = planner.candidates(view, dict(memory))
+        for h in range(len(table.steps)):
+            expected = _all_pairs_collision(planner, view, table, h)
+            assert np.array_equal(table.rejected["collision"][h], expected), (view.ego_id, view.step)
             collisions += int(expected.sum())
         assert len(tested) == 1
         if len(view.neighbors) > 10:
-            all_pairs += len(view.neighbors) * sum(
-                int((c.ok | c.rejected["collision"]).sum()) * c.accel.shape[1] for c in horizons)
+            alive = (table.ok | table.rejected["collision"]).sum(axis=1)
+            all_pairs += len(view.neighbors) * int(alive @ table.steps)
             culled += tested[0]
     assert len(highway_views) >= 40 and collisions > 100
     assert 0 < culled < all_pairs / 4
@@ -613,25 +625,25 @@ def test_degenerate_horizons_are_rejected():
 
 
 def test_candidate_rows_replay_the_scalar_model(frenet_views):
-    """Every row's states are exact dynamics.step replays of its inputs (and
-    of the reference scalar model), and its bound masks agree with
-    dynamics.feasible."""
+    """Every candidate's states over its own K + 1 steps are exact
+    dynamics.step replays of its inputs (and of the reference scalar model),
+    and its bound masks, from one bound_violations call over the padded
+    table, agree with dynamics.feasible over those steps alone."""
     for planner, view, memory in frenet_views[::10]:
-        _, _, horizons = planner.candidates(view, dict(memory))
-        for cands in horizons:
-            bounds = np.column_stack([cands.rejected[b] for b in REJECTIONS[2:6]])
-            for row in range(len(cands.d_end)):
-                traj = cands.trajectory(row, view.ego, planner.dt)
-                for k, u in enumerate(traj.inputs):
-                    expected = _state_bits([traj.states[k + 1]])
-                    assert _state_bits([step(traj.states[k], u, planner.dt)]) == expected
-                    assert _state_bits([_reference_step(traj.states[k], u, planner.dt)]) == expected
-                verdict = feasible(traj, planner.params)
-                assert verdict.ok == (not bounds[row].any())
-                first = _reference_feasible(traj.states, traj.inputs, planner.params)
-                assert verdict.violation == first
-                if not verdict.ok:
-                    assert cands.rejected[verdict.violation.bound][row]
+        _, _, table = planner.candidates(view, dict(memory))
+        bounds = np.stack([table.rejected[b] for b in REJECTIONS[2:6]], axis=-1)
+        for h, row in np.ndindex(table.ok.shape):
+            traj = candidate_trajectory(table, h, row, view.ego, planner.dt)
+            for k, u in enumerate(traj.inputs):
+                expected = _state_bits([traj.states[k + 1]])
+                assert _state_bits([step(traj.states[k], u, planner.dt)]) == expected
+                assert _state_bits([_reference_step(traj.states[k], u, planner.dt)]) == expected
+            verdict = feasible(traj, planner.params)
+            assert verdict.ok == (not bounds[h, row].any())
+            first = _reference_feasible(traj.states, traj.inputs, planner.params)
+            assert verdict.violation == first
+            if not verdict.ok:
+                assert table.rejected[verdict.violation.bound][h, row]
 
 
 def _curved_route(radius, arc=math.pi / 2, lead=30.0):
@@ -647,8 +659,8 @@ def test_every_rejection_reason_fires():
     fired = set()
 
     def collect(planner, view):
-        for cands in planner.candidates(view, {})[2]:
-            fired.update(r for r in REJECTIONS if cands.rejected[r].any())
+        table = planner.candidates(view, {})[2]
+        fired.update(r for r in REJECTIONS if table.rejected[r].any())
 
     cfg = FrenetPlannerConfig()
     # route end: 40 m of route left at 10 m/s

@@ -1,12 +1,14 @@
 """Scenario model: maps, obstacles, goals, substitution, (de)serialization."""
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drivesim.cli import resolve_scenario_path
+from drivesim.cli import main, resolve_scenario_path
 from drivesim.dynamics import AgentState, normalize_angle
 from drivesim.geometry import Polygon, Polyline
 from drivesim.scenario import (Adjacency, DynamicObstacle, GoalCheck,
@@ -145,6 +147,43 @@ class TestSerialization:
             load_scenario(path)
         with pytest.raises(ScenarioError, match=r"^obstacle x: malformed trajectory"):
             DynamicObstacle("x", 4.5, 2.0, [row])
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("dynamic_obstacles", 0, "vehicle_params"), {"a_long_max": -1},
+         r"obstacle green: malformed vehicle_params \(a_long_max=-1\.0 must be finite and > 0\)"),
+        (("dynamic_obstacles", 0, "vehicle_params"), {"a_long": 8.0},
+         r"obstacle green: malformed vehicle_params \(.*keyword argument 'a_long'\)"),
+        (("dynamic_obstacles", 0, "vehicle_params"), {"a_long_max": math.nan, "kappa_max": math.nan},
+         r"obstacle green: malformed vehicle_params \(a_long_max=nan must be finite"),
+        (("planning_problems", 0, "vehicle_params"), {"v_max": math.inf},
+         r"planning problem orange: malformed vehicle_params \(v_max=inf must be finite"),
+        (("dynamic_obstacles", 0, "vehicle_params"), [8.0],
+         r"obstacle green: malformed vehicle_params \('list' object"),
+        (("dynamic_obstacles", 0, "shape", "length"), math.nan,
+         r"obstacle green: shape nan x 2\.0 must be finite and > 0"),
+        (("dt",), math.nan, r"dt=nan must be finite and > 0"),
+    ], ids=["negative_bound", "unknown_key", "nan_bounds", "infinite_agent_bound",
+            "not_an_object", "nan_length", "nan_dt"])
+    def test_bad_numbers_fail_at_load(self, tmp_path, capsys, path, value, message):
+        """A vehicle_params bound <= 0 or not finite, an unknown
+        vehicle_params key, a vehicle_params list, a NaN obstacle shape and
+        a NaN dt fail at load with a ScenarioError naming the vehicle and
+        the key, and `drivesim run` exits 1 with it. Such a scenario once
+        exited 2 as a runtime failure (bound <= 0, unknown key, list) or
+        loaded and ran (NaN)."""
+        doc = scenario_to_dict(substitute_agents(_bundled("merge"), ["orange"]))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(doc)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scenario": "bad.json", "simulation": {"max_steps": 5},
+                                      "agents": {"green": {"planner": "frenet"}}}))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert re.search(message, capsys.readouterr().err)
 
     def test_dict_round_trip(self):
         scenario = _bundled("merge")

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from drivesim import engine, geometry, metrics, scenario
+from drivesim.cli import build_run, load_run_config
 
 from conftest import run_bundled
 
@@ -46,6 +47,24 @@ def test_tracer_installs_and_restores():
         undo()
     assert (geometry.CurvilinearFrame.project, scenario.StreetNetwork.nearest_lanelet,
             metrics.select_frames, engine.predict_all) == originals
+
+
+def test_tracer_times_route_to_goal_in_build_planner():
+    """engine.build_planner looks route_to_goal up in planners when it
+    builds a Frenet planner, so the tracer's wrapper records the call; an
+    import at the top of engine would keep the unwrapped function, and
+    planners.route_to_goal_s would read 0."""
+    spans = _load(PERFBENCH / "spans.py")
+    scn, bindings, sim_cfg, *_ = build_run(load_run_config("merge_frenet"))
+    problem = scn.planning_problems[0]
+    assert bindings[problem.agent_id].kind == "frenet"
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        engine.build_planner(bindings[problem.agent_id], problem, scn, sim_cfg.dt)
+    finally:
+        undo()
+    assert "planners.route_to_goal" in [s[0] for s in tracer.spans]
 
 
 @pytest.mark.parametrize("name", ["highway_frenet12", "intersection_frenet"])

@@ -14,12 +14,17 @@ configuration runs with `drivesim run` and `drivesim evaluate` in a fresh
 interpreter and a temporary directory, and the script prints one table row
 per configuration with the sha256 of its `steps.jsonl` and of its
 `metrics.json`. drivesim is imported from the `src` directory next to this
-script, so running the script of two checkouts compares their code. A
-refactor that claims to keep behaviour must leave every digest unchanged.
+script, so running the script of two checkouts compares their code.
+
+The printed table is then compared with `tools/expected_digests.md`. On any
+difference the script prints the differing rows as a diff and exits 1. A
+refactor that claims to keep behaviour must leave every digest unchanged; a
+change that moves digests on purpose edits that file and says why.
 """
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import json
 import os
@@ -32,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DATA = SRC / "drivesim" / "data"
 MULTI_VEHICLE = ROOT / "perfbench" / "configs" / "highway_frenet12.json"
+EXPECTED = Path(__file__).resolve().parent / "expected_digests.md"
 
 
 def agent_configs() -> list[str]:
@@ -77,8 +83,8 @@ def write_variant(directory: str, name: str, planner: str) -> str:
 
 
 def main() -> int:
-    print("| config | steps.jsonl sha256 | metrics.json sha256 |")
-    print("|---|---|---|")
+    table = ["| config | steps.jsonl sha256 | metrics.json sha256 |", "|---|---|---|"]
+    print(*table, sep="\n")
     configs = {name: name for name in agent_configs()}
     configs[MULTI_VEHICLE.stem] = str(MULTI_VEHICLE)
     with tempfile.TemporaryDirectory() as derived:
@@ -86,8 +92,15 @@ def main() -> int:
         configs["highway_frenet12x40"] = write_variant(derived, "highway_frenet12x40", "frenet")
         for name, config in configs.items():
             steps, metrics = digests(config)
-            print(f"| `{name}` | `{steps}` | `{metrics}` |", flush=True)
-    return 0
+            table.append(f"| `{name}` | `{steps}` | `{metrics}` |")
+            print(table[-1], flush=True)
+    expected = EXPECTED.read_text().splitlines()
+    if table == expected:
+        return 0
+    print(f"\ndigests differ from {EXPECTED.relative_to(ROOT)}:")
+    for line in difflib.unified_diff(expected, table, "expected", "this checkout", lineterm="", n=0):
+        print(line)
+    return 1
 
 
 if __name__ == "__main__":
