@@ -181,7 +181,6 @@ class _AgentRuntime:
     states: list
     inputs: list
     terminal_step: int | None = None
-    entered_goal: bool = False
 
 
 def _chunk(seq, n):
@@ -284,7 +283,6 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
             else:
                 continue
             rt.terminal_step = t
-            rt.entered_goal = check is not GoalCheck.NOT_REACHED
             running.remove(aid)
 
         # (4) global motion prediction on time-t states
@@ -372,7 +370,7 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
 
 
 def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
-              steps: int = 20, frenet_config: FrenetPlannerConfig | None = None):
+              steps: int = 20):
     """Timing table over (agent count, worker count) combinations.
 
     Substitutes the first n recorded vehicles (by id) with frenet agents and
@@ -394,8 +392,7 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
         chosen = obstacle_ids[:n]
         sub = substitute_agents(scenario, chosen)
         bindings = {
-            oid: PlannerBinding(kind="frenet", recording=scenario.dynamic_obstacle(oid).recording,
-                                frenet_config=frenet_config or FrenetPlannerConfig())
+            oid: PlannerBinding(kind="frenet", recording=scenario.dynamic_obstacle(oid).recording)
             for oid in chosen
         }
         for w in worker_counts:

@@ -450,10 +450,10 @@ def box_intersects_polygon(box, poly: Polygon):
     return ~(on_box | on_poly).reshape(shape)[()]
 
 
-def box_inside_region(box, region, spacing: float = 0.1):
+def box_inside_region(box, region):
     """True per box iff it lies within the union of the region's polygons.
 
-    Containment is decided on corners plus boundary samples at <= spacing,
+    Containment is decided on corners plus boundary samples at <= 0.1 m,
     which is robust on non-convex unions of lanelet polygons. The samples of
     all boxes are built in one pass; then each box's samples are tested on
     their own, polygon by polygon, skipping the samples outside a polygon's
@@ -466,7 +466,7 @@ def box_inside_region(box, region, spacing: float = 0.1):
     shape, flat = box.shape[:-1], box.reshape(-1, 5)
     corners = box_corners(flat)
     span = (np.roll(corners, -1, axis=-2) - corners).reshape(-1, 2)
-    count = np.ceil(np.hypot(span[:, 0], span[:, 1]) / spacing).astype(int)
+    count = np.ceil(np.hypot(span[:, 0], span[:, 1]) / 0.1).astype(int)
     # samples 1 .. count-1 of each side, side by side and box by box
     per_side = np.maximum(count - 1, 0)
     side = np.repeat(np.arange(len(count)), per_side)

@@ -2,21 +2,25 @@
 
 All pairwise measures are computed in curvilinear frames spanned by the
 agent's reachable lanelet paths; where several frames apply, the one with the
-most critical TTC is retained. Oncoming traffic is ignored unless the agent
-occupies the oncoming lane or the driving lanes cross. Undefined values are
-represented as math.inf, never as sentinel numbers inside arithmetic.
+most critical TTC is retained. Where an agent is in each of its frames is
+decided once per step (frame_table), so each pair projects only the other
+vehicle. Oncoming traffic is ignored unless the agent occupies the oncoming
+lane or the driving lanes cross. Undefined values are represented as
+math.inf, never as sentinel numbers inside arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import VehicleParams, normalize_angle, normalize_angles
 from .engine import AgentStatus, SimulationResult
-from .geometry import box_intersects_polygon, boxes_intersect, min_distance, occupancy
+from .geometry import (CurvilinearFrame, box_intersects_polygon, boxes_intersect,
+                       min_distance, occupancy)
 from .prediction import ahead, lane_chain
 from .scenario import Scenario
 
@@ -41,7 +45,8 @@ class MetricConfig:
 @dataclass
 class VehicleLog:
     """A vehicle's motion over the run: track (n, 4) holds its (x, y, v,
-    theta) at each step."""
+    theta) at each step. lanelets, its localized lanelet (or None) at each
+    step, is set by evaluate from one network.localize call."""
 
     id: str
     track: np.ndarray
@@ -49,6 +54,7 @@ class VehicleLog:
     width: float
     is_agent: bool
     params: VehicleParams | None = None
+    lanelets: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.v = self.track[:, 2]
@@ -72,41 +78,56 @@ class PairContext:
 # Frame enumeration
 
 
-def _candidate_chains(network, log, step: int, chain_cache: dict):
-    """All lanelet paths (successor chains) the vehicle can reach from its
-    position at one logged step, used as candidate reference frames; they
-    start at its localized lanelet when no lanelet containing it is aligned
-    with it. Computed once per evaluation and step."""
-    if (log.id, step) in chain_cache:
-        return chain_cache[(log.id, step)]
-    x, y, _, theta = log.track[step].tolist()
-    turns = _containing_turns(network, x, y, theta)
-    starts = [lid for lid, turn in turns.items() if turn <= math.pi / 2]
-    lanelet = _lanelets(network, log, chain_cache)[step]
-    if not starts and lanelet is not None:
-        starts = [lanelet]
-    chains = []
-    for start in sorted(starts):
-        stack = [((start,), network.lanelets[start].centerline.length)]
-        while stack and len(chains) < MAX_PATHS:
-            chain, length = stack.pop()
-            succ = sorted(network.lanelets[chain[-1]].successors)
-            succ = [s for s in succ if s not in chain]
-            if length >= PATH_LOOKAHEAD or not succ:
-                chains.append(chain)
-                continue
-            for s in succ:
-                stack.append((chain + (s,), length + network.lanelets[s].centerline.length))
-    chain_cache[(log.id, step)] = chains
-    return chains
+class AgentFrame(NamedTuple):
+    """Where an agent is in one of its candidate frames at one step."""
+    chain: tuple
+    frame: CurvilinearFrame
+    s: float
+    d: float
+    v_along: float   # speed along the frame's tangent
+    oncoming: bool   # heading against the frame, or inside a lanelet it drives against
 
 
-def _lanelets(network, log, chain_cache: dict) -> list:
-    """The localized lanelet (or None) at each logged state, found in one
-    call per evaluation and kept in chain_cache under the log's id."""
-    if log.id not in chain_cache:
-        chain_cache[log.id] = network.localize(log.track[:, :2])
-    return chain_cache[log.id]
+def frame_table(network, log: VehicleLog) -> list[list[AgentFrame]]:
+    """Per logged step of an agent, its candidate frames whose domain holds
+    it. The candidates are the lanelet paths (successor chains) it can reach
+    from the lanelets containing it that are aligned with its heading, or
+    from its localized lanelet when none is. The containing lanelets are
+    found once per step, and the whole track is projected once per distinct
+    chain."""
+    located, table = {}, []
+    for t, ((x, y, v, theta), lanelet) in enumerate(zip(log.track.tolist(), log.lanelets)):
+        turns = _containing_turns(network, x, y, theta)
+        starts = [lid for lid, turn in turns.items() if turn <= math.pi / 2]
+        if not starts and lanelet is not None:
+            starts = [lanelet]
+        chains = []
+        for start in sorted(starts):
+            stack = [((start,), network.lanelets[start].centerline.length)]
+            while stack and len(chains) < MAX_PATHS:
+                chain, length = stack.pop()
+                succ = sorted(network.lanelets[chain[-1]].successors)
+                succ = [s for s in succ if s not in chain]
+                if length >= PATH_LOOKAHEAD or not succ:
+                    chains.append(chain)
+                    continue
+                for s in succ:
+                    stack.append((chain + (s,), length + network.lanelets[s].centerline.length))
+        against = any(turn > math.pi / 2 for turn in turns.values())
+        row = []
+        for chain in chains:
+            if chain not in located:
+                frame = network.chain_frame(chain)
+                s, d, inside = frame.project(log.track[:, :2])
+                located[chain] = (frame, s.tolist(), d.tolist(), inside.tolist(),
+                                  frame.tangent_angle_at(s).tolist())
+            frame, s, d, inside, tangent = located[chain]
+            if inside[t]:
+                turn = normalize_angle(theta - tangent[t])
+                row.append(AgentFrame(chain, frame, s[t], d[t], v * math.cos(turn),
+                                      against or abs(turn) > math.pi / 2))
+        table.append(row)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +178,18 @@ def distance_series(log_a: VehicleLog, log_o: VehicleLog) -> np.ndarray:
     return min_distance(log_a.boxes[:n], log_o.boxes[:n])
 
 
-def ttce_dce(dist_series: np.ndarray, step: int, dt: float) -> tuple[float, float]:
-    """Time to and distance of the closest future encounter from step onward."""
-    future = dist_series[step:]
-    if len(future) == 0:
-        return INF, INF
-    arg = int(np.argmin(future))
-    return arg * dt, float(future[arg])
+def ttce_dce(dist_series: np.ndarray, dt: float) -> tuple[list, list]:
+    """Time to and distance of the closest future encounter from each step
+    onward: the first minimum of the distances at or after the step, found
+    in one backward scan."""
+    dists = dist_series.tolist()
+    ttce, dce, first = [], [], len(dists) - 1
+    for t in range(len(dists) - 1, -1, -1):
+        if dists[t] <= dists[first]:
+            first = t
+        ttce.append((first - t) * dt)
+        dce.append(dists[first])
+    return ttce[::-1], dce[::-1]
 
 
 def braking_threat(hw: float, v_ego_along: float, v_lead_along: float,
@@ -200,39 +226,28 @@ def proportion_stopping_distance(distance_to_area: float, msd: float) -> float:
 
 def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
                   dt: float, cfg: MetricConfig, conflict_pairs: set,
-                  chain_cache: dict) -> PairContext:
-    """Classify the pair at one step and pick the most critical frame."""
-    xa, ya, va, tha = log_a.track[step].tolist()
+                  frames: list[AgentFrame]) -> PairContext:
+    """Classify the pair at one step and pick the most critical of frames,
+    the agent's row of its frame_table at step."""
+    xa, ya = log_a.track[step, :2].tolist()
     xo, yo, vo, tho = log_o.track[step].tolist()
     if math.hypot(xa - xo, ya - yo) > cfg.gating_distance:
         return PairContext("ignored")
 
-    chains = _candidate_chains(network, log_a, step, chain_cache)
-    if not chains:
-        return PairContext("ignored")
-
-    other_lanelet = _lanelets(network, log_o, chain_cache)[step]
-
+    other_lanelet = log_o.lanelets[step]
     best: PairContext | None = None
-    for chain in chains:
-        frame = network.chain_frame(chain)
-        s, d, in_dom = frame.project([(xa, ya), (xo, yo)])
-        if not in_dom.all():
+    for agent in frames:
+        s_o, d_o, inside = agent.frame.project((xo, yo))
+        if not inside:
             continue
-        (s_a, s_o), (d_a, d_o) = s.tolist(), d.tolist()
-        tang_a, tang_o = frame.tangent_angle_at(s).tolist()
+        tang_o = agent.frame.tangent_angle_at(s_o)
         same_dir = abs(normalize_angle(tho - tang_o)) <= math.pi / 2
         lanes_cross = (
             other_lanelet is not None
-            and any(tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in chain)
+            and any(tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in agent.chain)
         )
         if not same_dir:
-            on_oncoming_lane = abs(normalize_angle(tha - tang_a)) > math.pi / 2
-            # the agent's own chains align with its heading, so check the
-            # containing lanelets directly
-            on_oncoming_lane = on_oncoming_lane or any(
-                turn > math.pi / 2 for turn in _containing_turns(network, xa, ya, tha).values())
-            if not (on_oncoming_lane or lanes_cross):
+            if not (agent.oncoming or lanes_cross):
                 continue
             relation = "oncoming-relevant"
         elif lanes_cross:
@@ -240,18 +255,17 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         else:
             relation = "lead-follow"
 
-        v_a_along = va * math.cos(normalize_angle(tha - tang_a))
         v_o_along = vo * math.cos(normalize_angle(tho - tang_o))
         hw = INF
-        if s_o - log_o.length / 2.0 > s_a + log_a.length / 2.0 and abs(d_o) <= CORRIDOR_HALFWIDTH:
-            hw = (s_o - log_o.length / 2.0) - (s_a + log_a.length / 2.0)
+        if s_o - log_o.length / 2.0 > agent.s + log_a.length / 2.0 and abs(d_o) <= CORRIDOR_HALFWIDTH:
+            hw = (s_o - log_o.length / 2.0) - (agent.s + log_a.length / 2.0)
         a_a = log_a.a[step] / dt
         a_o = log_o.a[step] / dt
         if relation == "crossing" and hw == INF:
-            ttc = _crossing_ttc(network, log_a, log_o, step, dt, chain_cache)
+            ttc = _crossing_ttc(network, log_a, log_o, step, dt)
         else:
-            ttc = ttc_closed_form(hw, v_o_along - v_a_along, a_o - a_a)
-        ctx = PairContext(relation, d_a, d_o, v_a_along, v_o_along, hw, ttc)
+            ttc = ttc_closed_form(hw, v_o_along - agent.v_along, a_o - a_a)
+        ctx = PairContext(relation, agent.d, d_o, agent.v_along, v_o_along, hw, ttc)
         if best is None or (ctx.ttc, ctx.hw) < (best.ttc, best.hw):
             best = ctx
     if best is None:
@@ -266,17 +280,18 @@ def _containing_turns(network, x: float, y: float, theta: float) -> dict:
 
 
 def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
-                  dt: float, chain_cache: dict, horizon: float = 15.0) -> float:
+                  dt: float) -> float:
     """Time until occupancy overlap when both continue along their own paths
     at their logged speeds: along the lane chain ahead at the current offset,
     held at its end, or straight on off the network. The search gives up at
     the first step at which either offset folds over its chain."""
+    horizon = 15.0  # s
     k = np.arange(1, int(round(horizon / dt)) + 1)
     tracks = []  # (state, frame, arc lengths at steps k, offset) per vehicle
     folds = np.zeros(len(k), dtype=bool)
     for log in (log_a, log_o):
         x0, y0, v, theta0 = st = log.track[step].tolist()
-        lid = _lanelets(network, log, chain_cache)[step]
+        lid = log.lanelets[step]
         frame = s = d0 = None
         if lid is not None:
             needed = network.lanelets[lid].centerline.length + (v * horizon + 20.0)
@@ -381,12 +396,13 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         for o in scenario.static_obstacles]
     for obs, track in obstacles:
         logs[obs.id] = VehicleLog(obs.id, track, obs.length, obs.width, False)
+    for log in logs.values():
+        log.lanelets = network.localize(log.track[:, :2])
 
     conflict_areas = network.conflict_areas()
     conflict_pairs = {tuple(sorted(pair)) for pair, _ in conflict_areas}
     area_flags = [{vid: box_intersects_polygon(log.boxes, area) for vid, log in logs.items()}
                   for _, area in conflict_areas]
-    chain_cache: dict = {}  # chains per (vehicle, step), lanelets per vehicle
 
     report = MetricReport(dt=dt)
     agent_ids = sorted(aid for aid, log in logs.items() if log.is_agent)
@@ -394,8 +410,9 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     for aid in agent_ids:
         log_a = logs[aid]
         params = log_a.params or VehicleParams()
+        table = frame_table(network, log_a)
         v_a = log_a.v.tolist()
-        per_pair_ttc = []
+        kept = []  # the agent's series in report.pair_series
         for oid in sorted(logs):
             if oid == aid:
                 continue
@@ -403,9 +420,10 @@ def evaluate(result: SimulationResult, scenario: Scenario,
             dists = distance_series(log_a, log_o)
             series = {k: [] for k in ("hw", "thw", "ttc", "ttce", "dce",
                                       "btn", "stn", "relation")}
+            series["ttce"], series["dce"] = ttce_dce(dists, dt)
             for t in range(len(dists)):
                 ctx = select_frames(network, log_a, log_o, t, dt, cfg,
-                                    conflict_pairs, chain_cache)
+                                    conflict_pairs, table[t])
                 series["relation"].append(ctx.relation)
                 series["hw"].append(ctx.hw)
                 v = v_a[t]
@@ -416,13 +434,10 @@ def evaluate(result: SimulationResult, scenario: Scenario,
                 series["stn"].append(steering_threat(ctx.d_a, ctx.d_o,
                                                      log_a.width, log_o.width,
                                                      ctx.ttc, params.a_lat_max))
-                ttce_v, dce_v = ttce_dce(dists, t, dt)
-                series["ttce"].append(ttce_v)
-                series["dce"].append(dce_v)
             if (any(r != "ignored" for r in series["relation"])
                     or np.any(dists < cfg.gating_distance)):
                 report.pair_series[(aid, oid)] = series
-                per_pair_ttc.append(series["ttc"])
+                kept.append(series)
 
         # conflict-area events
         for idx, (pair, area) in enumerate(conflict_areas):
@@ -436,32 +451,22 @@ def evaluate(result: SimulationResult, scenario: Scenario,
                 })
 
         # per-agent series: most critical TTC across pairs, MSD, PSD
-        ttc_min = [min((s[t] for s in per_pair_ttc if t < len(s)), default=INF)
+        ttc_min = [min((s["ttc"][t] for s in kept if t < len(s["ttc"])), default=INF)
                    for t in range(len(v_a))]
-        msd_series, psd_series = [], []
-        for t, v in enumerate(v_a):
-            msd = minimum_stopping_distance(v, params.a_long_max)
-            msd_series.append(msd)
-            dist_area = _distance_to_next_conflict_area(network, log_a, t, conflict_areas,
-                                                        chain_cache)
-            psd_series.append(proportion_stopping_distance(dist_area, msd)
-                              if math.isfinite(dist_area) else INF)
+        msd_series = [minimum_stopping_distance(v, params.a_long_max) for v in v_a]
+        psd_series = [proportion_stopping_distance(
+            _distance_to_next_conflict_area(log_a, row, conflict_areas), msd)
+            for row, msd in zip(table, msd_series)]
         report.agent_series[aid] = {"ttc": ttc_min, "msd": msd_series, "psd": psd_series}
 
         duration = (len(v_a) - 1) * dt
-        pair_mins = {
-            "min_ttc": _finite_min(ttc_min),
-            "min_dce": _finite_min(
-                v for (a, o), s in report.pair_series.items() if a == aid for v in s["dce"]),
-            "max_btn": max((v for (a, o), s in report.pair_series.items()
-                            if a == aid for v in s["btn"]), default=0.0),
-            "max_stn": max((v for (a, o), s in report.pair_series.items()
-                            if a == aid for v in s["stn"]), default=0.0),
-        }
         ets = [e["et"] for e in report.conflict_events if e["agent"] == aid]
         pets = [e["pet"] for e in report.conflict_events if e["agent"] == aid]
         report.aggregates[aid] = {
-            **pair_mins,
+            "min_ttc": _finite_min(ttc_min),
+            "min_dce": _finite_min(v for s in kept for v in s["dce"]),
+            "max_btn": max((v for s in kept for v in s["btn"]), default=0.0),
+            "max_stn": max((v for s in kept for v in s["stn"]), default=0.0),
             "tet": tet(ttc_min, cfg.ttc_threshold, dt, duration),
             "tit": tit(ttc_min, cfg.ttc_threshold, dt, duration),
             "et": _finite_min(ets),
@@ -472,24 +477,19 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     return report
 
 
-def _distance_to_next_conflict_area(network, log: VehicleLog, step: int, conflict_areas,
-                                    chain_cache) -> float:
-    position = log.track[step, :2].tolist()
+def _distance_to_next_conflict_area(log: VehicleLog, frames: list[AgentFrame],
+                                    conflict_areas) -> float:
     best = INF
-    for chain in _candidate_chains(network, log, step, chain_cache):
-        frame = network.chain_frame(chain)
-        s_a, _, in_a = frame.project(position)
-        if not in_a:
-            continue
-        chain_set = set(chain)
+    for agent in frames:
+        chain_set = set(agent.chain)
         for pair, area in conflict_areas:
             if not chain_set.intersection(pair):
                 continue
-            s_v, d_v, in_v = frame.project(area.vertices)
+            s_v, d_v, in_v = agent.frame.project(area.vertices)
             entries = in_v & (np.abs(d_v) <= CORRIDOR_HALFWIDTH + 2.0)
             if not entries.any():
                 continue
-            dist = float(s_v[entries].min()) - (s_a + log.length / 2.0)
+            dist = float(s_v[entries].min()) - (agent.s + log.length / 2.0)
             if 0.0 < dist < best:
                 best = dist
     return best

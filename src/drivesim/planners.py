@@ -118,12 +118,13 @@ class IdmParams:
 
 
 def _track_path(frame: CurvilinearFrame, s: float, d: float, theta: float,
-                d_target: float, params: VehicleParams,
-                kp: float = 0.4, kh: float = 1.2) -> float:
-    """Curvature command steering toward lateral offset d_target on frame."""
+                d_target: float, params: VehicleParams) -> float:
+    """Curvature command steering toward lateral offset d_target on frame,
+    with gains 0.4 1/m^2 on the offset error and 1.2 1/m on the heading
+    error."""
     kappa_ref = frame.curvature_at(s)
     dtheta = normalize_angle(frame.tangent_angle_at(s) - theta)
-    kappa = kappa_ref + kp * (d_target - d) + kh * dtheta
+    kappa = kappa_ref + 0.4 * (d_target - d) + 1.2 * dtheta
     return max(-params.kappa_max, min(params.kappa_max, kappa))
 
 

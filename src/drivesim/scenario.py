@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -183,6 +184,12 @@ def _check_shape(obstacle_id, length, width):
                             "finite and > 0")
 
 
+def _check_state(where, state: AgentState):
+    if not all(map(math.isfinite, (state.x, state.y, state.v, state.theta))):
+        raise ScenarioError(f"{where} ({state.x}, {state.y}, {state.v}, {state.theta}) "
+                            "must be finite")
+
+
 @dataclass(frozen=True)
 class StaticObstacle:
     id: str
@@ -192,6 +199,7 @@ class StaticObstacle:
 
     def __post_init__(self):
         _check_shape(self.id, self.length, self.width)
+        _check_state(f"obstacle {self.id}: pose", self.pose)
 
 
 class DynamicObstacle:
@@ -228,8 +236,8 @@ class GoalRegion:
     orientation_interval: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ScenarioError("goal t_max must be > 0")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ScenarioError(f"goal t_max={self.t_max} must be finite and > 0")
         for iv in (self.velocity_interval, self.orientation_interval):
             if iv is not None and iv[1] < iv[0]:
                 raise ScenarioError("goal interval must be non-empty")
@@ -267,6 +275,9 @@ class PlanningProblem:
     initial_state: AgentState
     goal: GoalRegion
     params: VehicleParams = field(default_factory=VehicleParams)
+
+    def __post_init__(self):
+        _check_state(f"planning problem {self.agent_id}: initial state", self.initial_state)
 
 
 class Scenario:
@@ -372,6 +383,17 @@ def _parse_vehicle_params(block, where):
         raise ScenarioError(f"{where}: malformed vehicle_params ({exc})") from exc
 
 
+def _parse_goal(block, where) -> GoalRegion:
+    """The GoalRegion of a goal block; a ScenarioError naming where unless
+    its deadline is finite and > 0 and its intervals are non-empty."""
+    intervals = [tuple(block[key]) if block.get(key) else None
+                 for key in ("v_interval", "theta_interval")]
+    try:
+        return GoalRegion(Polygon(block["polygon"]), float(block["t_max"]), *intervals)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         dt = float(doc["dt"])
@@ -412,13 +434,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for entry in doc.get("planning_problems", []):
         aid = str(entry["agent_id"])
         x, y, v, th = entry["initial_state"]
-        goal_doc = entry["goal"]
-        goal = GoalRegion(
-            area=Polygon(goal_doc["polygon"]),
-            t_max=float(goal_doc["t_max"]),
-            velocity_interval=tuple(goal_doc["v_interval"]) if goal_doc.get("v_interval") else None,
-            orientation_interval=tuple(goal_doc["theta_interval"]) if goal_doc.get("theta_interval") else None,
-        )
+        goal = _parse_goal(entry["goal"], f"planning problem {aid}")
         params = (_parse_vehicle_params(entry.get("vehicle_params"), f"planning problem {aid}")
                   or VehicleParams())
         initial = AgentState(float(x), float(y), float(v), float(th))
@@ -450,13 +466,7 @@ def load_scenario(path) -> Scenario:
 
 
 def _vehicle_params_to_dict(params: VehicleParams | None):
-    if params is None:
-        return None
-    return {
-        "length": params.length, "width": params.width,
-        "a_long_max": params.a_long_max, "a_lat_max": params.a_lat_max,
-        "v_max": params.v_max, "kappa_max": params.kappa_max,
-    }
+    return None if params is None else dataclasses.asdict(params)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

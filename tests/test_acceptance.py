@@ -5,6 +5,7 @@ parallel-scaling guarantees of the engine, and oracle-backed checks of the
 geometric and metric primitives.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from drivesim.cli import write_run_outputs
+from drivesim.cli import build_run, load_run_config, write_run_outputs
 from drivesim.dynamics import AgentState, VehicleParams, feasible
-from drivesim.engine import AgentStatus, benchmark
+from drivesim.engine import AgentStatus, benchmark, run
 from drivesim.geometry import (CurvilinearFrame, Polygon, Polyline,
                                box_intersects_polygon, boxes_intersect, min_distance,
                                occupancy)
@@ -342,6 +343,86 @@ def test_dce_ttce_against_sampled_distances_on_highway():
         assert agg["min_dce"] == min(mins)
 
 
+def _first_contact(hw, dv, da):
+    """Smallest t > 0 with hw + dv*t + da*t^2/2 = 0, inf if none."""
+    if abs(da) < 1e-9:
+        return -hw / dv if dv < -1e-12 else math.inf
+    roots = np.roots([0.5 * da, dv, hw])
+    return min((r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0), default=math.inf)
+
+
+@pytest.mark.parametrize("planner", ["frenet", "idm"])
+def test_btn_stn_against_logged_states_on_highway(planner):
+    """BTN and STN of every same-lane pair-step with a finite headway in ten
+    steps of the twelve-agent highway run, recomputed from the logged
+    states. The Frenet agents keep their gaps over these steps, so every
+    BTN and STN is 0; as IDM agents they close in, and some are not.
+
+    The four lanes run straight along +x, so a vehicle's speed along its
+    lane is v cos(theta) and the lateral offset between two vehicles is
+    |y_a - y_o|. The headway is found as perfbench/checks.py finds it: both
+    vehicles within half a half-width of the same lane's centre line, closer
+    than the gating distance, with a positive gap from the agent's front to
+    the other's rear.
+        BTN = max(0, closing speed)^2 / (2 hw) / a_long_max
+        STN = 2 max(0, (w_a + w_o)/2 - |y_a - y_o|) / TTC^2 / a_lat_max
+    with TTC the first contact of the gap at the logged speeds and
+    accelerations (central differences)."""
+    doc = load_run_config(HIGHWAY_FRENET12)
+    for block in doc["agents"].values():
+        block["planner"] = planner
+    scenario, bindings, sim_cfg, predictor, metric_cfg, _ = build_run(doc)
+    result = run(scenario, bindings, dataclasses.replace(sim_cfg, max_steps=10), predictor)
+    report = evaluate(result, scenario, metric_cfg)
+    dt, n = result.dt, len(result.step_logs) + 1
+    bands = {}
+    for lid, lane in scenario.network.lanelets.items():
+        centre = lane.centerline.points
+        assert np.ptp(centre[:, 1]) == 0 and np.all(np.diff(centre[:, 0]) > 0), lid
+        bands[lid] = (centre[0, 1], 0.5 * (lane.left_bound.points[0, 1]
+                                           - lane.right_bound.points[0, 1]))
+
+    def lane_of(y):
+        return next((lid for lid, (yc, half) in bands.items() if abs(y - yc) <= 0.5 * half), None)
+
+    params = {p.agent_id: p.params for p in scenario.planning_problems}
+    tracks = {aid: (np.array([[s.x, s.y, s.v, s.theta] for s in traj.states]),
+                    params[aid].length, params[aid].width)
+              for aid, traj in result.trajectories.items()}
+    for obs in scenario.dynamic_obstacles:
+        tracks[obs.id] = (obs.track(np.arange(n)), obs.length, obs.width)
+    compared, nonzero = 0, {"btn": 0, "stn": 0}
+    for aid in sorted(result.trajectories):
+        track_a, len_a, w_a = tracks[aid]
+        for oid, (track_o, len_o, w_o) in sorted(tracks.items()):
+            if oid == aid:
+                continue
+            da = (np.gradient(track_o[:, 2]) - np.gradient(track_a[:, 2])) / dt
+            for t in range(min(len(track_a), len(track_o))):
+                (xa, ya, va, tha), (xo, yo, vo, tho) = track_a[t].tolist(), track_o[t].tolist()
+                hw = (xo - len_o / 2.0) - (xa + len_a / 2.0)
+                if (lane_of(ya) is None or lane_of(ya) != lane_of(yo) or hw <= 0
+                        or math.hypot(xa - xo, ya - yo) > metric_cfg.gating_distance):
+                    continue
+                closing = va * math.cos(tha) - vo * math.cos(tho)
+                ttc = _first_contact(hw, -closing, da[t])
+                expect = {
+                    "hw": hw,
+                    "btn": max(0.0, closing) ** 2 / (2.0 * hw) / params[aid].a_long_max,
+                    "stn": (2.0 * max(0.0, 0.5 * (w_a + w_o) - abs(ya - yo)) / ttc ** 2
+                            / params[aid].a_lat_max),
+                }
+                series = report.pair_series[(aid, oid)]
+                for key, want in expect.items():
+                    assert series[key][t] == pytest.approx(want, rel=1e-6, abs=1e-12), \
+                        (aid, oid, t, key)
+                compared += 1
+                nonzero["btn"] += expect["btn"] > 0
+                nonzero["stn"] += expect["stn"] > 0
+    assert compared > 100
+    assert min(nonzero.values()) > 0 if planner == "idm" else max(nonzero.values()) == 0, nonzero
+
+
 # ---------------------------------------------------------------------------
 # 8. metric invariants
 
@@ -383,8 +464,8 @@ def test_tet_tit_bounds():
 def test_dce_zero_on_colliding_logs():
     ego, lead = _stopping_logs(0.0)
     dists = distance_series(ego, lead)
-    _, dce = ttce_dce(dists, 0, DT)
-    assert dce == 0.0
+    _, dce = ttce_dce(dists, DT)
+    assert dce[0] == 0.0
 
 
 def test_ttce_converges_to_ttc_as_dce_vanishes():
@@ -394,9 +475,9 @@ def test_ttce_converges_to_ttc_as_dce_vanishes():
     for margin in (2.0, 1.0, 0.5, 0.1, 0.01):
         ego, lead = _stopping_logs(margin)
         dists = distance_series(ego, lead)
-        ttce, dce = ttce_dce(dists, 0, DT)
-        assert dce == pytest.approx(margin, abs=1e-9)
-        gaps.append(abs(ttce - ttc))
+        ttce, dce = ttce_dce(dists, DT)
+        assert dce[0] == pytest.approx(margin, abs=1e-9)
+        gaps.append(abs(ttce[0] - ttc))
     assert all(g1 >= g2 - 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 0.1  # converged to within one step
 

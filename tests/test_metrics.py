@@ -12,10 +12,10 @@ from drivesim.cli import (build_run, load_run_config, read_run_outputs, resolve_
 from drivesim.dynamics import AgentState, VehicleParams
 from drivesim.geometry import Polygon, Polyline, box_intersects_polygon, occupancy
 from drivesim.metrics import (MetricConfig, VehicleLog, braking_threat,
-                              encroachment_times, evaluate,
+                              encroachment_times, evaluate, frame_table,
                               minimum_stopping_distance,
                               proportion_stopping_distance, select_frames,
-                              steering_threat, ttc_closed_form)
+                              steering_threat, ttc_closed_form, ttce_dce)
 from drivesim.scenario import (Lanelet, Scenario, StaticObstacle, StreetNetwork,
                                load_scenario)
 
@@ -67,6 +67,20 @@ class TestElementary:
         assert stn == pytest.approx(2 * 2.0 / 4.0 / 8.0)
         assert steering_threat(0.0, 0.0, 2.0, 2.0, INF, 8.0) == 0.0
 
+    def test_ttce_dce_is_the_first_minimum_of_the_future(self):
+        """At each step, TTCE and DCE are the time to and the value of the
+        first minimum of the distances at or after it (np.argmin of the
+        future), through ties and plateaus: a stopped pair at a constant
+        distance has TTCE 0 at every step."""
+        rng = np.random.default_rng(5)
+        for dists in (np.full(6, 3.0), np.array([5.0, 2.0, 4.0, 2.0, 1.0, 1.0, 3.0]),
+                      np.array([2.0, 2.0, 3.0, 1.0, 1.0]), np.array([4.0]), np.empty(0),
+                      rng.integers(0, 4, 300).astype(float)):
+            first = [int(np.argmin(dists[t:])) for t in range(len(dists))]
+            assert ttce_dce(dists, DT) == ([k * DT for k in first],
+                                           [dists[t + k] for t, k in enumerate(first)])
+        assert ttce_dce(np.full(6, 3.0), DT) == ([0.0] * 6, [3.0] * 6)
+
     def test_msd_psd(self):
         assert minimum_stopping_distance(20.0, 8.0) == pytest.approx(25.0)
         assert proportion_stopping_distance(50.0, 25.0) == pytest.approx(2.0)
@@ -79,8 +93,10 @@ class TestFrameSelection:
         self.cfg = MetricConfig()
 
     def _ctx(self, log_a, log_o, step=0):
+        for log in (log_a, log_o):
+            log.lanelets = self.net.localize(log.track[:, :2])
         return select_frames(self.net, log_a, log_o, step, DT, self.cfg,
-                             conflict_pairs=set(), chain_cache={})
+                             conflict_pairs=set(), frames=frame_table(self.net, log_a)[step])
 
     def test_lead_follow_headway(self):
         ego = const_log("ego", 0.0, 0.0, 10.0)

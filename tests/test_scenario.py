@@ -162,15 +162,25 @@ class TestSerialization:
         (("dynamic_obstacles", 0, "shape", "length"), math.nan,
          r"obstacle green: shape nan x 2\.0 must be finite and > 0"),
         (("dt",), math.nan, r"dt=nan must be finite and > 0"),
+        (("planning_problems", 0, "goal", "t_max"), math.nan,
+         r"planning problem orange: goal t_max=nan must be finite and > 0"),
+        (("static_obstacles",), [{"id": "cone", "shape": {"length": 1.0, "width": 1.0},
+                                  "pose": {"x": math.nan, "y": 0.0, "theta": 0.0}}],
+         r"obstacle cone: pose \(nan, 0\.0, 0\.0, 0\.0\) must be finite"),
+        (("planning_problems", 0, "initial_state", 1), math.inf,
+         r"planning problem orange: initial state \([^,]+, inf, [^,]+, [^,]+\) must be finite"),
     ], ids=["negative_bound", "unknown_key", "nan_bounds", "infinite_agent_bound",
-            "not_an_object", "nan_length", "nan_dt"])
+            "not_an_object", "nan_length", "nan_dt", "nan_deadline", "nan_static_pose",
+            "infinite_initial_state"])
     def test_bad_numbers_fail_at_load(self, tmp_path, capsys, path, value, message):
         """A vehicle_params bound <= 0 or not finite, an unknown
-        vehicle_params key, a vehicle_params list, a NaN obstacle shape and
-        a NaN dt fail at load with a ScenarioError naming the vehicle and
-        the key, and `drivesim run` exits 1 with it. Such a scenario once
-        exited 2 as a runtime failure (bound <= 0, unknown key, list) or
-        loaded and ran (NaN)."""
+        vehicle_params key, a vehicle_params list, a NaN obstacle shape, a
+        NaN dt, a NaN goal deadline, a NaN static-obstacle pose and an
+        infinite initial state fail at load with a ScenarioError naming the
+        vehicle and the key, and `drivesim run` exits 1 with it. Such a
+        scenario once exited 2 as a runtime failure (bound <= 0, unknown
+        key, list, static pose), loaded and ran (NaN shape, dt or deadline)
+        or was reported as starting outside the street network."""
         doc = scenario_to_dict(substitute_agents(_bundled("merge"), ["orange"]))
         target = doc
         for key in path[:-1]:

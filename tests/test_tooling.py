@@ -13,6 +13,7 @@ under perfbench/ or tools/.
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drivesim import engine, geometry, metrics, scenario
@@ -65,6 +66,60 @@ def test_tracer_times_route_to_goal_in_build_planner():
     finally:
         undo()
     assert "planners.route_to_goal" in [s[0] for s in tracer.spans]
+
+
+def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
+    """evaluate on intersection_frenet with the tracer installed records
+    select_frames once per (agent, other vehicle, step), and records
+    distance_series, encroachment_times and CurvilinearFrame.project. The
+    agent's side of each pair comes from its frame table: its containing
+    lanelets are looked up once per step, and every projection made inside
+    select_frames is of one point."""
+    spans = _load(PERFBENCH / "spans.py")
+    result, scn, metric_cfg = run_bundled("intersection_frenet")
+    shapes, lookups, selecting = [], [], []
+    project = geometry.CurvilinearFrame.project
+    containing = scenario.StreetNetwork.containing_lanelets
+    select_frames = metrics.select_frames
+
+    def recorded_project(self, p):
+        if selecting:
+            shapes.append(np.shape(p))
+        return project(self, p)
+
+    def recorded_containing(self, point):
+        lookups.append(point)
+        return containing(self, point)
+
+    def recorded_select_frames(*args):
+        selecting.append(True)
+        try:
+            return select_frames(*args)
+        finally:
+            selecting.pop()
+
+    monkeypatch.setattr(geometry.CurvilinearFrame, "project", recorded_project)
+    monkeypatch.setattr(scenario.StreetNetwork, "containing_lanelets", recorded_containing)
+    monkeypatch.setattr(metrics, "select_frames", recorded_select_frames)
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        metrics.evaluate(result, scn, metric_cfg)
+    finally:
+        undo()
+    names = spans.summarize(tracer)["names"]
+    steps = {aid: len(traj.states) for aid, traj in result.trajectories.items()}
+    steps.update((o.id, len(result.step_logs) + 1)
+                 for o in scn.dynamic_obstacles + scn.static_obstacles)
+    pair_steps = sum(min(steps[aid], steps[oid])
+                     for aid in result.trajectories for oid in steps if oid != aid)
+    assert names["metrics.select_frames"]["calls"] == pair_steps
+    assert names["metrics.distance_series"]["work"] == pair_steps
+    assert names["metrics.encroachment_times"]["calls"] == (
+        len(result.trajectories) * len(scn.network.conflict_areas()))
+    assert names["geometry.project"]["calls"] > 0
+    assert len(lookups) == sum(steps[aid] for aid in result.trajectories)
+    assert shapes and set(shapes) == {(2,)}
 
 
 @pytest.mark.parametrize("name", ["highway_frenet12", "intersection_frenet"])
