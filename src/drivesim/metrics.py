@@ -2,9 +2,9 @@
 
 All pairwise measures are computed in curvilinear frames spanned by the
 agent's reachable lanelet paths; where several frames apply, the one with the
-most critical TTC is retained. Where an agent is in each of its frames is
-decided once per step (frame_table), so each pair projects only the other
-vehicle. Oncoming traffic is ignored unless the agent occupies the oncoming
+most critical TTC is retained. Each vehicle's log projects its whole track
+once per lane chain it is read on (VehicleLog.on_chain), and every measure
+reads that. Oncoming traffic is ignored unless the agent occupies the oncoming
 lane or the driving lanes cross. Undefined values are represented as
 math.inf, never as sentinel numbers inside arithmetic.
 """
@@ -42,6 +42,15 @@ class MetricConfig:
                              f"gating_distance={self.gating_distance} must be > 0")
 
 
+class ChainTrack(NamedTuple):
+    """A vehicle's whole track in one lane chain's frame, per logged step."""
+    frame: CurvilinearFrame
+    s: list          # arc length
+    d: list          # lateral offset
+    inside: list     # whether the frame's domain holds the vehicle
+    tangent: list    # the frame's tangent angle at s
+
+
 @dataclass
 class VehicleLog:
     """A vehicle's motion over the run: track (n, 4) holds its (x, y, v,
@@ -61,6 +70,17 @@ class VehicleLog:
         # speed change per step by central differences; the caller divides by dt
         self.a = np.gradient(self.v) if len(self.v) >= 2 else np.zeros_like(self.v)
         self.boxes = occupancy(self.track[:, [0, 1, 3]], self.length, self.width)
+        self._on_chain: dict[tuple, ChainTrack] = {}
+
+    def on_chain(self, network, chain: tuple) -> ChainTrack:
+        """The whole track in chain's frame, projected on first use."""
+        located = self._on_chain.get(chain)
+        if located is None:
+            frame = network.chain_frame(chain)
+            s, d, inside = frame.project(self.track[:, :2])
+            located = self._on_chain[chain] = ChainTrack(
+                frame, s.tolist(), d.tolist(), inside.tolist(), frame.tangent_angle_at(s).tolist())
+        return located
 
 
 @dataclass
@@ -81,7 +101,6 @@ class PairContext:
 class AgentFrame(NamedTuple):
     """Where an agent is in one of its candidate frames at one step."""
     chain: tuple
-    frame: CurvilinearFrame
     s: float
     d: float
     v_along: float   # speed along the frame's tangent
@@ -92,12 +111,13 @@ def frame_table(network, log: VehicleLog) -> list[list[AgentFrame]]:
     """Per logged step of an agent, its candidate frames whose domain holds
     it. The candidates are the lanelet paths (successor chains) it can reach
     from the lanelets containing it that are aligned with its heading, or
-    from its localized lanelet when none is. The containing lanelets are
-    found once per step, and the whole track is projected once per distinct
-    chain."""
-    located, table = {}, []
-    for t, ((x, y, v, theta), lanelet) in enumerate(zip(log.track.tolist(), log.lanelets)):
-        turns = _containing_turns(network, x, y, theta)
+    from its localized lanelet when none is. The containing lanelets of the
+    whole track are found in one call."""
+    table = []
+    rows = zip(log.track.tolist(), log.lanelets, network.containing_lanelets(log.track[:, :2]))
+    for t, ((x, y, v, theta), lanelet, containing) in enumerate(rows):
+        turns = {lid: abs(normalize_angle(network.lanelets[lid].start_tangent_angle() - theta))
+                 for lid in containing}
         starts = [lid for lid, turn in turns.items() if turn <= math.pi / 2]
         if not starts and lanelet is not None:
             starts = [lanelet]
@@ -116,15 +136,10 @@ def frame_table(network, log: VehicleLog) -> list[list[AgentFrame]]:
         against = any(turn > math.pi / 2 for turn in turns.values())
         row = []
         for chain in chains:
-            if chain not in located:
-                frame = network.chain_frame(chain)
-                s, d, inside = frame.project(log.track[:, :2])
-                located[chain] = (frame, s.tolist(), d.tolist(), inside.tolist(),
-                                  frame.tangent_angle_at(s).tolist())
-            frame, s, d, inside, tangent = located[chain]
-            if inside[t]:
-                turn = normalize_angle(theta - tangent[t])
-                row.append(AgentFrame(chain, frame, s[t], d[t], v * math.cos(turn),
+            on = log.on_chain(network, chain)
+            if on.inside[t]:
+                turn = normalize_angle(theta - on.tangent[t])
+                row.append(AgentFrame(chain, on.s[t], on.d[t], v * math.cos(turn),
                                       against or abs(turn) > math.pi / 2))
         table.append(row)
     return table
@@ -237,15 +252,13 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     other_lanelet = log_o.lanelets[step]
     best: PairContext | None = None
     for agent in frames:
-        s_o, d_o, inside = agent.frame.project((xo, yo))
-        if not inside:
+        on = log_o.on_chain(network, agent.chain)
+        if not on.inside[step]:
             continue
-        tang_o = agent.frame.tangent_angle_at(s_o)
+        s_o, d_o, tang_o = on.s[step], on.d[step], on.tangent[step]
         same_dir = abs(normalize_angle(tho - tang_o)) <= math.pi / 2
-        lanes_cross = (
-            other_lanelet is not None
-            and any(tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in agent.chain)
-        )
+        lanes_cross = other_lanelet is not None and any(
+            tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in agent.chain)
         if not same_dir:
             if not (agent.oncoming or lanes_cross):
                 continue
@@ -268,15 +281,7 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         ctx = PairContext(relation, agent.d, d_o, agent.v_along, v_o_along, hw, ttc)
         if best is None or (ctx.ttc, ctx.hw) < (best.ttc, best.hw):
             best = ctx
-    if best is None:
-        return PairContext("ignored")
-    return best
-
-
-def _containing_turns(network, x: float, y: float, theta: float) -> dict:
-    """|heading - start tangent| of each lanelet containing (x, y), by id."""
-    return {lid: abs(normalize_angle(network.lanelets[lid].start_tangent_angle() - theta))
-            for lid in network.containing_lanelets((x, y))}
+    return best or PairContext("ignored")
 
 
 def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
@@ -295,8 +300,8 @@ def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         frame = s = d0 = None
         if lid is not None:
             needed = network.lanelets[lid].centerline.length + (v * horizon + 20.0)
-            frame = network.chain_frame(lane_chain(network, lid, theta0, needed))
-            s0, d0, _ = frame.project((x0, y0))
+            on = log.on_chain(network, lane_chain(network, lid, theta0, needed))
+            frame, s0, d0 = on.frame, on.s[step], on.d[step]
             s = np.minimum(s0 + v * k * dt, frame.length)
             folds |= frame.folds(s, d0)
         tracks.append((st, frame, s, d0))
@@ -403,6 +408,9 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     conflict_pairs = {tuple(sorted(pair)) for pair, _ in conflict_areas}
     area_flags = [{vid: box_intersects_polygon(log.boxes, area) for vid, log in logs.items()}
                   for _, area in conflict_areas]
+    # chain -> per conflict area of a lanelet on it, the least arc length of
+    # the area's in-domain vertices within the widened corridor
+    entries = {}
 
     report = MetricReport(dt=dt)
     agent_ids = sorted(aid for aid, log in logs.items() if log.is_agent)
@@ -454,8 +462,17 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         ttc_min = [min((s["ttc"][t] for s in kept if t < len(s["ttc"])), default=INF)
                    for t in range(len(v_a))]
         msd_series = [minimum_stopping_distance(v, params.a_long_max) for v in v_a]
-        psd_series = [proportion_stopping_distance(
-            _distance_to_next_conflict_area(log_a, row, conflict_areas), msd)
+        for chain in {agent.chain for row in table for agent in row} - entries.keys():
+            frame, entries[chain] = network.chain_frame(chain), []
+            for pair, area in conflict_areas:
+                if set(chain).intersection(pair):
+                    s_v, d_v, in_v = frame.project(area.vertices)
+                    hits = in_v & (np.abs(d_v) <= CORRIDOR_HALFWIDTH + 2.0)
+                    if hits.any():
+                        entries[chain].append(float(s_v[hits].min()))
+        psd_series = [proportion_stopping_distance(min(
+            (gap for agent in row for e in entries[agent.chain]
+             if (gap := e - (agent.s + log_a.length / 2.0)) > 0.0), default=INF), msd)
             for row, msd in zip(table, msd_series)]
         report.agent_series[aid] = {"ttc": ttc_min, "msd": msd_series, "psd": psd_series}
 
@@ -476,20 +493,3 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         }
     return report
 
-
-def _distance_to_next_conflict_area(log: VehicleLog, frames: list[AgentFrame],
-                                    conflict_areas) -> float:
-    best = INF
-    for agent in frames:
-        chain_set = set(agent.chain)
-        for pair, area in conflict_areas:
-            if not chain_set.intersection(pair):
-                continue
-            s_v, d_v, in_v = agent.frame.project(area.vertices)
-            entries = in_v & (np.abs(d_v) <= CORRIDOR_HALFWIDTH + 2.0)
-            if not entries.any():
-                continue
-            dist = float(s_v[entries].min()) - (agent.s + log.length / 2.0)
-            if 0.0 < dist < best:
-                best = dist
-    return best

@@ -114,9 +114,15 @@ class StreetNetwork:
         ids, dists = self.nearest_lanelet(points)
         return np.where(np.asarray(dists) <= LOCALIZE_RADIUS, ids, None).tolist()
 
-    def containing_lanelets(self, point) -> list[str]:
-        return [lid for lid in sorted(self.lanelets)
-                if self.lanelets[lid].polygon.contains_points(point)[0]]
+    def containing_lanelets(self, points) -> list:
+        """Sorted ids of the lanelets whose polygon holds each point of
+        points (n, 2): a list for one point (2,), else a list of lists."""
+        p = np.asarray(points, dtype=float)
+        ids = sorted(self.lanelets)
+        inside = np.array([self.lanelets[lid].polygon.contains_points(p) for lid in ids],
+                          dtype=bool).reshape(len(ids), p.size // 2)
+        rows = [[lid for lid, hit in zip(ids, col) if hit] for col in inside.T.tolist()]
+        return rows[0] if p.ndim == 1 else rows
 
     def conflict_areas(self):
         """Overlap polygons of non-adjacent lanelet pairs (grid-sampled hull).
@@ -238,9 +244,10 @@ class GoalRegion:
     def __post_init__(self):
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ScenarioError(f"goal t_max={self.t_max} must be finite and > 0")
-        for iv in (self.velocity_interval, self.orientation_interval):
-            if iv is not None and iv[1] < iv[0]:
-                raise ScenarioError("goal interval must be non-empty")
+        for name, iv in (("v_interval", self.velocity_interval),
+                         ("theta_interval", self.orientation_interval)):
+            if iv is not None and not (len(iv) == 2 and iv[0] <= iv[1]):
+                raise ScenarioError(f"goal {name}={list(iv)} must be two numbers lo <= hi")
 
 
 class GoalCheck(enum.Enum):
@@ -385,12 +392,12 @@ def _parse_vehicle_params(block, where):
 
 def _parse_goal(block, where) -> GoalRegion:
     """The GoalRegion of a goal block; a ScenarioError naming where unless
-    its deadline is finite and > 0 and its intervals are non-empty."""
-    intervals = [tuple(block[key]) if block.get(key) else None
-                 for key in ("v_interval", "theta_interval")]
+    its deadline is finite and > 0 and each interval is two numbers lo <= hi."""
     try:
+        intervals = [tuple(map(float, block[key])) if block.get(key) else None
+                     for key in ("v_interval", "theta_interval")]
         return GoalRegion(Polygon(block["polygon"]), float(block["t_max"]), *intervals)
-    except ScenarioError as exc:
+    except (ScenarioError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
@@ -433,11 +440,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     problems = []
     for entry in doc.get("planning_problems", []):
         aid = str(entry["agent_id"])
-        x, y, v, th = entry["initial_state"]
+        try:
+            initial = AgentState(*map(float, entry["initial_state"]))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"planning problem {aid}: malformed initial state "
+                                f"{entry['initial_state']} ({exc})") from exc
         goal = _parse_goal(entry["goal"], f"planning problem {aid}")
         params = (_parse_vehicle_params(entry.get("vehicle_params"), f"planning problem {aid}")
                   or VehicleParams())
-        initial = AgentState(float(x), float(y), float(v), float(th))
         problems.append(PlanningProblem(aid, initial, goal, params))
     scenario = Scenario(network, statics, dynamics, problems, dt)
     _validate(scenario)

@@ -423,6 +423,41 @@ def test_btn_stn_against_logged_states_on_highway(planner):
     assert min(nonzero.values()) > 0 if planner == "idm" else max(nonzero.values()) == 0, nonzero
 
 
+def test_msd_psd_against_logged_states_on_intersection(intersection_runs):
+    """MSD and PSD of both agents at every logged step of intersection_frenet,
+    recomputed from the logged states. The two lanes are straight, orange's
+    along +x and green's along +y, and cross in the conflict area
+    [-2, 2]^2, so the distance along the lane from an agent's front to the
+    area is -2 - (coordinate + length / 2).
+        MSD = v^2 / (2 a_long_max)
+        PSD = distance / MSD where the distance is > 0, else inf"""
+    result, scenario, metric_cfg = intersection_runs["frenet"]
+    report = evaluate(result, scenario, metric_cfg)
+    (_, area), = scenario.network.conflict_areas()
+    assert area.vertices.min(axis=0).tolist() == [-2.0, -2.0]
+    assert area.vertices.max(axis=0).tolist() == [2.0, 2.0]
+    axis = {"orange": 0, "green": 1}
+    params = {p.agent_id: p.params for p in scenario.planning_problems}
+    finite = infinite = 0
+    for aid, traj in result.trajectories.items():
+        p, series = params[aid], report.agent_series[aid]
+        assert len(series["psd"]) == len(traj.states)
+        for t, state in enumerate(traj.states):
+            xy = (state.x, state.y)
+            assert abs(xy[1 - axis[aid]]) < 0.5, (aid, t)  # on its lane, heading along it
+            assert math.cos(state.theta - axis[aid] * math.pi / 2) > 0.9, (aid, t)
+            msd = state.v * state.v / (2.0 * p.a_long_max)
+            dist = -2.0 - (xy[axis[aid]] + p.length / 2.0)
+            assert series["msd"][t] == pytest.approx(msd, rel=1e-12), (aid, t)
+            if dist > 0:
+                assert series["psd"][t] == pytest.approx(dist / msd, rel=1e-9), (aid, t)
+                finite += 1
+            else:
+                assert series["psd"][t] == math.inf, (aid, t)
+                infinite += 1
+    assert finite > 50 and infinite > 50
+
+
 # ---------------------------------------------------------------------------
 # 8. metric invariants
 

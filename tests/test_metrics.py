@@ -19,8 +19,12 @@ from drivesim.metrics import (MetricConfig, VehicleLog, braking_threat,
 from drivesim.scenario import (Lanelet, Scenario, StaticObstacle, StreetNetwork,
                                load_scenario)
 
+from conftest import run_bundled
+
 DT = 0.1
 INF = math.inf
+HIGHWAY_FRENET12 = (Path(__file__).resolve().parent.parent
+                    / "perfbench" / "configs" / "highway_frenet12.json")
 
 
 def straight_network():
@@ -132,6 +136,35 @@ class TestFrameSelection:
         ego = const_log("ego", 0.0, 0.0, 10.0)
         far = const_log("far", 500.0, 0.0, 10.0)
         assert self._ctx(ego, far).relation == "ignored"
+
+
+@pytest.mark.parametrize("config", [str(HIGHWAY_FRENET12), "intersection_frenet"],
+                         ids=["highway_frenet12", "intersection_frenet"])
+def test_chain_tracks_equal_single_point_projections(config, monkeypatch):
+    """Every (vehicle log, lane chain) that evaluate locates on the
+    benchmark's workloads holds, at each logged step, bitwise the s, d,
+    in-domain flag and tangent angle of projecting that one position onto
+    the chain's frame."""
+    result, scenario, metric_cfg = run_bundled(config)
+    located = {}
+    on_chain = VehicleLog.on_chain
+
+    def recorded(log, network, chain):
+        located[(log.id, chain)] = (log, on_chain(log, network, chain))
+        return located[(log.id, chain)][1]
+
+    monkeypatch.setattr(VehicleLog, "on_chain", recorded)
+    evaluate(result, scenario, metric_cfg)
+    assert len(located) > len(result.trajectories)
+    for (vid, chain), (log, on) in located.items():
+        frame = scenario.network.chain_frame(chain)
+        assert on.frame is frame
+        for t, xy in enumerate(log.track[:, :2].tolist()):
+            s, d, inside = frame.project(xy)
+            expect = (s, d, inside, frame.tangent_angle_at(s))
+            got = (on.s[t], on.d[t], on.inside[t], on.tangent[t])
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in expect], \
+                (vid, chain, t)
 
 
 def area_flags(area, *logs):

@@ -45,6 +45,26 @@ class TestNetwork:
         assert lid == "b"
         assert dist == pytest.approx(3.0)
 
+    def test_containing_lanelets_of_many_points_equals_one_call_each(self):
+        """An (n, 2) array gives the list of one single-point call per row,
+        on every bundled network, for the recorded positions and for random
+        points around them (inside one lanelet, two or none); an empty
+        (0, 2) array gives [], and a network without lanelets an empty list
+        per point."""
+        rng = np.random.default_rng(11)
+        for name in ("merge", "t_intersection", "highway"):
+            scn = _bundled(name)
+            net = scn.network
+            recorded = np.vstack([o.recording[:, :2] for o in scn.dynamic_obstacles])
+            points = np.vstack([recorded, rng.uniform(recorded.min(0) - 5.0,
+                                                      recorded.max(0) + 5.0, (200, 2))])
+            rows = net.containing_lanelets(points)
+            assert rows == [net.containing_lanelets(p) for p in points]
+            assert {len(r) for r in rows} >= {0, 1}
+            assert net.containing_lanelets(np.empty((0, 2))) == []
+        assert StreetNetwork([]).containing_lanelets(np.zeros((3, 2))) == [[], [], []]
+        assert StreetNetwork([]).containing_lanelets((0.0, 0.0)) == []
+
     def test_crossing_lanes_form_conflict_area(self):
         ew = simple_lane("ew", -20, 20, 0)
         xs = np.linspace(-20, 20, 5)
@@ -169,18 +189,28 @@ class TestSerialization:
          r"obstacle cone: pose \(nan, 0\.0, 0\.0, 0\.0\) must be finite"),
         (("planning_problems", 0, "initial_state", 1), math.inf,
          r"planning problem orange: initial state \([^,]+, inf, [^,]+, [^,]+\) must be finite"),
+        (("planning_problems", 0, "initial_state", 2), -1.0,
+         r"planning problem orange: malformed initial state \[[^,]+, [^,]+, -1\.0, [^,]+\] "
+         r"\(velocity must be >= 0\)"),
+        (("planning_problems", 0, "goal", "v_interval"), [math.nan, 5.0],
+         r"planning problem orange: goal v_interval=\[nan, 5\.0\] must be two numbers lo <= hi"),
+        (("planning_problems", 0, "goal", "v_interval"), [5.0],
+         r"planning problem orange: goal v_interval=\[5\.0\] must be two numbers lo <= hi"),
     ], ids=["negative_bound", "unknown_key", "nan_bounds", "infinite_agent_bound",
             "not_an_object", "nan_length", "nan_dt", "nan_deadline", "nan_static_pose",
-            "infinite_initial_state"])
+            "infinite_initial_state", "negative_initial_speed", "nan_goal_interval",
+            "one_number_goal_interval"])
     def test_bad_numbers_fail_at_load(self, tmp_path, capsys, path, value, message):
         """A vehicle_params bound <= 0 or not finite, an unknown
         vehicle_params key, a vehicle_params list, a NaN obstacle shape, a
-        NaN dt, a NaN goal deadline, a NaN static-obstacle pose and an
-        infinite initial state fail at load with a ScenarioError naming the
-        vehicle and the key, and `drivesim run` exits 1 with it. Such a
-        scenario once exited 2 as a runtime failure (bound <= 0, unknown
-        key, list, static pose), loaded and ran (NaN shape, dt or deadline)
-        or was reported as starting outside the street network."""
+        NaN dt, a NaN goal deadline, a NaN static-obstacle pose, an infinite
+        initial state, a negative initial speed and a goal interval that is
+        not two numbers lo <= hi (NaN, or one number) fail at load with a
+        ScenarioError naming the vehicle and the key, and `drivesim run`
+        exits 1 with it. Such a scenario once exited 2 as a runtime failure
+        (bound <= 0, unknown key, list, static pose, negative speed, one
+        number), loaded and ran (NaN shape, dt, deadline or interval) or was
+        reported as starting outside the street network."""
         doc = scenario_to_dict(substitute_agents(_bundled("merge"), ["orange"]))
         target = doc
         for key in path[:-1]:

@@ -71,25 +71,26 @@ def test_tracer_times_route_to_goal_in_build_planner():
 def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     """evaluate on intersection_frenet with the tracer installed records
     select_frames once per (agent, other vehicle, step), and records
-    distance_series, encroachment_times and CurvilinearFrame.project. The
-    agent's side of each pair comes from its frame table: its containing
-    lanelets are looked up once per step, and every projection made inside
-    select_frames is of one point."""
+    distance_series, encroachment_times and CurvilinearFrame.project. Each
+    vehicle is located on a lane chain once, by its whole track: the
+    containing lanelets are looked up once per agent log, with its whole
+    track, and every projection made in evaluate is of a vehicle's whole
+    track or of a conflict area's vertices, so nothing inside select_frames
+    projects a single point."""
     spans = _load(PERFBENCH / "spans.py")
     result, scn, metric_cfg = run_bundled("intersection_frenet")
-    shapes, lookups, selecting = [], [], []
+    projected, looked_up, selecting = [], [], []
     project = geometry.CurvilinearFrame.project
     containing = scenario.StreetNetwork.containing_lanelets
     select_frames = metrics.select_frames
 
     def recorded_project(self, p):
-        if selecting:
-            shapes.append(np.shape(p))
+        projected.append((np.asarray(p), bool(selecting)))
         return project(self, p)
 
-    def recorded_containing(self, point):
-        lookups.append(point)
-        return containing(self, point)
+    def recorded_containing(self, points):
+        looked_up.append(np.asarray(points))
+        return containing(self, points)
 
     def recorded_select_frames(*args):
         selecting.append(True)
@@ -108,18 +109,26 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     finally:
         undo()
     names = spans.summarize(tracer)["names"]
-    steps = {aid: len(traj.states) for aid, traj in result.trajectories.items()}
-    steps.update((o.id, len(result.step_logs) + 1)
-                 for o in scn.dynamic_obstacles + scn.static_obstacles)
-    pair_steps = sum(min(steps[aid], steps[oid])
-                     for aid in result.trajectories for oid in steps if oid != aid)
+    n = len(result.step_logs) + 1
+    tracks = {aid: np.array([(s.x, s.y) for s in traj.states])
+              for aid, traj in result.trajectories.items()}
+    tracks.update((o.id, o.track(np.arange(n))[:, :2]) for o in scn.dynamic_obstacles)
+    tracks.update((o.id, np.tile((o.pose.x, o.pose.y), (n, 1))) for o in scn.static_obstacles)
+    pair_steps = sum(min(len(tracks[aid]), len(tracks[oid]))
+                     for aid in result.trajectories for oid in tracks if oid != aid)
     assert names["metrics.select_frames"]["calls"] == pair_steps
     assert names["metrics.distance_series"]["work"] == pair_steps
     assert names["metrics.encroachment_times"]["calls"] == (
         len(result.trajectories) * len(scn.network.conflict_areas()))
-    assert names["geometry.project"]["calls"] > 0
-    assert len(lookups) == sum(steps[aid] for aid in result.trajectories)
-    assert shapes and set(shapes) == {(2,)}
+    assert names["geometry.project"]["calls"] == len(projected) > 0
+    assert len(looked_up) == len(result.trajectories)
+    assert all(any(np.array_equal(p, tracks[aid]) for aid in result.trajectories)
+               for p in looked_up)
+    areas = [area.vertices for _, area in scn.network.conflict_areas()]
+    assert all(any(np.array_equal(p, whole) for whole in [*tracks.values(), *areas])
+               for p, _ in projected)
+    assert any(inside for _, inside in projected)
+    assert all(p.ndim == 2 for p, inside in projected if inside)
 
 
 @pytest.mark.parametrize("name", ["highway_frenet12", "intersection_frenet"])
