@@ -4,9 +4,11 @@ All pairwise measures are computed in curvilinear frames spanned by the
 agent's reachable lanelet paths; where several frames apply, the one with the
 most critical TTC is retained. Each vehicle's log projects its whole track
 once per lane chain it is read on (VehicleLog.on_chain), and every measure
-reads that. Oncoming traffic is ignored unless the agent occupies the oncoming
-lane or the driving lanes cross. Undefined values are represented as
-math.inf, never as sentinel numbers inside arithmetic.
+reads that. Crossing TTC sweeps each vehicle with the predictor's motion
+model, once per vehicle and step (VehicleLog.sweep). Oncoming traffic is
+ignored unless the agent occupies the oncoming lane or the driving lanes
+cross. Undefined values are represented as math.inf, never as sentinel
+numbers inside arithmetic.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import VehicleParams, normalize_angle, normalize_angles
+from .dynamics import VehicleParams, normalize_angle
 from .engine import AgentStatus, SimulationResult
 from .geometry import (CurvilinearFrame, box_intersects_polygon, boxes_intersect,
                        min_distance, occupancy)
-from .prediction import ahead, lane_chain
+from .prediction import extrapolate, predicted_chain
 from .scenario import Scenario
 
 INF = math.inf
@@ -29,6 +31,7 @@ INF = math.inf
 CORRIDOR_HALFWIDTH = 2.0   # lateral band counting as "in the agent's path"
 PATH_LOOKAHEAD = 120.0     # m of lanelet paths enumerated per frame candidate
 MAX_PATHS = 16
+CROSSING_HORIZON = 15.0    # s of constant-speed sweep behind crossing TTC
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,7 @@ class VehicleLog:
         self.a = np.gradient(self.v) if len(self.v) >= 2 else np.zeros_like(self.v)
         self.boxes = occupancy(self.track[:, [0, 1, 3]], self.length, self.width)
         self._on_chain: dict[tuple, ChainTrack] = {}
+        self._sweeps: dict[int, np.ndarray] = {}
 
     def on_chain(self, network, chain: tuple) -> ChainTrack:
         """The whole track in chain's frame, projected on first use."""
@@ -81,6 +85,22 @@ class VehicleLog:
             located = self._on_chain[chain] = ChainTrack(
                 frame, s.tolist(), d.tolist(), inside.tolist(), frame.tangent_angle_at(s).tolist())
         return located
+
+    def sweep(self, network, step: int, dt: float) -> np.ndarray:
+        """Boxes (n+1, 5) at steps 0..n of CROSSING_HORIZON of the vehicle
+        extrapolated from step at its logged speed by the predictor's motion
+        model, along its predicted lane chain from where on_chain locates it;
+        made on first use."""
+        if step not in self._sweeps:
+            x, y, v, theta = self.track[step].tolist()
+            lid, along = self.lanelets[step], None
+            if lid is not None:
+                chain = predicted_chain(network, lid, theta, v, CROSSING_HORIZON)
+                on = self.on_chain(network, chain)
+                along = (on.frame, on.s[step], on.d[step])
+            poses = extrapolate(x, y, v, theta, along, int(round(CROSSING_HORIZON / dt)), dt)
+            self._sweeps[step] = occupancy(poses, self.length, self.width)
+        return self._sweeps[step]
 
 
 @dataclass
@@ -251,6 +271,7 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
 
     other_lanelet = log_o.lanelets[step]
     best: PairContext | None = None
+    crossing = None  # the frame-independent crossing TTC, made on first need
     for agent in frames:
         on = log_o.on_chain(network, agent.chain)
         if not on.inside[step]:
@@ -275,7 +296,9 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
         a_a = log_a.a[step] / dt
         a_o = log_o.a[step] / dt
         if relation == "crossing" and hw == INF:
-            ttc = _crossing_ttc(network, log_a, log_o, step, dt)
+            if crossing is None:
+                crossing = _crossing_ttc(network, log_a, log_o, step, dt)
+            ttc = crossing
         else:
             ttc = ttc_closed_form(hw, v_o_along - agent.v_along, a_o - a_a)
         ctx = PairContext(relation, agent.d, d_o, agent.v_along, v_o_along, hw, ttc)
@@ -286,38 +309,10 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
 
 def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
                   dt: float) -> float:
-    """Time until occupancy overlap when both continue along their own paths
-    at their logged speeds: along the lane chain ahead at the current offset,
-    held at its end, or straight on off the network. The search gives up at
-    the first step at which either offset folds over its chain."""
-    horizon = 15.0  # s
-    k = np.arange(1, int(round(horizon / dt)) + 1)
-    tracks = []  # (state, frame, arc lengths at steps k, offset) per vehicle
-    folds = np.zeros(len(k), dtype=bool)
-    for log in (log_a, log_o):
-        x0, y0, v, theta0 = st = log.track[step].tolist()
-        lid = log.lanelets[step]
-        frame = s = d0 = None
-        if lid is not None:
-            needed = network.lanelets[lid].centerline.length + (v * horizon + 20.0)
-            on = log.on_chain(network, lane_chain(network, lid, theta0, needed))
-            frame, s0, d0 = on.frame, on.s[step], on.d[step]
-            s = np.minimum(s0 + v * k * dt, frame.length)
-            folds |= frame.folds(s, d0)
-        tracks.append((st, frame, s, d0))
-    n = int(np.argmax(np.append(folds, True)))
-    boxes = []
-    for (st, frame, s, d0), log in zip(tracks, (log_a, log_o)):
-        x0, y0, v, theta0 = st
-        if frame is None:
-            x, y = ahead(x0, y0, theta0, v * k[:n] * dt)
-            theta = np.full(n, theta0)
-        else:
-            x, y = frame.to_cartesian(s[:n], d0).T
-            theta = normalize_angles(frame.tangent_angle_at(s[:n]))
-        poses = [np.append(x0, x), np.append(y0, y), np.append(theta0, theta)]
-        boxes.append(np.column_stack(poses + [np.full(n + 1, v) for v in (log.length, log.width)]))
-    hits = np.flatnonzero(boxes_intersect(boxes[0], boxes[1]))
+    """Time until occupancy overlap when both vehicles are extrapolated from
+    step by their VehicleLog.sweep; inf if their boxes never meet within it."""
+    hits = np.flatnonzero(boxes_intersect(log_a.sweep(network, step, dt),
+                                          log_o.sweep(network, step, dt)))
     return int(hits[0]) * dt if len(hits) else INF
 
 

@@ -2,7 +2,9 @@
 
 Replaces learned prediction: every vehicle is propagated along its current
 lanelet centerline (and the best-aligned successor chain) at constant speed,
-keeping its lateral offset; off-road vehicles continue straight.
+keeping its lateral offset; off-road vehicles continue straight. extrapolate
+is the only motion model of the package: the metrics' crossing TTC sweeps
+vehicles with it too.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AgentState, normalize_angle, normalize_angles
-from .geometry import CurvilinearFrame, GeometryError
+from .geometry import GeometryError
 from .scenario import StreetNetwork
 
 
@@ -77,40 +79,42 @@ def lane_chain(network: StreetNetwork, start_lanelet: str, heading: float,
     return tuple(chain)
 
 
-def _path(state: AgentState, x, y, theta, dt: float, growth_rate: float):
-    """The prediction through poses (x, y, theta) at steps 1..n after state."""
-    poses = np.column_stack([np.append(state.x, x), np.append(state.y, y),
-                             normalize_angles(np.append(state.theta, theta))])
-    return PredictedPath(poses, state.v, growth_rate * np.arange(len(poses)) * dt)
+def predicted_chain(network: StreetNetwork, lanelet_id: str, theta: float, v: float,
+                    horizon: float) -> tuple[str, ...]:
+    """The lane chain a vehicle in lanelet_id heading theta at speed v is
+    extrapolated along for horizon s: its lanelet, v * horizon and 10 m."""
+    needed = network.lanelets[lanelet_id].centerline.length + v * horizon + 10.0
+    return lane_chain(network, lanelet_id, theta, needed)
 
 
-def ahead(x, y, theta: float, dist):
-    """Points dist ahead of (x, y) along heading theta."""
-    return x + dist * math.cos(theta), y + dist * math.sin(theta)
-
-
-def _straight_prediction(state: AgentState, n: int, dt: float,
-                         growth_rate: float) -> PredictedPath:
-    x, y = ahead(state.x, state.y, state.theta, state.v * np.arange(1, n + 1) * dt)
-    return _path(state, x, y, np.full(n, state.theta), dt, growth_rate)
-
-
-def _lane_prediction(state: AgentState, frame: CurvilinearFrame, n: int, dt: float,
-                     growth_rate: float) -> PredictedPath:
-    """Constant speed along the frame at the current lateral offset; past
-    the chain end, straight on along the final tangent from the clamped end.
-    Straight from the state when the offset folds over anywhere on the way."""
-    s0, d0, _ = frame.project((state.x, state.y))
-    s = s0 + state.v * np.arange(1, n + 1) * dt
-    on_frame = np.minimum(s, frame.length)
-    try:
-        p = frame.to_cartesian(on_frame, d0)
-    except GeometryError:
-        return _straight_prediction(state, n, dt, growth_rate)
-    past = s > frame.length
-    x, y = ahead(p[:, 0], p[:, 1], frame.tangent_angle_at(frame.length), s - frame.length)
-    x, y = np.where(past, x, p[:, 0]), np.where(past, y, p[:, 1])
-    return _path(state, x, y, frame.tangent_angle_at(on_frame), dt, growth_rate)
+def extrapolate(x: float, y: float, v: float, theta: float, along, n: int,
+                dt: float) -> np.ndarray:
+    """Poses (n+1, 3) of (x, y, theta) at steps 0..n of a vehicle at (x, y)
+    heading theta that keeps speed v, row 0 its current pose and theta
+    wrapped as AgentState wraps it. along is (frame, s0, d0), the vehicle's
+    lane chain frame and its arc length and lateral offset there, or None.
+    The vehicle follows the frame at offset d0 and, past the chain end, goes
+    straight on along the final tangent from the end; with no frame, or when
+    the offset folds over anywhere on the way, it goes straight on from
+    (x, y) along theta."""
+    dist = v * np.arange(1, n + 1) * dt
+    if along is None:
+        px, py, pth = x + dist * math.cos(theta), y + dist * math.sin(theta), np.full(n, theta)
+    else:
+        frame, s0, d0 = along
+        s = s0 + dist
+        on_frame = np.minimum(s, frame.length)
+        try:
+            p = frame.to_cartesian(on_frame, d0)
+        except GeometryError:  # the offset folds over
+            return extrapolate(x, y, v, theta, None, n, dt)
+        end = frame.tangent_angle_at(frame.length)
+        past = s > frame.length
+        px = np.where(past, p[:, 0] + (s - frame.length) * math.cos(end), p[:, 0])
+        py = np.where(past, p[:, 1] + (s - frame.length) * math.sin(end), p[:, 1])
+        pth = frame.tangent_angle_at(on_frame)
+    return np.column_stack([np.append(x, px), np.append(y, py),
+                            normalize_angles(np.append(theta, pth))])
 
 
 def predict_all(states: dict[str, AgentState], network: StreetNetwork,
@@ -119,14 +123,14 @@ def predict_all(states: dict[str, AgentState], network: StreetNetwork,
     n = cfg.n_steps(dt)
     vids = sorted(states)
     points = np.array([(states[vid].x, states[vid].y) for vid in vids]).reshape(-1, 2)
+    stddev = cfg.growth_rate * np.arange(n + 1) * dt
     out = {}
     for vid, lid in zip(vids, network.localize(points)):
-        state = states[vid]
-        if lid is None:
-            out[vid] = _straight_prediction(state, n, dt, cfg.growth_rate)
-            continue
-        first_len = network.lanelets[lid].centerline.length
-        needed = first_len + state.v * cfg.horizon + 10.0
-        frame = network.chain_frame(lane_chain(network, lid, state.theta, needed))
-        out[vid] = _lane_prediction(state, frame, n, dt, cfg.growth_rate)
+        st = states[vid]
+        along = None
+        if lid is not None:
+            frame = network.chain_frame(predicted_chain(network, lid, st.theta, st.v, cfg.horizon))
+            along = (frame, *frame.project((st.x, st.y))[:2])
+        out[vid] = PredictedPath(extrapolate(st.x, st.y, st.v, st.theta, along, n, dt),
+                                 st.v, stddev)
     return out

@@ -458,6 +458,70 @@ def test_msd_psd_against_logged_states_on_intersection(intersection_runs):
     assert finite > 50 and infinite > 50
 
 
+def _oracle_overlap(a, b):
+    """Whether boxes a and b (..., 5) overlap, elementwise: no axis among the
+    four edge normals separates their corners."""
+    def corners(box):  # (..., 4, 2)
+        c, s = np.cos(box[..., 2:3]), np.sin(box[..., 2:3])
+        lx = np.array([1.0, -1.0, -1.0, 1.0]) * box[..., 3:4] / 2.0
+        ly = np.array([1.0, 1.0, -1.0, -1.0]) * box[..., 4:5] / 2.0
+        return np.stack([box[..., 0:1] + lx * c - ly * s, box[..., 1:2] + lx * s + ly * c], -1)
+
+    ca, cb = corners(a), corners(b)
+    overlap = True
+    for theta in (a[..., 2], a[..., 2] + np.pi / 2, b[..., 2], b[..., 2] + np.pi / 2):
+        u = np.stack([np.cos(theta), np.sin(theta)], -1)[..., None, :]
+        pa, pb = (ca * u).sum(-1), (cb * u).sum(-1)
+        overlap = overlap & (pa.max(-1) >= pb.min(-1)) & (pb.max(-1) >= pa.min(-1))
+    return overlap
+
+
+def test_crossing_ttc_against_lane_axis_sweep_on_intersection(intersection_runs):
+    """Crossing TTC of every crossing pair-step of intersection_frenet with
+    no headway, against an independent sweep. Both t_intersection lanes are
+    straight lines, ew along y = 0 heading +x and ns along x = 0 heading +y,
+    so each vehicle moves from its logged position along the axis of the
+    lane whose centre line is nearest (ew on a tie) at its logged speed,
+    heading along it. The first overlap of the two boxes, sampled every
+    0.01 s over 15 s, must lie within one step of the reported TTC, and
+    neither may find one without the other. Most of these steps meet no
+    overlap. At step 62 orange, just inside the conflict area and nearer
+    ns's centre line, is swept north behind green, which passes the end of
+    ns after 4.4 s and goes on; orange closes on it after 8.53 s (reported
+    8.6 s)."""
+    result, scenario, metric_cfg = intersection_runs["frenet"]
+    report = evaluate(result, scenario, metric_cfg)
+    dt = result.dt
+    params = {p.agent_id: p.params for p in scenario.planning_problems}
+    times = np.arange(1501) * 0.01
+
+    def sweep(aid, t):
+        st = result.trajectories[aid].states[t]
+        heading = 0.0 if abs(st.y) <= abs(st.x) else np.pi / 2
+        boxes = np.empty((len(times), 5))
+        boxes[:, 0] = st.x + st.v * times * np.cos(heading)
+        boxes[:, 1] = st.y + st.v * times * np.sin(heading)
+        boxes[:, 2] = heading
+        boxes[0, 2] = st.theta
+        boxes[:, 3], boxes[:, 4] = params[aid].length, params[aid].width
+        return boxes
+
+    compared = finite = 0
+    for (aid, oid), series in report.pair_series.items():
+        for t, (relation, hw, ttc) in enumerate(zip(series["relation"], series["hw"],
+                                                     series["ttc"])):
+            if relation != "crossing" or hw != INF:
+                continue
+            hits = np.flatnonzero(_oracle_overlap(sweep(aid, t), sweep(oid, t)))
+            oracle = times[hits[0]] if len(hits) else INF
+            assert math.isfinite(ttc) == math.isfinite(oracle), (aid, oid, t, ttc, oracle)
+            if math.isfinite(ttc):
+                assert abs(ttc - oracle) <= dt + 1e-9, (aid, oid, t, ttc, oracle)
+                finite += 1
+            compared += 1
+    assert compared == 131 and finite >= 1
+
+
 # ---------------------------------------------------------------------------
 # 8. metric invariants
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivesim import engine
+from drivesim import engine, metrics
 from drivesim.cli import (build_run, load_run_config, read_run_outputs, resolve_scenario_path,
                           write_run_outputs)
 from drivesim.dynamics import AgentState, VehicleParams
@@ -165,6 +165,30 @@ def test_chain_tracks_equal_single_point_projections(config, monkeypatch):
             got = (on.s[t], on.d[t], on.inside[t], on.tangent[t])
             assert [float(v).hex() for v in got] == [float(v).hex() for v in expect], \
                 (vid, chain, t)
+
+
+@pytest.mark.parametrize("config, sweeps", [("intersection_frenet", 150), ("merge_frenet", 112),
+                                             ("intersection_idm", 144)])
+def test_crossing_ttc_extrapolates_once_per_vehicle_and_step(config, sweeps, monkeypatch):
+    """evaluate extrapolates each vehicle once per step at which a crossing
+    TTC needs it, however many pairs and frames ask (270 times on
+    intersection_frenet when each pair-frame-step extrapolated both)."""
+    result, scenario, metric_cfg = run_bundled(config)
+    calls, needed = [], set()
+    extrapolate, crossing_ttc = metrics.extrapolate, metrics._crossing_ttc
+
+    def counted(*args):
+        calls.append(args)
+        return extrapolate(*args)
+
+    def recorded(network, log_a, log_o, step, dt):
+        needed.update({(log_a.id, step), (log_o.id, step)})
+        return crossing_ttc(network, log_a, log_o, step, dt)
+
+    monkeypatch.setattr(metrics, "extrapolate", counted)
+    monkeypatch.setattr(metrics, "_crossing_ttc", recorded)
+    evaluate(result, scenario, metric_cfg)
+    assert len(calls) == len(needed) == sweeps
 
 
 def area_flags(area, *logs):
