@@ -12,7 +12,7 @@ from .metrics import MetricConfig, MetricReport, evaluate
 from .planners import (FrenetPlanner, FrenetPlannerConfig, IdmParams,
                        IdmPlanner, LocalView, PlanResult, ReplayPlanner,
                        route_to_goal)
-from .prediction import PredictedPath, PredictorConfig, predict_all
+from .prediction import PredictorConfig, predict_all
 from .scenario import (GoalRegion, PlanningProblem, Scenario, StreetNetwork,
                        load_scenario, save_scenario, substitute_agents)
 
@@ -25,7 +25,7 @@ __all__ = [
     "MetricConfig", "MetricReport", "evaluate",
     "FrenetPlanner", "FrenetPlannerConfig", "IdmParams", "IdmPlanner",
     "LocalView", "PlanResult", "ReplayPlanner", "route_to_goal",
-    "PredictedPath", "PredictorConfig", "predict_all",
+    "PredictorConfig", "predict_all",
     "GoalRegion", "PlanningProblem", "Scenario", "StreetNetwork",
     "load_scenario", "save_scenario", "substitute_agents",
 ]

@@ -139,7 +139,12 @@ def build_run(doc: dict):
     for aid in substitute:
         block = dict(doc["agents"].get(aid, {}))
         kind = block.pop("planner", "frenet")
+        for key, owner in (("frenet", "frenet"), ("v_ref", "frenet"), ("idm", "idm")):
+            if key in block and kind != owner:
+                raise ConfigError(f"agents.{aid}: key {key!r} is for {owner} agents, not {kind}")
         v_ref = block.pop("v_ref", None)
+        if v_ref is not None and not (type(v_ref) in (int, float) and 0 < v_ref < math.inf):
+            raise ConfigError(f"agents.{aid}: v_ref={v_ref!r} must be a finite number > 0")
         frenet = _config_block(FrenetPlannerConfig, block.pop("frenet", {}),
                                f"agents.{aid}.frenet")
         idm = _config_block(IdmParams, block.pop("idm", {}), f"agents.{aid}.idm")

@@ -23,9 +23,9 @@ from .dynamics import Trajectory
 from .geometry import Polyline, CurvilinearFrame, box_inside_region, boxes_intersect, occupancy
 from .planners import (
     FrenetPlanner, FrenetPlannerConfig, IdmParams, IdmPlanner, LocalView,
-    Neighbor, PlannerError, ReplayPlanner, RouteError,
+    PlannerError, ReplayPlanner, RouteError,
 )
-from .prediction import PredictorConfig, predict_all
+from .prediction import PredictorConfig, predict_all, predicted_boxes
 from .scenario import GoalCheck, Scenario, goal_satisfied, substitute_agents
 
 
@@ -227,6 +227,11 @@ def run(scenario: Scenario, bindings: dict[str, PlannerBinding],
 
 def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationResult:
     step_logs: list[StepLog] = []
+    obstacles = scenario.dynamic_obstacles + scenario.static_obstacles
+    shapes = [(o.length, o.width) for o in obstacles]
+    # past the longest recording every obstacle holds its last state
+    held = max((len(o.recording) for o in scenario.dynamic_obstacles), default=0)
+    tracks = scenario.obstacle_tracks(min(cfg.max_steps, held + 1))
 
     for t in range(cfg.max_steps):
         t_total0 = time.perf_counter()
@@ -235,30 +240,28 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
             break
         t_now = t * cfg.dt
 
-        # (1) aggregate time-t states of everything
+        # (1) aggregate time-t states of everything: one row per vehicle,
+        # the running agents first, then the obstacles
         agent_states = {aid: agents[aid].states[-1] for aid in running}
-        vehicles = (
-            [(aid, agent_states[aid], agents[aid].problem.params.length,
-              agents[aid].problem.params.width, True) for aid in running]
-            + [(o.id, o.state_at(t), o.length, o.width, False) for o in scenario.dynamic_obstacles]
-            + [(o.id, o.pose, o.length, o.width, False) for o in scenario.static_obstacles]
-        )
+        ids = running + [o.id for o in obstacles]
+        states = np.vstack([[(s.x, s.y, s.v, s.theta) for s in agent_states.values()],
+                            tracks[:, min(t, tracks.shape[1] - 1)]])
+        length, width = np.array([(p.length, p.width) for p in
+                                  (agents[aid].problem.params for aid in running)] + shapes).T
 
         # (2) collision check on time-t states; collided agents are removed
         t_col0 = time.perf_counter()
         collision_events = []
         collided: set[str] = set()
-        ids, states, lengths, widths, is_agent = zip(*vehicles)
-        boxes = occupancy(states, lengths, widths)
-        is_agent = np.array(is_agent)
-        first, second = np.triu_indices(len(vehicles), k=1)
+        boxes = occupancy(states[:, [0, 1, 3]], length, width)
+        is_agent = np.arange(len(ids)) < len(running)
+        first, second = np.triu_indices(len(ids), k=1)
         checked = is_agent[first] | is_agent[second]
         first, second = first[checked], second[checked]
         hits = boxes_intersect(boxes[first], boxes[second])
         for i, j in zip(first[hits], second[hits]):
             collision_events.append({"type": "vehicle_pair", "ids": [ids[i], ids[j]]})
             collided.update(ids[k] for k in (i, j) if is_agent[k])
-        # running agents lead the vehicle list, in the same order
         on_road = [k for k, aid in enumerate(running) if aid not in collided]
         for k, inside in zip(on_road, box_inside_region(boxes[on_road], scenario.network.region)):
             if not inside:
@@ -285,22 +288,22 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
             rt.terminal_step = t
             running.remove(aid)
 
-        # (4) global motion prediction on time-t states
+        # (4) global motion prediction of the running agents and obstacles, in id order
         t_pred0 = time.perf_counter()
-        all_states = {vid: st for vid, st, _, _, is_agent in vehicles
-                      if (not is_agent) or vid in running}
-        predictions = predict_all(all_states, scenario.network, predictor, cfg.dt)
+        rows = sorted((k for k, vid in enumerate(ids) if k >= len(agent_states) or vid in running),
+                      key=ids.__getitem__)
+        poses = predict_all(states[rows], scenario.network, predictor, cfg.dt)
         t_pred = time.perf_counter() - t_pred0
 
-        # (5) local views by radius filter, sharing one Neighbor per vehicle
-        neighbors = {vid: Neighbor(ln, wd, predictions[vid])
-                     for vid, _, ln, wd, _ in vehicles if vid in all_states}
-        views = {}
-        for aid in running:
-            ego = agents[aid].states[-1]
-            visible = {vid: neighbors[vid] for vid, st in all_states.items() if vid != aid
-                       and math.hypot(st.x - ego.x, st.y - ego.y) <= cfg.visibility_radius}
-            views[aid] = LocalView(ego_id=aid, ego=ego, step=t, neighbors=visible)
+        # (5) local views sharing the step's arrays; each sees the rows in radius but its own
+        length = length[rows]
+        grown = predicted_boxes(poses, length, width[rows], predictor, cfg.dt)
+        x, y, v = states[rows, :3].T
+        egos = [rows.index(ids.index(aid)) for aid in running]
+        near = np.hypot(x - x[egos, None], y - y[egos, None]) <= cfg.visibility_radius
+        near[np.arange(len(egos)), egos] = False
+        views = {aid: LocalView(aid, agent_states[aid], t, np.flatnonzero(seen), poses, v, length,
+                                grown) for aid, seen in zip(running, near)}
 
         # (6) plan in batches; barrier before applying anything
         batches = [[(aid, views[aid], agents[aid].memory) for aid in batch]

@@ -391,10 +391,8 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         params = problems[aid].params if aid in problems else VehicleParams()
         track = np.array([(s.x, s.y, s.v, s.theta) for s in traj.states])
         logs[aid] = VehicleLog(aid, track, params.length, params.width, True, params)
-    obstacles = [(o, o.track(np.arange(n_steps + 1))) for o in scenario.dynamic_obstacles] + [
-        (o, np.tile((o.pose.x, o.pose.y, o.pose.v, o.pose.theta), (n_steps + 1, 1)))
-        for o in scenario.static_obstacles]
-    for obs, track in obstacles:
+    obstacles = scenario.dynamic_obstacles + scenario.static_obstacles
+    for obs, track in zip(obstacles, scenario.obstacle_tracks(n_steps + 1)):
         logs[obs.id] = VehicleLog(obs.id, track, obs.length, obs.width, False)
     for log in logs.values():
         log.lanelets = network.localize(log.track[:, :2])

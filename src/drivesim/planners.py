@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
 from .dynamics import AgentState, ControlInput, VehicleParams, normalize_angle
-from .geometry import CurvilinearFrame, boxes_intersect, occupancy
-from .prediction import PredictedPath
+from .geometry import CurvilinearFrame, boxes_intersect
 from .scenario import GoalRegion, StreetNetwork
 
 
@@ -30,32 +29,25 @@ class RouteError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Neighbor:
-    """A vehicle the ego sees: its shape, its predicted path (pose 0 is its
-    time-t pose) and boxes (n+1, 5), the path's occupancy grown on every side
-    by the stddev at each step; the engine builds one per vehicle and step."""
-
-    length: float
-    width: float
-    prediction: PredictedPath
-    boxes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        grown = 2.0 * self.prediction.pos_stddev
-        boxes = occupancy(self.prediction.poses, self.length + grown, self.width + grown)
-        object.__setattr__(self, "boxes", boxes)
-
-
-@dataclass(frozen=True)
 class LocalView:
-    """What an agent observes at one step: its own time-t state and, by id,
-    every vehicle within the visibility radius. What stays fixed for the run
-    (route or path, vehicle parameters, dt) a planner gets when it is built."""
+    """What an agent observes at one step: its own time-t state and the
+    step's predictions, arrays shared by every view of the step with one
+    row per vehicle in id order. poses (V, n+1, 3) holds a vehicle's
+    predicted (x, y, theta) at steps 0..n, row 0 its time-t pose; v (V,) its
+    constant speed; length (V,) its length; boxes (V, n+1, 5) its predicted
+    occupancy with length and width grown by twice the positional stddev
+    at each step. seen lists, in id order, the rows of the vehicles within the
+    visibility radius, the ego left out. What stays fixed for the run (route
+    or path, vehicle parameters, dt) a planner gets when it is built."""
 
     ego_id: str
     ego: AgentState
     step: int
-    neighbors: dict[str, Neighbor]
+    seen: np.ndarray
+    poses: np.ndarray
+    v: np.ndarray
+    length: np.ndarray
+    boxes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -167,14 +159,14 @@ class IdmPlanner:
         self._corridor = _corridor_box(path, idm.corridor_halfwidth)
 
     def _lead(self, view: LocalView, s_ego: float):
-        """Nearest corridor entry point ahead among predicted neighbor paths.
-        A neighbour none of whose points lies in the corridor's bounding box
-        (_corridor_box) has no entry and is not projected."""
+        """Nearest corridor entry point ahead among the seen vehicles'
+        predicted paths. A vehicle none of whose points lies in the
+        corridor's bounding box (_corridor_box) has no entry and is not
+        projected."""
         best = None  # (s_lead, v_lead)
         half = self.idm.corridor_halfwidth
-        for _, nb in sorted(view.neighbors.items()):
-            pred = nb.prediction
-            points = pred.poses[:, :2]
+        for j in view.seen.tolist():
+            points = view.poses[j, :, :2]
             if self._corridor is not None:
                 lo, hi = self._corridor
                 if not np.any(np.all((points >= lo) & (points <= hi), axis=-1)):
@@ -185,9 +177,10 @@ class IdmPlanner:
                 continue
             # the first corridor entry of this neighbor is the relevant one
             k = int(np.argmax(entries))
-            s_k, heading = float(s_n[k]), float(pred.poses[k, 2])
-            along = pred.v * math.cos(normalize_angle(heading - self.path.tangent_angle_at(s_k)))
-            s_lead = s_k - (nb.length / 2.0)
+            s_k, heading = float(s_n[k]), float(view.poses[j, k, 2])
+            along = float(view.v[j]) * math.cos(
+                normalize_angle(heading - self.path.tangent_angle_at(s_k)))
+            s_lead = s_k - (float(view.length[j]) / 2.0)
             if best is None or s_lead < best[0]:
                 best = (s_lead, max(0.0, along))
         return best
@@ -501,11 +494,10 @@ class FrenetPlanner:
         alive = ~np.any(list(rejected.values()), axis=0)
 
         pairs = alive[:, :, None] & (np.arange(n) < steps[:, None])[:, None, :]
-        # (n, neighbours, 5): each neighbour's grown box at steps 1..n, its
-        # last past its horizon, neighbours in id order
-        boxes = [view.neighbors[nid].boxes for nid in sorted(view.neighbors)]
-        predicted = (np.stack([b[np.minimum(np.arange(1, n + 1), len(b) - 1)] for b in boxes], 1)
-                     if boxes else np.empty((n, 0, 5)))
+        # (n, neighbours, 5): each seen vehicle's grown box at steps 1..n,
+        # its last past its horizon
+        last = view.boxes.shape[1] - 1
+        predicted = view.boxes[view.seen, np.minimum(np.arange(1, n + 1), last)[:, None]]
         # (horizon, row, step) of each alive pair, and the neighbours within
         # reach of it: one index pair per box pair left to test
         hz, row, k = np.nonzero(pairs)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AgentState, normalize_angle, normalize_angles
-from .geometry import GeometryError
+from .dynamics import normalize_angle, normalize_angles
+from .geometry import GeometryError, occupancy
 from .scenario import StreetNetwork
 
 
@@ -25,31 +25,16 @@ class PredictorConfig:
     growth_rate: float = 0.5   # m of positional stddev per s of horizon
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError(f"horizon={self.horizon} must be > 0")
-        if not self.growth_rate >= 0:
-            raise ValueError(f"growth_rate={self.growth_rate} must be >= 0")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon={self.horizon} must be finite and > 0")
+        if not (math.isfinite(self.growth_rate) and self.growth_rate >= 0):
+            raise ValueError(f"growth_rate={self.growth_rate} must be finite and >= 0")
 
     def n_steps(self, dt: float) -> int:
         n = self.horizon / dt
         if abs(n - round(n)) > 1e-6:
             raise ValueError(f"horizon {self.horizon} s is not a multiple of dt={dt} s")
         return int(round(n))
-
-
-@dataclass(frozen=True)
-class PredictedPath:
-    """Predicted motion at steps 0..n: poses (n+1, 3) of (x, y, theta), row 0
-    the time-t pose and theta wrapped as AgentState wraps it; v, the constant
-    speed; pos_stddev (n+1,), the positional stddev at each step."""
-
-    poses: np.ndarray
-    v: float
-    pos_stddev: np.ndarray
-
-    def __post_init__(self):
-        if len(self.poses) != len(self.pos_stddev):
-            raise ValueError("poses and pos_stddev must have equal length")
 
 
 def _best_successor(network: StreetNetwork, lanelet_id: str, heading: float) -> str | None:
@@ -117,20 +102,28 @@ def extrapolate(x: float, y: float, v: float, theta: float, along, n: int,
                             normalize_angles(np.append(theta, pth))])
 
 
-def predict_all(states: dict[str, AgentState], network: StreetNetwork,
-                cfg: PredictorConfig, dt: float) -> dict[str, PredictedPath]:
-    """Predict every vehicle over the horizon; deterministic in its inputs."""
+def predict_all(states: np.ndarray, network: StreetNetwork, cfg: PredictorConfig,
+                dt: float) -> np.ndarray:
+    """Poses (V, n+1, 3) over the horizon's n steps of each vehicle of states
+    (V, 4) of (x, y, v, theta), row for row (extrapolate along its predicted
+    chain); deterministic in its inputs."""
     n = cfg.n_steps(dt)
-    vids = sorted(states)
-    points = np.array([(states[vid].x, states[vid].y) for vid in vids]).reshape(-1, 2)
-    stddev = cfg.growth_rate * np.arange(n + 1) * dt
-    out = {}
-    for vid, lid in zip(vids, network.localize(points)):
-        st = states[vid]
+    poses = np.empty((len(states), n + 1, 3))
+    lanelets = network.localize(states[:, :2])
+    for row, (x, y, v, theta), lid in zip(poses, states.tolist(), lanelets):
         along = None
         if lid is not None:
-            frame = network.chain_frame(predicted_chain(network, lid, st.theta, st.v, cfg.horizon))
-            along = (frame, *frame.project((st.x, st.y))[:2])
-        out[vid] = PredictedPath(extrapolate(st.x, st.y, st.v, st.theta, along, n, dt),
-                                 st.v, stddev)
-    return out
+            frame = network.chain_frame(predicted_chain(network, lid, theta, v, cfg.horizon))
+            along = (frame, *frame.project((x, y))[:2])
+        row[:] = extrapolate(x, y, v, theta, along, n, dt)
+    return poses
+
+
+def predicted_boxes(poses: np.ndarray, length, width, cfg: PredictorConfig,
+                    dt: float) -> np.ndarray:
+    """Boxes (V, n+1, 5) of the poses (V, n+1, 3) of vehicles of length and
+    width (V,), with length and width grown by twice the positional stddev
+    at each step k, growth_rate * k * dt, so every side moves out by it."""
+    grown = 2.0 * (cfg.growth_rate * np.arange(poses.shape[1]) * dt)
+    return occupancy(poses, np.asarray(length)[:, None] + grown,
+                     np.asarray(width)[:, None] + grown)

@@ -309,6 +309,14 @@ class Scenario:
                 return o
         raise ScenarioError(f"unknown dynamic obstacle id {obstacle_id!r}")
 
+    def obstacle_tracks(self, n: int) -> np.ndarray:
+        """States (O, n, 4) of every obstacle at steps 0..n-1: the dynamic
+        ones through track, then the static ones at their pose."""
+        static = [np.tile((o.pose.x, o.pose.y, o.pose.v, o.pose.theta), (n, 1))
+                  for o in self.static_obstacles]
+        tracks = [o.track(np.arange(n)) for o in self.dynamic_obstacles] + static
+        return np.array(tracks, dtype=float).reshape(-1, n, 4)
+
 
 def substitute_agents(scenario: Scenario, obstacle_ids) -> Scenario:
     """Replace recorded vehicles by planning problems.

@@ -2,11 +2,14 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from drivesim import engine
 from drivesim.cli import build_run, load_run_config
 from drivesim.dynamics import AgentState, ControlInput, Trajectory
+from drivesim.planners import LocalView
+from drivesim.prediction import PredictorConfig, predicted_boxes
 
 
 def run_bundled(name: str, worker_count: int | None = None, max_steps: int | None = None):
@@ -20,6 +23,18 @@ def run_bundled(name: str, worker_count: int | None = None, max_steps: int | Non
         sim_cfg = dataclasses.replace(sim_cfg, max_steps=max_steps)
     result = engine.run(scenario, bindings, sim_cfg, predictor)
     return result, scenario, metric_cfg
+
+
+def local_view(ego: AgentState, step: int = 0, vehicles=()) -> LocalView:
+    """The view of agent "ego" in state ego at step that sees each vehicle of
+    vehicles, given as (poses (n+1, 3), v, length, width), in that order.
+    Their boxes are grown as the engine grows them with the default
+    predictor at dt 0.1."""
+    poses = (np.array([p for p, *_ in vehicles], dtype=float) if vehicles
+             else np.empty((0, 1, 3)))
+    v, length, width = (np.array([veh[i] for veh in vehicles], dtype=float) for i in (1, 2, 3))
+    boxes = predicted_boxes(poses, length, width, PredictorConfig(), 0.1)
+    return LocalView("ego", ego, step, np.arange(len(vehicles)), poses, v, length, boxes)
 
 
 def candidate_trajectory(table, h: int, r: int, ego: AgentState, dt: float) -> Trajectory:

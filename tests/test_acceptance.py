@@ -24,11 +24,11 @@ from drivesim.geometry import (CurvilinearFrame, Polygon, Polyline,
                                occupancy)
 from drivesim.metrics import (VehicleLog, distance_series, evaluate,
                               ttc_closed_form, ttce_dce)
-from drivesim.planners import FrenetPlanner, FrenetPlannerConfig, LocalView, Neighbor
-from drivesim.prediction import PredictedPath
+from drivesim.planners import FrenetPlanner, FrenetPlannerConfig
+from drivesim.prediction import PredictorConfig
 from drivesim.scenario import load_scenario
 
-from conftest import candidate_trajectory, run_bundled
+from conftest import candidate_trajectory, local_view, run_bundled
 
 DT = 0.1
 INF = math.inf
@@ -610,19 +610,17 @@ def test_curvilinear_round_trip():
 def _random_view(rng, route, params):
     ego = AgentState(rng.uniform(0.0, 50.0), rng.uniform(-1.0, 1.0),
                      rng.uniform(3.0, 15.0), rng.uniform(-0.1, 0.1))
-    neighbors = {}
+    vehicles = []
     n_pred = 31
-    for i in range(rng.integers(1, 4)):
-        nid = f"nb{i}"
+    for _ in range(rng.integers(1, 4)):
         st = AgentState(ego.x + rng.uniform(5.0, 60.0), rng.uniform(-4.0, 4.0),
                         rng.uniform(0.0, 15.0), rng.uniform(-0.1, 0.1))
         k = np.arange(n_pred)
         poses = np.column_stack([st.x + st.v * k * DT * math.cos(st.theta),
                                  st.y + st.v * k * DT * math.sin(st.theta),
                                  np.full(n_pred, st.theta)])
-        neighbors[nid] = Neighbor(params.length, params.width,
-                                  PredictedPath(poses, st.v, 0.5 * k * DT))
-    return LocalView(ego_id="ego", ego=ego, step=0, neighbors=neighbors)
+        vehicles.append((poses, st.v, params.length, params.width))
+    return local_view(ego, 0, vehicles)
 
 
 def test_frenet_planner_contract():
@@ -648,22 +646,24 @@ def test_frenet_planner_contract():
 
 
 def _overlap_with_prediction(traj, view, params):
-    """First (neighbour, step) at which the plan's box overlaps the
-    neighbour's predicted box at that step (its last one past the horizon),
-    grown on every side by the prediction's stddev; None if there is none.
-    Each predicted box is built here from the pose, not read from
-    Neighbor.boxes."""
-    for nid, nb in sorted(view.neighbors.items()):
-        pred = nb.prediction
-        last = len(pred.poses) - 1
+    """First (seen row, step) at which the plan's box overlaps the row's
+    predicted box at that step (its last one past the horizon), grown on
+    every side by the default predictor's stddev; None if there is
+    none. Each predicted box is built here from the pose and the row's
+    length and width (its box at step 0, where the stddev is 0, is not
+    grown), not read from the view's boxes."""
+    stddev = PredictorConfig().growth_rate * np.arange(view.poses.shape[1]) * DT
+    for j in view.seen.tolist():
+        last = len(view.poses[j]) - 1
         for k in range(1, len(traj.states)):
             ego_box = occupancy(traj.states[k], params.length, params.width)
             kp = min(k, last)
-            x, y, theta = pred.poses[kp].tolist()
-            nb_box = occupancy(AgentState(x, y, pred.v, theta), nb.length, nb.width)
-            nb_box[3:] += 2.0 * pred.pos_stddev[kp]
+            x, y, theta = view.poses[j, kp].tolist()
+            nb_box = occupancy(AgentState(x, y, float(view.v[j]), theta),
+                               float(view.length[j]), float(view.boxes[j, 0, 4]))
+            nb_box[3:] += 2.0 * stddev[kp]
             if boxes_intersect(ego_box, nb_box):
-                return nid, k
+                return j, k
     return None
 
 

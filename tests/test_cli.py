@@ -177,14 +177,17 @@ class TestSubcommands:
         ("simulation", "dt", 0), ("simulation", "max_steps", -5),
         ("simulation", "visibility_radius", -1),
         ("predictor", "horizon", 0), ("predictor", "horizon", 0.25),
-        ("predictor", "growth_rate", -1), ("metrics", "ttc_threshold", -1)])
+        ("predictor", "horizon", float("inf")), ("predictor", "growth_rate", -1),
+        ("predictor", "growth_rate", float("inf")), ("metrics", "ttc_threshold", -1)])
     def test_run_rejects_bad_block_value(self, quick_config, tmp_path, capsys,
                                          block, key, value):
         """A bad value in the simulation, predictor or metrics block, or a
         prediction horizon that is no multiple of dt (0.1 s here), stops the
         run with exit 1 and a message naming the block, before any step. A
         negative max_steps once ran no step and exited 0, a negative growth
-        rate left every Frenet agent infeasible."""
+        rate left every Frenet agent infeasible, an infinite horizon exited 2
+        with an OverflowError and an infinite growth rate made every
+        predicted box infinite."""
         doc = json.loads(quick_config.read_text())
         doc.setdefault(block, {})[key] = value
         quick_config.write_text(json.dumps(doc))
@@ -231,6 +234,42 @@ class TestSubcommands:
         out = tmp_path / "run"
         assert main(["run", str(path), "--out", str(out)]) == 1
         assert f"error: agents.orange.frenet: {key}=" in capsys.readouterr().err
+        assert not (out / "steps.jsonl").exists()
+
+    @pytest.mark.parametrize("value", ["abc", -5.0, 0, float("nan"), float("inf"), True])
+    def test_run_rejects_bad_v_ref(self, tmp_path, capsys, value):
+        """v_ref must be a finite number > 0: "abc" once left the agent
+        infeasible after one step, and -5 and NaN were taken."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "scenario": "merge",
+            "simulation": {"max_steps": 5},
+            "agents": {"green": {"planner": "frenet", "v_ref": value}},
+        }))
+        out = tmp_path / "run"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: agents.green: v_ref=") and "finite number > 0" in err
+        assert not (out / "steps.jsonl").exists()
+
+    @pytest.mark.parametrize("planner, key, value", [
+        ("replay", "frenet", {}), ("replay", "v_ref", 10.0), ("replay", "idm", {}),
+        ("idm", "frenet", {"w_lat": 2.0}), ("idm", "v_ref", 10.0), ("frenet", "idm", {})])
+    def test_run_rejects_a_block_of_another_planner(self, tmp_path, capsys, planner, key,
+                                                    value):
+        """A frenet or v_ref entry on an agent that is not a Frenet agent, or
+        an idm entry on one that is not an IDM agent, stops the run naming
+        the agent and the key; it was once ignored without a message."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "scenario": "merge",
+            "simulation": {"max_steps": 5},
+            "agents": {"green": {"planner": planner, key: value}},
+        }))
+        out = tmp_path / "run"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: agents.green: key '{key}' ") and planner in err
         assert not (out / "steps.jsonl").exists()
 
     def test_error_exit_code(self, tmp_path):

@@ -3,19 +3,28 @@
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drivesim import engine
-from drivesim.cli import resolve_scenario_path
+from drivesim.cli import build_run, load_run_config, resolve_scenario_path
+from drivesim.dynamics import AgentState
 from drivesim.engine import (AgentStatus, PlannerBinding, SetupError,
                              SimulationConfig, benchmark, run)
-from drivesim.scenario import load_scenario, substitute_agents
+from drivesim.geometry import Polygon, Polyline
+from drivesim.scenario import (GoalRegion, Lanelet, PlanningProblem, Scenario,
+                               StaticObstacle, StreetNetwork, load_scenario,
+                               substitute_agents)
 
 from conftest import run_bundled
+
+HIGHWAY_FRENET12 = (Path(__file__).resolve().parent.parent
+                    / "perfbench" / "configs" / "highway_frenet12.json")
 
 
 def _bundled(name):
@@ -75,6 +84,63 @@ def test_step_logs_carry_timings(merge_runs):
     log = result.step_logs[0]
     assert {"prediction", "collision_check", "planning_batches", "total"} <= set(log.timings)
     assert log.timings["total"] > 0
+
+
+def _recorded_batches(monkeypatch, scenario, bindings, cfg, predictor=None):
+    """Every batch handed to _plan_batch in a run, in order."""
+    batches = []
+    plan_batch = engine._plan_batch
+
+    def recording_plan_batch(planners, batch):
+        batches.append(batch)
+        return plan_batch(planners, batch)
+
+    monkeypatch.setattr(engine, "_plan_batch", recording_plan_batch)
+    run(scenario, bindings, cfg, predictor)
+    return batches
+
+
+def test_visibility_radius_bounds_what_each_agent_sees(monkeypatch):
+    """Two parked agents, m1 at x = 0 and m2 at x = 40, among parked
+    vehicles on a straight road: each view's seen rows are those within the
+    visibility radius, inclusive, its own row left out, in id order. Vehicle
+    a is exactly 100 m from m1 and seen; z is 1e-6 m further than that
+    behind m1 and not."""
+    xs = np.linspace(-120.0, 320.0, 45)
+    road = StreetNetwork([Lanelet("road", Polyline(np.column_stack([xs, np.full(45, 6.0)])),
+                                  Polyline(np.column_stack([xs, np.full(45, -6.0)])))])
+    where = {"m1": 0.0, "m2": 40.0, "a": 100.0, "b": 60.0, "y": -50.0, "z": -100.0 - 1e-6}
+    parked = {vid: AgentState(x, 0.0, 0.0, 0.0) for vid, x in where.items()}
+    goal = GoalRegion(Polygon([[300, -1], [310, -1], [310, 1], [300, 1]]), t_max=10.0)
+    scenario = Scenario(road, [StaticObstacle(vid, 4.5, 2.0, parked[vid]) for vid in "abyz"], [],
+                        [PlanningProblem(aid, parked[aid], goal) for aid in ("m1", "m2")], 0.1)
+    bindings = {aid: PlannerBinding("replay", np.array([[where[aid], 0.0, 0.0, 0.0]] * 2))
+                for aid in ("m1", "m2")}
+    cfg = SimulationConfig(max_steps=1, visibility_radius=100.0)
+    batch, = _recorded_batches(monkeypatch, scenario, bindings, cfg)
+    at = {x: vid for vid, x in where.items()}
+    seen = {}
+    for aid, view, _ in batch:
+        seen[aid] = [at[x] for x in view.poses[view.seen, 0, 0].tolist()]
+        assert view.poses[:, 0, 0].tolist() == [where[vid] for vid in sorted(where)]
+    assert seen == {"m1": ["a", "b", "m2", "y"], "m2": ["a", "b", "m1", "y"]}
+
+
+def test_views_share_the_step_arrays(monkeypatch):
+    """Every view of a step holds the same poses, v, length and boxes
+    arrays, so a pickled batch of the twelve highway Frenet agents carries
+    them once: it stays within the 54,415 bytes a batch took when each view
+    held one object per vehicle it saw."""
+    scenario, bindings, sim_cfg, predictor, _, _ = build_run(load_run_config(HIGHWAY_FRENET12))
+    batches = _recorded_batches(monkeypatch, scenario, bindings, sim_cfg, predictor)
+    assert len(batches) == sim_cfg.max_steps
+    for batch in batches:
+        assert len(batch) == 12
+        first = batch[0][1]
+        for _, view, _ in batch:
+            for name in ("poses", "v", "length", "boxes"):
+                assert getattr(view, name) is getattr(first, name)
+        assert len(pickle.dumps(batch)) <= 54_415
 
 
 def test_benchmark_rows():

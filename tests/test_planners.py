@@ -14,14 +14,13 @@ from drivesim.dynamics import (AgentState, ControlInput, Trajectory, VehiclePara
                                feasible, normalize_angle, step)
 from drivesim.geometry import CurvilinearFrame, Polyline, boxes_intersect, occupancy
 from drivesim.planners import (REJECTIONS, FrenetPlanner, FrenetPlannerConfig,
-                               IdmParams, IdmPlanner, LocalView, Neighbor,
-                               PlannerError, PlanResult, ReplayPlanner, _corridor_box,
-                               route_to_goal)
-from drivesim.prediction import PredictedPath
+                               IdmParams, IdmPlanner, PlannerError, PlanResult,
+                               ReplayPlanner, _corridor_box, route_to_goal)
+from drivesim.prediction import PredictorConfig
 from drivesim.scenario import GoalRegion, Lanelet, StreetNetwork
 from drivesim.geometry import Polygon
 
-from conftest import candidate_trajectory
+from conftest import candidate_trajectory, local_view
 from test_geometry import reference_boxes_intersect
 
 DT = 0.1
@@ -35,16 +34,14 @@ def straight_route(length=300.0):
 
 
 def empty_view(ego, step_idx=0):
-    return LocalView(ego_id="ego", ego=ego, step=step_idx, neighbors={})
+    return local_view(ego, step_idx)
 
 
 def view_with_neighbor(ego, nb_state, n_pred=31):
     k = np.arange(n_pred)
     poses = np.column_stack([nb_state.x + nb_state.v * k * DT, np.full(n_pred, nb_state.y),
                              np.full(n_pred, nb_state.theta)])
-    pred = PredictedPath(poses, nb_state.v, 0.5 * k * DT)
-    return LocalView(ego_id="ego", ego=ego, step=0,
-                     neighbors={"nb": Neighbor(PARAMS.length, PARAMS.width, pred)})
+    return local_view(ego, 0, [(poses, nb_state.v, PARAMS.length, PARAMS.width)])
 
 
 class TestReplay:
@@ -272,14 +269,12 @@ class ReferenceFrenetPlanner:
         lengths = [len(states) - 1 for states in trajs]
         steps = np.concatenate([np.arange(n) for n in lengths])
         predicted = []
-        for nid in sorted(view.neighbors):
-            nb = view.neighbors[nid]
-            pred = nb.prediction
-            kp = np.minimum(np.arange(1, max(lengths) + 1), len(pred.poses) - 1)
-            margin = pred.pos_stddev[kp]
-            nb_states = _predicted_states(pred)
-            predicted.append(occupancy([nb_states[k] for k in kp],
-                                       nb.length + 2.0 * margin, nb.width + 2.0 * margin))
+        for j in view.seen.tolist():
+            nb_states = _predicted_states(view, j)
+            kp = np.minimum(np.arange(1, max(lengths) + 1), len(nb_states) - 1)
+            margin = _pos_stddev(len(nb_states))[kp]
+            predicted.append(occupancy([nb_states[k] for k in kp], view.length[j] + 2.0 * margin,
+                                       _width(view, j) + 2.0 * margin))
         predicted = np.stack(predicted, axis=1) if predicted else np.empty((max(lengths), 0, 5))
         ego = occupancy([st for states in trajs for st in states[1:]],
                         self.params.length, self.params.width)
@@ -289,8 +284,8 @@ class ReferenceFrenetPlanner:
     def _risk(self, states, view):
         r2 = self.cfg.risk_radius**2
         total = 0.0
-        for nid in sorted(view.neighbors):
-            predicted = _predicted_states(view.neighbors[nid].prediction)
+        for j in view.seen.tolist():
+            predicted = _predicted_states(view, j)
             last = len(predicted) - 1
             for k in range(1, len(states)):
                 ps = predicted[min(k, last)]
@@ -351,10 +346,21 @@ class ReferenceFrenetPlanner:
         return PlanResult(traj.states[1], traj.inputs[0], "ok")
 
 
-def _predicted_states(pred):
-    """The prediction as one AgentState per pose, so the references build
-    their boxes and points from the states and not from Neighbor.boxes."""
-    return [AgentState(x, y, pred.v, theta) for x, y, theta in pred.poses.tolist()]
+def _predicted_states(view, j):
+    """Row j's prediction as one AgentState per pose, so the references build
+    their boxes and points from the states and not from the view's boxes."""
+    v = float(view.v[j])
+    return [AgentState(x, y, v, theta) for x, y, theta in view.poses[j].tolist()]
+
+
+def _pos_stddev(n):
+    """The positional stddev at steps 0..n-1 of the default predictor."""
+    return PredictorConfig().growth_rate * np.arange(n) * DT
+
+
+def _width(view, j):
+    """Row j's width: its box at step 0, where the stddev is 0, is not grown."""
+    return float(view.boxes[j, 0, 4])
 
 
 def _bits(*values):
@@ -565,7 +571,7 @@ def _all_pairs_collision(planner, view, table, h):
     alive = ~np.any([mask[h] for reason, mask in table.rejected.items()
                      if reason != "collision"], axis=0)
     K = int(table.steps[h])
-    boxes = [view.neighbors[nid].boxes for nid in sorted(view.neighbors)]
+    boxes = [view.boxes[j] for j in view.seen.tolist()]
     if not boxes:
         return np.zeros(len(alive), dtype=bool)
     predicted = np.stack([b[np.minimum(np.arange(1, K + 1), len(b) - 1)] for b in boxes], axis=1)
@@ -604,9 +610,9 @@ def test_culled_collision_mask_equals_all_pairs(frenet_views, highway_views, mon
             assert np.array_equal(table.rejected["collision"][h], expected), (view.ego_id, view.step)
             collisions += int(expected.sum())
         assert len(tested) == 1
-        if len(view.neighbors) > 10:
+        if len(view.seen) > 10:
             alive = (table.ok | table.rejected["collision"]).sum(axis=1)
-            all_pairs += len(view.neighbors) * int(alive @ table.steps)
+            all_pairs += len(view.seen) * int(alive @ table.steps)
             culled += tested[0]
     assert len(highway_views) >= 40 and collisions > 100
     assert 0 < culled < all_pairs / 4
@@ -692,9 +698,8 @@ def _reference_lead(planner, view, s_ego):
     states projected onto the whole path."""
     best = None
     half = planner.idm.corridor_halfwidth
-    for nid in sorted(view.neighbors):
-        nb = view.neighbors[nid]
-        states = _predicted_states(nb.prediction)
+    for j in view.seen.tolist():
+        states = _predicted_states(view, j)
         s_n, d_n, in_dom = planner.path.project([(st.x, st.y) for st in states])
         entries = in_dom & (np.abs(d_n) <= half) & (s_n > s_ego)
         if not entries.any():
@@ -702,7 +707,7 @@ def _reference_lead(planner, view, s_ego):
         k = int(np.argmax(entries))
         st, s_k = states[k], float(s_n[k])
         along = st.v * math.cos(normalize_angle(st.theta - planner.path.tangent_angle_at(s_k)))
-        s_lead = s_k - (nb.length / 2.0)
+        s_lead = s_k - (float(view.length[j]) / 2.0)
         if best is None or s_lead < best[0]:
             best = (s_lead, max(0.0, along))
     return best
@@ -752,7 +757,7 @@ def test_idm_lead_prefilter_keeps_every_lead(monkeypatch):
         if lead is not None:
             assert _bits(*lead) == _bits(*expected), (view.ego_id, view.step)
             found += 1
-        neighbours += len(view.neighbors)
+        neighbours += len(view.seen)
     skipped = 2 * neighbours - len(projections)
     assert len(leads) > 400 and found > 100 and 0 < skipped < neighbours
 

@@ -12,8 +12,7 @@ from drivesim.dynamics import AgentState, VehicleParams
 from drivesim.engine import run
 from drivesim.geometry import Polyline, occupancy
 from drivesim.metrics import CROSSING_HORIZON, VehicleLog, _crossing_ttc
-from drivesim.planners import Neighbor
-from drivesim.prediction import PredictorConfig, lane_chain, predict_all
+from drivesim.prediction import PredictorConfig, lane_chain, predict_all, predicted_boxes
 from drivesim.scenario import Lanelet, StreetNetwork
 
 from conftest import run_bundled
@@ -37,6 +36,9 @@ def straight_network():
 def test_config_validation():
     with pytest.raises(ValueError):
         PredictorConfig(horizon=-1.0)
+    for key in ("horizon", "growth_rate"):
+        with pytest.raises(ValueError, match=f"{key}=inf must be finite"):
+            PredictorConfig(**{key: float("inf")})
     with pytest.raises(ValueError):
         PredictorConfig(horizon=0.35).n_steps(DT)
     assert PredictorConfig().n_steps(DT) == 30
@@ -44,40 +46,38 @@ def test_config_validation():
 
 def test_constant_speed_along_lane():
     net = straight_network()
-    preds = predict_all({"v1": AgentState(10.0, 0.5, 8.0, 0.0)}, net,
-                        PredictorConfig(), DT)
-    path = preds["v1"]
-    assert path.poses.shape == (31, 3)
-    assert path.v == 8.0
-    for k, (x, y, theta) in enumerate(path.poses.tolist()):
+    poses = predict_all(np.array([[10.0, 0.5, 8.0, 0.0]]), net, PredictorConfig(), DT)
+    assert poses.shape == (1, 31, 3)
+    for k, (x, y, theta) in enumerate(poses[0].tolist()):
         assert x == pytest.approx(10.0 + 8.0 * k * DT, abs=1e-6)
         assert y == pytest.approx(0.5, abs=1e-6)  # lateral offset preserved
         assert theta == 0.0
 
 
 def test_stddev_growth():
+    """Each predicted box's length and width are grown by twice the stddev,
+    growth_rate * k * dt at step k, and not at all at step 0."""
     net = straight_network()
-    preds = predict_all({"v1": AgentState(10.0, 0.0, 8.0, 0.0)}, net,
-                        PredictorConfig(growth_rate=0.5), DT)
-    stddev = preds["v1"].pos_stddev
-    assert stddev[0] == 0.0
-    for k in range(len(stddev)):
-        assert stddev[k] == pytest.approx(0.5 * k * DT)
+    cfg = PredictorConfig(growth_rate=0.5)
+    poses = predict_all(np.array([[10.0, 0.0, 8.0, 0.0]]), net, cfg, DT)
+    boxes = predicted_boxes(poses, [4.5], [2.0], cfg, DT)
+    assert boxes.shape == (1, 31, 5)
+    assert boxes[0, 0, 3:].tolist() == [4.5, 2.0]
+    for k in range(31):
+        assert boxes[0, k, 3:] == pytest.approx([4.5 + k * DT, 2.0 + k * DT])
 
 
 def test_crosses_into_successor():
     net = straight_network()
-    preds = predict_all({"v1": AgentState(95.0, 0.0, 30.0, 0.0)}, net,
-                        PredictorConfig(), DT)
-    x, _, _ = preds["v1"].poses[-1]
+    poses = predict_all(np.array([[95.0, 0.0, 30.0, 0.0]]), net, PredictorConfig(), DT)
+    x, _, _ = poses[0, -1]
     assert x == pytest.approx(95.0 + 30.0 * 3.0, abs=1e-6)
 
 
 def test_off_road_straight_fallback():
     net = straight_network()
-    state = AgentState(50.0, 40.0, 6.0, np.pi / 4)  # far off any lanelet
-    preds = predict_all({"v1": state}, net, PredictorConfig(), DT)
-    x, y, _ = preds["v1"].poses[-1]
+    state = np.array([[50.0, 40.0, 6.0, np.pi / 4]])  # far off any lanelet
+    x, y, _ = predict_all(state, net, PredictorConfig(), DT)[0, -1]
     assert x == pytest.approx(50.0 + 6.0 * 3.0 * np.cos(np.pi / 4))
     assert y == pytest.approx(40.0 + 6.0 * 3.0 * np.sin(np.pi / 4))
 
@@ -125,15 +125,15 @@ def test_folding_offset_falls_back_to_straight():
     assert net.localize((0.0, 3.0)) == "bend"
     n = PredictorConfig().n_steps(DT)
     k = np.arange(n + 1)
-    inside = predict_all({"v": AgentState(0.0, 3.0, 10.0, 0.0)}, net, PredictorConfig(), DT)
-    assert inside["v"].poses.tolist() == np.column_stack(
+    inside = predict_all(np.array([[0.0, 3.0, 10.0, 0.0]]), net, PredictorConfig(), DT)
+    assert inside[0].tolist() == np.column_stack(
         [10.0 * k * DT, np.full(n + 1, 3.0), np.zeros(n + 1)]).tolist()
     sweep = _log("v", 0.0, 3.0, 10.0, 0.0, net).sweep(net, 0, DT)
     assert len(sweep) == round(CROSSING_HORIZON / DT) + 1
     assert sweep[:, 1].tolist() == [3.0] * len(sweep)
     assert sweep[:, 0].tolist() == (10.0 * np.arange(len(sweep)) * DT).tolist()
-    centred = predict_all({"v": AgentState(0.0, 0.0, 10.0, 0.0)}, net, PredictorConfig(), DT)
-    x, y, theta = centred["v"].poses[-1]
+    centred = predict_all(np.array([[0.0, 0.0, 10.0, 0.0]]), net, PredictorConfig(), DT)
+    x, y, theta = centred[0, -1]
     assert x == pytest.approx(12.0) and y > 10.0 and theta == pytest.approx(np.pi / 2)
 
 
@@ -153,35 +153,38 @@ def _bits(*values):
 def test_poses_and_boxes_match_states(monkeypatch, config, steps):
     """Every prediction of the first steps of a run holds each pose exactly
     as an AgentState built from it holds it (theta already wrapped), and
-    each Neighbor's box at step k is, bitwise, the box of that state grown
-    on every side by twice the stddev at k."""
-    predictions, neighbors = [], []
+    each box predicted_boxes gives the engine at step k is, bitwise, the box
+    of that state with length and width grown by twice the stddev at k."""
+    predictions, boxes = [], []
 
-    def recording_predict_all(*args):
-        out = predict_all(*args)
-        predictions.extend(out.values())
+    def recording_predict_all(states, *args):
+        poses = predict_all(states, *args)
+        predictions.append((states, poses))
+        return poses
+
+    def recording_predicted_boxes(poses, length, width, cfg, dt):
+        out = predicted_boxes(poses, length, width, cfg, dt)
+        stddev = cfg.growth_rate * np.arange(poses.shape[1]) * dt
+        boxes.append((poses, length, width, stddev, out))
         return out
 
-    def recording_neighbor(*args):
-        neighbors.append(Neighbor(*args))
-        return neighbors[-1]
-
     monkeypatch.setattr(engine, "predict_all", recording_predict_all)
-    monkeypatch.setattr(engine, "Neighbor", recording_neighbor)
+    monkeypatch.setattr(engine, "predicted_boxes", recording_predicted_boxes)
     run_bundled(config, worker_count=1, max_steps=steps)
-    assert predictions and len(neighbors) == len(predictions)
-    for pred in predictions:
-        assert pred.poses.shape == (len(pred.pos_stddev), 3)
-        for x, y, theta in pred.poses.tolist():
-            st = AgentState(x, y, pred.v, theta)
-            assert _bits(st.x, st.y, st.v, st.theta) == _bits(x, y, pred.v, theta)
-    for nb in neighbors:
-        pred = nb.prediction
-        for k, ((x, y, theta), sigma) in enumerate(zip(pred.poses.tolist(),
-                                                       pred.pos_stddev.tolist())):
-            box = occupancy(AgentState(x, y, pred.v, theta),
-                            nb.length + 2.0 * sigma, nb.width + 2.0 * sigma)
-            assert nb.boxes[k].tobytes() == box.tobytes(), k
+    assert predictions and len(boxes) == len(predictions)
+    for states, poses in predictions:
+        assert poses.shape[0] == len(states)
+        for (_, _, v, _), rows in zip(states.tolist(), poses.tolist()):
+            for x, y, theta in rows:
+                st = AgentState(x, y, v, theta)
+                assert _bits(st.x, st.y, st.v, st.theta) == _bits(x, y, v, theta)
+    for (states, poses), (boxed, length, width, stddev, out) in zip(predictions, boxes):
+        assert boxed is poses and out.shape == poses.shape[:2] + (5,)
+        for j, (v, ln, wd) in enumerate(zip(states[:, 2].tolist(), length.tolist(),
+                                            width.tolist())):
+            for k, ((x, y, theta), sigma) in enumerate(zip(poses[j].tolist(), stddev.tolist())):
+                box = occupancy(AgentState(x, y, v, theta), ln + 2.0 * sigma, wd + 2.0 * sigma)
+                assert out[j, k].tobytes() == box.tobytes(), (j, k)
 
 
 @pytest.mark.parametrize("config", ["intersection_frenet", "merge_frenet", str(HIGHWAY_FRENET12)],
@@ -202,9 +205,8 @@ def test_crossing_sweep_begins_with_the_prediction(config):
     compared = 0
     for log in logs:
         log.lanelets = net.localize(log.track[:, :2])
-        for t, state in enumerate(log.track.tolist()):
-            poses = predict_all({log.id: AgentState(*state)}, net, predictor,
-                                result.dt)[log.id].poses
+        for t in range(len(log.track)):
+            poses = predict_all(log.track[t:t + 1], net, predictor, result.dt)[0]
             assert poses.tobytes() == log.sweep(net, t, result.dt)[:n + 1, :3].tobytes(), \
                 (log.id, t)
             compared += 1

@@ -5,11 +5,13 @@ perfbench/spans.py wraps drivesim functions by name from outside the
 package; renaming one of them would stop the benchmark from starting.
 perfbench/checks.py recomputes figures of a run with code of its own, so
 it serves as an oracle for every workload of perfbench/workloads.py.
-tools/make_fixtures.py rebuilds the bundled scenarios from the vehicle model.
+tools/make_fixtures.py rebuilds the bundled scenarios from the vehicle model,
+and tools/expected_digests.md pins the outputs of the benchmark's workloads.
 Each module is compiled from its source text, so no test writes anything
 under perfbench/ or tools/.
 """
 
+import hashlib
 import types
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from drivesim import engine, geometry, metrics, scenario
-from drivesim.cli import build_run, load_run_config
+from drivesim.cli import build_run, load_run_config, main
 
 from conftest import run_bundled
 
@@ -131,6 +133,27 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     assert all(p.ndim == 2 for p, inside in projected if inside)
 
 
+def test_tracer_counts_every_vehicle_predicted():
+    """On the traced twelve-agent highway run, prediction.vehicles_predicted
+    (the work the tracer records for engine.predict_all, len of its poses)
+    is the number of vehicles predicted over all steps: at each step every
+    obstacle and every agent that plans."""
+    spans = _load(PERFBENCH / "spans.py")
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        result, scn, _ = run_bundled(str(PERFBENCH / "configs" / "highway_frenet12.json"))
+    finally:
+        undo()
+    predicted = spans.summarize(tracer)["names"]["prediction.predict_all"]
+    obstacles = len(scn.dynamic_obstacles) + len(scn.static_obstacles)
+    planned = sum(entry["planner_status"] is not None
+                  for log in result.step_logs for entry in log.agents.values())
+    assert predicted["calls"] == len(result.step_logs)
+    assert predicted["work"] == planned + obstacles * len(result.step_logs) > 0
+    assert planned == 12 * len(result.step_logs)
+
+
 @pytest.mark.parametrize("name", ["highway_frenet12", "intersection_frenet"])
 def test_benchmark_checks_pass(name):
     """Every output check of the benchmark passes on its workloads, and the
@@ -143,6 +166,34 @@ def test_benchmark_checks_pass(name):
     assert not any(out["problems"].values()), out["problems"]
     if workload.straight_lanes:
         assert out["headways_compared"] > 0
+
+
+def _expected_digests() -> dict:
+    """config -> (steps.jsonl sha256, metrics.json sha256) from the table
+    of tools/expected_digests.md."""
+    rows = {}
+    for line in (ROOT / "tools" / "expected_digests.md").read_text().splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and len(cells[1]) == 64:
+            rows[cells[0]] = (cells[1], cells[2])
+    return rows
+
+
+@pytest.mark.parametrize("name, config", [
+    ("intersection_frenet", "intersection_frenet"),
+    ("highway_frenet12", str(PERFBENCH / "configs" / "highway_frenet12.json"))])
+def test_benchmark_workloads_keep_their_digests(tmp_path, name, config):
+    """drivesim run and drivesim evaluate on each benchmark workload write
+    steps.jsonl and metrics.json whose sha256 are the workload's row of
+    tools/expected_digests.md, the table tools/digests.py checks."""
+    expected = _expected_digests()
+    assert len(expected) == 9
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out)]) == 0
+    assert main(["evaluate", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("steps.jsonl", "metrics.json"))
+    assert digests == expected[name]
 
 
 def test_make_fixtures_regenerates_bundled_scenarios(tmp_path):
