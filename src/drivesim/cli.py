@@ -132,6 +132,10 @@ def build_run(doc: dict):
     if not substitute:
         raise ConfigError(f"{doc['_config_path']}: no agents to simulate; "
                           "give 'agents' or 'substitute'")
+    unsubstituted = sorted(set(doc["agents"]) - set(substitute))
+    if unsubstituted:
+        raise ConfigError(f"agents.{unsubstituted[0]}: not substituted, so its block would be "
+                          "ignored; list it in 'substitute' or remove the block")
     recordings = {aid: scenario.dynamic_obstacle(aid).recording for aid in substitute}
     sub = substitute_agents(scenario, substitute)
 

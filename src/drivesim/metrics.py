@@ -3,12 +3,12 @@
 All pairwise measures are computed in curvilinear frames spanned by the
 agent's reachable lanelet paths; where several frames apply, the one with the
 most critical TTC is retained. Each vehicle's log projects its whole track
-once per lane chain it is read on (VehicleLog.on_chain), and every measure
-reads that. Crossing TTC sweeps each vehicle with the predictor's motion
-model, once per vehicle and step (VehicleLog.sweep). Oncoming traffic is
-ignored unless the agent occupies the oncoming lane or the driving lanes
-cross. Undefined values are represented as math.inf, never as sentinel
-numbers inside arithmetic.
+once per lane chain it is read on (VehicleLog.on_chain), and each vehicle
+pair is scored over all of its steps at once. Crossing TTC sweeps each
+vehicle with the predictor's motion model, once per vehicle and step
+(VehicleLog.sweep). Oncoming traffic is ignored unless the agent occupies
+the oncoming lane or the driving lanes cross. Undefined values are
+represented as math.inf, never as sentinel numbers inside arithmetic.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import VehicleParams, normalize_angle
+from .dynamics import VehicleParams, normalize_angle, normalize_angles
 from .engine import AgentStatus, SimulationResult
-from .geometry import (CurvilinearFrame, box_intersects_polygon, boxes_intersect,
+from .geometry import (CurvilinearFrame, _shaped, box_intersects_polygon, boxes_intersect,
                        min_distance, occupancy)
 from .prediction import extrapolate, predicted_chain
 from .scenario import Scenario
@@ -48,10 +48,10 @@ class MetricConfig:
 class ChainTrack(NamedTuple):
     """A vehicle's whole track in one lane chain's frame, per logged step."""
     frame: CurvilinearFrame
-    s: list          # arc length
-    d: list          # lateral offset
-    inside: list     # whether the frame's domain holds the vehicle
-    tangent: list    # the frame's tangent angle at s
+    s: np.ndarray        # arc length
+    d: np.ndarray        # lateral offset
+    inside: np.ndarray   # whether the frame's domain holds the vehicle
+    tangent: np.ndarray  # the frame's tangent angle at s
 
 
 @dataclass
@@ -78,13 +78,12 @@ class VehicleLog:
 
     def on_chain(self, network, chain: tuple) -> ChainTrack:
         """The whole track in chain's frame, projected on first use."""
-        located = self._on_chain.get(chain)
-        if located is None:
+        on = self._on_chain.get(chain)
+        if on is None:
             frame = network.chain_frame(chain)
             s, d, inside = frame.project(self.track[:, :2])
-            located = self._on_chain[chain] = ChainTrack(
-                frame, s.tolist(), d.tolist(), inside.tolist(), frame.tangent_angle_at(s).tolist())
-        return located
+            on = self._on_chain[chain] = ChainTrack(frame, s, d, inside, frame.tangent_angle_at(s))
+        return on
 
     def sweep(self, network, step: int, dt: float) -> np.ndarray:
         """Boxes (n+1, 5) at steps 0..n of CROSSING_HORIZON of the vehicle
@@ -103,15 +102,9 @@ class VehicleLog:
         return self._sweeps[step]
 
 
-@dataclass
-class PairContext:
-    relation: str              # lead-follow | crossing | oncoming-relevant | ignored
-    d_a: float = INF
-    d_o: float = INF
-    v_a_along: float = 0.0
-    v_o_along: float = 0.0
-    hw: float = INF
-    ttc: float = INF
+def _against(turn):
+    """Whether a heading turned by turn (wrapped) from a direction drives against it."""
+    return abs(turn) > math.pi / 2
 
 
 # ---------------------------------------------------------------------------
@@ -119,77 +112,77 @@ class PairContext:
 
 
 class AgentFrame(NamedTuple):
-    """Where an agent is in one of its candidate frames at one step."""
+    """An agent's whole log in one of its candidate frames."""
     chain: tuple
-    s: float
-    d: float
-    v_along: float   # speed along the frame's tangent
-    oncoming: bool   # heading against the frame, or inside a lanelet it drives against
+    track: ChainTrack     # the agent on the chain
+    member: np.ndarray    # steps at which the frame is a candidate that holds the agent
+    v_along: np.ndarray   # speed along the frame's tangent
+    oncoming: np.ndarray  # heading against the frame, or inside a lanelet it drives against
 
 
-def frame_table(network, log: VehicleLog) -> list[list[AgentFrame]]:
-    """Per logged step of an agent, its candidate frames whose domain holds
-    it. The candidates are the lanelet paths (successor chains) it can reach
-    from the lanelets containing it that are aligned with its heading, or
-    from its localized lanelet when none is. The containing lanelets of the
-    whole track are found in one call."""
-    table = []
-    rows = zip(log.track.tolist(), log.lanelets, network.containing_lanelets(log.track[:, :2]))
-    for t, ((x, y, v, theta), lanelet, containing) in enumerate(rows):
-        turns = {lid: abs(normalize_angle(network.lanelets[lid].start_tangent_angle() - theta))
+def _paths(network, start) -> list[tuple]:
+    """The first MAX_PATHS lanelet paths (successor chains) from start, in
+    depth-first order, each PATH_LOOKAHEAD long or ending without successor."""
+    paths, stack = [], [((start,), network.lanelets[start].centerline.length)]
+    while stack and len(paths) < MAX_PATHS:
+        chain, length = stack.pop()
+        succ = [s for s in sorted(network.lanelets[chain[-1]].successors) if s not in chain]
+        if length >= PATH_LOOKAHEAD or not succ:
+            paths.append(chain)
+            continue
+        stack.extend((chain + (s,), length + network.lanelets[s].centerline.length) for s in succ)
+    return paths
+
+
+def frame_table(network, log: VehicleLog) -> list[AgentFrame]:
+    """An agent's candidate frames over its whole log. At each step the
+    candidates are the first MAX_PATHS lanelet paths from the lanelets
+    containing it that are aligned with its heading, by sorted start, or from
+    its localized lanelet when none is; member marks the steps at which a
+    frame is a candidate whose domain holds the agent. Frames are ordered by
+    (start, depth-first rank), the order in which every step lists its
+    candidates: the search from a start is the same at every step, and
+    MAX_PATHS only cuts its tail."""
+    listed, against = {}, np.zeros(len(log.track), bool)   # chain -> ((start, rank), steps)
+    rows = zip(log.track[:, 3].tolist(), log.lanelets,
+               network.containing_lanelets(log.track[:, :2]))
+    for t, (theta, lanelet, containing) in enumerate(rows):
+        turns = {lid: normalize_angle(network.lanelets[lid].start_tangent_angle() - theta)
                  for lid in containing}
-        starts = [lid for lid, turn in turns.items() if turn <= math.pi / 2]
+        starts = [lid for lid, turn in turns.items() if not _against(turn)]
         if not starts and lanelet is not None:
             starts = [lanelet]
-        chains = []
-        for start in sorted(starts):
-            stack = [((start,), network.lanelets[start].centerline.length)]
-            while stack and len(chains) < MAX_PATHS:
-                chain, length = stack.pop()
-                succ = sorted(network.lanelets[chain[-1]].successors)
-                succ = [s for s in succ if s not in chain]
-                if length >= PATH_LOOKAHEAD or not succ:
-                    chains.append(chain)
-                    continue
-                for s in succ:
-                    stack.append((chain + (s,), length + network.lanelets[s].centerline.length))
-        against = any(turn > math.pi / 2 for turn in turns.values())
-        row = []
-        for chain in chains:
-            on = log.on_chain(network, chain)
-            if on.inside[t]:
-                turn = normalize_angle(theta - on.tangent[t])
-                row.append(AgentFrame(chain, on.s[t], on.d[t], v * math.cos(turn),
-                                      against or abs(turn) > math.pi / 2))
-        table.append(row)
-    return table
+        against[t] = any(_against(turn) for turn in turns.values())
+        ranked = [((start, rank), chain) for start in sorted(starts)
+                  for rank, chain in enumerate(_paths(network, start))]
+        for key, chain in ranked[:MAX_PATHS]:
+            listed.setdefault(chain, (key, []))[1].append(t)
+
+    frames = []
+    for chain, (_, steps) in sorted(listed.items(), key=lambda item: item[1][0]):
+        on = log.on_chain(network, chain)
+        member = np.isin(np.arange(len(against)), steps) & on.inside
+        if member.any():
+            turn = normalize_angles(log.track[:, 3] - on.tangent)
+            frames.append(AgentFrame(chain, on, member, log.v * np.cos(turn),
+                                     against | _against(turn)))
+    return frames
 
 
 # ---------------------------------------------------------------------------
-# Elementary measures
+# Elementary measures, elementwise over arrays; numbers give a float
 
 
-def ttc_closed_form(hw: float, dv: float, da: float) -> float:
-    """Smallest positive root of hw + dv*t + 0.5*da*t^2 = 0, inf if none.
-
-    dv is lead-minus-ego relative velocity, da the relative acceleration.
-    """
-    if not math.isfinite(hw):
-        return INF
-    if hw <= 0:
-        return 0.0
-    roots = []
-    if abs(da) < 1e-9:
-        if dv < -1e-12:
-            roots.append(-hw / dv)
-    else:
-        disc = dv * dv - 2.0 * da * hw
-        if disc >= 0:
-            sq = math.sqrt(disc)
-            for r in ((-dv - sq) / da, (-dv + sq) / da):
-                if r > 0:
-                    roots.append(r)
-    return min(roots) if roots else INF
+def ttc_closed_form(hw, dv, da):
+    """Smallest positive root of hw + dv*t + 0.5*da*t^2 = 0, inf if none;
+    dv is lead-minus-ego relative velocity, da the relative acceleration."""
+    hw, dv, da = np.broadcast_arrays(np.asarray(hw, float), dv, da)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        linear = np.where(dv < -1e-12, -hw / dv, INF)
+        sq = np.sqrt(dv * dv - 2.0 * da * hw)   # nan where no real root
+        roots = [np.where(r > 0, r, INF) for r in ((-dv - sq) / da, (-dv + sq) / da)]
+        ttc = np.where(np.abs(da) < 1e-9, linear, np.minimum(*roots))
+    return _shaped(np.where(np.isfinite(hw), np.where(hw <= 0, 0.0, ttc), INF))
 
 
 def tet(ttc_series, tau: float, dt: float, total_duration: float) -> float:
@@ -227,84 +220,86 @@ def ttce_dce(dist_series: np.ndarray, dt: float) -> tuple[list, list]:
     return ttce[::-1], dce[::-1]
 
 
-def braking_threat(hw: float, v_ego_along: float, v_lead_along: float,
-                   a_long_max: float) -> float:
+def braking_threat(hw, v_ego_along, v_lead_along, a_long_max: float):
     """Required stop-before-contact deceleration over available deceleration."""
-    if not math.isfinite(hw) or hw <= 0:
-        return 0.0
-    closing = max(0.0, v_ego_along - v_lead_along)
-    return (closing * closing / (2.0 * hw)) / a_long_max
+    closing = np.maximum(0.0, np.subtract(v_ego_along, v_lead_along))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        btn = (closing * closing / (2.0 * hw)) / a_long_max
+    return _shaped(np.where(np.isfinite(hw) & (hw > 0), btn, 0.0))
 
 
-def steering_threat(d_a: float, d_o: float, width_a: float, width_o: float,
-                    ttc: float, a_lat_max: float) -> float:
+def steering_threat(d_a, d_o, width_a: float, width_o: float, ttc, a_lat_max: float):
     """Required lateral clearing acceleration over available lateral accel."""
-    if not math.isfinite(ttc) or ttc <= 0:
-        return 0.0
-    d_clear = max(0.0, 0.5 * (width_a + width_o) - abs(d_a - d_o))
-    return (2.0 * d_clear / (ttc * ttc)) / a_lat_max
+    # inf - inf where no frame holds the pair, and 1/0 at contact
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_clear = np.maximum(0.0, 0.5 * (width_a + width_o) - np.abs(np.subtract(d_a, d_o)))
+        stn = (2.0 * d_clear / (ttc * ttc)) / a_lat_max
+    return _shaped(np.where(np.isfinite(ttc) & (ttc > 0), stn, 0.0))
 
 
-def minimum_stopping_distance(v: float, a_long_max: float) -> float:
+def minimum_stopping_distance(v, a_long_max: float):
     return v * v / (2.0 * a_long_max)
 
 
-def proportion_stopping_distance(distance_to_area: float, msd: float) -> float:
-    if msd <= 0:
-        return INF
-    return distance_to_area / msd
+def proportion_stopping_distance(distance_to_area, msd):
+    msd = np.asarray(msd, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psd = distance_to_area / msd
+    return _shaped(np.where(msd <= 0, INF, psd))
 
 
 # ---------------------------------------------------------------------------
 # Frame selection
 
 
-def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
-                  dt: float, cfg: MetricConfig, conflict_pairs: set,
-                  frames: list[AgentFrame]) -> PairContext:
-    """Classify the pair at one step and pick the most critical of frames,
-    the agent's row of its frame_table at step."""
-    xa, ya = log_a.track[step, :2].tolist()
-    xo, yo, vo, tho = log_o.track[step].tolist()
-    if math.hypot(xa - xo, ya - yo) > cfg.gating_distance:
-        return PairContext("ignored")
+def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, dt: float,
+                  cfg: MetricConfig, conflict_pairs: set, frames: list[AgentFrame]) -> dict:
+    """The pair's relation, d_a, d_o, v_a, v_o (speeds along the frame), hw
+    and ttc at every step both logs hold, in the most critical of the agent's
+    frames (its frame_table): the least (ttc, hw), the first among equals.
+    The pair is "ignored" where no frame holds the other as relevant or its
+    centres are farther apart than the gating distance."""
+    n = min(len(log_a.track), len(log_o.track))
+    vo, tho = log_o.track[:n, 2:].T
+    # math.hypot: np.hypot differs from it in the last bit on some inputs
+    near = np.array([math.hypot(dx, dy) <= cfg.gating_distance for dx, dy
+                     in (log_a.track[:n, :2] - log_o.track[:n, :2]).tolist()])
+    da = log_o.a[:n] / dt - log_a.a[:n] / dt
 
-    other_lanelet = log_o.lanelets[step]
-    best: PairContext | None = None
-    crossing = None  # the frame-independent crossing TTC, made on first need
+    relation = np.full(n, "ignored", dtype=object)
+    d_a, d_o, hw, ttc = (np.full(n, INF) for _ in range(4))
+    v_a, v_o, found = np.zeros(n), np.zeros(n), np.zeros(n, bool)
+    crossing = {}   # step -> the frame-independent crossing TTC, made on first need
     for agent in frames:
-        on = log_o.on_chain(network, agent.chain)
-        if not on.inside[step]:
+        holds = near & agent.member[:n]
+        if not holds.any():
             continue
-        s_o, d_o, tang_o = on.s[step], on.d[step], on.tangent[step]
-        same_dir = abs(normalize_angle(tho - tang_o)) <= math.pi / 2
-        lanes_cross = other_lanelet is not None and any(
-            tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in agent.chain)
-        if not same_dir:
-            if not (agent.oncoming or lanes_cross):
-                continue
-            relation = "oncoming-relevant"
-        elif lanes_cross:
-            relation = "crossing"
-        else:
-            relation = "lead-follow"
+        on = log_o.on_chain(network, agent.chain)
+        turn = normalize_angles(tho - on.tangent[:n])
+        against = _against(turn)
+        crossers = {b for p in conflict_pairs for a, b in (p, p[::-1]) if a in agent.chain}
+        lanes_cross = np.array([lid in crossers for lid in log_o.lanelets[:n]], bool)
+        holds &= on.inside[:n] & (~against | agent.oncoming[:n] | lanes_cross)
+        rel = np.where(against, "oncoming-relevant",
+                       np.where(lanes_cross, "crossing", "lead-follow"))
 
-        v_o_along = vo * math.cos(normalize_angle(tho - tang_o))
-        hw = INF
-        if s_o - log_o.length / 2.0 > agent.s + log_a.length / 2.0 and abs(d_o) <= CORRIDOR_HALFWIDTH:
-            hw = (s_o - log_o.length / 2.0) - (agent.s + log_a.length / 2.0)
-        a_a = log_a.a[step] / dt
-        a_o = log_o.a[step] / dt
-        if relation == "crossing" and hw == INF:
-            if crossing is None:
-                crossing = _crossing_ttc(network, log_a, log_o, step, dt)
-            ttc = crossing
-        else:
-            ttc = ttc_closed_form(hw, v_o_along - agent.v_along, a_o - a_a)
-        ctx = PairContext(relation, agent.d, d_o, agent.v_along, v_o_along, hw, ttc)
-        if best is None or (ctx.ttc, ctx.hw) < (best.ttc, best.hw):
-            best = ctx
-    return best or PairContext("ignored")
+        v_o_along = vo * np.cos(turn)
+        rear_o, front_a = on.s[:n] - log_o.length / 2.0, agent.track.s[:n] + log_a.length / 2.0
+        hw_f = np.where((rear_o > front_a) & (np.abs(on.d[:n]) <= CORRIDOR_HALFWIDTH),
+                        rear_o - front_a, INF)
+        ttc_f = ttc_closed_form(hw_f, v_o_along - agent.v_along[:n], da)
+        for t in np.flatnonzero(holds & (rel == "crossing") & (hw_f == INF)).tolist():
+            if t not in crossing:
+                crossing[t] = _crossing_ttc(network, log_a, log_o, t, dt)
+            ttc_f[t] = crossing[t]
+
+        wins = holds & (~found | (ttc_f < ttc) | ((ttc_f == ttc) & (hw_f < hw)))
+        for best, this in ((relation, rel), (d_a, agent.track.d[:n]), (d_o, on.d[:n]),
+                           (v_a, agent.v_along[:n]), (v_o, v_o_along), (hw, hw_f), (ttc, ttc_f)):
+            best[wins] = this[wins]
+        found |= holds
+    return {"relation": relation.astype(str), "d_a": d_a, "d_o": d_o,
+            "v_a": v_a, "v_o": v_o, "hw": hw, "ttc": ttc}
 
 
 def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
@@ -314,6 +309,20 @@ def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
     hits = np.flatnonzero(boxes_intersect(log_a.sweep(network, step, dt),
                                           log_o.sweep(network, step, dt)))
     return int(hits[0]) * dt if len(hits) else INF
+
+
+def _may_come_within(log_a: VehicleLog, log_o: VehicleLog, gate: float) -> bool:
+    """Whether two vehicles may come within gate at a step both logs hold. A
+    box lies in its circumcircle, so the box distance is at least the centre
+    distance less both circumradii. Where that exceeds gate at every step by
+    a relative and absolute margin far above the rounding of np.hypot and
+    min_distance, every box and centre distance is past the gate, so
+    select_frames ignores the pair throughout and evaluate drops it."""
+    n = min(len(log_a.track), len(log_o.track))
+    centres = np.hypot(*(log_a.track[:n, :2] - log_o.track[:n, :2]).T)
+    reach = gate + 0.5 * (math.hypot(log_a.length, log_a.width)
+                          + math.hypot(log_o.length, log_o.width))
+    return bool((centres <= reach * (1.0 + 1e-9) + 1e-9).any())
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +390,7 @@ def evaluate(result: SimulationResult, scenario: Scenario,
              cfg: MetricConfig | None = None) -> MetricReport:
     """Full deterministic criticality report over a finished simulation."""
     cfg = cfg or MetricConfig()
-    dt = result.dt
-    n_steps = len(result.step_logs)
-    network = scenario.network
+    dt, network = result.dt, scenario.network
 
     logs: dict[str, VehicleLog] = {}
     problems = {p.agent_id: p for p in scenario.planning_problems}
@@ -392,7 +399,7 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         track = np.array([(s.x, s.y, s.v, s.theta) for s in traj.states])
         logs[aid] = VehicleLog(aid, track, params.length, params.width, True, params)
     obstacles = scenario.dynamic_obstacles + scenario.static_obstacles
-    for obs, track in zip(obstacles, scenario.obstacle_tracks(n_steps + 1)):
+    for obs, track in zip(obstacles, scenario.obstacle_tracks(len(result.step_logs) + 1)):
         logs[obs.id] = VehicleLog(obs.id, track, obs.length, obs.width, False)
     for log in logs.values():
         log.lanelets = network.localize(log.track[:, :2])
@@ -406,39 +413,28 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     entries = {}
 
     report = MetricReport(dt=dt)
-    agent_ids = sorted(aid for aid, log in logs.items() if log.is_agent)
-
-    for aid in agent_ids:
+    for aid in sorted(aid for aid, log in logs.items() if log.is_agent):
         log_a = logs[aid]
         params = log_a.params or VehicleParams()
-        table = frame_table(network, log_a)
-        v_a = log_a.v.tolist()
-        kept = []  # the agent's series in report.pair_series
+        frames = frame_table(network, log_a)
         for oid in sorted(logs):
-            if oid == aid:
-                continue
             log_o = logs[oid]
+            if oid == aid or not _may_come_within(log_a, log_o, cfg.gating_distance):
+                continue
             dists = distance_series(log_a, log_o)
-            series = {k: [] for k in ("hw", "thw", "ttc", "ttce", "dce",
-                                      "btn", "stn", "relation")}
-            series["ttce"], series["dce"] = ttce_dce(dists, dt)
-            for t in range(len(dists)):
-                ctx = select_frames(network, log_a, log_o, t, dt, cfg,
-                                    conflict_pairs, table[t])
-                series["relation"].append(ctx.relation)
-                series["hw"].append(ctx.hw)
-                v = v_a[t]
-                series["thw"].append(ctx.hw / v if (math.isfinite(ctx.hw) and v > 0) else INF)
-                series["ttc"].append(ctx.ttc)
-                series["btn"].append(braking_threat(ctx.hw, ctx.v_a_along,
-                                                    ctx.v_o_along, params.a_long_max))
-                series["stn"].append(steering_threat(ctx.d_a, ctx.d_o,
-                                                     log_a.width, log_o.width,
-                                                     ctx.ttc, params.a_lat_max))
-            if (any(r != "ignored" for r in series["relation"])
-                    or np.any(dists < cfg.gating_distance)):
-                report.pair_series[(aid, oid)] = series
-                kept.append(series)
+            pair = select_frames(network, log_a, log_o, dt, cfg, conflict_pairs, frames)
+            if not (np.any(pair["relation"] != "ignored") or np.any(dists < cfg.gating_distance)):
+                continue
+            hw, ttc, v = pair["hw"], pair["ttc"], log_a.v[:len(dists)]
+            thw = np.divide(hw, v, out=np.full(len(hw), INF), where=np.isfinite(hw) & (v > 0))
+            ttce, dce = ttce_dce(dists, dt)
+            series = {"hw": hw, "thw": thw, "ttc": ttc, "ttce": ttce, "dce": dce,
+                      "btn": braking_threat(hw, pair["v_a"], pair["v_o"], params.a_long_max),
+                      "stn": steering_threat(pair["d_a"], pair["d_o"], log_a.width, log_o.width,
+                                             ttc, params.a_lat_max),
+                      "relation": pair["relation"]}
+            report.pair_series[(aid, oid)] = {k: np.asarray(x).tolist() for k, x in series.items()}
+        kept = [series for (a, _), series in report.pair_series.items() if a == aid]
 
         # conflict-area events
         for idx, (pair, area) in enumerate(conflict_areas):
@@ -446,32 +442,31 @@ def evaluate(result: SimulationResult, scenario: Scenario,
             entry, exit_, et, pet, other = encroachment_times(area_flags[idx][aid], others, dt)
             if math.isfinite(et):
                 report.conflict_events.append({
-                    "agent": aid, "other": other, "area_index": idx,
-                    "lanelets": list(pair), "entry": entry, "exit": exit_,
-                    "et": et, "pet": pet,
-                })
+                    "agent": aid, "other": other, "area_index": idx, "lanelets": list(pair),
+                    "entry": entry, "exit": exit_, "et": et, "pet": pet})
 
         # per-agent series: most critical TTC across pairs, MSD, PSD
-        ttc_min = [min((s["ttc"][t] for s in kept if t < len(s["ttc"])), default=INF)
-                   for t in range(len(v_a))]
-        msd_series = [minimum_stopping_distance(v, params.a_long_max) for v in v_a]
-        for chain in {agent.chain for row in table for agent in row} - entries.keys():
-            frame, entries[chain] = network.chain_frame(chain), []
-            for pair, area in conflict_areas:
-                if set(chain).intersection(pair):
-                    s_v, d_v, in_v = frame.project(area.vertices)
-                    hits = in_v & (np.abs(d_v) <= CORRIDOR_HALFWIDTH + 2.0)
-                    if hits.any():
-                        entries[chain].append(float(s_v[hits].min()))
-        psd_series = [proportion_stopping_distance(min(
-            (gap for agent in row for e in entries[agent.chain]
-             if (gap := e - (agent.s + log_a.length / 2.0)) > 0.0), default=INF), msd)
-            for row, msd in zip(table, msd_series)]
-        report.agent_series[aid] = {"ttc": ttc_min, "msd": msd_series, "psd": psd_series}
+        ttc_min, gap_min = np.full(len(log_a.v), INF), np.full(len(log_a.v), INF)
+        for ttc in (series["ttc"] for series in kept):
+            ttc_min[:len(ttc)] = np.minimum(ttc_min[:len(ttc)], ttc)
+        for agent in frames:
+            if agent.chain not in entries:
+                frame, entries[agent.chain] = network.chain_frame(agent.chain), []
+                for pair, area in conflict_areas:
+                    if set(agent.chain).intersection(pair):
+                        s_v, d_v, in_v = frame.project(area.vertices)
+                        hits = in_v & (np.abs(d_v) <= CORRIDOR_HALFWIDTH + 2.0)
+                        if hits.any():
+                            entries[agent.chain].append(float(s_v[hits].min()))
+            for e in entries[agent.chain]:
+                gap = e - (agent.track.s + log_a.length / 2.0)
+                gap_min = np.where(agent.member & (gap > 0.0), np.minimum(gap_min, gap), gap_min)
+        msd, ttc_min = minimum_stopping_distance(log_a.v, params.a_long_max), ttc_min.tolist()
+        report.agent_series[aid] = {"ttc": ttc_min, "msd": msd.tolist(),
+                                    "psd": proportion_stopping_distance(gap_min, msd).tolist()}
 
-        duration = (len(v_a) - 1) * dt
-        ets = [e["et"] for e in report.conflict_events if e["agent"] == aid]
-        pets = [e["pet"] for e in report.conflict_events if e["agent"] == aid]
+        duration = (len(log_a.v) - 1) * dt
+        events = [e for e in report.conflict_events if e["agent"] == aid]
         report.aggregates[aid] = {
             "min_ttc": _finite_min(ttc_min),
             "min_dce": _finite_min(v for s in kept for v in s["dce"]),
@@ -479,8 +474,8 @@ def evaluate(result: SimulationResult, scenario: Scenario,
             "max_stn": max((v for s in kept for v in s["stn"]), default=0.0),
             "tet": tet(ttc_min, cfg.ttc_threshold, dt, duration),
             "tit": tit(ttc_min, cfg.ttc_threshold, dt, duration),
-            "et": _finite_min(ets),
-            "pet": _finite_min(pets),
+            "et": _finite_min(e["et"] for e in events),
+            "pet": _finite_min(e["pet"] for e in events),
             "status": result.statuses[aid].value,
             "collided": result.statuses[aid] is AgentStatus.COLLIDED,
         }

@@ -117,6 +117,22 @@ class TestSubcommands:
         assert "no agents" in capsys.readouterr().err
         assert not (out / "steps.jsonl").exists()
 
+    def test_run_rejects_agents_block_of_unsubstituted_id(self, tmp_path, capsys):
+        """An agents block configures only an id in substitute; one for any
+        other id exits 1 naming the block, where it once ran with the block
+        ignored and the vehicle left a recorded obstacle. Every bundled run
+        configuration still builds."""
+        path, out = tmp_path / "c.json", tmp_path / "run"
+        path.write_text(json.dumps({
+            "scenario": "merge", "substitute": ["green"],
+            "agents": {"orange": {"planner": "idm"}, "green": {"planner": "frenet"}}}))
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "agents.orange: not substituted" in capsys.readouterr().err
+        assert not (out / "steps.jsonl").exists()
+        for name in (f"{m}_{r}" for m in ("merge", "intersection")
+                     for r in ("replay", "idm", "frenet")):
+            build_run(load_run_config(name))
+
     def test_plotdata(self, quick_config, tmp_path):
         out = tmp_path / "run"
         main(["run", str(quick_config), "--out", str(out)])

@@ -1,6 +1,8 @@
 """Criticality measures: elementary formulas, frame selection, reports."""
 
 import math
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,10 @@ import pytest
 from drivesim import engine, metrics
 from drivesim.cli import (build_run, load_run_config, read_run_outputs, resolve_scenario_path,
                           write_run_outputs)
-from drivesim.dynamics import AgentState, VehicleParams
+from drivesim.dynamics import AgentState, VehicleParams, normalize_angle
 from drivesim.geometry import Polygon, Polyline, box_intersects_polygon, occupancy
-from drivesim.metrics import (MetricConfig, VehicleLog, braking_threat,
+from drivesim.metrics import (CORRIDOR_HALFWIDTH, MAX_PATHS, PATH_LOOKAHEAD, MetricConfig,
+                              VehicleLog, braking_threat, distance_series,
                               encroachment_times, evaluate, frame_table,
                               minimum_stopping_distance,
                               proportion_stopping_distance, select_frames,
@@ -90,6 +93,37 @@ class TestElementary:
         assert proportion_stopping_distance(50.0, 25.0) == pytest.approx(2.0)
         assert proportion_stopping_distance(50.0, 0.0) == INF
 
+    def test_arrays_give_each_element_as_numbers_do(self):
+        """Each elementary measure called with arrays gives, bitwise, what it
+        gives each element called with numbers, and numbers give a float."""
+        rng = np.random.default_rng(7)
+        n = 4000
+
+        def mixed(values, *specials):
+            """values with a tenth of its elements replaced by each of specials"""
+            for special in specials:
+                values = np.where(rng.random(n) < 0.1, special, values)
+            return values
+
+        hw = mixed(rng.normal(10.0, 20.0, n), INF, 0.0)
+        ttc = mixed(3.0 * rng.random(n), INF, 0.0)
+        v, msd = 20.0 * rng.random(n), mixed(30.0 * rng.random(n), 0.0)
+        dv, da = rng.normal(0.0, 5.0, n), mixed(rng.normal(0.0, 2.0, n), 0.0)
+        cases = [(ttc_closed_form, (hw, dv, da)),
+                 (braking_threat, (hw, v, 20.0 * rng.random(n), 8.0)),
+                 (steering_threat, (mixed(rng.normal(0.0, 1.5, n), INF), rng.normal(0.0, 1.5, n),
+                                    2.0, 1.8, ttc, 4.0)),
+                 (minimum_stopping_distance, (v, 8.0)),
+                 (proportion_stopping_distance, (mixed(60.0 * rng.random(n), INF), msd))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, args in cases:
+                whole = fn(*args)
+                each = [fn(*(a[i].item() if isinstance(a, np.ndarray) else a for a in args))
+                        for i in range(n)]
+                assert all(type(x) is float for x in each), fn.__name__
+                assert whole.tobytes() == np.array(each).tobytes(), fn.__name__
+
 
 class TestFrameSelection:
     def setup_method(self):
@@ -97,10 +131,12 @@ class TestFrameSelection:
         self.cfg = MetricConfig()
 
     def _ctx(self, log_a, log_o, step=0):
+        """The pair's series from select_frames, each read at step."""
         for log in (log_a, log_o):
             log.lanelets = self.net.localize(log.track[:, :2])
-        return select_frames(self.net, log_a, log_o, step, DT, self.cfg,
-                             conflict_pairs=set(), frames=frame_table(self.net, log_a)[step])
+        series = select_frames(self.net, log_a, log_o, DT, self.cfg,
+                               conflict_pairs=set(), frames=frame_table(self.net, log_a))
+        return PairContext(**{name: values[step] for name, values in series.items()})
 
     def test_lead_follow_headway(self):
         ego = const_log("ego", 0.0, 0.0, 10.0)
@@ -136,6 +172,197 @@ class TestFrameSelection:
         ego = const_log("ego", 0.0, 0.0, 10.0)
         far = const_log("far", 500.0, 0.0, 10.0)
         assert self._ctx(ego, far).relation == "ignored"
+
+    def test_gate_skips_only_pairs_that_stay_past_it(self):
+        """evaluate's gate keeps every pair whose boxes or centres come within
+        the gating distance, and skips a pair whose centres stay farther
+        apart than the gating distance plus both circumradii."""
+        rng = np.random.default_rng(3)
+        reach = self.cfg.gating_distance + math.hypot(4.0, 2.0)   # const_log's boxes are 4 x 2
+        for _ in range(500):
+            gap, bearing = rng.uniform(45.0, 60.0), rng.uniform(-math.pi, math.pi)
+            ego = const_log("ego", 0.0, 0.0, 0.0, rng.uniform(-math.pi, math.pi), n=2)
+            other = const_log("o", gap * math.cos(bearing), gap * math.sin(bearing), 0.0,
+                              rng.uniform(-math.pi, math.pi), n=2)
+            gate = self.cfg.gating_distance
+            kept = metrics._may_come_within(ego, other, gate)
+            if gap <= gate or distance_series(ego, other).min() < gate:
+                assert kept, gap
+            if gap > reach + 1e-6:
+                assert not kept, gap
+
+
+# ---------------------------------------------------------------------------
+# Reference: frame selection one step at a time, as evaluate did it before
+# each pair was scored over all of its steps at once. It reads the same
+# VehicleLog projections, and its arithmetic is that of Python floats.
+
+
+@dataclass
+class PairContext:
+    relation: str   # lead-follow | crossing | oncoming-relevant | ignored
+    d_a: float = INF
+    d_o: float = INF
+    v_a: float = 0.0
+    v_o: float = 0.0
+    hw: float = INF
+    ttc: float = INF
+
+
+def reference_ttc(hw, dv, da):
+    if not math.isfinite(hw):
+        return INF
+    if hw <= 0:
+        return 0.0
+    roots = []
+    if abs(da) < 1e-9:
+        if dv < -1e-12:
+            roots.append(-hw / dv)
+    else:
+        disc = dv * dv - 2.0 * da * hw
+        if disc >= 0:
+            sq = math.sqrt(disc)
+            roots += [r for r in ((-dv - sq) / da, (-dv + sq) / da) if r > 0]
+    return min(roots) if roots else INF
+
+
+def _on(log, network, chain, t):
+    """(s, d, inside, tangent) of log at step t on chain, as Python values."""
+    return tuple(a[t].item() for a in log.on_chain(network, chain)[1:])
+
+
+def reference_frame_rows(network, log):
+    """Per logged step of an agent, (chain, s, d, v_along, oncoming) of each
+    candidate frame whose domain holds it, in the order the step lists them."""
+    table = []
+    rows = zip(log.track.tolist(), log.lanelets, network.containing_lanelets(log.track[:, :2]))
+    for t, ((x, y, v, theta), lanelet, containing) in enumerate(rows):
+        turns = {lid: abs(normalize_angle(network.lanelets[lid].start_tangent_angle() - theta))
+                 for lid in containing}
+        starts = [lid for lid, turn in turns.items() if turn <= math.pi / 2]
+        if not starts and lanelet is not None:
+            starts = [lanelet]
+        chains = []
+        for start in sorted(starts):
+            stack = [((start,), network.lanelets[start].centerline.length)]
+            while stack and len(chains) < MAX_PATHS:
+                chain, length = stack.pop()
+                succ = [s for s in sorted(network.lanelets[chain[-1]].successors)
+                        if s not in chain]
+                if length >= PATH_LOOKAHEAD or not succ:
+                    chains.append(chain)
+                    continue
+                for s in succ:
+                    stack.append((chain + (s,), length + network.lanelets[s].centerline.length))
+        against = any(turn > math.pi / 2 for turn in turns.values())
+        row = []
+        for chain in chains:
+            s, d, inside, tangent = _on(log, network, chain, t)
+            if inside:
+                turn = normalize_angle(theta - tangent)
+                row.append((chain, s, d, v * math.cos(turn), against or abs(turn) > math.pi / 2))
+        table.append(row)
+    return table
+
+
+def reference_select_frames(network, log_a, log_o, step, dt, cfg, conflict_pairs, row):
+    """The pair at one step in the most critical frame of row, the agent's
+    reference_frame_rows at step."""
+    xa, ya = log_a.track[step, :2].tolist()
+    xo, yo, vo, tho = log_o.track[step].tolist()
+    if math.hypot(xa - xo, ya - yo) > cfg.gating_distance:
+        return PairContext("ignored")
+    other_lanelet = log_o.lanelets[step]
+    best, crossing = None, None
+    for chain, s_a, d_a, v_a, oncoming in row:
+        s_o, d_o, inside, tang_o = _on(log_o, network, chain, step)
+        if not inside:
+            continue
+        same_dir = abs(normalize_angle(tho - tang_o)) <= math.pi / 2
+        lanes_cross = other_lanelet is not None and any(
+            tuple(sorted((lid, other_lanelet))) in conflict_pairs for lid in chain)
+        if not same_dir:
+            if not (oncoming or lanes_cross):
+                continue
+            relation = "oncoming-relevant"
+        elif lanes_cross:
+            relation = "crossing"
+        else:
+            relation = "lead-follow"
+        v_o = vo * math.cos(normalize_angle(tho - tang_o))
+        hw = INF
+        if s_o - log_o.length / 2.0 > s_a + log_a.length / 2.0 and abs(d_o) <= CORRIDOR_HALFWIDTH:
+            hw = (s_o - log_o.length / 2.0) - (s_a + log_a.length / 2.0)
+        a_a, a_o = log_a.a[step].item() / dt, log_o.a[step].item() / dt
+        if relation == "crossing" and hw == INF:
+            if crossing is None:
+                crossing = metrics._crossing_ttc(network, log_a, log_o, step, dt)
+            ttc = crossing
+        else:
+            ttc = reference_ttc(hw, v_o - v_a, a_o - a_a)
+        ctx = PairContext(relation, d_a, d_o, v_a, v_o, hw, ttc)
+        if best is None or (ctx.ttc, ctx.hw) < (best.ttc, best.hw):
+            best = ctx
+    return best or PairContext("ignored")
+
+
+@pytest.mark.parametrize("config", [*(f"{m}_{r}" for m in ("intersection", "merge")
+                                      for r in ("frenet", "idm", "replay")),
+                                    str(HIGHWAY_FRENET12)],
+                         ids=lambda c: Path(c).stem)
+def test_select_frames_matches_the_per_step_reference(config, merge_runs, intersection_runs,
+                                                       monkeypatch):
+    """For every pair evaluate scores, select_frames gives bitwise the
+    per-step reference's relation, hw, ttc, d_a, d_o, v_a and v_o at every
+    step. For every pair the gate skips, the reference ignores the pair at
+    every step and no exact box distance is below the gating distance.
+    evaluate raises no warning."""
+    if config.startswith(("merge", "intersection")):
+        runs = merge_runs if config.startswith("merge") else intersection_runs
+        result, scenario, cfg = runs[config.split("_")[1]]
+    else:
+        result, scenario, cfg = run_bundled(config)
+    gated, selected = {}, {}
+    may_come_within, select = metrics._may_come_within, metrics.select_frames
+
+    def recorded_gate(log_a, log_o, gate):
+        gated[(log_a.id, log_o.id)] = (log_a, log_o, may_come_within(log_a, log_o, gate))
+        return gated[(log_a.id, log_o.id)][2]
+
+    def recorded_select(network, log_a, log_o, *args):
+        selected[(log_a.id, log_o.id)] = select(network, log_a, log_o, *args)
+        return selected[(log_a.id, log_o.id)]
+
+    monkeypatch.setattr(metrics, "_may_come_within", recorded_gate)
+    monkeypatch.setattr(metrics, "select_frames", recorded_select)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluate(result, scenario, cfg)
+
+    network = scenario.network
+    conflict_pairs = {tuple(sorted(pair)) for pair, _ in network.conflict_areas()}
+    n_vehicles = len(result.trajectories) + len(scenario.dynamic_obstacles
+                                                 + scenario.static_obstacles)
+    assert len(gated) == len(result.trajectories) * (n_vehicles - 1)
+    assert selected.keys() == {pair for pair, (*_, within) in gated.items() if within}
+    rows = {}
+    for pair, (log_a, log_o, within) in gated.items():
+        if log_a.id not in rows:
+            rows[log_a.id] = reference_frame_rows(network, log_a)
+        ref = [reference_select_frames(network, log_a, log_o, t, result.dt, cfg,
+                                       conflict_pairs, row)
+               for t, row in enumerate(rows[log_a.id][:min(len(log_a.track), len(log_o.track))])]
+        if not within:
+            assert {ctx.relation for ctx in ref} == {"ignored"}, pair
+            assert np.all(distance_series(log_a, log_o) >= cfg.gating_distance), pair
+            continue
+        series = selected[pair]
+        assert series["relation"].tolist() == [ctx.relation for ctx in ref], pair
+        for name in ("hw", "ttc", "d_a", "d_o", "v_a", "v_o"):
+            assert series[name].tobytes() == np.array(
+                [getattr(ctx, name) for ctx in ref]).tobytes(), (pair, name)
+    if config == str(HIGHWAY_FRENET12):
+        assert 0 < len(selected) < len(gated)
 
 
 @pytest.mark.parametrize("config", [str(HIGHWAY_FRENET12), "intersection_frenet"],
@@ -319,7 +546,7 @@ class TestReport:
         # ET needs no other vehicle: orange alone on t_intersection, driven
         # by intersection_idm's binding, still gets one event per area
         doc = load_run_config("intersection_idm")
-        doc["substitute"] = ["orange"]
+        doc["substitute"], doc["agents"] = ["orange"], {"orange": doc["agents"]["orange"]}
         scenario, bindings, sim_cfg, predictor, cfg, _ = build_run(doc)
         scenario = Scenario(scenario.network, [], [], scenario.planning_problems, scenario.dt)
         result = engine.run(scenario, bindings, sim_cfg, predictor)

@@ -12,6 +12,7 @@ under perfbench/ or tools/.
 """
 
 import hashlib
+import json
 import types
 from pathlib import Path
 
@@ -72,8 +73,10 @@ def test_tracer_times_route_to_goal_in_build_planner():
 
 def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     """evaluate on intersection_frenet with the tracer installed records
-    select_frames once per (agent, other vehicle, step), and records
-    distance_series, encroachment_times and CurvilinearFrame.project. Each
+    select_frames and distance_series once per (agent, other vehicle) pair
+    whose centres come within the gating distance plus both circumradii at
+    some step, distance_series with the steps of those pairs as its work,
+    and records encroachment_times and CurvilinearFrame.project. Each
     vehicle is located on a lane chain once, by its whole track: the
     containing lanelets are looked up once per agent log, with its whole
     track, and every projection made in evaluate is of a vehicle's whole
@@ -116,10 +119,20 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
               for aid, traj in result.trajectories.items()}
     tracks.update((o.id, o.track(np.arange(n))[:, :2]) for o in scn.dynamic_obstacles)
     tracks.update((o.id, np.tile((o.pose.x, o.pose.y), (n, 1))) for o in scn.static_obstacles)
-    pair_steps = sum(min(len(tracks[aid]), len(tracks[oid]))
-                     for aid in result.trajectories for oid in tracks if oid != aid)
-    assert names["metrics.select_frames"]["calls"] == pair_steps
-    assert names["metrics.distance_series"]["work"] == pair_steps
+    shapes = {p.agent_id: (p.params.length, p.params.width) for p in scn.planning_problems}
+    shapes.update((o.id, (o.length, o.width))
+                  for o in scn.dynamic_obstacles + scn.static_obstacles)
+    radius = {vid: 0.5 * np.hypot(*shape) for vid, shape in shapes.items()}
+    gated_in = []   # steps of each pair that may come within the gating distance
+    for aid in result.trajectories:
+        for oid in tracks.keys() - {aid}:
+            steps = min(len(tracks[aid]), len(tracks[oid]))
+            centres = np.linalg.norm(tracks[aid][:steps] - tracks[oid][:steps], axis=1)
+            if np.any(centres - radius[aid] - radius[oid] < metric_cfg.gating_distance):
+                gated_in.append(steps)
+    assert names["metrics.select_frames"]["calls"] == len(gated_in) == 2
+    assert names["metrics.distance_series"]["calls"] == len(gated_in)
+    assert names["metrics.distance_series"]["work"] == sum(gated_in)
     assert names["metrics.encroachment_times"]["calls"] == (
         len(result.trajectories) * len(scn.network.conflict_areas()))
     assert names["geometry.project"]["calls"] == len(projected) > 0
@@ -169,13 +182,13 @@ def test_benchmark_checks_pass(name):
 
 
 def _expected_digests() -> dict:
-    """config -> (steps.jsonl sha256, metrics.json sha256) from the table
-    of tools/expected_digests.md."""
+    """config -> (steps.jsonl sha256, metrics.json sha256, in-memory
+    metrics.json sha256) from the table of tools/expected_digests.md."""
     rows = {}
     for line in (ROOT / "tools" / "expected_digests.md").read_text().splitlines():
         cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
         if len(cells) == 4 and len(cells[1]) == 64:
-            rows[cells[0]] = (cells[1], cells[2])
+            rows[cells[0]] = tuple(cells[1:])
     return rows
 
 
@@ -185,15 +198,22 @@ def _expected_digests() -> dict:
 def test_benchmark_workloads_keep_their_digests(tmp_path, name, config):
     """drivesim run and drivesim evaluate on each benchmark workload write
     steps.jsonl and metrics.json whose sha256 are the workload's row of
-    tools/expected_digests.md, the table tools/digests.py checks."""
+    tools/expected_digests.md, the table tools/digests.py checks. So is the
+    sha256 of the report of the run evaluated in the process that simulated
+    it, serialized as drivesim evaluate writes metrics.json: it reads the
+    simulated states, not their 9-decimal copies on disk, so a change to a
+    measure that the rounding masks still shows."""
     expected = _expected_digests()
     assert len(expected) == 9
     out = tmp_path / "out"
     assert main(["run", config, "--out", str(out)]) == 0
     assert main(["evaluate", str(out)]) == 0
+    result, scn, metric_cfg = run_bundled(config)
+    in_memory = json.dumps(metrics.evaluate(result, scn, metric_cfg).to_dict(),
+                           sort_keys=True, indent=1)
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in ("steps.jsonl", "metrics.json"))
-    assert digests == expected[name]
+    assert (*digests, hashlib.sha256(in_memory.encode()).hexdigest()) == expected[name]
 
 
 def test_make_fixtures_regenerates_bundled_scenarios(tmp_path):
