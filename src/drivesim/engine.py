@@ -84,7 +84,7 @@ class StepLog:
     step: int
     agents: dict  # id -> {"state", "input", "status", "planner_status"}
     collision_events: list
-    timings: dict  # prediction, collision_check, planning_batches, total
+    timings: dict  # prediction, collision_check, views, planning_batches, apply, total
 
 
 @dataclass
@@ -296,6 +296,7 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
         t_pred = time.perf_counter() - t_pred0
 
         # (5) local views sharing the step's arrays; each sees the rows in radius but its own
+        t_views0 = time.perf_counter()
         length = length[rows]
         grown = predicted_boxes(poses, length, width[rows], predictor, cfg.dt)
         x, y, v = states[rows, :3].T
@@ -304,6 +305,7 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
         near[np.arange(len(egos)), egos] = False
         views = {aid: LocalView(aid, agent_states[aid], t, np.flatnonzero(seen), poses, v, length,
                                 grown) for aid, seen in zip(running, near)}
+        t_views = time.perf_counter() - t_views0
 
         # (6) plan in batches; barrier before applying anything
         batches = [[(aid, views[aid], agents[aid].memory) for aid in batch]
@@ -323,6 +325,7 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
                 agents[aid].memory = mem
 
         # (7) apply all next states simultaneously
+        t_apply0 = time.perf_counter()
         record = {}
         for aid in sorted(agent_states):
             rt = agents[aid]
@@ -341,12 +344,15 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
                     entry["planner_status"] = res.status
                 entry["status"] = rt.status.value
             record[aid] = entry
+        t_apply = time.perf_counter() - t_apply0
         step_logs.append(StepLog(
             step=t, agents=record, collision_events=collision_events,
             timings={
                 "prediction": t_pred,
                 "collision_check": t_col,
+                "views": t_views,
                 "planning_batches": batch_times,
+                "apply": t_apply,
                 "total": time.perf_counter() - t_total0,
             },
         ))

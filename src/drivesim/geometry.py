@@ -46,6 +46,14 @@ def _shaped(x, shape=None):
     return x.item() if x.ndim == 0 else x
 
 
+def clamp(x, lo, hi):
+    """x clamped to [lo, hi] bitwise as np.clip clamps it, for lo < hi: a
+    NaN stays NaN, and np.maximum returns its second operand on a tie, so a
+    -0.0 at lo = 0.0 stays -0.0. Two ufunc calls, without np.clip's wrapper
+    chain, which costs more than the clamp on the short arrays here."""
+    return np.minimum(np.maximum(lo, x), hi)
+
+
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
     n = np.hypot(v[:, 0], v[:, 1])
     n = np.where(n < 1e-15, 1.0, n)
@@ -84,6 +92,9 @@ class CurvilinearFrame:
         self._seg = np.diff(pts, axis=0)
         self._seg_len2 = np.einsum("ij,ij->i", self._seg, self._seg)
         self._seg_dir = _normalize_rows(self._seg)
+        # the arc lengths of the inner vertices, where one segment ends and
+        # the next begins
+        self._inner_arclength = s[1:-1]
         # math.atan2 per segment, so angles round as scalar code rounds them
         self._seg_angles = np.array([math.atan2(y, x) for x, y in self._seg_dir.tolist()])
 
@@ -93,15 +104,16 @@ class CurvilinearFrame:
 
     def _at_vertices(self, s, values: np.ndarray):
         """Per-vertex values interpolated at arc length s, clamped to
-        [0, length]: a float for a number, elementwise for an array."""
-        cum = self.reference.cumulative_arclength
-        return _shaped(np.interp(np.clip(s, 0.0, self.length), cum, values))
+        [0, length]: a float for a number, elementwise for an array.
+        np.interp holds the end values outside [0, length] and returns
+        them exactly at 0 and at length, so it clamps s itself."""
+        return _shaped(np.interp(s, self.reference.cumulative_arclength, values))
 
     def _segment_at(self, s):
-        """Arc length s clamped to [0, length], and the segment it lies on."""
-        s = np.clip(s, 0.0, self.length)
-        i = np.searchsorted(self.reference.cumulative_arclength, s, side="right") - 1
-        return s, np.clip(i, 0, len(self._seg) - 1)
+        """The segment that arc length s, clamped to [0, length], lies on:
+        the number of inner vertices at or before s, so the last segment
+        for s at or past the end and for NaN."""
+        return np.searchsorted(self._inner_arclength, s, side="right")
 
     def curvature_at(self, s):
         return self._at_vertices(s, self.curvatures)
@@ -109,7 +121,7 @@ class CurvilinearFrame:
     def tangent_angle_at(self, s):
         """Direction of the reference segment at arc length s, clamped to
         [0, length]: a float for a number, elementwise for an array."""
-        return _shaped(self._seg_angles[self._segment_at(s)[1]])
+        return _shaped(self._seg_angles[self._segment_at(s)])
 
     def tangent_angle_smooth(self, s):
         """Tangent angle interpolated between vertices (C0 in s), for sampling
@@ -122,9 +134,10 @@ class CurvilinearFrame:
         segment parameter before clamping to [0, 1] and squared distance."""
         rel = p[:, None, :] - self._seg_start
         t = np.einsum("nij,ij->ni", rel, self._seg) / self._seg_len2
-        diff = p[:, None, :] - (self._seg_start + np.clip(t, 0.0, 1.0)[..., None] * self._seg)
+        t_clamped = clamp(t, 0.0, 1.0)
+        diff = p[:, None, :] - (self._seg_start + t_clamped[..., None] * self._seg)
         dist2 = np.einsum("nij,nij->ni", diff, diff)
-        i = np.argmin(dist2, axis=1)
+        i = dist2.argmin(axis=1)
         rows = np.arange(len(p))
         return i, t[rows, i], dist2[rows, i]
 
@@ -145,7 +158,7 @@ class CurvilinearFrame:
         p = np.asarray(p, dtype=float)
         shape, p = p.shape[:-1], p.reshape(-1, 2)
         i, t, _ = self._closest(p)
-        t_clamped = np.clip(t, 0.0, 1.0)
+        t_clamped = clamp(t, 0.0, 1.0)
         ref = self.reference
         s = ref.cumulative_arclength[i] + t_clamped * ref.segment_lengths[i]
         u = self._seg_dir[i]
@@ -173,7 +186,7 @@ class CurvilinearFrame:
         folded = self.folds(s, d)
         if folded.any():
             raise GeometryError(f"lateral offset d={d[folded][0]} folds over at s={s[folded][0]}")
-        s, i = self._segment_at(s)
+        s, i = clamp(s, 0.0, self.length), self._segment_at(s)
         u = self._seg_dir[i]
         cum = self.reference.cumulative_arclength
         base = self.reference.points[i] + (s - cum[i])[..., None] * u
@@ -271,18 +284,18 @@ class Polygon:
         y2c, denc, x1c, y1c, exc = edges[:5, crossing]
         cond = (y1c <= py) != (y2c <= py)
         xints = x1c + (py - y1c) * exc / denc
-        inside = np.sum(cond & (px < xints), axis=1) % 2 == 1
+        inside = (cond & (px < xints)).sum(axis=1) % 2 == 1
         # boundary test: distance to each edge near the points
         reach = abs(boundary_tol) * (1.0 + 1e-9) + slack
         near = ((xlo <= hi[0] + reach) & (xhi >= lo[0] - reach)
                 & (ylo <= hi[1] + reach) & (yhi >= lo[1] - reach))
         x1n, y1n, exn, eyn, el2n = edges[2:7, near]
         t = ((px - x1n) * exn + (py - y1n) * eyn) / el2n
-        t = np.clip(t, 0.0, 1.0)
+        t = clamp(t, 0.0, 1.0)
         fx = x1n + t * exn
         fy = y1n + t * eyn
         d2 = (px - fx) ** 2 + (py - fy) ** 2
-        on_edge = np.any(d2 <= boundary_tol**2, axis=1)
+        on_edge = (d2 <= boundary_tol**2).any(axis=1)
         return inside | on_edge
 
 
@@ -421,7 +434,7 @@ def _corner_to_edge(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Smallest distance (n,) from a corner of p (n, 4, 2) to an edge of q."""
     start = q[:, None, :, :]
     edge = np.roll(q, -1, axis=-2)[:, None, :, :] - start
-    t = np.clip(np.vecdot(p[:, :, None, :] - start, edge) / np.vecdot(edge, edge), 0.0, 1.0)
+    t = clamp(np.vecdot(p[:, :, None, :] - start, edge) / np.vecdot(edge, edge), 0.0, 1.0)
     gap = p[:, :, None, :] - (start + t[..., None] * edge)
     return np.hypot(gap[..., 0], gap[..., 1]).min(axis=(-2, -1))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import AgentState, ControlInput, VehicleParams, normalize_angle
-from .geometry import CurvilinearFrame, boxes_intersect
+from .geometry import CurvilinearFrame, boxes_intersect, clamp
 from .scenario import GoalRegion, StreetNetwork
 
 
@@ -248,39 +248,59 @@ class FrenetPlannerConfig:
 def _quintics(x0, dx0, ddx0, x1, T):
     """Quintic coefficients (..., 6), in closed form, from value x0, velocity
     dx0 and acceleration ddx0 at 0 to value x1 with zero velocity and
-    acceleration at T; T[k] is T ** k, broadcast against x1."""
+    acceleration at T; T[k] is T ** k, broadcast against x1. The table is
+    filled column by column."""
     h = x1 - x0
-    a3 = (20 * h - 12 * dx0 * T[1] - 3 * ddx0 * T[2]) / (2 * T[3])
-    a4 = (-30 * h + 16 * dx0 * T[1] + 3 * ddx0 * T[2]) / (2 * T[4])
-    a5 = (12 * h - 6 * dx0 * T[1] - ddx0 * T[2]) / (2 * T[5])
-    return np.stack(np.broadcast_arrays(x0, dx0, ddx0 / 2.0, a3, a4, a5), axis=-1)
+    out = np.empty(np.broadcast_shapes(np.shape(h), np.shape(T[1])) + (6,))
+    out[..., 0], out[..., 1], out[..., 2] = x0, dx0, ddx0 / 2.0
+    out[..., 3] = (20 * h - 12 * dx0 * T[1] - 3 * ddx0 * T[2]) / (2 * T[3])
+    out[..., 4] = (-30 * h + 16 * dx0 * T[1] + 3 * ddx0 * T[2]) / (2 * T[4])
+    out[..., 5] = (12 * h - 6 * dx0 * T[1] - ddx0 * T[2]) / (2 * T[5])
+    return out
 
 
 def _quartic_speed(s0, ds0, a0, v_end, T):
     """Quartic coefficients (..., 5): s, s-dot and s-ddot now, speed v_end and
-    zero acceleration at T; T[k] is T ** k, broadcast against v_end."""
+    zero acceleration at T; T[k] is T ** k, broadcast against v_end. The
+    table is filled column by column."""
     A = v_end - ds0 - a0 * T[1]
     B = -a0
     det = 3 * T[2] * 12 * T[2] - 4 * T[3] * 6 * T[1]
-    c3 = (A * 12 * T[2] - 4 * T[3] * B) / det
-    c4 = (3 * T[2] * B - A * 6 * T[1]) / det
-    return np.stack(np.broadcast_arrays(s0, ds0, a0 / 2.0, c3, c4), axis=-1)
+    out = np.empty(np.broadcast_shapes(np.shape(A), np.shape(det)) + (5,))
+    out[..., 0], out[..., 1], out[..., 2] = s0, ds0, a0 / 2.0
+    out[..., 3] = (A * 12 * T[2] - 4 * T[3] * B) / det
+    out[..., 4] = (3 * T[2] * B - A * 6 * T[1]) / det
+    return out
 
 
-def _poly_eval(coeffs, tau):
-    """Polynomials (rows, n), coefficients in increasing order, at each of
-    tau: (rows, len(tau)).
+def _vander(tau, size):
+    """The read-only Vandermonde matrix (1, len(tau), size) that _poly_eval
+    evaluates polynomials of size coefficients at tau with."""
+    v = np.vander(tau, size, increasing=True)[None]
+    v.setflags(write=False)
+    return v
+
+
+def _poly_eval(coeffs, vander):
+    """Polynomials (rows, m), coefficients in increasing order, evaluated
+    at the points whose Vandermonde matrix (1, points, m) vander is
+    (_vander): (rows, points).
 
     np.matvec with the Vandermonde matrix rounds each row exactly as
-    `np.vander(tau, n, increasing=True) @ c` does for that row alone; V @ C.T,
+    `np.vander(tau, m, increasing=True) @ c` does for that row alone; V @ C.T,
     np.vecdot and elementwise Horner sums differ in the last bit on 30-50% of
     values, which would change the digests of tools/digests.py.
     """
-    return np.matvec(np.vander(tau, coeffs.shape[-1], increasing=True)[None], coeffs)
+    return np.matvec(vander, coeffs)
+
+
+# the factor k of the k-th coefficient in a polynomial's derivative
+_RISING = np.arange(1, 6)
+_RISING.setflags(write=False)
 
 
 def _poly_derivative(coeffs):
-    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
+    return coeffs[..., 1:] * _RISING[:coeffs.shape[-1] - 1]
 
 
 REJECTIONS = ("route_end", "fold_over") + dynamics.BOUNDS + ("collision",)
@@ -313,15 +333,15 @@ class Candidates:
     best: tuple[int, int] | None
 
 
-def _first_minimum(cost: np.ndarray, ok: np.ndarray) -> tuple[int, int] | None:
-    """(h, r) of the ok candidate of least cost, scanning in sampling order
-    (horizon major) and replacing the one held only when a cost is lower by
-    more than 1e-12, so near ties keep the earlier candidate; None if no
-    candidate is ok."""
+def _first_minimum(hz: np.ndarray, row: np.ndarray, cost: np.ndarray) -> tuple[int, int] | None:
+    """(h, r) of the ok candidate of least cost, given the ok candidates'
+    (hz, row) in sampling order (horizon major) and their costs, replacing
+    the one held only when a cost is lower by more than 1e-12, so near ties
+    keep the earlier candidate; None if no candidate is ok."""
     best = None  # (cost, h, r)
-    for h, r, c in zip(*np.nonzero(ok), cost[ok].tolist()):
+    for h, r, c in zip(hz.tolist(), row.tolist(), cost.tolist()):
         if best is None or c < best[0] - 1e-12:
-            best = (c, int(h), int(r))
+            best = (c, h, r)
     return None if best is None else best[1:]
 
 
@@ -355,7 +375,13 @@ class FrenetPlanner:
     route, filters infeasible and colliding candidates, and picks the
     minimum-cost survivor. The candidates of every horizon form one table
     (Candidates), built as one array program; only the step the engine
-    applies becomes objects."""
+    applies becomes objects.
+
+    What a plan reads that does not depend on the view (the time grid's
+    Vandermonde matrices, the sample rows and the horizon masks) is built
+    once, when the planner is built, as read-only arrays, with the
+    expressions a plan would use, so a plan only computes what depends on
+    the ego's Frenet start and on the view, and changes no planner state."""
 
     def __init__(self, route: CurvilinearFrame, cfg: FrenetPlannerConfig,
                  params: VehicleParams, v_ref: float, dt: float):
@@ -367,12 +393,44 @@ class FrenetPlanner:
         self.v_ref = v_ref
         self.dt = dt
         self.steps = tuple(int(round(T / dt)) for T in cfg.t_end_samples)
-        # T ** k (horizons, 1) for k = 0..5 through Python's pow: numpy's array
-        # power rounds some of them differently from scalar arithmetic
-        self._powers = np.array([[[T**k] for T in cfg.t_end_samples] for k in range(6)], float)
         for T, K in zip(cfg.t_end_samples, self.steps):
             if K < 1:
                 raise PlannerError(f"horizon t_end={T} s rounds to 0 steps of dt={dt} s")
+        # T ** k (horizons, 1) for k = 0..5 through Python's pow: numpy's array
+        # power rounds some of them differently from scalar arithmetic
+        self._powers = np.array([[[T**k] for T in cfg.t_end_samples] for k in range(6)], float)
+        K = self._steps = np.array(self.steps)
+        n = int(K.max())
+        tau = np.arange(n + 1) * dt
+        nd, nv = len(cfg.d_end_samples), len(cfg.v_frac_samples)
+        # every horizon's candidates on the longest horizon's grid of n steps
+        self._shape = (len(K), nd * nv, n + 1)
+        # the end values of the lateral (horizon, d_end) and longitudinal
+        # (horizon, v_frac) rows; each candidate's two rows, d_end major, and
+        # its end values
+        self._d_ends = np.array(cfg.d_end_samples, float)
+        self._targets = np.array([max(0.0, frac * v_ref) for frac in cfg.v_frac_samples])
+        lateral_row, longitudinal_row = np.repeat(np.arange(nd), nv), np.tile(np.arange(nv), nd)
+        self._lateral_row = lateral_row
+        self._d_end, self._v_target = self._d_ends[lateral_row], self._targets[longitudinal_row]
+        # the grid's Vandermonde matrices by coefficient count: 6 and 5 for
+        # the quintics and their derivatives, 5 and 4 for the quartics and
+        # theirs; and 4 at tau[1], for the lateral acceleration after the
+        # first step
+        self._grid = {m: _vander(tau, m) for m in (4, 5, 6)}
+        self._first_step = _vander(tau[1:2], 4)
+        # the steps each horizon keeps its inputs over and tests for
+        # collisions (H, 1, n); the columns fold_over reads (H, 1, 1, n+1);
+        # the index of each candidate's column K in s (H, v_frac, n+1), read
+        # as (H, candidates); and the prediction steps 1..n
+        self._live = np.arange(n) < K[:, None, None]
+        self._fold_columns = np.arange(n + 1) <= K[:, None, None, None]
+        self._route_end = (np.arange(len(K))[:, None], longitudinal_row, K[:, None])
+        self._ahead = np.arange(1, n + 1)
+        for a in (self._powers, K, self._d_ends, self._targets, lateral_row, longitudinal_row,
+                  self._d_end, self._v_target, self._live, self._fold_columns,
+                  *self._route_end[::2], self._ahead):
+            a.setflags(write=False)
 
     def _samples(self, ego: AgentState, start):
         """Every (d_end, v_frac) sample of every horizon from the Frenet start
@@ -387,42 +445,36 @@ class FrenetPlanner:
         K + 1 columns are bitwise those of its own grid; route_end reads
         column K and fold_over the columns up to K."""
         s0, d0, ds0, dd0, dd0_acc, a0 = start
-        cfg, params, dt = self.cfg, self.params, self.dt
-        K = np.array(self.steps)
-        n = int(K.max())
-        tau = np.arange(n + 1) * dt
-        targets = [max(0.0, frac * self.v_ref) for frac in cfg.v_frac_samples]
-        nd, nv = len(cfg.d_end_samples), len(targets)
-        d_end, v_target = np.repeat(cfg.d_end_samples, nv), np.tile(targets, nd)
+        grid, dt, kappa_max = self._grid, self.dt, self.params.kappa_max
         # lateral (horizon, d_end) and longitudinal (horizon, v_frac) rows
-        lateral = _quintics(d0, dd0, dd0_acc, np.array(cfg.d_end_samples, float), self._powers)
-        longitudinal = _quartic_speed(s0, ds0, a0, np.array(targets), self._powers)
-        d = _poly_eval(lateral, tau)[:, :, None]
-        dd = _poly_eval(_poly_derivative(lateral), tau)[:, :, None]
+        lateral = _quintics(d0, dd0, dd0_acc, self._d_ends, self._powers)
+        longitudinal = _quartic_speed(s0, ds0, a0, self._targets, self._powers)
+        d = _poly_eval(lateral, grid[6])[:, :, None]
+        dd = _poly_eval(_poly_derivative(lateral), grid[5])[:, :, None]
         # no reversing: freeze s where the speed profile would go negative
-        s = np.maximum.accumulate(_poly_eval(longitudinal, tau), axis=-1)
-        ds = np.maximum(_poly_eval(_poly_derivative(longitudinal), tau), 0.0)[:, None]
+        s = np.maximum.accumulate(_poly_eval(longitudinal, grid[5]), axis=-1)
+        ds = np.maximum(_poly_eval(_poly_derivative(longitudinal), grid[4]), 0.0)[:, None]
         kappa_ref = self.route.curvature_at(s)[:, None]
-        along = ds * (1.0 - d * kappa_ref)
+        offset = d * kappa_ref
+        along = ds * (1.0 - offset)
         speed = np.hypot(along, dd)
         heading = (self.route.tangent_angle_smooth(s)[:, None]
                    + np.arctan2(dd, np.maximum(along, 1e-9)))
         heading[..., 0] = ego.theta
-        shape = (len(K), nd * nv, n + 1)
-        speed, heading = speed.reshape(shape), heading.reshape(shape)
+        speed, heading = speed.reshape(self._shape), heading.reshape(self._shape)
 
-        accel = np.diff(speed, axis=-1) / dt
-        dtheta = dynamics.normalize_angles(np.diff(heading, axis=-1))
-        moving = speed[..., :-1] > 0.05
+        accel = np.where(self._live, (speed[..., 1:] - speed[..., :-1]) / dt, 0.0)
+        dtheta = dynamics.normalize_angles(heading[..., 1:] - heading[..., :-1])
+        # kappa is 0 past the horizon and where the row stands
+        moving = self._live & (speed[..., :-1] > 0.05)
         kappa = np.where(moving, dtheta / (np.maximum(speed[..., :-1], 0.05) * dt), 0.0)
-        kappa = np.clip(kappa, -params.kappa_max, params.kappa_max)
-        live = np.arange(n) < K[:, None, None]
-        folds = (np.abs(d * kappa_ref) >= 0.98) & (np.arange(n + 1) <= K[:, None, None, None])
-        rejected = {"route_end": np.tile(s[np.arange(len(K)), :, K] > self.route.length, nd),
-                    "fold_over": np.any(folds, axis=-1).reshape(shape[:2])}
-        lat_acc_next = _poly_eval(_poly_derivative(_poly_derivative(lateral)), tau[1:2])
-        return (d_end, v_target, np.repeat(lat_acc_next[..., 0], nv, axis=-1),
-                np.where(live, accel, 0.0), np.where(live, kappa, 0.0), rejected)
+        kappa = clamp(kappa, -kappa_max, kappa_max)
+        folds = (np.abs(offset) >= 0.98) & self._fold_columns
+        rejected = {"route_end": s[self._route_end] > self.route.length,
+                    "fold_over": folds.any(axis=-1).reshape(self._shape[:2])}
+        lat_acc_next = _poly_eval(_poly_derivative(_poly_derivative(lateral)), self._first_step)
+        return (self._d_end, self._v_target, lat_acc_next[:, self._lateral_row, 0],
+                accel, kappa, rejected)
 
     def _cost(self, accel, kappa, v, x, y, d_end, v_target, steps, predicted) -> np.ndarray:
         """Jerk, lateral-offset, speed and risk cost per row of inputs
@@ -438,15 +490,16 @@ class FrenetPlanner:
         as x * x does."""
         cfg, dt = self.cfg, self.dt
         lat_acc = v[:, :-1] * v[:, :-1] * kappa
-        terms = np.diff(accel, axis=-1) ** 2 + np.diff(lat_acc, axis=-1) ** 2
+        terms = (accel[:, 1:] - accel[:, :-1]) ** 2 + (lat_acc[:, 1:] - lat_acc[:, :-1]) ** 2
         jerk = np.zeros(len(x))
-        for K in np.unique(steps).tolist():
-            jerk[steps == K] = np.sum(terms[steps == K, :K - 1], axis=-1)
+        for K in set(steps.tolist()):
+            rows = steps == K
+            jerk[rows] = terms[rows, :K - 1].sum(axis=-1)
         dx = x[:, None, 1:] - predicted[:, :, 0].T
         dy = y[:, None, 1:] - predicted[:, :, 1].T
         live = (np.arange(len(predicted)) < steps[:, None])[:, None]
         terms = np.where(live, np.exp(-(dx * dx + dy * dy) / cfg.risk_radius**2), 0.0)
-        risk = (np.cumsum(terms.reshape(len(x), -1), axis=-1)[:, -1] if terms.size
+        risk = (terms.reshape(len(x), -1).cumsum(axis=-1)[:, -1] if terms.size
                 else np.zeros(len(x)))
         dv = v_target - self.v_ref
         return (cfg.w_jerk * (jerk / dt) + cfg.w_lat * (d_end * d_end)
@@ -484,40 +537,40 @@ class FrenetPlanner:
         dtheta = normalize_angle(ego.theta - theta_ref)
         start = (s0, d0, ego.v * math.cos(dtheta), ego.v * math.sin(dtheta),
                  float(memory.get("d_accel", 0.0)), float(memory.get("accel", 0.0)))
-        params, steps = self.params, np.array(self.steps)
-        n = int(steps.max())
+        params, steps = self.params, self._steps
         d_end, v_target, lat_acc_next, accel, kappa, rejected = self._samples(ego, start)
         x, y, v, theta = dynamics.rollout_arrays(ego.x, ego.y, ego.v, ego.theta,
                                                  accel, kappa, self.dt)
         violated = dynamics.bound_violations(v, accel, kappa, params)[1].any(axis=-2)
         rejected.update({bound: violated[..., b] for b, bound in enumerate(dynamics.BOUNDS)})
-        alive = ~np.any(list(rejected.values()), axis=0)
+        alive = ~(rejected["route_end"] | rejected["fold_over"] | violated.any(axis=-1))
 
-        pairs = alive[:, :, None] & (np.arange(n) < steps[:, None])[:, None, :]
+        pairs = alive[:, :, None] & self._live
         # (n, neighbours, 5): each seen vehicle's grown box at steps 1..n,
         # its last past its horizon
         last = view.boxes.shape[1] - 1
-        predicted = view.boxes[view.seen, np.minimum(np.arange(1, n + 1), last)[:, None]]
+        predicted = view.boxes[view.seen, np.minimum(self._ahead, last)[:, None]]
         # (horizon, row, step) of each alive pair, and the neighbours within
         # reach of it: one index pair per box pair left to test
-        hz, row, k = np.nonzero(pairs)
-        pair, nb = np.nonzero(_within_reach(x[..., 1:], y[..., 1:], pairs, predicted,
-                                            params)[k])
+        hz, row, k = pairs.nonzero()
+        pair, nb = _within_reach(x[..., 1:], y[..., 1:], pairs, predicted, params)[k].nonzero()
         hz, row, k = hz[pair], row[pair], k[pair] + 1
-        ego_boxes = np.stack([x[hz, row, k], y[hz, row, k], theta[hz, row, k],
-                              np.full(len(k), params.length), np.full(len(k), params.width)],
-                             axis=-1)
+        ego_boxes = np.empty((len(k), 5))
+        ego_boxes[:, 0], ego_boxes[:, 1], ego_boxes[:, 2] = (a[hz, row, k] for a in (x, y, theta))
+        ego_boxes[:, 3], ego_boxes[:, 4] = params.length, params.width
         hit = boxes_intersect(ego_boxes, predicted[k - 1, nb])
-        rejected["collision"] = np.zeros(alive.shape, dtype=bool)
-        rejected["collision"][hz[hit], row[hit]] = True
-        ok = alive & ~rejected["collision"]
+        collision = rejected["collision"] = np.zeros(alive.shape, dtype=bool)
+        collision[hz[hit], row[hit]] = True
+        ok = alive & ~collision
 
-        hz, row = np.nonzero(ok)
+        # the ok candidates in sampling order, gathered once for _cost
+        hz, row = ok.nonzero()
+        costs = self._cost(accel[hz, row], kappa[hz, row], v[hz, row], x[hz, row], y[hz, row],
+                           d_end[row], v_target[row], steps[hz], predicted)
         cost = np.full(ok.shape, math.inf)
-        cost[ok] = self._cost(accel[ok], kappa[ok], v[ok], x[ok], y[ok], d_end[row],
-                              v_target[row], steps[hz], predicted)
+        cost[hz, row] = costs
         return s0, d0, Candidates(steps, lat_acc_next, accel, kappa, x, y, v, theta,
-                                  rejected, ok, cost, _first_minimum(cost, ok))
+                                  rejected, ok, cost, _first_minimum(hz, row, costs))
 
     def plan(self, view: LocalView, memory: dict) -> PlanResult:
         s0, d0, table = self.candidates(view, memory)

@@ -83,23 +83,30 @@ def extrapolate(x: float, y: float, v: float, theta: float, along, n: int,
     the offset folds over anywhere on the way, it goes straight on from
     (x, y) along theta."""
     dist = v * np.arange(1, n + 1) * dt
+    poses = np.empty((n + 1, 3))
+    poses[0] = x, y, theta
+    ahead = poses[1:]
     if along is None:
-        px, py, pth = x + dist * math.cos(theta), y + dist * math.sin(theta), np.full(n, theta)
+        ahead[:, 0], ahead[:, 1], ahead[:, 2] = (x + dist * math.cos(theta),
+                                                 y + dist * math.sin(theta), theta)
     else:
         frame, s0, d0 = along
         s = s0 + dist
         on_frame = np.minimum(s, frame.length)
         try:
-            p = frame.to_cartesian(on_frame, d0)
+            ahead[:, :2] = frame.to_cartesian(on_frame, d0)
         except GeometryError:  # the offset folds over
             return extrapolate(x, y, v, theta, None, n, dt)
-        end = frame.tangent_angle_at(frame.length)
+        ahead[:, 2] = frame.tangent_angle_at(on_frame)
         past = s > frame.length
-        px = np.where(past, p[:, 0] + (s - frame.length) * math.cos(end), p[:, 0])
-        py = np.where(past, p[:, 1] + (s - frame.length) * math.sin(end), p[:, 1])
-        pth = frame.tangent_angle_at(on_frame)
-    return np.column_stack([np.append(x, px), np.append(y, py),
-                            normalize_angles(np.append(theta, pth))])
+        if past.any():
+            # the poses past the end lie on the end's tangent, which the
+            # last pose, the farthest past it, holds
+            end, beyond = ahead[-1, 2], s[past] - frame.length
+            ahead[past, 0] += beyond * math.cos(end)
+            ahead[past, 1] += beyond * math.sin(end)
+    poses[:, 2] = normalize_angles(poses[:, 2])
+    return poses
 
 
 def predict_all(states: np.ndarray, network: StreetNetwork, cfg: PredictorConfig,

@@ -113,11 +113,14 @@ HIGHWAY_FRENET12 = (Path(__file__).resolve().parent.parent
 
 def test_determinism_across_worker_counts(tmp_path):
     """steps.jsonl is byte-identical in process and on a pool: merge_frenet
-    on 8 workers (more workers than agents), merge_idm on 2, and the first
-    3 steps of the twelve highway Frenet agents on 2 (six agents per batch,
+    on 8 workers (more workers than agents), merge_idm on 2,
+    intersection_frenet on 2 (each agent plans in its own forked worker,
+    with the tables its planner built before the fork), and the first 3
+    steps of the twelve highway Frenet agents on 2 (six agents per batch,
     up to 23 neighbours each). Every step times one planning batch per
     worker that got an agent, and none when no agent plans."""
     for name, workers, max_steps in (("merge_frenet", 8, None), ("merge_idm", 2, None),
+                                     ("intersection_frenet", 2, None),
                                      (str(HIGHWAY_FRENET12), 2, 3)):
         steps = []
         for w in (1, workers):

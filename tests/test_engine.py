@@ -80,10 +80,17 @@ def test_rerun_is_bit_identical():
 
 
 def test_step_logs_carry_timings(merge_runs):
+    """Every step times its phases: prediction, collision check, view
+    construction, each planning batch and applying the next states, each
+    within the step's total."""
     result, _, _ = merge_runs["idm"]
-    log = result.step_logs[0]
-    assert {"prediction", "collision_check", "planning_batches", "total"} <= set(log.timings)
-    assert log.timings["total"] > 0
+    phases = ("prediction", "collision_check", "views", "apply")
+    for log in result.step_logs:
+        assert set(log.timings) == {*phases, "planning_batches", "total"}
+        assert log.timings["total"] > 0
+        spent = [log.timings[p] for p in phases] + log.timings["planning_batches"]
+        assert all(t >= 0 for t in spent)
+        assert sum(spent) <= log.timings["total"]
 
 
 def _recorded_batches(monkeypatch, scenario, bindings, cfg, predictor=None):

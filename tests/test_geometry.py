@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from drivesim.geometry import (CurvilinearFrame, GeometryError, Polygon, Polyline,
-                               box_corners, box_inside_region, boxes_intersect,
+                               box_corners, box_inside_region, boxes_intersect, clamp,
                                min_distance, occupancy)
 from drivesim.scenario import load_scenario
 
@@ -16,6 +16,25 @@ from drivesim.scenario import load_scenario
 def straight_frame(length=100.0, n=21):
     return CurvilinearFrame(Polyline(
         np.column_stack([np.linspace(0.0, length, n), np.zeros(n)])))
+
+
+def test_clamp_is_np_clip_bitwise():
+    """clamp gives np.clip's bits on the values where a clamp's rounding
+    could differ: zeros of either sign at and past the bounds, NaN,
+    infinities and subnormals, for a number, a 0-d array, and arrays short
+    and long enough for numpy's vector loops, contiguous or strided."""
+    rng = np.random.default_rng(7)
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.0, -1.0, 0.2, -0.2]
+    for lo, hi in ((0.0, 1.0), (-0.2, 0.2), (0.0, 250.0)):
+        for x in special:
+            for value in (x, np.float64(x), np.array(x)):
+                got, want = clamp(value, lo, hi), np.clip(value, lo, hi)
+                assert type(got) is type(want) and np.asarray(got).tobytes() == \
+                    np.asarray(want).tobytes(), (lo, hi, x)
+        for n in (3, 40):
+            x = np.concatenate([special * n, rng.normal(scale=2.0, size=n)])
+            for a in (x, x[::3], np.stack([x, -x], axis=-1)):
+                assert clamp(a, lo, hi).tobytes() == np.clip(a, lo, hi).tobytes(), (lo, hi, n)
 
 
 class TestPolyline:

@@ -440,6 +440,64 @@ def test_plan_matches_reference_bitwise(frenet_views):
     assert len(frenet_views) > 180 and fallbacks < len(frenet_views)
 
 
+def _planner_arrays(planner):
+    """(where, array) of every array a planner holds, also inside the
+    dicts and tuples it holds."""
+    found = []
+
+    def walk(where, value):
+        if isinstance(value, np.ndarray):
+            found.append((where, value))
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{where}[{key!r}]", item)
+        elif isinstance(value, (tuple, list)):
+            for i, item in enumerate(value):
+                walk(f"{where}[{i}]", item)
+
+    for name, value in vars(planner).items():
+        walk(name, value)
+    return found
+
+
+def _outcome_bits(planner, view, memory):
+    """A plan of the view from memory, as bytes: its result, the memory it
+    leaves and every field of its candidate table."""
+    after = dict(memory)
+    result = planner.plan(view, after)
+    table = planner.candidates(view, dict(memory))[2]
+    fields = []
+    for field in dataclasses.fields(table):
+        value = getattr(table, field.name)
+        items = value.items() if isinstance(value, dict) else [(field.name, value)]
+        for name, a in items:
+            fields.append((name, a.dtype.str, a.shape, a.tobytes())
+                          if isinstance(a, np.ndarray) else (name, a))
+    return (result.status, _state_bits([result.next_state]), _input_bits([result.next_input]),
+            [(k, _bits(after[k])) for k in sorted(after)], fields)
+
+
+def test_planning_leaves_the_planner_unchanged(frenet_views):
+    """Every array a Frenet planner builds when it is built is read-only,
+    and planning the recorded views forwards, then backwards, gives bitwise
+    the same results, memories and candidate tables, and leaves those
+    arrays as they were: no plan leaves state behind that a later plan
+    reads."""
+    built = list({id(p): p for p, _, _ in frenet_views}.values())
+    before = []
+    for planner in built:
+        arrays = _planner_arrays(planner)
+        assert len(arrays) >= 15
+        for where, a in arrays:
+            assert not a.flags.writeable, where
+        before.append([(where, a.tobytes()) for where, a in arrays])
+    order = range(len(frenet_views))
+    forwards = [_outcome_bits(*frenet_views[i]) for i in order]
+    backwards = [_outcome_bits(*frenet_views[i]) for i in reversed(order)]
+    assert len(built) > 12 and forwards == backwards[::-1]
+    assert before == [[(where, a.tobytes()) for where, a in _planner_arrays(p)] for p in built]
+
+
 def test_unequal_horizons_share_one_rollout_and_one_collision_call(frenet_views, monkeypatch):
     """Three horizons of 15, 20 and 30 steps: the plan still equals the
     reference bitwise, although every horizon's inputs are padded to 30 steps

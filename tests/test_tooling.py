@@ -222,3 +222,34 @@ def test_make_fixtures_regenerates_bundled_scenarios(tmp_path):
     for name in ("merge", "t_intersection", "highway"):
         getattr(fixtures, f"make_{name}")()
         assert (tmp_path / f"{name}.json").read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
+def test_bench_pairs_summary_on_canned_figures():
+    """tools/bench_pairs.py's summary of five canned pairs: each side's
+    median and inclusive quartiles, wins counted in the metric's better
+    direction with a tie no win, the relative change of the medians, and
+    whether that change exceeds the parent's interquartile range."""
+    bench_pairs = _load(ROOT / "tools" / "bench_pairs.py")
+    parent_run = [1.0, 1.2, 0.9, 1.1, 1.0]
+    change_run = [0.8, 1.2, 1.0, 0.7, 0.8]
+    parent_rate = [10.0, 8.0, 11.0, 9.0, 10.0]
+    change_rate = [12.0, 8.0, 10.0, 13.0, 12.0]
+    pairs = [({"run_s": a, "agent_steps_per_s": b, "count": 3},
+              {"run_s": c, "agent_steps_per_s": d, "count": 3})
+             for a, b, c, d in zip(parent_run, parent_rate, change_run, change_rate)]
+    summary = bench_pairs.summarize(pairs, {"run_s": "lower", "agent_steps_per_s": "higher"})
+    run, rate, count = summary["run_s"], summary["agent_steps_per_s"], summary["count"]
+    assert run["parent"] == pytest.approx({"median": 1.0, "q1": 1.0, "q3": 1.1})
+    assert run["change"] == pytest.approx({"median": 0.8, "q1": 0.8, "q3": 1.0})
+    assert (run["wins"], run["pairs"], run["resolved"]) == (3, 5, True)
+    assert run["change_rel"] == pytest.approx(-0.2)
+    assert rate["parent"] == pytest.approx({"median": 10.0, "q1": 9.0, "q3": 10.0})
+    assert rate["change"]["median"] == 12.0
+    assert (rate["wins"], rate["resolved"]) == (3, True)
+    assert (count["wins"], count["change_rel"], count["resolved"]) == (0, 0.0, False)
+    # a change within the parent's spread is not resolved; one pair has no spread
+    close = bench_pairs.summarize([({"run_s": a}, {"run_s": a - 0.01}) for a in parent_run],
+                                  {"run_s": "lower"})["run_s"]
+    assert (close["wins"], close["resolved"]) == (5, False)
+    one = bench_pairs.summarize(pairs[:1], {"run_s": "lower"})["run_s"]
+    assert one["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0} and one["resolved"]
