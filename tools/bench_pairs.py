@@ -1,11 +1,11 @@
 """Paired benchmark runs: a parent revision against this checkout.
 
     python3 tools/bench_pairs.py --parent REV --workload W --pairs N --seconds S
-                                 [--trace 0|1] [--label L]
+                                 --label L
 
 Extracts the committed files of REV into a temporary directory (`git
 archive`, so the repository's worktree list and index are left alone), then
-runs `perfbench/run.py --workload W --seed 1 --seconds S --trace T` N times in
+runs `perfbench/run.py --workload W --seed 1 --seconds S --trace 0` N times in
 each tree, alternately: even pairs run the parent first, odd pairs this
 checkout first, so a slow drift of the host favours neither side. Each side
 imports drivesim from its own `src`. A run whose output checks fail stops the
@@ -15,10 +15,11 @@ It prints, per metric of the run's JSON line, the median and quartiles of
 each side, the change of the medians, and in how many pairs this checkout
 was better (a tie is no win; which direction is better comes from
 BENCHMARK.json), and marks whether the medians differ by more than the
-parent's interquartile range. With --label L it appends the raw figures and
-that summary, with the host's core count, the Python and numpy versions and
-both commit SHAs (and whether this checkout has uncommitted changes), to
-`BENCH_<L>.json` at the root of this checkout.
+parent's interquartile range. It appends the raw figures and that summary,
+with the host's core count, the Python and numpy versions and both commit
+SHAs (and whether this checkout has uncommitted changes), to `BENCH_<L>.json`
+at the root of this checkout. The workloads draw no random numbers, so the
+seed changes no input.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,10 +54,10 @@ def extract(rev: str, into: Path) -> None:
         archive.extractall(into, filter="data")
 
 
-def bench(tree: Path, workload: str, seconds: int, trace: int) -> dict:
-    """The metric values of one perfbench/run.py run in tree."""
+def bench(tree: Path, workload: str, seconds: int) -> dict:
+    """The end-to-end metric values of one perfbench/run.py run in tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -110,13 +113,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=int, required=True, help="per perfbench/run.py run")
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--label", help="append the figures to BENCH_<label>.json")
+    ap.add_argument("--label", required=True, help="append the figures to BENCH_<label>.json")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds < 1:
         ap.error("--pairs and --seconds must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent_sha = _git("rev-parse", f"{args.parent}^{{commit}}")
     # what this checkout runs, read before the runs
     change_sha = _git("rev-parse", "HEAD")
@@ -128,31 +130,26 @@ def main(argv=None) -> int:
         extract(parent_sha, parent_tree)
         for i in range(args.pairs):
             order = ((parent_tree, ROOT) if i % 2 == 0 else (ROOT, parent_tree))
-            ran = {tree: bench(tree, args.workload, args.seconds, args.trace) for tree in order}
+            ran = {tree: bench(tree, args.workload, args.seconds) for tree in order}
             pairs.append((ran[parent_tree], ran[ROOT]))
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     summary = summarize(pairs, better)
     print(_table(summary))
-
-    if args.label:
-        import numpy
-
-        record = {
-            "workload": args.workload, "trace": args.trace, "seconds": args.seconds,
-            "parent_sha": parent_sha, "change_sha": change_sha,
-            "change_uncommitted": uncommitted,
-            "host": {"cores": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
-                     "machine": platform.machine(), "python": platform.python_version(),
-                     "numpy": numpy.__version__},
-            "order": "even pairs parent first, odd pairs change first",
-            "pairs": [{"parent": p, "change": c} for p, c in pairs],
-            "summary": summary,
-        }
-        path = ROOT / f"BENCH_{args.label}.json"
-        doc = json.loads(path.read_text()) if path.exists() else {"label": args.label, "runs": []}
-        doc["runs"].append(record)
-        path.write_text(json.dumps(doc, indent=1) + "\n")
-        print(f"appended to {path.name}", file=sys.stderr)
+    record = {
+        "workload": args.workload, "trace": 0, "seconds": args.seconds,
+        "parent_sha": parent_sha, "change_sha": change_sha, "change_uncommitted": uncommitted,
+        "host": {"cores": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
+                 "machine": platform.machine(), "python": platform.python_version(),
+                 "numpy": numpy.__version__},
+        "order": "even pairs parent first, odd pairs change first",
+        "pairs": [{"parent": p, "change": c} for p, c in pairs],
+        "summary": summary,
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    doc = json.loads(path.read_text()) if path.exists() else {"label": args.label, "runs": []}
+    doc["runs"].append(record)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"appended to {path.name}", file=sys.stderr)
     return 0
 
 
