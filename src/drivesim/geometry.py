@@ -469,11 +469,11 @@ def box_inside_region(box, region):
     Containment is decided on corners plus boundary samples at <= 0.1 m,
     which is robust on non-convex unions of lanelet polygons. The samples of
     all boxes are built in one pass; then each box's samples are tested on
-    their own, polygon by polygon, skipping the samples outside a polygon's
-    bounding box and the polygons they all miss. So Polygon.contains_points
-    culls the edges far from one box, and its (points x edges) arrays stay
-    as small as for one box. The culling changes no result (see
-    Polygon.contains_points).
+    their own, polygon by polygon, skipping the samples farther than the
+    boundary tolerance (plus slack) outside a polygon's bounding box and the
+    polygons they all miss. So Polygon.contains_points culls the edges far
+    from one box, and its (points x edges) arrays stay as small as for one
+    box. The culling changes no result (see Polygon.contains_points).
     """
     box = np.asarray(box, dtype=float)
     shape, flat = box.shape[:-1], box.reshape(-1, 5)
@@ -488,17 +488,18 @@ def box_inside_region(box, region):
     per_box = per_side.reshape(-1, 4).sum(axis=1)
     ends = np.cumsum(per_box)
     inside = np.zeros(len(flat), dtype=bool)
+    tol, reach = 1e-6, 1e-6 + 1e-9   # boundary tolerance, and the prefilter's margin
     for i, (first, last) in enumerate(zip(ends - per_box, ends)):
         pts = np.concatenate([corners[i], samples[first:last]])
         covered = np.zeros(len(pts), dtype=bool)
         for poly in region:
             xmin, ymin, xmax, ymax = poly.bounds()
             cand = ~covered
-            cand &= (pts[:, 0] >= xmin - 1e-9) & (pts[:, 0] <= xmax + 1e-9)
-            cand &= (pts[:, 1] >= ymin - 1e-9) & (pts[:, 1] <= ymax + 1e-9)
+            cand &= (pts[:, 0] >= xmin - reach) & (pts[:, 0] <= xmax + reach)
+            cand &= (pts[:, 1] >= ymin - reach) & (pts[:, 1] <= ymax + reach)
             if not np.any(cand):
                 continue
-            covered[cand] = poly.contains_points(pts[cand], boundary_tol=1e-6)
+            covered[cand] = poly.contains_points(pts[cand], boundary_tol=tol)
             if covered.all():
                 break
         inside[i] = covered.all()

@@ -4,10 +4,10 @@ All pairwise measures are computed in curvilinear frames spanned by the
 agent's reachable lanelet paths; where several frames apply, the one with the
 most critical TTC is retained. Each vehicle's log projects its whole track
 once per lane chain it is read on (VehicleLog.on_chain), and each vehicle
-pair is scored over all of its steps at once. Crossing TTC sweeps each
-vehicle with the predictor's motion model, once per vehicle and step
-(VehicleLog.sweep). Oncoming traffic is ignored unless the agent occupies
-the oncoming lane or the driving lanes cross. Undefined values are
+pair is scored over all of its steps at once. Crossing TTC predicts both
+vehicles of a pair with the predictor's predict_all, all the steps a frame
+newly asks for in one call. Oncoming traffic is ignored unless the agent
+occupies the oncoming lane or the driving lanes cross. Undefined values are
 represented as math.inf, never as sentinel numbers inside arithmetic.
 """
 
@@ -23,7 +23,7 @@ from .dynamics import VehicleParams, normalize_angle, normalize_angles
 from .engine import AgentStatus, SimulationResult
 from .geometry import (CurvilinearFrame, _shaped, box_intersects_polygon, boxes_intersect,
                        min_distance, occupancy)
-from .prediction import extrapolate, predicted_chain
+from .prediction import PredictorConfig, predict_all
 from .scenario import Scenario
 
 INF = math.inf
@@ -31,7 +31,7 @@ INF = math.inf
 CORRIDOR_HALFWIDTH = 2.0   # lateral band counting as "in the agent's path"
 PATH_LOOKAHEAD = 120.0     # m of lanelet paths enumerated per frame candidate
 MAX_PATHS = 16
-CROSSING_HORIZON = 15.0    # s of constant-speed sweep behind crossing TTC
+CROSSING_HORIZON = 15.0    # s of constant-speed prediction behind crossing TTC
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class VehicleLog:
         self.a = np.gradient(self.v) if len(self.v) >= 2 else np.zeros_like(self.v)
         self.boxes = occupancy(self.track[:, [0, 1, 3]], self.length, self.width)
         self._on_chain: dict[tuple, ChainTrack] = {}
-        self._sweeps: dict[int, np.ndarray] = {}
 
     def on_chain(self, network, chain: tuple) -> ChainTrack:
         """The whole track in chain's frame, projected on first use."""
@@ -84,22 +83,6 @@ class VehicleLog:
             s, d, inside = frame.project(self.track[:, :2])
             on = self._on_chain[chain] = ChainTrack(frame, s, d, inside, frame.tangent_angle_at(s))
         return on
-
-    def sweep(self, network, step: int, dt: float) -> np.ndarray:
-        """Boxes (n+1, 5) at steps 0..n of CROSSING_HORIZON of the vehicle
-        extrapolated from step at its logged speed by the predictor's motion
-        model, along its predicted lane chain from where on_chain locates it;
-        made on first use."""
-        if step not in self._sweeps:
-            x, y, v, theta = self.track[step].tolist()
-            lid, along = self.lanelets[step], None
-            if lid is not None:
-                chain = predicted_chain(network, lid, theta, v, CROSSING_HORIZON)
-                on = self.on_chain(network, chain)
-                along = (on.frame, on.s[step], on.d[step])
-            poses = extrapolate(x, y, v, theta, along, int(round(CROSSING_HORIZON / dt)), dt)
-            self._sweeps[step] = occupancy(poses, self.length, self.width)
-        return self._sweeps[step]
 
 
 def _against(turn):
@@ -269,7 +252,7 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, dt: float,
     relation = np.full(n, "ignored", dtype=object)
     d_a, d_o, hw, ttc = (np.full(n, INF) for _ in range(4))
     v_a, v_o, found = np.zeros(n), np.zeros(n), np.zeros(n, bool)
-    crossing = {}   # step -> the frame-independent crossing TTC, made on first need
+    crossing = np.full(n, np.nan)   # the frame-independent crossing TTC, NaN until asked
     for agent in frames:
         holds = near & agent.member[:n]
         if not holds.any():
@@ -288,10 +271,11 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, dt: float,
         hw_f = np.where((rear_o > front_a) & (np.abs(on.d[:n]) <= CORRIDOR_HALFWIDTH),
                         rear_o - front_a, INF)
         ttc_f = ttc_closed_form(hw_f, v_o_along - agent.v_along[:n], da)
-        for t in np.flatnonzero(holds & (rel == "crossing") & (hw_f == INF)).tolist():
-            if t not in crossing:
-                crossing[t] = _crossing_ttc(network, log_a, log_o, t, dt)
-            ttc_f[t] = crossing[t]
+        asks = holds & (rel == "crossing") & (hw_f == INF)
+        new = asks & np.isnan(crossing)
+        if new.any():
+            crossing[new] = _crossing_ttc(network, log_a, log_o, np.flatnonzero(new), dt)
+        ttc_f[asks] = crossing[asks]
 
         wins = holds & (~found | (ttc_f < ttc) | ((ttc_f == ttc) & (hw_f < hw)))
         for best, this in ((relation, rel), (d_a, agent.track.d[:n]), (d_o, on.d[:n]),
@@ -302,13 +286,15 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, dt: float,
             "v_a": v_a, "v_o": v_o, "hw": hw, "ttc": ttc}
 
 
-def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, step: int,
-                  dt: float) -> float:
-    """Time until occupancy overlap when both vehicles are extrapolated from
-    step by their VehicleLog.sweep; inf if their boxes never meet within it."""
-    hits = np.flatnonzero(boxes_intersect(log_a.sweep(network, step, dt),
-                                          log_o.sweep(network, step, dt)))
-    return int(hits[0]) * dt if len(hits) else INF
+def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, steps: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """Per step of steps, the time until the vehicles' boxes first overlap
+    when predict_all extrapolates both from it over CROSSING_HORIZON, with
+    their logged shapes; inf where they never meet within it."""
+    cfg = PredictorConfig(horizon=CROSSING_HORIZON)
+    hits = boxes_intersect(*(occupancy(predict_all(log.track[steps], network, cfg, dt),
+                                       log.length, log.width) for log in (log_a, log_o)))
+    return np.where(hits.any(axis=1), hits.argmax(axis=1) * dt, INF)
 
 
 def _may_come_within(log_a: VehicleLog, log_o: VehicleLog, gate: float) -> bool:

@@ -2,9 +2,11 @@
 
 Replaces learned prediction: every vehicle is propagated along its current
 lanelet centerline (and the best-aligned successor chain) at constant speed,
-keeping its lateral offset; off-road vehicles continue straight. extrapolate
-is the only motion model of the package: the metrics' crossing TTC sweeps
-vehicles with it too.
+keeping its lateral offset; off-road vehicles continue straight. predict_all
+is the only motion model of the package: the engine predicts every vehicle
+of a step with it, and the metrics' crossing TTC predicts a vehicle pair
+over its crossing steps with it, at a longer horizon. It makes one
+projection and one extrapolate call per distinct lane chain of its rows.
 """
 
 from __future__ import annotations
@@ -64,65 +66,75 @@ def lane_chain(network: StreetNetwork, start_lanelet: str, heading: float,
     return tuple(chain)
 
 
-def predicted_chain(network: StreetNetwork, lanelet_id: str, theta: float, v: float,
-                    horizon: float) -> tuple[str, ...]:
-    """The lane chain a vehicle in lanelet_id heading theta at speed v is
-    extrapolated along for horizon s: its lanelet, v * horizon and 10 m."""
-    needed = network.lanelets[lanelet_id].centerline.length + v * horizon + 10.0
-    return lane_chain(network, lanelet_id, theta, needed)
+def _unit(angles: np.ndarray) -> np.ndarray:
+    """(cos, sin) rows (R, 2) of angles (R,) by math.cos and math.sin, which
+    np.cos and np.sin may miss in the last bit."""
+    return np.array([(math.cos(a), math.sin(a)) for a in angles.tolist()]).reshape(-1, 2)
 
 
-def extrapolate(x: float, y: float, v: float, theta: float, along, n: int,
-                dt: float) -> np.ndarray:
-    """Poses (n+1, 3) of (x, y, theta) at steps 0..n of a vehicle at (x, y)
-    heading theta that keeps speed v, row 0 its current pose and theta
-    wrapped as AgentState wraps it. along is (frame, s0, d0), the vehicle's
-    lane chain frame and its arc length and lateral offset there, or None.
-    The vehicle follows the frame at offset d0 and, past the chain end, goes
-    straight on along the final tangent from the end; with no frame, or when
-    the offset folds over anywhere on the way, it goes straight on from
-    (x, y) along theta."""
-    dist = v * np.arange(1, n + 1) * dt
-    poses = np.empty((n + 1, 3))
-    poses[0] = x, y, theta
-    ahead = poses[1:]
+def extrapolate(states: np.ndarray, along, n: int, dt: float) -> np.ndarray:
+    """Poses (R, n+1, 3) of (x, y, theta) at steps 0..n of each vehicle of
+    states (R, 4) of (x, y, v, theta) that keeps its speed v, step 0 its
+    current pose and theta wrapped as AgentState wraps it. along is (frame,
+    s0, d0), one lane chain frame that every row follows and each row's arc
+    length and lateral offset (R,) there, or None. A vehicle follows the
+    frame at offset d0 and, past the chain end, goes straight on along the
+    final tangent from the end; with no frame, or when its offset folds over
+    anywhere on the way, it goes straight on from (x, y) along theta. Every
+    row's poses are bitwise those it gets alone."""
+    v, theta = states[:, 2], states[:, 3]
+    dist = v[:, None] * np.arange(1, n + 1) * dt
+    poses = np.empty((len(states), n + 1, 3))
+    poses[:, 0] = states[:, [0, 1, 3]]
+    ahead = poses[:, 1:]
     if along is None:
-        ahead[:, 0], ahead[:, 1], ahead[:, 2] = (x + dist * math.cos(theta),
-                                                 y + dist * math.sin(theta), theta)
+        ahead[..., :2] = states[:, None, :2] + dist[..., None] * _unit(theta)[:, None]
+        ahead[..., 2] = theta[:, None]
     else:
         frame, s0, d0 = along
-        s = s0 + dist
+        s = s0[:, None] + dist
         on_frame = np.minimum(s, frame.length)
         try:
-            ahead[:, :2] = frame.to_cartesian(on_frame, d0)
-        except GeometryError:  # the offset folds over
-            return extrapolate(x, y, v, theta, None, n, dt)
-        ahead[:, 2] = frame.tangent_angle_at(on_frame)
+            ahead[..., :2] = frame.to_cartesian(on_frame, d0[:, None])
+        except GeometryError:  # some offsets fold over: those rows go straight on
+            folds = frame.folds(on_frame, d0[:, None]).any(axis=1)
+            poses[folds] = extrapolate(states[folds], None, n, dt)
+            poses[~folds] = extrapolate(states[~folds], (frame, s0[~folds], d0[~folds]), n, dt)
+            return poses
+        ahead[..., 2] = frame.tangent_angle_at(on_frame)
         past = s > frame.length
         if past.any():
-            # the poses past the end lie on the end's tangent, which the
-            # last pose, the farthest past it, holds
-            end, beyond = ahead[-1, 2], s[past] - frame.length
-            ahead[past, 0] += beyond * math.cos(end)
-            ahead[past, 1] += beyond * math.sin(end)
-    poses[:, 2] = normalize_angles(poses[:, 2])
+            # the poses past the end lie on the end's tangent, which each
+            # row's last pose, the farthest past it, holds
+            end = _unit(ahead[:, -1, 2])
+            ahead[past, :2] += ((s - frame.length)[..., None] * end[:, None])[past]
+    poses[..., 2] = normalize_angles(poses[..., 2])
     return poses
 
 
 def predict_all(states: np.ndarray, network: StreetNetwork, cfg: PredictorConfig,
                 dt: float) -> np.ndarray:
     """Poses (V, n+1, 3) over the horizon's n steps of each vehicle of states
-    (V, 4) of (x, y, v, theta), row for row (extrapolate along its predicted
-    chain); deterministic in its inputs."""
+    (V, 4) of (x, y, v, theta), row for row; deterministic in its inputs. A
+    vehicle with a localized lanelet is extrapolated along the lane chain
+    from it that covers the lanelet, v * horizon and 10 m (lane_chain), any
+    other straight on. The rows are grouped by chain: one projection and one
+    extrapolate call per distinct chain, and one for the rows without a
+    lanelet. Every row's poses are bitwise those it gets alone."""
     n = cfg.n_steps(dt)
+    groups: dict[tuple | None, list[int]] = {}
+    located = zip(states[:, 2:].tolist(), network.localize(states[:, :2]))
+    for row, ((v, theta), lid) in enumerate(located):
+        chain = None if lid is None else lane_chain(
+            network, lid, theta, network.lanelets[lid].centerline.length + v * cfg.horizon + 10.0)
+        groups.setdefault(chain, []).append(row)
     poses = np.empty((len(states), n + 1, 3))
-    lanelets = network.localize(states[:, :2])
-    for row, (x, y, v, theta), lid in zip(poses, states.tolist(), lanelets):
+    for chain, rows in groups.items():
         along = None
-        if lid is not None:
-            frame = network.chain_frame(predicted_chain(network, lid, theta, v, cfg.horizon))
-            along = (frame, *frame.project((x, y))[:2])
-        row[:] = extrapolate(x, y, v, theta, along, n, dt)
+        if chain is not None:
+            frame = network.chain_frame(chain)
+            along = (frame, *frame.project(states[rows, :2])[:2])
+        poses[rows] = extrapolate(states[rows], along, n, dt)
     return poses
 
 

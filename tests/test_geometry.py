@@ -143,6 +143,19 @@ class TestPolygon:
         assert not box_inside_region(sticking_out, region)
         assert list(box_inside_region(np.stack([inside, sticking_out]), region)) == [True, False]
 
+    def test_box_within_the_boundary_tolerance_is_inside(self):
+        """A box whose side lies 5e-7 m past a square's edge, within the
+        1e-6 m boundary tolerance, has every corner and boundary sample
+        covered by contains_points, so it lies inside the region: the
+        prefilter by the square's bounds keeps points within the tolerance."""
+        square = Polygon([[0, 0], [10, 0], [10, 10], [0, 10]])
+        box = np.array([6.0, 5.0, 0.0, 8.0 + 1e-6, 4.0])
+        corners = box_corners(box)
+        assert corners[:, 0].max() > 10.0 + 4e-7
+        assert square.contains_points(corners, boundary_tol=1e-6).all()
+        assert box_inside_region(box, [square])
+        assert reference_box_inside_region(box, [square])
+
 
 # ---------------------------------------------------------------------------
 # The culled kernels against their unculled forms
@@ -226,11 +239,12 @@ def reference_box_inside_region(box, region, spacing=0.1):
             pts.append(a + np.arange(1, n)[:, None] / n * (b - a))
     pts = np.vstack(pts)
     covered = np.zeros(len(pts), dtype=bool)
+    reach = 1e-6 + 1e-9   # the boundary tolerance and slack
     for poly in region:
         xmin, ymin, xmax, ymax = poly.bounds()
         cand = ~covered
-        cand &= (pts[:, 0] >= xmin - 1e-9) & (pts[:, 0] <= xmax + 1e-9)
-        cand &= (pts[:, 1] >= ymin - 1e-9) & (pts[:, 1] <= ymax + 1e-9)
+        cand &= (pts[:, 0] >= xmin - reach) & (pts[:, 0] <= xmax + reach)
+        cand &= (pts[:, 1] >= ymin - reach) & (pts[:, 1] <= ymax + reach)
         if np.any(cand):
             covered[cand] = reference_contains_points(poly.vertices, pts[cand], 1e-6)
     return bool(covered.all())

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivesim import engine, metrics
+from drivesim import engine, metrics, prediction
 from drivesim.cli import (build_run, load_run_config, read_run_outputs, resolve_scenario_path,
                           write_run_outputs)
 from drivesim.dynamics import AgentState, VehicleParams, normalize_angle
@@ -296,7 +296,7 @@ def reference_select_frames(network, log_a, log_o, step, dt, cfg, conflict_pairs
         a_a, a_o = log_a.a[step].item() / dt, log_o.a[step].item() / dt
         if relation == "crossing" and hw == INF:
             if crossing is None:
-                crossing = metrics._crossing_ttc(network, log_a, log_o, step, dt)
+                crossing = metrics._crossing_ttc(network, log_a, log_o, np.array([step]), dt)[0]
             ttc = crossing
         else:
             ttc = reference_ttc(hw, v_o - v_a, a_o - a_a)
@@ -394,28 +394,50 @@ def test_chain_tracks_equal_single_point_projections(config, monkeypatch):
                 (vid, chain, t)
 
 
-@pytest.mark.parametrize("config, sweeps", [("intersection_frenet", 150), ("merge_frenet", 112),
-                                             ("intersection_idm", 144)])
-def test_crossing_ttc_extrapolates_once_per_vehicle_and_step(config, sweeps, monkeypatch):
-    """evaluate extrapolates each vehicle once per step at which a crossing
-    TTC needs it, however many pairs and frames ask (270 times on
-    intersection_frenet when each pair-frame-step extrapolated both)."""
+@pytest.mark.parametrize("config, asked, extrapolated",
+                         [("intersection_frenet", 2, 5), ("merge_frenet", 4, 11),
+                          ("intersection_idm", 2, 4)])
+def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapolated,
+                                                          monkeypatch):
+    """select_frames asks _crossing_ttc at most once per (pair, frame), for
+    the steps that frame needs and no earlier frame of the pair asked for,
+    so no step of a pair is asked twice. Each call predicts both vehicles
+    with one predict_all, which extrapolates once per distinct lane chain of
+    its rows, plus once for rows without a lanelet (150 extrapolations on
+    intersection_frenet when each vehicle was swept once per step)."""
     result, scenario, metric_cfg = run_bundled(config)
-    calls, needed = [], set()
-    extrapolate, crossing_ttc = metrics.extrapolate, metrics._crossing_ttc
+    frames, calls, chains = {}, [], []
+    table, crossing_ttc = metrics.frame_table, metrics._crossing_ttc
+    predict_all, extrapolate = metrics.predict_all, prediction.extrapolate
 
-    def counted(*args):
-        calls.append(args)
-        return extrapolate(*args)
+    def recorded_table(network, log):
+        frames[log.id] = table(network, log)
+        return frames[log.id]
 
-    def recorded(network, log_a, log_o, step, dt):
-        needed.update({(log_a.id, step), (log_o.id, step)})
-        return crossing_ttc(network, log_a, log_o, step, dt)
+    def recorded_ttc(network, log_a, log_o, steps, dt):
+        calls.append((log_a.id, log_o.id, steps.tolist()))
+        return crossing_ttc(network, log_a, log_o, steps, dt)
 
-    monkeypatch.setattr(metrics, "extrapolate", counted)
-    monkeypatch.setattr(metrics, "_crossing_ttc", recorded)
+    def recorded_predict_all(states, network, cfg, dt):
+        chains.append([])
+        return predict_all(states, network, cfg, dt)
+
+    def counted(states, along, n, dt):
+        chains[-1].append(None if along is None else along[0])
+        return extrapolate(states, along, n, dt)
+
+    monkeypatch.setattr(metrics, "frame_table", recorded_table)
+    monkeypatch.setattr(metrics, "_crossing_ttc", recorded_ttc)
+    monkeypatch.setattr(metrics, "predict_all", recorded_predict_all)
+    monkeypatch.setattr(prediction, "extrapolate", counted)
     evaluate(result, scenario, metric_cfg)
-    assert len(calls) == len(needed) == sweeps
+    assert len(calls) == asked and len(chains) == 2 * asked
+    for pair in {(a, o) for a, o, _ in calls}:
+        steps = [s for a, o, asked_steps in calls if (a, o) == pair for s in asked_steps]
+        assert steps and len(steps) == len(set(steps)), pair
+        assert sum((a, o) == pair for a, o, _ in calls) <= len(frames[pair[0]]), pair
+    assert all(len(made) == len(set(made)) for made in chains)
+    assert sum(map(len, chains)) == extrapolated
 
 
 def area_flags(area, *logs):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivesim import engine
+from drivesim import engine, prediction
 from drivesim.cli import build_run, load_run_config
 from drivesim.dynamics import AgentState, VehicleParams
 from drivesim.engine import run
@@ -94,13 +94,16 @@ def test_leader_goes_straight_on_past_the_chain_end():
     """Lanelet b ends at x = 200. A leader at x = 185 doing 8 m/s and a
     follower at x = 160 doing 10 m/s, both 4.5 m long, touch when the 25 m
     between their centres has shrunk to 4.5 m, after 10.25 s: the first
-    sweep step at or after it is 10.3 s. A leader parked at the chain end
-    would be hit after 3.6 s."""
+    predicted step at or after it is 10.3 s. A leader parked at the chain
+    end would be hit after 3.6 s."""
     net = straight_network()
     leader = _log("lead", 185.0, 0.0, 8.0, 0.0, net)
     follower = _log("follower", 160.0, 0.0, 10.0, 0.0, net)
-    assert _crossing_ttc(net, follower, leader, 0, DT) == pytest.approx(10.3)
-    assert leader.sweep(net, 0, DT)[-1, 0] == pytest.approx(185.0 + 8.0 * CROSSING_HORIZON)
+    assert _crossing_ttc(net, follower, leader, np.array([0]), DT).tolist() == \
+        [pytest.approx(10.3)]
+    crossing = PredictorConfig(horizon=CROSSING_HORIZON)
+    assert predict_all(leader.track, net, crossing, DT)[0, -1, 0] == \
+        pytest.approx(185.0 + 8.0 * CROSSING_HORIZON)
 
 
 def bend_network():
@@ -119,8 +122,8 @@ def bend_network():
 def test_folding_offset_falls_back_to_straight():
     """3 m left of the centre line, inside a bend of radius 2 m that it
     reaches after 1 s, a vehicle's offset folds over the bend, so both the
-    prediction and the metric's sweep send it straight on from its pose;
-    on the centre line it follows the bend."""
+    prediction and the metric's crossing-horizon prediction send it
+    straight on from its pose; on the centre line it follows the bend."""
     net = bend_network()
     assert net.localize((0.0, 3.0)) == "bend"
     n = PredictorConfig().n_steps(DT)
@@ -128,13 +131,38 @@ def test_folding_offset_falls_back_to_straight():
     inside = predict_all(np.array([[0.0, 3.0, 10.0, 0.0]]), net, PredictorConfig(), DT)
     assert inside[0].tolist() == np.column_stack(
         [10.0 * k * DT, np.full(n + 1, 3.0), np.zeros(n + 1)]).tolist()
-    sweep = _log("v", 0.0, 3.0, 10.0, 0.0, net).sweep(net, 0, DT)
+    sweep = predict_all(np.array([[0.0, 3.0, 10.0, 0.0]]), net,
+                        PredictorConfig(horizon=CROSSING_HORIZON), DT)[0]
     assert len(sweep) == round(CROSSING_HORIZON / DT) + 1
     assert sweep[:, 1].tolist() == [3.0] * len(sweep)
     assert sweep[:, 0].tolist() == (10.0 * np.arange(len(sweep)) * DT).tolist()
     centred = predict_all(np.array([[0.0, 0.0, 10.0, 0.0]]), net, PredictorConfig(), DT)
     x, y, theta = centred[0, -1]
     assert x == pytest.approx(12.0) and y > 10.0 and theta == pytest.approx(np.pi / 2)
+
+
+def test_folding_and_centred_rows_of_one_chain_predict_as_alone(monkeypatch):
+    """A folding and a centred vehicle on the bend share one chain, so one
+    predict_all call extrapolates both in one call, whose single projection
+    and whose fold fallback leave each with bitwise the poses it gets alone:
+    the folding one straight on, the centred one around the bend."""
+    net = bend_network()
+    states = np.array([[0.0, 3.0, 10.0, 0.0], [0.0, 0.0, 10.0, 0.0]])
+    for cfg in (PredictorConfig(), PredictorConfig(horizon=CROSSING_HORIZON)):
+        alone = [predict_all(states[k:k + 1], net, cfg, DT)[0] for k in range(2)]
+        called, extrapolate = [], prediction.extrapolate
+
+        def recorded(rows, along, n, dt):
+            called.append(len(rows))
+            return extrapolate(rows, along, n, dt)
+
+        monkeypatch.setattr(prediction, "extrapolate", recorded)
+        together = predict_all(states, net, cfg, DT)
+        monkeypatch.undo()
+        assert called[0] == 2   # one call for the chain, split only after the fold
+        assert [row.tobytes() for row in together] == [row.tobytes() for row in alone]
+        assert together[0, :, 1].tolist() == [3.0] * together.shape[1]
+        assert together[1, -1, 0] == pytest.approx(12.0)
 
 
 def test_lane_chain_follows_successors():
@@ -192,22 +220,57 @@ def test_poses_and_boxes_match_states(monkeypatch, config, steps):
 def test_crossing_sweep_begins_with_the_prediction(config):
     """One motion model: at every logged step of every vehicle of a run, the
     poses predict_all gives a vehicle in that state are, bitwise, the first
-    poses of the sweep the metrics extrapolate from it (VehicleLog.sweep)."""
+    poses of the CROSSING_HORIZON prediction that the metrics' crossing TTC
+    makes of the vehicle's whole track in one call."""
     scenario, bindings, sim_cfg, predictor, _, _ = build_run(load_run_config(config))
     result = run(scenario, bindings, sim_cfg, predictor)
     net, n = scenario.network, predictor.n_steps(result.dt)
-    params = {p.agent_id: p.params for p in scenario.planning_problems}
-    logs = [VehicleLog(aid, np.array([(s.x, s.y, s.v, s.theta) for s in traj.states]),
-                       params[aid].length, params[aid].width, True)
-            for aid, traj in result.trajectories.items()]
-    logs += [VehicleLog(o.id, o.track(np.arange(len(result.step_logs) + 1)), o.length, o.width,
-                        False) for o in scenario.dynamic_obstacles]
+    crossing = PredictorConfig(horizon=CROSSING_HORIZON)
+    tracks = {aid: np.array([(s.x, s.y, s.v, s.theta) for s in traj.states])
+              for aid, traj in result.trajectories.items()}
+    tracks.update((o.id, o.track(np.arange(len(result.step_logs) + 1)))
+                  for o in scenario.dynamic_obstacles)
     compared = 0
-    for log in logs:
-        log.lanelets = net.localize(log.track[:, :2])
-        for t in range(len(log.track)):
-            poses = predict_all(log.track[t:t + 1], net, predictor, result.dt)[0]
-            assert poses.tobytes() == log.sweep(net, t, result.dt)[:n + 1, :3].tobytes(), \
-                (log.id, t)
+    for vid, track in tracks.items():
+        sweep = predict_all(track, net, crossing, result.dt)
+        assert sweep.shape == (len(track), crossing.n_steps(result.dt) + 1, 3)
+        for t in range(len(track)):
+            poses = predict_all(track[t:t + 1], net, predictor, result.dt)[0]
+            assert poses.tobytes() == sweep[t, :n + 1].tobytes(), (vid, t)
             compared += 1
     assert compared >= 90
+
+
+@pytest.mark.parametrize("config, chains", [("intersection_frenet", 2), ("merge_frenet", 2),
+                                            (str(HIGHWAY_FRENET12), 4)],
+                         ids=["intersection_frenet", "merge_frenet", "highway_frenet12"])
+def test_predict_all_rows_are_independent(config, chains, monkeypatch):
+    """On the first step of a run, predict_all on any subset of the step's
+    rows, in any order, gives bitwise those rows of the call on all of them,
+    which extrapolates once per distinct chain (chains of them)."""
+    calls = []
+
+    def recording_predict_all(states, *args):
+        calls.append((states, args))
+        return predict_all(states, *args)
+
+    monkeypatch.setattr(engine, "predict_all", recording_predict_all)
+    run_bundled(config, worker_count=1, max_steps=1)
+    monkeypatch.undo()
+    states, args = calls[0]
+    frames, extrapolate = [], prediction.extrapolate
+
+    def recorded(rows, along, n, dt):
+        frames.append(None if along is None else along[0])
+        return extrapolate(rows, along, n, dt)
+
+    monkeypatch.setattr(prediction, "extrapolate", recorded)
+    whole = predict_all(states, *args)
+    assert len(frames) == len(set(frames)) == chains
+    monkeypatch.undo()
+    rng = np.random.default_rng(20)
+    subsets = [[k] for k in range(len(states))] + [list(range(len(states)))[::-1]]
+    subsets += [rng.choice(len(states), size, replace=False).tolist()
+                for size in rng.integers(1, len(states) + 1, 6).tolist()]
+    for rows in subsets:
+        assert predict_all(states[rows], *args).tobytes() == whole[rows].tobytes(), rows

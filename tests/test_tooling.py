@@ -79,19 +79,29 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     and records encroachment_times and CurvilinearFrame.project. Each
     vehicle is located on a lane chain once, by its whole track: the
     containing lanelets are looked up once per agent log, with its whole
-    track, and every projection made in evaluate is of a vehicle's whole
-    track or of a conflict area's vertices, so nothing inside select_frames
+    track, and every projection made in evaluate outside predict_all is of
+    a vehicle's whole track or of a conflict area's vertices. The crossing
+    TTC's predict_all calls, made inside select_frames only, project rows
+    of one vehicle's track at a time, so nothing inside select_frames
     projects a single point."""
     spans = _load(PERFBENCH / "spans.py")
     result, scn, metric_cfg = run_bundled("intersection_frenet")
-    projected, looked_up, selecting = [], [], []
+    projected, looked_up, selecting, predicting = [], [], [], []
     project = geometry.CurvilinearFrame.project
     containing = scenario.StreetNetwork.containing_lanelets
-    select_frames = metrics.select_frames
+    select_frames, predict_all = metrics.select_frames, metrics.predict_all
 
     def recorded_project(self, p):
-        projected.append((np.asarray(p), bool(selecting)))
+        projected.append((np.asarray(p), bool(selecting), bool(predicting)))
         return project(self, p)
+
+    def recorded_predict_all(*args):
+        assert selecting
+        predicting.append(True)
+        try:
+            return predict_all(*args)
+        finally:
+            predicting.pop()
 
     def recorded_containing(self, points):
         looked_up.append(np.asarray(points))
@@ -107,6 +117,7 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     monkeypatch.setattr(geometry.CurvilinearFrame, "project", recorded_project)
     monkeypatch.setattr(scenario.StreetNetwork, "containing_lanelets", recorded_containing)
     monkeypatch.setattr(metrics, "select_frames", recorded_select_frames)
+    monkeypatch.setattr(metrics, "predict_all", recorded_predict_all)
     tracer = spans.Tracer()
     undo = spans.install(tracer)
     try:
@@ -141,9 +152,13 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
                for p in looked_up)
     areas = [area.vertices for _, area in scn.network.conflict_areas()]
     assert all(any(np.array_equal(p, whole) for whole in [*tracks.values(), *areas])
-               for p, _ in projected)
-    assert any(inside for _, inside in projected)
-    assert all(p.ndim == 2 for p, inside in projected if inside)
+               for p, _, batched in projected if not batched)
+    rows = [{tuple(xy) for xy in track.tolist()} for track in tracks.values()]
+    assert all(any(set(map(tuple, p.tolist())) <= track for track in rows)
+               for p, _, batched in projected if batched)
+    assert any(batched for *_, batched in projected)
+    assert any(inside for _, inside, _ in projected)
+    assert all(p.ndim == 2 for p, inside, _ in projected if inside)
 
 
 def test_tracer_counts_every_vehicle_predicted():
