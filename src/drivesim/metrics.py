@@ -288,10 +288,14 @@ def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, dt: float,
 
 def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, steps: np.ndarray,
                   dt: float) -> np.ndarray:
-    """Per step of steps, the time until the vehicles' boxes first overlap
-    when predict_all extrapolates both from it over CROSSING_HORIZON, with
-    their logged shapes; inf where they never meet within it."""
+    """Per step of steps, the time until the logged boxes of both vehicles,
+    extrapolated from it by predict_all over CROSSING_HORIZON (rounded to
+    whole steps of dt, at least one), first overlap; inf if they never do."""
     cfg = PredictorConfig(horizon=CROSSING_HORIZON)
+    try:
+        cfg.n_steps(dt)
+    except ValueError:  # 15 s is no whole number of steps of dt
+        cfg = PredictorConfig(horizon=max(1, round(CROSSING_HORIZON / dt)) * dt)
     hits = boxes_intersect(*(occupancy(predict_all(log.track[steps], network, cfg, dt),
                                        log.length, log.width) for log in (log_a, log_o)))
     return np.where(hits.any(axis=1), hits.argmax(axis=1) * dt, INF)

@@ -55,13 +55,11 @@ def lane_chain(network: StreetNetwork, start_lanelet: str, heading: float,
     """Lanelet chain from start covering at least needed_length (if possible)."""
     chain = [start_lanelet]
     total = network.lanelets[start_lanelet].centerline.length
-    seen = {start_lanelet}
     while total < needed_length:
         nxt = _best_successor(network, chain[-1], heading)
-        if nxt is None or nxt in seen:
+        if nxt is None or nxt in chain:
             break
         chain.append(nxt)
-        seen.add(nxt)
         total += network.lanelets[nxt].centerline.length
     return tuple(chain)
 
@@ -130,10 +128,8 @@ def predict_all(states: np.ndarray, network: StreetNetwork, cfg: PredictorConfig
         groups.setdefault(chain, []).append(row)
     poses = np.empty((len(states), n + 1, 3))
     for chain, rows in groups.items():
-        along = None
-        if chain is not None:
-            frame = network.chain_frame(chain)
-            along = (frame, *frame.project(states[rows, :2])[:2])
+        frame = None if chain is None else network.chain_frame(chain)
+        along = None if frame is None else (frame, *frame.project(states[rows, :2])[:2])
         poses[rows] = extrapolate(states[rows], along, n, dt)
     return poses
 

@@ -440,6 +440,41 @@ def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapola
     assert sum(map(len, chains)) == extrapolated
 
 
+@pytest.mark.parametrize("dt", [0.4, 0.08])
+def test_crossing_ttc_rounds_its_horizon_to_whole_steps(dt, monkeypatch):
+    """A run whose predictor horizon (2 s) is a whole number of steps while
+    CROSSING_HORIZON (15 s) is not still evaluates: crossing TTC predicts
+    over round(15 / dt) steps, 38 at dt 0.4 and 188 at dt 0.08."""
+    with pytest.raises(ValueError):
+        prediction.PredictorConfig(horizon=metrics.CROSSING_HORIZON).n_steps(dt)
+    doc = load_run_config("intersection_idm")
+    doc["simulation"].update(dt=dt, max_steps=60)
+    doc["predictor"]["horizon"] = 2.0
+    scenario, bindings, sim_cfg, predictor, cfg, _ = build_run(doc)
+    result = engine.run(scenario, bindings, sim_cfg, predictor)
+    steps, ttcs = [], []
+    predict_all, crossing_ttc = metrics.predict_all, metrics._crossing_ttc
+
+    def recorded_predict_all(states, network, cfg, dt):
+        poses = predict_all(states, network, cfg, dt)
+        steps.append(poses.shape[1] - 1)
+        return poses
+
+    def recorded_ttc(*args):
+        ttcs.append(crossing_ttc(*args))
+        return ttcs[-1]
+
+    monkeypatch.setattr(metrics, "predict_all", recorded_predict_all)
+    monkeypatch.setattr(metrics, "_crossing_ttc", recorded_ttc)
+    evaluate(result, scenario, cfg)
+    n = round(metrics.CROSSING_HORIZON / dt)
+    assert ttcs and set(steps) == {n}
+    finite = np.concatenate(ttcs)[np.isfinite(np.concatenate(ttcs))]
+    assert np.all(finite <= n * dt) and np.allclose(finite / dt, np.round(finite / dt))
+    if dt == 0.08:
+        assert finite.size > 0
+
+
 def area_flags(area, *logs):
     return [box_intersects_polygon(log.boxes, area) for log in logs]
 
