@@ -13,6 +13,7 @@ goals) never change the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -314,25 +315,13 @@ def cmd_benchmark(args) -> int:
     agent_counts = _int_list(args.agents, "--agents")
     worker_counts = _int_list(args.workers, "--workers")
     doc = load_run_config(args.config)
-    base_dir = Path(doc["_base_dir"])
-    scn_path = resolve_scenario_path(str(doc["scenario"]), base_dir)
-    scenario = load_scenario(scn_path)
+    scenario = load_scenario(resolve_scenario_path(str(doc["scenario"]), Path(doc["_base_dir"])))
     rows = benchmark(scenario, agent_counts, worker_counts, args.reps, steps=args.steps)
-    cols = list(rows[0].keys())
-    out = sys.stdout
-    close = False
-    if args.out:
-        out = open(args.out, "w", newline="")
-        close = True
-    try:
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
         writer = csv.writer(out)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([f"{row[c]:.6g}" if isinstance(row[c], float) else row[c]
-                             for c in cols])
-    finally:
-        if close:
-            out.close()
+        writer.writerow(rows[0])
+        writer.writerows([f"{v:.6g}" if isinstance(v, float) else v for v in row.values()]
+                         for row in rows)
     return 0
 
 

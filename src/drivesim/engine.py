@@ -288,11 +288,12 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
             rt.terminal_step = t
             running.remove(aid)
 
-        # (4) global motion prediction of the running agents and obstacles, in id order
+        # (4) localize and predict the running agents and obstacles, in id order
         t_pred0 = time.perf_counter()
         rows = sorted((k for k, vid in enumerate(ids) if k >= len(agent_states) or vid in running),
                       key=ids.__getitem__)
-        poses = predict_all(states[rows], scenario.network, predictor, cfg.dt)
+        lanelets = scenario.network.localize(states[rows, :2])
+        poses = predict_all(states[rows], lanelets, scenario.network, predictor, cfg.dt)
         t_pred = time.perf_counter() - t_pred0
 
         # (5) local views sharing the step's arrays; each sees the rows in radius but its own
@@ -384,8 +385,10 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
 
     Substitutes the first n recorded vehicles (by id) with frenet agents and
     reports mean/quartiles of per-step total and per-batch planning time,
-    and agents_removed: how many agents ended collided or infeasible (the
-    same in every repetition, runs being deterministic). A removed agent
+    agents_removed, how many agents ended collided or infeasible, and the
+    count of each outcome: reached (in time or late), missed (goal or time
+    limit), collided, infeasible (the same in every repetition, runs being
+    deterministic). A removed agent
     plans no more, so later steps time fewer agents (a row where none ever
     plans reports nan batch times). A count below 1 raises SetupError.
     """
@@ -409,14 +412,20 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
             for _ in range(repetitions):
                 cfg = SimulationConfig(dt=scenario.dt, max_steps=steps, worker_count=w)
                 result = run(sub, bindings, cfg)
-                removed = sum(st in (AgentStatus.COLLIDED, AgentStatus.INFEASIBLE)
-                              for st in result.statuses.values())
+                ended = {name: sum(st in kinds for st in result.statuses.values())
+                         for name, kinds in _OUTCOMES.items()}
                 for log in result.step_logs:
                     step_times.append(log.timings["total"])
                     batch_times.extend(log.timings["planning_batches"])
             rows.append({"n_agents": n, "workers": w, **_spread("step_time", step_times),
-                         **_spread("batch_planning_time", batch_times), "agents_removed": removed})
+                         **_spread("batch_planning_time", batch_times),
+                         "agents_removed": ended["collided"] + ended["infeasible"], **ended})
     return rows
+
+
+_OUTCOMES = {"reached": (AgentStatus.REACHED_IN_TIME, AgentStatus.REACHED_LATE),
+             "missed": (AgentStatus.TIME_LIMIT_EXCEEDED, AgentStatus.GOAL_MISSED),
+             "collided": (AgentStatus.COLLIDED,), "infeasible": (AgentStatus.INFEASIBLE,)}
 
 
 def _spread(name: str, times: list) -> dict:

@@ -3,8 +3,9 @@
 All pairwise measures are computed in curvilinear frames spanned by the
 agent's reachable lanelet paths; where several frames apply, the one with the
 most critical TTC is retained. Each vehicle's log projects its whole track
-once per lane chain it is read on (VehicleLog.on_chain), and each vehicle
-pair is scored over all of its steps at once. Crossing TTC predicts both
+once per lane chain it is read on (VehicleLog.on_chain), and all of an
+agent's vehicle pairs are scored in one table whose rows are (other vehicle,
+step), each row bitwise what its pair gets alone. Crossing TTC predicts both
 vehicles of a pair with the predictor's predict_all, all the steps a frame
 newly asks for in one call. Oncoming traffic is ignored unless the agent
 occupies the oncoming lane or the driving lanes cross. Undefined values are
@@ -184,9 +185,22 @@ def tit(ttc_series, tau: float, dt: float, total_duration: float) -> float:
     return (dt / total_duration) * acc
 
 
-def distance_series(log_a: VehicleLog, log_o: VehicleLog) -> np.ndarray:
-    n = min(len(log_a.track), len(log_o.track))
-    return min_distance(log_a.boxes[:n], log_o.boxes[:n])
+def _rows(log_a: VehicleLog, others: list[VehicleLog]) -> tuple[list, np.ndarray]:
+    """Each other's row count n and each row's step in the table of an agent
+    and others (one at least): a row per other and step both logs hold."""
+    ns = [min(len(log_a.track), len(log_o.track)) for log_o in others]
+    return ns, np.concatenate([np.arange(n) for n in ns])
+
+
+def _stack(arrays, ns: list) -> np.ndarray:
+    """The first n rows of each of arrays, concatenated."""
+    return np.concatenate([x[:n] for x, n in zip(arrays, ns)])
+
+
+def distance_series(log_a: VehicleLog, others: list[VehicleLog]) -> np.ndarray:
+    """Box distance between the agent and the others over the table's rows."""
+    ns, steps = _rows(log_a, others)
+    return min_distance(log_a.boxes[steps], _stack([log_o.boxes for log_o in others], ns))
 
 
 def ttce_dce(dist_series: np.ndarray, dt: float) -> tuple[list, list]:
@@ -235,51 +249,59 @@ def proportion_stopping_distance(distance_to_area, msd):
 # Frame selection
 
 
-def select_frames(network, log_a: VehicleLog, log_o: VehicleLog, dt: float,
+def select_frames(network, log_a: VehicleLog, others: list[VehicleLog], dt: float,
                   cfg: MetricConfig, conflict_pairs: set, frames: list[AgentFrame]) -> dict:
-    """The pair's relation, d_a, d_o, v_a, v_o (speeds along the frame), hw
-    and ttc at every step both logs hold, in the most critical of the agent's
-    frames (its frame_table): the least (ttc, hw), the first among equals.
-    The pair is "ignored" where no frame holds the other as relevant or its
-    centres are farther apart than the gating distance."""
-    n = min(len(log_a.track), len(log_o.track))
-    vo, tho = log_o.track[:n, 2:].T
+    """Per row of the agent's table with others (_rows), the pair's relation,
+    d_a, d_o, v_a, v_o (speeds along the frame), hw and ttc in the most
+    critical of the agent's frames (its frame_table): the least (ttc, hw),
+    the first among equals. A pair is "ignored" where no frame holds the other
+    as relevant or its centres are farther apart than the gating distance."""
+    ns, steps = _rows(log_a, others)
+    owner, track_o = np.repeat(np.arange(len(others)), ns), _stack([o.track for o in others], ns)
+    vo, tho = track_o[:, 2:].T
     # math.hypot: np.hypot differs from it in the last bit on some inputs
     near = np.array([math.hypot(dx, dy) <= cfg.gating_distance for dx, dy
-                     in (log_a.track[:n, :2] - log_o.track[:n, :2]).tolist()])
-    da = log_o.a[:n] / dt - log_a.a[:n] / dt
+                     in (log_a.track[steps, :2] - track_o[:, :2]).tolist()])
+    da = _stack([o.a for o in others], ns) / dt - log_a.a[steps] / dt
+    length_o = np.repeat([o.length for o in others], ns)
+    lanelets_o = [lid for o, n in zip(others, ns) for lid in o.lanelets[:n]]
+    zero = np.zeros(len(log_a.track))   # stands in for the others no row of a frame holds
+    idle = ChainTrack(None, zero, zero, zero.astype(bool), zero)
 
-    relation = np.full(n, "ignored", dtype=object)
-    d_a, d_o, hw, ttc = (np.full(n, INF) for _ in range(4))
-    v_a, v_o, found = np.zeros(n), np.zeros(n), np.zeros(n, bool)
-    crossing = np.full(n, np.nan)   # the frame-independent crossing TTC, NaN until asked
+    relation = np.full(len(steps), "ignored", dtype=object)
+    d_a, d_o, hw, ttc = (np.full(len(steps), INF) for _ in range(4))
+    v_a, v_o, found = np.zeros(len(steps)), np.zeros(len(steps)), np.zeros(len(steps), bool)
+    crossing = np.full(len(steps), np.nan)   # the frame-independent crossing TTC, NaN until asked
     for agent in frames:
-        holds = near & agent.member[:n]
+        holds = near & agent.member[steps]
         if not holds.any():
             continue
-        on = log_o.on_chain(network, agent.chain)
-        turn = normalize_angles(tho - on.tangent[:n])
+        held = np.isin(np.arange(len(others)), owner[holds]).tolist()
+        ons = [o.on_chain(network, agent.chain) if h else idle for o, h in zip(others, held)]
+        s_o, d_of, inside, tangent = (_stack(field, ns) for field in list(zip(*ons))[1:])
+        turn = normalize_angles(tho - tangent)
         against = _against(turn)
         crossers = {b for p in conflict_pairs for a, b in (p, p[::-1]) if a in agent.chain}
-        lanes_cross = np.array([lid in crossers for lid in log_o.lanelets[:n]], bool)
-        holds &= on.inside[:n] & (~against | agent.oncoming[:n] | lanes_cross)
+        lanes_cross = np.array([lid in crossers for lid in lanelets_o], bool)
+        holds &= inside & (~against | agent.oncoming[steps] | lanes_cross)
         rel = np.where(against, "oncoming-relevant",
                        np.where(lanes_cross, "crossing", "lead-follow"))
 
         v_o_along = vo * np.cos(turn)
-        rear_o, front_a = on.s[:n] - log_o.length / 2.0, agent.track.s[:n] + log_a.length / 2.0
-        hw_f = np.where((rear_o > front_a) & (np.abs(on.d[:n]) <= CORRIDOR_HALFWIDTH),
+        rear_o, front_a = s_o - length_o / 2.0, agent.track.s[steps] + log_a.length / 2.0
+        hw_f = np.where((rear_o > front_a) & (np.abs(d_of) <= CORRIDOR_HALFWIDTH),
                         rear_o - front_a, INF)
-        ttc_f = ttc_closed_form(hw_f, v_o_along - agent.v_along[:n], da)
+        ttc_f = ttc_closed_form(hw_f, v_o_along - agent.v_along[steps], da)
         asks = holds & (rel == "crossing") & (hw_f == INF)
         new = asks & np.isnan(crossing)
-        if new.any():
-            crossing[new] = _crossing_ttc(network, log_a, log_o, np.flatnonzero(new), dt)
+        for k in np.unique(owner[new]).tolist():   # one call per pair
+            mine = new & (owner == k)
+            crossing[mine] = _crossing_ttc(network, log_a, others[k], steps[mine], dt)
         ttc_f[asks] = crossing[asks]
 
         wins = holds & (~found | (ttc_f < ttc) | ((ttc_f == ttc) & (hw_f < hw)))
-        for best, this in ((relation, rel), (d_a, agent.track.d[:n]), (d_o, on.d[:n]),
-                           (v_a, agent.v_along[:n]), (v_o, v_o_along), (hw, hw_f), (ttc, ttc_f)):
+        for best, this in ((relation, rel), (d_a, agent.track.d[steps]), (d_o, d_of), (hw, hw_f),
+                           (v_a, agent.v_along[steps]), (v_o, v_o_along), (ttc, ttc_f)):
             best[wins] = this[wins]
         found |= holds
     return {"relation": relation.astype(str), "d_a": d_a, "d_o": d_o,
@@ -296,23 +318,25 @@ def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, steps: np.ndarr
         cfg.n_steps(dt)
     except ValueError:  # 15 s is no whole number of steps of dt
         cfg = PredictorConfig(horizon=max(1, round(CROSSING_HORIZON / dt)) * dt)
-    hits = boxes_intersect(*(occupancy(predict_all(log.track[steps], network, cfg, dt),
-                                       log.length, log.width) for log in (log_a, log_o)))
+    hits = boxes_intersect(*(occupancy(
+        predict_all(log.track[steps], [log.lanelets[k] for k in steps.tolist()], network, cfg,
+                    dt), log.length, log.width) for log in (log_a, log_o)))
     return np.where(hits.any(axis=1), hits.argmax(axis=1) * dt, INF)
 
 
-def _may_come_within(log_a: VehicleLog, log_o: VehicleLog, gate: float) -> bool:
-    """Whether two vehicles may come within gate at a step both logs hold. A
-    box lies in its circumcircle, so the box distance is at least the centre
-    distance less both circumradii. Where that exceeds gate at every step by
-    a relative and absolute margin far above the rounding of np.hypot and
-    min_distance, every box and centre distance is past the gate, so
-    select_frames ignores the pair throughout and evaluate drops it."""
-    n = min(len(log_a.track), len(log_o.track))
-    centres = np.hypot(*(log_a.track[:n, :2] - log_o.track[:n, :2]).T)
-    reach = gate + 0.5 * (math.hypot(log_a.length, log_a.width)
-                          + math.hypot(log_o.length, log_o.width))
-    return bool((centres <= reach * (1.0 + 1e-9) + 1e-9).any())
+def _may_come_within(log_a: VehicleLog, others: list[VehicleLog], gate: float) -> np.ndarray:
+    """Per other, whether it may come within gate of the agent at a step both
+    logs hold. A box lies in its circumcircle, so the box distance is at
+    least the centre distance less both circumradii. Where that exceeds gate
+    at every step by a relative and absolute margin far above the rounding
+    of np.hypot and min_distance, every box and centre distance is past the
+    gate, so select_frames ignores the pair throughout and evaluate drops it."""
+    ns, steps = _rows(log_a, others)
+    centres = np.hypot(*(log_a.track[steps, :2] - _stack([o.track[:, :2] for o in others], ns)).T)
+    reach = np.repeat([gate + 0.5 * (math.hypot(log_a.length, log_a.width)
+                                     + math.hypot(o.length, o.width)) for o in others], ns)
+    close = centres <= reach * (1.0 + 1e-9) + 1e-9
+    return np.logical_or.reduceat(close, np.cumsum([0, *ns[:-1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +415,9 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     obstacles = scenario.dynamic_obstacles + scenario.static_obstacles
     for obs, track in zip(obstacles, scenario.obstacle_tracks(len(result.step_logs) + 1)):
         logs[obs.id] = VehicleLog(obs.id, track, obs.length, obs.width, False)
+    located, k = network.localize(np.vstack([log.track[:, :2] for log in logs.values()])), 0
     for log in logs.values():
-        log.lanelets = network.localize(log.track[:, :2])
+        log.lanelets, k = located[k:k + len(log.track)], k + len(log.track)
 
     conflict_areas = network.conflict_areas()
     conflict_pairs = {tuple(sorted(pair)) for pair, _ in conflict_areas}
@@ -407,23 +432,28 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         log_a = logs[aid]
         params = log_a.params or VehicleParams()
         frames = frame_table(network, log_a)
-        for oid in sorted(logs):
-            log_o = logs[oid]
-            if oid == aid or not _may_come_within(log_a, log_o, cfg.gating_distance):
-                continue
-            dists = distance_series(log_a, log_o)
-            pair = select_frames(network, log_a, log_o, dt, cfg, conflict_pairs, frames)
-            if not (np.any(pair["relation"] != "ignored") or np.any(dists < cfg.gating_distance)):
-                continue
-            hw, ttc, v = pair["hw"], pair["ttc"], log_a.v[:len(dists)]
+        others = [logs[oid] for oid in sorted(logs) if oid != aid]
+        gated = _may_come_within(log_a, others, cfg.gating_distance) if others else []
+        others = [log_o for log_o, within in zip(others, gated) if within]
+        if others:   # one table for all the agent's gated pairs, split back per pair
+            ns, steps = _rows(log_a, others)
+            dists = distance_series(log_a, others)
+            table = select_frames(network, log_a, others, dt, cfg, conflict_pairs, frames)
+            hw, ttc, v = table["hw"], table["ttc"], log_a.v[steps]
             thw = np.divide(hw, v, out=np.full(len(hw), INF), where=np.isfinite(hw) & (v > 0))
-            ttce, dce = ttce_dce(dists, dt)
-            series = {"hw": hw, "thw": thw, "ttc": ttc, "ttce": ttce, "dce": dce,
-                      "btn": braking_threat(hw, pair["v_a"], pair["v_o"], params.a_long_max),
-                      "stn": steering_threat(pair["d_a"], pair["d_o"], log_a.width, log_o.width,
-                                             ttc, params.a_lat_max),
-                      "relation": pair["relation"]}
-            report.pair_series[(aid, oid)] = {k: np.asarray(x).tolist() for k, x in series.items()}
+            rows = {"hw": hw, "thw": thw, "ttc": ttc, "relation": table["relation"],
+                    "btn": braking_threat(hw, table["v_a"], table["v_o"], params.a_long_max),
+                    "stn": steering_threat(table["d_a"], table["d_o"], log_a.width,
+                                           np.repeat([o.width for o in others], ns), ttc,
+                                           params.a_lat_max)}
+            rows = {name: x.tolist() for name, x in rows.items()}
+            scored = (table["relation"] != "ignored") | (dists < cfg.gating_distance)
+            ends = np.cumsum(ns).tolist()
+            for log_o, lo, hi in zip(others, [0, *ends], ends):
+                if scored[lo:hi].any():
+                    series = {name: x[lo:hi] for name, x in rows.items()}
+                    series["ttce"], series["dce"] = ttce_dce(dists[lo:hi], dt)
+                    report.pair_series[(aid, log_o.id)] = series
         kept = [series for (a, _), series in report.pair_series.items() if a == aid]
 
         # conflict-area events

@@ -110,18 +110,19 @@ def extrapolate(states: np.ndarray, along, n: int, dt: float) -> np.ndarray:
     return poses
 
 
-def predict_all(states: np.ndarray, network: StreetNetwork, cfg: PredictorConfig,
-                dt: float) -> np.ndarray:
+def predict_all(states: np.ndarray, lanelets: list, network: StreetNetwork,
+                cfg: PredictorConfig, dt: float) -> np.ndarray:
     """Poses (V, n+1, 3) over the horizon's n steps of each vehicle of states
-    (V, 4) of (x, y, v, theta), row for row; deterministic in its inputs. A
-    vehicle with a localized lanelet is extrapolated along the lane chain
-    from it that covers the lanelet, v * horizon and 10 m (lane_chain), any
-    other straight on. The rows are grouped by chain: one projection and one
+    (V, 4) of (x, y, v, theta), row for row; deterministic in its inputs.
+    lanelets holds each row's localized lanelet (network.localize) or None.
+    A vehicle with a lanelet is extrapolated along the lane chain from it
+    that covers the lanelet, v * horizon and 10 m (lane_chain), any other
+    straight on. The rows are grouped by chain: one projection and one
     extrapolate call per distinct chain, and one for the rows without a
     lanelet. Every row's poses are bitwise those it gets alone."""
     n = cfg.n_steps(dt)
     groups: dict[tuple | None, list[int]] = {}
-    located = zip(states[:, 2:].tolist(), network.localize(states[:, :2]))
+    located = zip(states[:, 2:].tolist(), lanelets)
     for row, ((v, theta), lid) in enumerate(located):
         chain = None if lid is None else lane_chain(
             network, lid, theta, network.lanelets[lid].centerline.length + v * cfg.horizon + 10.0)

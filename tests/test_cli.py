@@ -148,7 +148,7 @@ class TestSubcommands:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("n_agents,workers,mean_step_time")
-        assert lines[0].endswith(",agents_removed")
+        assert lines[0].endswith(",agents_removed,reached,missed,collided,infeasible")
         assert len(lines) == 2
 
     @pytest.mark.parametrize("flag, value, message", [

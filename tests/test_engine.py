@@ -167,6 +167,16 @@ def test_benchmark_row_counts_removed_agents():
     assert rows[0]["agents_removed"] == 0
 
 
+def test_benchmark_row_counts_every_outcome():
+    """Each row counts the agents of every final status: reached (in time
+    or late), missed (goal or time limit), collided and infeasible. Of 8
+    highway Frenet agents over 10 steps, 4 collide and 4 miss their goal."""
+    row, = benchmark(_bundled("highway"), agent_counts=[8], worker_counts=[1],
+                     repetitions=1, steps=10)
+    assert [row[k] for k in ("reached", "missed", "collided", "infeasible")] == [0, 4, 4, 0]
+    assert row["agents_removed"] == row["collided"] + row["infeasible"]
+
+
 def test_benchmark_row_without_planning(monkeypatch):
     """A row in which no agent ever plans (as when every agent is removed at
     step 0) reports nan batch times instead of failing on an empty mean."""

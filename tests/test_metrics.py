@@ -20,7 +20,7 @@ from drivesim.metrics import (CORRIDOR_HALFWIDTH, MAX_PATHS, PATH_LOOKAHEAD, Met
                               proportion_stopping_distance, select_frames,
                               steering_threat, ttc_closed_form, ttce_dce)
 from drivesim.scenario import (Lanelet, Scenario, StaticObstacle, StreetNetwork,
-                               load_scenario)
+                               load_scenario, substitute_agents)
 
 from conftest import run_bundled
 
@@ -134,7 +134,7 @@ class TestFrameSelection:
         """The pair's series from select_frames, each read at step."""
         for log in (log_a, log_o):
             log.lanelets = self.net.localize(log.track[:, :2])
-        series = select_frames(self.net, log_a, log_o, DT, self.cfg,
+        series = select_frames(self.net, log_a, [log_o], DT, self.cfg,
                                conflict_pairs=set(), frames=frame_table(self.net, log_a))
         return PairContext(**{name: values[step] for name, values in series.items()})
 
@@ -185,8 +185,8 @@ class TestFrameSelection:
             other = const_log("o", gap * math.cos(bearing), gap * math.sin(bearing), 0.0,
                               rng.uniform(-math.pi, math.pi), n=2)
             gate = self.cfg.gating_distance
-            kept = metrics._may_come_within(ego, other, gate)
-            if gap <= gate or distance_series(ego, other).min() < gate:
+            kept = metrics._may_come_within(ego, [other], gate).item()
+            if gap <= gate or distance_series(ego, [other]).min() < gate:
                 assert kept, gap
             if gap > reach + 1e-6:
                 assert not kept, gap
@@ -306,17 +306,26 @@ def reference_select_frames(network, log_a, log_o, step, dt, cfg, conflict_pairs
     return best or PairContext("ignored")
 
 
+def pair_rows(log_a, others):
+    """Per other, the slice of its rows in the table of log_a and others:
+    one row per step both logs hold, the others in turn."""
+    ends = np.cumsum([min(len(log_a.track), len(log_o.track)) for log_o in others])
+    return [slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
 @pytest.mark.parametrize("config", [*(f"{m}_{r}" for m in ("intersection", "merge")
                                       for r in ("frenet", "idm", "replay")),
                                     str(HIGHWAY_FRENET12)],
                          ids=lambda c: Path(c).stem)
 def test_select_frames_matches_the_per_step_reference(config, merge_runs, intersection_runs,
                                                        monkeypatch):
-    """For every pair evaluate scores, select_frames gives bitwise the
-    per-step reference's relation, hw, ttc, d_a, d_o, v_a and v_o at every
-    step. For every pair the gate skips, the reference ignores the pair at
-    every step and no exact box distance is below the gating distance.
-    evaluate raises no warning."""
+    """For every pair evaluate scores, the pair's rows of its agent's
+    select_frames table give bitwise the per-step reference's relation, hw,
+    ttc, d_a, d_o, v_a and v_o at every step. The gate is asked about every
+    (agent, other vehicle) pair, and select_frames gets exactly the others
+    it lets through. For every pair the gate skips, the reference ignores
+    the pair at every step and no exact box distance is below the gating
+    distance. evaluate raises no warning."""
     if config.startswith(("merge", "intersection")):
         runs = merge_runs if config.startswith("merge") else intersection_runs
         result, scenario, cfg = runs[config.split("_")[1]]
@@ -325,13 +334,20 @@ def test_select_frames_matches_the_per_step_reference(config, merge_runs, inters
     gated, selected = {}, {}
     may_come_within, select = metrics._may_come_within, metrics.select_frames
 
-    def recorded_gate(log_a, log_o, gate):
-        gated[(log_a.id, log_o.id)] = (log_a, log_o, may_come_within(log_a, log_o, gate))
-        return gated[(log_a.id, log_o.id)][2]
+    def recorded_gate(log_a, others, gate):
+        within = may_come_within(log_a, others, gate)
+        assert within.shape == (len(others),)
+        for log_o, w in zip(others, within.tolist()):
+            assert (log_a.id, log_o.id) not in gated
+            gated[(log_a.id, log_o.id)] = (log_a, log_o, w)
+        return within
 
-    def recorded_select(network, log_a, log_o, *args):
-        selected[(log_a.id, log_o.id)] = select(network, log_a, log_o, *args)
-        return selected[(log_a.id, log_o.id)]
+    def recorded_select(network, log_a, others, *args):
+        table = select(network, log_a, others, *args)
+        for log_o, rows in zip(others, pair_rows(log_a, others)):
+            assert (log_a.id, log_o.id) not in selected
+            selected[(log_a.id, log_o.id)] = {name: x[rows] for name, x in table.items()}
+        return table
 
     monkeypatch.setattr(metrics, "_may_come_within", recorded_gate)
     monkeypatch.setattr(metrics, "select_frames", recorded_select)
@@ -354,7 +370,7 @@ def test_select_frames_matches_the_per_step_reference(config, merge_runs, inters
                for t, row in enumerate(rows[log_a.id][:min(len(log_a.track), len(log_o.track))])]
         if not within:
             assert {ctx.relation for ctx in ref} == {"ignored"}, pair
-            assert np.all(distance_series(log_a, log_o) >= cfg.gating_distance), pair
+            assert np.all(distance_series(log_a, [log_o]) >= cfg.gating_distance), pair
             continue
         series = selected[pair]
         assert series["relation"].tolist() == [ctx.relation for ctx in ref], pair
@@ -363,6 +379,114 @@ def test_select_frames_matches_the_per_step_reference(config, merge_runs, inters
                 [getattr(ctx, name) for ctx in ref]).tobytes(), (pair, name)
     if config == str(HIGHWAY_FRENET12):
         assert 0 < len(selected) < len(gated)
+
+
+def ragged_highway_run():
+    """Eight highway Frenet agents over 10 steps, as drivesim benchmark runs
+    them; four collide at step 8, so an agent's pairs hold 9 or 11 steps."""
+    scenario = load_scenario(resolve_scenario_path("highway", Path(".")))
+    chosen = sorted(o.id for o in scenario.dynamic_obstacles)[:8]
+    sub = substitute_agents(scenario, chosen)
+    bindings = {oid: engine.PlannerBinding("frenet", scenario.dynamic_obstacle(oid).recording)
+                for oid in chosen}
+    return engine.run(sub, bindings, engine.SimulationConfig(dt=scenario.dt, max_steps=10)), sub
+
+
+def assert_rows_as_alone(network, log_a, others, table, dists, *args):
+    """Each other's rows of the stacked select_frames table and distance
+    series are bitwise what select_frames and distance_series give the
+    pair alone."""
+    for log_o, rows in zip(others, pair_rows(log_a, others)):
+        alone = select_frames(network, log_a, [log_o], *args)
+        assert table["relation"][rows].tolist() == alone["relation"].tolist(), log_o.id
+        for name in ("hw", "ttc", "d_a", "d_o", "v_a", "v_o"):
+            assert table[name][rows].tobytes() == alone[name].tobytes(), (log_o.id, name)
+        assert dists[rows].tobytes() == distance_series(log_a, [log_o]).tobytes(), log_o.id
+
+
+def test_stacked_rows_equal_per_pair_calls_on_ragged_pairs(monkeypatch):
+    """On a run whose agents end at different steps, every row of each
+    agent's select_frames table and distance series that evaluate builds is
+    bitwise what the pair gets from a call of its own."""
+    result, scenario = ragged_highway_run()
+    assert {len(t.states) for t in result.trajectories.values()} == {9, 11}
+    tables, dists = [], []
+    select, distances = metrics.select_frames, metrics.distance_series
+
+    def recorded_select(network, log_a, others, *args):
+        tables.append((network, log_a, others, select(network, log_a, others, *args), args))
+        return tables[-1][3]
+
+    def recorded_distances(log_a, others):
+        dists.append(distances(log_a, others))
+        return dists[-1]
+
+    monkeypatch.setattr(metrics, "select_frames", recorded_select)
+    monkeypatch.setattr(metrics, "distance_series", recorded_distances)
+    evaluate(result, scenario)
+    monkeypatch.undo()
+    assert len(tables) == len(dists) == len(result.trajectories)
+    assert any(len({len(o.track) for o in others}) > 1 for _, _, others, *_ in tables)
+    for (network, log_a, others, table, args), series in zip(tables, dists):
+        assert len(series) == len(table["hw"]) == sum(
+            min(len(log_a.track), len(o.track)) for o in others)
+        assert_rows_as_alone(network, log_a, others, table, series, *args)
+
+
+def test_stacked_rows_equal_per_pair_calls_across_magnitudes():
+    """boxes_intersect takes its tolerance from the largest coordinate of
+    the pairs it tests, so one table that mixes boxes near the origin with
+    boxes 1e6 m out widens it for every row. A one-step other leaves an
+    axis-aligned gap of 1.5e-6 m to the agent at the origin, between the
+    tolerance of its own call (1e-6 m) and that of the table (2e-6 m), and
+    random others of ragged lengths come within micrometres of the agent,
+    or overlap it, at both scales. Every pair's rows equal its own call."""
+    net, cfg, rng = straight_network(), MetricConfig(), np.random.default_rng(21)
+    at = [(0.0, 0.0), (1e6, 5.0), (0.0, 0.0), (1e3, 1.0), (1e6, -3.0)]
+    agent = VehicleLog("ego", np.array([(x, y, 5.0, 0.0) for x, y in at]), 4.0, 2.0, True)
+    others = [VehicleLog("gap", np.array([(4.0 + 1.5e-6, 0.0, 5.0, 0.0)]), 4.0, 2.0, False)]
+    for k in range(12):
+        n = int(rng.integers(1, len(at) + 1))
+        offset = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.integers(-6, 1, (n, 1))
+        side = np.where(rng.random(n) < 0.5, 4.0, -4.0)
+        track = np.column_stack([np.array(at[:n]) + offset + np.column_stack([side, 0 * side]),
+                                 np.full(n, 3.0), rng.choice([0.0, 1e-9, 0.5], n)])
+        others.append(VehicleLog(f"o{k}", track, 4.0, 2.0, False))
+    for log in (agent, *others):
+        log.lanelets = net.localize(log.track[:, :2])
+    dists = distance_series(agent, others)
+    assert dists[0] == distance_series(agent, others[:1])[0] > 1e-6   # the 1.5e-6 gap
+    x = np.concatenate([o.track[:, 0] for o in others])
+    assert np.any(dists == 0.0) and np.any((dists < 1e-3) & (x > 1e5))
+    assert len({len(o.track) for o in others}) > 1
+    table = select_frames(net, agent, others, DT, cfg, set(), frame_table(net, agent))
+    assert_rows_as_alone(net, agent, others, table, dists, DT, cfg, set(),
+                         frame_table(net, agent))
+
+
+def test_evaluate_localizes_every_log_in_one_call(monkeypatch):
+    """evaluate localizes the tracks of all its vehicle logs with one
+    StreetNetwork.nearest_lanelet call, and crossing TTC predicts with
+    those lanelets: one call on intersection_frenet, whose crossing TTC is
+    asked twice (6 when each log, and each crossing TTC's prediction,
+    localized its own points)."""
+    result, scenario, metric_cfg = run_bundled("intersection_frenet")
+    calls, asked = [], []
+    nearest, crossing_ttc = StreetNetwork.nearest_lanelet, metrics._crossing_ttc
+
+    def recorded_nearest(self, points):
+        calls.append(np.shape(points))
+        return nearest(self, points)
+
+    def recorded_ttc(*args):
+        asked.append(args)
+        return crossing_ttc(*args)
+
+    monkeypatch.setattr(StreetNetwork, "nearest_lanelet", recorded_nearest)
+    monkeypatch.setattr(metrics, "_crossing_ttc", recorded_ttc)
+    evaluate(result, scenario, metric_cfg)
+    assert len(asked) == 2
+    assert calls == [(sum(len(t.states) for t in result.trajectories.values()), 2)]
 
 
 @pytest.mark.parametrize("config", [str(HIGHWAY_FRENET12), "intersection_frenet"],
@@ -418,9 +542,9 @@ def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapola
         calls.append((log_a.id, log_o.id, steps.tolist()))
         return crossing_ttc(network, log_a, log_o, steps, dt)
 
-    def recorded_predict_all(states, network, cfg, dt):
+    def recorded_predict_all(states, lanelets, network, cfg, dt):
         chains.append([])
-        return predict_all(states, network, cfg, dt)
+        return predict_all(states, lanelets, network, cfg, dt)
 
     def counted(states, along, n, dt):
         chains[-1].append(None if along is None else along[0])
@@ -455,8 +579,8 @@ def test_crossing_ttc_rounds_its_horizon_to_whole_steps(dt, monkeypatch):
     steps, ttcs = [], []
     predict_all, crossing_ttc = metrics.predict_all, metrics._crossing_ttc
 
-    def recorded_predict_all(states, network, cfg, dt):
-        poses = predict_all(states, network, cfg, dt)
+    def recorded_predict_all(states, lanelets, network, cfg, dt):
+        poses = predict_all(states, lanelets, network, cfg, dt)
         steps.append(poses.shape[1] - 1)
         return poses
 

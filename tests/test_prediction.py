@@ -44,9 +44,14 @@ def test_config_validation():
     assert PredictorConfig().n_steps(DT) == 30
 
 
+def predict_located(states, network, cfg, dt):
+    """predict_all of states on the lanelets network.localize gives them."""
+    return predict_all(states, network.localize(states[:, :2]), network, cfg, dt)
+
+
 def test_constant_speed_along_lane():
     net = straight_network()
-    poses = predict_all(np.array([[10.0, 0.5, 8.0, 0.0]]), net, PredictorConfig(), DT)
+    poses = predict_located(np.array([[10.0, 0.5, 8.0, 0.0]]), net, PredictorConfig(), DT)
     assert poses.shape == (1, 31, 3)
     for k, (x, y, theta) in enumerate(poses[0].tolist()):
         assert x == pytest.approx(10.0 + 8.0 * k * DT, abs=1e-6)
@@ -59,7 +64,7 @@ def test_stddev_growth():
     growth_rate * k * dt at step k, and not at all at step 0."""
     net = straight_network()
     cfg = PredictorConfig(growth_rate=0.5)
-    poses = predict_all(np.array([[10.0, 0.0, 8.0, 0.0]]), net, cfg, DT)
+    poses = predict_located(np.array([[10.0, 0.0, 8.0, 0.0]]), net, cfg, DT)
     boxes = predicted_boxes(poses, [4.5], [2.0], cfg, DT)
     assert boxes.shape == (1, 31, 5)
     assert boxes[0, 0, 3:].tolist() == [4.5, 2.0]
@@ -69,7 +74,7 @@ def test_stddev_growth():
 
 def test_crosses_into_successor():
     net = straight_network()
-    poses = predict_all(np.array([[95.0, 0.0, 30.0, 0.0]]), net, PredictorConfig(), DT)
+    poses = predict_located(np.array([[95.0, 0.0, 30.0, 0.0]]), net, PredictorConfig(), DT)
     x, _, _ = poses[0, -1]
     assert x == pytest.approx(95.0 + 30.0 * 3.0, abs=1e-6)
 
@@ -77,7 +82,7 @@ def test_crosses_into_successor():
 def test_off_road_straight_fallback():
     net = straight_network()
     state = np.array([[50.0, 40.0, 6.0, np.pi / 4]])  # far off any lanelet
-    x, y, _ = predict_all(state, net, PredictorConfig(), DT)[0, -1]
+    x, y, _ = predict_located(state, net, PredictorConfig(), DT)[0, -1]
     assert x == pytest.approx(50.0 + 6.0 * 3.0 * np.cos(np.pi / 4))
     assert y == pytest.approx(40.0 + 6.0 * 3.0 * np.sin(np.pi / 4))
 
@@ -102,7 +107,7 @@ def test_leader_goes_straight_on_past_the_chain_end():
     assert _crossing_ttc(net, follower, leader, np.array([0]), DT).tolist() == \
         [pytest.approx(10.3)]
     crossing = PredictorConfig(horizon=CROSSING_HORIZON)
-    assert predict_all(leader.track, net, crossing, DT)[0, -1, 0] == \
+    assert predict_located(leader.track, net, crossing, DT)[0, -1, 0] == \
         pytest.approx(185.0 + 8.0 * CROSSING_HORIZON)
 
 
@@ -128,15 +133,15 @@ def test_folding_offset_falls_back_to_straight():
     assert net.localize((0.0, 3.0)) == "bend"
     n = PredictorConfig().n_steps(DT)
     k = np.arange(n + 1)
-    inside = predict_all(np.array([[0.0, 3.0, 10.0, 0.0]]), net, PredictorConfig(), DT)
+    inside = predict_located(np.array([[0.0, 3.0, 10.0, 0.0]]), net, PredictorConfig(), DT)
     assert inside[0].tolist() == np.column_stack(
         [10.0 * k * DT, np.full(n + 1, 3.0), np.zeros(n + 1)]).tolist()
-    sweep = predict_all(np.array([[0.0, 3.0, 10.0, 0.0]]), net,
+    sweep = predict_located(np.array([[0.0, 3.0, 10.0, 0.0]]), net,
                         PredictorConfig(horizon=CROSSING_HORIZON), DT)[0]
     assert len(sweep) == round(CROSSING_HORIZON / DT) + 1
     assert sweep[:, 1].tolist() == [3.0] * len(sweep)
     assert sweep[:, 0].tolist() == (10.0 * np.arange(len(sweep)) * DT).tolist()
-    centred = predict_all(np.array([[0.0, 0.0, 10.0, 0.0]]), net, PredictorConfig(), DT)
+    centred = predict_located(np.array([[0.0, 0.0, 10.0, 0.0]]), net, PredictorConfig(), DT)
     x, y, theta = centred[0, -1]
     assert x == pytest.approx(12.0) and y > 10.0 and theta == pytest.approx(np.pi / 2)
 
@@ -149,7 +154,7 @@ def test_folding_and_centred_rows_of_one_chain_predict_as_alone(monkeypatch):
     net = bend_network()
     states = np.array([[0.0, 3.0, 10.0, 0.0], [0.0, 0.0, 10.0, 0.0]])
     for cfg in (PredictorConfig(), PredictorConfig(horizon=CROSSING_HORIZON)):
-        alone = [predict_all(states[k:k + 1], net, cfg, DT)[0] for k in range(2)]
+        alone = [predict_located(states[k:k + 1], net, cfg, DT)[0] for k in range(2)]
         called, extrapolate = [], prediction.extrapolate
 
         def recorded(rows, along, n, dt):
@@ -157,7 +162,7 @@ def test_folding_and_centred_rows_of_one_chain_predict_as_alone(monkeypatch):
             return extrapolate(rows, along, n, dt)
 
         monkeypatch.setattr(prediction, "extrapolate", recorded)
-        together = predict_all(states, net, cfg, DT)
+        together = predict_located(states, net, cfg, DT)
         monkeypatch.undo()
         assert called[0] == 2   # one call for the chain, split only after the fold
         assert [row.tobytes() for row in together] == [row.tobytes() for row in alone]
@@ -232,10 +237,10 @@ def test_crossing_sweep_begins_with_the_prediction(config):
                   for o in scenario.dynamic_obstacles)
     compared = 0
     for vid, track in tracks.items():
-        sweep = predict_all(track, net, crossing, result.dt)
+        sweep = predict_located(track, net, crossing, result.dt)
         assert sweep.shape == (len(track), crossing.n_steps(result.dt) + 1, 3)
         for t in range(len(track)):
-            poses = predict_all(track[t:t + 1], net, predictor, result.dt)[0]
+            poses = predict_located(track[t:t + 1], net, predictor, result.dt)[0]
             assert poses.tobytes() == sweep[t, :n + 1].tobytes(), (vid, t)
             compared += 1
     assert compared >= 90
@@ -257,7 +262,7 @@ def test_predict_all_rows_are_independent(config, chains, monkeypatch):
     monkeypatch.setattr(engine, "predict_all", recording_predict_all)
     run_bundled(config, worker_count=1, max_steps=1)
     monkeypatch.undo()
-    states, args = calls[0]
+    states, (lanelets, *args) = calls[0]
     frames, extrapolate = [], prediction.extrapolate
 
     def recorded(rows, along, n, dt):
@@ -265,7 +270,7 @@ def test_predict_all_rows_are_independent(config, chains, monkeypatch):
         return extrapolate(rows, along, n, dt)
 
     monkeypatch.setattr(prediction, "extrapolate", recorded)
-    whole = predict_all(states, *args)
+    whole = predict_all(states, lanelets, *args)
     assert len(frames) == len(set(frames)) == chains
     monkeypatch.undo()
     rng = np.random.default_rng(20)
@@ -273,4 +278,5 @@ def test_predict_all_rows_are_independent(config, chains, monkeypatch):
     subsets += [rng.choice(len(states), size, replace=False).tolist()
                 for size in rng.integers(1, len(states) + 1, 6).tolist()]
     for rows in subsets:
-        assert predict_all(states[rows], *args).tobytes() == whole[rows].tobytes(), rows
+        assert predict_all(states[rows], [lanelets[k] for k in rows],
+                           *args).tobytes() == whole[rows].tobytes(), rows

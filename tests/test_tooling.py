@@ -73,10 +73,10 @@ def test_tracer_times_route_to_goal_in_build_planner():
 
 def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     """evaluate on intersection_frenet with the tracer installed records
-    select_frames and distance_series once per (agent, other vehicle) pair
-    whose centres come within the gating distance plus both circumradii at
-    some step, distance_series with the steps of those pairs as its work,
-    and records encroachment_times and CurvilinearFrame.project. Each
+    select_frames and distance_series once per agent that has an other
+    vehicle whose centres come within the gating distance plus both
+    circumradii at some step: one table of all such pairs of the agent.
+    distance_series has the steps of those pairs as its work. It records encroachment_times and CurvilinearFrame.project. Each
     vehicle is located on a lane chain once, by its whole track: the
     containing lanelets are looked up once per agent log, with its whole
     track, and every projection made in evaluate outside predict_all is of
@@ -134,16 +134,16 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     shapes.update((o.id, (o.length, o.width))
                   for o in scn.dynamic_obstacles + scn.static_obstacles)
     radius = {vid: 0.5 * np.hypot(*shape) for vid, shape in shapes.items()}
-    gated_in = []   # steps of each pair that may come within the gating distance
+    gated_in = {}   # agent -> steps of each of its pairs that may come within the gate
     for aid in result.trajectories:
         for oid in tracks.keys() - {aid}:
             steps = min(len(tracks[aid]), len(tracks[oid]))
             centres = np.linalg.norm(tracks[aid][:steps] - tracks[oid][:steps], axis=1)
             if np.any(centres - radius[aid] - radius[oid] < metric_cfg.gating_distance):
-                gated_in.append(steps)
+                gated_in.setdefault(aid, []).append(steps)
     assert names["metrics.select_frames"]["calls"] == len(gated_in) == 2
     assert names["metrics.distance_series"]["calls"] == len(gated_in)
-    assert names["metrics.distance_series"]["work"] == sum(gated_in)
+    assert names["metrics.distance_series"]["work"] == sum(map(sum, gated_in.values()))
     assert names["metrics.encroachment_times"]["calls"] == (
         len(result.trajectories) * len(scn.network.conflict_areas()))
     assert names["geometry.project"]["calls"] == len(projected) > 0
@@ -159,6 +159,28 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     assert any(batched for *_, batched in projected)
     assert any(inside for _, inside, _ in projected)
     assert all(p.ndim == 2 for p, inside, _ in projected if inside)
+
+
+def test_evaluate_scores_each_agents_pairs_in_one_call():
+    """On the twelve-agent highway run, evaluate calls select_frames and
+    distance_series at most once per agent: at most 12 calls for the 116
+    pairs it scores (one call per pair when each pair was its own table).
+    distance_series still works through the 464 steps of those pairs
+    (metrics.pair_steps)."""
+    spans = _load(PERFBENCH / "spans.py")
+    result, scn, metric_cfg = run_bundled(str(PERFBENCH / "configs" / "highway_frenet12.json"))
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        report = metrics.evaluate(result, scn, metric_cfg)
+    finally:
+        undo()
+    names = spans.summarize(tracer)["names"]
+    assert len(result.trajectories) == 12
+    assert 0 < names["metrics.select_frames"]["calls"] <= 12
+    assert names["metrics.distance_series"]["calls"] == names["metrics.select_frames"]["calls"]
+    assert names["metrics.distance_series"]["work"] == 464
+    assert len(report.pair_series) == 116
 
 
 def test_tracer_counts_every_vehicle_predicted():
