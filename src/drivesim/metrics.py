@@ -265,7 +265,7 @@ def select_frames(network, log_a: VehicleLog, others: list[VehicleLog], dt: floa
     da = _stack([o.a for o in others], ns) / dt - log_a.a[steps] / dt
     length_o = np.repeat([o.length for o in others], ns)
     lanelets_o = [lid for o, n in zip(others, ns) for lid in o.lanelets[:n]]
-    zero = np.zeros(len(log_a.track))   # stands in for the others no row of a frame holds
+    zero = np.zeros(len(log_a.track))   # the others a frame holds at no row skip its projection
     idle = ChainTrack(None, zero, zero, zero.astype(bool), zero)
 
     relation = np.full(len(steps), "ignored", dtype=object)
@@ -276,8 +276,9 @@ def select_frames(network, log_a: VehicleLog, others: list[VehicleLog], dt: floa
         holds = near & agent.member[steps]
         if not holds.any():
             continue
-        held = np.isin(np.arange(len(others)), owner[holds]).tolist()
-        ons = [o.on_chain(network, agent.chain) if h else idle for o, h in zip(others, held)]
+        held = set(owner[holds].tolist())
+        ons = [o.on_chain(network, agent.chain) if k in held else idle
+               for k, o in enumerate(others)]
         s_o, d_of, inside, tangent = (_stack(field, ns) for field in list(zip(*ons))[1:])
         turn = normalize_angles(tho - tangent)
         against = _against(turn)
