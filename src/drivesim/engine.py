@@ -288,11 +288,11 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
             rt.terminal_step = t
             running.remove(aid)
 
-        # (4) localize and predict the running agents and obstacles, in id order
+        # (4) locate and predict the running agents and obstacles, in id order
         t_pred0 = time.perf_counter()
         rows = sorted((k for k, vid in enumerate(ids) if k >= len(agent_states) or vid in running),
                       key=ids.__getitem__)
-        lanelets = scenario.network.localize(states[rows, :2])
+        lanelets, _ = scenario.network.locate(states[rows][:, [0, 1, 3]])
         poses = predict_all(states[rows], lanelets, scenario.network, predictor, cfg.dt)
         t_pred = time.perf_counter() - t_pred0
 

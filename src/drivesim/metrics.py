@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import VehicleParams, normalize_angle, normalize_angles
+from .dynamics import VehicleParams, normalize_angles
 from .engine import AgentStatus, SimulationResult
 from .geometry import (CurvilinearFrame, _shaped, box_intersects_polygon, boxes_intersect,
                        min_distance, occupancy)
@@ -58,8 +58,9 @@ class ChainTrack(NamedTuple):
 @dataclass
 class VehicleLog:
     """A vehicle's motion over the run: track (n, 4) holds its (x, y, v,
-    theta) at each step. lanelets, its localized lanelet (or None) at each
-    step, is set by evaluate from one network.localize call."""
+    theta) at each step. lanelets, the lanelet it drives in (or None) at
+    each step, and turns (n, L), its heading turns against every lanelet
+    (NaN where the lanelet does not hold it), are set by locate_logs."""
 
     id: str
     track: np.ndarray
@@ -68,6 +69,7 @@ class VehicleLog:
     is_agent: bool
     params: VehicleParams | None = None
     lanelets: list = field(init=False, repr=False)
+    turns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.v = self.track[:, 2]
@@ -84,6 +86,15 @@ class VehicleLog:
             s, d, inside = frame.project(self.track[:, :2])
             on = self._on_chain[chain] = ChainTrack(frame, s, d, inside, frame.tangent_angle_at(s))
         return on
+
+
+def locate_logs(network, logs) -> None:
+    """Set each log's lanelets and turns from one StreetNetwork.locate over all of them."""
+    logs = list(logs)
+    located, turns = network.locate(np.vstack([log.track[:, [0, 1, 3]] for log in logs]))
+    ends = np.cumsum([len(log.track) for log in logs]).tolist()
+    for log, lo, hi in zip(logs, [0, *ends], ends):
+        log.lanelets, log.turns = located[lo:hi], turns[lo:hi]
 
 
 def _against(turn):
@@ -121,23 +132,20 @@ def _paths(network, start) -> list[tuple]:
 def frame_table(network, log: VehicleLog) -> list[AgentFrame]:
     """An agent's candidate frames over its whole log. At each step the
     candidates are the first MAX_PATHS lanelet paths from the lanelets
-    containing it that are aligned with its heading, by sorted start, or from
-    its localized lanelet when none is; member marks the steps at which a
-    frame is a candidate whose domain holds the agent. Frames are ordered by
-    (start, depth-first rank), the order in which every step lists its
-    candidates: the search from a start is the same at every step, and
-    MAX_PATHS only cuts its tail."""
-    listed, against = {}, np.zeros(len(log.track), bool)   # chain -> ((start, rank), steps)
-    rows = zip(log.track[:, 3].tolist(), log.lanelets,
-               network.containing_lanelets(log.track[:, :2]))
-    for t, (theta, lanelet, containing) in enumerate(rows):
-        turns = {lid: normalize_angle(network.lanelets[lid].start_tangent_angle() - theta)
-                 for lid in containing}
-        starts = [lid for lid, turn in turns.items() if not _against(turn)]
+    holding it that it does not drive against (log.turns), by sorted start,
+    or from its located lanelet when there is none; member marks the steps
+    at which a frame is a candidate whose domain holds the agent. Frames are
+    ordered by (start, depth-first rank), the order in which every step
+    lists its candidates: the search from a start is the same at every step,
+    and MAX_PATHS only cuts its tail."""
+    ids, against = sorted(network.lanelets), _against(log.turns).any(axis=1)
+    aligned = (np.abs(log.turns) <= math.pi / 2).tolist()   # NaN where a lanelet does not hold it
+    listed = {}   # chain -> ((start, rank), steps)
+    for t, (row, lanelet) in enumerate(zip(aligned, log.lanelets)):
+        starts = [lid for lid, ok in zip(ids, row) if ok]
         if not starts and lanelet is not None:
             starts = [lanelet]
-        against[t] = any(_against(turn) for turn in turns.values())
-        ranked = [((start, rank), chain) for start in sorted(starts)
+        ranked = [((start, rank), chain) for start in starts
                   for rank, chain in enumerate(_paths(network, start))]
         for key, chain in ranked[:MAX_PATHS]:
             listed.setdefault(chain, (key, []))[1].append(t)
@@ -416,9 +424,7 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     obstacles = scenario.dynamic_obstacles + scenario.static_obstacles
     for obs, track in zip(obstacles, scenario.obstacle_tracks(len(result.step_logs) + 1)):
         logs[obs.id] = VehicleLog(obs.id, track, obs.length, obs.width, False)
-    located, k = network.localize(np.vstack([log.track[:, :2] for log in logs.values()])), 0
-    for log in logs.values():
-        log.lanelets, k = located[k:k + len(log.track)], k + len(log.track)
+    locate_logs(network, logs.values())
 
     conflict_areas = network.conflict_areas()
     conflict_pairs = {tuple(sorted(pair)) for pair, _ in conflict_areas}

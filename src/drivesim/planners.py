@@ -595,26 +595,13 @@ def _overlaps_goal(lane, goal: GoalRegion) -> bool:
     return bool(np.any(lane.polygon.contains_points(goal.area.vertices)))
 
 
-def _start_lanelet(network: StreetNetwork, start: AgentState) -> str:
-    p = np.array([start.x, start.y])
-    containing = network.containing_lanelets(p)
-    if containing:
-        # prefer the lanelet best aligned with the current heading
-        def misalign(lid):
-            lane = network.lanelets[lid]
-            frame_angle = lane.start_tangent_angle()
-            return (abs(normalize_angle(frame_angle - start.theta)), lid)
-        return min(containing, key=misalign)
-    lid = network.localize(p)
-    if lid is None:
-        raise RouteError("start state not localizable on the network")
-    return lid
-
-
 def route_to_goal(network: StreetNetwork, start: AgentState, goal: GoalRegion) -> CurvilinearFrame:
     """Shortest successor path (by centerline length) from the start lanelet to
-    any lanelet overlapping the goal area, as a curvilinear frame."""
-    start_id = _start_lanelet(network, start)
+    any lanelet overlapping the goal area, as a curvilinear frame. The start
+    lanelet is the one the start state drives in (StreetNetwork.locate)."""
+    (start_id,), _ = network.locate([(start.x, start.y, start.theta)])
+    if start_id is None:
+        raise RouteError("start state not localizable on the network")
     goal_ids = {lid for lid, lane in network.lanelets.items() if _overlaps_goal(lane, goal)}
     if not goal_ids:
         raise RouteError("goal area does not overlap the street network")

@@ -43,7 +43,7 @@ def _best_successor(network: StreetNetwork, lanelet_id: str, heading: float) -> 
     """Successor whose initial tangent best matches heading; ties by smallest id."""
     best, best_score = None, -math.inf
     for sid in sorted(network.lanelets[lanelet_id].successors):
-        angle = network.lanelets[sid].start_tangent_angle()
+        angle = network.chain_frame((sid,)).tangent_angle_at(0.0)
         score = math.cos(normalize_angle(angle - heading))
         if score > best_score + 1e-12:
             best, best_score = sid, score
@@ -114,7 +114,7 @@ def predict_all(states: np.ndarray, lanelets: list, network: StreetNetwork,
                 cfg: PredictorConfig, dt: float) -> np.ndarray:
     """Poses (V, n+1, 3) over the horizon's n steps of each vehicle of states
     (V, 4) of (x, y, v, theta), row for row; deterministic in its inputs.
-    lanelets holds each row's localized lanelet (network.localize) or None.
+    lanelets holds each row's located lanelet (network.locate) or None.
     A vehicle with a lanelet is extrapolated along the lane chain from it
     that covers the lanelet, v * horizon and 10 m (lane_chain), any other
     straight on. The rows are grouped by chain: one projection and one

@@ -47,10 +47,6 @@ class Lanelet:
         ring = np.vstack([left_bound.points, right_bound.points[::-1]])
         self.polygon = Polygon(ring)
 
-    def start_tangent_angle(self) -> float:
-        d = self.centerline.points[1] - self.centerline.points[0]
-        return math.atan2(d[1], d[0])
-
 
 class StreetNetwork:
     def __init__(self, lanelets):
@@ -108,21 +104,31 @@ class StreetNetwork:
             best_d = np.where(closer, dist, best_d)
         return best_id.tolist(), best_d.tolist()
 
-    def localize(self, points):
-        """Nearest lanelet within LOCALIZE_RADIUS of each point of points
-        (..., 2), else None: one id or None for a single point, else a list."""
-        ids, dists = self.nearest_lanelet(points)
-        return np.where(np.asarray(dists) <= LOCALIZE_RADIUS, ids, None).tolist()
-
-    def containing_lanelets(self, points) -> list:
-        """Sorted ids of the lanelets whose polygon holds each point of
-        points (n, 2): a list for one point (2,), else a list of lists."""
-        p = np.asarray(points, dtype=float)
+    def locate(self, poses) -> tuple[list, np.ndarray]:
+        """The lanelet each pose of poses (n, 3) of (x, y, theta) drives in,
+        or None, and the table (n, L) of its turns against each lanelet in
+        sorted id order: the heading less the lanelet's tangent at the pose's
+        projected arc length, wrapped, NaN where the lanelet's polygon does
+        not hold the pose. A pose is in the lanelet holding it with the least
+        |turn|, the smaller id among equals; if none does, in the lanelet of
+        the nearest centre line within LOCALIZE_RADIUS; else in none."""
+        poses = np.asarray(poses, dtype=float).reshape(-1, 3)
         ids = sorted(self.lanelets)
-        inside = np.array([self.lanelets[lid].polygon.contains_points(p) for lid in ids],
-                          dtype=bool).reshape(len(ids), p.size // 2)
-        rows = [[lid for lid, hit in zip(ids, col) if hit] for col in inside.T.tolist()]
-        return rows[0] if p.ndim == 1 else rows
+        turns = np.full((len(poses), len(ids)), np.nan)
+        for j, lid in enumerate(ids):
+            held = np.flatnonzero(self.lanelets[lid].polygon.contains_points(poses[:, :2]))
+            if len(held):
+                frame = self.chain_frame((lid,))
+                tangent = frame.tangent_angle_at(frame.project(poses[held, :2])[0])
+                turns[held, j] = normalize_angles(poses[held, 2] - tangent)
+        # column 0 stands for no lanelet: argmin takes it only where none holds the pose
+        misalign = np.column_stack([np.full(len(poses), np.inf), np.fmin(np.abs(turns), np.inf)])
+        first = misalign.argmin(axis=1)
+        located, free = np.array([None, *ids], dtype=object)[first], first == 0
+        if free.any():
+            near, dist = self.nearest_lanelet(poses[free, :2])
+            located[free] = np.where(np.asarray(dist) <= LOCALIZE_RADIUS, near, None)
+        return located.tolist(), turns
 
     def conflict_areas(self):
         """Overlap polygons of non-adjacent lanelet pairs (grid-sampled hull).

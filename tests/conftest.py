@@ -7,9 +7,10 @@ import pytest
 
 from drivesim import engine
 from drivesim.cli import build_run, load_run_config
-from drivesim.dynamics import AgentState, ControlInput, Trajectory
+from drivesim.dynamics import AgentState, ControlInput, Trajectory, normalize_angle
 from drivesim.planners import LocalView
 from drivesim.prediction import PredictorConfig, predicted_boxes
+from drivesim.scenario import LOCALIZE_RADIUS
 
 
 def run_bundled(name: str, worker_count: int | None = None, max_steps: int | None = None):
@@ -23,6 +24,24 @@ def run_bundled(name: str, worker_count: int | None = None, max_steps: int | Non
         sim_cfg = dataclasses.replace(sim_cfg, max_steps=max_steps)
     result = engine.run(scenario, bindings, sim_cfg, predictor)
     return result, scenario, metric_cfg
+
+
+def reference_locate(network, x, y, theta):
+    """(lanelet, turns) of one pose by the rule of StreetNetwork.locate,
+    one lanelet at a time: turns maps each lanelet whose polygon holds the
+    pose to |heading - the lanelet's tangent at the pose's arc length|,
+    wrapped; the lanelet is the one of least turn, the smaller id among
+    equals, else the nearest centre line within LOCALIZE_RADIUS, else None."""
+    turns = {}
+    for lid in sorted(network.lanelets):
+        if network.lanelets[lid].polygon.contains_points(np.array([[x, y]]))[0]:
+            frame = network.chain_frame((lid,))
+            tangent = frame.tangent_angle_at(frame.project((x, y))[0])
+            turns[lid] = abs(normalize_angle(theta - tangent))
+    if turns:
+        return min(turns, key=lambda lid: (turns[lid], lid)), turns
+    lid, dist = network.nearest_lanelet((x, y))
+    return (lid if dist <= LOCALIZE_RADIUS else None), turns
 
 
 def local_view(ego: AgentState, step: int = 0, vehicles=()) -> LocalView:

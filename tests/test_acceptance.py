@@ -479,20 +479,22 @@ def _oracle_overlap(a, b):
     return overlap
 
 
-def test_crossing_ttc_against_lane_axis_sweep_on_intersection(intersection_runs):
-    """Crossing TTC of every crossing pair-step of intersection_frenet with
-    no headway, against an independent sweep. Both t_intersection lanes are
-    straight lines, ew along y = 0 heading +x and ns along x = 0 heading +y,
-    so each vehicle moves from its logged position along the axis of the
-    lane whose centre line is nearest (ew on a tie) at its logged speed,
-    heading along it. The first overlap of the two boxes, sampled every
-    0.01 s over 15 s, must lie within one step of the reported TTC, and
-    neither may find one without the other. Most of these steps meet no
-    overlap. At step 62 orange, just inside the conflict area and nearer
-    ns's centre line, is swept north behind green, which passes the end of
-    ns after 4.4 s and goes on; orange closes on it after 8.53 s (reported
-    8.6 s)."""
-    result, scenario, metric_cfg = intersection_runs["frenet"]
+@pytest.mark.parametrize("regime, compared_steps", [("frenet", 131), ("idm", 116)])
+def test_crossing_ttc_against_lane_axis_sweep_on_intersection(regime, compared_steps,
+                                                               intersection_runs):
+    """Crossing TTC of every crossing pair-step of intersection_frenet and
+    intersection_idm with no headway, against an independent sweep. Both
+    t_intersection lanes are straight lines, ew along y = 0 heading +x and
+    ns along x = 0 heading +y, so each vehicle moves from its logged
+    position along the axis of the lane closest to its heading (ew on a
+    tie) at its logged speed, heading along it. The first overlap of the
+    two boxes, sampled every 0.01 s over 15 s, must lie within one step of
+    the reported TTC, and neither may find one without the other. Most of
+    these steps meet no overlap; on frenet none does. (At step 62 of
+    intersection_frenet, orange, heading east just inside the conflict area
+    and nearer ns's centre line, was once swept north behind green and
+    reported 8.6 s.)"""
+    result, scenario, metric_cfg = intersection_runs[regime]
     report = evaluate(result, scenario, metric_cfg)
     dt = result.dt
     params = {p.agent_id: p.params for p in scenario.planning_problems}
@@ -500,7 +502,7 @@ def test_crossing_ttc_against_lane_axis_sweep_on_intersection(intersection_runs)
 
     def sweep(aid, t):
         st = result.trajectories[aid].states[t]
-        heading = 0.0 if abs(st.y) <= abs(st.x) else np.pi / 2
+        heading = 0.0 if math.cos(st.theta) >= math.sin(st.theta) else np.pi / 2
         boxes = np.empty((len(times), 5))
         boxes[:, 0] = st.x + st.v * times * np.cos(heading)
         boxes[:, 1] = st.y + st.v * times * np.sin(heading)
@@ -522,7 +524,8 @@ def test_crossing_ttc_against_lane_axis_sweep_on_intersection(intersection_runs)
                 assert abs(ttc - oracle) <= dt + 1e-9, (aid, oid, t, ttc, oracle)
                 finite += 1
             compared += 1
-    assert compared == 131 and finite >= 1
+    assert compared == compared_steps
+    assert finite >= 1 if regime == "idm" else finite == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ from drivesim.dynamics import AgentState, VehicleParams, normalize_angle
 from drivesim.geometry import Polygon, Polyline, box_intersects_polygon, occupancy
 from drivesim.metrics import (CORRIDOR_HALFWIDTH, MAX_PATHS, PATH_LOOKAHEAD, MetricConfig,
                               VehicleLog, braking_threat, distance_series,
-                              encroachment_times, evaluate, frame_table,
+                              encroachment_times, evaluate, frame_table, locate_logs,
                               minimum_stopping_distance,
                               proportion_stopping_distance, select_frames,
                               steering_threat, ttc_closed_form, ttce_dce)
 from drivesim.scenario import (Lanelet, Scenario, StaticObstacle, StreetNetwork,
                                load_scenario, substitute_agents)
 
-from conftest import run_bundled
+from conftest import reference_locate, run_bundled
 
 DT = 0.1
 INF = math.inf
@@ -132,8 +132,7 @@ class TestFrameSelection:
 
     def _ctx(self, log_a, log_o, step=0):
         """The pair's series from select_frames, each read at step."""
-        for log in (log_a, log_o):
-            log.lanelets = self.net.localize(log.track[:, :2])
+        locate_logs(self.net, [log_a, log_o])
         series = select_frames(self.net, log_a, [log_o], DT, self.cfg,
                                conflict_pairs=set(), frames=frame_table(self.net, log_a))
         return PairContext(**{name: values[step] for name, values in series.items()})
@@ -192,6 +191,30 @@ class TestFrameSelection:
                 assert not kept, gap
 
 
+def test_vehicle_along_a_curved_lanelet_is_not_oncoming():
+    """On a lanelet that bends through 120 degrees on a 50 m radius, a
+    vehicle driving along it turns more than 90 degrees from the lanelet's
+    first segment by the end of the arc. Its turn against the lanelet is
+    taken from the tangent where it is, so no step of its log is oncoming,
+    and its lanelet's frame holds it at every step."""
+    phi = np.radians(np.linspace(-90.0, 30.0, 41))
+    def arc(r):
+        return Polyline(np.column_stack([r * np.cos(phi), 50.0 + r * np.sin(phi)]))
+    net = StreetNetwork([Lanelet("arc", arc(48.0), arc(52.0))])
+    at = np.radians(np.linspace(-80.0, 25.0, 30))
+    track = np.column_stack([50.0 * np.cos(at), 50.0 + 50.0 * np.sin(at), np.full(30, 10.0),
+                             at + math.pi / 2])
+    log = VehicleLog("ego", track, 4.0, 2.0, True)
+    locate_logs(net, [log])
+    assert log.lanelets == ["arc"] * 30
+    assert np.all(np.abs(log.turns) < 0.1)
+    (frame,) = frame_table(net, log)
+    assert frame.chain == ("arc",) and frame.member.all()
+    assert not frame.oncoming.any()
+    first = np.diff(net.lanelets["arc"].centerline.points[:2], axis=0)[0]
+    assert abs(normalize_angle(track[-1, 3] - math.atan2(first[1], first[0]))) > math.pi / 2
+
+
 # ---------------------------------------------------------------------------
 # Reference: frame selection one step at a time, as evaluate did it before
 # each pair was scored over all of its steps at once. It reads the same
@@ -235,10 +258,9 @@ def reference_frame_rows(network, log):
     """Per logged step of an agent, (chain, s, d, v_along, oncoming) of each
     candidate frame whose domain holds it, in the order the step lists them."""
     table = []
-    rows = zip(log.track.tolist(), log.lanelets, network.containing_lanelets(log.track[:, :2]))
-    for t, ((x, y, v, theta), lanelet, containing) in enumerate(rows):
-        turns = {lid: abs(normalize_angle(network.lanelets[lid].start_tangent_angle() - theta))
-                 for lid in containing}
+    for t, (x, y, v, theta) in enumerate(log.track.tolist()):
+        lanelet, turns = reference_locate(network, x, y, theta)
+        assert log.lanelets[t] == lanelet, (log.id, t)
         starts = [lid for lid, turn in turns.items() if turn <= math.pi / 2]
         if not starts and lanelet is not None:
             starts = [lanelet]
@@ -272,7 +294,7 @@ def reference_select_frames(network, log_a, log_o, step, dt, cfg, conflict_pairs
     xo, yo, vo, tho = log_o.track[step].tolist()
     if math.hypot(xa - xo, ya - yo) > cfg.gating_distance:
         return PairContext("ignored")
-    other_lanelet = log_o.lanelets[step]
+    other_lanelet = reference_locate(network, xo, yo, tho)[0]
     best, crossing = None, None
     for chain, s_a, d_a, v_a, oncoming in row:
         s_o, d_o, inside, tang_o = _on(log_o, network, chain, step)
@@ -452,8 +474,7 @@ def test_stacked_rows_equal_per_pair_calls_across_magnitudes():
         track = np.column_stack([np.array(at[:n]) + offset + np.column_stack([side, 0 * side]),
                                  np.full(n, 3.0), rng.choice([0.0, 1e-9, 0.5], n)])
         others.append(VehicleLog(f"o{k}", track, 4.0, 2.0, False))
-    for log in (agent, *others):
-        log.lanelets = net.localize(log.track[:, :2])
+    locate_logs(net, [agent, *others])
     dists = distance_series(agent, others)
     assert dists[0] == distance_series(agent, others[:1])[0] > 1e-6   # the 1.5e-6 gap
     x = np.concatenate([o.track[:, 0] for o in others])
@@ -465,28 +486,37 @@ def test_stacked_rows_equal_per_pair_calls_across_magnitudes():
 
 
 def test_evaluate_localizes_every_log_in_one_call(monkeypatch):
-    """evaluate localizes the tracks of all its vehicle logs with one
-    StreetNetwork.nearest_lanelet call, and crossing TTC predicts with
-    those lanelets: one call on intersection_frenet, whose crossing TTC is
-    asked twice (6 when each log, and each crossing TTC's prediction,
-    localized its own points)."""
+    """evaluate locates the poses of all its vehicle logs with one
+    StreetNetwork.locate call, and crossing TTC predicts with those
+    lanelets: on intersection_frenet, whose crossing TTC is asked twice,
+    the one locate call is the only lookup of a lane (6 nearest_lanelet
+    calls when each log, and each crossing TTC's prediction, localized its
+    own points). No pose of that run is off every lanelet, so locate never
+    falls back to the nearest centre line."""
     result, scenario, metric_cfg = run_bundled("intersection_frenet")
-    calls, asked = [], []
-    nearest, crossing_ttc = StreetNetwork.nearest_lanelet, metrics._crossing_ttc
+    calls, nearest_calls, asked = [], [], []
+    locate, nearest = StreetNetwork.locate, StreetNetwork.nearest_lanelet
+    crossing_ttc = metrics._crossing_ttc
+
+    def recorded_locate(self, poses):
+        calls.append(np.shape(poses))
+        return locate(self, poses)
 
     def recorded_nearest(self, points):
-        calls.append(np.shape(points))
+        nearest_calls.append(np.shape(points))
         return nearest(self, points)
 
     def recorded_ttc(*args):
         asked.append(args)
         return crossing_ttc(*args)
 
+    monkeypatch.setattr(StreetNetwork, "locate", recorded_locate)
     monkeypatch.setattr(StreetNetwork, "nearest_lanelet", recorded_nearest)
     monkeypatch.setattr(metrics, "_crossing_ttc", recorded_ttc)
     evaluate(result, scenario, metric_cfg)
     assert len(asked) == 2
-    assert calls == [(sum(len(t.states) for t in result.trajectories.values()), 2)]
+    assert calls == [(sum(len(t.states) for t in result.trajectories.values()), 3)]
+    assert nearest_calls == []
 
 
 @pytest.mark.parametrize("config", [str(HIGHWAY_FRENET12), "intersection_frenet"],
@@ -519,7 +549,7 @@ def test_chain_tracks_equal_single_point_projections(config, monkeypatch):
 
 
 @pytest.mark.parametrize("config, asked, extrapolated",
-                         [("intersection_frenet", 2, 5), ("merge_frenet", 4, 11),
+                         [("intersection_frenet", 2, 4), ("merge_frenet", 4, 9),
                           ("intersection_idm", 2, 4)])
 def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapolated,
                                                           monkeypatch):
@@ -528,7 +558,10 @@ def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapola
     so no step of a pair is asked twice. Each call predicts both vehicles
     with one predict_all, which extrapolates once per distinct lane chain of
     its rows, plus once for rows without a lanelet (150 extrapolations on
-    intersection_frenet when each vehicle was swept once per step)."""
+    intersection_frenet when each vehicle was swept once per step). Each
+    vehicle follows the lane it drives in (StreetNetwork.locate): 4 and 9
+    extrapolations on intersection_frenet and merge_frenet, against 5 and 11
+    when each vehicle followed the lane of its nearest centre line."""
     result, scenario, metric_cfg = run_bundled(config)
     frames, calls, chains = {}, [], []
     table, crossing_ttc = metrics.frame_table, metrics._crossing_ttc

@@ -1,4 +1,5 @@
-"""Lane-chain frames belong to the network they describe."""
+"""Lane-chain frames belong to the network they describe, and so does the
+rule that locates a pose in the lanelet it drives in."""
 
 import gc
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 
 from drivesim.cli import resolve_scenario_path
 from drivesim.geometry import Polyline
-from drivesim.scenario import LOCALIZE_RADIUS, Lanelet, StreetNetwork, load_scenario
+from drivesim.scenario import Lanelet, StreetNetwork, load_scenario
+
+from conftest import reference_locate
 
 
 def _load(name):
@@ -25,21 +28,24 @@ def _polyline_distance(p, pts):
     return best
 
 
-def _recorded_positions(scenario, every=10):
-    return np.concatenate([obs.recording[::every, :2] for obs in scenario.dynamic_obstacles])
+def _recorded_poses(scenario, every=10):
+    """The recorded (x, y, theta) of every dynamic obstacle, every every steps."""
+    return np.concatenate([obs.recording[::every][:, [0, 1, 3]]
+                           for obs in scenario.dynamic_obstacles])
 
 
 def _check_nearest_at_recorded_positions(name, every=10):
     scenario = _load(name)
     net = scenario.network
-    for p in _recorded_positions(scenario, every):
+    for x, y, theta in _recorded_poses(scenario, every).tolist():
+        p = np.array([x, y])
         lid, dist = net.nearest_lanelet(p)
         brute = {l: _polyline_distance(p, lane.centerline.points)
                  for l, lane in net.lanelets.items()}
         best = min(brute.values())
         assert dist == pytest.approx(best, abs=1e-9), (name, p, lid)
         assert brute[lid] == pytest.approx(best, abs=1e-9), (name, p, lid)
-        assert net.localize(p) == (lid if dist <= LOCALIZE_RADIUS else None)
+        assert net.locate([(x, y, theta)])[0] == [reference_locate(net, x, y, theta)[0]]
 
 
 def test_batched_nearest_lanelet_matches_single_points():
@@ -49,14 +55,16 @@ def test_batched_nearest_lanelet_matches_single_points():
         scenario = _load(name)
         net = scenario.network
         rng = np.random.default_rng(5)
-        far = rng.uniform(-200.0, 200.0, size=(50, 2))
-        points = np.vstack([_recorded_positions(scenario, every=3), far])
+        far = rng.uniform(-200.0, 200.0, size=(50, 3))
+        poses = np.vstack([_recorded_poses(scenario, every=3), far])
+        points = poses[:, :2]
         ids, dists = net.nearest_lanelet(points)
         single = [net.nearest_lanelet(p) for p in points]
         assert ids == [lid for lid, _ in single], name
         assert np.asarray(dists).tobytes() == np.array([d for _, d in single]).tobytes()
-        assert net.localize(points) == [net.localize(p) for p in points]
-        assert None in net.localize(points)
+        located, _ = net.locate(poses)
+        assert located == [reference_locate(net, *pose)[0] for pose in poses.tolist()]
+        assert None in located
     assert net.nearest_lanelet(np.empty((0, 2))) == ([], [])
 
 
@@ -100,5 +108,39 @@ def test_chain_frame_cached_per_network():
 
 
 def test_localize_off_network():
+    """A pose that no lanelet holds and that lies farther than
+    LOCALIZE_RADIUS from every centre line is in no lanelet."""
     net = _load("merge").network
-    assert net.localize((1e4, 1e4)) is None
+    located, turns = net.locate([(1e4, 1e4, 0.0)])
+    assert located == [None]
+    assert turns.shape == (1, len(net.lanelets)) and np.isnan(turns).all()
+
+
+def test_locate_agrees_with_the_nearest_centre_line_where_one_lanelet_holds():
+    """At every recorded pose of the bundled scenarios that exactly one
+    lanelet holds, locate picks that lanelet, and so does nearest_lanelet:
+    where heading and nearest lane agree, the rule changes no choice."""
+    held_once = 0
+    for name in ("merge", "t_intersection", "highway"):
+        scenario = _load(name)
+        net = scenario.network
+        poses = _recorded_poses(scenario, every=1)
+        located, turns = net.locate(poses)
+        once = np.flatnonzero((~np.isnan(turns)).sum(axis=1) == 1)
+        nearest, _ = net.nearest_lanelet(poses[once, :2])
+        assert [located[k] for k in once.tolist()] == nearest, name
+        held_once += len(once)
+    assert held_once > 1000
+
+
+def test_orange_drives_in_ew_inside_the_crossing(intersection_runs):
+    """At step 62 of intersection_frenet, orange heads east just inside the
+    conflict area, nearer the centre line of ns than of ew. Both lanelets
+    hold it, and it drives along ew, so locate puts it on ew."""
+    result, scenario, _ = intersection_runs["frenet"]
+    net = scenario.network
+    st = result.trajectories["orange"].states[62]
+    assert net.nearest_lanelet((st.x, st.y))[0] == "ns"
+    located, turns = net.locate([(st.x, st.y, st.theta)])
+    assert located == ["ew"]
+    assert not np.isnan(turns).any()

@@ -11,7 +11,7 @@ from drivesim.cli import build_run, load_run_config
 from drivesim.dynamics import AgentState, VehicleParams
 from drivesim.engine import run
 from drivesim.geometry import Polyline, occupancy
-from drivesim.metrics import CROSSING_HORIZON, VehicleLog, _crossing_ttc
+from drivesim.metrics import CROSSING_HORIZON, VehicleLog, _crossing_ttc, locate_logs
 from drivesim.prediction import PredictorConfig, lane_chain, predict_all, predicted_boxes
 from drivesim.scenario import Lanelet, StreetNetwork
 
@@ -45,8 +45,8 @@ def test_config_validation():
 
 
 def predict_located(states, network, cfg, dt):
-    """predict_all of states on the lanelets network.localize gives them."""
-    return predict_all(states, network.localize(states[:, :2]), network, cfg, dt)
+    """predict_all of states (V, 4) on the lanelets network.locate gives them."""
+    return predict_all(states, network.locate(states[:, [0, 1, 3]])[0], network, cfg, dt)
 
 
 def test_constant_speed_along_lane():
@@ -88,10 +88,10 @@ def test_off_road_straight_fallback():
 
 
 def _log(vid, x, y, v, theta, network):
-    """A one-step VehicleLog of the default vehicle, localized on network."""
+    """A one-step VehicleLog of the default vehicle, located on network."""
     params = VehicleParams()
     log = VehicleLog(vid, np.array([[x, y, v, theta]]), params.length, params.width, True)
-    log.lanelets = network.localize(log.track[:, :2])
+    locate_logs(network, [log])
     return log
 
 
@@ -130,7 +130,7 @@ def test_folding_offset_falls_back_to_straight():
     prediction and the metric's crossing-horizon prediction send it
     straight on from its pose; on the centre line it follows the bend."""
     net = bend_network()
-    assert net.localize((0.0, 3.0)) == "bend"
+    assert net.locate([(0.0, 3.0, 0.0)])[0] == ["bend"]   # off the lanelet, 3 m from its centre
     n = PredictorConfig().n_steps(DT)
     k = np.arange(n + 1)
     inside = predict_located(np.array([[0.0, 3.0, 10.0, 0.0]]), net, PredictorConfig(), DT)

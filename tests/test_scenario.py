@@ -40,30 +40,49 @@ class TestNetwork:
 
     def test_containing_and_nearest(self):
         net = StreetNetwork([simple_lane("a", 0, 10, 0), simple_lane("b", 0, 10, 4)])
-        assert net.containing_lanelets((5.0, 0.5)) == ["a"]
+        located, turns = net.locate([(5.0, 0.5, 0.25)])
+        assert located == ["a"]
+        assert turns[0, 0] == 0.25 and np.isnan(turns[0, 1])
         lid, dist = net.nearest_lanelet((5.0, 7.0))
         assert lid == "b"
         assert dist == pytest.approx(3.0)
 
-    def test_containing_lanelets_of_many_points_equals_one_call_each(self):
-        """An (n, 2) array gives the list of one single-point call per row,
-        on every bundled network, for the recorded positions and for random
-        points around them (inside one lanelet, two or none); an empty
-        (0, 2) array gives [], and a network without lanelets an empty list
-        per point."""
+    def test_locate_prefers_the_lanelet_it_drives_along(self):
+        """Of the lanelets holding a pose, locate takes the one its heading
+        turns least from, the smaller id among equal turns, whichever centre
+        line is nearer; one it drives against (a turn of pi) loses to a
+        crossing one (pi / 2)."""
+        xs = np.linspace(-20, 20, 5)
+        ns = Lanelet("ns", Polyline(np.column_stack([np.full(5, -2.0), xs])),
+                     Polyline(np.column_stack([np.full(5, 2.0), xs])))
+        net = StreetNetwork([simple_lane("ew", -20, 20, 0), ns, simple_lane("dup", -20, 20, 0)])
+        located, turns = net.locate([(0.5, 0.2, math.pi / 2 - 0.1), (0.2, 0.5, 0.1),
+                                     (0.2, 0.5, math.pi)])
+        assert located == ["ns", "dup", "ns"]   # ids sort as dup, ew, ns
+        assert turns[2].tolist() == [math.pi, math.pi, pytest.approx(math.pi / 2)]
+
+    def test_locate_of_many_poses_equals_one_call_each(self):
+        """An (n, 3) array gives, row for row, the lanelet and turns (NaN
+        included, bitwise) of one single-pose call per row, on every bundled
+        network, for the recorded poses and for random poses around them
+        (inside one lanelet, two or none); an empty (0, 3) array gives no
+        rows, and a network without lanelets None and no turns per pose."""
         rng = np.random.default_rng(11)
         for name in ("merge", "t_intersection", "highway"):
             scn = _bundled(name)
             net = scn.network
-            recorded = np.vstack([o.recording[:, :2] for o in scn.dynamic_obstacles])
-            points = np.vstack([recorded, rng.uniform(recorded.min(0) - 5.0,
-                                                      recorded.max(0) + 5.0, (200, 2))])
-            rows = net.containing_lanelets(points)
-            assert rows == [net.containing_lanelets(p) for p in points]
-            assert {len(r) for r in rows} >= {0, 1}
-            assert net.containing_lanelets(np.empty((0, 2))) == []
-        assert StreetNetwork([]).containing_lanelets(np.zeros((3, 2))) == [[], [], []]
-        assert StreetNetwork([]).containing_lanelets((0.0, 0.0)) == []
+            recorded = np.vstack([o.recording[:, [0, 1, 3]] for o in scn.dynamic_obstacles])
+            poses = np.vstack([recorded, rng.uniform(recorded.min(0) - 5.0,
+                                                     recorded.max(0) + 5.0, (200, 3))])
+            located, turns = net.locate(poses)
+            single = [net.locate(pose[None]) for pose in poses]
+            assert located == [lid for (lid,), _ in single]
+            assert turns.tobytes() == np.vstack([t for _, t in single]).tobytes()
+            assert {int(n) for n in (~np.isnan(turns)).sum(axis=1)} >= {0, 1}
+            empty, no_turns = net.locate(np.empty((0, 3)))
+            assert empty == [] and no_turns.shape == (0, len(net.lanelets))
+        located, turns = StreetNetwork([]).locate(np.zeros((3, 3)))
+        assert located == [None] * 3 and turns.shape == (3, 0)
 
     def test_crossing_lanes_form_conflict_area(self):
         ew = simple_lane("ew", -20, 20, 0)

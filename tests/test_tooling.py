@@ -45,7 +45,7 @@ def test_tracer_installs_and_restores():
     try:
         assert geometry.CurvilinearFrame.project is not originals[0]
         net = scenario.StreetNetwork([])
-        assert net.localize((0.0, 0.0)) is None
+        assert net.locate([(0.0, 0.0, 0.0)])[0] == [None]
         assert [s[0] for s in tracer.spans] == ["scenario.nearest_lanelet"]
     finally:
         undo()
@@ -76,23 +76,24 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     select_frames and distance_series once per agent that has an other
     vehicle whose centres come within the gating distance plus both
     circumradii at some step: one table of all such pairs of the agent.
-    distance_series has the steps of those pairs as its work. It records encroachment_times and CurvilinearFrame.project. Each
-    vehicle is located on a lane chain once, by its whole track: the
-    containing lanelets are looked up once per agent log, with its whole
-    track, and every projection made in evaluate outside predict_all is of
-    a vehicle's whole track or of a conflict area's vertices. The crossing
-    TTC's predict_all calls, made inside select_frames only, project rows
-    of one vehicle's track at a time, so nothing inside select_frames
-    projects a single point."""
+    distance_series has the steps of those pairs as its work. It records
+    encroachment_times and CurvilinearFrame.project. Every vehicle is
+    located by one StreetNetwork.locate call per evaluate over the poses of
+    all vehicle logs, stacked, which projects rows of them; every other
+    projection made in evaluate outside predict_all is of a vehicle's whole
+    track or of a conflict area's vertices. The crossing TTC's predict_all
+    calls, made inside select_frames only, project rows of one vehicle's
+    track at a time, so nothing inside select_frames projects a single
+    point."""
     spans = _load(PERFBENCH / "spans.py")
     result, scn, metric_cfg = run_bundled("intersection_frenet")
-    projected, looked_up, selecting, predicting = [], [], [], []
+    projected, located, selecting, predicting, locating = [], [], [], [], []
     project = geometry.CurvilinearFrame.project
-    containing = scenario.StreetNetwork.containing_lanelets
+    locate = scenario.StreetNetwork.locate
     select_frames, predict_all = metrics.select_frames, metrics.predict_all
 
     def recorded_project(self, p):
-        projected.append((np.asarray(p), bool(selecting), bool(predicting)))
+        projected.append((np.asarray(p), bool(selecting), bool(predicting), bool(locating)))
         return project(self, p)
 
     def recorded_predict_all(*args):
@@ -103,9 +104,13 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
         finally:
             predicting.pop()
 
-    def recorded_containing(self, points):
-        looked_up.append(np.asarray(points))
-        return containing(self, points)
+    def recorded_locate(self, poses):
+        located.append(np.asarray(poses))
+        locating.append(True)
+        try:
+            return locate(self, poses)
+        finally:
+            locating.pop()
 
     def recorded_select_frames(*args):
         selecting.append(True)
@@ -115,7 +120,7 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
             selecting.pop()
 
     monkeypatch.setattr(geometry.CurvilinearFrame, "project", recorded_project)
-    monkeypatch.setattr(scenario.StreetNetwork, "containing_lanelets", recorded_containing)
+    monkeypatch.setattr(scenario.StreetNetwork, "locate", recorded_locate)
     monkeypatch.setattr(metrics, "select_frames", recorded_select_frames)
     monkeypatch.setattr(metrics, "predict_all", recorded_predict_all)
     tracer = spans.Tracer()
@@ -147,18 +152,21 @@ def test_tracer_records_the_metric_layers_of_evaluate(monkeypatch):
     assert names["metrics.encroachment_times"]["calls"] == (
         len(result.trajectories) * len(scn.network.conflict_areas()))
     assert names["geometry.project"]["calls"] == len(projected) > 0
-    assert len(looked_up) == len(result.trajectories)
-    assert all(any(np.array_equal(p, tracks[aid]) for aid in result.trajectories)
-               for p in looked_up)
+    (poses,) = located   # the logs in evaluate's order: agents, then obstacles
+    assert np.array_equal(poses[:, :2], np.vstack(list(tracks.values())))
     areas = [area.vertices for _, area in scn.network.conflict_areas()]
     assert all(any(np.array_equal(p, whole) for whole in [*tracks.values(), *areas])
-               for p, _, batched in projected if not batched)
+               for p, _, batched, in_locate in projected if not (batched or in_locate))
     rows = [{tuple(xy) for xy in track.tolist()} for track in tracks.values()]
     assert all(any(set(map(tuple, p.tolist())) <= track for track in rows)
-               for p, _, batched in projected if batched)
-    assert any(batched for *_, batched in projected)
-    assert any(inside for _, inside, _ in projected)
-    assert all(p.ndim == 2 for p, inside, _ in projected if inside)
+               for p, _, batched, _ in projected if batched)
+    stacked = set().union(*rows)
+    assert all(set(map(tuple, p.tolist())) <= stacked
+               for p, _, _, in_locate in projected if in_locate)
+    assert any(batched for _, _, batched, _ in projected)
+    assert any(in_locate for *_, in_locate in projected)
+    assert any(inside for _, inside, *_ in projected)
+    assert all(p.ndim == 2 for p, inside, *_ in projected if inside)
 
 
 def test_evaluate_scores_each_agents_pairs_in_one_call():
