@@ -97,6 +97,12 @@ class CurvilinearFrame:
         self._inner_arclength = s[1:-1]
         # math.atan2 per segment, so angles round as scalar code rounds them
         self._seg_angles = np.array([math.atan2(y, x) for x, y in self._seg_dir.tolist()])
+        # what place reads per segment, one row per quantity: start x and y,
+        # start arc length, unit direction x and y, left normal x (the
+        # normal's y is the direction's x) and tangent angle
+        self._segments = np.vstack([self._seg_start.T, s[:-1], self._seg_dir.T,
+                                    -self._seg_dir[:, 1], self._seg_angles])
+        self._segments.setflags(write=False)
 
     @property
     def length(self) -> float:
@@ -179,6 +185,15 @@ class CurvilinearFrame:
         Raises GeometryError if any s lies outside [0, length] or any offset
         folds over.
         """
+        x, y, _ = self.place(s, d)
+        return np.stack((x, y), axis=-1)
+
+    def place(self, s, d):
+        """The x and y of to_cartesian(s, d) and tangent_angle_at(s), each
+        in the broadcast shape of s and d, from one segment lookup and one
+        gather of the per-segment table; raises where to_cartesian raises.
+        Each element is computed as the per-point formula computes it:
+        start + (s - start arc length) * direction + d * left normal."""
         s, d = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(d, dtype=float))
         outside = (s < -1e-9) | (s > self.length + 1e-9)
         if outside.any():
@@ -186,12 +201,9 @@ class CurvilinearFrame:
         folded = self.folds(s, d)
         if folded.any():
             raise GeometryError(f"lateral offset d={d[folded][0]} folds over at s={s[folded][0]}")
-        s, i = clamp(s, 0.0, self.length), self._segment_at(s)
-        u = self._seg_dir[i]
-        cum = self.reference.cumulative_arclength
-        base = self.reference.points[i] + (s - cum[i])[..., None] * u
-        normal = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-        return base + d[..., None] * normal
+        x0, y0, s_start, ux, uy, nx, angle = self._segments.take(self._segment_at(s), axis=1)
+        along = clamp(s, 0.0, self.length) - s_start
+        return x0 + along * ux + d * nx, y0 + along * uy + d * ux, angle
 
 
 class Polygon:
@@ -217,12 +229,17 @@ class Polygon:
         return lo[0], lo[1], hi[0], hi[1]
 
     @functools.cached_property
-    def _edges(self) -> tuple[np.ndarray, float]:
+    def slack(self) -> float:
+        """A margin far above the rounding of any edge formula of
+        contains_points over these vertices."""
+        return 1e-9 * (1.0 + float(np.abs(self.vertices).max()))
+
+    @functools.cached_property
+    def _edges(self) -> np.ndarray:
         """The edge table, one row per edge quantity, ordered so that each
         test of contains_points reads a run of rows: y2, the crossing
         denominator, x1, y1, ex, ey, the squared length, xlo, ylo, xhi, yhi,
-        and the largest x the computed crossing can reach; and a slack far
-        above the rounding of any edge formula over these vertices."""
+        and the largest x the computed crossing can reach."""
         v = self.vertices
         end = np.concatenate([v[1:], v[:1]])
         edges = np.empty((12, len(v)))
@@ -237,7 +254,7 @@ class Polygon:
         edges[9:11] = np.maximum(v, end).T
         # a clamped denominator extrapolates the crossing past the edge's ends
         edges[11] = np.where(edges[1] == ey, edges[9], np.inf)
-        return edges, 1e-9 * (1.0 + float(np.abs(v).max()))
+        return edges
 
     @property
     def area(self) -> float:
@@ -277,7 +294,7 @@ class Polygon:
         px, py = pts[:, :1], pts[:, 1:2]
         lo = np.fmin.reduce(pts, axis=0, initial=np.inf)
         hi = np.fmax.reduce(pts, axis=0, initial=-np.inf)
-        edges, slack = self._edges
+        edges, slack = self._edges, self.slack
         xlo, ylo, xhi, yhi, xcross = edges[7:]
         # crossing number over the edges that can cross
         crossing = (ylo < yhi) & (ylo <= hi[1]) & (yhi > lo[1]) & (xcross >= lo[0] - slack)

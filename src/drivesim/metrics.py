@@ -35,6 +35,17 @@ MAX_PATHS = 16
 CROSSING_HORIZON = 15.0    # s of constant-speed prediction behind crossing TTC
 
 
+def _crossing_predictor(dt: float) -> PredictorConfig:
+    """The predictor behind crossing TTC: CROSSING_HORIZON, rounded to
+    whole steps of dt (one at least) where it is no whole number of them."""
+    cfg = PredictorConfig(horizon=CROSSING_HORIZON)
+    try:
+        cfg.n_steps(dt)
+    except ValueError:
+        cfg = PredictorConfig(horizon=max(1, round(CROSSING_HORIZON / dt)) * dt)
+    return cfg
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     ttc_threshold: float = 2.0   # s
@@ -77,6 +88,7 @@ class VehicleLog:
         self.a = np.gradient(self.v) if len(self.v) >= 2 else np.zeros_like(self.v)
         self.boxes = occupancy(self.track[:, [0, 1, 3]], self.length, self.width)
         self._on_chain: dict[tuple, ChainTrack] = {}
+        self._crossing: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def on_chain(self, network, chain: tuple) -> ChainTrack:
         """The whole track in chain's frame, projected on first use."""
@@ -86,6 +98,25 @@ class VehicleLog:
             s, d, inside = frame.project(self.track[:, :2])
             on = self._on_chain[chain] = ChainTrack(frame, s, d, inside, frame.tangent_angle_at(s))
         return on
+
+    def crossing_boxes(self, network, steps: np.ndarray, dt: float) -> np.ndarray:
+        """Boxes (len(steps), n+1, 5) of the vehicle extrapolated from each
+        logged step of steps by predict_all over the n steps of
+        _crossing_predictor. One predict_all over the steps no earlier call
+        asked for; the rows of the asked steps are kept for later calls, and
+        each row is bitwise what it gets alone."""
+        cfg = _crossing_predictor(dt)
+        row, boxes = self._crossing.get(dt) or (np.full(len(self.track), -1),
+                                                np.empty((0, cfg.n_steps(dt) + 1, 5)))
+        new = np.unique(steps[row[steps] < 0])
+        if len(new):
+            poses = predict_all(self.track[new], [self.lanelets[k] for k in new.tolist()],
+                                network, cfg, dt)
+            row[new] = len(boxes) + np.arange(len(new))
+            made = occupancy(poses, self.length, self.width)
+            boxes = np.concatenate([boxes, made]) if len(boxes) else made
+            self._crossing[dt] = row, boxes
+        return boxes[row[steps]]
 
 
 def locate_logs(network, logs) -> None:
@@ -319,17 +350,11 @@ def select_frames(network, log_a: VehicleLog, others: list[VehicleLog], dt: floa
 
 def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, steps: np.ndarray,
                   dt: float) -> np.ndarray:
-    """Per step of steps, the time until the logged boxes of both vehicles,
-    extrapolated from it by predict_all over CROSSING_HORIZON (rounded to
-    whole steps of dt, at least one), first overlap; inf if they never do."""
-    cfg = PredictorConfig(horizon=CROSSING_HORIZON)
-    try:
-        cfg.n_steps(dt)
-    except ValueError:  # 15 s is no whole number of steps of dt
-        cfg = PredictorConfig(horizon=max(1, round(CROSSING_HORIZON / dt)) * dt)
-    hits = boxes_intersect(*(occupancy(
-        predict_all(log.track[steps], [log.lanelets[k] for k in steps.tolist()], network, cfg,
-                    dt), log.length, log.width) for log in (log_a, log_o)))
+    """Per step of steps, the time until the boxes of both vehicles,
+    extrapolated from it (VehicleLog.crossing_boxes), first overlap; inf
+    if they never do."""
+    hits = boxes_intersect(log_a.crossing_boxes(network, steps, dt),
+                           log_o.crossing_boxes(network, steps, dt))
     return np.where(hits.any(axis=1), hits.argmax(axis=1) * dt, INF)
 
 

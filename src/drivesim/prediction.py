@@ -93,19 +93,20 @@ def extrapolate(states: np.ndarray, along, n: int, dt: float) -> np.ndarray:
         s = s0[:, None] + dist
         on_frame = np.minimum(s, frame.length)
         try:
-            ahead[..., :2] = frame.to_cartesian(on_frame, d0[:, None])
+            x, y, tangent = frame.place(on_frame, d0[:, None])
         except GeometryError:  # some offsets fold over: those rows go straight on
             folds = frame.folds(on_frame, d0[:, None]).any(axis=1)
             poses[folds] = extrapolate(states[folds], None, n, dt)
             poses[~folds] = extrapolate(states[~folds], (frame, s0[~folds], d0[~folds]), n, dt)
             return poses
-        ahead[..., 2] = frame.tangent_angle_at(on_frame)
         past = s > frame.length
         if past.any():
             # the poses past the end lie on the end's tangent, which each
             # row's last pose, the farthest past it, holds
-            end = _unit(ahead[:, -1, 2])
-            ahead[past, :2] += ((s - frame.length)[..., None] * end[:, None])[past]
+            over, end = s - frame.length, _unit(tangent[:, -1])
+            np.add(x, over * end[:, :1], out=x, where=past)
+            np.add(y, over * end[:, 1:], out=y, where=past)
+        ahead[..., 0], ahead[..., 1], ahead[..., 2] = x, y, tangent
     poses[..., 2] = normalize_angles(poses[..., 2])
     return poses
 

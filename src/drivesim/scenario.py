@@ -263,9 +263,18 @@ class GoalCheck(enum.Enum):
 
 
 def goal_satisfied(goal: GoalRegion, state: AgentState, t: float) -> GoalCheck:
-    """Goal test: position in the area and optional intervals, deadline inclusive."""
-    inside = bool(goal.area.contains_points(np.array([[state.x, state.y]]))[0])
-    if not inside:
+    """Goal test: position in the area and optional intervals, deadline
+    inclusive. A heading matches the orientation interval if any of its
+    wrapped values (theta + 2 pi k) lies in it. A position outside the
+    area's bounds by more than the boundary tolerance plus the area's slack
+    is outside the area without testing its edges: contains_points would
+    find the same (see Polygon.contains_points)."""
+    tol = 1e-9   # contains_points' boundary tolerance
+    x0, y0, x1, y1 = goal.area.bounds()
+    reach = tol + goal.area.slack
+    if not (x0 - reach <= state.x <= x1 + reach and y0 - reach <= state.y <= y1 + reach):
+        return GoalCheck.NOT_REACHED
+    if not goal.area.contains_points(np.array([[state.x, state.y]]), boundary_tol=tol)[0]:
         return GoalCheck.NOT_REACHED
     if goal.velocity_interval is not None:
         lo, hi = goal.velocity_interval
@@ -273,9 +282,8 @@ def goal_satisfied(goal: GoalRegion, state: AgentState, t: float) -> GoalCheck:
             return GoalCheck.NOT_REACHED
     if goal.orientation_interval is not None:
         lo, hi = goal.orientation_interval
-        th = state.theta
-        # compare on the wrapped circle
-        if not (lo - 1e-12 <= th <= hi + 1e-12 or lo - 1e-12 <= th + 2 * math.pi <= hi + 1e-12):
+        # how far past lo the heading lies, going round the circle
+        if not (state.theta - lo + 1e-12) % (2 * math.pi) <= hi - lo + 2e-12:
             return GoalCheck.NOT_REACHED
     if t <= goal.t_max + 1e-12:
         return GoalCheck.REACHED_IN_TIME

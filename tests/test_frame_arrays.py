@@ -2,9 +2,11 @@
 
 ReferenceFrame holds the scalar bodies that `project`, `distance`,
 `to_cartesian` and `tangent_angle_at` had before they took arrays, applied
-one point at a time to the data of a CurvilinearFrame. Every array form must
-give bitwise what the reference gives on each element, on every lanelet of
-the bundled scenarios and every lane-chain frame the bundled runs build.
+one point at a time to the data of a CurvilinearFrame. Every array form,
+and `place`, which computes `to_cartesian` plane by plane from a per-segment
+table, must give bitwise what the reference gives on each element and raise
+where it raises, on every lanelet of the bundled scenarios and every
+lane-chain frame the bundled runs build.
 """
 
 import math
@@ -138,7 +140,7 @@ def test_frame_arrays_match_the_scalar_reference(intersection_runs, merge_runs):
     rng = np.random.default_rng(6)
     frames = _frames(intersection_runs, merge_runs)
     assert len(frames) > 20
-    folded = 0
+    folded = grids_raised = grids_placed = 0
     for key, frame in frames.items():
         ref = ReferenceFrame(frame)
 
@@ -187,9 +189,35 @@ def test_frame_arrays_match_the_scalar_reference(intersection_runs, merge_runs):
             if raises[chunk].any():
                 with pytest.raises(GeometryError):
                     frame.to_cartesian(arcs[chunk], offsets[chunk])
+                with pytest.raises(GeometryError):
+                    frame.place(arcs[chunk], offsets[chunk])
             else:
                 frame.to_cartesian(arcs[chunk], offsets[chunk])
-    assert folded > 0
+        x, y, angle = frame.place(arcs[ok], offsets[ok])
+        assert _bits(np.stack([x, y], axis=-1)) == _bits([p for p in placed if p is not None])
+        assert _bits(angle) == _bits(angles[ok]), key
+
+        # (rows, steps) grids with one offset per row, as extrapolate places them
+        rows = rng.choice(offsets, size=(6, 1))
+        grid = rng.uniform(-2e-9, frame.length + 2e-9, size=(6, 25))
+        grid[:, -1] = frame.length
+        expect = []
+        try:
+            expect = [[ref.to_cartesian(a, o) for a in row] for row, (o,) in
+                      zip(grid.tolist(), rows.tolist())]
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                frame.place(grid, rows)
+            grids_raised += 1
+        else:
+            x, y, angle = frame.place(grid, rows)
+            assert x.shape == y.shape == angle.shape == grid.shape
+            assert _bits(np.stack([x, y], axis=-1)) == _bits(expect), key
+            assert _bits(angle) == _bits([[ref.tangent_angle_at(a) for a in row]
+                                          for row in grid.tolist()]), key
+            assert _bits(frame.to_cartesian(grid, rows)) == _bits(expect), key
+            grids_placed += 1
+    assert folded > 0 and grids_raised > 0 and grids_placed > 0
 
 
 def test_to_cartesian_broadcasts_one_offset():

@@ -12,7 +12,8 @@ from drivesim import engine, metrics, prediction
 from drivesim.cli import (build_run, load_run_config, read_run_outputs, resolve_scenario_path,
                           write_run_outputs)
 from drivesim.dynamics import AgentState, VehicleParams, normalize_angle
-from drivesim.geometry import Polygon, Polyline, box_intersects_polygon, occupancy
+from drivesim.geometry import (Polygon, Polyline, box_intersects_polygon, boxes_intersect,
+                               occupancy)
 from drivesim.metrics import (CORRIDOR_HALFWIDTH, MAX_PATHS, PATH_LOOKAHEAD, MetricConfig,
                               VehicleLog, braking_threat, distance_series,
                               encroachment_times, evaluate, frame_table, locate_logs,
@@ -548,23 +549,31 @@ def test_chain_tracks_equal_single_point_projections(config, monkeypatch):
                 (vid, chain, t)
 
 
+# rows predict_all makes for crossing TTC in one evaluate, each (vehicle,
+# step) once; when each pair predicted both of its vehicles again they were
+# 272, 232, 160, 150, 44 and 44
+CROSSING_ROWS = {"intersection_frenet": 150, "intersection_idm": 144, "intersection_replay": 94,
+                 "merge_frenet": 112, "merge_idm": 44, "merge_replay": 44}
+
+
 @pytest.mark.parametrize("config, asked, extrapolated",
-                         [("intersection_frenet", 2, 4), ("merge_frenet", 4, 9),
-                          ("intersection_idm", 2, 4)])
+                         [("intersection_frenet", 2, 4), ("merge_frenet", 4, 8),
+                          ("intersection_idm", 2, 4), ("intersection_replay", 2, 4),
+                          ("merge_idm", 2, 4), ("merge_replay", 2, 4)])
 def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapolated,
                                                           monkeypatch):
     """select_frames asks _crossing_ttc at most once per (pair, frame), for
     the steps that frame needs and no earlier frame of the pair asked for,
-    so no step of a pair is asked twice. Each call predicts both vehicles
-    with one predict_all, which extrapolates once per distinct lane chain of
-    its rows, plus once for rows without a lanelet (150 extrapolations on
-    intersection_frenet when each vehicle was swept once per step). Each
-    vehicle follows the lane it drives in (StreetNetwork.locate): 4 and 9
-    extrapolations on intersection_frenet and merge_frenet, against 5 and 11
-    when each vehicle followed the lane of its nearest centre line."""
+    so no step of a pair is asked twice. Each vehicle predicts the steps it
+    has not predicted yet (VehicleLog.crossing_boxes) with one predict_all,
+    which extrapolates once per distinct lane chain of its rows, plus once
+    for rows without a lanelet, so each (vehicle, step) is predicted at most
+    once per evaluate: CROSSING_ROWS rows in all. merge_frenet makes 8
+    extrapolations (9 when each pair predicted its vehicles again)."""
     result, scenario, metric_cfg = run_bundled(config)
-    frames, calls, chains = {}, [], []
+    frames, calls, chains, predicting = {}, [], [], []
     table, crossing_ttc = metrics.frame_table, metrics._crossing_ttc
+    crossing_boxes = VehicleLog.crossing_boxes
     predict_all, extrapolate = metrics.predict_all, prediction.extrapolate
 
     def recorded_table(network, log):
@@ -575,26 +584,99 @@ def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapola
         calls.append((log_a.id, log_o.id, steps.tolist()))
         return crossing_ttc(network, log_a, log_o, steps, dt)
 
+    def recorded_boxes(log, network, steps, dt):
+        predicting.append(log.id)
+        return crossing_boxes(log, network, steps, dt)
+
     def recorded_predict_all(states, lanelets, network, cfg, dt):
-        chains.append([])
+        chains.append((predicting[-1], len(states), []))
         return predict_all(states, lanelets, network, cfg, dt)
 
     def counted(states, along, n, dt):
-        chains[-1].append(None if along is None else along[0])
+        chains[-1][2].append(None if along is None else along[0])
         return extrapolate(states, along, n, dt)
 
     monkeypatch.setattr(metrics, "frame_table", recorded_table)
     monkeypatch.setattr(metrics, "_crossing_ttc", recorded_ttc)
+    monkeypatch.setattr(VehicleLog, "crossing_boxes", recorded_boxes)
     monkeypatch.setattr(metrics, "predict_all", recorded_predict_all)
     monkeypatch.setattr(prediction, "extrapolate", counted)
     evaluate(result, scenario, metric_cfg)
-    assert len(calls) == asked and len(chains) == 2 * asked
+    assert len(calls) == asked and 0 < len(chains) <= 2 * asked
     for pair in {(a, o) for a, o, _ in calls}:
         steps = [s for a, o, asked_steps in calls if (a, o) == pair for s in asked_steps]
         assert steps and len(steps) == len(set(steps)), pair
         assert sum((a, o) == pair for a, o, _ in calls) <= len(frames[pair[0]]), pair
-    assert all(len(made) == len(set(made)) for made in chains)
-    assert sum(map(len, chains)) == extrapolated
+    # every asked step of a vehicle is predicted, so as many rows as there
+    # are distinct asked steps means none is predicted twice
+    for vid in {vid for a, o, _ in calls for vid in (a, o)}:
+        needed = {s for a, o, steps in calls if vid in (a, o) for s in steps}
+        assert sum(rows for v, rows, _ in chains if v == vid) == len(needed), vid
+    assert sum(rows for _, rows, _ in chains) == CROSSING_ROWS[config]
+    assert all(len(made) == len(set(made)) for *_, made in chains)
+    assert sum(len(made) for *_, made in chains) == extrapolated
+
+
+def reference_crossing_ttc(network, log_a, log_o, steps, dt):
+    """_crossing_ttc as it was before each vehicle kept its predictions
+    (VehicleLog.crossing_boxes): both vehicles predicted afresh at every
+    call, over the steps asked."""
+    cfg = prediction.PredictorConfig(horizon=metrics.CROSSING_HORIZON)
+    try:
+        cfg.n_steps(dt)
+    except ValueError:  # 15 s is no whole number of steps of dt
+        cfg = prediction.PredictorConfig(horizon=max(1, round(metrics.CROSSING_HORIZON / dt)) * dt)
+    hits = boxes_intersect(*(occupancy(
+        prediction.predict_all(log.track[steps], [log.lanelets[k] for k in steps.tolist()],
+                               network, cfg, dt), log.length, log.width)
+        for log in (log_a, log_o)))
+    return np.where(hits.any(axis=1), hits.argmax(axis=1) * dt, INF)
+
+
+def fresh_log(log):
+    """A copy of log with the same located lanelets and no kept predictions."""
+    copy = VehicleLog(log.id, log.track, log.length, log.width, log.is_agent, log.params)
+    copy.lanelets, copy.turns = log.lanelets, log.turns
+    return copy
+
+
+@pytest.mark.parametrize("config, finite", [
+    ("intersection_frenet", 0), ("intersection_idm", 20), ("intersection_replay", 14),
+    ("merge_frenet", 34), ("merge_idm", 0), ("merge_replay", 0)])
+def test_crossing_ttc_equals_the_per_pair_reference(config, finite, merge_runs,
+                                                    intersection_runs, monkeypatch):
+    """Every crossing TTC evaluate asks for equals bitwise what the pair
+    gets when both vehicles are predicted afresh for it (finite of them
+    finite); so does the pair asked in the reverse order, and its steps
+    split over several calls, out of order and overlapping, on logs that
+    have predicted nothing yet."""
+    runs = intersection_runs if config.startswith("intersection") else merge_runs
+    result, scenario, metric_cfg = runs[config.split("_")[1]]
+    network, dt, calls = scenario.network, result.dt, []
+    crossing_ttc = metrics._crossing_ttc
+
+    def recorded(network, log_a, log_o, steps, dt):
+        calls.append((log_a, log_o, steps, crossing_ttc(network, log_a, log_o, steps, dt)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(metrics, "_crossing_ttc", recorded)
+    evaluate(result, scenario, metric_cfg)
+    assert calls
+    finite_found = 0
+    for log_a, log_o, steps, got in calls:
+        expect = reference_crossing_ttc(network, log_a, log_o, steps, dt)
+        finite_found += int(np.isfinite(expect).sum())
+        assert got.tobytes() == expect.tobytes(), (log_a.id, log_o.id)
+        assert crossing_ttc(network, log_o, log_a, steps, dt).tobytes() == expect.tobytes()
+        fresh_a, fresh_o = fresh_log(log_a), fresh_log(log_o)
+        chunks = np.array_split(steps, 3)
+        split = [crossing_ttc(network, fresh_o, fresh_a, chunk, dt) for chunk in chunks[::-1]]
+        assert np.concatenate(split[::-1]).tobytes() == expect.tobytes()
+        fresh_a, fresh_o = fresh_log(log_a), fresh_log(log_o)
+        crossing_ttc(network, fresh_a, fresh_o, steps[::2], dt)
+        crossing_ttc(network, fresh_o, fresh_a, steps[len(steps) // 2:], dt)
+        assert crossing_ttc(network, fresh_a, fresh_o, steps, dt).tobytes() == expect.tobytes()
+    assert finite_found == finite
 
 
 @pytest.mark.parametrize("dt", [0.4, 0.08])

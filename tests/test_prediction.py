@@ -8,9 +8,9 @@ import pytest
 
 from drivesim import engine, prediction
 from drivesim.cli import build_run, load_run_config
-from drivesim.dynamics import AgentState, VehicleParams
+from drivesim.dynamics import AgentState, VehicleParams, normalize_angles
 from drivesim.engine import run
-from drivesim.geometry import Polyline, occupancy
+from drivesim.geometry import GeometryError, Polyline, occupancy
 from drivesim.metrics import CROSSING_HORIZON, VehicleLog, _crossing_ttc, locate_logs
 from drivesim.prediction import PredictorConfig, lane_chain, predict_all, predicted_boxes
 from drivesim.scenario import Lanelet, StreetNetwork
@@ -280,3 +280,105 @@ def test_predict_all_rows_are_independent(config, chains, monkeypatch):
     for rows in subsets:
         assert predict_all(states[rows], [lanelets[k] for k in rows],
                            *args).tobytes() == whole[rows].tobytes(), rows
+
+
+def reference_extrapolate(states, along, n, dt):
+    """extrapolate as it was before it placed the poses plane by plane: a
+    to_cartesian and a tangent_angle_at call, each looking the segments up,
+    and the rows past the chain end moved by boolean indexing."""
+    v, theta = states[:, 2], states[:, 3]
+    dist = v[:, None] * np.arange(1, n + 1) * dt
+    poses = np.empty((len(states), n + 1, 3))
+    poses[:, 0] = states[:, [0, 1, 3]]
+    ahead = poses[:, 1:]
+    if along is None:
+        ahead[..., :2] = states[:, None, :2] + dist[..., None] * prediction._unit(theta)[:, None]
+        ahead[..., 2] = theta[:, None]
+    else:
+        frame, s0, d0 = along
+        s = s0[:, None] + dist
+        on_frame = np.minimum(s, frame.length)
+        try:
+            ahead[..., :2] = frame.to_cartesian(on_frame, d0[:, None])
+        except GeometryError:
+            folds = frame.folds(on_frame, d0[:, None]).any(axis=1)
+            poses[folds] = reference_extrapolate(states[folds], None, n, dt)
+            poses[~folds] = reference_extrapolate(states[~folds],
+                                                  (frame, s0[~folds], d0[~folds]), n, dt)
+            return poses
+        ahead[..., 2] = frame.tangent_angle_at(on_frame)
+        past = s > frame.length
+        if past.any():
+            end = prediction._unit(ahead[:, -1, 2])
+            ahead[past, :2] += ((s - frame.length)[..., None] * end[:, None])[past]
+    poses[..., 2] = normalize_angles(poses[..., 2])
+    return poses
+
+
+def logged_states(result, scenario) -> np.ndarray:
+    """Every logged state (x, y, v, theta) of every vehicle of a run."""
+    tracks = [np.array([(s.x, s.y, s.v, s.theta) for s in traj.states])
+              for traj in result.trajectories.values()]
+    tracks += list(scenario.obstacle_tracks(len(result.step_logs) + 1))
+    return np.vstack(tracks)
+
+
+def folding(frame, s0, d0):
+    """s0 and d0 with every other row moved to the frame's sharpest vertex
+    at an offset of 1.5 times its turn radius, so it folds over there."""
+    if not np.any(frame.curvatures):
+        return s0, d0
+    k = int(np.abs(frame.curvatures).argmax())
+    s0, d0 = s0.copy(), d0.copy()
+    s0[::2] = frame.reference.cumulative_arclength[k]
+    d0[::2] = 1.5 / abs(frame.curvatures[k])
+    return s0, d0
+
+
+@pytest.mark.parametrize("horizon", [3.0, CROSSING_HORIZON])
+def test_extrapolate_matches_the_reference_on_every_logged_state(horizon, intersection_runs,
+                                                                 merge_runs, monkeypatch):
+    """predict_all over every logged state of the bundled runs hands
+    extrapolate rows along each lane chain; on each such call, on the same
+    rows with every other one moved where its offset folds over, and on all
+    of a run's states without a chain, extrapolate gives bitwise the
+    reference's poses.
+    Rows run past the chain end, rows fold, and empty row sets give empty
+    poses."""
+    calls, extrapolate = [], prediction.extrapolate
+
+    def recorded(states, along, n, dt):
+        calls.append((states, along, n, dt))
+        return extrapolate(states, along, n, dt)
+
+    cfg = PredictorConfig(horizon=horizon)
+    monkeypatch.setattr(prediction, "extrapolate", recorded)
+    for runs in (intersection_runs, merge_runs):
+        for regime in ("replay", "idm", "frenet"):
+            result, scenario, _ = runs[regime]
+            states = logged_states(result, scenario)
+            predict_all(states, scenario.network.locate(states[:, [0, 1, 3]])[0],
+                        scenario.network, cfg, result.dt)
+            calls.append((states, None, cfg.n_steps(result.dt), result.dt))
+    monkeypatch.undo()
+    assert len(calls) >= 12
+    rows = past = folded = 0
+    for states, along, n, dt in calls:
+        asked = [along]
+        if along is not None:
+            frame, s0, d0 = along
+            asked.append((frame, *folding(frame, s0, d0)))
+            past += int(np.sum(s0 + states[:, 2] * n * dt > frame.length))
+            on_frame = np.minimum(asked[1][1][:, None] + states[:, 2:3] * np.arange(1, n + 1) * dt,
+                                  frame.length)
+            folded += int(frame.folds(on_frame, asked[1][2][:, None]).any(axis=1).sum())
+        for rows_along in asked:
+            assert extrapolate(states, rows_along, n, dt).tobytes() == \
+                reference_extrapolate(states, rows_along, n, dt).tobytes()
+        rows += len(states)
+    assert rows >= 1000 and past > 0 and folded > 0
+    frame = calls[0][1][0] if calls[0][1] is not None else calls[1][1][0]
+    for along in (None, (frame, np.empty(0), np.empty(0))):
+        poses = extrapolate(np.empty((0, 4)), along, 30, DT)
+        assert poses.shape == (0, 31, 3)
+        assert poses.tobytes() == reference_extrapolate(np.empty((0, 4)), along, 30, DT).tobytes()

@@ -117,6 +117,63 @@ class TestGoal:
         too_fast = AgentState(2, 2, 20, 0)
         assert goal_satisfied(goal, too_fast, 1.0) is GoalCheck.NOT_REACHED
 
+    @pytest.mark.parametrize("interval, theta, reached", [
+        ((-3.5, -2.8), 3.0, True),     # 3.0 is -3.283 wrapped
+        ((2.8, 3.5), -3.0, True),      # -3.0 is 3.283 wrapped
+        ((-3.5, -2.8), 2.0, False),
+        ((2.8, 3.5), -2.0, False),
+        ((-0.5, 0.5), 0.2, True),
+        ((-0.5, 0.5), 1.0, False),
+        ((5.8, 6.6), 0.1, True),       # 0.1 is 6.383 wrapped
+        ((-7.0, -6.0), 0.0, True),     # 0.0 is -6.283 wrapped
+        ((-7.0, -6.0), 0.5, False),
+        ((-10.0, 0.0), 2.0, True),     # wider than the circle
+        ((1.0, 2.0), 1.0 - 1e-13, True),   # within the edge tolerance
+        ((1.0, 2.0), 2.0 + 1e-13, True),
+        ((1.0, 2.0), 1.0 - 1e-9, False),
+    ])
+    def test_orientation_interval_matches_every_wrapped_heading(self, interval, theta, reached):
+        goal = GoalRegion(area=Polygon([[0, 0], [4, 0], [4, 4], [0, 4]]), t_max=5.0,
+                          orientation_interval=interval)
+        check = goal_satisfied(goal, AgentState(2, 2, 5, theta), 1.0)
+        assert check is (GoalCheck.REACHED_IN_TIME if reached else GoalCheck.NOT_REACHED)
+
+    @pytest.mark.parametrize("vertices", [[[0, 0], [4, 0], [4, 4], [0, 4]],
+                                          [[100, 50], [130, 62], [118, 91], [95, 70]]])
+    def test_position_outside_the_bounds_skips_the_edge_test(self, vertices, monkeypatch):
+        """Points on, just inside and just outside every edge and vertex, in
+        steps of the cull's margin, reach the goal iff contains_points holds
+        them; those outside the bounds by more than the margin never reach
+        contains_points."""
+        area = Polygon(vertices)
+        goal = GoalRegion(area=area, t_max=5.0)
+        reach = 1e-9 + area.slack
+        v = area.vertices
+        points = []
+        for a, b in zip(v, np.roll(v, -1, axis=0)):
+            normal = np.array([b[1] - a[1], a[0] - b[0]]) / math.hypot(*(b - a))
+            for k in (-1e6, -2.0, -1.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.999, 1.001, 2.0, 1e6):
+                points.append(0.5 * (a + b) + k * reach * normal)
+                points += [a + k * reach * np.array(u) for u in ((1, 0), (0, 1), (1, 1))]
+        points = np.array(points)
+        expect = area.contains_points(points).tolist()
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        far = ((points < lo - reach) | (points > hi + reach)).any(axis=1)
+        assert far.any() and (~far).any() and any(expect) and not all(expect)
+        assert not any(e for e, f in zip(expect, far) if f)
+
+        tested, contains_points = [], Polygon.contains_points
+
+        def recorded(poly, pts, boundary_tol=1e-9):
+            tested.append(pts.tolist())
+            return contains_points(poly, pts, boundary_tol)
+
+        monkeypatch.setattr(Polygon, "contains_points", recorded)
+        for p, e in zip(points.tolist(), expect):
+            check = goal_satisfied(goal, AgentState(p[0], p[1], 5, 0), 1.0)
+            assert check is (GoalCheck.REACHED_IN_TIME if e else GoalCheck.NOT_REACHED), p
+        assert tested == [[p] for p in points[~far].tolist()]
+
 
 class TestSubstitution:
     def test_substitute_agents(self):
