@@ -549,9 +549,7 @@ def test_chain_tracks_equal_single_point_projections(config, monkeypatch):
                 (vid, chain, t)
 
 
-# rows predict_all makes for crossing TTC in one evaluate, each (vehicle,
-# step) once; when each pair predicted both of its vehicles again they were
-# 272, 232, 160, 150, 44 and 44
+# rows predict_all makes for crossing TTC in one evaluate, each (vehicle, step) once
 CROSSING_ROWS = {"intersection_frenet": 150, "intersection_idm": 144, "intersection_replay": 94,
                  "merge_frenet": 112, "merge_idm": 44, "merge_replay": 44}
 
@@ -568,8 +566,7 @@ def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapola
     has not predicted yet (VehicleLog.crossing_boxes) with one predict_all,
     which extrapolates once per distinct lane chain of its rows, plus once
     for rows without a lanelet, so each (vehicle, step) is predicted at most
-    once per evaluate: CROSSING_ROWS rows in all. merge_frenet makes 8
-    extrapolations (9 when each pair predicted its vehicles again)."""
+    once per evaluate: CROSSING_ROWS rows in all."""
     result, scenario, metric_cfg = run_bundled(config)
     frames, calls, chains, predicting = {}, [], [], []
     table, crossing_ttc = metrics.frame_table, metrics._crossing_ttc
