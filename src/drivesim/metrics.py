@@ -108,7 +108,10 @@ class VehicleLog:
         cfg = _crossing_predictor(dt)
         row, boxes = self._crossing.get(dt) or (np.full(len(self.track), -1),
                                                 np.empty((0, cfg.n_steps(dt) + 1, 5)))
-        new = np.unique(steps[row[steps] < 0])
+        # a mask, not np.unique, whose first call imports numpy.ma (about 8 ms)
+        asked = np.zeros(len(row), bool)
+        asked[steps] = True
+        new = np.flatnonzero(asked & (row < 0))
         if len(new):
             poses = predict_all(self.track[new], [self.lanelets[k] for k in new.tolist()],
                                 network, cfg, dt)
@@ -146,20 +149,6 @@ class AgentFrame(NamedTuple):
     oncoming: np.ndarray  # heading against the frame, or inside a lanelet it drives against
 
 
-def _paths(network, start) -> list[tuple]:
-    """The first MAX_PATHS lanelet paths (successor chains) from start, in
-    depth-first order, each PATH_LOOKAHEAD long or ending without successor."""
-    paths, stack = [], [((start,), network.lanelets[start].centerline.length)]
-    while stack and len(paths) < MAX_PATHS:
-        chain, length = stack.pop()
-        succ = [s for s in sorted(network.lanelets[chain[-1]].successors) if s not in chain]
-        if length >= PATH_LOOKAHEAD or not succ:
-            paths.append(chain)
-            continue
-        stack.extend((chain + (s,), length + network.lanelets[s].centerline.length) for s in succ)
-    return paths
-
-
 def frame_table(network, log: VehicleLog) -> list[AgentFrame]:
     """An agent's candidate frames over its whole log. At each step the
     candidates are the first MAX_PATHS lanelet paths from the lanelets
@@ -176,15 +165,16 @@ def frame_table(network, log: VehicleLog) -> list[AgentFrame]:
         starts = [lid for lid, ok in zip(ids, row) if ok]
         if not starts and lanelet is not None:
             starts = [lanelet]
-        ranked = [((start, rank), chain) for start in starts
-                  for rank, chain in enumerate(_paths(network, start))]
+        ranked = [((start, rank), chain) for start in starts for rank, chain
+                  in enumerate(network.lane_paths(start, PATH_LOOKAHEAD, MAX_PATHS))]
         for key, chain in ranked[:MAX_PATHS]:
             listed.setdefault(chain, (key, []))[1].append(t)
 
     frames = []
     for chain, (_, steps) in sorted(listed.items(), key=lambda item: item[1][0]):
         on = log.on_chain(network, chain)
-        member = np.isin(np.arange(len(against)), steps) & on.inside
+        member = np.zeros(len(against), bool)
+        member[steps] = on.inside[steps]
         if member.any():
             turn = normalize_angles(log.track[:, 3] - on.tangent)
             frames.append(AgentFrame(chain, on, member, log.v * np.cos(turn),
@@ -334,7 +324,7 @@ def select_frames(network, log_a: VehicleLog, others: list[VehicleLog], dt: floa
         ttc_f = ttc_closed_form(hw_f, v_o_along - agent.v_along[steps], da)
         asks = holds & (rel == "crossing") & (hw_f == INF)
         new = asks & np.isnan(crossing)
-        for k in np.unique(owner[new]).tolist():   # one call per pair
+        for k in sorted(set(owner[new].tolist())):   # one call per pair
             mine = new & (owner == k)
             crossing[mine] = _crossing_ttc(network, log_a, others[k], steps[mine], dt)
         ttc_f[asks] = crossing[asks]

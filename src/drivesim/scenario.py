@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .dynamics import AgentState, VehicleParams, normalize_angles
 from .geometry import CurvilinearFrame, Polygon, Polyline, box_corners, occupancy
@@ -67,6 +66,7 @@ class StreetNetwork:
         self._region = [l.polygon for l in self.lanelets.values()]
         self._conflict_cache = None
         self._frames: dict[tuple[str, ...], CurvilinearFrame] = {}
+        self._paths: dict[tuple, tuple[tuple[str, ...], ...]] = {}
 
     @property
     def region(self):
@@ -89,6 +89,18 @@ class StreetNetwork:
             frame = CurvilinearFrame(Polyline(np.asarray(pts)))
             self._frames[chain] = frame
         return frame
+
+    def lane_paths(self, start: str, lookahead: float, limit: int) -> tuple[tuple[str, ...], ...]:
+        """The first limit lanelet paths (successor chains) from start, in
+        depth-first order, each lookahead long or ending without successor.
+
+        Searched once per (start, lookahead, limit); the paths live as long
+        as the network."""
+        key = (start, lookahead, limit)
+        paths = self._paths.get(key)
+        if paths is None:
+            paths = self._paths[key] = _successor_paths(self.lanelets, start, lookahead, limit)
+        return paths
 
     def nearest_lanelet(self, points):
         """Lanelet whose centerline is closest to each of points (..., 2),
@@ -131,7 +143,9 @@ class StreetNetwork:
         return located.tolist(), turns
 
     def conflict_areas(self):
-        """Overlap polygons of non-adjacent lanelet pairs (grid-sampled hull).
+        """Overlap polygons of non-adjacent lanelet pairs: the convex hull of
+        the points of a CONFLICT_GRID_RESOLUTION grid inside both lanelets
+        (_grid_overlap).
 
         Adjacent same-direction lanelets never form conflict areas; overlaps
         below CONFLICT_MIN_AREA (shared borders) are discarded.
@@ -153,6 +167,19 @@ class StreetNetwork:
         return out
 
 
+def _successor_paths(lanelets, start, lookahead, limit) -> tuple[tuple[str, ...], ...]:
+    """The search behind StreetNetwork.lane_paths."""
+    paths, stack = [], [((start,), lanelets[start].centerline.length)]
+    while stack and len(paths) < limit:
+        chain, length = stack.pop()
+        succ = [s for s in sorted(lanelets[chain[-1]].successors) if s not in chain]
+        if length >= lookahead or not succ:
+            paths.append(chain)
+            continue
+        stack.extend((chain + (s,), length + lanelets[s].centerline.length) for s in succ)
+    return tuple(paths)
+
+
 def _same_direction_adjacent(a: Lanelet, b: Lanelet) -> bool:
     """True for lanelet pairs along the same corridor: laterally adjacent in
     the same direction, or directly consecutive — neither forms a conflict."""
@@ -168,26 +195,62 @@ def _same_direction_adjacent(a: Lanelet, b: Lanelet) -> bool:
 
 
 def _grid_overlap(pa: Polygon, pb: Polygon, res: float) -> Polygon | None:
+    """The convex hull (_convex_hull) of the overlap grid of pa and pb
+    (_overlap_grid), or None where it has fewer than 3 vertices."""
+    pts = _overlap_grid(pa, pb, res)
+    hull = _convex_hull(pts)
+    return None if hull is None else Polygon(pts[hull])
+
+
+def _overlap_grid(pa: Polygon, pb: Polygon, res: float) -> np.ndarray:
+    """The points (n, 2) of a res grid over the common bounds of pa and pb
+    that lie strictly inside both, row by row."""
     ax0, ay0, ax1, ay1 = pa.bounds()
     bx0, by0, bx1, by1 = pb.bounds()
     x0, y0 = max(ax0, bx0), max(ay0, by0)
     x1, y1 = min(ax1, bx1), min(ay1, by1)
     if x1 <= x0 or y1 <= y0:
-        return None
+        return np.empty((0, 2))
     xs = np.arange(x0, x1 + res, res)
     ys = np.arange(y0, y1 + res, res)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     # strict interior of both: zero boundary tolerance avoids shared borders
     mask = pa.contains_points(pts, boundary_tol=0.0) & pb.contains_points(pts, boundary_tol=0.0)
-    pts = pts[mask]
-    if len(pts) < 3:
+    return pts[mask]
+
+
+def _convex_hull(points: np.ndarray) -> np.ndarray | None:
+    """Indices of the vertices of the convex hull of points (n, 2),
+    counter-clockwise from the least point in (x, y) order, or None where
+    the hull has fewer than 3 vertices. Andrew's monotone chain (Andrew,
+    IPL 1979). As in qhull, a point on an edge is no vertex, nor is one off
+    it by no more than the rounding of the points' coordinates. Only the
+    least and the greatest point of each x enter the chains: any point
+    between them lies on the segment that joins them."""
+    if len(points) < 3:
         return None
-    try:
-        hull = ConvexHull(pts)
-    except Exception:
-        return None
-    return Polygon(pts[hull.vertices])
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    new_x = points[order[1:], 0] != points[order[:-1], 0]
+    ends = order[np.concatenate([[True], new_x]) | np.concatenate([new_x, [True]])]
+    # the rounding of a cross product of differences of the coordinates, with margin
+    tol = 16 * np.finfo(float).eps * np.abs(points).max() * np.ptp(points, axis=0).max()
+    xy = points[ends].tolist()
+
+    def chain(seq):
+        kept = []
+        for i in seq:
+            px, py = xy[i]
+            while len(kept) >= 2:
+                (ox, oy), (ax, ay) = xy[kept[-2]], xy[kept[-1]]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > tol:
+                    break
+                kept.pop()
+            kept.append(i)
+        return kept[:-1]
+
+    ring = chain(range(len(xy))) + chain(range(len(xy) - 1, -1, -1))
+    return ends[ring] if len(ring) >= 3 else None
 
 
 def _check_shape(obstacle_id, length, width):

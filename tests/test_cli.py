@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -319,3 +322,34 @@ class TestCommandLine:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: drivesim")
+
+
+FOOTPRINT = """
+import importlib, pkgutil, sys
+import drivesim
+for info in pkgutil.walk_packages(drivesim.__path__, "drivesim."):
+    importlib.import_module(info.name)
+scipy = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+assert not scipy, f"importing drivesim loads {scipy[:5]}"
+from drivesim import cli, engine, metrics
+scenario, bindings, sim_cfg, predictor, metric_cfg, _ = cli.build_run(
+    cli.load_run_config("intersection_frenet"))
+before = set(sys.modules)
+result = engine.run(scenario, bindings, sim_cfg, predictor)
+assert set(sys.modules) == before, f"engine.run imports {sorted(set(sys.modules) - before)}"
+metrics.evaluate(result, scenario, metric_cfg)
+assert set(sys.modules) == before, f"evaluate imports {sorted(set(sys.modules) - before)}"
+"""
+
+
+def test_runtime_imports_no_scipy_and_nothing_lazily():
+    """In a fresh interpreter, no drivesim module loads scipy, and neither
+    engine.run nor metrics.evaluate of intersection_frenet imports a module
+    the package has not (a lazy import, such as numpy.ma's from np.unique,
+    would add its import time to the run or the evaluation)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivesim import engine, metrics, prediction
+from drivesim import engine, metrics, prediction, scenario as scenario_module
 from drivesim.cli import (build_run, load_run_config, read_run_outputs, resolve_scenario_path,
                           write_run_outputs)
 from drivesim.dynamics import AgentState, VehicleParams, normalize_angle
@@ -547,6 +547,32 @@ def test_chain_tracks_equal_single_point_projections(config, monkeypatch):
             got = (on.s[t], on.d[t], on.inside[t], on.tangent[t])
             assert [float(v).hex() for v in got] == [float(v).hex() for v in expect], \
                 (vid, chain, t)
+
+
+@pytest.mark.parametrize("config, starts", [("intersection_frenet", 2), ("merge_replay", 4)])
+def test_lane_paths_are_searched_once_per_start(config, starts, monkeypatch):
+    """frame_table lists the lane paths of each start at every step that
+    starts there, but the network searches them once per start
+    (StreetNetwork.lane_paths) and hands out the same tuples after; a second
+    evaluate on the same network searches none and reports the same."""
+    result, scenario, metric_cfg = run_bundled(config)
+    searched, search = [], scenario_module._successor_paths
+
+    def counted(lanelets, start, lookahead, limit):
+        searched.append(start)
+        return search(lanelets, start, lookahead, limit)
+
+    monkeypatch.setattr(scenario_module, "_successor_paths", counted)
+    first = evaluate(result, scenario, metric_cfg)
+    assert len(searched) == len(set(searched)) == starts
+    net = scenario.network
+    for start in searched:
+        paths = net.lane_paths(start, PATH_LOOKAHEAD, MAX_PATHS)
+        assert paths is net.lane_paths(start, PATH_LOOKAHEAD, MAX_PATHS)
+        assert isinstance(paths, tuple) and all(isinstance(p, tuple) for p in paths)
+    again = evaluate(result, scenario, metric_cfg)
+    assert len(searched) == starts
+    assert again.to_dict() == first.to_dict()
 
 
 # rows predict_all makes for crossing TTC in one evaluate, each (vehicle, step) once

@@ -7,15 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from drivesim.cli import main, resolve_scenario_path
 from drivesim.dynamics import AgentState, normalize_angle
 from drivesim.geometry import Polygon, Polyline
-from drivesim.scenario import (Adjacency, DynamicObstacle, GoalCheck,
+from drivesim.scenario import (CONFLICT_GRID_RESOLUTION, CONFLICT_MIN_AREA, Adjacency,
+                               DynamicObstacle, GoalCheck,
                                GoalRegion, Lanelet, Scenario, ScenarioError,
                                StreetNetwork, goal_satisfied, load_scenario,
                                save_scenario, scenario_from_dict,
                                scenario_to_dict, substitute_agents)
+from drivesim.scenario import _convex_hull, _overlap_grid, _same_direction_adjacent
 
 
 def _bundled(name):
@@ -104,6 +107,118 @@ class TestNetwork:
         a2 = Lanelet("c", c.left_bound, c.right_bound)
         net = StreetNetwork([a, b, a2])
         assert net.conflict_areas() == []
+
+
+def qhull_vertices(points):
+    """scipy's ConvexHull vertices of points, or None where qhull finds no
+    2-D hull."""
+    try:
+        return ConvexHull(points).vertices.tolist()
+    except Exception:
+        return None
+
+
+def cyclic(seq, first):
+    """seq rotated to start at first (seq unchanged if first is not in it)."""
+    k = seq.index(first) if first in seq else 0
+    return seq[k:] + seq[:k]
+
+
+def grid(rng, rotated: bool) -> np.ndarray:
+    """A random part of a CONFLICT_GRID_RESOLUTION grid, built as
+    _overlap_grid builds one, rotated by a random angle if rotated."""
+    res = CONFLICT_GRID_RESOLUTION
+    x0, y0 = rng.uniform(-150.0, 150.0, 2)
+    nx, ny = rng.integers(1, 40, 2)
+    gx, gy = np.meshgrid(np.arange(x0, x0 + nx * res + res, res),
+                         np.arange(y0, y0 + ny * res + res, res))
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts = pts[rng.random(len(pts)) < rng.uniform(0.2, 1.0)]
+    if rotated:
+        c, s = np.cos(a := rng.uniform(0.0, 2.0 * np.pi)), np.sin(a)
+        pts = pts @ np.array([[c, s], [-s, c]])
+    return pts
+
+
+class TestConvexHull:
+    """_convex_hull against scipy's ConvexHull (qhull) as the oracle: the
+    same vertices in the same counter-clockwise cycle, and None where qhull
+    finds no 2-D hull."""
+
+    @pytest.mark.parametrize("name", ["t_intersection", "merge", "highway"])
+    def test_bundled_conflict_grids_match_qhull_from_the_same_vertex(self, name):
+        net = _bundled(name).network
+        grids = {}
+        ids = sorted(net.lanelets)
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                if not _same_direction_adjacent(net.lanelets[a], net.lanelets[b]):
+                    pts = _overlap_grid(net.lanelets[a].polygon, net.lanelets[b].polygon,
+                                        CONFLICT_GRID_RESOLUTION)
+                    if len(pts):
+                        grids[(a, b)] = pts
+        expect = []
+        for pair, pts in grids.items():
+            hull, oracle = _convex_hull(pts), qhull_vertices(pts)
+            assert (None if hull is None else hull.tolist()) == oracle, pair
+            if oracle is not None and Polygon(pts[oracle]).area >= CONFLICT_MIN_AREA:
+                expect.append((pair, pts[oracle]))
+        areas = net.conflict_areas()
+        assert [pair for pair, _ in areas] == [pair for pair, _ in expect]
+        for (_, poly), (_, vertices) in zip(areas, expect):
+            assert poly.vertices.tobytes() == vertices.tobytes()
+        if name in ("t_intersection", "merge"):
+            assert areas
+
+    @pytest.mark.parametrize("kind", ["normal", "uniform", "grid", "rotated grid"])
+    def test_random_sets_match_qhull(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for trial in range(300):
+            if kind == "normal":
+                pts = rng.normal(size=(rng.integers(3, 300), 2)) * rng.uniform(0.01, 100.0)
+            elif kind == "uniform":
+                pts = rng.uniform(-1.0, 1.0, (rng.integers(3, 300), 2)) * 100.0 + rng.uniform(-1e3, 1e3, 2)
+            else:
+                pts = grid(rng, kind == "rotated grid")
+            hull, oracle = _convex_hull(pts), qhull_vertices(pts)
+            if oracle is None:
+                assert hull is None, (trial, len(pts))
+                continue
+            hull = hull.tolist()
+            assert hull == cyclic(oracle, hull[0]), trial
+            assert Polygon(pts[hull]).area > 0.0
+            first = np.lexsort((pts[:, 1], pts[:, 0]))[0]
+            assert hull[0] == first
+
+    def test_duplicate_points_give_one_vertex_each(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            pts = rng.normal(size=(rng.integers(3, 40), 2))
+            doubled = np.concatenate([pts, pts[rng.integers(0, len(pts), len(pts))]])
+            hull, oracle = _convex_hull(doubled), qhull_vertices(doubled)
+            assert [tuple(p) for p in doubled[hull]] == cyclic(
+                [tuple(p) for p in doubled[oracle]], tuple(doubled[hull[0]]))
+            assert len({tuple(p) for p in doubled[hull]}) == len(hull)
+
+    @pytest.mark.parametrize("points", [
+        [[1.0, 2.0]] * 5,
+        [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]],
+        [[x, 3.0] for x in np.arange(-2.0, 2.0, 0.25)],
+        [[3.0, y] for y in np.arange(-2.0, 2.0, 0.25)],
+        [[0.25 * k, 0.5 * k] for k in range(9)],
+        (np.column_stack([np.arange(0.0, 10.0, 0.25), np.zeros(40)])
+         @ np.array([[np.cos(0.7), np.sin(0.7)], [-np.sin(0.7), np.cos(0.7)]])
+         + [80.0, -40.0]).tolist(),
+    ], ids=["one point", "two points", "horizontal", "vertical", "diagonal", "rotated line"])
+    def test_collinear_points_have_no_hull(self, points):
+        pts = np.array(points)
+        assert qhull_vertices(pts) is None
+        assert _convex_hull(pts) is None
+
+    def test_fewer_than_three_points_have_no_hull(self):
+        assert _convex_hull(np.empty((0, 2))) is None
+        assert _convex_hull(np.array([[0.0, 0.0], [1.0, 1.0]])) is None
+        assert _convex_hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])).tolist() == [0, 1, 2]
 
 
 class TestGoal:
