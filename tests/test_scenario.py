@@ -201,6 +201,8 @@ class TestConvexHull:
             assert len({tuple(p) for p in doubled[hull]}) == len(hull)
 
     @pytest.mark.parametrize("points", [
+        [],
+        [[0.0, 0.0], [1.0, 1.0]],
         [[1.0, 2.0]] * 5,
         [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]],
         [[x, 3.0] for x in np.arange(-2.0, 2.0, 0.25)],
@@ -209,16 +211,12 @@ class TestConvexHull:
         (np.column_stack([np.arange(0.0, 10.0, 0.25), np.zeros(40)])
          @ np.array([[np.cos(0.7), np.sin(0.7)], [-np.sin(0.7), np.cos(0.7)]])
          + [80.0, -40.0]).tolist(),
-    ], ids=["one point", "two points", "horizontal", "vertical", "diagonal", "rotated line"])
+    ], ids=["no point", "two points", "one point repeated", "two points repeated",
+            "horizontal", "vertical", "diagonal", "rotated line"])
     def test_collinear_points_have_no_hull(self, points):
-        pts = np.array(points)
+        pts = np.array(points, dtype=float).reshape(-1, 2)
         assert qhull_vertices(pts) is None
         assert _convex_hull(pts) is None
-
-    def test_fewer_than_three_points_have_no_hull(self):
-        assert _convex_hull(np.empty((0, 2))) is None
-        assert _convex_hull(np.array([[0.0, 0.0], [1.0, 1.0]])) is None
-        assert _convex_hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])).tolist() == [0, 1, 2]
 
 
 class TestGoal:
