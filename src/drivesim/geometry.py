@@ -265,6 +265,21 @@ class Polygon:
     def bounds(self) -> tuple[float, float, float, float]:
         return self._bounds
 
+    def reaches(self, bounds, boundary_tol: float = 1e-9) -> bool:
+        """Whether the box bounds (xmin, ymin, xmax, ymax) comes within
+        boundary_tol plus the slack of this polygon's bounds. Where it does
+        not, contains_points(points, boundary_tol) finds no point of the box
+        inside: a point the crossing test counts inside lies in the
+        polygon's bounds up to rounding far below the slack, and one within
+        boundary_tol of an edge lies within it of the edge's bounding box
+        (see contains_points). A NaN bound reaches nothing, as a NaN point
+        is never inside."""
+        x0, y0, x1, y1 = self._bounds
+        xmin, ymin, xmax, ymax = bounds
+        reach = abs(boundary_tol) + self.slack
+        return bool(x0 - reach <= xmax and xmin <= x1 + reach
+                    and y0 - reach <= ymax and ymin <= y1 + reach)
+
     def contains_points(self, points, boundary_tol: float = 1e-9) -> np.ndarray:
         """Point-in-polygon by crossing number, one bool per point (n, 2),
         none for no points; a point within boundary_tol of an edge counts
@@ -327,12 +342,22 @@ class Polygon:
 # results in the last bit and change the digests of tools/digests.py.
 #
 # The tests cull before they decide (the OBBTree recipe of Gottschalk et al.,
-# SIGGRAPH 1996): boxes_intersect settles a pair by the circumradius test,
-# then by the bounding-box gate, and only the rest by the separating-axis
-# test; the Frenet planner's broad phase (planners.FrenetPlanner.candidates)
-# drops whole steps of neighbours before that. Each cull only settles what
-# the next stage would settle the same way, with a margin far above its
-# rounding, so no result changes; the docstrings give each argument.
+# SIGGRAPH 1996), split into per-box and per-pair work:
+# - Per box, once: a BoxTable holds each box's heading cosine and sine, the
+#   half extents of its axis-aligned bounding box and its diagonal.
+# - Per pair, over index arrays into two tables: gate_pairs settles a pair
+#   by the bounding-box gate and the circumradius test, on gathered
+#   scalars, and returns the pairs left with their bounding-box gap.
+# - Only the pairs left run the separating-axis test.
+# boxes_intersect(a, b) chains the three over its own pairs. The Frenet
+# planner (planners.FrenetPlanner._collisions) drops whole steps of
+# neighbours by its broad phase, then builds one table of its ego boxes and
+# one of the neighbours' per plan, and group_intersects gates every pair
+# left by index and, since a candidate needs only one hit, calls
+# boxes_intersect first on each candidate's deepest-overlapping pair, then
+# on the other pairs of the candidates still clear. Each cull only settles
+# what the next stage would settle the same way, with a margin far above
+# its rounding, so no result changes; the docstrings give each argument.
 
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -360,8 +385,12 @@ def occupancy(state, length, width) -> np.ndarray:
 
 def _axes(box: np.ndarray) -> np.ndarray:
     """Unit heading and left normal of each box as rows (..., 2, 2)."""
-    c, s = np.cos(box[..., 2]), np.sin(box[..., 2])
-    axes = np.empty(box.shape[:-1] + (2, 2))
+    return _axes_of(np.cos(box[..., 2]), np.sin(box[..., 2]))
+
+
+def _axes_of(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The rows (..., 2, 2) of _axes from the heading's cosine and sine."""
+    axes = np.empty(c.shape + (2, 2))
     axes[..., 0, 0], axes[..., 0, 1], axes[..., 1, 0], axes[..., 1, 1] = c, s, -s, c
     return axes
 
@@ -406,45 +435,135 @@ def _separated(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return _fold(np.logical_or, gap)
 
 
-def _half_extents(box: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Half the width and height (..., 2) of each box's axis-aligned
-    bounding box."""
-    return 0.5 * (np.abs(axes[..., 0, :]) * box[..., 3:4] + np.abs(axes[..., 1, :]) * box[..., 4:5])
+class BoxTable:
+    """The per-box bounds of boxes (..., 5), computed once and read through
+    index arrays by gate_pairs and the separating-axis test, so a box
+    tested against many others takes one np.cos and np.sin. rows (m, 5)
+    holds the boxes flattened; cos and sin (m,) their headings' cosine and
+    sine; bounds (5, m), one row per quantity, the centre x and y, the half
+    width and half height of the axis-aligned bounding box, and the
+    diagonal hypot(length, width); magnitude the largest |value| in rows,
+    NaN left out."""
+
+    def __init__(self, box):
+        rows = np.asarray(box, dtype=float).reshape(-1, 5)
+        length, width = rows[:, 3], rows[:, 4]
+        self.cos, self.sin = np.cos(rows[:, 2]), np.sin(rows[:, 2])
+        c, s = np.abs(self.cos), np.abs(self.sin)
+        bounds = np.empty((5, len(rows)))
+        bounds[:2] = rows[:, :2].T
+        bounds[2] = 0.5 * (c * length + s * width)
+        bounds[3] = 0.5 * (s * length + c * width)
+        bounds[4] = np.hypot(length, width)
+        self.rows, self.bounds = rows, bounds
+        self.magnitude = float(np.fmax.reduce(np.abs(rows).ravel(), initial=0.0))
+
+
+def gate_pairs(a: BoxTable, ia, b: BoxTable, ib):
+    """The pairs of boxes (a.rows[ia[i]], b.rows[ib[i]]) that two culls
+    leave for the separating-axis test, as the indices i in pair order, and
+    each one's bounding-box gap max(gap_x, gap_y) (below 0 where the
+    axis-aligned bounding boxes overlap). Neither cull drops a pair the
+    test would find touching:
+    - Pairs whose centres are farther apart than the sum of the circumradii
+      are apart.
+    - Pairs whose axis-aligned bounding boxes leave a gap of
+      more than tol = 1e-6 m (plus 1e-12 of the largest magnitude in either
+      table, which bounds the rounding at any scale) in x or y are apart.
+      They are at least that far apart, and for two rectangles some axis of
+      the test separates their projections by at least 1/sqrt(2) of their
+      distance: by all of it if a side is nearest, and otherwise the
+      directions that separate the two nearest corners form a cone of at
+      most 90 degrees bounded by box axes and holding the direction between
+      them. So the axis test sees a gap of about 7e-7 m at the least, far
+      above its rounding, and would also find them apart. A larger table
+      only widens tol, so the tables may hold boxes no pair reads.
+    A NaN gap is kept for the axis test."""
+    ax, ay, ahx, ahy, ad = a.bounds.take(ia, axis=1)
+    bx, by, bhx, bhy, bd = b.bounds.take(ib, axis=1)
+    dx, dy = bx - ax, by - ay
+    gap = np.maximum(np.abs(dx) - ahx - bhx, np.abs(dy) - ahy - bhy)
+    # the cheap gate first, then the circumradius test on the pairs it keeps
+    left = np.flatnonzero(~(gap > gate_tolerance(a.magnitude, b.magnitude)))
+    left = left[_within_circumradii(dx[left], dy[left], ad[left], bd[left])]
+    return left, gap[left]
+
+
+def gate_tolerance(*magnitudes: float) -> float:
+    """tol of gate_pairs, the bounding-box gap above which two boxes are
+    apart, for boxes computed from values no larger in size than the
+    largest of magnitudes."""
+    return 1e-6 + 1e-12 * max(magnitudes)
+
+
+def _within_circumradii(dx, dy, diagonal_a, diagonal_b) -> np.ndarray:
+    """Whether boxes whose centres lie dx, dy apart come within the sum of
+    their circumradii, half their diagonals; boxes farther apart are
+    apart."""
+    return np.hypot(dx, dy) <= 0.5 * (diagonal_a + diagonal_b)
+
+
+def _overlap(a: BoxTable, ia, b: BoxTable, ib) -> np.ndarray:
+    """Separating-axis test (Gottschalk et al., "OBBTree", SIGGRAPH 1996)
+    per pair of boxes (a.rows[ia[i]], b.rows[ib[i]]): True where no axis of
+    either box separates their projections; touching boundaries overlap."""
+    axes_a = _axes_of(a.cos.take(ia), a.sin.take(ia))
+    axes_b = _axes_of(b.cos.take(ib), b.sin.take(ib))
+    axes = np.concatenate([axes_a, axes_b], axis=-2)
+    return ~_separated(_project(_corners(a.rows.take(ia, axis=0), axes_a), axes),
+                       _project(_corners(b.rows.take(ib, axis=0), axes_b), axes))
 
 
 def boxes_intersect(a, b):
-    """Separating-axis test per pair of boxes (Gottschalk et al., "OBBTree",
-    SIGGRAPH 1996); touching boundaries count as intersecting. Two culls
-    settle most pairs before the axis test, and neither changes a result:
-    - Pairs whose centres are farther apart than the sum of the circumradii
-      are apart.
-    - Of the rest, pairs whose axis-aligned bounding boxes leave a gap of
-      more than tol = 1e-6 m (plus 1e-12 of the largest magnitude in the
-      boxes, which bounds the rounding at any scale) in x or y are apart. They are at
-      least that far apart, and for two rectangles some axis of the test
-      separates their projections by at least 1/sqrt(2) of their distance:
-      by all of it if a side is nearest, and otherwise the directions that
-      separate the two nearest corners form a cone of at most 90 degrees
-      bounded by box axes and holding the direction between them. So the
-      axis test sees a gap of about 7e-7 m at the least, far above its
-      rounding, and would also find them apart.
-    Only the pairs left run the axis test."""
+    """Whether each pair of boxes intersects; touching boundaries count as
+    intersecting. The culls of gate_pairs settle most pairs, without
+    changing a result, and only the pairs left run the separating-axis
+    test. The circumradius cull runs first on the rows themselves, so the
+    per-box bounds are built only for the pairs it leaves."""
     shape, a, b = _pairs(a, b)
-    reach = 0.5 * (np.hypot(a[:, 3], a[:, 4]) + np.hypot(b[:, 3], b[:, 4]))
-    hit = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) <= reach
-    near = np.flatnonzero(hit)
+    near = np.flatnonzero(_within_circumradii(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1],
+                                              np.hypot(a[:, 3], a[:, 4]),
+                                              np.hypot(b[:, 3], b[:, 4])))
+    hit = np.zeros(len(a), dtype=bool)
     if near.size:
-        a, b = a[near], b[near]
-        axes_a, axes_b = _axes(a), _axes(b)
-        gap = np.abs(b[:, :2] - a[:, :2]) - _half_extents(a, axes_a) - _half_extents(b, axes_b)
-        tol = 1e-6 + 1e-12 * max(float(np.abs(a).max()), float(np.abs(b).max()))
-        test = ~((gap[:, 0] > tol) | (gap[:, 1] > tol))  # NaN stays for the axis test
-        hit[near[~test]] = False
-        a, b, axes_a, axes_b = a[test], b[test], axes_a[test], axes_b[test]
-        axes = np.concatenate([axes_a, axes_b], axis=-2)
-        hit[near[test]] = ~_separated(_project(_corners(a, axes_a), axes),
-                                      _project(_corners(b, axes_b), axes))
+        a, b = BoxTable(a[near]), BoxTable(b[near])
+        pairs = np.arange(near.size)
+        left, _ = gate_pairs(a, pairs, b, pairs)
+        hit[near[left]] = _overlap(a, left, b, left)
     return hit.reshape(shape)[()]
+
+
+def group_intersects(a: BoxTable, ia, b: BoxTable, ib, group, groups: int,
+                     intersect=boxes_intersect) -> np.ndarray:
+    """Per group g < groups, whether the boxes of some pair i with
+    group[i] == g intersect, the pair (a.rows[ia[i]], b.rows[ib[i]]); a
+    group without pairs is clear. gate_pairs culls the pairs by index, and
+    intersect (boxes_intersect, or a function equal to it) decides the rest
+    in at most two calls, none where no pair is left: first each group's
+    pair of least bounding-box gap, its deepest overlap and likeliest hit,
+    then the other pairs of the groups still clear. Each pair tested gets
+    the same function of the same boxes, and the gate drops only pairs that
+    are apart, so a group is marked exactly when one of its pairs
+    intersects."""
+    hit = np.zeros(groups, dtype=bool)
+    left, gap = gate_pairs(a, ia, b, ib)
+    ia, ib, group = ia[left], ib[left], group[left]
+
+    def mark(tested):
+        if tested.size:
+            found = intersect(a.rows.take(ia[tested], axis=0), b.rows.take(ib[tested], axis=0))
+            hit[group[tested[found]]] = True
+
+    # each group's pairs by gap, and the first of each group
+    order = np.lexsort((gap, group))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = group[order[1:]] != group[order[:-1]]
+    deepest = order[first]
+    mark(deepest)
+    rest = ~hit[group]
+    rest[deepest] = False
+    mark(np.flatnonzero(rest))
+    return hit
 
 
 def _corner_to_edge(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import AgentState, ControlInput, VehicleParams, normalize_angle
-from .geometry import CurvilinearFrame, boxes_intersect, clamp
+from .geometry import (BoxTable, CurvilinearFrame, boxes_intersect, clamp, gate_tolerance,
+                       group_intersects)
 from .scenario import GoalRegion, StreetNetwork
 
 
@@ -345,29 +346,35 @@ def _first_minimum(hz: np.ndarray, row: np.ndarray, cost: np.ndarray) -> tuple[i
     return None if best is None else best[1:]
 
 
-def _within_reach(x, y, alive, predicted, params: VehicleParams) -> np.ndarray:
+def _within_reach(x, y, theta, alive, radius: float, others: BoxTable) -> np.ndarray:
     """Broad phase of the collision filter: a mask (steps, neighbours) that
-    is False where the neighbour's box predicted[k, j] cannot touch any ego
-    box at step k. The ego centres x, y (..., steps) count where alive.
+    is False where the neighbour's box at step k lies apart from every alive
+    ego box at step k. The ego poses x, y, theta (H, R, n) count where alive
+    (H, R, n), radius is the ego's circumradius, and others holds the
+    neighbours' boxes (n, neighbours).
 
-    Every alive ego centre at step k lies in the bounding box of them all,
-    so its distance to the neighbour's centre is at least the box's. Where
-    that exceeds the sum of the two circumradii by a relative and absolute
-    margin far above the rounding of either computation, boxes_intersect's
-    circumradius test rejects every pair of that neighbour and step, and
-    dropping them changes no result. A step with no alive centre has an
-    empty box and keeps no neighbour; a NaN centre, which no box test
-    passes, is left out of the box."""
-    x_lo, y_lo = (np.fmin.reduce(np.where(alive, c, np.inf), axis=(0, 1))[:, None]
-                  for c in (x, y))
-    x_hi, y_hi = (np.fmax.reduce(np.where(alive, c, -np.inf), axis=(0, 1))[:, None]
-                  for c in (x, y))
-    cx, cy = predicted[..., 0], predicted[..., 1]
-    gap = np.hypot(np.maximum(np.maximum(x_lo - cx, cx - x_hi), 0.0),
-                   np.maximum(np.maximum(y_lo - cy, cy - y_hi), 0.0))
-    reach = 0.5 * (math.hypot(params.length, params.width)
-                   + np.hypot(predicted[..., 3], predicted[..., 4]))
-    return gap <= reach * (1.0 + 1e-9) + 1e-9
+    An ego box's axis-aligned bounding box reaches no farther from its
+    centre than the circumradius (its half extents are
+    0.5 (|cos| length + |sin| width) <= 0.5 hypot(length, width)), so every
+    alive ego box at step k lies in the bounds of the alive centres grown by
+    radius. A neighbour whose bounding box leaves a gap of more than
+    gate_tolerance to those bounds, in x or y, leaves at least that gap to
+    each ego box, up to rounding far below the tolerance's absolute term, so
+    each of its pairs at that step is apart as gate_pairs argues, and
+    dropping them changes no result. A step with no alive box keeps no
+    neighbour; a NaN centre, or a heading that is not finite and so leaves
+    its box without extent, keeps every neighbour of its step. No sine or
+    cosine of the ego is taken, so a plan with no neighbour in reach builds
+    no ego BoxTable."""
+    ox, oy, half_x, half_y, _ = others.bounds.reshape(5, x.shape[-1], -1)
+    gap, size = [], 0.0
+    for c, oc, half in ((x, ox, half_x), (y, oy, half_y)):
+        lo = np.where(alive, c, np.inf).min(axis=(0, 1))[:, None] - radius
+        hi = np.where(alive, c, -np.inf).max(axis=(0, 1))[:, None] + radius
+        gap.append(np.maximum(lo - (oc + half), (oc - half) - hi))
+        size = max(size, float(np.fmax.reduce(np.abs(c).ravel(), initial=0.0)) + radius)
+    unbounded = (alive & ~np.isfinite(theta)).any(axis=(0, 1))[:, None]
+    return ~(np.maximum(*gap) > gate_tolerance(others.magnitude, size)) | unbounded
 
 
 class FrenetPlanner:
@@ -517,18 +524,49 @@ class FrenetPlanner:
         memory["d_accel"] = 0.0
         return PlanResult(dynamics.step(ego, u, self.dt), u, "infeasible")
 
+    def _collisions(self, x, y, theta, pairs, predicted) -> np.ndarray:
+        """The collision mask (H, R): the candidates whose ego box at some
+        (horizon, row, step) that pairs (H, R, n) marks touches a
+        neighbour's box predicted (n, neighbours, 5) at that step; x, y and
+        theta (H, R, n+1) are the candidates' states from step 0. The broad
+        phase (_within_reach) drops whole (step, neighbour) pairs. If any
+        pair is left, one BoxTable holds the ego box of every state of steps
+        1..n, and group_intersects decides each candidate from the box pairs
+        left, by index into it and the neighbours' table, in at most two
+        boxes_intersect calls."""
+        params = self.params
+        n, seen = predicted.shape[:2]
+        others = BoxTable(predicted)
+        reach = _within_reach(x[..., 1:], y[..., 1:], theta[..., 1:], pairs,
+                              0.5 * math.hypot(params.length, params.width), others)
+        # one flat index per (candidate, step, neighbour) pair left to test:
+        # over the neighbours its quotient is the ego box's row, and that
+        # row's quotient over the steps is the candidate
+        pair = np.flatnonzero(pairs[..., None] & reach)
+        if not pair.size:
+            return np.zeros(pairs.shape[:2], dtype=bool)
+        grid = np.empty(pairs.shape + (5,))
+        grid[..., 0], grid[..., 1], grid[..., 2] = x[..., 1:], y[..., 1:], theta[..., 1:]
+        grid[..., 3], grid[..., 4] = params.length, params.width
+        at_ego = pair // seen
+        at_other = at_ego % n * seen + pair % seen
+        # boxes_intersect through this module, where a caller may replace it
+        hit = group_intersects(BoxTable(grid), at_ego, others, at_other, at_ego // n,
+                               pairs.shape[0] * pairs.shape[1], boxes_intersect)
+        return hit.reshape(pairs.shape[:2])
+
     def candidates(self, view: LocalView, memory: dict):
         """The ego's Frenet start (s0, d0) and the table (Candidates) of
         every candidate of the view.
 
         Every horizon's inputs are padded with zeros to the longest horizon,
         and the table takes one call each to rollout_arrays,
-        bound_violations, boxes_intersect and _cost. The padding breaks no
-        bound: past its K steps a candidate's accel, kappa and lateral
-        acceleration are 0 and its speed stays the speed at K, which column K
-        checks already. The collision filter tests the alive (horizon, row,
-        step) triples, each against the neighbours' predicted boxes at its
-        own step that the broad phase (_within_reach) leaves."""
+        bound_violations and _cost, and at most two to boxes_intersect. The
+        padding breaks no bound: past its K steps a candidate's accel, kappa
+        and lateral acceleration are 0 and its speed stays the speed at K,
+        which column K checks already. The collision filter (_collisions)
+        tests the alive (horizon, row, step) triples, each against the
+        neighbours' predicted boxes at its own step."""
         ego = view.ego
         s0, d0, in_dom = self.route.project((ego.x, ego.y))
         if not in_dom or abs(d0) > 10.0:
@@ -550,18 +588,8 @@ class FrenetPlanner:
         # its last past its horizon
         last = view.boxes.shape[1] - 1
         predicted = view.boxes[view.seen, np.minimum(self._ahead, last)[:, None]]
-        # (horizon, row, step) of each alive pair, and the neighbours within
-        # reach of it: one index pair per box pair left to test
-        hz, row, k = pairs.nonzero()
-        pair, nb = _within_reach(x[..., 1:], y[..., 1:], pairs, predicted, params)[k].nonzero()
-        hz, row, k = hz[pair], row[pair], k[pair] + 1
-        ego_boxes = np.empty((len(k), 5))
-        ego_boxes[:, 0], ego_boxes[:, 1], ego_boxes[:, 2] = (a[hz, row, k] for a in (x, y, theta))
-        ego_boxes[:, 3], ego_boxes[:, 4] = params.length, params.width
-        hit = boxes_intersect(ego_boxes, predicted[k - 1, nb])
-        collision = rejected["collision"] = np.zeros(alive.shape, dtype=bool)
-        collision[hz[hit], row[hit]] = True
-        ok = alive & ~collision
+        rejected["collision"] = self._collisions(x, y, theta, pairs, predicted)
+        ok = alive & ~rejected["collision"]
 
         # the ok candidates in sampling order, gathered once for _cost
         hz, row = ok.nonzero()
@@ -590,9 +618,16 @@ class FrenetPlanner:
 
 
 def _overlaps_goal(lane, goal: GoalRegion) -> bool:
-    if np.any(goal.area.contains_points(lane.centerline.points)):
+    """Whether a point of the lanelet's centre line lies in the goal area or
+    a vertex of the goal area in the lanelet. Each test is skipped where the
+    bounds of its points do not reach its polygon (Polygon.reaches), since
+    contains_points would find no point inside there."""
+    area, centre = goal.area, lane.centerline.points
+    lo, hi = centre.min(axis=0), centre.max(axis=0)
+    if area.reaches((lo[0], lo[1], hi[0], hi[1])) and np.any(area.contains_points(centre)):
         return True
-    return bool(np.any(lane.polygon.contains_points(goal.area.vertices)))
+    return (lane.polygon.reaches(area.bounds())
+            and bool(np.any(lane.polygon.contains_points(area.vertices))))
 
 
 def route_to_goal(network: StreetNetwork, start: AgentState, goal: GoalRegion) -> CurvilinearFrame:

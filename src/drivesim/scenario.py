@@ -123,12 +123,19 @@ class StreetNetwork:
         projected arc length, wrapped, NaN where the lanelet's polygon does
         not hold the pose. A pose is in the lanelet holding it with the least
         |turn|, the smaller id among equals; if none does, in the lanelet of
-        the nearest centre line within LOCALIZE_RADIUS; else in none."""
+        the nearest centre line within LOCALIZE_RADIUS; else in none. A
+        lanelet whose polygon the poses' bounds do not reach
+        (Polygon.reaches) is not tested: it holds none of them."""
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
         ids = sorted(self.lanelets)
         turns = np.full((len(poses), len(ids)), np.nan)
+        bounds = (*np.fmin.reduce(poses[:, :2], axis=0, initial=np.inf),
+                  *np.fmax.reduce(poses[:, :2], axis=0, initial=-np.inf))
         for j, lid in enumerate(ids):
-            held = np.flatnonzero(self.lanelets[lid].polygon.contains_points(poses[:, :2]))
+            polygon = self.lanelets[lid].polygon
+            if not polygon.reaches(bounds):
+                continue
+            held = np.flatnonzero(polygon.contains_points(poses[:, :2]))
             if len(held):
                 frame = self.chain_frame((lid,))
                 tangent = frame.tangent_angle_at(frame.project(poses[held, :2])[0])
@@ -331,11 +338,9 @@ def goal_satisfied(goal: GoalRegion, state: AgentState, t: float) -> GoalCheck:
     wrapped values (theta + 2 pi k) lies in it. A position outside the
     area's bounds by more than the boundary tolerance plus the area's slack
     is outside the area without testing its edges: contains_points would
-    find the same (see Polygon.contains_points)."""
+    find the same (see Polygon.reaches)."""
     tol = 1e-9   # contains_points' boundary tolerance
-    x0, y0, x1, y1 = goal.area.bounds()
-    reach = tol + goal.area.slack
-    if not (x0 - reach <= state.x <= x1 + reach and y0 - reach <= state.y <= y1 + reach):
+    if not goal.area.reaches((state.x, state.y, state.x, state.y), tol):
         return GoalCheck.NOT_REACHED
     if not goal.area.contains_points(np.array([[state.x, state.y]]), boundary_tol=tol)[0]:
         return GoalCheck.NOT_REACHED

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivesim.geometry import (CurvilinearFrame, GeometryError, Polygon, Polyline,
+from drivesim.geometry import (BoxTable, CurvilinearFrame, GeometryError, Polygon, Polyline,
                                box_corners, box_inside_region, boxes_intersect, clamp,
-                               min_distance, occupancy)
+                               gate_pairs, group_intersects, min_distance, occupancy)
 from drivesim.scenario import load_scenario
 
 
@@ -280,6 +280,31 @@ def _placed(a, heading, length, width, gap_u, gap_n):
     return np.array([centre[0], centre[1], heading, length, width])
 
 
+def _near_touching_pairs(rng):
+    """Box pairs (a, b) whose gaps are +-1e-9 to 1e-3 m along each axis of
+    box a, with box b aligned or rotated, side to side and corner to corner,
+    near the origin and far from it."""
+    gaps = [g * sign for g in (1e-9, 1e-8, 1e-7, 1e-6, 2e-6, 1e-5, 1e-4, 1e-3)
+            for sign in (1.0, -1.0)] + [0.0]
+    a_boxes, b_boxes = [], []
+    for _ in range(60):
+        a = _random_boxes(rng, 1, spread=30.0)[0]
+        if rng.random() < 0.3:
+            a[2] = rng.integers(-4, 5) * math.pi / 2  # axis-aligned
+        a[:2] += rng.choice([0.0, 1e3, -5e4])
+        for heading in (a[2], a[2] + math.pi / 2, a[2] + rng.uniform(-math.pi, math.pi)):
+            length, width = rng.uniform(1.0, 6.0), rng.uniform(0.5, 3.0)
+            for g in gaps:
+                for gap_u, gap_n in ((g, None), (-a[3] - 0.5, g), (g, g), (g, -0.3)):
+                    for flip in (1.0, -1.0):
+                        mirrored = a.copy()
+                        mirrored[2] += math.pi if flip < 0 else 0.0
+                        a_boxes.append(a)
+                        b_boxes.append(_placed(mirrored, heading, length, width,
+                                               gap_u, gap_n))
+    return np.array(a_boxes), np.array(b_boxes)
+
+
 class TestCulledKernels:
     def test_boxes_intersect_random_and_grown(self):
         rng = np.random.default_rng(3)
@@ -304,26 +329,7 @@ class TestCulledKernels:
     def test_boxes_intersect_near_touching(self):
         """Gaps of +-1e-9 to 1e-3 m along each axis of one box, with the
         other box aligned or rotated, side to side and corner to corner."""
-        rng = np.random.default_rng(5)
-        gaps = [g * sign for g in (1e-9, 1e-8, 1e-7, 1e-6, 2e-6, 1e-5, 1e-4, 1e-3)
-                for sign in (1.0, -1.0)] + [0.0]
-        a_boxes, b_boxes = [], []
-        for _ in range(60):
-            a = _random_boxes(rng, 1, spread=30.0)[0]
-            if rng.random() < 0.3:
-                a[2] = rng.integers(-4, 5) * math.pi / 2  # axis-aligned
-            a[:2] += rng.choice([0.0, 1e3, -5e4])
-            for heading in (a[2], a[2] + math.pi / 2, a[2] + rng.uniform(-math.pi, math.pi)):
-                length, width = rng.uniform(1.0, 6.0), rng.uniform(0.5, 3.0)
-                for g in gaps:
-                    for gap_u, gap_n in ((g, None), (-a[3] - 0.5, g), (g, g), (g, -0.3)):
-                        for flip in (1.0, -1.0):
-                            mirrored = a.copy()
-                            mirrored[2] += math.pi if flip < 0 else 0.0
-                            a_boxes.append(a)
-                            b_boxes.append(_placed(mirrored, heading, length, width,
-                                                   gap_u, gap_n))
-        a, b = np.array(a_boxes), np.array(b_boxes)
+        a, b = _near_touching_pairs(np.random.default_rng(5))
         hits = boxes_intersect(a, b)
         assert np.array_equal(hits, reference_boxes_intersect(a, b))
         assert np.array_equal(boxes_intersect(b, a), reference_boxes_intersect(b, a))
@@ -375,3 +381,106 @@ class TestCulledKernels:
             assert 0 < inside.sum() < len(boxes), path.stem
             assert box_inside_region(boxes[:0], region).shape == (0,)
             assert box_inside_region(boxes[0], region) is inside[0].item()
+
+
+def _reference_group_hits(a, ia, b, ib, group, groups):
+    """Per group, whether some pair of it intersects, testing every pair
+    with the unculled reference."""
+    hits = np.zeros(groups, dtype=bool)
+    if len(ia):
+        np.logical_or.at(hits, group, reference_boxes_intersect(a[ia], b[ib]))
+    return hits
+
+
+def _group_intersects_counted(a, ia, b, ib, group, groups):
+    """group_intersects over tables of a and b, and the number of rows of
+    each boxes_intersect call it made."""
+    calls = []
+
+    def counted(x, y):
+        calls.append(len(x))
+        return boxes_intersect(x, y)
+
+    hits = group_intersects(BoxTable(a), ia, BoxTable(b), ib, group, groups, counted)
+    return hits, calls
+
+
+class TestIndexedKernels:
+    """gate_pairs and group_intersects over index arrays into two box
+    tables, against the reference over every pair."""
+
+    def _check(self, a, b, ia, ib, group, groups):
+        expected = _reference_group_hits(a, ia, b, ib, group, groups)
+        hits, calls = _group_intersects_counted(a, ia, b, ib, group, groups)
+        assert np.array_equal(hits, expected)
+        assert len(calls) <= 2 and all(calls)
+        # the gate keeps every pair that intersects
+        left, gap = gate_pairs(BoxTable(a), ia, BoxTable(b), ib)
+        touching = np.flatnonzero(reference_boxes_intersect(a[ia], b[ib]))
+        assert np.isin(touching, left).all() and len(gap) == len(left)
+        # the first call tests one pair of each group the gate leaves a pair
+        first = len(np.unique(group[left]))
+        assert calls[:1] == ([first] if first else [])
+        return expected, calls
+
+    def test_random_and_grown_boxes_in_groups(self):
+        """Random pairs of two random tables, grown neighbour boxes and
+        boxes far from the origin, grouped in pair order and shuffled, with
+        groups that have no pair."""
+        rng = np.random.default_rng(13)
+        a, b = _random_boxes(rng, 400, spread=6.0), _random_boxes(rng, 300, spread=6.0)
+        grown = b.copy()
+        grown[:, 3:] += 2.0 * rng.uniform(0.0, 1.5, (len(b), 1))
+        far_a, far_b = a.copy(), grown.copy()
+        far_a[:, :2] += 1e5
+        far_b[:, :2] += 1e5
+        ia, ib = rng.integers(0, len(a), 6000), rng.integers(0, len(b), 6000)
+        some, clear = 0, 0
+        for table_a, table_b in ((a, b), (a, grown), (far_a, far_b)):
+            for group in (np.sort(rng.integers(0, 900, len(ia))), rng.integers(0, 900, len(ia))):
+                expected, _ = self._check(table_a, table_b, ia, ib, group, 1000)
+                some += int(expected.sum())
+                clear += int((~expected[np.unique(group)]).sum())
+        assert some > 1000 and clear > 100
+
+    def test_near_touching_boxes_in_groups(self):
+        a, b = _near_touching_pairs(np.random.default_rng(17))
+        pairs = np.arange(len(a))
+        rng = np.random.default_rng(19)
+        for group in (pairs // 3, pairs // 40, rng.permutation(len(a)) // 5):
+            expected, _ = self._check(a, b, pairs, pairs, group, int(group.max()) + 1)
+            assert 0.1 < expected.mean() < 0.99
+
+    def test_empty_pair_set_and_groups_without_pairs(self):
+        a = _random_boxes(np.random.default_rng(23), 5, spread=3.0)
+        none = np.zeros(0, dtype=int)
+        hits, calls = _group_intersects_counted(a, none, a, none, none, 4)
+        assert not hits.any() and len(hits) == 4 and calls == []
+        # far-apart pairs: the gate leaves none, so no call is made
+        far = a.copy()
+        far[:, 0] += 1e3
+        hits, calls = _group_intersects_counted(a, np.arange(5), far, np.arange(5),
+                                                np.array([0, 0, 2, 2, 2]), 4)
+        assert not hits.any() and calls == []
+
+    def test_deepest_separated_pair_leaves_the_group_to_the_second_call(self):
+        """Two long thin boxes side by side at 45 degrees: their bounding
+        boxes overlap deeply, so the gate ranks the pair first, yet they are
+        apart. The group's other pair overlaps its box only shallowly and
+        hits, which only the second call finds; a group whose deepest pair
+        hits is settled by the first call alone."""
+        diagonal = math.pi / 4
+        normal = np.array([-math.sin(diagonal), math.cos(diagonal)])
+        a = np.array([[0.0, 0.0, diagonal, 10.0, 0.5],
+                      [0.0, 0.0, 0.0, 4.0, 2.0],
+                      [50.0, 0.0, 0.0, 4.0, 2.0]])
+        b = np.array([[*(1.0 * normal), diagonal, 10.0, 0.5],
+                      [3.9, 0.0, 0.0, 4.0, 2.0],
+                      [51.0, 0.0, 0.0, 4.0, 2.0]])
+        ia = ib = np.arange(3)
+        group = np.array([0, 0, 1])
+        left, gap = gate_pairs(BoxTable(a), ia, BoxTable(b), ib)
+        assert list(left) == [0, 1, 2] and gap[0] < gap[1]
+        assert list(reference_boxes_intersect(a, b)) == [False, True, True]
+        hits, calls = _group_intersects_counted(a, ia, b, ib, group, 2)
+        assert list(hits) == [True, True] and calls == [2, 1]

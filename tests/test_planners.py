@@ -1,6 +1,7 @@
 """Replay, IDM, and frenet-sampling planners."""
 
 import dataclasses
+import json
 import math
 import struct
 from pathlib import Path
@@ -17,7 +18,8 @@ from drivesim.planners import (REJECTIONS, FrenetPlanner, FrenetPlannerConfig,
                                IdmParams, IdmPlanner, PlannerError, PlanResult,
                                ReplayPlanner, _corridor_box, route_to_goal)
 from drivesim.prediction import PredictorConfig
-from drivesim.scenario import GoalRegion, Lanelet, StreetNetwork
+from drivesim.scenario import (GoalRegion, Lanelet, StreetNetwork, load_scenario,
+                               substitute_agents)
 from drivesim.geometry import Polygon
 
 from conftest import candidate_trajectory, local_view
@@ -170,6 +172,65 @@ class TestRouting:
         assert route.length >= 90.0
         s, d, in_dom = route.project((92.0, 0.0))
         assert in_dom and abs(d) < 1e-6
+
+    def test_goal_lanelets_equal_the_unculled_tests(self, monkeypatch):
+        """On every bundled scenario, with every recorded vehicle made a
+        planning problem (as a run configuration substitutes it), the
+        lanelets that route_to_goal takes as overlapping the goal
+        (_overlaps_goal, which skips a containment test whose points' bounds
+        do not reach its polygon) are those that both containment tests over
+        all points give, and some tests are skipped."""
+        data = Path(planners.__file__).resolve().parent / "data"
+        scenarios = []
+        for path in sorted(data.glob("*.json")):
+            if "scenario" not in json.loads(path.read_text()):
+                scenario = load_scenario(path)
+                scenarios.append(substitute_agents(
+                    scenario, [obs.id for obs in scenario.dynamic_obstacles]))
+        tests = []
+        contains_points = Polygon.contains_points
+
+        def counted(poly, points, boundary_tol=1e-9):
+            tests.append(len(points))
+            return contains_points(poly, points, boundary_tol)
+
+        monkeypatch.setattr(Polygon, "contains_points", counted)
+        problems, skipped = 0, 0
+        for scenario in scenarios:
+            lanes = scenario.network.lanelets
+            for problem in scenario.planning_problems:
+                area = problem.goal.area
+                unculled = {lid for lid, lane in lanes.items()
+                            if np.any(area.contains_points(lane.centerline.points))
+                            or np.any(lane.polygon.contains_points(area.vertices))}
+                tests.clear()
+                culled = {lid for lid, lane in lanes.items()
+                          if planners._overlaps_goal(lane, problem.goal)}
+                assert culled == unculled and culled, (problem.agent_id, sorted(culled))
+                assert len(tests) <= 2 * len(lanes)
+                problems += 1
+                skipped += 2 * len(lanes) - len(tests)
+        assert len(scenarios) >= 3 and problems > 20 and skipped > problems
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-10, 3e-9, 1e-6, 1.0])
+    def test_goal_at_a_lanelet_edge(self, offset):
+        """A goal area offset from a lanelet's edges overlaps it exactly as
+        both containment tests over all points say; within the boundary
+        tolerance of 1e-9 it still overlaps, past the end (the centre
+        line's last point) and beside it (a goal vertex)."""
+        xs = np.linspace(0.0, 50.0, 6)
+        lane = Lanelet("a", Polyline(np.column_stack([xs, np.full(6, 2.0)])),
+                       Polyline(np.column_stack([xs, np.full(6, -2.0)])))
+        past_end = Polygon([[50.0 + offset, -1.0], [60.0, -1.0], [60.0, 1.0],
+                            [50.0 + offset, 1.0]])
+        beside = Polygon([[10.0, 2.0 + offset], [20.0, 2.0 + offset], [20.0, 3.0],
+                          [10.0, 3.0]])
+        for area in (past_end, beside):
+            unculled = bool(np.any(area.contains_points(lane.centerline.points))
+                            or np.any(lane.polygon.contains_points(area.vertices)))
+            overlaps = planners._overlaps_goal(lane, GoalRegion(area=area, t_max=10.0))
+            assert overlaps == unculled
+            assert overlaps == (offset <= 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +559,15 @@ def test_planning_leaves_the_planner_unchanged(frenet_views):
     assert before == [[(where, a.tobytes()) for where, a in _planner_arrays(p)] for p in built]
 
 
-def test_unequal_horizons_share_one_rollout_and_one_collision_call(frenet_views, monkeypatch):
+def test_unequal_horizons_share_one_rollout_and_at_most_two_collision_calls(frenet_views,
+                                                                             monkeypatch):
     """Three horizons of 15, 20 and 30 steps: the plan still equals the
     reference bitwise, although every horizon's inputs are padded to 30 steps
     and built into one table, and one plan makes one call each to
-    rollout_arrays (over all three horizons), bound_violations,
-    boxes_intersect and _cost; a braking fallback adds its one-step
-    rollout."""
+    rollout_arrays (over all three horizons), bound_violations and _cost,
+    and at most two to boxes_intersect (each candidate's deepest pair, then
+    the other pairs of the candidates still clear); a braking fallback adds
+    its one-step rollout."""
     rollouts, calls = [], []
     rollout_arrays = dynamics.rollout_arrays
 
@@ -535,7 +598,9 @@ def test_unequal_horizons_share_one_rollout_and_one_collision_call(frenet_views,
         calls.clear()
         status = three.plan(view, dict(memory)).status
         assert rollouts == [(3, rows, 30)] + [(1,)] * (status != "ok")
-        assert sorted(calls) == ["_cost", "bound_violations", "boxes_intersect"]
+        intersects = calls.count("boxes_intersect")
+        assert sorted(calls) == ["_cost", "bound_violations"] + ["boxes_intersect"] * intersects
+        assert intersects <= 2
         statuses.append(status)
         _assert_plan_matches_reference(three, view, memory)
     assert len(statuses) > 45 and "ok" in statuses
@@ -647,10 +712,10 @@ def highway_views():
 
 
 def test_culled_collision_mask_equals_all_pairs(frenet_views, highway_views, monkeypatch):
-    """The broad phase and the culled kernel reject exactly the rows that
-    testing every alive (row, step) pair against every neighbour rejects,
-    while the one collision call of a highway plan gets a fraction of those
-    pairs."""
+    """The broad phase, the gate and the deepest-first calls reject exactly
+    the rows that testing every alive (row, step) pair against every
+    neighbour rejects, while the at most two collision calls of a highway
+    plan get under a tenth of those pairs between them."""
     tested = []
     intersect = planners.boxes_intersect
 
@@ -667,13 +732,53 @@ def test_culled_collision_mask_equals_all_pairs(frenet_views, highway_views, mon
             expected = _all_pairs_collision(planner, view, table, h)
             assert np.array_equal(table.rejected["collision"][h], expected), (view.ego_id, view.step)
             collisions += int(expected.sum())
-        assert len(tested) == 1
+        assert len(tested) <= 2
         if len(view.seen) > 10:
             alive = (table.ok | table.rejected["collision"]).sum(axis=1)
             all_pairs += len(view.seen) * int(alive @ table.steps)
-            culled += tested[0]
+            culled += sum(tested)
     assert len(highway_views) >= 40 and collisions > 100
-    assert 0 < culled < all_pairs / 4
+    assert 0 < culled < all_pairs / 10
+
+
+def test_collision_filter_equals_all_pairs_on_random_grids():
+    """The collision filter on random ego states and neighbour boxes, with
+    NaN and infinite headings and NaN centres among them, marks exactly the
+    candidates of which some marked step's box meets some neighbour's box at
+    that step under the unculled reference, which calls a box with a
+    heading that is not finite touching whatever lies within its
+    circumradius. Candidate r is marked at step r at most, with the two
+    neighbours of that step around it, so each pair decides its candidate."""
+    rng = np.random.default_rng(29)
+    planner = FrenetPlanner(straight_route(), FrenetPlannerConfig(), PARAMS, v_ref=10.0, dt=DT)
+    n, seen = 30, 2
+    diagonal = np.arange(n)
+    marked = 0
+    for trial in range(80):
+        x, y = rng.uniform(0.0, 60.0, (1, n, n + 1)), rng.uniform(-8.0, 8.0, (1, n, n + 1))
+        theta = rng.uniform(-math.pi, math.pi, (1, n, n + 1))
+        bad = rng.random(theta.shape) < 0.3 * (trial % 2)
+        theta[bad] = rng.choice([math.nan, math.inf, -math.inf], int(bad.sum()))
+        x.flat[rng.integers(0, x.size, 5)] = math.nan
+        pairs = np.zeros((1, n, n), dtype=bool)
+        pairs[0, diagonal, diagonal] = rng.random(n) < 0.9
+        predicted = np.empty((n, seen, 5))
+        predicted[..., 0] = x[0, diagonal, diagonal + 1, None] + rng.uniform(-7.0, 7.0, (n, seen))
+        predicted[..., 1] = y[0, diagonal, diagonal + 1, None] + rng.uniform(-5.0, 5.0, (n, seen))
+        predicted[..., 2] = rng.choice([0.0, math.pi / 2, 1.0, math.nan], (n, seen),
+                                       p=[0.3, 0.3, 0.3, 0.1])
+        predicted[..., 3] = rng.uniform(3.0, 8.0, (n, seen))
+        predicted[..., 4] = rng.uniform(1.5, 3.0, (n, seen))
+        ego = np.empty((1, n, n, 5))
+        ego[..., 0], ego[..., 1], ego[..., 2] = x[..., 1:], y[..., 1:], theta[..., 1:]
+        ego[..., 3], ego[..., 4] = PARAMS.length, PARAMS.width
+        with np.errstate(invalid="ignore"):
+            hits = reference_boxes_intersect(ego[..., None, :], predicted[None, None])
+            collision = planner._collisions(x, y, theta, pairs, predicted)
+        expected = (hits & pairs[..., None]).any(axis=(2, 3))
+        assert np.array_equal(collision, expected), trial
+        marked += int(expected.sum())
+    assert 0.2 < marked / (80 * n) < 0.8
 
 
 def test_degenerate_horizons_are_rejected():
