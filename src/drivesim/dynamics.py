@@ -183,7 +183,7 @@ def bound_violations(v: np.ndarray, accel: np.ndarray, kappa: np.ndarray,
 
     Step i checks its inputs and the speed at its start; the last row checks
     only the final speed against v_max. A small slack absorbs float noise at
-    the exact bound.
+    the exact bound, and a value that is not finite breaks its bound.
     """
     eps = 1e-9
     v_start = v[..., :-1]
@@ -193,7 +193,7 @@ def bound_violations(v: np.ndarray, accel: np.ndarray, kappa: np.ndarray,
     values[..., :-1, 2] = kappa
     values[..., :-1, 3] = v_start * np.abs(v_start * kappa)
     limits = np.array([params.a_long_max, params.v_max, params.kappa_max, params.a_lat_max])
-    return values, np.abs(values) > limits + eps
+    return values, ~(np.abs(values) <= limits + eps)
 
 
 def feasible(traj: Trajectory, params: VehicleParams) -> FeasibilityResult:

@@ -210,7 +210,7 @@ class Polygon:
     """Simple closed ring of >=3 vertices.
 
     Edge i runs from vertex i to vertex i+1 (the last back to the first).
-    The vertices are read-only, so the bounds and the edge table that
+    The vertices are read-only, so the bounds and the region index that
     contains_points reads are built once, on first use, and never go stale;
     a polygon that is never tested (most goal areas) never builds them."""
 
@@ -231,30 +231,12 @@ class Polygon:
     @functools.cached_property
     def slack(self) -> float:
         """A margin far above the rounding of any edge formula of
-        contains_points over these vertices."""
+        RegionIndex.holds over these vertices."""
         return 1e-9 * (1.0 + float(np.abs(self.vertices).max()))
 
     @functools.cached_property
-    def _edges(self) -> np.ndarray:
-        """The edge table, one row per edge quantity, ordered so that each
-        test of contains_points reads a run of rows: y2, the crossing
-        denominator, x1, y1, ex, ey, the squared length, xlo, ylo, xhi, yhi,
-        and the largest x the computed crossing can reach."""
-        v = self.vertices
-        end = np.concatenate([v[1:], v[:1]])
-        edges = np.empty((12, len(v)))
-        edges[0] = end[:, 1]
-        edges[2:4] = v.T
-        edges[4:6] = (end - v).T
-        ex, ey = edges[4], edges[5]
-        edges[1] = np.where(np.abs(ey) < 1e-300, 1e-300, ey)
-        sq = ex * ex + ey * ey
-        edges[6] = np.where(sq < 1e-300, 1e-300, sq)
-        edges[7:9] = np.minimum(v, end).T
-        edges[9:11] = np.maximum(v, end).T
-        # a clamped denominator extrapolates the crossing past the edge's ends
-        edges[11] = np.where(edges[1] == ey, edges[9], np.inf)
-        return edges
+    def _region(self) -> RegionIndex:
+        return RegionIndex([self])
 
     @property
     def area(self) -> float:
@@ -272,7 +254,7 @@ class Polygon:
         inside: a point the crossing test counts inside lies in the
         polygon's bounds up to rounding far below the slack, and one within
         boundary_tol of an edge lies within it of the edge's bounding box
-        (see contains_points). A NaN bound reaches nothing, as a NaN point
+        (see RegionIndex.holds). A NaN bound reaches nothing, as a NaN point
         is never inside."""
         x0, y0, x1, y1 = self._bounds
         xmin, ymin, xmax, ymax = bounds
@@ -281,54 +263,96 @@ class Polygon:
                     and y0 - reach <= ymax and ymin <= y1 + reach)
 
     def contains_points(self, points, boundary_tol: float = 1e-9) -> np.ndarray:
-        """Point-in-polygon by crossing number, one bool per point (n, 2),
-        none for no points; a point within boundary_tol of an edge counts
-        inside.
+        """RegionIndex.holds over this polygon alone: one bool per point
+        (n, 2), none for no points."""
+        return self._region.holds(points, boundary_tol)[:, 0]
 
-        Each call evaluates only the edges that can change a result for its
-        points, with the same per-element formulas as over every edge, so the
-        culling changes no result; the (points x edges) arrays hold the
-        edges near the points' bounding box only. With slack far above the
-        rounding of those formulas:
+
+class RegionIndex:
+    """The edges of polygons in read-only tables, built once, and the
+    containment query over them, holds. Their columns are the edges, polygon
+    by polygon in the order of polygons, each polygon's from its vertex i
+    to vertex i+1 (the last back to the first); owner gives each edge's
+    polygon. edges holds one row per quantity the formulas of holds read:
+    y2, the crossing denominator, x1, y1, ex, ey and the squared length.
+    cull holds what its cull reads, each grown by the slack of the edge's
+    polygon (Polygon.slack): min y, max y, and the x-range the edge is kept
+    for, up to the largest x its computed crossing can reach, or its own
+    x-range for a horizontal edge, which no point crosses."""
+
+    def __init__(self, polygons):
+        self.polygons = tuple(polygons)
+        v, end = (np.concatenate([np.roll(p.vertices, shift, axis=0) for p in self.polygons]
+                                 + [np.empty((0, 2))]) for shift in (0, -1))
+        edges = np.empty((7, len(v)))
+        edges[0] = end[:, 1]
+        edges[2:4] = v.T
+        edges[4:6] = (end - v).T
+        ex, ey = edges[4], edges[5]
+        edges[1] = np.where(np.abs(ey) < 1e-300, 1e-300, ey)
+        edges[6] = np.maximum(ex * ex + ey * ey, 1e-300)
+        self.owner = np.repeat(np.arange(len(self.polygons)),
+                               [len(p.vertices) for p in self.polygons])
+        slack = np.array([p.slack for p in self.polygons], dtype=float)[self.owner]
+        (xlo, ylo), (xhi, yhi) = np.minimum(v, end).T, np.maximum(v, end).T
+        horizontal = ylo == yhi
+        # a clamped denominator extrapolates the crossing past the edge's ends
+        right = np.where(horizontal | (edges[1] == ey), xhi, np.inf)
+        left = np.where(horizontal, xlo, -np.inf)
+        self.edges = edges
+        self.cull = np.vstack([ylo - slack, yhi + slack, left - slack, right + slack])
+        for table in (self.edges, self.cull, self.owner):
+            table.setflags(write=False)
+
+    def holds(self, points, boundary_tol: float = 1e-9, starts=None) -> np.ndarray:
+        """Whether each polygon holds each point of points (n, 2), (n, L)
+        for L polygons: by crossing number, or within boundary_tol of an
+        edge. NaN coordinates are never held.
+
+        The cull takes the points in runs, each from an index of starts
+        (increasing from 0) to the next, one run of all points by default,
+        and keeps the edges whose cull rows, grown by boundary_tol, meet a
+        run's bounding box (NaN left out). The formulas run on each point
+        paired with each edge kept for its run, for one run on a grid of
+        both. A dropped edge counts for no point of the run, so the culling
+        changes no result, since the slack is far above the rounding of the
+        formulas:
         - Crossing: an edge counts for a point iff min y <= py < max y of
-          the edge and the point lies left of the computed crossing. A
-          horizontal edge, or one whose y-range misses the points', fails
-          the first test for every point. The computed crossing stays within
-          the edge's x-range up to rounding, so an edge lying left of every
-          point by more than the slack fails the second (an edge whose y
-          difference underflows is never culled by x: its clamped
-          denominator moves the crossing past the edge's ends).
+          the edge, which a horizontal edge fails, and the point lies left
+          of the computed crossing. That crossing stays within the edge's
+          x-range up to rounding, unless a clamped denominator moves it past
+          the edge's ends.
         - Boundary: the computed closest point of an edge lies in the edge's
-          bounding box up to rounding, so an edge whose box is farther than
-          boundary_tol plus the slack from the points' bounding box, in x
-          or in y, is farther than boundary_tol from every point.
-        NaN coordinates are left out of the points' bounding box; such a
-        point is never inside, culled or not.
+          bounding box up to rounding.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        px, py = pts[:, :1], pts[:, 1:2]
-        lo = np.fmin.reduce(pts, axis=0, initial=np.inf)
-        hi = np.fmax.reduce(pts, axis=0, initial=-np.inf)
-        edges, slack = self._edges, self.slack
-        xlo, ylo, xhi, yhi, xcross = edges[7:]
-        # crossing number over the edges that can cross
-        crossing = (ylo < yhi) & (ylo <= hi[1]) & (yhi > lo[1]) & (xcross >= lo[0] - slack)
-        y2c, denc, x1c, y1c, exc = edges[:5, crossing]
-        cond = (y1c <= py) != (y2c <= py)
-        xints = x1c + (py - y1c) * exc / denc
-        inside = (cond & (px < xints)).sum(axis=1) % 2 == 1
-        # boundary test: distance to each edge near the points
-        reach = abs(boundary_tol) * (1.0 + 1e-9) + slack
-        near = ((xlo <= hi[0] + reach) & (xhi >= lo[0] - reach)
-                & (ylo <= hi[1] + reach) & (yhi >= lo[1] - reach))
-        x1n, y1n, exn, eyn, el2n = edges[2:7, near]
-        t = ((px - x1n) * exn + (py - y1n) * eyn) / el2n
-        t = clamp(t, 0.0, 1.0)
-        fx = x1n + t * exn
-        fy = y1n + t * eyn
-        d2 = (px - fx) ** 2 + (py - fy) ** 2
-        on_edge = (d2 <= boundary_tol**2).any(axis=1)
-        return inside | on_edge
+        n, polygons = len(pts), len(self.polygons)
+        starts = np.zeros(min(n, 1), dtype=int) if starts is None else starts
+        (lox, loy), (hix, hiy) = (np.fmin.reduceat(pts, starts, axis=0).T[:, :, None],
+                                  np.fmax.reduceat(pts, starts, axis=0).T[:, :, None])
+        ylo, yhi, left, right = self.cull
+        tol = abs(boundary_tol) * (1.0 + 1e-9)
+        keep = (ylo <= hiy + tol) & (yhi >= loy - tol) & (left <= hix + tol) & (right >= lox - tol)
+        if len(starts) == 1:
+            # every point with every kept edge, as a grid (points, edges)
+            point, edge = np.arange(n)[:, None], np.flatnonzero(keep[0])
+        else:
+            # each kept (run, edge) as the pairs of the run's points with the edge
+            run, edge = np.nonzero(keep)
+            count = (np.concatenate((starts[1:], [n])) - starts)[run]
+            point = np.repeat(starts[run] + count - np.cumsum(count), count)
+            point += np.arange(len(point))
+            edge = np.repeat(edge, count)
+        y2, den, x1, y1, ex, ey, el2 = self.edges.take(edge, axis=1)
+        px, py = pts.T.take(point, axis=1)
+        key = point * polygons + self.owner.take(edge)
+        # crossing number, then the distance to each edge
+        crossed = ((y1 <= py) != (y2 <= py)) & (px < x1 + (py - y1) * ex / den)
+        held = np.bincount(key[crossed], minlength=n * polygons) % 2 == 1
+        t = clamp(((px - x1) * ex + (py - y1) * ey) / el2, 0.0, 1.0)
+        d2 = (px - (x1 + t * ex)) ** 2 + (py - (y1 + t * ey)) ** 2
+        held[key[d2 <= boundary_tol**2]] = True
+        return held.reshape(n, polygons)
 
 
 # ---------------------------------------------------------------------------
@@ -599,44 +623,28 @@ def box_intersects_polygon(box, poly: Polygon):
     return ~(on_box | on_poly).reshape(shape)[()]
 
 
-def box_inside_region(box, region):
+def box_inside_region(box, region: RegionIndex):
     """True per box iff it lies within the union of the region's polygons.
 
     Containment is decided on corners plus boundary samples at <= 0.1 m,
-    which is robust on non-convex unions of lanelet polygons. The samples of
-    all boxes are built in one pass; then each box's samples are tested on
-    their own, polygon by polygon, skipping the samples farther than the
-    boundary tolerance (plus slack) outside a polygon's bounding box and the
-    polygons they all miss. So Polygon.contains_points culls the edges far
-    from one box, and its (points x edges) arrays stay as small as for one
-    box. The culling changes no result (see Polygon.contains_points).
+    which is robust on non-convex unions of lanelet polygons. The points of
+    all boxes go to one RegionIndex.holds call, box by box, each side's
+    corner followed by its samples, and each box is one run of its cull, so
+    only the edges near a box meet its points. A box is inside iff some
+    polygon holds each of its points within the boundary tolerance 1e-6.
     """
     box = np.asarray(box, dtype=float)
     shape, flat = box.shape[:-1], box.reshape(-1, 5)
-    corners = box_corners(flat)
-    span = (np.roll(corners, -1, axis=-2) - corners).reshape(-1, 2)
+    corners = box_corners(flat).reshape(-1, 2)
+    span = np.roll(corners.reshape(-1, 4, 2), -1, axis=-2).reshape(-1, 2) - corners
     count = np.ceil(np.hypot(span[:, 0], span[:, 1]) / 0.1).astype(int)
-    # samples 1 .. count-1 of each side, side by side and box by box
-    per_side = np.maximum(count - 1, 0)
+    # point k of a side: its corner (up to the sign of a zero), then samples
+    per_side = np.maximum(count, 1)
     side = np.repeat(np.arange(len(count)), per_side)
-    k = np.arange(len(side)) - np.repeat(np.cumsum(per_side) - per_side, per_side) + 1
-    samples = corners.reshape(-1, 2)[side] + (k / count[side])[:, None] * span[side]
+    k = np.arange(len(side)) - np.repeat(np.cumsum(per_side) - per_side, per_side)
+    pts = corners[side] + (k / per_side[side])[:, None] * span[side]
     per_box = per_side.reshape(-1, 4).sum(axis=1)
-    ends = np.cumsum(per_box)
-    inside = np.zeros(len(flat), dtype=bool)
-    tol, reach = 1e-6, 1e-6 + 1e-9   # boundary tolerance, and the prefilter's margin
-    for i, (first, last) in enumerate(zip(ends - per_box, ends)):
-        pts = np.concatenate([corners[i], samples[first:last]])
-        covered = np.zeros(len(pts), dtype=bool)
-        for poly in region:
-            xmin, ymin, xmax, ymax = poly.bounds()
-            cand = ~covered
-            cand &= (pts[:, 0] >= xmin - reach) & (pts[:, 0] <= xmax + reach)
-            cand &= (pts[:, 1] >= ymin - reach) & (pts[:, 1] <= ymax + reach)
-            if not np.any(cand):
-                continue
-            covered[cand] = poly.contains_points(pts[cand], boundary_tol=tol)
-            if covered.all():
-                break
-        inside[i] = covered.all()
+    starts = np.cumsum(per_box) - per_box
+    held = region.holds(pts, 1e-6, starts).any(axis=1)
+    inside = np.logical_and.reduceat(held, starts) if len(starts) else held
     return _shaped(inside, shape)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import AgentState, VehicleParams, normalize_angles
-from .geometry import CurvilinearFrame, Polygon, Polyline, box_corners, occupancy
+from .geometry import CurvilinearFrame, Polygon, Polyline, RegionIndex, box_corners, occupancy
 
 LOCALIZE_RADIUS = 5.0  # m; a position farther from every centerline is off the network
 CONFLICT_GRID_RESOLUTION = 0.25  # m between the samples of a lanelet overlap
@@ -63,15 +63,12 @@ class StreetNetwork:
                     raise ScenarioError(
                         f"lanelet {lane.id}: dangling adjacency id {adj.lanelet_id!r}"
                     )
-        self._region = [l.polygon for l in self.lanelets.values()]
+        self._ids = sorted(self.lanelets)
+        # the drivable union: the lanelet polygons in sorted id order
+        self.region = RegionIndex(self.lanelets[lid].polygon for lid in self._ids)
         self._conflict_cache = None
         self._frames: dict[tuple[str, ...], CurvilinearFrame] = {}
         self._paths: dict[tuple, tuple[tuple[str, ...], ...]] = {}
-
-    @property
-    def region(self):
-        """Lanelet polygons forming the drivable union."""
-        return self._region
 
     def chain_frame(self, chain: tuple[str, ...]) -> CurvilinearFrame:
         """Curvilinear frame along the joined centerlines of a lanelet chain.
@@ -109,7 +106,7 @@ class StreetNetwork:
         p = np.asarray(points, dtype=float)
         best_id = np.full(p.shape[:-1], None, dtype=object)
         best_d = np.full(p.shape[:-1], math.inf)
-        for lid in sorted(self.lanelets):
+        for lid in self._ids:
             dist = self.chain_frame((lid,)).distance(p)
             closer = dist < best_d - 1e-12
             best_id[closer] = lid
@@ -123,27 +120,21 @@ class StreetNetwork:
         projected arc length, wrapped, NaN where the lanelet's polygon does
         not hold the pose. A pose is in the lanelet holding it with the least
         |turn|, the smaller id among equals; if none does, in the lanelet of
-        the nearest centre line within LOCALIZE_RADIUS; else in none. A
-        lanelet whose polygon the poses' bounds do not reach
-        (Polygon.reaches) is not tested: it holds none of them."""
+        the nearest centre line within LOCALIZE_RADIUS; else in none. One
+        region query, each pose a run of its cull, finds the polygons
+        holding each pose; each lanelet then projects the poses it holds."""
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
-        ids = sorted(self.lanelets)
-        turns = np.full((len(poses), len(ids)), np.nan)
-        bounds = (*np.fmin.reduce(poses[:, :2], axis=0, initial=np.inf),
-                  *np.fmax.reduce(poses[:, :2], axis=0, initial=-np.inf))
-        for j, lid in enumerate(ids):
-            polygon = self.lanelets[lid].polygon
-            if not polygon.reaches(bounds):
-                continue
-            held = np.flatnonzero(polygon.contains_points(poses[:, :2]))
-            if len(held):
-                frame = self.chain_frame((lid,))
-                tangent = frame.tangent_angle_at(frame.project(poses[held, :2])[0])
-                turns[held, j] = normalize_angles(poses[held, 2] - tangent)
+        turns = np.full((len(poses), len(self._ids)), np.nan)
+        held = self.region.holds(poses[:, :2], starts=np.arange(len(poses)))
+        for j in np.flatnonzero(held.any(axis=0)):
+            rows = np.flatnonzero(held[:, j])
+            frame = self.chain_frame((self._ids[j],))
+            tangent = frame.tangent_angle_at(frame.project(poses[rows, :2])[0])
+            turns[rows, j] = normalize_angles(poses[rows, 2] - tangent)
         # column 0 stands for no lanelet: argmin takes it only where none holds the pose
         misalign = np.column_stack([np.full(len(poses), np.inf), np.fmin(np.abs(turns), np.inf)])
         first = misalign.argmin(axis=1)
-        located, free = np.array([None, *ids], dtype=object)[first], first == 0
+        located, free = np.array([None, *self._ids], dtype=object)[first], first == 0
         if free.any():
             near, dist = self.nearest_lanelet(poses[free, :2])
             located[free] = np.where(np.asarray(dist) <= LOCALIZE_RADIUS, near, None)
@@ -160,10 +151,9 @@ class StreetNetwork:
         if self._conflict_cache is not None:
             return self._conflict_cache
         out = []
-        ids = sorted(self.lanelets)
-        for i, a_id in enumerate(ids):
+        for i, a_id in enumerate(self._ids):
             a = self.lanelets[a_id]
-            for b_id in ids[i + 1:]:
+            for b_id in self._ids[i + 1:]:
                 b = self.lanelets[b_id]
                 if _same_direction_adjacent(a, b):
                     continue
@@ -222,9 +212,10 @@ def _overlap_grid(pa: Polygon, pb: Polygon, res: float) -> np.ndarray:
     ys = np.arange(y0, y1 + res, res)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    # strict interior of both: zero boundary tolerance avoids shared borders
-    mask = pa.contains_points(pts, boundary_tol=0.0) & pb.contains_points(pts, boundary_tol=0.0)
-    return pts[mask]
+    # strict interior of both: zero boundary tolerance avoids shared borders;
+    # each grid row is one run of the cull
+    rows = np.arange(0, len(pts), len(xs))
+    return pts[RegionIndex([pa, pb]).holds(pts, 0.0, rows).all(axis=1)]
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray | None:
@@ -545,13 +536,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def _validate(scenario: Scenario):
-    region = scenario.network.region
-    for prob in scenario.planning_problems:
-        p = np.array([[prob.initial_state.x, prob.initial_state.y]])
-        if region and not any(poly.contains_points(p)[0] for poly in region):
-            raise ScenarioError(
-                f"planning problem {prob.agent_id}: initial state outside the street network"
-            )
+    region, problems = scenario.network.region, scenario.planning_problems
+    points = np.array([[p.initial_state.x, p.initial_state.y] for p in problems])
+    outside = np.flatnonzero(~region.holds(points).any(axis=1))
+    if region.polygons and len(outside):
+        raise ScenarioError(f"planning problem {problems[outside[0]].agent_id}: initial state "
+                            "outside the street network")
 
 
 def load_scenario(path) -> Scenario:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from drivesim.dynamics import (AgentState, ControlInput, Trajectory,
-                               VehicleParams, feasible, normalize_angle,
+                               VehicleParams, bound_violations, feasible, normalize_angle,
                                normalize_angles, rollout_arrays, step)
 
 DT = 0.1
@@ -71,6 +71,22 @@ def test_feasible_limits():
                                    [ControlInput(0.0, 0.05)], DT)
     # lateral accel 30^2 * 0.05 = 45 > 8
     assert feasible(fast_turn, params).violation.bound == "a_lat_max"
+
+
+def test_non_finite_values_break_their_bounds():
+    """A NaN acceleration, speed or curvature breaks the bound that checks
+    it, and so does the lateral acceleration computed from it, as an
+    infinite value does."""
+    v = np.array([10.0, math.nan, 10.0])
+    accel, kappa = np.array([math.nan, 0.0]), np.array([0.0, math.nan])
+    _, violated = bound_violations(v, accel, kappa, VehicleParams())
+    # columns: a_long_max, v_max, kappa_max, a_lat_max
+    assert violated.tolist() == [[True, False, False, False],
+                                 [False, True, True, True],
+                                 [False, False, False, False]]
+    _, violated = bound_violations(np.array([10.0, math.inf]), np.array([-math.inf]),
+                                   np.zeros(1), VehicleParams())
+    assert violated.tolist() == [[True, False, False, False], [False, True, False, False]]
 
 
 def _reference_transition(x, y, v, theta, accel, kappa, dt):

@@ -1,5 +1,6 @@
 """Lockstep engine: statuses, invariants, determinism, benchmarking."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivesim import engine
+from drivesim import engine, geometry
 from drivesim.cli import build_run, load_run_config, resolve_scenario_path
 from drivesim.dynamics import AgentState
 from drivesim.engine import (AgentStatus, PlannerBinding, SetupError,
@@ -148,6 +149,52 @@ def test_views_share_the_step_arrays(monkeypatch):
             for name in ("poses", "v", "length", "boxes"):
                 assert getattr(view, name) is getattr(first, name)
         assert len(pickle.dumps(batch)) <= 54_415
+
+
+def test_region_queries_per_step_on_intersection_frenet(monkeypatch):
+    """One engine.run of intersection_frenet asks the street network's
+    region index once per step for the road check (box_inside_region) and
+    once per StreetNetwork.locate call, and asks nothing else of it.
+    Polygon.contains_points runs only for goal checks: goal_satisfied and
+    the goal overlap of routing, four calls in all; so no loop of
+    containment tests over the lanelet polygons is left."""
+    scenario, bindings, sim_cfg, predictor, _, _ = build_run(load_run_config("intersection_frenet"))
+    inside, calls, asked = [], collections.Counter(), []
+    holds = geometry.RegionIndex.holds
+
+    def counted(owner, name):
+        function = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "contains_points":
+                calls["contains_points from " + sys._getframe(1).f_code.co_name] += 1
+            inside.append(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def recorded_holds(region, *args, **kwargs):
+        asked.append((region, inside[-1] if inside else None))
+        return holds(region, *args, **kwargs)
+
+    counted(engine, "box_inside_region")
+    counted(StreetNetwork, "locate")
+    counted(geometry.Polygon, "contains_points")
+    monkeypatch.setattr(geometry.RegionIndex, "holds", recorded_holds)
+    result = engine.run(scenario, bindings, sim_cfg, predictor)
+    steps = len(result.step_logs)
+    assert steps > 100 and calls["box_inside_region"] == steps
+    assert calls["locate"] >= steps
+    by_caller = collections.Counter((region is scenario.network.region, caller)
+                                    for region, caller in asked)
+    assert by_caller == {(True, "box_inside_region"): steps, (True, "locate"): calls["locate"],
+                         (False, "contains_points"): 4}
+    assert calls["contains_points"] == 4
+    assert calls["contains_points from goal_satisfied"] == 2
+    assert calls["contains_points from _overlaps_goal"] == 2
 
 
 def test_benchmark_rows():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from drivesim.geometry import (BoxTable, CurvilinearFrame, GeometryError, Polygon, Polyline,
-                               box_corners, box_inside_region, boxes_intersect, clamp,
-                               gate_pairs, group_intersects, min_distance, occupancy)
-from drivesim.scenario import load_scenario
+                               RegionIndex, box_corners, box_inside_region, boxes_intersect,
+                               clamp, gate_pairs, group_intersects, min_distance, occupancy)
+from drivesim.scenario import StreetNetwork, load_scenario
 
 
 def straight_frame(length=100.0, n=21):
@@ -136,7 +136,7 @@ class TestPolygon:
         assert inside.shape == (0,) and inside.dtype == bool
 
     def test_box_inside_region(self):
-        region = [Polygon([[0, -3], [50, -3], [50, 3], [0, 3]])]
+        region = RegionIndex([Polygon([[0, -3], [50, -3], [50, 3], [0, 3]])])
         inside = np.array([25.0, 0.0, 0.0, 4.0, 2.0])
         sticking_out = np.array([49.0, 0.0, 0.0, 4.0, 2.0])
         assert box_inside_region(inside, region)
@@ -153,7 +153,7 @@ class TestPolygon:
         corners = box_corners(box)
         assert corners[:, 0].max() > 10.0 + 4e-7
         assert square.contains_points(corners, boundary_tol=1e-6).all()
-        assert box_inside_region(box, [square])
+        assert box_inside_region(box, RegionIndex([square]))
         assert reference_box_inside_region(box, [square])
 
 
@@ -254,8 +254,24 @@ def _bundled_lanelet_polygons():
     polygons = []
     for path in sorted(DATA.glob("*.json")):
         if "scenario" not in json.loads(path.read_text()):
-            polygons += [(path.stem, poly) for poly in load_scenario(path).network.region]
+            polygons += [(path.stem, poly) for poly in load_scenario(path).network.region.polygons]
     return polygons
+
+
+def _edge_probe(v, rng, far, distances=(1e-12, 1e-9, 1e-7, 1e-6, 2e-6, 1e-3, 0.5)):
+    """Points on, near and far from the edges and vertices of the polygon
+    of vertices v: each vertex and edge midpoint, each of them moved by
+    each of distances along x, y and a diagonal, far points drawn uniformly
+    over the polygon's bounds grown by 5 m, and two points with a NaN
+    coordinate."""
+    mid = 0.5 * (v + np.roll(v, -1, axis=0))
+    offsets = np.array([[dx, dy] for d in distances
+                        for dx, dy in ((d, 0), (-d, 0), (0, d), (0, -d), (d, -d))])
+    near = np.concatenate([(v[:, None] + offsets).reshape(-1, 2),
+                           (mid[:, None] + offsets).reshape(-1, 2)])
+    lo, hi = v.min(axis=0) - 5.0, v.max(axis=0) + 5.0
+    return np.concatenate([v, mid, near, rng.uniform(lo, hi, (far, 2)),
+                           [[math.nan, 0.0], [lo[0], math.nan]]])
 
 
 def _random_boxes(rng, n, spread):
@@ -345,14 +361,7 @@ class TestCulledKernels:
         assert len(polygons) > 10
         for name, poly in polygons:
             v = poly.vertices
-            mid = 0.5 * (v + np.roll(v, -1, axis=0))
-            offsets = np.array([[dx, dy] for d in (1e-12, 1e-9, 1e-7, 1e-6, 2e-6, 1e-3, 0.5)
-                                for dx, dy in ((d, 0), (-d, 0), (0, d), (0, -d), (d, -d))])
-            near = np.concatenate([(v[:, None] + offsets).reshape(-1, 2),
-                                   (mid[:, None] + offsets).reshape(-1, 2)])
-            lo, hi = v.min(axis=0) - 5.0, v.max(axis=0) + 5.0
-            far = rng.uniform(lo, hi, (2000, 2))
-            pts = np.concatenate([v, mid, near, far, [[math.nan, 0.0], [lo[0], math.nan]]])
+            pts = _edge_probe(v, rng, 2000)
             expected = reference_contains_points(v, pts, boundary_tol)
             assert np.array_equal(poly.contains_points(pts, boundary_tol), expected), name
             for chunk in np.array_split(np.arange(len(pts)), len(pts) // 60):
@@ -363,6 +372,66 @@ class TestCulledKernels:
             assert 0 < expected.sum() < len(expected)
         assert Polygon([[0, 0], [1, 0], [0, 1]]).contains_points(np.empty((0, 2))).shape == (0,)
 
+    @pytest.mark.parametrize("boundary_tol", [1e-9, 1e-6])
+    def test_region_index_holds_matches_per_polygon_reference(self, boundary_tol):
+        """On every bundled network, each column of RegionIndex.holds equals
+        the unculled reference of its polygon bitwise, at the edge probe of
+        each lanelet polygon (points on, just inside and just outside every
+        edge, within and beyond both tolerances): with one run per point,
+        with runs of 60 points in probe order and sorted by x, and with
+        chunks of 60 points each in one run."""
+        rng = np.random.default_rng(17)
+        for path in sorted(DATA.glob("*.json")):
+            if "scenario" in json.loads(path.read_text()):
+                continue
+            region = load_scenario(path).network.region
+            shared = 0
+            for poly in region.polygons:
+                pts = _edge_probe(poly.vertices, rng, 200, distances=(1e-12, 1e-9, 1e-6, 2e-6, 0.5))
+                expected = np.column_stack([reference_contains_points(q.vertices, pts, boundary_tol)
+                                            for q in region.polygons])
+                assert 0 < expected.any(axis=1).sum() < len(pts), path.stem
+                shared += (expected.sum(axis=1) > 1).sum()
+                by_x = np.argsort(pts[:, 0], kind="stable")
+                for points, want in ((pts, expected), (pts[by_x], expected[by_x])):
+                    for starts in (np.arange(len(points)), np.arange(0, len(points), 60)):
+                        held = region.holds(points, boundary_tol, starts)
+                        assert held.dtype == bool and np.array_equal(held, want), path.stem
+                chunks = np.array_split(np.arange(len(pts)), len(pts) // 60)
+                for k in rng.choice(len(chunks), 5, replace=False):
+                    held = region.holds(pts[chunks[k]], boundary_tol)
+                    assert np.array_equal(held, expected[chunks[k]]), path.stem
+            assert shared > 0, path.stem   # points on a border of two lanelets
+
+    def test_region_index_without_points_or_polygons(self):
+        """No points give no rows, a network without lanelets no columns,
+        and a NaN point is held by no polygon, alone or in a run with
+        points that are held."""
+        region = load_scenario(DATA / "merge.json").network.region
+        assert region.holds(np.empty((0, 2))).shape == (0, len(region.polygons))
+        assert region.holds([], starts=np.empty(0, dtype=int)).shape == (0, len(region.polygons))
+        empty = StreetNetwork([]).region
+        assert empty.holds(np.zeros((3, 2))).shape == (3, 0)
+        assert empty.holds(np.zeros((3, 2)), starts=np.arange(3)).shape == (3, 0)
+        centre = region.polygons[0].vertices.mean(axis=0)
+        held = region.holds([centre, [math.nan, centre[1]], [centre[0], math.nan]])
+        assert held[0].any() and not held[1:].any()
+
+    def test_region_index_keeps_an_edge_whose_y_difference_underflows(self):
+        """The clamped denominator of an edge from (10, 0) to (0, -1e-305)
+        moves its computed crossing 5e-5 m past the edge's right end, so the
+        crossing test counts it for a point right of the edge; the cull
+        keeps that edge for such a point, as the reference counts it."""
+        square = Polygon([[20, -5], [20, 5], [-5, 5], [-5, -5]])
+        sliver = Polygon([[10, 0], [0, -1e-305], [5, -5]])
+        region = RegionIndex([square, sliver])
+        pts = np.array([[10.00001, -5e-306], [10.0001, -5e-306], [5, -1]])
+        expected = np.column_stack([reference_contains_points(p.vertices, pts)
+                                    for p in region.polygons])
+        assert expected[:, 1].tolist() == [True, False, True]
+        for starts in (None, np.arange(3)):
+            assert np.array_equal(region.holds(pts, starts=starts), expected)
+
     def test_box_inside_region_matches_per_box_reference(self):
         """Boxes over every bundled map, many straddling a lanelet border:
         the one-pass sampling and the culled polygon test give each box's
@@ -372,12 +441,13 @@ class TestCulledKernels:
             if "scenario" in json.loads(path.read_text()):
                 continue
             region = load_scenario(path).network.region
-            vertices = np.concatenate([poly.vertices for poly in region])
+            vertices = np.concatenate([poly.vertices for poly in region.polygons])
             centres = vertices[rng.integers(len(vertices), size=300)] + rng.normal(0, 1.5, (300, 2))
             boxes = np.column_stack([centres, rng.uniform(-math.pi, math.pi, 300),
                                      rng.uniform(3.0, 5.0, 300), rng.uniform(1.5, 2.2, 300)])
             inside = box_inside_region(boxes, region)
-            assert inside.tolist() == [reference_box_inside_region(b, region) for b in boxes]
+            assert inside.tolist() == [reference_box_inside_region(b, region.polygons)
+                                       for b in boxes]
             assert 0 < inside.sum() < len(boxes), path.stem
             assert box_inside_region(boxes[:0], region).shape == (0,)
             assert box_inside_region(boxes[0], region) is inside[0].item()

@@ -1,5 +1,6 @@
 """Scenario model: maps, obstacles, goals, substitution, (de)serialization."""
 
+import inspect
 import json
 import math
 import re
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from drivesim import geometry, scenario as scenario_module
 from drivesim.cli import main, resolve_scenario_path
 from drivesim.dynamics import AgentState, normalize_angle
-from drivesim.geometry import Polygon, Polyline
+from drivesim.geometry import Polygon, Polyline, RegionIndex, box_inside_region, occupancy
 from drivesim.scenario import (CONFLICT_GRID_RESOLUTION, CONFLICT_MIN_AREA, Adjacency,
                                DynamicObstacle, GoalCheck,
                                GoalRegion, Lanelet, Scenario, ScenarioError,
@@ -86,6 +88,49 @@ class TestNetwork:
             assert empty == [] and no_turns.shape == (0, len(net.lanelets))
         located, turns = StreetNetwork([]).locate(np.zeros((3, 3)))
         assert located == [None] * 3 and turns.shape == (3, 0)
+
+    def test_region_index_is_built_once_by_the_network(self, monkeypatch):
+        """StreetNetwork builds its region index once, when it is built,
+        over its lanelet polygons in sorted id order. The index's tables
+        are read-only, and repeated locate and box_inside_region calls all
+        ask that one object, building no other. Neither geometry nor
+        scenario keeps a cache at module level or keys anything by id()."""
+        built, asked = [], []
+        init, holds = RegionIndex.__init__, RegionIndex.holds
+
+        def recorded_init(region, polygons):
+            built.append(region)
+            init(region, polygons)
+
+        def recorded_holds(region, *args, **kwargs):
+            asked.append(region)
+            return holds(region, *args, **kwargs)
+
+        monkeypatch.setattr(RegionIndex, "__init__", recorded_init)
+        monkeypatch.setattr(RegionIndex, "holds", recorded_holds)
+        scn = _bundled("merge")
+        net = scn.network
+        assert built == [net.region]
+        assert net.region.polygons == tuple(net.lanelets[lid].polygon
+                                            for lid in sorted(net.lanelets))
+        for table in (net.region.edges, net.region.cull, net.region.owner):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[..., 0] = 0
+        poses = np.vstack([o.recording[:, [0, 1, 3]] for o in scn.dynamic_obstacles])
+        boxes = occupancy(poses, 4.5, 2.0)
+        asked.clear()
+        for _ in range(3):
+            net.locate(poses)
+            box_inside_region(boxes, net.region)
+        assert len(asked) == 6 and all(region is net.region for region in asked)
+        assert built == [net.region]
+        for module in (geometry, scenario_module):
+            assert not re.search(r"\bid\(", inspect.getsource(module)), module.__name__
+            for name, value in vars(module).items():
+                if not name.startswith("__"):
+                    assert not isinstance(value, (dict, list, set)), name
+                    assert not hasattr(value, "cache_info"), name
 
     def test_crossing_lanes_form_conflict_area(self):
         ew = simple_lane("ew", -20, 20, 0)

@@ -212,6 +212,27 @@ def test_tracer_counts_every_vehicle_predicted():
     assert planned == 12 * len(result.step_logs)
 
 
+def test_tracer_records_a_road_check_per_step():
+    """A traced intersection_frenet run records one geometry.box_inside_region
+    span per step that road-checks an agent (one running at the step and in
+    no vehicle-pair collision), all of them timed, so the benchmark's
+    geometry.box_inside_region_s figure reads the engine's road check."""
+    spans = _load(PERFBENCH / "spans.py")
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        result, _, _ = run_bundled("intersection_frenet")
+    finally:
+        undo()
+    checked = sum(bool(set(log.agents) - {vid for event in log.collision_events
+                                          if event["type"] == "vehicle_pair"
+                                          for vid in event["ids"]})
+                  for log in result.step_logs)
+    road = spans.summarize(tracer)["names"]["geometry.box_inside_region"]
+    assert road["calls"] == checked == len(result.step_logs) > 100
+    assert road["total_s"] > 0 and min(road["durations"]) > 0
+
+
 @pytest.mark.parametrize("name", ["highway_frenet12", "intersection_frenet"])
 def test_benchmark_checks_pass(name):
     """Every output check of the benchmark passes on its workloads, and the
