@@ -282,8 +282,9 @@ class RegionIndex:
 
     def __init__(self, polygons):
         self.polygons = tuple(polygons)
-        v, end = (np.concatenate([np.roll(p.vertices, shift, axis=0) for p in self.polygons]
-                                 + [np.empty((0, 2))]) for shift in (0, -1))
+        rings = [p.vertices for p in self.polygons]
+        v, end = (np.concatenate(parts + [np.empty((0, 2))])
+                  for parts in (rings, [side for r in rings for side in (r[1:], r[:1])]))
         edges = np.empty((7, len(v)))
         edges[0] = end[:, 1]
         edges[2:4] = v.T
@@ -291,8 +292,7 @@ class RegionIndex:
         ex, ey = edges[4], edges[5]
         edges[1] = np.where(np.abs(ey) < 1e-300, 1e-300, ey)
         edges[6] = np.maximum(ex * ex + ey * ey, 1e-300)
-        self.owner = np.repeat(np.arange(len(self.polygons)),
-                               [len(p.vertices) for p in self.polygons])
+        self.owner = np.repeat(np.arange(len(rings)), [len(r) for r in rings])
         slack = np.array([p.slack for p in self.polygons], dtype=float)[self.owner]
         (xlo, ylo), (xhi, yhi) = np.minimum(v, end).T, np.maximum(v, end).T
         horizontal = ylo == yhi

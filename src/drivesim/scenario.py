@@ -537,11 +537,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def _validate(scenario: Scenario):
     region, problems = scenario.network.region, scenario.planning_problems
-    points = np.array([[p.initial_state.x, p.initial_state.y] for p in problems])
-    outside = np.flatnonzero(~region.holds(points).any(axis=1))
-    if region.polygons and len(outside):
-        raise ScenarioError(f"planning problem {problems[outside[0]].agent_id}: initial state "
-                            "outside the street network")
+    if problems and region.polygons:
+        held = region.holds([(p.initial_state.x, p.initial_state.y) for p in problems])
+        outside = np.flatnonzero(~held.any(axis=1))
+        if len(outside):
+            raise ScenarioError(f"planning problem {problems[outside[0]].agent_id}: initial "
+                                "state outside the street network")
 
 
 def load_scenario(path) -> Scenario:
