@@ -269,16 +269,14 @@ class Polygon:
 
 
 class RegionIndex:
-    """The edges of polygons in read-only tables, built once, and the
-    containment query over them, holds. Their columns are the edges, polygon
-    by polygon in the order of polygons, each polygon's from its vertex i
-    to vertex i+1 (the last back to the first); owner gives each edge's
-    polygon. edges holds one row per quantity the formulas of holds read:
-    y2, the crossing denominator, x1, y1, ex, ey and the squared length.
-    cull holds what its cull reads, each grown by the slack of the edge's
-    polygon (Polygon.slack): min y, max y, and the x-range the edge is kept
-    for, up to the largest x its computed crossing can reach, or its own
-    x-range for a horizontal edge, which no point crosses."""
+    """The edges of polygons in read-only tables, and the containment query
+    over them, holds. Their columns are the edges, polygon by polygon, edge
+    i from vertex i to i+1 (the last to the first); owner holds each one's
+    polygon. edges holds what the formulas read: y2, the crossing
+    denominator, x1, y1, ex, ey and the squared length; cull what the cull
+    reads, grown by the polygon's slack: min y, max y, and the x-range the
+    edge is kept for, up to the largest x its computed crossing reaches, or
+    its own for a horizontal edge, which no point crosses."""
 
     def __init__(self, polygons):
         self.polygons = tuple(polygons)
@@ -305,18 +303,17 @@ class RegionIndex:
             table.setflags(write=False)
 
     def holds(self, points, boundary_tol: float = 1e-9, starts=None) -> np.ndarray:
-        """Whether each polygon holds each point of points (n, 2), (n, L)
-        for L polygons: by crossing number, or within boundary_tol of an
-        edge. NaN coordinates are never held.
+        """Whether each of the L polygons holds each point of points (n, 2),
+        (n, L): by crossing number, or within boundary_tol of an edge; a NaN
+        coordinate is never held.
 
-        The cull takes the points in runs, each from an index of starts
-        (increasing from 0) to the next, one run of all points by default,
-        and keeps the edges whose cull rows, grown by boundary_tol, meet a
-        run's bounding box (NaN left out). The formulas run on each point
-        paired with each edge kept for its run, for one run on a grid of
-        both. A dropped edge counts for no point of the run, so the culling
-        changes no result, since the slack is far above the rounding of the
-        formulas:
+        The cull takes the points in runs, from each index of starts
+        (increasing from 0) to the next, one run by default, and keeps the
+        edges whose cull rows, grown by boundary_tol, meet a run's bounding
+        box (NaN left out). The formulas run on each point and each edge
+        kept for its run, for one run on a grid of both. A dropped edge
+        counts for no point of the run, as the slack is far above the
+        rounding of the formulas:
         - Crossing: an edge counts for a point iff min y <= py < max y of
           the edge, which a horizontal edge fails, and the point lies left
           of the computed crossing. That crossing stays within the edge's
@@ -627,11 +624,10 @@ def box_inside_region(box, region: RegionIndex):
     """True per box iff it lies within the union of the region's polygons.
 
     Containment is decided on corners plus boundary samples at <= 0.1 m,
-    which is robust on non-convex unions of lanelet polygons. The points of
-    all boxes go to one RegionIndex.holds call, box by box, each side's
-    corner followed by its samples, and each box is one run of its cull, so
-    only the edges near a box meet its points. A box is inside iff some
-    polygon holds each of its points within the boundary tolerance 1e-6.
+    which is robust on non-convex unions of lanelet polygons: a box is
+    inside iff some polygon holds each of its points within 1e-6 m. One
+    RegionIndex.holds call takes the points of all boxes, each box a run
+    of its cull, so only the edges near a box meet its points.
     """
     box = np.asarray(box, dtype=float)
     shape, flat = box.shape[:-1], box.reshape(-1, 5)

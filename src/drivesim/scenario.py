@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,11 +65,14 @@ class StreetNetwork:
                         f"lanelet {lane.id}: dangling adjacency id {adj.lanelet_id!r}"
                     )
         self._ids = sorted(self.lanelets)
-        # the drivable union: the lanelet polygons in sorted id order
-        self.region = RegionIndex(self.lanelets[lid].polygon for lid in self._ids)
         self._conflict_cache = None
         self._frames: dict[tuple[str, ...], CurvilinearFrame] = {}
         self._paths: dict[tuple, tuple[tuple[str, ...], ...]] = {}
+
+    @functools.cached_property
+    def region(self) -> RegionIndex:
+        """The drivable union, indexed once on first use, in sorted id order."""
+        return RegionIndex(self.lanelets[lid].polygon for lid in self._ids)
 
     def chain_frame(self, chain: tuple[str, ...]) -> CurvilinearFrame:
         """Curvilinear frame along the joined centerlines of a lanelet chain.
@@ -536,9 +540,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def _validate(scenario: Scenario):
-    region, problems = scenario.network.region, scenario.planning_problems
-    if problems and region.polygons:
-        held = region.holds([(p.initial_state.x, p.initial_state.y) for p in problems])
+    network, problems = scenario.network, scenario.planning_problems
+    if problems and network.lanelets:
+        held = network.region.holds([(p.initial_state.x, p.initial_state.y) for p in problems])
         outside = np.flatnonzero(~held.any(axis=1))
         if len(outside):
             raise ScenarioError(f"planning problem {problems[outside[0]].agent_id}: initial "

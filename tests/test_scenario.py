@@ -90,11 +90,13 @@ class TestNetwork:
         assert located == [None] * 3 and turns.shape == (3, 0)
 
     def test_region_index_is_built_once_by_the_network(self, monkeypatch):
-        """StreetNetwork builds its region index once, when it is built,
-        over its lanelet polygons in sorted id order. The index's tables
-        are read-only, and repeated locate and box_inside_region calls all
-        ask that one object, building no other. Neither geometry nor
-        scenario keeps a cache at module level or keys anything by id()."""
+        """StreetNetwork builds its region index once, on first use, over
+        its lanelet polygons in sorted id order: loading a scenario without
+        planning problems builds none, and loading one with a problem
+        builds it to check the start. The index's tables are read-only, and
+        repeated locate and box_inside_region calls all ask that one object,
+        building no other. Neither geometry nor scenario keeps a cache at
+        module level or keys anything by id()."""
         built, asked = [], []
         init, holds = RegionIndex.__init__, RegionIndex.holds
 
@@ -110,7 +112,8 @@ class TestNetwork:
         monkeypatch.setattr(RegionIndex, "holds", recorded_holds)
         scn = _bundled("merge")
         net = scn.network
-        assert built == [net.region]
+        assert built == []
+        assert net.region is net.region and built == [net.region]
         assert net.region.polygons == tuple(net.lanelets[lid].polygon
                                             for lid in sorted(net.lanelets))
         for table in (net.region.edges, net.region.cull, net.region.owner):
@@ -125,6 +128,8 @@ class TestNetwork:
             box_inside_region(boxes, net.region)
         assert len(asked) == 6 and all(region is net.region for region in asked)
         assert built == [net.region]
+        loaded = scenario_from_dict(scenario_to_dict(substitute_agents(scn, ["green"])))
+        assert built == [net.region, loaded.network.region] and len(asked) == 7
         for module in (geometry, scenario_module):
             assert not re.search(r"\bid\(", inspect.getsource(module)), module.__name__
             for name, value in vars(module).items():
