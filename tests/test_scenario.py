@@ -464,6 +464,25 @@ class TestSerialization:
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
         assert re.search(message, capsys.readouterr().err)
 
+    def test_planning_problems_must_start_on_the_network(self):
+        """Loading names the first planning problem, in file order, whose
+        start no lanelet holds; a start on a lanelet's corner is held; and
+        a network without lanelets checks no start."""
+        doc = scenario_to_dict(substitute_agents(_bundled("merge"), ["green", "orange"]))
+        first, second = (p["agent_id"] for p in doc["planning_problems"])
+        corner = doc["lanelets"][0]["left_bound"][0]
+        for moved, named in (([1], second), ([0, 1], first)):
+            bad = json.loads(json.dumps(doc))
+            for k in moved:
+                bad["planning_problems"][k]["initial_state"][:2] = [1e4, -1e4]
+            with pytest.raises(ScenarioError, match=f"planning problem {named}: initial state "
+                                                    "outside the street network"):
+                scenario_from_dict(bad)
+            bad["lanelets"] = []
+            assert scenario_from_dict(bad).network.region.polygons == ()
+        doc["planning_problems"][0]["initial_state"][:2] = corner
+        assert scenario_from_dict(doc).planning_problems[0].initial_state.x == corner[0]
+
     def test_dict_round_trip(self):
         scenario = _bundled("merge")
         again = scenario_from_dict(scenario_to_dict(scenario))
