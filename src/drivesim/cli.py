@@ -174,13 +174,15 @@ def _input_dict(u: ControlInput | None):
     return {"accel": u.accel, "curvature_cmd": u.curvature_cmd}
 
 
-def _round_floats(obj, ndigits=9):
+def _round_floats(obj):
+    """obj with every float rounded to 9 decimals, for steps.jsonl; summary.json
+    keeps each float's repr, which reads back bitwise."""
     if isinstance(obj, float):
-        return round(obj, ndigits)
+        return round(obj, 9)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, ndigits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_round_floats(v, ndigits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -215,8 +217,7 @@ def write_run_outputs(out_dir: Path, result: SimulationResult, manifest: dict):
             } for aid, traj in sorted(result.trajectories.items())
         },
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(_round_floats(summary), sort_keys=True, indent=1))
+    (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 

@@ -235,7 +235,8 @@ class Polygon:
         return 1e-9 * (1.0 + float(np.abs(self.vertices).max()))
 
     @functools.cached_property
-    def _region(self) -> RegionIndex:
+    def region(self) -> RegionIndex:
+        """This polygon alone as a region index."""
         return RegionIndex([self])
 
     @property
@@ -265,7 +266,7 @@ class Polygon:
     def contains_points(self, points, boundary_tol: float = 1e-9) -> np.ndarray:
         """RegionIndex.holds over this polygon alone: one bool per point
         (n, 2), none for no points."""
-        return self._region.holds(points, boundary_tol)[:, 0]
+        return self.region.holds(points, boundary_tol)[:, 0]
 
 
 class RegionIndex:

@@ -617,17 +617,18 @@ class FrenetPlanner:
 # Routing
 
 
-def _overlaps_goal(lane, goal: GoalRegion) -> bool:
-    """Whether a point of the lanelet's centre line lies in the goal area or
-    a vertex of the goal area in the lanelet. Each test is skipped where the
-    bounds of its points do not reach its polygon (Polygon.reaches), since
-    contains_points would find no point inside there."""
-    area, centre = goal.area, lane.centerline.points
-    lo, hi = centre.min(axis=0), centre.max(axis=0)
-    if area.reaches((lo[0], lo[1], hi[0], hi[1])) and np.any(area.contains_points(centre)):
-        return True
-    return (lane.polygon.reaches(area.bounds())
-            and bool(np.any(lane.polygon.contains_points(area.vertices))))
+def _goal_lanelets(network: StreetNetwork, goal: GoalRegion) -> set[str]:
+    """The lanelets that overlap the goal area: a point of the lanelet's
+    centre line lies in the area, or a vertex of the area in the lanelet.
+    One query of the goal area's index takes each centre line as a run of
+    its cull; one query of the network's index takes the area's vertices."""
+    ids = sorted(network.lanelets)
+    centres = [network.lanelets[lid].centerline.points for lid in ids]
+    starts = np.cumsum([0, *map(len, centres[:-1])])
+    held = goal.area.region.holds(np.concatenate(centres), starts=starts)[:, 0]
+    reached = np.logical_or.reduceat(held, starts)
+    holding = network.region.holds(goal.area.vertices).any(axis=0)
+    return {lid for lid, hit in zip(ids, reached | holding) if hit}
 
 
 def route_to_goal(network: StreetNetwork, start: AgentState, goal: GoalRegion) -> CurvilinearFrame:
@@ -637,7 +638,7 @@ def route_to_goal(network: StreetNetwork, start: AgentState, goal: GoalRegion) -
     (start_id,), _ = network.locate([(start.x, start.y, start.theta)])
     if start_id is None:
         raise RouteError("start state not localizable on the network")
-    goal_ids = {lid for lid, lane in network.lanelets.items() if _overlaps_goal(lane, goal)}
+    goal_ids = _goal_lanelets(network, goal)
     if not goal_ids:
         raise RouteError("goal area does not overlap the street network")
     dist = {start_id: 0.0}

@@ -1,16 +1,18 @@
 """Command-line interface: configs, subcommands, output files."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from drivesim.cli import (ConfigError, build_run, config_digest,
-                          load_run_config, main, resolve_scenario_path)
+from drivesim.cli import (ConfigError, build_run, config_digest, load_run_config, main,
+                          read_run_outputs, resolve_scenario_path, write_run_outputs)
 
 
 @pytest.fixture()
@@ -67,6 +69,12 @@ class TestConfig:
     def test_resolve_scenario_path_prefers_files(self, tmp_path):
         (tmp_path / "merge").write_text("{}")
         assert resolve_scenario_path("merge", tmp_path) == tmp_path / "merge"
+
+
+def _bits(records) -> tuple:
+    """Shape and bytes of the fields of records (dataclasses) as one float array."""
+    rows = np.array([dataclasses.astuple(r) for r in records], dtype=float)
+    return rows.shape, rows.tobytes()
 
 
 class TestSubcommands:
@@ -135,6 +143,23 @@ class TestSubcommands:
         for name in (f"{m}_{r}" for m in ("merge", "intersection")
                      for r in ("replay", "idm", "frenet")):
             build_run(load_run_config(name))
+
+    @pytest.mark.parametrize("regime", ["replay", "idm", "frenet"])
+    def test_run_outputs_read_back_bitwise(self, regime, tmp_path, merge_runs,
+                                           intersection_runs):
+        """read_run_outputs returns each trajectory's states and inputs with
+        the bits of the simulated ones, and the run's statuses, terminal
+        steps, step count and dt."""
+        for runs in (merge_runs, intersection_runs):
+            result = runs[regime][0]
+            write_run_outputs(tmp_path, result, {})
+            back, _ = read_run_outputs(tmp_path)
+            assert back.trajectories.keys() == result.trajectories.keys()
+            for aid, traj in result.trajectories.items():
+                assert _bits(back.trajectories[aid].states) == _bits(traj.states), aid
+                assert _bits(back.trajectories[aid].inputs) == _bits(traj.inputs), aid
+            assert (back.statuses, back.terminal_steps, back.dt, len(back.step_logs)) == (
+                result.statuses, result.terminal_steps, result.dt, len(result.step_logs))
 
     def test_plotdata(self, quick_config, tmp_path):
         out = tmp_path / "run"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivesim import engine, geometry
+from drivesim import engine, geometry, planners
 from drivesim.cli import build_run, load_run_config, resolve_scenario_path
 from drivesim.dynamics import AgentState
 from drivesim.engine import (AgentStatus, PlannerBinding, SetupError,
@@ -154,10 +154,11 @@ def test_views_share_the_step_arrays(monkeypatch):
 def test_region_queries_per_step_on_intersection_frenet(monkeypatch):
     """One engine.run of intersection_frenet asks the street network's
     region index once per step for the road check (box_inside_region) and
-    once per StreetNetwork.locate call, and asks nothing else of it.
-    Polygon.contains_points runs only for goal checks: goal_satisfied and
-    the goal overlap of routing, four calls in all; so no loop of
-    containment tests over the lanelet polygons is left."""
+    once per StreetNetwork.locate call, and once per route_to_goal call
+    for the lanelets holding a goal vertex, and asks nothing else of it.
+    route_to_goal asks the goal area's index once for the centre lines in
+    it. Polygon.contains_points runs only for goal_satisfied, two calls; so
+    no loop of containment tests over the lanelet polygons is left."""
     scenario, bindings, sim_cfg, predictor, _, _ = build_run(load_run_config("intersection_frenet"))
     inside, calls, asked = [], collections.Counter(), []
     holds = geometry.RegionIndex.holds
@@ -182,6 +183,7 @@ def test_region_queries_per_step_on_intersection_frenet(monkeypatch):
 
     counted(engine, "box_inside_region")
     counted(StreetNetwork, "locate")
+    counted(planners, "route_to_goal")
     counted(geometry.Polygon, "contains_points")
     monkeypatch.setattr(geometry.RegionIndex, "holds", recorded_holds)
     result = engine.run(scenario, bindings, sim_cfg, predictor)
@@ -190,11 +192,13 @@ def test_region_queries_per_step_on_intersection_frenet(monkeypatch):
     assert calls["locate"] >= steps
     by_caller = collections.Counter((region is scenario.network.region, caller)
                                     for region, caller in asked)
-    assert by_caller == {(True, "box_inside_region"): steps, (True, "locate"): calls["locate"],
-                         (False, "contains_points"): 4}
-    assert calls["contains_points"] == 4
-    assert calls["contains_points from goal_satisfied"] == 2
-    assert calls["contains_points from _overlaps_goal"] == 2
+    routes = calls["route_to_goal"]
+    assert routes == len(scenario.planning_problems) == 2
+    assert by_caller == {(True, "box_inside_region"): steps,
+                         (True, "locate"): calls["locate"],
+                         (True, "route_to_goal"): routes, (False, "route_to_goal"): routes,
+                         (False, "contains_points"): 2}
+    assert calls["contains_points"] == calls["contains_points from goal_satisfied"] == 2
 
 
 def test_benchmark_rows():

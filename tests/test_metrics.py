@@ -893,30 +893,17 @@ def _leaves(obj, path=""):
         yield path, obj
 
 
-# The run's summary rounds every float to 9 decimals, so each state read back
-# lies within 5e-10 of the simulated one. A measure that depends continuously
-# on the states then moves by far less than this relative/absolute tolerance.
-DISK_TOLERANCE = 1e-6
-
-
-@pytest.mark.parametrize("regime", [
-    "merge_frenet",
-    pytest.param("intersection_frenet", marks=pytest.mark.xfail(strict=True, reason=(
-        "the relation test |theta_other - tangent| <= pi/2 sits on its edge for "
-        "traffic crossing at exactly 90 degrees, and the 9-decimal rounding of "
-        "theta in summary.json flips it (crossing -> oncoming-relevant)"))),
-])
+@pytest.mark.parametrize("regime", [f"{scene}_{planner}" for scene in ("merge", "intersection")
+                                    for planner in ("replay", "idm", "frenet")])
 def test_evaluate_from_disk_matches_memory(regime, tmp_path, merge_runs, intersection_runs):
-    runs = merge_runs if regime.startswith("merge") else intersection_runs
-    result, scenario, cfg = runs[regime.split("_")[1]]
+    """The report of a run read back from its files equals, leaf by leaf,
+    the report of the simulated run: summary.json holds the exact states."""
+    scene, planner = regime.split("_")
+    result, scenario, cfg = (merge_runs if scene == "merge" else intersection_runs)[planner]
     write_run_outputs(tmp_path, result, {})
     from_disk, _ = read_run_outputs(tmp_path)
     memory = dict(_leaves(evaluate(result, scenario, cfg).to_dict()))
     disk = dict(_leaves(evaluate(from_disk, scenario, cfg).to_dict()))
     assert memory.keys() == disk.keys()
     for path, value in memory.items():
-        if isinstance(value, float) and isinstance(disk[path], float):
-            assert math.isclose(value, disk[path], rel_tol=DISK_TOLERANCE,
-                                abs_tol=DISK_TOLERANCE), path
-        else:
-            assert value == disk[path], path
+        assert value == disk[path], path

@@ -173,13 +173,12 @@ class TestRouting:
         s, d, in_dom = route.project((92.0, 0.0))
         assert in_dom and abs(d) < 1e-6
 
-    def test_goal_lanelets_equal_the_unculled_tests(self, monkeypatch):
+    def test_goal_lanelets_equal_the_unculled_tests(self):
         """On every bundled scenario, with every recorded vehicle made a
         planning problem (as a run configuration substitutes it), the
         lanelets that route_to_goal takes as overlapping the goal
-        (_overlaps_goal, which skips a containment test whose points' bounds
-        do not reach its polygon) are those that both containment tests over
-        all points give, and some tests are skipped."""
+        (_goal_lanelets, two culled region queries) are those that both
+        containment tests over all points, lanelet by lanelet, give."""
         data = Path(planners.__file__).resolve().parent / "data"
         scenarios = []
         for path in sorted(data.glob("*.json")):
@@ -187,15 +186,7 @@ class TestRouting:
                 scenario = load_scenario(path)
                 scenarios.append(substitute_agents(
                     scenario, [obs.id for obs in scenario.dynamic_obstacles]))
-        tests = []
-        contains_points = Polygon.contains_points
-
-        def counted(poly, points, boundary_tol=1e-9):
-            tests.append(len(points))
-            return contains_points(poly, points, boundary_tol)
-
-        monkeypatch.setattr(Polygon, "contains_points", counted)
-        problems, skipped = 0, 0
+        problems = 0
         for scenario in scenarios:
             lanes = scenario.network.lanelets
             for problem in scenario.planning_problems:
@@ -203,21 +194,18 @@ class TestRouting:
                 unculled = {lid for lid, lane in lanes.items()
                             if np.any(area.contains_points(lane.centerline.points))
                             or np.any(lane.polygon.contains_points(area.vertices))}
-                tests.clear()
-                culled = {lid for lid, lane in lanes.items()
-                          if planners._overlaps_goal(lane, problem.goal)}
+                culled = planners._goal_lanelets(scenario.network, problem.goal)
                 assert culled == unculled and culled, (problem.agent_id, sorted(culled))
-                assert len(tests) <= 2 * len(lanes)
                 problems += 1
-                skipped += 2 * len(lanes) - len(tests)
-        assert len(scenarios) >= 3 and problems > 20 and skipped > problems
+        assert len(scenarios) >= 3 and problems > 20
 
     @pytest.mark.parametrize("offset", [0.0, 5e-10, 3e-9, 1e-6, 1.0])
     def test_goal_at_a_lanelet_edge(self, offset):
         """A goal area offset from a lanelet's edges overlaps it exactly as
         both containment tests over all points say; within the boundary
         tolerance of 1e-9 it still overlaps, past the end (the centre
-        line's last point) and beside it (a goal vertex)."""
+        line's last point), beside it (a goal vertex) and across it (a
+        centre line point, with every goal vertex off the lanelet)."""
         xs = np.linspace(0.0, 50.0, 6)
         lane = Lanelet("a", Polyline(np.column_stack([xs, np.full(6, 2.0)])),
                        Polyline(np.column_stack([xs, np.full(6, -2.0)])))
@@ -225,10 +213,13 @@ class TestRouting:
                             [50.0 + offset, 1.0]])
         beside = Polygon([[10.0, 2.0 + offset], [20.0, 2.0 + offset], [20.0, 3.0],
                           [10.0, 3.0]])
-        for area in (past_end, beside):
+        across = Polygon([[30.0 + offset, -5.0], [35.0, -5.0], [35.0, 5.0],
+                          [30.0 + offset, 5.0]])
+        for area in (past_end, beside, across):
             unculled = bool(np.any(area.contains_points(lane.centerline.points))
                             or np.any(lane.polygon.contains_points(area.vertices)))
-            overlaps = planners._overlaps_goal(lane, GoalRegion(area=area, t_max=10.0))
+            goal = GoalRegion(area=area, t_max=10.0)
+            overlaps = planners._goal_lanelets(StreetNetwork([lane]), goal) == {"a"}
             assert overlaps == unculled
             assert overlaps == (offset <= 1e-9)
 

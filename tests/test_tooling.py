@@ -12,7 +12,6 @@ under perfbench/ or tools/.
 """
 
 import hashlib
-import json
 import types
 from pathlib import Path
 
@@ -248,12 +247,12 @@ def test_benchmark_checks_pass(name):
 
 
 def _expected_digests() -> dict:
-    """config -> (steps.jsonl sha256, metrics.json sha256, in-memory
-    metrics.json sha256) from the table of tools/expected_digests.md."""
+    """config -> (steps.jsonl sha256, metrics.json sha256) from the table
+    of tools/expected_digests.md."""
     rows = {}
     for line in (ROOT / "tools" / "expected_digests.md").read_text().splitlines():
         cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
-        if len(cells) == 4 and len(cells[1]) == 64:
+        if len(cells) == 3 and len(cells[1]) == 64:
             rows[cells[0]] = tuple(cells[1:])
     return rows
 
@@ -264,22 +263,14 @@ def _expected_digests() -> dict:
 def test_benchmark_workloads_keep_their_digests(tmp_path, name, config):
     """drivesim run and drivesim evaluate on each benchmark workload write
     steps.jsonl and metrics.json whose sha256 are the workload's row of
-    tools/expected_digests.md, the table tools/digests.py checks. So is the
-    sha256 of the report of the run evaluated in the process that simulated
-    it, serialized as drivesim evaluate writes metrics.json: it reads the
-    simulated states, not their 9-decimal copies on disk, so a change to a
-    measure that the rounding masks still shows."""
+    tools/expected_digests.md, the table tools/digests.py checks."""
     expected = _expected_digests()
     assert len(expected) == 9
     out = tmp_path / "out"
     assert main(["run", config, "--out", str(out)]) == 0
     assert main(["evaluate", str(out)]) == 0
-    result, scn, metric_cfg = run_bundled(config)
-    in_memory = json.dumps(metrics.evaluate(result, scn, metric_cfg).to_dict(),
-                           sort_keys=True, indent=1)
-    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
-                    for f in ("steps.jsonl", "metrics.json"))
-    assert (*digests, hashlib.sha256(in_memory.encode()).hexdigest()) == expected[name]
+    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                 for f in ("steps.jsonl", "metrics.json")) == expected[name]
 
 
 def test_make_fixtures_regenerates_bundled_scenarios(tmp_path):

@@ -13,13 +13,11 @@ all-pairs collision check and the road check of many agents. Every
 configuration runs with `drivesim run` and `drivesim evaluate` in a fresh
 interpreter and a temporary directory, and the script prints one table row
 per configuration with the sha256 of its `steps.jsonl` and of its
-`metrics.json`. The last column hashes the report of the same run evaluated
-in the interpreter that simulated it, serialized as `drivesim evaluate`
-writes `metrics.json`: `evaluate` then reads the simulated states, not the
-9-decimal states of the run's files, so a change to a measure that the
-rounding masks still shows. drivesim is imported from the `src` directory
-next to this script, so running the script of two checkouts compares their
-code.
+`metrics.json`. `summary.json` holds the exact simulated states, so
+`metrics.json` is the report of the states that were simulated, not of the
+9-decimal copies in `steps.jsonl`. drivesim is imported from the `src`
+directory next to this script, so running the script of two checkouts
+compares their code.
 
 The printed table is then compared with `tools/expected_digests.md`. On any
 difference the script prints the differing rows as a diff and exits 1. A
@@ -55,41 +53,25 @@ def agent_configs() -> list[str]:
     return names
 
 
-# run and evaluate config (argv[1]) in one interpreter; print the sha256 of
-# the report as `drivesim evaluate` writes it to metrics.json
-IN_MEMORY = """
-import hashlib, json, sys
-from drivesim.cli import build_run, load_run_config
-from drivesim.engine import run
-from drivesim.metrics import evaluate
-scenario, bindings, sim_cfg, predictor, metric_cfg, _ = build_run(load_run_config(sys.argv[1]))
-report = evaluate(run(scenario, bindings, sim_cfg, predictor), scenario, metric_cfg)
-text = json.dumps(report.to_dict(), sort_keys=True, indent=1)
-print(hashlib.sha256(text.encode()).hexdigest())
-"""
-
-
-def python(*argv: str, cwd: str) -> str:
-    """Stdout of a fresh interpreter that imports drivesim from SRC."""
+def python(*argv: str, cwd: str) -> None:
+    """Run a fresh interpreter that imports drivesim from SRC; exit on failure."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"python {' '.join(argv)} failed:\n{proc.stderr}")
-    return proc.stdout
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def digests(config: str) -> tuple[str, str, str]:
+def digests(config: str) -> tuple[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         python("-m", "drivesim.cli", "run", config, "--out", "out", cwd=tmp)
         python("-m", "drivesim.cli", "evaluate", "out", cwd=tmp)
-        in_memory = python("-c", IN_MEMORY, config, cwd=tmp).strip()
         out = Path(tmp) / "out"
-        return sha256(out / "steps.jsonl"), sha256(out / "metrics.json"), in_memory
+        return sha256(out / "steps.jsonl"), sha256(out / "metrics.json")
 
 
 def write_variant(directory: str, name: str, planner: str) -> str:
@@ -105,8 +87,7 @@ def write_variant(directory: str, name: str, planner: str) -> str:
 
 
 def main() -> int:
-    table = ["| config | steps.jsonl sha256 | metrics.json sha256 "
-             "| in-memory metrics.json sha256 |", "|---|---|---|---|"]
+    table = ["| config | steps.jsonl sha256 | metrics.json sha256 |", "|---|---|---|"]
     print(*table, sep="\n")
     configs = {name: name for name in agent_configs()}
     configs[MULTI_VEHICLE.stem] = str(MULTI_VEHICLE)
