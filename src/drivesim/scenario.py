@@ -15,7 +15,6 @@ from .dynamics import AgentState, VehicleParams, normalize_angles
 from .geometry import CurvilinearFrame, Polygon, Polyline, RegionIndex, box_corners, occupancy
 
 LOCALIZE_RADIUS = 5.0  # m; a position farther from every centerline is off the network
-CONFLICT_GRID_RESOLUTION = 0.25  # m between the samples of a lanelet overlap
 CONFLICT_MIN_AREA = 0.5  # m^2; smaller overlaps are shared borders
 
 
@@ -145,9 +144,9 @@ class StreetNetwork:
         return located.tolist(), turns
 
     def conflict_areas(self):
-        """Overlap polygons of non-adjacent lanelet pairs: the convex hull of
-        the points of a CONFLICT_GRID_RESOLUTION grid inside both lanelets
-        (_grid_overlap).
+        """Overlap polygons of non-adjacent lanelet pairs: the convex hull
+        of each pair's overlap, taken exactly from the points that fix it
+        (_overlap_points).
 
         Adjacent same-direction lanelets never form conflict areas; overlaps
         below CONFLICT_MIN_AREA (shared borders) are discarded.
@@ -161,8 +160,9 @@ class StreetNetwork:
                 b = self.lanelets[b_id]
                 if _same_direction_adjacent(a, b):
                     continue
-                poly = _grid_overlap(a.polygon, b.polygon, CONFLICT_GRID_RESOLUTION)
-                if poly is not None and poly.area >= CONFLICT_MIN_AREA:
+                pts = _overlap_points(a.polygon, b.polygon)
+                hull = _convex_hull(pts)
+                if hull is not None and (poly := Polygon(pts[hull])).area >= CONFLICT_MIN_AREA:
                     out.append(((a_id, b_id), poly))
         self._conflict_cache = out
         return out
@@ -195,31 +195,25 @@ def _same_direction_adjacent(a: Lanelet, b: Lanelet) -> bool:
     return False
 
 
-def _grid_overlap(pa: Polygon, pb: Polygon, res: float) -> Polygon | None:
-    """The convex hull (_convex_hull) of the overlap grid of pa and pb
-    (_overlap_grid), or None where it has fewer than 3 vertices."""
-    pts = _overlap_grid(pa, pb, res)
-    hull = _convex_hull(pts)
-    return None if hull is None else Polygon(pts[hull])
-
-
-def _overlap_grid(pa: Polygon, pb: Polygon, res: float) -> np.ndarray:
-    """The points (n, 2) of a res grid over the common bounds of pa and pb
-    that lie strictly inside both, row by row."""
-    ax0, ay0, ax1, ay1 = pa.bounds()
-    bx0, by0, bx1, by1 = pb.bounds()
-    x0, y0 = max(ax0, bx0), max(ay0, by0)
-    x1, y1 = min(ax1, bx1), min(ay1, by1)
-    if x1 <= x0 or y1 <= y0:
+def _overlap_points(pa: Polygon, pb: Polygon) -> np.ndarray:
+    """The points (n, 2) whose convex hull is that of the overlap of pa and
+    pb: the vertices of each that the other holds, then every point where
+    an edge of pa crosses an edge of pb. Parallel edges meet in no single
+    point; where they overlap, the ends of the shared stretch are vertices
+    that the other polygon holds on its boundary."""
+    if not pa.reaches(pb.bounds()):
         return np.empty((0, 2))
-    xs = np.arange(x0, x1 + res, res)
-    ys = np.arange(y0, y1 + res, res)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    # strict interior of both: zero boundary tolerance avoids shared borders;
-    # each grid row is one run of the cull
-    rows = np.arange(0, len(pts), len(xs))
-    return pts[RegionIndex([pa, pb]).holds(pts, 0.0, rows).all(axis=1)]
+    va, vb = pa.vertices, pb.vertices
+    ea, eb = np.roll(va, -1, axis=0) - va, np.roll(vb, -1, axis=0) - vb
+    # edge i of pa at va[i] + t ea[i] meets edge j of pb at vb[j] + u eb[j]
+    den = np.outer(ea[:, 0], eb[:, 1]) - np.outer(ea[:, 1], eb[:, 0])
+    i, j = np.nonzero(den)
+    gap, den = vb[j] - va[i], den[i, j]
+    t = (gap[:, 0] * eb[j, 1] - gap[:, 1] * eb[j, 0]) / den
+    u = (gap[:, 0] * ea[i, 1] - gap[:, 1] * ea[i, 0]) / den
+    cross = (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+    return np.concatenate([va[pb.contains_points(va)], vb[pa.contains_points(vb)],
+                           va[i[cross]] + t[cross, None] * ea[i[cross]]])
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray | None:
@@ -227,17 +221,13 @@ def _convex_hull(points: np.ndarray) -> np.ndarray | None:
     counter-clockwise from the least point in (x, y) order, or None where
     the hull has fewer than 3 vertices. Andrew's monotone chain (Andrew,
     IPL 1979). As in qhull, a point on an edge is no vertex, nor is one off
-    it by no more than the rounding of the points' coordinates. Only the
-    least and the greatest point of each x enter the chains: any point
-    between them lies on the segment that joins them."""
+    it by no more than the rounding of the points' coordinates."""
     if len(points) < 3:
         return None
     order = np.lexsort((points[:, 1], points[:, 0]))
-    new_x = points[order[1:], 0] != points[order[:-1], 0]
-    ends = order[np.concatenate([[True], new_x]) | np.concatenate([new_x, [True]])]
     # the rounding of a cross product of differences of the coordinates, with margin
     tol = 16 * np.finfo(float).eps * np.abs(points).max() * np.ptp(points, axis=0).max()
-    xy = points[ends].tolist()
+    xy = points[order].tolist()
 
     def chain(seq):
         kept = []
@@ -252,7 +242,7 @@ def _convex_hull(points: np.ndarray) -> np.ndarray | None:
         return kept[:-1]
 
     ring = chain(range(len(xy))) + chain(range(len(xy) - 1, -1, -1))
-    return ends[ring] if len(ring) >= 3 else None
+    return order[ring] if len(ring) >= 3 else None
 
 
 def _check_shape(obstacle_id, length, width):

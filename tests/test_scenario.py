@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,13 @@ from drivesim import geometry, scenario as scenario_module
 from drivesim.cli import main, resolve_scenario_path
 from drivesim.dynamics import AgentState, normalize_angle
 from drivesim.geometry import Polygon, Polyline, RegionIndex, box_inside_region, occupancy
-from drivesim.scenario import (CONFLICT_GRID_RESOLUTION, CONFLICT_MIN_AREA, Adjacency,
+from drivesim.scenario import (CONFLICT_MIN_AREA, Adjacency,
                                DynamicObstacle, GoalCheck,
                                GoalRegion, Lanelet, Scenario, ScenarioError,
                                StreetNetwork, goal_satisfied, load_scenario,
                                save_scenario, scenario_from_dict,
                                scenario_to_dict, substitute_agents)
-from drivesim.scenario import _convex_hull, _overlap_grid, _same_direction_adjacent
+from drivesim.scenario import _convex_hull, _overlap_points, _same_direction_adjacent
 
 
 def _bundled(name):
@@ -138,16 +139,20 @@ class TestNetwork:
                     assert not hasattr(value, "cache_info"), name
 
     def test_crossing_lanes_form_conflict_area(self):
+        """The exact overlap of two lanes crossing at right angles, and of
+        two along one line that share a border stretch."""
         ew = simple_lane("ew", -20, 20, 0)
         xs = np.linspace(-20, 20, 5)
         ns = Lanelet("ns", Polyline(np.column_stack([np.full(5, -2.0), xs])),
                      Polyline(np.column_stack([np.full(5, 2.0), xs])))
-        net = StreetNetwork([ew, ns])
-        areas = net.conflict_areas()
-        assert len(areas) == 1
-        (pair, poly), = areas
-        assert pair == ("ew", "ns")
-        assert poly.area == pytest.approx(16.0, rel=0.2)
+        along = [simple_lane("a", 0, 4, 1, hw=1.0), simple_lane("b", 2, 6, 1, hw=1.0)]
+        for lanelets, square, area in [
+                ([ew, ns], [[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]], 16.0),
+                (along, [[2.0, 0.0], [4.0, 0.0], [4.0, 2.0], [2.0, 2.0]], 4.0)]:
+            (pair, poly), = StreetNetwork(lanelets).conflict_areas()
+            assert pair == (lanelets[0].id, lanelets[1].id)
+            assert poly.vertices.tolist() == square
+            assert poly.area == area
 
     def test_adjacent_and_successor_pairs_do_not_conflict(self):
         a = simple_lane("a", 0, 10, 0, successors=["c"],
@@ -157,6 +162,51 @@ class TestNetwork:
         a2 = Lanelet("c", c.left_bound, c.right_bound)
         net = StreetNetwork([a, b, a2])
         assert net.conflict_areas() == []
+
+    @pytest.mark.parametrize("name", ["t_intersection", "merge", "highway"])
+    def test_conflict_areas_turn_and_shift_with_the_network(self, name):
+        """The network turned by each angle and shifted by (1000, -2000) m
+        through the dict format has the same conflict pairs, each with as
+        many vertices, every one within 1e-9 m of the moved original, and
+        none of it raises a numpy warning."""
+        doc = scenario_to_dict(_bundled(name))
+        doc["static_obstacles"] = doc["dynamic_obstacles"] = doc["planning_problems"] = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            areas = scenario_from_dict(doc).network.conflict_areas()
+            for degrees in (1, 37, 90, 137, 180):
+                c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+                turn, shift = np.array([[c, s], [-s, c]]), np.array([1000.0, -2000.0])
+                moved = {**doc, "lanelets": [
+                    {**lane, **{side: (np.array(lane[side]) @ turn + shift).tolist()
+                                for side in ("left_bound", "right_bound")}}
+                    for lane in doc["lanelets"]]}
+                got = scenario_from_dict(moved).network.conflict_areas()
+                assert [pair for pair, _ in got] == [pair for pair, _ in areas], degrees
+                for (pair, poly), (_, original) in zip(got, areas):
+                    expect = original.vertices @ turn + shift
+                    assert len(poly.vertices) == len(expect), (degrees, pair)
+                    # both hulls run counter-clockwise, from different first vertices
+                    first = np.hypot(*(poly.vertices - expect[0]).T).argmin()
+                    drift = np.hypot(*(np.roll(poly.vertices, -first, axis=0) - expect).T)
+                    assert drift.max() <= 1e-9, (degrees, pair, drift.max())
+        assert bool(areas) == (name != "highway")
+
+    @pytest.mark.parametrize("name", ["t_intersection", "merge"])
+    def test_conflict_areas_are_the_hull_of_the_whole_overlap(self, name):
+        """Each area's vertices lie in both of its lanelets, and every point
+        of a 0.1 m grid over their common bounds that both hold lies in it."""
+        net = _bundled(name).network
+        for (a, b), area in net.conflict_areas():
+            pa, pb = net.lanelets[a].polygon, net.lanelets[b].polygon
+            assert pa.contains_points(area.vertices).all(), (a, b)
+            assert pb.contains_points(area.vertices).all(), (a, b)
+            (x0, y0, x1, y1), (u0, v0, u1, v1) = pa.bounds(), pb.bounds()
+            gx, gy = np.meshgrid(np.arange(max(x0, u0), min(x1, u1), 0.1),
+                                 np.arange(max(y0, v0), min(y1, v1), 0.1))
+            pts = np.column_stack([gx.ravel(), gy.ravel()])
+            both = pts[pa.contains_points(pts, 0.0) & pb.contains_points(pts, 0.0)]
+            assert len(both) and area.contains_points(both).all(), (a, b)
 
 
 def qhull_vertices(points):
@@ -175,9 +225,9 @@ def cyclic(seq, first):
 
 
 def grid(rng, rotated: bool) -> np.ndarray:
-    """A random part of a CONFLICT_GRID_RESOLUTION grid, built as
-    _overlap_grid builds one, rotated by a random angle if rotated."""
-    res = CONFLICT_GRID_RESOLUTION
+    """A random part of a 0.25 m grid, rotated by a random angle if
+    rotated: many points on each row, column and hull edge."""
+    res = 0.25
     x0, y0 = rng.uniform(-150.0, 150.0, 2)
     nx, ny = rng.integers(1, 40, 2)
     gx, gy = np.meshgrid(np.arange(x0, x0 + nx * res + res, res),
@@ -198,17 +248,16 @@ class TestConvexHull:
     @pytest.mark.parametrize("name", ["t_intersection", "merge", "highway"])
     def test_bundled_conflict_grids_match_qhull_from_the_same_vertex(self, name):
         net = _bundled(name).network
-        grids = {}
+        overlaps = {}
         ids = sorted(net.lanelets)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 if not _same_direction_adjacent(net.lanelets[a], net.lanelets[b]):
-                    pts = _overlap_grid(net.lanelets[a].polygon, net.lanelets[b].polygon,
-                                        CONFLICT_GRID_RESOLUTION)
+                    pts = _overlap_points(net.lanelets[a].polygon, net.lanelets[b].polygon)
                     if len(pts):
-                        grids[(a, b)] = pts
+                        overlaps[(a, b)] = pts
         expect = []
-        for pair, pts in grids.items():
+        for pair, pts in overlaps.items():
             hull, oracle = _convex_hull(pts), qhull_vertices(pts)
             assert (None if hull is None else hull.tolist()) == oracle, pair
             if oracle is not None and Polygon(pts[oracle]).area >= CONFLICT_MIN_AREA:
