@@ -15,7 +15,7 @@ from .dynamics import AgentState, VehicleParams, normalize_angles
 from .geometry import CurvilinearFrame, Polygon, Polyline, RegionIndex, box_corners, occupancy
 
 LOCALIZE_RADIUS = 5.0  # m; a position farther from every centerline is off the network
-CONFLICT_MIN_AREA = 0.5  # m^2; smaller overlaps are shared borders
+CONFLICT_MIN_AREA = 0.5  # m^2; smaller overlaps are slivers, not conflicts
 
 
 class ScenarioError(ValueError):
@@ -148,8 +148,9 @@ class StreetNetwork:
         of each pair's overlap, taken exactly from the points that fix it
         (_overlap_points).
 
-        Adjacent same-direction lanelets never form conflict areas; overlaps
-        below CONFLICT_MIN_AREA (shared borders) are discarded.
+        Adjacent same-direction lanelets and lanelets that only share a
+        border never form conflict areas; overlaps below CONFLICT_MIN_AREA
+        are discarded.
         """
         if self._conflict_cache is not None:
             return self._conflict_cache
@@ -198,22 +199,44 @@ def _same_direction_adjacent(a: Lanelet, b: Lanelet) -> bool:
 def _overlap_points(pa: Polygon, pb: Polygon) -> np.ndarray:
     """The points (n, 2) whose convex hull is that of the overlap of pa and
     pb: the vertices of each that the other holds, then every point where
-    an edge of pa crosses an edge of pb. Parallel edges meet in no single
-    point; where they overlap, the ends of the shared stretch are vertices
-    that the other polygon holds on its boundary."""
+    an edge of pa crosses an edge of pb; none where the boundary of neither
+    runs through the other (_runs_inside), as where they only share a
+    border. Edges parallel to within 1e-9 m over the shorter one's length
+    cross in no point that the held vertices, such as the ends of a shared
+    stretch, do not fix to that tolerance."""
     if not pa.reaches(pb.bounds()):
         return np.empty((0, 2))
     va, vb = pa.vertices, pb.vertices
     ea, eb = np.roll(va, -1, axis=0) - va, np.roll(vb, -1, axis=0) - vb
     # edge i of pa at va[i] + t ea[i] meets edge j of pb at vb[j] + u eb[j]
     den = np.outer(ea[:, 0], eb[:, 1]) - np.outer(ea[:, 1], eb[:, 0])
-    i, j = np.nonzero(den)
+    longer = np.maximum.outer(np.hypot(ea[:, 0], ea[:, 1]), np.hypot(eb[:, 0], eb[:, 1]))
+    i, j = np.nonzero(np.abs(den) > 1e-9 * longer)
     gap, den = vb[j] - va[i], den[i, j]
     t = (gap[:, 0] * eb[j, 1] - gap[:, 1] * eb[j, 0]) / den
     u = (gap[:, 0] * ea[i, 1] - gap[:, 1] * ea[i, 0]) / den
     cross = (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+    i, j, t, u = i[cross], j[cross], t[cross], u[cross]
+    if not (_runs_inside(va, ea, i, t, pb) or _runs_inside(vb, eb, j, u, pa)):
+        return np.empty((0, 2))
     return np.concatenate([va[pb.contains_points(va)], vb[pa.contains_points(vb)],
-                           va[i[cross]] + t[cross, None] * ea[i[cross]]])
+                           va[i] + t[:, None] * ea[i]])
+
+
+def _runs_inside(v, e, edge, s, poly: Polygon) -> bool:
+    """Whether the boundary of a ring (edge k from v[k] along e[k]) runs
+    through poly's interior. The points at s (k,) along the edges edge (k,),
+    where it crosses poly's boundary, cut it into stretches inside poly,
+    outside it or on its boundary; the midpoint of each tells which, and
+    counts as inside only farther than poly's slack from its boundary."""
+    edge, s = np.concatenate([np.arange(len(v)), edge]), np.concatenate([np.zeros(len(v)), s])
+    order = np.lexsort((s, edge))
+    ring = v[edge[order]] + s[order, None] * e[edge[order]]
+    mid = 0.5 * (ring + np.roll(ring, -1, axis=0))
+    rel = mid[poly.contains_points(mid, 0.0), None] - poly.vertices
+    f = np.roll(poly.vertices, -1, axis=0) - poly.vertices
+    gap = rel - np.clip(np.vecdot(rel, f) / np.vecdot(f, f), 0.0, 1.0)[..., None] * f
+    return bool((np.hypot(gap[..., 0], gap[..., 1]).min(axis=1) > poly.slack).any())
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray | None:

@@ -35,6 +35,38 @@ def simple_lane(lid, x0, x1, y, hw=2.0, **kw):
     return Lanelet(lid, Polyline(left), Polyline(right), **kw)
 
 
+def _crossing_lanes():
+    """Two 4 m wide lanes crossing at right angles over the +-2 m square."""
+    xs = np.linspace(-20, 20, 5)
+    return [simple_lane("ew", -20, 20, 0),
+            Lanelet("ns", Polyline(np.column_stack([np.full(5, -2.0), xs])),
+                    Polyline(np.column_stack([np.full(5, 2.0), xs])))]
+
+
+def _along_lanes():
+    """[0, 4] x [0, 2] and [2, 6] x [0, 2]: a border stretch along one line."""
+    return [simple_lane("a", 0, 4, 1, hw=1.0), simple_lane("b", 2, 6, 1, hw=1.0)]
+
+
+def _curved_border():
+    """Two lanelets in opposite directions, counter-clockwise outside and
+    clockwise inside one 90 degree arc of radius 20 m, which both take as
+    their left bound, declared as neighbours in opposite directions."""
+    a = np.linspace(0.0, 0.5 * np.pi, 10)
+
+    def arc(r):
+        return np.column_stack([r * np.cos(a), r * np.sin(a)])
+
+    return [Lanelet("in", Polyline(arc(20.0)[::-1]), Polyline(arc(16.5)[::-1]),
+                    adjacent_left=Adjacency("out", False)),
+            Lanelet("out", Polyline(arc(20.0)), Polyline(arc(23.5)),
+                    adjacent_left=Adjacency("in", False))]
+
+
+SYNTHETIC = {"crossing": _crossing_lanes, "along": _along_lanes,
+             "curved_border": _curved_border}
+
+
 class TestNetwork:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ScenarioError):
@@ -139,16 +171,14 @@ class TestNetwork:
                     assert not hasattr(value, "cache_info"), name
 
     def test_crossing_lanes_form_conflict_area(self):
-        """The exact overlap of two lanes crossing at right angles, and of
-        two along one line that share a border stretch."""
-        ew = simple_lane("ew", -20, 20, 0)
-        xs = np.linspace(-20, 20, 5)
-        ns = Lanelet("ns", Polyline(np.column_stack([np.full(5, -2.0), xs])),
-                     Polyline(np.column_stack([np.full(5, 2.0), xs])))
-        along = [simple_lane("a", 0, 4, 1, hw=1.0), simple_lane("b", 2, 6, 1, hw=1.0)]
+        """The exact overlap of two lanes crossing at right angles, of two
+        along one line that share a border stretch, and of one lane that
+        another holds whole, whose edges cross none of the other's."""
         for lanelets, square, area in [
-                ([ew, ns], [[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]], 16.0),
-                (along, [[2.0, 0.0], [4.0, 0.0], [4.0, 2.0], [2.0, 2.0]], 4.0)]:
+                (_crossing_lanes(), [[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]], 16.0),
+                (_along_lanes(), [[2.0, 0.0], [4.0, 0.0], [4.0, 2.0], [2.0, 2.0]], 4.0),
+                ([simple_lane("big", 0, 8, 0, hw=3.0), simple_lane("small", 2, 6, 0, hw=1.0)],
+                 [[2.0, -1.0], [6.0, -1.0], [6.0, 1.0], [2.0, 1.0]], 8.0)]:
             (pair, poly), = StreetNetwork(lanelets).conflict_areas()
             assert pair == (lanelets[0].id, lanelets[1].id)
             assert poly.vertices.tolist() == square
@@ -163,14 +193,21 @@ class TestNetwork:
         net = StreetNetwork([a, b, a2])
         assert net.conflict_areas() == []
 
-    @pytest.mark.parametrize("name", ["t_intersection", "merge", "highway"])
+    @pytest.mark.parametrize("name", ["t_intersection", "merge", "highway",
+                                      "crossing", "along", "curved_border"])
     def test_conflict_areas_turn_and_shift_with_the_network(self, name):
         """The network turned by each angle and shifted by (1000, -2000) m
         through the dict format has the same conflict pairs, each with as
         many vertices, every one within 1e-9 m of the moved original, and
-        none of it raises a numpy warning."""
-        doc = scenario_to_dict(_bundled(name))
-        doc["static_obstacles"] = doc["dynamic_obstacles"] = doc["planning_problems"] = []
+        none of it raises a numpy warning. Besides the bundled networks,
+        two lanes crossing at right angles, two along one line that share
+        a border stretch, and two in opposite directions that share a
+        curved border, whose hull of 112.6 m^2 is no conflict area."""
+        if name in SYNTHETIC:
+            doc = scenario_to_dict(Scenario(StreetNetwork(SYNTHETIC[name]()), [], [], [], 0.1))
+        else:
+            doc = scenario_to_dict(_bundled(name))
+            doc["static_obstacles"] = doc["dynamic_obstacles"] = doc["planning_problems"] = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             areas = scenario_from_dict(doc).network.conflict_areas()
@@ -190,7 +227,7 @@ class TestNetwork:
                     first = np.hypot(*(poly.vertices - expect[0]).T).argmin()
                     drift = np.hypot(*(np.roll(poly.vertices, -first, axis=0) - expect).T)
                     assert drift.max() <= 1e-9, (degrees, pair, drift.max())
-        assert bool(areas) == (name != "highway")
+        assert bool(areas) == (name not in ("highway", "curved_border"))
 
     @pytest.mark.parametrize("name", ["t_intersection", "merge"])
     def test_conflict_areas_are_the_hull_of_the_whole_overlap(self, name):
