@@ -120,11 +120,10 @@ def build_run(doc: dict):
     scn_path = resolve_scenario_path(str(doc["scenario"]), base_dir)
     scenario = load_scenario(scn_path)
 
-    sim_cfg = _config_block(SimulationConfig, {"dt": scenario.dt, **doc["simulation"]},
-                            "simulation")
+    sim_cfg = _config_block(SimulationConfig, doc["simulation"], "simulation")
     predictor = _config_block(PredictorConfig, doc["predictor"], "predictor")
     try:
-        predictor.n_steps(sim_cfg.dt)
+        predictor.n_steps(scenario.dt)
     except ValueError as exc:
         raise ConfigError(f"predictor: {exc}") from exc
     metric_cfg = _config_block(MetricConfig, doc["metrics"], "metrics")

@@ -35,14 +35,11 @@ class SetupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    dt: float = 0.1
     max_steps: int = 500
     visibility_radius: float = 100.0
     worker_count: int = 1  # also the number of planning batches per step
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt={self.dt} must be > 0")
         if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
             raise ValueError(f"max_steps={self.max_steps!r} must be an integer >= 1")
         if not self.visibility_radius >= 0:
@@ -105,8 +102,8 @@ def _dedupe_polyline(points):
     return pts
 
 
-def build_planner(binding: PlannerBinding, problem, scenario: Scenario, dt: float):
-    recording = binding.recording
+def build_planner(binding: PlannerBinding, problem, scenario: Scenario):
+    recording, dt = binding.recording, scenario.dt
     recorded = recording is not None and len(recording) > 0
     if binding.kind == "replay":
         if not recorded:
@@ -207,7 +204,7 @@ def run(scenario: Scenario, bindings: dict[str, PlannerBinding],
     planners = {}
     for aid in sorted(problems):
         prob = problems[aid]
-        planners[aid] = build_planner(bindings[aid], prob, scenario, cfg.dt)
+        planners[aid] = build_planner(bindings[aid], prob, scenario)
         agents[aid] = _AgentRuntime(prob, {}, AgentStatus.RUNNING, [prob.initial_state], [])
 
     pool = None
@@ -238,7 +235,7 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
         running = [aid for aid in sorted(agents) if agents[aid].status is AgentStatus.RUNNING]
         if not running:
             break
-        t_now = t * cfg.dt
+        t_now = t * scenario.dt
 
         # (1) aggregate time-t states of everything: one row per vehicle,
         # the running agents first, then the obstacles
@@ -293,13 +290,13 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
         rows = sorted((k for k, vid in enumerate(ids) if k >= len(agent_states) or vid in running),
                       key=ids.__getitem__)
         lanelets, _ = scenario.network.locate(states[rows][:, [0, 1, 3]])
-        poses = predict_all(states[rows], lanelets, scenario.network, predictor, cfg.dt)
+        poses = predict_all(states[rows], lanelets, scenario.network, predictor, scenario.dt)
         t_pred = time.perf_counter() - t_pred0
 
         # (5) local views sharing the step's arrays; each sees the rows in radius but its own
         t_views0 = time.perf_counter()
         length = length[rows]
-        grown = predicted_boxes(poses, length, width[rows], predictor, cfg.dt)
+        grown = predicted_boxes(poses, length, width[rows], predictor, scenario.dt)
         x, y, v = states[rows, :3].T
         egos = [rows.index(ids.index(aid)) for aid in running]
         near = np.hypot(x - x[egos, None], y - y[egos, None]) <= cfg.visibility_radius
@@ -364,14 +361,14 @@ def _run_loop(scenario, agents, planners, cfg, predictor, pool) -> SimulationRes
             rt.terminal_step = len(rt.states) - 1
 
     trajectories = {
-        aid: Trajectory(rt.states, rt.inputs, cfg.dt) for aid, rt in agents.items()
+        aid: Trajectory(rt.states, rt.inputs, scenario.dt) for aid, rt in agents.items()
     }
     return SimulationResult(
         step_logs=step_logs,
         statuses={aid: rt.status for aid, rt in agents.items()},
         terminal_steps={aid: rt.terminal_step for aid, rt in agents.items()},
         trajectories=trajectories,
-        dt=cfg.dt,
+        dt=scenario.dt,
     )
 
 
@@ -410,7 +407,7 @@ def benchmark(scenario: Scenario, agent_counts, worker_counts, repetitions: int,
         for w in worker_counts:
             step_times, batch_times = [], []
             for _ in range(repetitions):
-                cfg = SimulationConfig(dt=scenario.dt, max_steps=steps, worker_count=w)
+                cfg = SimulationConfig(max_steps=steps, worker_count=w)
                 result = run(sub, bindings, cfg)
                 ended = {name: sum(st in kinds for st in result.statuses.values())
                          for name, kinds in _OUTCOMES.items()}

@@ -248,20 +248,20 @@ class Polygon:
     def bounds(self) -> tuple[float, float, float, float]:
         return self._bounds
 
-    def reaches(self, bounds, boundary_tol: float = 1e-9) -> bool:
-        """Whether the box bounds (xmin, ymin, xmax, ymax) comes within
-        boundary_tol plus the slack of this polygon's bounds. Where it does
-        not, contains_points(points, boundary_tol) finds no point of the box
-        inside: a point the crossing test counts inside lies in the
-        polygon's bounds up to rounding far below the slack, and one within
-        boundary_tol of an edge lies within it of the edge's bounding box
-        (see RegionIndex.holds). A NaN bound reaches nothing, as a NaN point
-        is never inside."""
+    def reaches(self, bounds, boundary_tol: float = 1e-9):
+        """Whether the box bounds (xmin, ymin, xmax, ymax), elementwise for
+        arrays, come within boundary_tol plus the slack of this polygon's
+        bounds. Where they do not, contains_points(points, boundary_tol)
+        finds no point of the box inside: a point the crossing test counts
+        inside lies in the polygon's bounds up to rounding far below the
+        slack, and one within boundary_tol of an edge lies within it of the
+        edge's bounding box (see RegionIndex.holds). A NaN bound reaches
+        nothing, as a NaN point is never inside."""
         x0, y0, x1, y1 = self._bounds
         xmin, ymin, xmax, ymax = bounds
         reach = abs(boundary_tol) + self.slack
-        return bool(x0 - reach <= xmax and xmin <= x1 + reach
-                    and y0 - reach <= ymax and ymin <= y1 + reach)
+        return _shaped((x0 - reach <= xmax) & (xmin <= x1 + reach)
+                       & (y0 - reach <= ymax) & (ymin <= y1 + reach))
 
     def contains_points(self, points, boundary_tol: float = 1e-9) -> np.ndarray:
         """RegionIndex.holds over this polygon alone: one bool per point
@@ -303,18 +303,16 @@ class RegionIndex:
         for table in (self.edges, self.cull, self.owner):
             table.setflags(write=False)
 
-    def holds(self, points, boundary_tol: float = 1e-9, starts=None) -> np.ndarray:
+    def holds(self, points, boundary_tol: float = 1e-9) -> np.ndarray:
         """Whether each of the L polygons holds each point of points (n, 2),
         (n, L): by crossing number, or within boundary_tol of an edge; a NaN
         coordinate is never held.
 
-        The cull takes the points in runs, from each index of starts
-        (increasing from 0) to the next, one run by default, and keeps the
-        edges whose cull rows, grown by boundary_tol, meet a run's bounding
-        box (NaN left out). The formulas run on each point and each edge
-        kept for its run, for one run on a grid of both. A dropped edge
-        counts for no point of the run, as the slack is far above the
-        rounding of the formulas:
+        The cull keeps the edges whose cull rows, grown by boundary_tol,
+        meet the bounding box of the points (NaN left out); one grid pairs
+        each point with the kept edges whose grown y-range holds it, and
+        the formulas run on those pairs. A dropped pair counts for nothing,
+        as the slack is far above the rounding of the formulas:
         - Crossing: an edge counts for a point iff min y <= py < max y of
           the edge, which a horizontal edge fails, and the point lies left
           of the computed crossing. That crossing stays within the edge's
@@ -325,24 +323,16 @@ class RegionIndex:
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         n, polygons = len(pts), len(self.polygons)
-        starts = np.zeros(min(n, 1), dtype=int) if starts is None else starts
-        (lox, loy), (hix, hiy) = (np.fmin.reduceat(pts, starts, axis=0).T[:, :, None],
-                                  np.fmax.reduceat(pts, starts, axis=0).T[:, :, None])
+        lox, loy = np.fmin.reduce(pts, axis=0, initial=np.inf)
+        hix, hiy = np.fmax.reduce(pts, axis=0, initial=-np.inf)
         ylo, yhi, left, right = self.cull
         tol = abs(boundary_tol) * (1.0 + 1e-9)
-        keep = (ylo <= hiy + tol) & (yhi >= loy - tol) & (left <= hix + tol) & (right >= lox - tol)
-        if len(starts) == 1:
-            # every point with every kept edge, as a grid (points, edges)
-            point, edge = np.arange(n)[:, None], np.flatnonzero(keep[0])
-        else:
-            # each kept (run, edge) as the pairs of the run's points with the edge
-            run, edge = np.nonzero(keep)
-            count = (np.concatenate((starts[1:], [n])) - starts)[run]
-            point = np.repeat(starts[run] + count - np.cumsum(count), count)
-            point += np.arange(len(point))
-            edge = np.repeat(edge, count)
+        kept = np.flatnonzero((ylo <= hiy + tol) & (yhi >= loy - tol)
+                              & (left <= hix + tol) & (right >= lox - tol))
+        point, edge = np.nonzero((ylo[kept] - tol <= pts[:, 1:]) & (pts[:, 1:] <= yhi[kept] + tol))
+        edge = kept[edge]
         y2, den, x1, y1, ex, ey, el2 = self.edges.take(edge, axis=1)
-        px, py = pts.T.take(point, axis=1)
+        px, py = pts[point].T
         key = point * polygons + self.owner.take(edge)
         # crossing number, then the distance to each edge
         crossed = ((y1 <= py) != (y2 <= py)) & (px < x1 + (py - y1) * ex / den)
@@ -622,26 +612,38 @@ def box_intersects_polygon(box, poly: Polygon):
 
 
 def box_inside_region(box, region: RegionIndex):
-    """True per box iff it lies within the union of the region's polygons.
-
-    Containment is decided on corners plus boundary samples at <= 0.1 m,
-    which is robust on non-convex unions of lanelet polygons: a box is
-    inside iff some polygon holds each of its points within 1e-6 m. One
-    RegionIndex.holds call takes the points of all boxes, each box a run
-    of its cull, so only the edges near a box meet its points.
-    """
-    box = np.asarray(box, dtype=float)
-    shape, flat = box.shape[:-1], box.reshape(-1, 5)
-    corners = box_corners(flat).reshape(-1, 2)
-    span = np.roll(corners.reshape(-1, 4, 2), -1, axis=-2).reshape(-1, 2) - corners
-    count = np.ceil(np.hypot(span[:, 0], span[:, 1]) / 0.1).astype(int)
-    # point k of a side: its corner (up to the sign of a zero), then samples
-    per_side = np.maximum(count, 1)
-    side = np.repeat(np.arange(len(count)), per_side)
-    k = np.arange(len(side)) - np.repeat(np.cumsum(per_side) - per_side, per_side)
-    pts = corners[side] + (k / per_side[side])[:, None] * span[side]
-    per_box = per_side.reshape(-1, 4).sum(axis=1)
-    starts = np.cumsum(per_box) - per_box
-    held = region.holds(pts, 1e-6, starts).any(axis=1)
-    inside = np.logical_and.reduceat(held, starts) if len(starts) else held
-    return _shaped(inside, shape)
+    """True per box iff its boundary lies within the union of the region's
+    polygons, up to 1e-6 m. A side leaves the union only where it crosses a
+    polygon edge, so it is cut at each crossing with an edge near its box,
+    and each stretch between cuts lies wholly inside or outside. A crossing
+    counts up to 1e-9 of the edge past its ends, so a vertex on a side cuts
+    it whatever the rounding; a parallel edge cuts nothing, as the edges
+    beside it cut where it ends. One RegionIndex.holds call at 1e-6 m tests
+    each corner and stretch midpoint, eight points for a box crossing none."""
+    shape, corners, tol = np.shape(box)[:-1], box_corners(np.reshape(box, (-1, 5))), 1e-6
+    start = corners.reshape(-1, 2)
+    span = np.roll(corners, -1, axis=-2).reshape(-1, 2) - start
+    # each side with each edge whose bounds come within tol of its box's
+    x, e = region.edges[2:4], region.edges[4:6]
+    lo, hi = corners.min(axis=1)[..., None] - tol, corners.max(axis=1)[..., None] + tol
+    meets = (np.minimum(x, x + e) <= hi) & (np.maximum(x, x + e) >= lo)
+    near, edge = np.nonzero(meets.all(axis=1))
+    side, edge = (4 * near[:, None] + np.arange(4)).ravel(), np.repeat(edge, 4)
+    # start + (t / d2) * span = x + (u / d2) * e, t and u scaled by den so
+    # that d2 = den * den is positive unless the edge is parallel
+    (sx, sy), (ex, ey), (dx, dy) = span[side].T, e[:, edge], x[:, edge] - start[side].T
+    den = sx * ey - sy * ex
+    t, u, d2 = (dx * ey - dy * ex) * den, (dx * sy - dy * sx) * den, den * den
+    cut = (d2 > 0) & (0 <= t) & (t <= d2) & (-1e-9 * d2 <= u) & (u <= (1 + 1e-9) * d2)
+    # each side's ends and cuts in order along it, and the stretches between
+    ends = np.arange(len(start))
+    at_side = np.concatenate([ends, ends, side[cut]])
+    at = np.concatenate([np.zeros(len(ends)), np.ones(len(ends)), t[cut] / d2[cut]])
+    order = np.lexsort((at, at_side))
+    at_side, at = at_side[order], at[order]
+    stretch = np.flatnonzero(at_side[1:] == at_side[:-1])
+    mid, mid_side = 0.5 * (at[stretch] + at[stretch + 1]), at_side[stretch]
+    pts = np.concatenate([start, start[mid_side] + mid[:, None] * span[mid_side]])
+    held = region.holds(pts, tol).any(axis=1)
+    box_of = np.concatenate([ends, mid_side]) // 4
+    return _shaped(np.bincount(box_of[~held], minlength=len(corners)) == 0, shape)

@@ -620,13 +620,14 @@ class FrenetPlanner:
 def _goal_lanelets(network: StreetNetwork, goal: GoalRegion) -> set[str]:
     """The lanelets that overlap the goal area: a point of the lanelet's
     centre line lies in the area, or a vertex of the area in the lanelet.
-    One query of the goal area's index takes each centre line as a run of
-    its cull; one query of the network's index takes the area's vertices."""
+    One query of the area's index takes the centre-line points that reach
+    its bounds, one of the network's index the area's vertices."""
     ids = sorted(network.lanelets)
     centres = [network.lanelets[lid].centerline.points for lid in ids]
-    starts = np.cumsum([0, *map(len, centres[:-1])])
-    held = goal.area.region.holds(np.concatenate(centres), starts=starts)[:, 0]
-    reached = np.logical_or.reduceat(held, starts)
+    points, owner = np.concatenate(centres), np.repeat(np.arange(len(ids)), list(map(len, centres)))
+    near = np.flatnonzero(goal.area.reaches(np.hstack([points, points]).T))
+    held = goal.area.region.holds(points[near])[:, 0]
+    reached = np.bincount(owner[near[held]], minlength=len(ids)) > 0
     holding = network.region.holds(goal.area.vertices).any(axis=0)
     return {lid for lid, hit in zip(ids, reached | holding) if hit}
 

@@ -124,11 +124,11 @@ class StreetNetwork:
         not hold the pose. A pose is in the lanelet holding it with the least
         |turn|, the smaller id among equals; if none does, in the lanelet of
         the nearest centre line within LOCALIZE_RADIUS; else in none. One
-        region query, each pose a run of its cull, finds the polygons
-        holding each pose; each lanelet then projects the poses it holds."""
+        region query finds the polygons holding each pose; each lanelet
+        then projects the poses it holds."""
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
         turns = np.full((len(poses), len(self._ids)), np.nan)
-        held = self.region.holds(poses[:, :2], starts=np.arange(len(poses)))
+        held = self.region.holds(poses[:, :2])
         for j in np.flatnonzero(held.any(axis=0)):
             rows = np.flatnonzero(held[:, j])
             frame = self.chain_frame((self._ids[j],))

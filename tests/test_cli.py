@@ -218,7 +218,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("block, key, value", [
         ("simulation", "worker_count", 0), ("simulation", "worker_count", 1.5),
-        ("simulation", "dt", 0), ("simulation", "max_steps", -5),
+        ("simulation", "dt", 0), ("simulation", "dt", 0.1), ("simulation", "dt", 0.2),
+        ("simulation", "max_steps", -5),
         ("simulation", "visibility_radius", -1),
         ("predictor", "horizon", 0), ("predictor", "horizon", 0.25),
         ("predictor", "horizon", float("inf")), ("predictor", "growth_rate", -1),
@@ -231,7 +232,9 @@ class TestSubcommands:
         negative max_steps once ran no step and exited 0, a negative growth
         rate left every Frenet agent infeasible, an infinite horizon exited 2
         with an OverflowError and an infinite growth rate made every
-        predicted box infinite."""
+        predicted box infinite. A run steps at its scenario's dt, so the
+        simulation block has no dt, not even the scenario's own 0.1 s; a dt
+        of 0.2 s once replayed each recorded row in 0.2 s."""
         doc = json.loads(quick_config.read_text())
         doc.setdefault(block, {})[key] = value
         quick_config.write_text(json.dumps(doc))

@@ -156,6 +156,28 @@ class TestPolygon:
         assert box_inside_region(box, RegionIndex([square]))
         assert reference_box_inside_region(box, [square])
 
+    def test_short_stretch_outside_the_road_is_outside(self):
+        """On t_intersection this box has a 5 cm stretch of one side outside
+        the road at the junction corner (2, 2), between two of its 0.1 m
+        samples; cut where it crosses the lanelet edges, the side has that
+        stretch tested, so the box is outside, as a 1 mm sampling finds. A
+        box turned by 30 degrees whose corner lies 5e-7 m past a square's
+        edge has both sides at that corner cut there, and the stretches past
+        it lie within the 1e-6 m boundary tolerance, so it stays inside."""
+        region = load_scenario(DATA / "t_intersection.json").network.region
+        box = np.array([2.3643325360065814, 0.7075786020954584, 2.4152572249534057,
+                        3.7601500337623124, 1.5024573833853543])
+        assert reference_box_inside_region(box, region.polygons)
+        assert not reference_box_inside_region(box, region.polygons, spacing=0.001)
+        assert not box_inside_region(box, region)
+        square = Polygon([[0, 0], [10, 0], [10, 10], [0, 10]])
+        box = np.array([0.0, 5.0, math.radians(30.0), 4.0, 2.0])
+        box[0] = 10.0 + 5e-7 - box_corners(box)[:, 0].max()
+        assert box_corners(box)[:, 0].max() > 10.0 + 4e-7
+        assert box_inside_region(box, square.region)
+        assert reference_box_inside_region(box, [square])
+        assert not box_inside_region(box + [1e-6, 0, 0, 0, 0], square.region)
+
 
 # ---------------------------------------------------------------------------
 # The culled kernels against their unculled forms
@@ -377,9 +399,9 @@ class TestCulledKernels:
         """On every bundled network, each column of RegionIndex.holds equals
         the unculled reference of its polygon bitwise, at the edge probe of
         each lanelet polygon (points on, just inside and just outside every
-        edge, within and beyond both tolerances): with one run per point,
-        with runs of 60 points in probe order and sorted by x, and with
-        chunks of 60 points each in one run."""
+        edge, within and beyond both tolerances): with all of them in one
+        query, in probe order and sorted by x, and with chunks of 60 points
+        each in one query."""
         rng = np.random.default_rng(17)
         for path in sorted(DATA.glob("*.json")):
             if "scenario" in json.loads(path.read_text()):
@@ -394,9 +416,8 @@ class TestCulledKernels:
                 shared += (expected.sum(axis=1) > 1).sum()
                 by_x = np.argsort(pts[:, 0], kind="stable")
                 for points, want in ((pts, expected), (pts[by_x], expected[by_x])):
-                    for starts in (np.arange(len(points)), np.arange(0, len(points), 60)):
-                        held = region.holds(points, boundary_tol, starts)
-                        assert held.dtype == bool and np.array_equal(held, want), path.stem
+                    held = region.holds(points, boundary_tol)
+                    assert held.dtype == bool and np.array_equal(held, want), path.stem
                 chunks = np.array_split(np.arange(len(pts)), len(pts) // 60)
                 for k in rng.choice(len(chunks), 5, replace=False):
                     held = region.holds(pts[chunks[k]], boundary_tol)
@@ -405,14 +426,12 @@ class TestCulledKernels:
 
     def test_region_index_without_points_or_polygons(self):
         """No points give no rows, a network without lanelets no columns,
-        and a NaN point is held by no polygon, alone or in a run with
+        and a NaN point is held by no polygon, also in one query with
         points that are held."""
         region = load_scenario(DATA / "merge.json").network.region
         assert region.holds(np.empty((0, 2))).shape == (0, len(region.polygons))
-        assert region.holds([], starts=np.empty(0, dtype=int)).shape == (0, len(region.polygons))
         empty = StreetNetwork([]).region
         assert empty.holds(np.zeros((3, 2))).shape == (3, 0)
-        assert empty.holds(np.zeros((3, 2)), starts=np.arange(3)).shape == (3, 0)
         centre = region.polygons[0].vertices.mean(axis=0)
         held = region.holds([centre, [math.nan, centre[1]], [centre[0], math.nan]])
         assert held[0].any() and not held[1:].any()
@@ -429,25 +448,29 @@ class TestCulledKernels:
         expected = np.column_stack([reference_contains_points(p.vertices, pts)
                                     for p in region.polygons])
         assert expected[:, 1].tolist() == [True, False, True]
-        for starts in (None, np.arange(3)):
-            assert np.array_equal(region.holds(pts, starts=starts), expected)
+        assert np.array_equal(region.holds(pts), expected)
 
     def test_box_inside_region_matches_per_box_reference(self):
-        """Boxes over every bundled map, many straddling a lanelet border:
-        the one-pass sampling and the culled polygon test give each box's
-        answer of the per-box reference."""
+        """1,000 boxes over every bundled map, many straddling a lanelet
+        border: the exact check gives each box's answer of the per-box
+        reference that samples its sides every 0.1 m, and where the two
+        differ, that of the reference sampling every 1 mm, as the 0.1 m
+        samples can step over a short stretch outside the road."""
         rng = np.random.default_rng(13)
         for path in sorted(DATA.glob("*.json")):
             if "scenario" in json.loads(path.read_text()):
                 continue
             region = load_scenario(path).network.region
             vertices = np.concatenate([poly.vertices for poly in region.polygons])
-            centres = vertices[rng.integers(len(vertices), size=300)] + rng.normal(0, 1.5, (300, 2))
-            boxes = np.column_stack([centres, rng.uniform(-math.pi, math.pi, 300),
-                                     rng.uniform(3.0, 5.0, 300), rng.uniform(1.5, 2.2, 300)])
+            n = 1000
+            centres = vertices[rng.integers(len(vertices), size=n)] + rng.normal(0, 1.5, (n, 2))
+            boxes = np.column_stack([centres, rng.uniform(-math.pi, math.pi, n),
+                                     rng.uniform(3.0, 5.0, n), rng.uniform(1.5, 2.2, n)])
             inside = box_inside_region(boxes, region)
-            assert inside.tolist() == [reference_box_inside_region(b, region.polygons)
-                                       for b in boxes]
+            sampled = [reference_box_inside_region(b, region.polygons) for b in boxes]
+            for k in np.flatnonzero(inside != sampled):
+                fine = reference_box_inside_region(boxes[k], region.polygons, spacing=0.001)
+                assert fine == inside[k], (path.stem, boxes[k].tolist())
             assert 0 < inside.sum() < len(boxes), path.stem
             assert box_inside_region(boxes[:0], region).shape == (0,)
             assert box_inside_region(boxes[0], region) is inside[0].item()

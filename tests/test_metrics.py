@@ -1,5 +1,6 @@
 """Criticality measures: elementary formulas, frame selection, reports."""
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -412,7 +413,7 @@ def ragged_highway_run():
     sub = substitute_agents(scenario, chosen)
     bindings = {oid: engine.PlannerBinding("frenet", scenario.dynamic_obstacle(oid).recording)
                 for oid in chosen}
-    return engine.run(sub, bindings, engine.SimulationConfig(dt=scenario.dt, max_steps=10)), sub
+    return engine.run(sub, bindings, engine.SimulationConfig(max_steps=10)), sub
 
 
 def assert_rows_as_alone(network, log_a, others, table, dists, *args):
@@ -703,14 +704,20 @@ def test_crossing_ttc_equals_the_per_pair_reference(config, finite, merge_runs,
 
 
 @pytest.mark.parametrize("dt", [0.4, 0.08])
-def test_crossing_ttc_rounds_its_horizon_to_whole_steps(dt, monkeypatch):
+def test_crossing_ttc_rounds_its_horizon_to_whole_steps(dt, monkeypatch, tmp_path):
     """A run whose predictor horizon (2 s) is a whole number of steps while
     CROSSING_HORIZON (15 s) is not still evaluates: crossing TTC predicts
-    over round(15 / dt) steps, 38 at dt 0.4 and 188 at dt 0.08."""
+    over round(15 / dt) steps, 38 at dt 0.4 and 188 at dt 0.08. The run
+    steps at its scenario's dt, so the test writes the scenario with it."""
     with pytest.raises(ValueError):
         prediction.PredictorConfig(horizon=metrics.CROSSING_HORIZON).n_steps(dt)
     doc = load_run_config("intersection_idm")
-    doc["simulation"].update(dt=dt, max_steps=60)
+    source = resolve_scenario_path(str(doc["scenario"]), Path(doc["_base_dir"]))
+    data = json.loads(source.read_text())
+    data["dt"] = dt
+    doc["scenario"] = str(tmp_path / "scenario.json")
+    Path(doc["scenario"]).write_text(json.dumps(data))
+    doc["simulation"]["max_steps"] = 60
     doc["predictor"]["horizon"] = 2.0
     scenario, bindings, sim_cfg, predictor, cfg, _ = build_run(doc)
     result = engine.run(scenario, bindings, sim_cfg, predictor)

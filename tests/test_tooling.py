@@ -58,13 +58,13 @@ def test_tracer_times_route_to_goal_in_build_planner():
     import at the top of engine would keep the unwrapped function, and
     planners.route_to_goal_s would read 0."""
     spans = _load(PERFBENCH / "spans.py")
-    scn, bindings, sim_cfg, *_ = build_run(load_run_config("merge_frenet"))
+    scn, bindings, *_ = build_run(load_run_config("merge_frenet"))
     problem = scn.planning_problems[0]
     assert bindings[problem.agent_id].kind == "frenet"
     tracer = spans.Tracer()
     undo = spans.install(tracer)
     try:
-        engine.build_planner(bindings[problem.agent_id], problem, scn, sim_cfg.dt)
+        engine.build_planner(bindings[problem.agent_id], problem, scn)
     finally:
         undo()
     assert "planners.route_to_goal" in [s[0] for s in tracer.spans]
