@@ -3,8 +3,8 @@
 All pairwise measures are computed in curvilinear frames spanned by the
 agent's reachable lanelet paths; where several frames apply, the one with the
 most critical TTC is retained. Each vehicle's log projects its whole track
-once per lane chain it is read on (VehicleLog.on_chain), and all of an
-agent's vehicle pairs are scored in one table whose rows are (other vehicle,
+once per lane chain it is read on (VehicleLog.on_chain), and every agent's
+vehicle pairs are scored in one table whose rows are (agent, other vehicle,
 step), each row bitwise what its pair gets alone. Crossing TTC predicts both
 vehicles of a pair with the predictor's predict_all, all the steps a frame
 newly asks for in one call. Oncoming traffic is ignored unless the agent
@@ -143,6 +143,7 @@ def _against(turn):
 class AgentFrame(NamedTuple):
     """An agent's whole log in one of its candidate frames."""
     chain: tuple
+    key: tuple            # (start, depth-first rank) of the chain, which orders frames
     track: ChainTrack     # the agent on the chain
     member: np.ndarray    # steps at which the frame is a candidate that holds the agent
     v_along: np.ndarray   # speed along the frame's tangent
@@ -155,9 +156,10 @@ def frame_table(network, log: VehicleLog) -> list[AgentFrame]:
     holding it that it does not drive against (log.turns), by sorted start,
     or from its located lanelet when there is none; member marks the steps
     at which a frame is a candidate whose domain holds the agent. Frames are
-    ordered by (start, depth-first rank), the order in which every step
-    lists its candidates: the search from a start is the same at every step,
-    and MAX_PATHS only cuts its tail."""
+    ordered by their key (start, depth-first rank), the order in which every
+    step lists its candidates: the search from a start is the same at every
+    step, and MAX_PATHS only cuts its tail, so the key depends on the chain
+    alone."""
     ids, against = sorted(network.lanelets), _against(log.turns).any(axis=1)
     aligned = (np.abs(log.turns) <= math.pi / 2).tolist()   # NaN where a lanelet does not hold it
     listed = {}   # chain -> ((start, rank), steps)
@@ -171,13 +173,13 @@ def frame_table(network, log: VehicleLog) -> list[AgentFrame]:
             listed.setdefault(chain, (key, []))[1].append(t)
 
     frames = []
-    for chain, (_, steps) in sorted(listed.items(), key=lambda item: item[1][0]):
+    for chain, (key, steps) in sorted(listed.items(), key=lambda item: item[1][0]):
         on = log.on_chain(network, chain)
         member = np.zeros(len(against), bool)
         member[steps] = on.inside[steps]
         if member.any():
             turn = normalize_angles(log.track[:, 3] - on.tangent)
-            frames.append(AgentFrame(chain, on, member, log.v * np.cos(turn),
+            frames.append(AgentFrame(chain, key, on, member, log.v * np.cos(turn),
                                      against | _against(turn)))
     return frames
 
@@ -214,11 +216,14 @@ def tit(ttc_series, tau: float, dt: float, total_duration: float) -> float:
     return (dt / total_duration) * acc
 
 
-def _rows(log_a: VehicleLog, others: list[VehicleLog]) -> tuple[list, np.ndarray]:
-    """Each other's row count n and each row's step in the table of an agent
-    and others (one at least): a row per other and step both logs hold."""
-    ns = [min(len(log_a.track), len(log_o.track)) for log_o in others]
-    return ns, np.concatenate([np.arange(n) for n in ns])
+def _rows(blocks) -> tuple[list, list, np.ndarray]:
+    """The table of blocks, each an agent's log and the logs of others it
+    is scored with (one pair at least in all): its pairs (agent log, other
+    log), each pair's row count n and each row's step. Per agent in turn,
+    and per other in turn, a row per step both logs hold."""
+    pairs = [(log_a, log_o) for log_a, others in blocks for log_o in others]
+    ns = [min(len(log_a.track), len(log_o.track)) for log_a, log_o in pairs]
+    return pairs, ns, np.arange(sum(ns)) - np.repeat(np.cumsum([0, *ns[:-1]]), ns)
 
 
 def _stack(arrays, ns: list) -> np.ndarray:
@@ -226,10 +231,11 @@ def _stack(arrays, ns: list) -> np.ndarray:
     return np.concatenate([x[:n] for x, n in zip(arrays, ns)])
 
 
-def distance_series(log_a: VehicleLog, others: list[VehicleLog]) -> np.ndarray:
-    """Box distance between the agent and the others over the table's rows."""
-    ns, steps = _rows(log_a, others)
-    return min_distance(log_a.boxes[steps], _stack([log_o.boxes for log_o in others], ns))
+def distance_series(blocks) -> np.ndarray:
+    """Box distance between agent and other over the rows of the table of
+    blocks (_rows)."""
+    pairs, ns, _ = _rows(blocks)
+    return min_distance(*(_stack([log.boxes for log in side], ns) for side in zip(*pairs)))
 
 
 def ttce_dce(dist_series: np.ndarray, dt: float) -> tuple[list, list]:
@@ -278,62 +284,91 @@ def proportion_stopping_distance(distance_to_area, msd):
 # Frame selection
 
 
-def select_frames(network, log_a: VehicleLog, others: list[VehicleLog], dt: float,
-                  cfg: MetricConfig, conflict_pairs: set, frames: list[AgentFrame]) -> dict:
-    """Per row of the agent's table with others (_rows), the pair's relation,
-    d_a, d_o, v_a, v_o (speeds along the frame), hw and ttc in the most
-    critical of the agent's frames (its frame_table): the least (ttc, hw),
-    the first among equals. A pair is "ignored" where no frame holds the other
-    as relevant or its centres are farther apart than the gating distance."""
-    ns, steps = _rows(log_a, others)
-    owner, track_o = np.repeat(np.arange(len(others)), ns), _stack([o.track for o in others], ns)
+def select_frames(network, blocks, dt: float, cfg: MetricConfig, conflict_pairs: set,
+                  frames: dict) -> dict:
+    """Per row of the table of blocks (_rows), the pair's relation, d_a, d_o,
+    v_a, v_o (speeds along the frame), hw and ttc in the most critical of
+    its agent's frames (frames[agent id], its frame_table): the least (ttc,
+    hw), the first among equals. A pair is "ignored" where no frame holds
+    the other as relevant or its centres are farther apart than the gating
+    distance. One pass per lane chain of any agent's frames, in the order of
+    their keys, runs over the rows of the agents that hold it. A key depends
+    on the chain alone, so each agent meets its frames in its own order, and
+    every row is bitwise what its pair gets alone."""
+    pairs, ns, steps = _rows(blocks)
+    owner = np.repeat(np.arange(len(pairs)), ns)
+    block = np.repeat(np.repeat(np.arange(len(blocks)), [len(others) for _, others in blocks]), ns)
+    vehicles = list({log_o.id: log_o for _, log_o in pairs}.values())   # the others, once each
+    index = {log.id: k for k, log in enumerate(vehicles)}
+    vehicle = np.repeat([index[log_o.id] for _, log_o in pairs], ns)
+    track_a, track_o = (_stack([log.track for log in side], ns) for side in zip(*pairs))
     vo, tho = track_o[:, 2:].T
     # math.hypot: np.hypot differs from it in the last bit on some inputs
     near = np.array([math.hypot(dx, dy) <= cfg.gating_distance for dx, dy
-                     in (log_a.track[steps, :2] - track_o[:, :2]).tolist()])
-    da = _stack([o.a for o in others], ns) / dt - log_a.a[steps] / dt
-    length_o = np.repeat([o.length for o in others], ns)
-    lanelets_o = [lid for o, n in zip(others, ns) for lid in o.lanelets[:n]]
-    zero = np.zeros(len(log_a.track))   # the others a frame holds at no row skip its projection
-    idle = ChainTrack(None, zero, zero, zero.astype(bool), zero)
+                     in (track_a[:, :2] - track_o[:, :2]).tolist()])
+    a_a, a_o = (_stack([log.a for log in side], ns) for side in zip(*pairs))
+    da = a_o / dt - a_a / dt
+    length_a, length_o = (np.repeat([log.length for log in side], ns) for side in zip(*pairs))
+    code = {lid: k for k, lid in enumerate(sorted(network.lanelets))}   # None: len(code)
+    lane_o = np.array([code.get(lid, len(code)) for (_, log_o), n in zip(pairs, ns)
+                       for lid in log_o.lanelets[:n]])
+    width = max(len(log.track) for log in [*vehicles, *(log_a for log_a, _ in blocks)])
+    passes = {}   # chain -> (key, [(block, the agent's frame on it)])
+    for b, (log_a, _) in enumerate(blocks):
+        for frame in frames[log_a.id]:
+            passes.setdefault(frame.chain, (frame.key, []))[1].append((b, frame))
 
     relation = np.full(len(steps), "ignored", dtype=object)
     d_a, d_o, hw, ttc = (np.full(len(steps), INF) for _ in range(4))
     v_a, v_o, found = np.zeros(len(steps)), np.zeros(len(steps)), np.zeros(len(steps), bool)
     crossing = np.full(len(steps), np.nan)   # the frame-independent crossing TTC, NaN until asked
-    for agent in frames:
-        holds = near & agent.member[steps]
+    for chain, (_, holders) in sorted(passes.items(), key=lambda item: item[1][0]):
+        taking, agent = np.zeros(len(blocks), bool), np.zeros((5, len(blocks), width))
+        for b, frame in holders:
+            taking[b] = True
+            agent[:, b, :len(frame.member)] = (frame.member, frame.track.s, frame.track.d,
+                                               frame.v_along, frame.oncoming)
+        rows = np.flatnonzero(taking[block])
+        t = steps[rows]
+        member, s_a, d_af, v_af, oncoming = agent[:, block[rows], t]
+        holds = near[rows] & (member != 0)
         if not holds.any():
             continue
-        held = set(owner[holds].tolist())
-        ons = [o.on_chain(network, agent.chain) if k in held else idle
-               for k, o in enumerate(others)]
-        s_o, d_of, inside, tangent = (_stack(field, ns) for field in list(zip(*ons))[1:])
-        turn = normalize_angles(tho - tangent)
+        # the others held at no row read zeros and skip their projection
+        held = sorted(set(vehicle[rows[holds]].tolist()))
+        slot, other = np.zeros(len(vehicles), int), np.zeros((4, len(held) + 1, width))
+        for j, k in enumerate(held, 1):
+            slot[k] = j
+            other[:, j, :len(vehicles[k].track)] = vehicles[k].on_chain(network, chain)[1:]
+        s_o, d_of, inside, tangent = other[:, slot[vehicle[rows]], t]
+        turn = normalize_angles(tho[rows] - tangent)
         against = _against(turn)
-        crossers = {b for p in conflict_pairs for a, b in (p, p[::-1]) if a in agent.chain}
-        lanes_cross = np.array([lid in crossers for lid in lanelets_o], bool)
-        holds &= inside & (~against | agent.oncoming[steps] | lanes_cross)
+        crossers = {lid for p in conflict_pairs for a, lid in (p, p[::-1]) if a in chain}
+        crosses = np.zeros(len(code) + 1, bool)
+        crosses[[code[lid] for lid in crossers]] = True
+        lanes_cross = crosses[lane_o[rows]]
+        holds &= (inside != 0) & (~against | (oncoming != 0) | lanes_cross)
         rel = np.where(against, "oncoming-relevant",
                        np.where(lanes_cross, "crossing", "lead-follow"))
 
-        v_o_along = vo * np.cos(turn)
-        rear_o, front_a = s_o - length_o / 2.0, agent.track.s[steps] + log_a.length / 2.0
+        v_o_along = vo[rows] * np.cos(turn)
+        rear_o, front_a = s_o - length_o[rows] / 2.0, s_a + length_a[rows] / 2.0
         hw_f = np.where((rear_o > front_a) & (np.abs(d_of) <= CORRIDOR_HALFWIDTH),
                         rear_o - front_a, INF)
-        ttc_f = ttc_closed_form(hw_f, v_o_along - agent.v_along[steps], da)
+        ttc_f = ttc_closed_form(hw_f, v_o_along - v_af, da[rows])
         asks = holds & (rel == "crossing") & (hw_f == INF)
-        new = asks & np.isnan(crossing)
+        new = rows[asks & np.isnan(crossing[rows])]
         for k in sorted(set(owner[new].tolist())):   # one call per pair
-            mine = new & (owner == k)
-            crossing[mine] = _crossing_ttc(network, log_a, others[k], steps[mine], dt)
-        ttc_f[asks] = crossing[asks]
+            mine = new[owner[new] == k]
+            crossing[mine] = _crossing_ttc(network, *pairs[k], steps[mine], dt)
+        ttc_f[asks] = crossing[rows[asks]]
 
-        wins = holds & (~found | (ttc_f < ttc) | ((ttc_f == ttc) & (hw_f < hw)))
-        for best, this in ((relation, rel), (d_a, agent.track.d[steps]), (d_o, d_of), (hw, hw_f),
-                           (v_a, agent.v_along[steps]), (v_o, v_o_along), (ttc, ttc_f)):
-            best[wins] = this[wins]
-        found |= holds
+        wins = holds & (~found[rows] | (ttc_f < ttc[rows])
+                        | ((ttc_f == ttc[rows]) & (hw_f < hw[rows])))
+        for best, this in ((relation, rel), (d_a, d_af), (d_o, d_of), (hw, hw_f),
+                           (v_a, v_af), (v_o, v_o_along), (ttc, ttc_f)):
+            best[rows[wins]] = this[wins]
+        found[rows] |= holds
     return {"relation": relation.astype(str), "d_a": d_a, "d_o": d_o,
             "v_a": v_a, "v_o": v_o, "hw": hw, "ttc": ttc}
 
@@ -348,17 +383,20 @@ def _crossing_ttc(network, log_a: VehicleLog, log_o: VehicleLog, steps: np.ndarr
     return np.where(hits.any(axis=1), hits.argmax(axis=1) * dt, INF)
 
 
-def _may_come_within(log_a: VehicleLog, others: list[VehicleLog], gate: float) -> np.ndarray:
-    """Per other, whether it may come within gate of the agent at a step both
-    logs hold. A box lies in its circumcircle, so the box distance is at
-    least the centre distance less both circumradii. Where that exceeds gate
-    at every step by a relative and absolute margin far above the rounding
-    of np.hypot and min_distance, every box and centre distance is past the
-    gate, so select_frames ignores the pair throughout and evaluate drops it."""
-    ns, steps = _rows(log_a, others)
-    centres = np.hypot(*(log_a.track[steps, :2] - _stack([o.track[:, :2] for o in others], ns)).T)
+def _may_come_within(blocks, gate: float) -> np.ndarray:
+    """Per pair of the table of blocks (_rows), whether the other may come
+    within gate of the agent at a step both logs hold. A box lies in its
+    circumcircle, so the box distance is at least the centre distance less
+    both circumradii. Where that exceeds gate at every step by a relative
+    and absolute margin far above the rounding of np.hypot and min_distance,
+    every box and centre distance is past the gate, so select_frames ignores
+    the pair throughout and evaluate drops it."""
+    pairs, ns, _ = _rows(blocks)
+    xy_a, xy_o = (_stack([log.track[:, :2] for log in side], ns) for side in zip(*pairs))
+    centres = np.hypot(*(xy_a - xy_o).T)
     reach = np.repeat([gate + 0.5 * (math.hypot(log_a.length, log_a.width)
-                                     + math.hypot(o.length, o.width)) for o in others], ns)
+                                     + math.hypot(log_o.length, log_o.width))
+                       for log_a, log_o in pairs], ns)
     close = centres <= reach * (1.0 + 1e-9) + 1e-9
     return np.logical_or.reduceat(close, np.cumsum([0, *ns[:-1]]))
 
@@ -450,32 +488,45 @@ def evaluate(result: SimulationResult, scenario: Scenario,
     entries = {}
 
     report = MetricReport(dt=dt)
-    for aid in sorted(aid for aid, log in logs.items() if log.is_agent):
-        log_a = logs[aid]
-        params = log_a.params or VehicleParams()
-        frames = frame_table(network, log_a)
-        others = [logs[oid] for oid in sorted(logs) if oid != aid]
-        gated = _may_come_within(log_a, others, cfg.gating_distance) if others else []
-        others = [log_o for log_o, within in zip(others, gated) if within]
-        if others:   # one table for all the agent's gated pairs, split back per pair
-            ns, steps = _rows(log_a, others)
-            dists = distance_series(log_a, others)
-            table = select_frames(network, log_a, others, dt, cfg, conflict_pairs, frames)
-            hw, ttc, v = table["hw"], table["ttc"], log_a.v[steps]
+    agents = sorted(aid for aid, log in logs.items() if log.is_agent)
+    frames = {aid: frame_table(network, logs[aid]) for aid in agents}
+    # one table of every agent's gated pairs, split back per agent and pair
+    blocks = [(logs[aid], [logs[oid] for oid in sorted(logs) if oid != aid]) for aid in agents]
+    if len(logs) > 1:
+        within = iter(_may_come_within(blocks, cfg.gating_distance).tolist())
+        blocks = [(log_a, [log_o for log_o in others if next(within)])
+                  for log_a, others in blocks]
+    blocks = [(log_a, others) for log_a, others in blocks if others]
+    if blocks:
+        _, ns, steps = _rows(blocks)
+        dists = distance_series(blocks)
+        table = select_frames(network, blocks, dt, cfg, conflict_pairs, frames)
+        bounds, first = [0, *np.cumsum(ns).tolist()], 0   # each pair's first row, and the end
+        for log_a, others in blocks:   # the agent's rows of the table
+            last = first + len(others)
+            mine = slice(bounds[first], bounds[last])
+            block, block_dists = {name: x[mine] for name, x in table.items()}, dists[mine]
+            params = log_a.params or VehicleParams()
+            hw, ttc, v = block["hw"], block["ttc"], log_a.v[steps[mine]]
             thw = np.divide(hw, v, out=np.full(len(hw), INF), where=np.isfinite(hw) & (v > 0))
-            rows = {"hw": hw, "thw": thw, "ttc": ttc, "relation": table["relation"],
-                    "btn": braking_threat(hw, table["v_a"], table["v_o"], params.a_long_max),
-                    "stn": steering_threat(table["d_a"], table["d_o"], log_a.width,
-                                           np.repeat([o.width for o in others], ns), ttc,
-                                           params.a_lat_max)}
+            rows = {"hw": hw, "thw": thw, "ttc": ttc, "relation": block["relation"],
+                    "btn": braking_threat(hw, block["v_a"], block["v_o"], params.a_long_max),
+                    "stn": steering_threat(block["d_a"], block["d_o"], log_a.width,
+                                           np.repeat([o.width for o in others], ns[first:last]),
+                                           ttc, params.a_lat_max)}
             rows = {name: x.tolist() for name, x in rows.items()}
-            scored = (table["relation"] != "ignored") | (dists < cfg.gating_distance)
-            ends = np.cumsum(ns).tolist()
+            scored = (block["relation"] != "ignored") | (block_dists < cfg.gating_distance)
+            ends = [end - bounds[first] for end in bounds[first + 1:last + 1]]
             for log_o, lo, hi in zip(others, [0, *ends], ends):
                 if scored[lo:hi].any():
                     series = {name: x[lo:hi] for name, x in rows.items()}
-                    series["ttce"], series["dce"] = ttce_dce(dists[lo:hi], dt)
-                    report.pair_series[(aid, log_o.id)] = series
+                    series["ttce"], series["dce"] = ttce_dce(block_dists[lo:hi], dt)
+                    report.pair_series[(log_a.id, log_o.id)] = series
+            first = last
+
+    for aid in agents:
+        log_a = logs[aid]
+        params = log_a.params or VehicleParams()
         kept = [series for (a, _), series in report.pair_series.items() if a == aid]
 
         # conflict-area events
@@ -491,7 +542,7 @@ def evaluate(result: SimulationResult, scenario: Scenario,
         ttc_min, gap_min = np.full(len(log_a.v), INF), np.full(len(log_a.v), INF)
         for ttc in (series["ttc"] for series in kept):
             ttc_min[:len(ttc)] = np.minimum(ttc_min[:len(ttc)], ttc)
-        for agent in frames:
+        for agent in frames[aid]:
             if agent.chain not in entries:
                 frame, entries[agent.chain] = network.chain_frame(agent.chain), []
                 for pair, area in conflict_areas:

@@ -568,7 +568,7 @@ def test_tet_tit_bounds():
 
 def test_dce_zero_on_colliding_logs():
     ego, lead = _stopping_logs(0.0)
-    dists = distance_series(ego, [lead])
+    dists = distance_series([(ego, [lead])])
     _, dce = ttce_dce(dists, DT)
     assert dce[0] == 0.0
 
@@ -579,7 +579,7 @@ def test_ttce_converges_to_ttc_as_dce_vanishes():
     gaps = []
     for margin in (2.0, 1.0, 0.5, 0.1, 0.01):
         ego, lead = _stopping_logs(margin)
-        dists = distance_series(ego, [lead])
+        dists = distance_series([(ego, [lead])])
         ttce, dce = ttce_dce(dists, DT)
         assert dce[0] == pytest.approx(margin, abs=1e-9)
         gaps.append(abs(ttce[0] - ttc))

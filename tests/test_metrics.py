@@ -12,7 +12,8 @@ import pytest
 from drivesim import engine, metrics, prediction, scenario as scenario_module
 from drivesim.cli import (build_run, load_run_config, read_run_outputs, resolve_scenario_path,
                           write_run_outputs)
-from drivesim.dynamics import AgentState, VehicleParams, normalize_angle
+from drivesim.dynamics import (AgentState, ControlInput, Trajectory, VehicleParams,
+                               normalize_angle)
 from drivesim.geometry import (Polygon, Polyline, box_intersects_polygon, boxes_intersect,
                                occupancy)
 from drivesim.metrics import (CORRIDOR_HALFWIDTH, MAX_PATHS, PATH_LOOKAHEAD, MetricConfig,
@@ -135,8 +136,8 @@ class TestFrameSelection:
     def _ctx(self, log_a, log_o, step=0):
         """The pair's series from select_frames, each read at step."""
         locate_logs(self.net, [log_a, log_o])
-        series = select_frames(self.net, log_a, [log_o], DT, self.cfg,
-                               conflict_pairs=set(), frames=frame_table(self.net, log_a))
+        series = select_frames(self.net, [(log_a, [log_o])], DT, self.cfg, conflict_pairs=set(),
+                               frames={log_a.id: frame_table(self.net, log_a)})
         return PairContext(**{name: values[step] for name, values in series.items()})
 
     def test_lead_follow_headway(self):
@@ -186,8 +187,8 @@ class TestFrameSelection:
             other = const_log("o", gap * math.cos(bearing), gap * math.sin(bearing), 0.0,
                               rng.uniform(-math.pi, math.pi), n=2)
             gate = self.cfg.gating_distance
-            kept = metrics._may_come_within(ego, [other], gate).item()
-            if gap <= gate or distance_series(ego, [other]).min() < gate:
+            kept = metrics._may_come_within([(ego, [other])], gate).item()
+            if gap <= gate or distance_series([(ego, [other])]).min() < gate:
                 assert kept, gap
             if gap > reach + 1e-6:
                 assert not kept, gap
@@ -330,10 +331,17 @@ def reference_select_frames(network, log_a, log_o, step, dt, cfg, conflict_pairs
     return best or PairContext("ignored")
 
 
-def pair_rows(log_a, others):
-    """Per other, the slice of its rows in the table of log_a and others:
-    one row per step both logs hold, the others in turn."""
-    ends = np.cumsum([min(len(log_a.track), len(log_o.track)) for log_o in others])
+def table_pairs(blocks):
+    """The pairs (agent log, other log) of the table of blocks, each an
+    agent's log and the logs of the others it is scored with, in row order."""
+    return [(log_a, log_o) for log_a, others in blocks for log_o in others]
+
+
+def pair_rows(blocks):
+    """Per pair, the slice of its rows in the table of blocks: per agent in
+    turn and per other in turn, one row per step both logs hold."""
+    ends = np.cumsum([min(len(log_a.track), len(log_o.track))
+                      for log_a, log_o in table_pairs(blocks)])
     return [slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
@@ -343,32 +351,34 @@ def pair_rows(log_a, others):
                          ids=lambda c: Path(c).stem)
 def test_select_frames_matches_the_per_step_reference(config, merge_runs, intersection_runs,
                                                        monkeypatch):
-    """For every pair evaluate scores, the pair's rows of its agent's
+    """For every pair evaluate scores, the pair's rows of the one
     select_frames table give bitwise the per-step reference's relation, hw,
-    ttc, d_a, d_o, v_a and v_o at every step. The gate is asked about every
-    (agent, other vehicle) pair, and select_frames gets exactly the others
-    it lets through. For every pair the gate skips, the reference ignores
-    the pair at every step and no exact box distance is below the gating
-    distance. evaluate raises no warning."""
+    ttc, d_a, d_o, v_a and v_o at every step. One gate call is asked about
+    every (agent, other vehicle) pair, and one select_frames call gets
+    exactly the pairs it lets through. For every pair the gate skips, the
+    reference ignores the pair at every step and no exact box distance is
+    below the gating distance. evaluate raises no warning."""
     if config.startswith(("merge", "intersection")):
         runs = merge_runs if config.startswith("merge") else intersection_runs
         result, scenario, cfg = runs[config.split("_")[1]]
     else:
         result, scenario, cfg = run_bundled(config)
-    gated, selected = {}, {}
+    gated, selected, calls = {}, {}, []
     may_come_within, select = metrics._may_come_within, metrics.select_frames
 
-    def recorded_gate(log_a, others, gate):
-        within = may_come_within(log_a, others, gate)
-        assert within.shape == (len(others),)
-        for log_o, w in zip(others, within.tolist()):
+    def recorded_gate(blocks, gate):
+        calls.append("gate")
+        within = may_come_within(blocks, gate)
+        assert within.shape == (len(table_pairs(blocks)),)
+        for (log_a, log_o), w in zip(table_pairs(blocks), within.tolist()):
             assert (log_a.id, log_o.id) not in gated
             gated[(log_a.id, log_o.id)] = (log_a, log_o, w)
         return within
 
-    def recorded_select(network, log_a, others, *args):
-        table = select(network, log_a, others, *args)
-        for log_o, rows in zip(others, pair_rows(log_a, others)):
+    def recorded_select(network, blocks, *args):
+        calls.append("select")
+        table = select(network, blocks, *args)
+        for (log_a, log_o), rows in zip(table_pairs(blocks), pair_rows(blocks)):
             assert (log_a.id, log_o.id) not in selected
             selected[(log_a.id, log_o.id)] = {name: x[rows] for name, x in table.items()}
         return table
@@ -383,6 +393,7 @@ def test_select_frames_matches_the_per_step_reference(config, merge_runs, inters
     conflict_pairs = {tuple(sorted(pair)) for pair, _ in network.conflict_areas()}
     n_vehicles = len(result.trajectories) + len(scenario.dynamic_obstacles
                                                  + scenario.static_obstacles)
+    assert calls == ["gate", "select"]
     assert len(gated) == len(result.trajectories) * (n_vehicles - 1)
     assert selected.keys() == {pair for pair, (*_, within) in gated.items() if within}
     rows = {}
@@ -394,7 +405,7 @@ def test_select_frames_matches_the_per_step_reference(config, merge_runs, inters
                for t, row in enumerate(rows[log_a.id][:min(len(log_a.track), len(log_o.track))])]
         if not within:
             assert {ctx.relation for ctx in ref} == {"ignored"}, pair
-            assert np.all(distance_series(log_a, [log_o]) >= cfg.gating_distance), pair
+            assert np.all(distance_series([(log_a, [log_o])]) >= cfg.gating_distance), pair
             continue
         series = selected[pair]
         assert series["relation"].tolist() == [ctx.relation for ctx in ref], pair
@@ -416,45 +427,55 @@ def ragged_highway_run():
     return engine.run(sub, bindings, engine.SimulationConfig(max_steps=10)), sub
 
 
-def assert_rows_as_alone(network, log_a, others, table, dists, *args):
-    """Each other's rows of the stacked select_frames table and distance
-    series are bitwise what select_frames and distance_series give the
-    pair alone."""
-    for log_o, rows in zip(others, pair_rows(log_a, others)):
-        alone = select_frames(network, log_a, [log_o], *args)
-        assert table["relation"][rows].tolist() == alone["relation"].tolist(), log_o.id
+def assert_rows_as_alone(network, blocks, table, dists, *args):
+    """Each pair's rows of the select_frames table and distance series of
+    blocks are bitwise what select_frames and distance_series give the pair
+    alone."""
+    for (log_a, log_o), rows in zip(table_pairs(blocks), pair_rows(blocks)):
+        pair, ids = [(log_a, [log_o])], (log_a.id, log_o.id)
+        alone = select_frames(network, pair, *args)
+        assert table["relation"][rows].tolist() == alone["relation"].tolist(), ids
         for name in ("hw", "ttc", "d_a", "d_o", "v_a", "v_o"):
-            assert table[name][rows].tobytes() == alone[name].tobytes(), (log_o.id, name)
-        assert dists[rows].tobytes() == distance_series(log_a, [log_o]).tobytes(), log_o.id
+            assert table[name][rows].tobytes() == alone[name].tobytes(), (ids, name)
+        assert dists[rows].tobytes() == distance_series(pair).tobytes(), ids
 
 
-def test_stacked_rows_equal_per_pair_calls_on_ragged_pairs(monkeypatch):
-    """On a run whose agents end at different steps, every row of each
-    agent's select_frames table and distance series that evaluate builds is
-    bitwise what the pair gets from a call of its own."""
-    result, scenario = ragged_highway_run()
-    assert {len(t.states) for t in result.trajectories.values()} == {9, 11}
+def recorded_tables(monkeypatch):
+    """Two lists that gather, per select_frames and per distance_series
+    call made while monkeypatch holds, (network, blocks, table, the other
+    arguments) and the distances."""
     tables, dists = [], []
     select, distances = metrics.select_frames, metrics.distance_series
 
-    def recorded_select(network, log_a, others, *args):
-        tables.append((network, log_a, others, select(network, log_a, others, *args), args))
-        return tables[-1][3]
+    def recorded_select(network, blocks, *args):
+        tables.append((network, blocks, select(network, blocks, *args), args))
+        return tables[-1][2]
 
-    def recorded_distances(log_a, others):
-        dists.append(distances(log_a, others))
+    def recorded_distances(blocks):
+        dists.append(distances(blocks))
         return dists[-1]
 
     monkeypatch.setattr(metrics, "select_frames", recorded_select)
     monkeypatch.setattr(metrics, "distance_series", recorded_distances)
+    return tables, dists
+
+
+def test_stacked_rows_equal_per_pair_calls_on_ragged_pairs(monkeypatch):
+    """On a run whose agents end at different steps, every row of the one
+    select_frames table and distance series that evaluate builds for all
+    its agents is bitwise what the pair gets from a call of its own."""
+    result, scenario = ragged_highway_run()
+    assert {len(t.states) for t in result.trajectories.values()} == {9, 11}
+    tables, dists = recorded_tables(monkeypatch)
     evaluate(result, scenario)
     monkeypatch.undo()
-    assert len(tables) == len(dists) == len(result.trajectories)
-    assert any(len({len(o.track) for o in others}) > 1 for _, _, others, *_ in tables)
-    for (network, log_a, others, table, args), series in zip(tables, dists):
-        assert len(series) == len(table["hw"]) == sum(
-            min(len(log_a.track), len(o.track)) for o in others)
-        assert_rows_as_alone(network, log_a, others, table, series, *args)
+    assert len(tables) == len(dists) == 1
+    ((network, blocks, table, args),), (series,) = tables, dists
+    assert [log_a.id for log_a, _ in blocks] == sorted(result.trajectories)
+    assert any(len({len(o.track) for o in others}) > 1 for _, others in blocks)
+    assert len(series) == len(table["hw"]) == sum(
+        min(len(log_a.track), len(o.track)) for log_a, o in table_pairs(blocks))
+    assert_rows_as_alone(network, blocks, table, series, *args)
 
 
 def test_stacked_rows_equal_per_pair_calls_across_magnitudes():
@@ -477,14 +498,144 @@ def test_stacked_rows_equal_per_pair_calls_across_magnitudes():
                                  np.full(n, 3.0), rng.choice([0.0, 1e-9, 0.5], n)])
         others.append(VehicleLog(f"o{k}", track, 4.0, 2.0, False))
     locate_logs(net, [agent, *others])
-    dists = distance_series(agent, others)
-    assert dists[0] == distance_series(agent, others[:1])[0] > 1e-6   # the 1.5e-6 gap
+    blocks = [(agent, others)]
+    dists = distance_series(blocks)
+    assert dists[0] == distance_series([(agent, others[:1])])[0] > 1e-6   # the 1.5e-6 gap
     x = np.concatenate([o.track[:, 0] for o in others])
     assert np.any(dists == 0.0) and np.any((dists < 1e-3) & (x > 1e5))
     assert len({len(o.track) for o in others}) > 1
-    table = select_frames(net, agent, others, DT, cfg, set(), frame_table(net, agent))
-    assert_rows_as_alone(net, agent, others, table, dists, DT, cfg, set(),
-                         frame_table(net, agent))
+    frames = {agent.id: frame_table(net, agent)}
+    table = select_frames(net, blocks, DT, cfg, set(), frames)
+    assert_rows_as_alone(net, blocks, table, dists, DT, cfg, set(), frames)
+
+
+@pytest.mark.parametrize("config", [*(f"{m}_{r}" for m in ("intersection", "merge")
+                                      for r in ("frenet", "idm", "replay")),
+                                    str(HIGHWAY_FRENET12), "ragged"],
+                         ids=lambda c: Path(c).stem)
+def test_one_table_equals_per_agent_tables(config, merge_runs, intersection_runs, monkeypatch):
+    """evaluate scores all agents' pairs in one select_frames and one
+    distance_series call, and each agent's block of that table (its rows,
+    one run of them) is bitwise what the two functions give the block
+    alone: relation, hw, ttc, d_a, d_o, v_a, v_o and the box distances."""
+    if config == "ragged":
+        (result, scenario), cfg = ragged_highway_run(), MetricConfig()
+    elif config.startswith(("merge", "intersection")):
+        runs = merge_runs if config.startswith("merge") else intersection_runs
+        result, scenario, cfg = runs[config.split("_")[1]]
+    else:
+        result, scenario, cfg = run_bundled(config)
+    tables, dists = recorded_tables(monkeypatch)
+    evaluate(result, scenario, cfg)
+    monkeypatch.undo()
+    ((network, blocks, table, args),), (series,) = tables, dists
+    assert [log_a.id for log_a, _ in blocks] == sorted(result.trajectories)
+    assert len(blocks) >= 2
+    lo = 0
+    for block in blocks:
+        hi = lo + sum(min(len(block[0].track), len(o.track)) for o in block[1])
+        alone = select_frames(network, [block], *args)
+        assert table["relation"][lo:hi].tolist() == alone["relation"].tolist(), block[0].id
+        for name in ("hw", "ttc", "d_a", "d_o", "v_a", "v_o"):
+            assert table[name][lo:hi].tobytes() == alone[name].tobytes(), (block[0].id, name)
+        assert series[lo:hi].tobytes() == distance_series([block]).tobytes(), block[0].id
+        lo = hi
+    assert lo == len(series) == len(table["hw"])
+
+
+def finished_run(agents: dict, parked=()):
+    """A finished run on straight_network whose agents (id -> their states
+    as rows (x, y, v, theta)) ran as long as the longest of them, among the
+    static obstacles parked."""
+    steps = max(len(rows) for rows in agents.values()) - 1
+    trajectories = {aid: Trajectory([AgentState(*row) for row in rows],
+                                    [ControlInput(0.0, 0.0)] * (len(rows) - 1), DT)
+                    for aid, rows in agents.items()}
+    result = engine.SimulationResult([engine.StepLog(k, {}, [], {}) for k in range(steps)],
+                                     dict.fromkeys(agents, engine.AgentStatus.RUNNING), {},
+                                     trajectories, DT)
+    return result, Scenario(straight_network(), list(parked), [], [], DT)
+
+
+def test_one_table_keeps_each_row_across_agents_at_different_magnitudes(monkeypatch):
+    """The one table of an evaluate whose agents drive near the origin and
+    1e6 m out widens boxes_intersect's tolerance, taken from the largest
+    coordinate of the pairs it tests, for the rows of every agent. Agent
+    "near" has a vehicle parked 1.5e-6 m ahead, between the tolerance of its
+    own call (1e-6 m) and that of the table (2e-6 m); agent "far" drives
+    from touching one parked vehicle to 3e-6 m behind another. Every row of
+    the one select_frames table and distance series equals its pair's own
+    call, and the gap stays open."""
+    near = [(0.0, 0.0, 0.0, 0.0)] * 5
+    far = [(1e6 + 0.1 * k, 5.0, 1.0, 0.0) for k in range(5)]
+    reach = VehicleParams().length / 2.0 + 2.0   # centre to centre, end to end: agent and 4 m box
+    parked = [StaticObstacle("gap", 4.0, 2.0, AgentState(reach + 1.5e-6, 0.0, 0.0, 0.0)),
+              StaticObstacle("touch", 4.0, 2.0, AgentState(1e6 - reach, 5.0, 0.0, 0.0)),
+              StaticObstacle("close", 4.0, 2.0, AgentState(1e6 + 0.4 + reach + 3e-6, 5.0,
+                                                           0.0, 0.0))]
+    result, scenario = finished_run({"near": near, "far": far}, parked)
+    tables, dists = recorded_tables(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluate(result, scenario)
+    monkeypatch.undo()
+    ((network, blocks, table, args),), (series,) = tables, dists
+    assert [(log_a.id, [o.id for o in others]) for log_a, others in blocks] == [
+        ("far", ["close", "touch"]), ("near", ["gap"])]
+    rows = {(log_a.id, log_o.id): series[r]
+            for (log_a, log_o), r in zip(table_pairs(blocks), pair_rows(blocks))}
+    assert np.all(rows["near", "gap"] > 1e-6)
+    assert rows["far", "touch"][0] == 0.0 < rows["far", "touch"][1]
+    assert 0.0 < rows["far", "close"][-1] < 1e-5
+    assert_rows_as_alone(network, blocks, table, series, *args)
+
+
+def per_agent_tables(monkeypatch):
+    """Score each agent's block of evaluate's table with select_frames and
+    distance_series calls of its own, one per agent, and stack them."""
+    select, distances = metrics.select_frames, metrics.distance_series
+
+    def select_per_agent(network, blocks, *args):
+        tables = [select(network, [block], *args) for block in blocks]
+        return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+
+    def distances_per_agent(blocks):
+        return np.concatenate([distances([block]) for block in blocks])
+
+    monkeypatch.setattr(metrics, "select_frames", select_per_agent)
+    monkeypatch.setattr(metrics, "distance_series", distances_per_agent)
+
+
+@pytest.mark.parametrize("agents, scored", [
+    (("a", "b", "c", "d"), {(x, y) for x in "abd" for y in "abd" if x != y}),
+    (("a", "c"), set())], ids=["one_agent_past_the_gate", "no_agent_gated"])
+def test_agents_without_gated_others(agents, scored, monkeypatch):
+    """An agent whose every other vehicle stays past the gate has no rows
+    in the one table and no pair series, beside agents that have some; a
+    run where no agent has a gated other builds no table, so neither
+    select_frames nor distance_series is called. evaluate raises no numpy
+    warning, and its report equals the one scored with a call per agent.
+    a, b and d drive in line on one lane; c is over 150 m ahead of them."""
+    tracks = {"a": [(-40.0 + k, 0.0, 10.0, 0.0) for k in range(6)],
+              "b": [(-25.0 + 0.8 * k, 0.0, 8.0, 0.0) for k in range(6)],
+              "c": [(150.0 + k, 0.0, 10.0, 0.0) for k in range(6)],
+              "d": [(-10.0 + 0.6 * k, 0.0, 6.0, 0.0) for k in range(6)]}
+    result, scenario = finished_run({aid: tracks[aid] for aid in agents})
+    tables, dists = recorded_tables(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = evaluate(result, scenario)
+    monkeypatch.undo()
+    assert set(report.pair_series) == scored
+    assert len(tables) == len(dists) == (1 if scored else 0)
+    if scored:
+        assert [log_a.id for log_a, _ in tables[0][1]] == ["a", "b", "d"]
+    assert report.aggregates["c"]["min_dce"] == INF and report.aggregates["c"]["max_btn"] == 0.0
+    assert report.agent_series["c"]["ttc"] == [INF] * 6
+    per_agent_tables(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(result, scenario).to_dict() == report.to_dict()
 
 
 def test_evaluate_localizes_every_log_in_one_call(monkeypatch):
@@ -582,7 +733,7 @@ CROSSING_ROWS = {"intersection_frenet": 150, "intersection_idm": 144, "intersect
 
 
 @pytest.mark.parametrize("config, asked, extrapolated",
-                         [("intersection_frenet", 2, 4), ("merge_frenet", 4, 8),
+                         [("intersection_frenet", 2, 2), ("merge_frenet", 4, 8),
                           ("intersection_idm", 2, 4), ("intersection_replay", 2, 4),
                           ("merge_idm", 2, 4), ("merge_replay", 2, 4)])
 def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapolated,
@@ -593,7 +744,13 @@ def test_crossing_ttc_asks_once_per_pair_frame_and_step(config, asked, extrapola
     has not predicted yet (VehicleLog.crossing_boxes) with one predict_all,
     which extrapolates once per distinct lane chain of its rows, plus once
     for rows without a lanelet, so each (vehicle, step) is predicted at most
-    once per evaluate: CROSSING_ROWS rows in all."""
+    once per evaluate: CROSSING_ROWS rows in all. The frames of all agents
+    are visited in the order of their chains' keys, so on
+    intersection_frenet the pair (orange, green), on a chain from "ew",
+    asks before (green, orange), on one from "ns". Its 75 steps hold the 61
+    that green's pair asks for after, so each vehicle predicts once, one
+    extrapolation each: 2, where green's pair asking first left 14 steps to
+    predict in a second call per vehicle (4)."""
     result, scenario, metric_cfg = run_bundled(config)
     frames, calls, chains, predicting = {}, [], [], []
     table, crossing_ttc = metrics.frame_table, metrics._crossing_ttc
